@@ -34,7 +34,9 @@ from .errors import ConfigError
 from .noise import NoiseSpec
 from .protocols import (
     RamseyConfig,
+    ensemble_contrast,
     estimate_frequency,
+    fringe_multiplier,
     run_ghz_ramsey,
     run_standard_ramsey,
 )
@@ -43,10 +45,6 @@ from .records import TrialRecord
 PROTOCOLS = ("standard", "ghz")
 
 SCHEMA_VERSION = 1
-
-
-def fringe_multiplier(protocol: str, n_ions: int) -> int:
-    return 1 if protocol == "standard" else n_ions
 
 
 def theory_sigma(protocol: str, n_ions: int, t_ramsey: float, tau: float) -> float:
@@ -59,12 +57,12 @@ def theory_sigma(protocol: str, n_ions: int, t_ramsey: float, tau: float) -> flo
 
 
 def analytic_sigma_tau(protocol: str, n_ions: int, gamma: float, t_ramsey: float) -> float:
-    """sigma(dw)*sqrt(tau) under independent dephasing, infinite trials."""
-    if protocol == "standard":
-        return math.exp(gamma * t_ramsey) / math.sqrt(n_ions * t_ramsey)
-    if protocol == "ghz":
-        return math.exp(n_ions * gamma * t_ramsey) / (n_ions * math.sqrt(t_ramsey))
-    raise ValueError(f"unknown protocol {protocol!r}")
+    """sigma(dw)*sqrt(tau) under independent dephasing, infinite trials: the
+    noise-free limit at unit tau divided by the ensemble fringe contrast."""
+    noise = NoiseSpec(gamma=gamma, mode="independent")
+    return theory_sigma(protocol, n_ions, t_ramsey, 1.0) / ensemble_contrast(
+        n_ions, noise, t_ramsey, protocol
+    )
 
 
 def _half_fringe_config(
@@ -99,7 +97,8 @@ def _run_batches(
         label = "/".join(str(p) for p in (seed, *path_prefix, b))
         return runner(replace(cfg, shots=sizes[b]), rng, seed_label=label)
 
-    return streams.merge_in_order(streams.parallel_map(one_batch, n_batches, threads))
+    batches = streams.parallel_map(one_batch, n_batches, threads)
+    return [rec for batch in batches for rec in batch]
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +125,6 @@ class ScalingReport:
     trials: int
     seed: int
     low_statistics: bool
-
-    def protocol_points(self, protocol: str) -> list[ScalingPoint]:
-        return [p for p in self.points if p.protocol == protocol]
 
 
 def _loglog_slope(l_values: np.ndarray, sigmas: np.ndarray) -> tuple[float, float]:
@@ -292,12 +288,10 @@ def dephasing_benchmark(
 
     curves: dict[str, DephasingCurve] = {}
     for proto_idx, protocol in enumerate(PROTOCOLS):
-        mult = fringe_multiplier(protocol, n_ions)
-
         def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
             records = _run_batches(cfg, protocol, trials, seed, path, threads)
-            contrast = math.exp(-mult * gamma * t_ramsey)
+            contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
             est = estimate_frequency(
                 records, contrast=contrast, operating_phase=np.pi / 2
             )

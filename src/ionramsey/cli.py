@@ -10,15 +10,18 @@ Subcommands wrap the library's protocols and benchmarks::
 
 Configs are INI files (flat key-value with sections, diff-friendly for
 experiment logs): a command reads its own section plus the optional [run]
-section; unknown sections or keys are rejected. Every run writes
-``<command>.csv`` (or ``.json`` with ``--format json``) plus
+section; unknown sections or keys are rejected. Every successful run
+writes ``<command>.csv`` (or ``.json`` with ``--format json``) plus
 ``<command>_summary.json`` into ``--out``; existing files are never
-overwritten unless ``--force`` is given. All outputs embed the library
-version and a manifest hash (sha256 over command, seed, format, flags, and
-the config text), and are byte-identical for equal seeds at any
+overwritten unless ``--force`` is given. Each ``cmd_*`` function only
+computes a table and a summary; :func:`main` writes both once the command
+has returned, so a run that fails writes nothing. All outputs embed the
+library version and a manifest hash (sha256 over command, seed, format,
+flags, and the config text), and are byte-identical for equal seeds at any
 ``--threads`` value.
 
-Exit codes: 0 success, 2 configuration error, 3 register-capacity error,
+Exit codes: 0 success, 2 configuration error (including a config value a
+library check rejects with ``ValueError``), 3 register-capacity error,
 4 non-convergence or ambiguous-fringe error. Errors are reported as one
 JSON object on stderr.
 """
@@ -35,11 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, streams
+from . import __version__
 from .bench import (
+    PROTOCOLS,
     SCHEMA_VERSION,
+    _loglog_slope,
+    _run_batches,
     dephasing_benchmark,
-    fringe_multiplier,
     scan_scaling,
     theory_sigma,
 )
@@ -59,24 +64,15 @@ from .protocols import (
     fit_fringe_frequency,
     flag_large_admixture,
     fourier_decompose,
+    fringe_multiplier,
     fringe_scan,
     ghz_signal,
     make_truth_simulator,
     naive_single_point_omega0,
-    run_ghz_ramsey,
-    run_standard_ramsey,
     synthesize_signal,
     two_point_calibrate,
 )
-from .records import (
-    EstimateRecord,
-    TrialRecord,
-    record_row,
-    CSV_COLUMNS,
-    write_json,
-    write_records_csv,
-    write_table_csv,
-)
+from .records import CSV_COLUMNS, TrialRecord, record_row, write_json, write_table_csv
 
 _RUN_KEYS = {"seed"}
 _SECTION_KEYS = {
@@ -248,7 +244,6 @@ def _resolve_seed(parser, cli_seed: int | None) -> int:
 
 def _output_paths(manifest: RunManifest) -> tuple[Path, Path]:
     out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     ext = "csv" if manifest.fmt == "csv" else "json"
     return out / f"{manifest.command}.{ext}", out / f"{manifest.command}_summary.json"
 
@@ -261,27 +256,32 @@ def _check_overwrite(paths: tuple[Path, ...], force: bool) -> None:
         )
 
 
-def _write_records(path: Path, records, manifest: RunManifest) -> None:
+def _write_outputs(
+    manifest: RunManifest,
+    paths: tuple[Path, Path],
+    columns: tuple[str, ...],
+    rows: list,
+    summary: dict[str, object],
+) -> None:
+    """The one place outputs are written: the table, then the summary."""
+    table_path, summary_path = paths
+    table_path.parent.mkdir(parents=True, exist_ok=True)
+    meta = manifest.meta()
     if manifest.fmt == "csv":
-        write_records_csv(path, records, manifest.meta())
+        write_table_csv(table_path, columns, rows, meta)
     else:
-        rows = [dict(zip(CSV_COLUMNS, record_row(r))) for r in records]
-        write_json(path, {"meta": manifest.meta(), "rows": rows})
-
-
-def _write_table(path: Path, columns, rows, manifest: RunManifest) -> None:
-    if manifest.fmt == "csv":
-        write_table_csv(path, columns, rows, manifest.meta())
-    else:
-        dicts = [
-            {col: val for col, val in zip(columns, row)} for row in rows
-        ]
-        write_json(path, {"meta": manifest.meta(), "rows": dicts})
+        dicts = [dict(zip(columns, row)) for row in rows]
+        write_json(table_path, {"meta": meta, "rows": dicts})
+    write_json(summary_path, {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+# What every subcommand returns: table columns, table rows (a list, one
+# sequence per row) and the summary fields besides schema_version and meta.
+Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 
 
 def _ramsey_config(parser) -> tuple[str, RamseyConfig, int, float]:
@@ -289,40 +289,34 @@ def _ramsey_config(parser) -> tuple[str, RamseyConfig, int, float]:
     protocol = _get(parser, sec, "protocol", str, "ghz").strip()
     if protocol not in ("standard", "ghz"):
         raise ConfigError(f"protocol must be standard|ghz, got {protocol!r}")
-    gamma = _get(parser, sec, "gamma", float, 0.0)
-    noise = None
-    if gamma > 0:
-        noise = NoiseSpec(gamma=gamma, mode=_get(parser, sec, "noise_mode", str, "independent"))
+    noise = NoiseSpec(
+        gamma=_get(parser, sec, "gamma", float, 0.0),
+        mode=_get(parser, sec, "noise_mode", str, "independent"),
+    )
     imperfection = None
     if parser.has_option(sec, "epsilon"):
         imperfection = _get(parser, sec, "epsilon", _parse_epsilon, None)
-    try:
-        cfg = RamseyConfig(
-            n_ions=_get(parser, sec, "n_ions", int, None),
-            t_ramsey=_get(parser, sec, "t_ramsey", float, None),
-            omega_r=_get(parser, sec, "omega_r", float, None),
-            omega_0=_get(parser, sec, "omega_0", float, 0.0),
-            noise=noise,
-            imperfection=imperfection,
-            readout=_get(parser, sec, "readout", str, "final_pulse"),
-            final_phase=_get(parser, sec, "final_phase", float, 0.0),
-            phi0=_get(parser, sec, "phi0", float, 0.0),
-            shots=_get(parser, sec, "shots", int, 1000),
-            allow_wrap=_get(parser, sec, "allow_wrap", _parse_bool, False),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = RamseyConfig(
+        n_ions=_get(parser, sec, "n_ions", int, None),
+        t_ramsey=_get(parser, sec, "t_ramsey", float, None),
+        omega_r=_get(parser, sec, "omega_r", float, None),
+        omega_0=_get(parser, sec, "omega_0", float, 0.0),
+        noise=noise if noise.gamma != 0.0 else None,
+        imperfection=imperfection,
+        readout=_get(parser, sec, "readout", str, "final_pulse"),
+        final_phase=_get(parser, sec, "final_phase", float, 0.0),
+        phi0=_get(parser, sec, "phi0", float, 0.0),
+        shots=_get(parser, sec, "shots", int, 1000),
+        allow_wrap=_get(parser, sec, "allow_wrap", _parse_bool, False),
+    )
     scan_points = _get(parser, sec, "scan_points", int, 64)
     scan_t_max = _get(parser, sec, "scan_t_max", float, cfg.t_ramsey)
     return protocol, cfg, scan_points, scan_t_max
 
 
-def cmd_ramsey(manifest: RunManifest, parser) -> int:
+def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
     protocol, cfg, scan_points, scan_t_max = _ramsey_config(parser)
-    records_path, summary_path = _output_paths(manifest)
     summary: dict[str, object] = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": manifest.meta(),
         "protocol": protocol,
         "n_ions": cfg.n_ions,
         "t_ramsey": cfg.t_ramsey,
@@ -334,54 +328,37 @@ def cmd_ramsey(manifest: RunManifest, parser) -> int:
     if manifest.expectation:
         t_grid = scan_t_max * np.arange(1, scan_points + 1) / scan_points
         signal = fringe_scan(replace(cfg, allow_wrap=True), protocol, t_grid)
-        rows = [
+        fit = fit_fringe_frequency(t_grid, signal)
+        records: list = [
             TrialRecord(protocol, cfg.n_ions, float(t), cfg.omega_r, "", float(s))
             for t, s in zip(t_grid, signal)
         ]
-        _write_records(records_path, rows, manifest)
-        fit = fit_fringe_frequency(t_grid, signal)
         mult = fringe_multiplier(protocol, cfg.n_ions)
         summary["fitted_fringe_frequency"] = fit.frequency
         summary["expected_fringe_frequency"] = abs(cfg.delta_omega) * mult
         summary["fitted_amplitude"] = fit.amplitude
     else:
-        proto_tag = (
-            "standard"
-            if protocol == "standard"
-            else ("ghz_reversed" if cfg.readout == "time_reversed" else "ghz_parity")
+        records = _run_batches(
+            cfg, protocol, cfg.shots, manifest.seed, (0,), manifest.threads
         )
-        runner = run_standard_ramsey if protocol == "standard" else run_ghz_ramsey
-        batch = 2000
-        n_batches = max(1, -(-cfg.shots // batch))
-        sizes = [min(batch, cfg.shots - b * batch) for b in range(n_batches)]
-
-        def one_batch(b: int):
-            rng = streams.stream(manifest.seed, 0, b)
-            label = f"{manifest.seed}/0/{b}"
-            return runner(replace(cfg, shots=sizes[b]), rng, seed_label=label)
-
-        batches = streams.parallel_map(one_batch, n_batches, manifest.threads)
-        records = streams.merge_in_order(batches)
-        all_rows: list = list(records)
-        contrast = ensemble_contrast(cfg.n_ions, cfg.noise, cfg.t_ramsey, proto_tag)
+        summary["shots"] = cfg.shots
+        summary["mean_outcome"] = float(np.mean([r.outcome for r in records]))
+        contrast = ensemble_contrast(
+            cfg.n_ions, cfg.noise, cfg.t_ramsey, records[0].protocol
+        )
         try:
             est = estimate_frequency(
                 records, contrast=contrast, final_phase=cfg.final_phase
             )
-            all_rows.append(est)
+            records.append(est)
             summary["estimate_delta_omega"] = est.estimate
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:
             summary["estimate_error"] = f"{type(exc).__name__}: {exc}"
-        mean_outcome = float(np.mean([r.outcome for r in records]))
-        summary["shots"] = cfg.shots
-        summary["mean_outcome"] = mean_outcome
-        _write_records(records_path, all_rows, manifest)
-    write_json(summary_path, summary)
-    return 0
+    return CSV_COLUMNS, [record_row(r) for r in records], summary
 
 
-def cmd_scaling(manifest: RunManifest, parser) -> int:
+def cmd_scaling(manifest: RunManifest, parser) -> Outputs:
     sec = "scaling"
     l_values = _get(parser, sec, "l_values", _parse_ints, None)
     trials = _get(parser, sec, "trials", int, 10_000)
@@ -391,33 +368,21 @@ def cmd_scaling(manifest: RunManifest, parser) -> int:
         omega_r=0.0,
         omega_0=_get(parser, sec, "omega_0", float, 0.0),
     )
-    records_path, summary_path = _output_paths(manifest)
     columns = ("protocol", "L", "T_R", "tau", "sigma_measured", "sigma_theory", "ratio")
     if manifest.expectation:
         # No sampling noise to measure: emit the analytic limits themselves.
         rows = []
         slopes = {}
-        for protocol in ("standard", "ghz"):
+        for protocol in PROTOCOLS:
             sigmas = []
             for n_ions in l_values:
                 tau = trials * template.t_ramsey
                 sig = theory_sigma(protocol, n_ions, template.t_ramsey, tau)
                 sigmas.append(sig)
                 rows.append((protocol, n_ions, template.t_ramsey, tau, sig, sig, 1.0))
-            coef = np.polyfit(np.log(l_values), np.log(sigmas), 1)
-            slopes[protocol] = float(coef[0])
-        _write_table(records_path, columns, rows, manifest)
-        write_json(
-            summary_path,
-            {
-                "schema_version": SCHEMA_VERSION,
-                "meta": manifest.meta(),
-                "expectation_mode": True,
-                "slopes": slopes,
-                "trials": trials,
-            },
-        )
-        return 0
+            slopes[protocol] = _loglog_slope(l_values, sigmas)[0]
+        summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
+        return columns, rows, summary
     report = scan_scaling(
         l_values, template, trials, seed=manifest.seed, threads=manifest.threads
     )
@@ -425,23 +390,17 @@ def cmd_scaling(manifest: RunManifest, parser) -> int:
         (p.protocol, p.n_ions, p.t_ramsey, p.tau, p.sigma_measured, p.sigma_theory, p.ratio)
         for p in report.points
     ]
-    _write_table(records_path, columns, rows, manifest)
-    write_json(
-        summary_path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "meta": manifest.meta(),
-            "expectation_mode": False,
-            "slopes": report.slopes,
-            "slope_sigma": report.slope_sigma,
-            "trials": report.trials,
-            "low_statistics": report.low_statistics,
-        },
-    )
-    return 0
+    summary = {
+        "expectation_mode": False,
+        "slopes": report.slopes,
+        "slope_sigma": report.slope_sigma,
+        "trials": report.trials,
+        "low_statistics": report.low_statistics,
+    }
+    return columns, rows, summary
 
 
-def cmd_dephasing(manifest: RunManifest, parser) -> int:
+def cmd_dephasing(manifest: RunManifest, parser) -> Outputs:
     sec = "dephasing"
     gamma = _get(parser, sec, "gamma", float, None)
     n_ions = _get(parser, sec, "n_ions", int, None)
@@ -466,40 +425,33 @@ def cmd_dephasing(manifest: RunManifest, parser) -> int:
         mode=mode,
         refine=refine,
     )
-    records_path, summary_path = _output_paths(manifest)
     columns = ("protocol", "T_R", "sigma_sqrt_tau")
     rows = []
-    for protocol in ("standard", "ghz"):
+    for protocol in PROTOCOLS:
         curve = report.curves[protocol]
         rows.extend(
             (protocol, float(t), float(v))
             for t, v in zip(curve.t_grid, curve.sigma_tau)
         )
-    _write_table(records_path, columns, rows, manifest)
-    write_json(
-        summary_path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "meta": manifest.meta(),
-            "gamma": gamma,
-            "n_ions": n_ions,
-            "mode": report.mode,
-            "trials": report.trials,
-            "t_opt": {p: report.curves[p].t_opt for p in report.curves},
-            "min_sigma_sqrt_tau": {
-                p: report.curves[p].min_value for p in report.curves
-            },
-            "argmin_on_boundary": {
-                p: report.curves[p].argmin_on_boundary for p in report.curves
-            },
-            "t_opt_ratio": report.t_opt_ratio,
-            "min_ratio": report.min_ratio,
+    summary = {
+        "gamma": gamma,
+        "n_ions": n_ions,
+        "mode": report.mode,
+        "trials": report.trials,
+        "t_opt": {p: report.curves[p].t_opt for p in report.curves},
+        "min_sigma_sqrt_tau": {
+            p: report.curves[p].min_value for p in report.curves
         },
-    )
-    return 0
+        "argmin_on_boundary": {
+            p: report.curves[p].argmin_on_boundary for p in report.curves
+        },
+        "t_opt_ratio": report.t_opt_ratio,
+        "min_ratio": report.min_ratio,
+    }
+    return columns, rows, summary
 
 
-def cmd_calibrate(manifest: RunManifest, parser) -> int:
+def cmd_calibrate(manifest: RunManifest, parser) -> Outputs:
     sec = "calibrate"
     n_ions = _get(parser, sec, "n_ions", int, None)
     omega_0 = _get(parser, sec, "omega_0", float, None)
@@ -525,30 +477,23 @@ def cmd_calibrate(manifest: RunManifest, parser) -> int:
     result = two_point_calibrate(
         sim, cal, cfg, tol=tol, max_iter=max_iter, history=history
     )
-    records_path, summary_path = _output_paths(manifest)
     columns = ("iteration", "omega_r1", "omega_r2", "phi_f", "omega0_estimate")
-    _write_table(records_path, columns, history, manifest)
     fringe_width = float(np.pi / (n_ions * cal.t_r2))
     naive = naive_single_point_omega0(sim, cal.omega_r2, cal.t_r2, n_ions)
-    write_json(
-        summary_path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "meta": manifest.meta(),
-            "n_ions": n_ions,
-            "bias_tc": bias_tc,
-            "iterations": result.iterations,
-            "omega0_estimate": result.omega0,
-            "omega0_truth": omega_0,
-            "abs_error": abs(result.omega0 - omega_0),
-            "fringe_width": fringe_width,
-            "error_in_fringe_widths": abs(result.omega0 - omega_0) / fringe_width,
-            "phi_f": result.phi_f,
-            "naive_single_point_estimate": naive,
-            "naive_offset": abs(naive - omega_0),
-        },
-    )
-    return 0
+    summary = {
+        "n_ions": n_ions,
+        "bias_tc": bias_tc,
+        "iterations": result.iterations,
+        "omega0_estimate": result.omega0,
+        "omega0_truth": omega_0,
+        "abs_error": abs(result.omega0 - omega_0),
+        "fringe_width": fringe_width,
+        "error_in_fringe_widths": abs(result.omega0 - omega_0) / fringe_width,
+        "phi_f": result.phi_f,
+        "naive_single_point_estimate": naive,
+        "naive_offset": abs(naive - omega_0),
+    }
+    return columns, history, summary
 
 
 def _read_signal_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -579,7 +524,7 @@ def _read_signal_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts), np.array(ss)
 
 
-def cmd_fourier(manifest: RunManifest, parser) -> int:
+def cmd_fourier(manifest: RunManifest, parser) -> Outputs:
     sec = "fourier"
     n_ions = _get(parser, sec, "n_ions", int, None)
     delta_omega = _get(parser, sec, "delta_omega", float, None)
@@ -615,25 +560,18 @@ def cmd_fourier(manifest: RunManifest, parser) -> int:
     else:
         raise ConfigError("[fourier] needs one of: input=, c=, or epsilon=")
     fit = fourier_decompose(t_grid, signal, n_ions, delta_omega)
-    records_path, summary_path = _output_paths(manifest)
     columns = ("p", "C_p", "xi_p")
     rows = [(p, float(fit.c[p - 1]), float(fit.xi[p - 1])) for p in range(1, n_ions + 1)]
-    _write_table(records_path, columns, rows, manifest)
-    write_json(
-        summary_path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "meta": manifest.meta(),
-            "source": source,
-            "n_ions": n_ions,
-            "delta_omega": delta_omega,
-            "n_samples": int(len(t_grid)),
-            "residual_rms": fit.residual,
-            "dominant_p": int(np.argmax(fit.c)) + 1,
-            "large_admixture_flag": flag_large_admixture(fit, threshold),
-        },
-    )
-    return 0
+    summary = {
+        "source": source,
+        "n_ions": n_ions,
+        "delta_omega": delta_omega,
+        "n_samples": int(len(t_grid)),
+        "residual_rms": fit.residual,
+        "dominant_p": int(np.argmax(fit.c)) + 1,
+        "large_admixture_flag": flag_large_admixture(fit, threshold),
+    }
+    return columns, rows, summary
 
 
 _COMMANDS = {
@@ -684,8 +622,14 @@ def main(argv: list[str] | None = None) -> int:
             expectation=args.expectation_mode,
             threads=args.threads,
         )
-        _check_overwrite(_output_paths(manifest), args.force)
-        return _COMMANDS[args.command](manifest, parser)
+        paths = _output_paths(manifest)
+        _check_overwrite(paths, args.force)
+        result = _COMMANDS[args.command](manifest, parser)
+        if isinstance(result, int):
+            # A stand-in command (perfbench's set-up probe) has nothing to write.
+            return result
+        _write_outputs(manifest, paths, *result)
+        return 0
     except ConfigError as exc:
         _fail(exc)
         return 2
@@ -697,6 +641,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except IonRamseyError as exc:  # residual library errors: config-level
         _fail(exc)
+        return 2
+    except ValueError as exc:  # a library check rejected a config value
+        _fail(ConfigError(str(exc)))
         return 2
 
 

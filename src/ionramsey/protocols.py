@@ -131,23 +131,34 @@ def ensure_unambiguous(
         )
 
 
+def fringe_multiplier(protocol: str, n_ions: int) -> int:
+    """Fringe-frequency factor m: the signal oscillates as cos(m dw T_R).
+
+    1 for the standard protocol, L for GHZ under either readout
+    (``"ghz"``, ``"ghz_parity"`` or ``"ghz_reversed"``).
+    """
+    if protocol == PROTO_STANDARD:
+        return 1
+    if protocol in ("ghz", PROTO_GHZ_PARITY, PROTO_GHZ_REVERSED):
+        return n_ions
+    raise ValueError(f"unknown protocol {protocol!r}")
+
+
 def ensemble_contrast(
     n_ions: int, noise: NoiseSpec | None, t: float, protocol: str
 ) -> float:
     """Ensemble-mean fringe contrast under the Gaussian dephasing model.
 
-    Per-ion phase variance is 2*gamma*t, so a coherence that accumulates k
-    independent phases decays as exp(-k*gamma*t); the common-mode GHZ phase
-    is L times one shared draw, giving exp(-L^2*gamma*t).
+    Per-ion phase variance is 2*gamma*t, so a coherence that accumulates m
+    independent phases (m the fringe multiplier) decays as exp(-m*gamma*t);
+    in common mode the m phases are one shared draw, giving
+    exp(-m^2*gamma*t).
     """
     if noise is None or noise.gamma == 0.0:
         return 1.0
-    g = noise.gamma * t
-    if protocol == PROTO_STANDARD:
-        return float(np.exp(-g))
-    if noise.mode == "common":
-        return float(np.exp(-(n_ions**2) * g))
-    return float(np.exp(-n_ions * g))
+    m = fringe_multiplier(protocol, n_ions)
+    k = m * m if noise.mode == "common" else m
+    return float(np.exp(-k * (noise.gamma * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +394,13 @@ def _invert_group(
     mean = float(np.mean(s))
     sigma_s = float(np.std(s, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
+    mult = fringe_multiplier(proto, n_ions)
     if proto == PROTO_STANDARD:
-        mult = 1
         u = (1.0 - 2.0 * mean) / contrast
         # dS/d(dw) for S = excited fraction; |.| taken after inversion.
         slope_scale = 0.5 * contrast * t_r
         phi = final_phase
     else:
-        mult = n_ions
         u = mean / contrast
         slope_scale = contrast * mult * t_r
         phi = 0.0 if proto == PROTO_GHZ_REVERSED else final_phase

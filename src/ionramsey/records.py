@@ -84,26 +84,16 @@ def record_row(rec: Record) -> list[str]:
     ]
 
 
-def write_records_csv(
-    path: str | Path, records: Iterable[Record], meta: dict[str, object] | None = None
-) -> None:
-    """Write records with ``# key=value`` provenance comments then a header."""
-    lines: list[str] = []
-    for key in sorted((meta or {})):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append(",".join(CSV_COLUMNS))
-    for rec in records:
-        lines.append(",".join(record_row(rec)))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_table_csv(
     path: str | Path,
     columns: tuple[str, ...],
     rows: Iterable[Iterable[object]],
     meta: dict[str, object] | None = None,
 ) -> None:
-    """Generic CSV with the same provenance-comment convention."""
+    """CSV with ``# key=value`` provenance comments, then a header row.
+
+    Record tables pass ``CSV_COLUMNS`` and one :func:`record_row` per record.
+    """
     lines: list[str] = []
     for key in sorted((meta or {})):
         lines.append(f"# {key}={meta[key]}")

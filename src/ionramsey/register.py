@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, NormError
+from .errors import CapacityError
 
 MAX_IONS = 24
-NORM_TOL = 1e-12
 
 
 @dataclass
@@ -51,12 +50,6 @@ class QubitRegister:
     @property
     def dim(self) -> int:
         return 1 << self.n_qubits
-
-    def copy(self) -> "QubitRegister":
-        return QubitRegister(self.n_ions, self.has_bus, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -212,13 +205,6 @@ def bus_purity(reg: QubitRegister) -> float:
     a = psi.reshape(-1, 2)
     rho = a.conj().T @ a
     return float(np.real(np.trace(rho @ rho)))
-
-
-def check_norm(reg: QubitRegister, tol: float = NORM_TOL) -> None:
-    """Raise NormError if the state norm drifted beyond ``tol``."""
-    norm_sq = float(np.sum(np.abs(reg.amplitudes) ** 2))
-    if abs(norm_sq - 1.0) > tol:
-        raise NormError(f"state norm^2 = {norm_sq!r} deviates from 1 beyond {tol}")
 
 
 @dataclass

@@ -16,7 +16,7 @@ Two properties follow:
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -52,11 +52,3 @@ def parallel_map(
         return [fn(i) for i in range(n_items)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(n_items)))
-
-
-def merge_in_order(chunks: Sequence[Sequence[T]]) -> list[T]:
-    """Concatenate per-shard result lists in shard order."""
-    out: list[T] = []
-    for chunk in chunks:
-        out.extend(chunk)
-    return out

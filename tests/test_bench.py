@@ -18,12 +18,8 @@ from ionramsey import (
     scan_scaling,
     theory_sigma,
 )
-from ionramsey.bench import (
-    analytic_sigma_tau,
-    fringe_multiplier,
-    golden_section,
-)
-from ionramsey.protocols import ghz_signal, standard_population
+from ionramsey.bench import analytic_sigma_tau, golden_section
+from ionramsey.protocols import fringe_multiplier, ghz_signal, standard_population
 from ionramsey import streams
 
 
@@ -79,7 +75,10 @@ class TestTheoryFormulas:
 
     def test_fringe_multiplier(self):
         assert fringe_multiplier("standard", 8) == 1
-        assert fringe_multiplier("ghz", 8) == 8
+        for protocol in ("ghz", "ghz_parity", "ghz_reversed"):
+            assert fringe_multiplier(protocol, 8) == 8
+        with pytest.raises(ValueError):
+            fringe_multiplier("magic", 8)
 
     @pytest.mark.parametrize("protocol,mult", [("standard", 1), ("ghz", 3)])
     def test_analytic_optimum_against_scipy(self, protocol, mult):
@@ -219,6 +218,4 @@ class TestStreams:
 
         for threads in (1, 4):
             chunks = streams.parallel_map(work, 6, threads)
-            assert streams.merge_in_order(chunks) == [
-                i * 10 + j for i in range(6) for j in range(3)
-            ]
+            assert chunks == [[i * 10 + j for j in range(3)] for i in range(6)]

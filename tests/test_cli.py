@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ionramsey import cli
 from ionramsey.cli import main
 from ionramsey.protocols import synthesize_signal
 
@@ -154,8 +155,63 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
         assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            (
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.1\n"
+                "gamma = 0.2\nnoise_mode = bogus\n",
+            ),
+            (
+                "calibrate",
+                "[calibrate]\nn_ions = 4\nomega_0 = 0.61803\nomega_r1 = 0.50\n"
+                "omega_r2 = 0.70\nt_r1 = 0.4\nt_r2 = 2.0\n",
+            ),
+            (
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.1\n"
+                "gamma = -5\n",
+            ),
+        ],
+        ids=["bogus_noise_mode", "calibrate_time_ratio_5", "negative_gamma"],
+    )
+    def test_rejected_value_exits_2(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, "bad.ini", text)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ConfigError"
+        assert not out.exists()
+
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        # Too few scan points: the fringe fit fails after the scan was computed.
+        cfg = write_config(
+            tmp_path,
+            "e.ini",
+            "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+            "scan_points = 4\n",
+        )
+        out = tmp_path / "out"
+        argv = ["ramsey", "--config", cfg, "--out", str(out), "--expectation-mode"]
+        assert main(argv) == 2
+        assert not (out / "ramsey.csv").exists()
+        capsys.readouterr()
+        # Nothing was left behind, so a rerun is not refused as an overwrite.
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "FitError"
+
 
 class TestOtherCommands:
+    def test_stand_in_command_writes_nothing(self, tmp_path, monkeypatch):
+        # perfbench's set-up probe replaces a command with a stub returning 0.
+        monkeypatch.setitem(cli._COMMANDS, "ramsey", lambda manifest, parser: 0)
+        cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+        out = tmp_path / "out"
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 0
+        assert not out.exists()
+
     def test_scaling_expectation(self, tmp_path):
         cfg = write_config(
             tmp_path, "s.ini", "[scaling]\nl_values = 1, 2, 4, 8\ntrials = 100\n"

@@ -10,7 +10,6 @@ from ionramsey.records import (
     TrialRecord,
     record_row,
     write_json,
-    write_records_csv,
     write_table_csv,
 )
 
@@ -29,7 +28,8 @@ def make_trial(outcome=1.0):
 class TestCsvWriters:
     def test_records_csv_layout(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_records_csv(path, [make_trial(), make_trial(-1.0)], {"seed": 7, "b": "x"})
+        rows = [record_row(make_trial()), record_row(make_trial(-1.0))]
+        write_table_csv(path, CSV_COLUMNS, rows, {"seed": 7, "b": "x"})
         lines = path.read_text().splitlines()
         # Comment header: sorted key=value pairs, then the column row.
         assert lines[0] == "# b=x"
@@ -43,7 +43,7 @@ class TestCsvWriters:
         value = 0.1 + 0.2  # classic non-representable sum
         rec = make_trial(outcome=value)
         path = tmp_path / "r.csv"
-        write_records_csv(path, [rec], {})
+        write_table_csv(path, CSV_COLUMNS, [record_row(rec)], {})
         data_line = path.read_text().splitlines()[-1]
         assert float(data_line.split(",")[5]) == value
 
@@ -70,9 +70,9 @@ class TestCsvWriters:
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
-        rows = [make_trial(float(x)) for x in range(5)]
-        write_records_csv(p1, rows, {"seed": 3})
-        write_records_csv(p2, rows, {"seed": 3})
+        rows = [record_row(make_trial(float(x))) for x in range(5)]
+        write_table_csv(p1, CSV_COLUMNS, rows, {"seed": 3})
+        write_table_csv(p2, CSV_COLUMNS, rows, {"seed": 3})
         assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -33,7 +33,7 @@ def main() -> None:
             omega_0=0.0,
             allow_wrap=True,
         )
-        signal = fringe_scan(cfg, "ghz", t_grid)
+        signal = fringe_scan(cfg, t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         expected = n_ions * DELTA_OMEGA
         rel = abs(fit.frequency - expected) / expected

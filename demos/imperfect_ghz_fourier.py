@@ -45,7 +45,7 @@ def generate_dataset() -> None:
     )
     period = 2.0 * np.pi / DELTA_OMEGA
     t_grid = period * np.arange(1, 129) / 128.0
-    signal = fringe_scan(cfg, "ghz", t_grid)
+    signal = fringe_scan(cfg, t_grid)
     DATA.mkdir(exist_ok=True)
     write_table_csv(
         DATASET,

@@ -10,7 +10,7 @@ to out/scaling_laws.csv.
 
 from pathlib import Path
 
-from ionramsey import scan_scaling, theory_sigma
+from ionramsey import Protocol, scan_scaling, theory_sigma
 from ionramsey.records import write_table_csv
 
 L_VALUES = [1, 2, 4, 8]
@@ -51,7 +51,9 @@ def main() -> None:
         },
     )
     print(f"\nwrote {path}")
-    gain = theory_sigma("standard", 8, 1.0, TRIALS) / theory_sigma("ghz", 8, 1.0, TRIALS)
+    gain = theory_sigma(Protocol.STANDARD, 8, 1.0, TRIALS) / theory_sigma(
+        Protocol.GHZ_PARITY, 8, 1.0, TRIALS
+    )
     print(f"at L=8 the entangled protocol is {gain:.2f}x more precise per unit time")
 
 

@@ -33,30 +33,30 @@ from . import streams
 from .errors import ConfigError
 from .noise import NoiseSpec
 from .protocols import (
+    Protocol,
     RamseyConfig,
     ensemble_contrast,
     estimate_frequency,
-    fringe_multiplier,
-    run_ghz_ramsey,
-    run_standard_ramsey,
+    run_ramsey,
 )
 from .records import TrialRecord
 
-PROTOCOLS = ("standard", "ghz")
+# The two protocols every benchmark compares; reports label them by family.
+PROTOCOLS = (Protocol.STANDARD, Protocol.GHZ_PARITY)
 
 SCHEMA_VERSION = 1
 
 
-def theory_sigma(protocol: str, n_ions: int, t_ramsey: float, tau: float) -> float:
+def theory_sigma(protocol: Protocol, n_ions: int, t_ramsey: float, tau: float) -> float:
     """Noise-free uncertainty limit for one protocol."""
-    if protocol == "standard":
+    if protocol is Protocol.STANDARD:
         return 1.0 / math.sqrt(n_ions * t_ramsey * tau)
-    if protocol == "ghz":
-        return 1.0 / (n_ions * math.sqrt(t_ramsey * tau))
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return 1.0 / (n_ions * math.sqrt(t_ramsey * tau))
 
 
-def analytic_sigma_tau(protocol: str, n_ions: int, gamma: float, t_ramsey: float) -> float:
+def analytic_sigma_tau(
+    protocol: Protocol, n_ions: int, gamma: float, t_ramsey: float
+) -> float:
     """sigma(dw)*sqrt(tau) under independent dephasing, infinite trials: the
     noise-free limit at unit tau divided by the ensemble fringe contrast."""
     noise = NoiseSpec(gamma=gamma, mode="independent")
@@ -66,11 +66,12 @@ def analytic_sigma_tau(protocol: str, n_ions: int, gamma: float, t_ramsey: float
 
 
 def _half_fringe_config(
-    template: RamseyConfig, protocol: str, n_ions: int, t_ramsey: float, shots: int
+    template: RamseyConfig, protocol: Protocol, n_ions: int, t_ramsey: float, shots: int
 ) -> RamseyConfig:
-    mult = fringe_multiplier(protocol, n_ions)
+    mult = protocol.multiplier(n_ions)
     return replace(
         template,
+        protocol=protocol,
         n_ions=n_ions,
         t_ramsey=t_ramsey,
         omega_r=template.omega_0 + np.pi / (2 * mult * t_ramsey),
@@ -81,21 +82,19 @@ def _half_fringe_config(
 
 def _run_batches(
     cfg: RamseyConfig,
-    protocol: str,
     trials: int,
     seed: int,
     path_prefix: tuple[int, ...],
     threads: int,
     batch_size: int = 2000,
 ) -> list[TrialRecord]:
-    runner = run_standard_ramsey if protocol == "standard" else run_ghz_ramsey
     n_batches = math.ceil(trials / batch_size)
     sizes = [min(batch_size, trials - b * batch_size) for b in range(n_batches)]
 
     def one_batch(b: int) -> list[TrialRecord]:
         rng = streams.stream(seed, *path_prefix, b)
         label = "/".join(str(p) for p in (seed, *path_prefix, b))
-        return runner(replace(cfg, shots=sizes[b]), rng, seed_label=label)
+        return run_ramsey(replace(cfg, shots=sizes[b]), rng, seed_label=label)
 
     batches = streams.parallel_map(one_batch, n_batches, threads)
     return [rec for batch in batches for rec in batch]
@@ -160,20 +159,22 @@ def scan_scaling(
     if cfg_template is None:
         cfg_template = RamseyConfig(n_ions=1, t_ramsey=1.0, omega_r=0.0, omega_0=0.0)
     points: list[ScalingPoint] = []
+    slopes: dict[str, float] = {}
+    slope_sigma: dict[str, float] = {}
     for proto_idx, protocol in enumerate(PROTOCOLS):
+        sigmas = []
         for l_idx, n_ions in enumerate(l_values):
             cfg = _half_fringe_config(
                 cfg_template, protocol, n_ions, cfg_template.t_ramsey, trials
             )
-            records = _run_batches(
-                cfg, protocol, trials, seed, (proto_idx, l_idx), threads
-            )
+            records = _run_batches(cfg, trials, seed, (proto_idx, l_idx), threads)
             est = estimate_frequency(records, operating_phase=np.pi / 2)
+            sigmas.append(est.sigma)
             tau = trials * cfg.t_ramsey
             theory = theory_sigma(protocol, n_ions, cfg.t_ramsey, tau)
             points.append(
                 ScalingPoint(
-                    protocol=protocol,
+                    protocol=protocol.family,
                     n_ions=n_ions,
                     t_ramsey=cfg.t_ramsey,
                     tau=tau,
@@ -182,16 +183,9 @@ def scan_scaling(
                     ratio=est.sigma / theory,
                 )
             )
-    slopes: dict[str, float] = {}
-    slope_sigma: dict[str, float] = {}
-    for protocol in PROTOCOLS:
-        rows = [p for p in points if p.protocol == protocol]
-        slope, err = _loglog_slope(
-            np.array([p.n_ions for p in rows]),
-            np.array([p.sigma_measured for p in rows]),
+        slopes[protocol.family], slope_sigma[protocol.family] = _loglog_slope(
+            np.array(l_values), np.array(sigmas)
         )
-        slopes[protocol] = slope
-        slope_sigma[protocol] = err
     return ScalingReport(
         points=tuple(points),
         slopes=slopes,
@@ -290,7 +284,7 @@ def dephasing_benchmark(
     for proto_idx, protocol in enumerate(PROTOCOLS):
         def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
-            records = _run_batches(cfg, protocol, trials, seed, path, threads)
+            records = _run_batches(cfg, trials, seed, path, threads)
             contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
             est = estimate_frequency(
                 records, contrast=contrast, operating_phase=np.pi / 2
@@ -322,8 +316,8 @@ def dephasing_benchmark(
             for x, fx in evals:
                 if fx < min_value:
                     t_opt, min_value = float(x), float(fx)
-        curves[protocol] = DephasingCurve(
-            protocol=protocol,
+        curves[protocol.family] = DephasingCurve(
+            protocol=protocol.family,
             t_grid=tuple(float(t) for t in t_grid),
             sigma_tau=tuple(float(v) for v in grid_vals),
             t_opt=t_opt,
@@ -331,7 +325,7 @@ def dephasing_benchmark(
             argmin_on_boundary=on_boundary,
         )
 
-    std, ghz = curves["standard"], curves["ghz"]
+    std, ghz = (curves[protocol.family] for protocol in PROTOCOLS)
     return DephasingReport(
         gamma=gamma,
         n_ions=n_ions,

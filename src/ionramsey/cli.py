@@ -58,15 +58,15 @@ from .errors import (
 from .noise import ImperfectionSpec, NoiseSpec
 from .protocols import (
     CalibrationState,
+    Protocol,
     RamseyConfig,
     ensemble_contrast,
     estimate_frequency,
+    expected_signal,
     fit_fringe_frequency,
     flag_large_admixture,
     fourier_decompose,
-    fringe_multiplier,
     fringe_scan,
-    ghz_signal,
     make_truth_simulator,
     naive_single_point_omega0,
     synthesize_signal,
@@ -200,7 +200,9 @@ def _get(parser, section: str, key: str, conv, default):
     try:
         return conv(raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r} in [{section}]: {raw!r}") from exc
+        raise ConfigError(
+            f"bad value for {key!r} in [{section}]: {raw!r} ({exc})"
+        ) from exc
 
 
 def _parse_bool(raw: str) -> bool:
@@ -209,7 +211,21 @@ def _parse_bool(raw: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(raw)
+    raise ValueError("not a boolean")
+
+
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _nonzero(raw: str) -> float:
+    value = float(raw)
+    if value == 0.0:
+        raise ValueError("must be nonzero")
+    return value
 
 
 def _parse_epsilon(raw: str) -> ImperfectionSpec:
@@ -284,11 +300,12 @@ def _write_outputs(
 Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 
 
-def _ramsey_config(parser) -> tuple[str, RamseyConfig, int, float]:
+def _ramsey_config(parser) -> tuple[RamseyConfig, int, float]:
     sec = "ramsey"
-    protocol = _get(parser, sec, "protocol", str, "ghz").strip()
-    if protocol not in ("standard", "ghz"):
-        raise ConfigError(f"protocol must be standard|ghz, got {protocol!r}")
+    protocol = Protocol.named(
+        _get(parser, sec, "protocol", str, "ghz"),
+        _get(parser, sec, "readout", str, "final_pulse"),
+    )
     noise = NoiseSpec(
         gamma=_get(parser, sec, "gamma", float, 0.0),
         mode=_get(parser, sec, "noise_mode", str, "independent"),
@@ -303,7 +320,7 @@ def _ramsey_config(parser) -> tuple[str, RamseyConfig, int, float]:
         omega_0=_get(parser, sec, "omega_0", float, 0.0),
         noise=noise if noise.gamma != 0.0 else None,
         imperfection=imperfection,
-        readout=_get(parser, sec, "readout", str, "final_pulse"),
+        protocol=protocol,
         final_phase=_get(parser, sec, "final_phase", float, 0.0),
         phi0=_get(parser, sec, "phi0", float, 0.0),
         shots=_get(parser, sec, "shots", int, 1000),
@@ -311,41 +328,39 @@ def _ramsey_config(parser) -> tuple[str, RamseyConfig, int, float]:
     )
     scan_points = _get(parser, sec, "scan_points", int, 64)
     scan_t_max = _get(parser, sec, "scan_t_max", float, cfg.t_ramsey)
-    return protocol, cfg, scan_points, scan_t_max
+    return cfg, scan_points, scan_t_max
 
 
 def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
-    protocol, cfg, scan_points, scan_t_max = _ramsey_config(parser)
+    cfg, scan_points, scan_t_max = _ramsey_config(parser)
     summary: dict[str, object] = {
-        "protocol": protocol,
+        "protocol": cfg.protocol.family,
         "n_ions": cfg.n_ions,
         "t_ramsey": cfg.t_ramsey,
         "omega_r": cfg.omega_r,
         "delta_omega": cfg.delta_omega,
-        "readout": cfg.readout,
+        "readout": cfg.protocol.readout,
         "expectation_mode": manifest.expectation,
     }
     if manifest.expectation:
         t_grid = scan_t_max * np.arange(1, scan_points + 1) / scan_points
-        signal = fringe_scan(replace(cfg, allow_wrap=True), protocol, t_grid)
+        signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         records: list = [
-            TrialRecord(protocol, cfg.n_ions, float(t), cfg.omega_r, "", float(s))
+            TrialRecord(
+                cfg.protocol.family, cfg.n_ions, float(t), cfg.omega_r, "", float(s)
+            )
             for t, s in zip(t_grid, signal)
         ]
-        mult = fringe_multiplier(protocol, cfg.n_ions)
+        mult = cfg.protocol.multiplier(cfg.n_ions)
         summary["fitted_fringe_frequency"] = fit.frequency
         summary["expected_fringe_frequency"] = abs(cfg.delta_omega) * mult
         summary["fitted_amplitude"] = fit.amplitude
     else:
-        records = _run_batches(
-            cfg, protocol, cfg.shots, manifest.seed, (0,), manifest.threads
-        )
+        records = _run_batches(cfg, cfg.shots, manifest.seed, (0,), manifest.threads)
         summary["shots"] = cfg.shots
         summary["mean_outcome"] = float(np.mean([r.outcome for r in records]))
-        contrast = ensemble_contrast(
-            cfg.n_ions, cfg.noise, cfg.t_ramsey, records[0].protocol
-        )
+        contrast = ensemble_contrast(cfg.n_ions, cfg.noise, cfg.t_ramsey, cfg.protocol)
         try:
             est = estimate_frequency(
                 records, contrast=contrast, final_phase=cfg.final_phase
@@ -361,7 +376,7 @@ def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
 def cmd_scaling(manifest: RunManifest, parser) -> Outputs:
     sec = "scaling"
     l_values = _get(parser, sec, "l_values", _parse_ints, None)
-    trials = _get(parser, sec, "trials", int, 10_000)
+    trials = _get(parser, sec, "trials", _count, 10_000)
     template = RamseyConfig(
         n_ions=1,
         t_ramsey=_get(parser, sec, "t_ramsey", float, 1.0),
@@ -379,8 +394,10 @@ def cmd_scaling(manifest: RunManifest, parser) -> Outputs:
                 tau = trials * template.t_ramsey
                 sig = theory_sigma(protocol, n_ions, template.t_ramsey, tau)
                 sigmas.append(sig)
-                rows.append((protocol, n_ions, template.t_ramsey, tau, sig, sig, 1.0))
-            slopes[protocol] = _loglog_slope(l_values, sigmas)[0]
+                rows.append(
+                    (protocol.family, n_ions, template.t_ramsey, tau, sig, sig, 1.0)
+                )
+            slopes[protocol.family] = _loglog_slope(l_values, sigmas)[0]
         summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
         return columns, rows, summary
     report = scan_scaling(
@@ -427,11 +444,9 @@ def cmd_dephasing(manifest: RunManifest, parser) -> Outputs:
     )
     columns = ("protocol", "T_R", "sigma_sqrt_tau")
     rows = []
-    for protocol in PROTOCOLS:
-        curve = report.curves[protocol]
+    for family, curve in report.curves.items():
         rows.extend(
-            (protocol, float(t), float(v))
-            for t, v in zip(curve.t_grid, curve.sigma_tau)
+            (family, float(t), float(v)) for t, v in zip(curve.t_grid, curve.sigma_tau)
         )
     summary = {
         "gamma": gamma,
@@ -463,7 +478,7 @@ def cmd_calibrate(manifest: RunManifest, parser) -> Outputs:
     )
     bias_tc = _get(parser, sec, "bias_tc", float, 0.0)
     tol = _get(parser, sec, "tol", float, 0.0) or None
-    max_iter = _get(parser, sec, "max_iter", int, 50)
+    max_iter = _get(parser, sec, "max_iter", _count, 50)
     cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=cal.t_r2,
@@ -527,7 +542,7 @@ def _read_signal_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
 def cmd_fourier(manifest: RunManifest, parser) -> Outputs:
     sec = "fourier"
     n_ions = _get(parser, sec, "n_ions", int, None)
-    delta_omega = _get(parser, sec, "delta_omega", float, None)
+    delta_omega = _get(parser, sec, "delta_omega", _nonzero, None)
     threshold = _get(parser, sec, "threshold", float, 0.1)
     if parser.has_option(sec, "input"):
         t_grid, signal = _read_signal_csv(parser.get(sec, "input"))
@@ -555,7 +570,7 @@ def cmd_fourier(manifest: RunManifest, parser) -> Outputs:
             imperfection=imperfection,
             allow_wrap=True,
         )
-        signal = np.array([ghz_signal(cfg, t_ramsey=float(t)) for t in t_grid])
+        signal = np.array([expected_signal(cfg, t_ramsey=float(t)) for t in t_grid])
         source = "state_vector"
     else:
         raise ConfigError("[fourier] needs one of: input=, c=, or epsilon=")

@@ -85,20 +85,14 @@ class ImperfectionSpec:
 
     ``epsilon`` maps excitation number p (1 <= p <= L-1) to a complex
     amplitude added, unnormalized, onto the symmetric p-excitation state.
-    ``phase_jitter`` > 0 adds a uniform random phase in [-jitter, +jitter]
-    to each admixture per call, modelling shot-to-shot preparation wobble;
-    at the default 0 the perturbation is deterministic.
     """
 
     epsilon: dict[int, complex] = field(default_factory=dict)
-    phase_jitter: float = 0.0
 
     def __post_init__(self) -> None:
         for p in self.epsilon:
             if p < 1:
                 raise ValueError(f"admixture excitation number must be >= 1, got {p}")
-        if self.phase_jitter < 0:
-            raise ValueError("phase_jitter must be >= 0")
 
 
 def symmetric_state(n_ions: int, p: int, has_bus: bool = False) -> np.ndarray:
@@ -116,11 +110,7 @@ def symmetric_state(n_ions: int, p: int, has_bus: bool = False) -> np.ndarray:
     return amps
 
 
-def perturb_ghz(
-    reg: QubitRegister,
-    spec: ImperfectionSpec,
-    rng: np.random.Generator | None = None,
-) -> QubitRegister:
+def perturb_ghz(reg: QubitRegister, spec: ImperfectionSpec) -> QubitRegister:
     """Add the specified symmetric-state admixtures and renormalize."""
     amps = reg.amplitudes.copy()
     for p, eps in sorted(spec.epsilon.items()):
@@ -129,12 +119,7 @@ def perturb_ghz(
                 f"admixture excitation {p} is not an intermediate component "
                 f"for {reg.n_ions} ions"
             )
-        factor = complex(eps)
-        if spec.phase_jitter > 0.0:
-            if rng is None:
-                raise ValueError("phase_jitter > 0 requires an rng")
-            factor *= np.exp(1j * rng.uniform(-spec.phase_jitter, spec.phase_jitter))
-        amps += factor * symmetric_state(reg.n_ions, p, reg.has_bus)
+        amps += complex(eps) * symmetric_state(reg.n_ions, p, reg.has_bus)
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if norm < 1e-12:
         raise NormError("perturbed state has zero norm; cannot renormalize")

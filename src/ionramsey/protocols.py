@@ -13,6 +13,9 @@ Protocols
   inverted preparation circuit, which maps the accumulated phase onto ion 1
   so that ``-2 <Sz>_1 = C cos(L dw T_R)`` while ions 2..L return to |dn>.
 
+:class:`Protocol` names these three variants; a :class:`RamseyConfig`
+carries one, and every pipeline below runs whichever it carries.
+
 Pulse-phase bookkeeping (fixed here, verified in tests): the standard
 protocol's closing pulse has phase ``pi - phi_f``; the GHZ final readout
 pulse has per-ion phase ``(phi0 - phi_f)/L + pi/2``; GHZ preparation folds
@@ -25,14 +28,15 @@ the half-fringe operating point. The quoted uncertainty is
 signal mean.
 
 Both a sampled mode (projective shots through the state-vector pipeline) and
-an expectation mode (exact expectations, no statistics) are first-class;
-every protocol here has both entry points.
+an expectation mode (exact expectations, no statistics) are first-class:
+:func:`run_ramsey` and :func:`expected_signal` run every protocol.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +58,7 @@ from .noise import (
 )
 from .records import EstimateRecord, TrialRecord
 from .register import (
+    MeasurementSample,
     QubitRegister,
     apply_rotation,
     expect_jz,
@@ -65,14 +70,62 @@ from .register import (
     sample_measurement,
 )
 
-FINAL_PULSE = "final_pulse"
-TIME_REVERSED = "time_reversed"
-
-PROTO_STANDARD = "standard"
-PROTO_GHZ_PARITY = "ghz_parity"
-PROTO_GHZ_REVERSED = "ghz_reversed"
-
 DEFAULT_MAX_ITER = 50
+
+
+class Protocol(Enum):
+    """One Ramsey protocol; the value is its record tag.
+
+    ``family`` (``standard`` or ``ghz``) is the name configs and benchmark
+    tables use; ``readout`` is ``final_pulse`` or, for GHZ only,
+    ``time_reversed``. A trial's ``outcome`` is the count of ions found
+    |dn> (standard), the normalized parity sign +-1 (GHZ parity) or ion 1's
+    measured spin +-1/2 (GHZ time-reversed).
+    """
+
+    STANDARD = "standard"
+    GHZ_PARITY = "ghz_parity"
+    GHZ_REVERSED = "ghz_reversed"
+
+    @classmethod
+    def named(cls, family: str, readout: str) -> Protocol:
+        """The protocol a (family, readout) config pair selects."""
+        for protocol in cls:
+            if (protocol.family, protocol.readout) == (family, readout):
+                return protocol
+        raise ValueError(
+            f"no protocol {family!r} with readout {readout!r} (standard takes "
+            "final_pulse; ghz takes final_pulse or time_reversed)"
+        )
+
+    @property
+    def family(self) -> str:
+        return "standard" if self is Protocol.STANDARD else "ghz"
+
+    @property
+    def readout(self) -> str:
+        return "time_reversed" if self is Protocol.GHZ_REVERSED else "final_pulse"
+
+    def multiplier(self, n_ions: int) -> int:
+        """Fringe-frequency factor m: the signal oscillates as cos(m dw T_R)."""
+        return 1 if self is Protocol.STANDARD else n_ions
+
+    def outcomes(self, sample: MeasurementSample) -> np.ndarray:
+        """Per-shot record outcomes of a measurement sample."""
+        if self is Protocol.STANDARD:
+            return sample.n_down
+        if self is Protocol.GHZ_REVERSED:
+            return sample.sz_ion1
+        return sample.parity_sign
+
+    def signal(self, outcomes: np.ndarray, n_ions: int) -> np.ndarray:
+        """Per-shot fringe signal of recorded outcomes; its mean is the
+        protocol's expected signal (see :func:`expected_signal`)."""
+        if self is Protocol.STANDARD:
+            return (n_ions - outcomes) / n_ions  # excited fraction per shot
+        if self is Protocol.GHZ_REVERSED:
+            return -2.0 * outcomes  # +-1, mean C cos(L dw T)
+        return outcomes  # parity signs +-1
 
 
 @dataclass(frozen=True)
@@ -82,8 +135,9 @@ class RamseyConfig:
     ``omega_0`` is simulation truth; the experimenter knob is ``omega_r``.
     ``final_phase`` is the phase offset phi_f the readout exposes (ignored
     by the time_reversed readout, which cancels all preparation phases).
-    ``allow_wrap`` lifts the ambiguity guard for deliberate multi-fringe
-    scans.
+    ``imperfection`` perturbs the GHZ preparation, so the standard protocol
+    rejects it. ``allow_wrap`` lifts the ambiguity guard for deliberate
+    multi-fringe scans.
     """
 
     n_ions: int
@@ -92,7 +146,7 @@ class RamseyConfig:
     omega_0: float
     noise: NoiseSpec | None = None
     imperfection: ImperfectionSpec | None = None
-    readout: str = FINAL_PULSE
+    protocol: Protocol = Protocol.GHZ_PARITY
     final_phase: float = 0.0
     phi0: float = 0.0
     shots: int = 1
@@ -105,8 +159,13 @@ class RamseyConfig:
             raise ValueError(f"t_ramsey must be > 0, got {self.t_ramsey}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.readout not in (FINAL_PULSE, TIME_REVERSED):
-            raise ValueError(f"unknown readout {self.readout!r}")
+        if not isinstance(self.protocol, Protocol):
+            raise ValueError(f"protocol must be a Protocol, got {self.protocol!r}")
+        if self.protocol is Protocol.STANDARD and self.imperfection is not None:
+            raise ValueError(
+                "an imperfection (epsilon) perturbs the GHZ preparation; "
+                "the standard protocol has none"
+            )
 
     @property
     def delta_omega(self) -> float:
@@ -114,38 +173,25 @@ class RamseyConfig:
 
 
 def ensure_unambiguous(
-    fringe_multiplier: int, delta_omega: float, t_max: float, allow_wrap: bool = False
+    multiplier: int, delta_omega: float, t_max: float, allow_wrap: bool = False
 ) -> None:
     """Reject detunings that wrap past the protocol's unambiguous fringe.
 
-    ``fringe_multiplier`` is the fringe-frequency factor: L for GHZ
-    protocols, 1 for the standard protocol.
+    ``multiplier`` is the fringe-frequency factor
+    (:meth:`Protocol.multiplier`).
     """
     if allow_wrap:
         return
-    if abs(delta_omega) * t_max * fringe_multiplier >= np.pi:
+    if abs(delta_omega) * t_max * multiplier >= np.pi:
         raise AmbiguousFringeError(
-            f"|detuning| * T_R * {fringe_multiplier} = "
-            f"{abs(delta_omega) * t_max * fringe_multiplier:.6g} rad >= pi wraps "
+            f"|detuning| * T_R * {multiplier} = "
+            f"{abs(delta_omega) * t_max * multiplier:.6g} rad >= pi wraps "
             "past the unambiguous fringe; pass allow_wrap=True for deliberate scans"
         )
 
 
-def fringe_multiplier(protocol: str, n_ions: int) -> int:
-    """Fringe-frequency factor m: the signal oscillates as cos(m dw T_R).
-
-    1 for the standard protocol, L for GHZ under either readout
-    (``"ghz"``, ``"ghz_parity"`` or ``"ghz_reversed"``).
-    """
-    if protocol == PROTO_STANDARD:
-        return 1
-    if protocol in ("ghz", PROTO_GHZ_PARITY, PROTO_GHZ_REVERSED):
-        return n_ions
-    raise ValueError(f"unknown protocol {protocol!r}")
-
-
 def ensemble_contrast(
-    n_ions: int, noise: NoiseSpec | None, t: float, protocol: str
+    n_ions: int, noise: NoiseSpec | None, t: float, protocol: Protocol
 ) -> float:
     """Ensemble-mean fringe contrast under the Gaussian dephasing model.
 
@@ -156,47 +202,40 @@ def ensemble_contrast(
     """
     if noise is None or noise.gamma == 0.0:
         return 1.0
-    m = fringe_multiplier(protocol, n_ions)
+    m = protocol.multiplier(n_ions)
     k = m * m if noise.mode == "common" else m
     return float(np.exp(-k * (noise.gamma * t)))
 
 
 # ---------------------------------------------------------------------------
-# State pipelines
+# State pipeline
 # ---------------------------------------------------------------------------
 
 
-def _standard_evolved(cfg: RamseyConfig, t: float, delta_omega: float) -> QubitRegister:
+def _evolved(
+    cfg: RamseyConfig, t: float, delta_omega: float
+) -> tuple[QubitRegister, GateSequence | None]:
+    """Opening pulse (or GHZ preparation) and free evolution; the gate
+    sequence is what the time-reversed readout replays."""
     reg = new_register(cfg.n_ions)
-    reg = apply_rotation(reg, pi_half_pulse(cfg.n_ions, 0.0))
-    return free_evolve(reg, delta_omega, t)
-
-
-def _standard_close(reg: QubitRegister, cfg: RamseyConfig) -> QubitRegister:
-    return apply_rotation(
-        reg, pi_half_pulse(cfg.n_ions, np.pi - cfg.final_phase)
-    )
-
-
-def _ghz_evolved(
-    cfg: RamseyConfig,
-    t: float,
-    delta_omega: float,
-    rng: np.random.Generator | None = None,
-) -> tuple[QubitRegister, GateSequence]:
-    reg = new_register(cfg.n_ions)
-    reg, seq = prepare_ghz(reg, cfg.phi0)
-    if cfg.imperfection is not None:
-        reg = perturb_ghz(reg, cfg.imperfection, rng)
+    if cfg.protocol is Protocol.STANDARD:
+        reg, seq = apply_rotation(reg, pi_half_pulse(cfg.n_ions, 0.0)), None
+    else:
+        reg, seq = prepare_ghz(reg, cfg.phi0)
+        if cfg.imperfection is not None:
+            reg = perturb_ghz(reg, cfg.imperfection)
     return free_evolve(reg, delta_omega, t), seq
 
 
-def _ghz_close(
-    reg: QubitRegister, cfg: RamseyConfig, seq: GateSequence
+def _close(
+    reg: QubitRegister, cfg: RamseyConfig, seq: GateSequence | None
 ) -> QubitRegister:
-    if cfg.readout == TIME_REVERSED:
+    if cfg.protocol is Protocol.GHZ_REVERSED:
         return reverse_prep(reg, seq)
-    phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
+    if cfg.protocol is Protocol.STANDARD:
+        phase = np.pi - cfg.final_phase
+    else:
+        phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
     return apply_rotation(reg, pi_half_pulse(cfg.n_ions, phase))
 
 
@@ -205,14 +244,20 @@ def _ghz_close(
 # ---------------------------------------------------------------------------
 
 
-def standard_population(
+def expected_signal(
     cfg: RamseyConfig,
     *,
     t_ramsey: float | None = None,
     delta_omega: float | None = None,
     phases: np.ndarray | None = None,
 ) -> float:
-    """Expected excited-state fraction for the standard protocol.
+    """Expected fringe signal of cfg.protocol: the mean of
+    :meth:`Protocol.signal` over shots.
+
+    standard: excited-state fraction (1 - C cos(dw T_R + phi_f)) / 2;
+    GHZ parity: normalized parity (2^L times the spin-product expectation)
+    C cos(L dw T_R + phi_f); GHZ time-reversed: -2<Sz> of ion 1,
+    C cos(L dw T_R). C = 1 noise-free.
 
     ``phases`` injects one dephasing realization; omit it for the noiseless
     expectation. (The noise-averaged signal is the noiseless one with
@@ -220,50 +265,21 @@ def standard_population(
     """
     t = cfg.t_ramsey if t_ramsey is None else t_ramsey
     dw = cfg.delta_omega if delta_omega is None else delta_omega
-    reg = _standard_evolved(cfg, t, dw)
+    reg, seq = _evolved(cfg, t, dw)
     if phases is not None:
         reg = apply_phase_noise(reg, phases)
-    reg = _standard_close(reg, cfg)
-    # E[n_up]/L = 1/2 + <Jz>/L
-    return 0.5 + expect_jz(reg) / cfg.n_ions
-
-
-def ghz_signal(
-    cfg: RamseyConfig,
-    *,
-    t_ramsey: float | None = None,
-    delta_omega: float | None = None,
-    phases: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Expected normalized GHZ fringe signal for cfg.readout.
-
-    final_pulse: normalized parity (2^L times the spin-product expectation);
-    time_reversed: -2<Sz> of ion 1. Both equal C cos(L dw T_R [+ phi_f])
-    noise-free.
-    """
-    t = cfg.t_ramsey if t_ramsey is None else t_ramsey
-    dw = cfg.delta_omega if delta_omega is None else delta_omega
-    reg, seq = _ghz_evolved(cfg, t, dw, rng)
-    if phases is not None:
-        reg = apply_phase_noise(reg, phases)
-    reg = _ghz_close(reg, cfg, seq)
-    if cfg.readout == TIME_REVERSED:
+    reg = _close(reg, cfg, seq)
+    if cfg.protocol is Protocol.STANDARD:
+        return 0.5 + expect_jz(reg) / cfg.n_ions  # E[n_up]/L = 1/2 + <Jz>/L
+    if cfg.protocol is Protocol.GHZ_REVERSED:
         return -2.0 * expect_sz_ion(reg, 1)
     return expect_parity_normalized(reg)
 
 
-def fringe_scan(
-    cfg: RamseyConfig, protocol: str, t_grid: np.ndarray
-) -> np.ndarray:
-    """Expectation-mode signal over a T_R grid (multi-fringe scans allowed).
-
-    For ``standard`` the signal is the excited fraction; for ``ghz`` the
-    normalized readout signal of cfg.readout.
-    """
-    if protocol == PROTO_STANDARD:
-        return np.array([standard_population(cfg, t_ramsey=t) for t in t_grid])
-    return np.array([ghz_signal(cfg, t_ramsey=t) for t in t_grid])
+def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
+    """Expectation-mode signal of cfg.protocol over a T_R grid (multi-fringe
+    scans allowed)."""
+    return np.array([expected_signal(cfg, t_ramsey=t) for t in t_grid])
 
 
 # ---------------------------------------------------------------------------
@@ -271,104 +287,40 @@ def fringe_scan(
 # ---------------------------------------------------------------------------
 
 
-def run_standard_ramsey(
+def run_ramsey(
     cfg: RamseyConfig, rng: np.random.Generator, seed_label: str = ""
 ) -> list[TrialRecord]:
-    """cfg.shots projective standard-Ramsey trials; one record per shot.
+    """cfg.shots projective trials of cfg.protocol; one record per shot.
 
-    ``outcome`` is the shot's count of ions found |dn>. With dephasing
-    enabled, every shot draws a fresh phase realization (each shot is an
-    independent experiment).
+    ``outcome`` is :meth:`Protocol.outcomes` of the shot. Noiseless runs
+    sample every shot from one final state. With dephasing enabled, every
+    shot draws a fresh phase realization (each shot is an independent
+    experiment) onto the once-evolved state.
     """
-    ensure_unambiguous(1, cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap)
-    evolved = _standard_evolved(cfg, cfg.t_ramsey, cfg.delta_omega)
-
-    def make(nd: int) -> TrialRecord:
-        return TrialRecord(
-            PROTO_STANDARD, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, seed_label, float(nd)
-        )
-
+    protocol = cfg.protocol
+    ensure_unambiguous(
+        protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
+    )
+    evolved, seq = _evolved(cfg, cfg.t_ramsey, cfg.delta_omega)
     if cfg.noise is None or cfg.noise.gamma == 0.0:
-        final = _standard_close(evolved, cfg)
-        sample = sample_measurement(final, rng, cfg.shots)
-        return [make(nd) for nd in sample.n_down]
-    out = []
-    for _ in range(cfg.shots):
-        phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
-        final = _standard_close(apply_phase_noise(evolved, phases), cfg)
-        sample = sample_measurement(final, rng, 1)
-        out.append(make(sample.n_down[0]))
-    return out
-
-
-def run_ghz_ramsey(
-    cfg: RamseyConfig, rng: np.random.Generator, seed_label: str = ""
-) -> list[TrialRecord]:
-    """cfg.shots projective GHZ-Ramsey trials; one record per shot.
-
-    ``outcome`` is the normalized parity sign (final_pulse readout) or
-    ion 1's measured spin +-1/2 (time_reversed readout).
-    """
-    ensure_unambiguous(cfg.n_ions, cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap)
-    protocol = (
-        PROTO_GHZ_REVERSED if cfg.readout == TIME_REVERSED else PROTO_GHZ_PARITY
-    )
-
-    def make(value: float) -> TrialRecord:
-        return TrialRecord(
-            protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, seed_label, float(value)
-        )
-
-    def outcome_of(sample) -> float:
-        if protocol == PROTO_GHZ_REVERSED:
-            return float(sample.sz_ion1[0])
-        return float(sample.parity_sign[0])
-
-    per_shot_state = (cfg.noise is not None and cfg.noise.gamma > 0.0) or (
-        cfg.imperfection is not None and cfg.imperfection.phase_jitter > 0.0
-    )
-    if not per_shot_state:
-        evolved, seq = _ghz_evolved(cfg, cfg.t_ramsey, cfg.delta_omega, rng)
-        final = _ghz_close(evolved, cfg, seq)
-        sample = sample_measurement(final, rng, cfg.shots)
-        if protocol == PROTO_GHZ_REVERSED:
-            return [make(v) for v in sample.sz_ion1]
-        return [make(v) for v in sample.parity_sign]
-
-    # Fresh noise per shot; the deterministic part of the pipeline is reused.
-    jitter = cfg.imperfection is not None and cfg.imperfection.phase_jitter > 0.0
-    base_evolved: QubitRegister | None = None
-    seq: GateSequence | None = None
-    if not jitter:
-        base_evolved, seq = _ghz_evolved(cfg, cfg.t_ramsey, cfg.delta_omega, rng)
-    out = []
-    for _ in range(cfg.shots):
-        if jitter:
-            evolved, seq = _ghz_evolved(cfg, cfg.t_ramsey, cfg.delta_omega, rng)
-        else:
-            evolved = base_evolved
-        if cfg.noise is not None and cfg.noise.gamma > 0.0:
+        final = _close(evolved, cfg, seq)
+        outcomes = protocol.outcomes(sample_measurement(final, rng, cfg.shots))
+    else:
+        outcomes = []
+        for _ in range(cfg.shots):
             phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
-            evolved = apply_phase_noise(evolved, phases)
-        final = _ghz_close(evolved, cfg, seq)
-        out.append(make(outcome_of(sample_measurement(final, rng, 1))))
-    return out
+            final = _close(apply_phase_noise(evolved, phases), cfg, seq)
+            outcomes.append(protocol.outcomes(sample_measurement(final, rng, 1))[0])
+    tag = protocol.value  # a descriptor call: read it once, not once per record
+    return [
+        TrialRecord(tag, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, seed_label, float(v))
+        for v in outcomes
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Frequency estimation
 # ---------------------------------------------------------------------------
-
-
-def _per_shot_signals(records: Sequence[TrialRecord]) -> np.ndarray:
-    proto = records[0].protocol
-    values = np.array([r.outcome for r in records])
-    if proto == PROTO_STANDARD:
-        n_ions = records[0].n_ions
-        return (n_ions - values) / n_ions  # excited fraction per shot
-    if proto == PROTO_GHZ_REVERSED:
-        return -2.0 * values  # +-1, mean C cos(L dw T)
-    return values  # parity signs +-1
 
 
 def _invert_group(
@@ -379,31 +331,31 @@ def _invert_group(
     operating_phase: float | None = None,
 ) -> tuple[float, float, float]:
     """Return (delta_omega_hat, sigma, omega_r) for one consistent group."""
-    proto = records[0].protocol
+    tag = records[0].protocol
     n_ions = records[0].n_ions
     t_r = records[0].t_ramsey
     omega_r = records[0].omega_r
     for r in records:
-        if (r.protocol, r.n_ions, r.t_ramsey, r.omega_r) != (proto, n_ions, t_r, omega_r):
+        if (r.protocol, r.n_ions, r.t_ramsey, r.omega_r) != (tag, n_ions, t_r, omega_r):
             raise ValueError("records mix incompatible configurations")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
-    s = _per_shot_signals(records)
+    protocol = Protocol(tag)
+    s = protocol.signal(np.array([r.outcome for r in records]), n_ions)
     n = len(s)
     mean = float(np.mean(s))
     sigma_s = float(np.std(s, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
-    mult = fringe_multiplier(proto, n_ions)
-    if proto == PROTO_STANDARD:
+    mult = protocol.multiplier(n_ions)
+    if protocol is Protocol.STANDARD:
         u = (1.0 - 2.0 * mean) / contrast
         # dS/d(dw) for S = excited fraction; |.| taken after inversion.
         slope_scale = 0.5 * contrast * t_r
-        phi = final_phase
     else:
         u = mean / contrast
         slope_scale = contrast * mult * t_r
-        phi = 0.0 if proto == PROTO_GHZ_REVERSED else final_phase
+    phi = 0.0 if protocol is Protocol.GHZ_REVERSED else final_phase
 
     u = float(np.clip(u, -1.0, 1.0))
     x_hat = float(np.arccos(u))  # principal branch [0, pi]
@@ -578,6 +530,8 @@ def two_point_calibrate(
     at t_r2 (or no matching root exists in the adjacent fringe), and
     ConvergenceError when max_iter is exhausted.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n_ions = cfg.n_ions
     if tol is None:
         tol = 1e-3 * np.pi / (n_ions * cal.t_r2)
@@ -589,7 +543,6 @@ def two_point_calibrate(
 
     omega_r1, omega_r2, phi_f = cal.omega_r1, cal.omega_r2, cal.phi_f
     omega0_prev = 0.5 * (omega_r1 + omega_r2)
-    omega0_now = omega0_prev
     if history is not None:
         history.append((0, omega_r1, omega_r2, phi_f, omega0_prev))
 
@@ -690,7 +643,7 @@ def make_truth_simulator(
             final_phase=phi_f,
             allow_wrap=True,
         )
-        s = ghz_signal(local)
+        s = expected_signal(local)
         if bias is not None:
             s *= bias(t_ramsey)
         return s

@@ -25,6 +25,7 @@ from ionramsey import (
     CalibrationState,
     ImperfectionSpec,
     NoiseSpec,
+    Protocol,
     RamseyConfig,
     bus_purity,
     cn_via_bus,
@@ -38,8 +39,7 @@ from ionramsey import (
     new_register,
     perturb_ghz,
     prepare_ghz,
-    run_ghz_ramsey,
-    run_standard_ramsey,
+    run_ramsey,
     scan_scaling,
     synthesize_signal,
     two_point_calibrate,
@@ -129,7 +129,7 @@ def test_criterion_03_fringe_multiplication():
             )
             # span >= one full fringe of the slowest case (L=1)
             t_grid = 2.0 * np.pi / delta_omega * np.arange(1, 129) / 128.0
-            signal = fringe_scan(cfg, "ghz", t_grid)
+            signal = fringe_scan(cfg, t_grid)
             fit = fit_fringe_frequency(t_grid, signal)
             expected = n_ions * delta_omega
             assert abs(fit.frequency - expected) / expected < 1e-6
@@ -155,9 +155,10 @@ def test_criterion_04_projection_noise():
             t_ramsey=1.0,
             omega_r=np.pi / 2.0,
             omega_0=0.0,
+            protocol=Protocol.STANDARD,
             shots=shots,
         )
-        records = run_standard_ramsey(cfg, np.random.default_rng(20260814))
+        records = run_ramsey(cfg, np.random.default_rng(20260814))
         counts = np.array([r.outcome for r in records])
 
         k = np.arange(n_ions + 1)
@@ -225,7 +226,7 @@ def test_criterion_06_ghz_decoherence_rate():
                     shots=shots,
                     noise=NoiseSpec(gamma=gamma, mode="independent"),
                 )
-                outcomes = [r.outcome for r in run_ghz_ramsey(cfg, rng)]
+                outcomes = [r.outcome for r in run_ramsey(cfg, rng)]
                 mean = float(np.mean(outcomes))
                 sd_mean = float(np.std(outcomes, ddof=1)) / np.sqrt(shots)
                 log_means.append(np.log(mean))
@@ -422,7 +423,7 @@ def test_note_imperfect_fidelity_fixture():
     )
     period = 2.0 * np.pi / delta_omega
     t_grid = period * np.arange(1, 65) / 64.0
-    signal = fringe_scan(cfg, "ghz", t_grid)
+    signal = fringe_scan(cfg, t_grid)
     fit = fourier_decompose(t_grid, signal, 2, delta_omega)
     c2 = fit.component(2)[0]
     assert c2 < 1.0 - 1e-6

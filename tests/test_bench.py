@@ -13,14 +13,17 @@ from scipy.optimize import minimize_scalar
 
 from ionramsey import (
     ConfigError,
+    Protocol,
     RamseyConfig,
     dephasing_benchmark,
+    expected_signal,
     scan_scaling,
     theory_sigma,
 )
-from ionramsey.bench import analytic_sigma_tau, golden_section
-from ionramsey.protocols import fringe_multiplier, ghz_signal, standard_population
+from ionramsey.bench import PROTOCOLS, analytic_sigma_tau, golden_section
 from ionramsey import streams
+
+STANDARD, GHZ = PROTOCOLS
 
 
 def numeric_sigma_oracle(protocol, n_ions, t_ramsey, trials):
@@ -30,31 +33,23 @@ def numeric_sigma_oracle(protocol, n_ions, t_ramsey, trials):
     half-fringe operating point, evaluated by central differences on the
     expectation-mode signal.
     """
-    mult = fringe_multiplier(protocol, n_ions)
-    dw0 = np.pi / (2 * mult * t_ramsey)
+    dw0 = np.pi / (2 * protocol.multiplier(n_ions) * t_ramsey)
     h = 1e-6
-
-    if protocol == "standard":
-        # Mean estimator is n_down/L; per-shot variance of n_down is
-        # binomial L p (1-p) at the operating point.
-        def mean_sig(dw):
-            cfg = RamseyConfig(
-                n_ions=n_ions, t_ramsey=t_ramsey, omega_r=dw, omega_0=0.0,
-                allow_wrap=True,
-            )
-            return standard_population(cfg, delta_omega=dw)
-
-        p_up = mean_sig(dw0)
-        var_shot = n_ions * p_up * (1 - p_up)  # variance of the count
-        slope_counts = n_ions * (mean_sig(dw0 + h) - mean_sig(dw0 - h)) / (2 * h)
-        return np.sqrt(var_shot / trials) / abs(slope_counts)
 
     def mean_sig(dw):
         cfg = RamseyConfig(
             n_ions=n_ions, t_ramsey=t_ramsey, omega_r=dw, omega_0=0.0,
-            allow_wrap=True,
+            protocol=protocol, allow_wrap=True,
         )
-        return ghz_signal(cfg, delta_omega=dw)
+        return expected_signal(cfg, delta_omega=dw)
+
+    if protocol is Protocol.STANDARD:
+        # Mean estimator is n_down/L; per-shot variance of n_down is
+        # binomial L p (1-p) at the operating point.
+        p_up = mean_sig(dw0)
+        var_shot = n_ions * p_up * (1 - p_up)  # variance of the count
+        slope_counts = n_ions * (mean_sig(dw0 + h) - mean_sig(dw0 - h)) / (2 * h)
+        return np.sqrt(var_shot / trials) / abs(slope_counts)
 
     s = mean_sig(dw0)
     var_shot = 1.0 - s**2  # parity outcome is +-1
@@ -63,7 +58,7 @@ def numeric_sigma_oracle(protocol, n_ions, t_ramsey, trials):
 
 
 class TestTheoryFormulas:
-    @pytest.mark.parametrize("protocol", ["standard", "ghz"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS, ids=lambda p: p.family)
     @pytest.mark.parametrize("n_ions", [1, 2, 4, 8])
     def test_sigma_matches_first_principles(self, protocol, n_ions):
         t_ramsey, trials = 1.3, 5000
@@ -74,13 +69,15 @@ class TestTheoryFormulas:
         )
 
     def test_fringe_multiplier(self):
-        assert fringe_multiplier("standard", 8) == 1
-        for protocol in ("ghz", "ghz_parity", "ghz_reversed"):
-            assert fringe_multiplier(protocol, 8) == 8
-        with pytest.raises(ValueError):
-            fringe_multiplier("magic", 8)
+        assert Protocol.STANDARD.multiplier(8) == 1
+        for protocol in (Protocol.GHZ_PARITY, Protocol.GHZ_REVERSED):
+            assert protocol.multiplier(8) == 8
+        assert [p.family for p in PROTOCOLS] == ["standard", "ghz"]
 
-    @pytest.mark.parametrize("protocol,mult", [("standard", 1), ("ghz", 3)])
+    @pytest.mark.parametrize(
+        "protocol,mult",
+        [pytest.param(STANDARD, 1, id="standard-1"), pytest.param(GHZ, 3, id="ghz-3")],
+    )
     def test_analytic_optimum_against_scipy(self, protocol, mult):
         # Oracle: minimize the analytic curve numerically; the optimum must
         # land at 1/(2 mult gamma) with value sqrt(2 e gamma mult) / ... the
@@ -93,7 +90,7 @@ class TestTheoryFormulas:
             options={"xatol": 1e-10},
         )
         assert res.x == pytest.approx(1 / (2 * mult * gamma), rel=1e-5)
-        want_min = np.sqrt(2 * np.e * gamma / n_ions) if protocol == "standard" else (
+        want_min = np.sqrt(2 * np.e * gamma / n_ions) if protocol is STANDARD else (
             np.sqrt(2 * np.e * gamma * 3) / 3
         )
         assert res.fun == pytest.approx(want_min, rel=1e-9)
@@ -101,8 +98,8 @@ class TestTheoryFormulas:
     def test_protocol_minima_coincide(self):
         # Same gamma: the two optimal sigma*sqrt(tau) values are equal.
         gamma, n_ions = 0.7, 5
-        m_std = analytic_sigma_tau("standard", n_ions, gamma, 1 / (2 * gamma))
-        m_ghz = analytic_sigma_tau("ghz", n_ions, gamma, 1 / (2 * n_ions * gamma))
+        m_std = analytic_sigma_tau(STANDARD, n_ions, gamma, 1 / (2 * gamma))
+        m_ghz = analytic_sigma_tau(GHZ, n_ions, gamma, 1 / (2 * n_ions * gamma))
         assert m_std == pytest.approx(m_ghz, rel=1e-12)
 
 
@@ -154,8 +151,8 @@ class TestDephasingBenchmark:
         report = dephasing_benchmark(
             gamma, n_ions, t_grid, trials=100, seed=0, mode="analytic"
         )
-        for protocol in ("standard", "ghz"):
-            curve = report.curves[protocol]
+        for protocol in PROTOCOLS:
+            curve = report.curves[protocol.family]
             want = [analytic_sigma_tau(protocol, n_ions, gamma, t) for t in t_grid]
             np.testing.assert_allclose(curve.sigma_tau, want, rtol=1e-12)
             assert not curve.argmin_on_boundary
@@ -177,8 +174,8 @@ class TestDephasingBenchmark:
         report = dephasing_benchmark(
             gamma, n_ions, t_grid, trials=4000, seed=5, mode="sampled", refine=False
         )
-        for protocol in ("standard", "ghz"):
-            got = np.asarray(report.curves[protocol].sigma_tau)
+        for protocol in PROTOCOLS:
+            got = np.asarray(report.curves[protocol.family].sigma_tau)
             want = np.array(
                 [analytic_sigma_tau(protocol, n_ions, gamma, t) for t in t_grid]
             )

@@ -156,33 +156,97 @@ class TestErrorPaths:
         assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
 
     @pytest.mark.parametrize(
-        "command,text",
+        "command,text,flags,needle",
         [
-            (
+            pytest.param(
                 "ramsey",
                 "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.1\n"
                 "gamma = 0.2\nnoise_mode = bogus\n",
+                (),
+                "mode",
+                id="bogus_noise_mode",
             ),
-            (
+            pytest.param(
                 "calibrate",
                 "[calibrate]\nn_ions = 4\nomega_0 = 0.61803\nomega_r1 = 0.50\n"
                 "omega_r2 = 0.70\nt_r1 = 0.4\nt_r2 = 2.0\n",
+                (),
+                "t_r2/t_r1",
+                id="calibrate_time_ratio_5",
             ),
-            (
+            pytest.param(
                 "ramsey",
                 "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.1\n"
                 "gamma = -5\n",
+                (),
+                "gamma",
+                id="negative_gamma",
+            ),
+            # Keys the standard protocol would silently ignore.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = standard\nreadout = time_reversed\nn_ions = 2\n"
+                "t_ramsey = 1.0\nomega_r = 0.1\n",
+                (),
+                "time_reversed",
+                id="standard_time_reversed",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = standard\nepsilon = 1:0.3\nn_ions = 2\n"
+                "t_ramsey = 1.0\nomega_r = 0.1\n",
+                (),
+                "epsilon",
+                id="standard_epsilon",
+            ),
+            # Range checks at parse time.
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 1 2\ntrials = 0\n",
+                ("--expectation-mode",),
+                "trials",
+                id="scaling_zero_trials_expectation",
+            ),
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 1 2\ntrials = -3\n",
+                (),
+                "trials",
+                id="scaling_negative_trials",
+            ),
+            pytest.param(
+                "calibrate",
+                "[calibrate]\nn_ions = 4\nomega_0 = 0.61803\nomega_r1 = 0.50\n"
+                "omega_r2 = 0.70\nt_r1 = 0.02\nt_r2 = 2.0\nmax_iter = 0\n",
+                (),
+                "max_iter",
+                id="calibrate_zero_max_iter",
+            ),
+            pytest.param(
+                "fourier",
+                "[fourier]\nn_ions = 2\ndelta_omega = 0\nc = 0.5 0.5\n",
+                (),
+                "delta_omega",
+                id="fourier_zero_delta_omega_c",
+            ),
+            pytest.param(
+                "fourier",
+                "[fourier]\nn_ions = 2\ndelta_omega = 0\nepsilon = 1:0.1\n",
+                (),
+                "delta_omega",
+                id="fourier_zero_delta_omega_epsilon",
             ),
         ],
-        ids=["bogus_noise_mode", "calibrate_time_ratio_5", "negative_gamma"],
     )
-    def test_rejected_value_exits_2(self, tmp_path, capsys, command, text):
+    def test_rejected_value_exits_2(self, tmp_path, capsys, command, text, flags, needle):
         cfg = write_config(tmp_path, "bad.ini", text)
         out = tmp_path / "o"
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["error"] == "ConfigError"
+        err = json.loads(err[0])
+        assert err["error"] == "ConfigError"
+        assert needle in err["message"]
         assert not out.exists()
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):

@@ -189,14 +189,6 @@ class TestImperfections:
             with pytest.raises(ValueError):
                 perturb_ghz(reg0, ImperfectionSpec(epsilon={bad_p: 0.1}))
 
-    def test_phase_jitter_needs_rng_and_preserves_norm(self):
-        reg0, _ = prepare_ghz(new_register(3), 0.0)
-        spec = ImperfectionSpec(epsilon={1: 0.2}, phase_jitter=0.4)
-        with pytest.raises(ValueError):
-            perturb_ghz(reg0, spec)
-        out = perturb_ghz(reg0, spec, rng=stream(4, 4))
-        np.testing.assert_allclose(np.linalg.norm(out.amplitudes), 1.0, atol=1e-12)
-
     def test_degenerate_cancellation_raises(self):
         # An admixture engineered to cancel the whole state must be caught.
         reg0, _ = prepare_ghz(new_register(1), 0.0)

@@ -11,6 +11,8 @@ with C = 1 noise-free. These were derived by multiplying out the 2x2 pulse
 matrices; everything below leans on them plus plain statistics.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,16 +23,15 @@ from ionramsey import (
     DegenerateSlopeError,
     ImperfectionSpec,
     NoiseSpec,
+    Protocol,
     RamseyConfig,
     ensemble_contrast,
     estimate_frequency,
+    expected_signal,
     fourier_decompose,
     fringe_scan,
-    ghz_signal,
     make_truth_simulator,
-    run_ghz_ramsey,
-    run_standard_ramsey,
-    standard_population,
+    run_ramsey,
     stream,
     two_point_calibrate,
 )
@@ -53,11 +54,12 @@ class TestFringeShapes:
             t_ramsey=0.9,
             omega_r=0.31,
             omega_0=0.1,
+            protocol=Protocol.STANDARD,
             final_phase=phi_f,
             allow_wrap=True,
         )
         ts = np.linspace(0.0, 3.0, 17)
-        got = np.array([standard_population(cfg, t_ramsey=t) for t in ts])
+        got = np.array([expected_signal(cfg, t_ramsey=t) for t in ts])
         want = (1 - np.cos(cfg.delta_omega * ts + phi_f)) / 2
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -75,7 +77,7 @@ class TestFringeShapes:
             allow_wrap=True,
         )
         ts = np.linspace(0.0, 2.5, 13)
-        got = np.array([ghz_signal(cfg, t_ramsey=t) for t in ts])
+        got = np.array([expected_signal(cfg, t_ramsey=t) for t in ts])
         want = np.cos(n_ions * cfg.delta_omega * ts + phi_f)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -86,21 +88,19 @@ class TestFringeShapes:
             t_ramsey=1.0,
             omega_r=0.33,
             omega_0=0.0,
-            readout="time_reversed",
+            protocol=Protocol.GHZ_REVERSED,
             phi0=0.9,
             allow_wrap=True,
         )
         ts = np.linspace(0.0, 2.0, 11)
-        got = np.array([ghz_signal(cfg, t_ramsey=t) for t in ts])
+        got = np.array([expected_signal(cfg, t_ramsey=t) for t in ts])
         np.testing.assert_allclose(got, np.cos(n_ions * 0.33 * ts), atol=1e-12)
 
     def test_both_readouts_share_fringe_frequency(self):
         cfg = dict(n_ions=3, t_ramsey=1.0, omega_r=0.4, omega_0=0.0, allow_wrap=True)
         ts = np.linspace(0.0, 2 * np.pi / 0.4, 64)
-        par = fringe_scan(RamseyConfig(**cfg), "ghz", ts)
-        rev = fringe_scan(
-            RamseyConfig(**cfg, readout="time_reversed"), "ghz", ts
-        )
+        par = fringe_scan(RamseyConfig(**cfg), ts)
+        rev = fringe_scan(RamseyConfig(**cfg, protocol=Protocol.GHZ_REVERSED), ts)
         f_par = fit_fringe_frequency(ts, par).frequency
         f_rev = fit_fringe_frequency(ts, rev).frequency
         assert f_par == pytest.approx(3 * 0.4, rel=1e-8)
@@ -113,92 +113,104 @@ class TestFringeShapes:
         cfg = RamseyConfig(
             n_ions=3, t_ramsey=0.8, omega_r=0.2, omega_0=0.0, allow_wrap=True
         )
-        c = ensemble_contrast(3, NoiseSpec(gamma=0.5), 0.8, "ghz_parity")
+        c = ensemble_contrast(3, NoiseSpec(gamma=0.5), 0.8, Protocol.GHZ_PARITY)
         assert c == pytest.approx(np.exp(-3 * 0.5 * 0.8), abs=1e-12)
-        c_common = ensemble_contrast(3, NoiseSpec(gamma=0.5, mode="common"), 0.8, "ghz_parity")
+        c_common = ensemble_contrast(
+            3, NoiseSpec(gamma=0.5, mode="common"), 0.8, Protocol.GHZ_REVERSED
+        )
         assert c_common == pytest.approx(np.exp(-9 * 0.5 * 0.8), abs=1e-12)
-        c_std = ensemble_contrast(3, NoiseSpec(gamma=0.5), 0.8, "standard")
+        c_std = ensemble_contrast(3, NoiseSpec(gamma=0.5), 0.8, Protocol.STANDARD)
         assert c_std == pytest.approx(np.exp(-0.5 * 0.8), abs=1e-12)
+
+
+class TestProtocol:
+    def test_named_maps_config_pairs(self):
+        for protocol in Protocol:
+            assert Protocol.named(protocol.family, protocol.readout) is protocol
+            assert Protocol(protocol.value) is protocol
+        assert Protocol.STANDARD.readout == "final_pulse"
+        for family, readout in (("standard", "time_reversed"), ("magic", "final_pulse")):
+            with pytest.raises(ValueError):
+                Protocol.named(family, readout)
 
 
 class TestAliasGuard:
     def test_standard_rejects_wrapped_fringe(self):
-        cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=3.5, omega_0=0.0)
+        cfg = RamseyConfig(
+            n_ions=2, t_ramsey=1.0, omega_r=3.5, omega_0=0.0, protocol=Protocol.STANDARD
+        )
         with pytest.raises(AmbiguousFringeError):
-            run_standard_ramsey(cfg, stream(0, 0))
+            run_ramsey(cfg, stream(0, 0))
 
     def test_ghz_uses_multiplied_fringe(self):
         # |dw| T = 0.9 < pi is fine for one ion but wraps at L = 4.
-        cfg = RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=0.9, omega_0=0.0)
-        with pytest.raises(AmbiguousFringeError):
-            run_ghz_ramsey(cfg, stream(0, 0))
-        run_standard_ramsey(
-            RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=0.9, omega_0=0.0, shots=10),
-            stream(0, 0),
-        )
+        cfg = RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=0.9, omega_0=0.0, shots=10)
+        for protocol in (Protocol.GHZ_PARITY, Protocol.GHZ_REVERSED):
+            with pytest.raises(AmbiguousFringeError):
+                run_ramsey(replace(cfg, protocol=protocol), stream(0, 0))
+        run_ramsey(replace(cfg, protocol=Protocol.STANDARD), stream(0, 0))
 
     def test_allow_wrap_overrides(self):
         cfg = RamseyConfig(
             n_ions=4, t_ramsey=1.0, omega_r=0.9, omega_0=0.0, shots=10, allow_wrap=True
         )
-        run_ghz_ramsey(cfg, stream(0, 0))
+        run_ramsey(cfg, stream(0, 0))
 
 
 def _half_fringe_cfg(protocol, n_ions, *, shots, gamma=0.0, t_ramsey=1.0, omega_0=0.0):
-    mult = n_ions if protocol == "ghz" else 1
     noise = NoiseSpec(gamma=gamma) if gamma > 0 else None
     return RamseyConfig(
         n_ions=n_ions,
         t_ramsey=t_ramsey,
-        omega_r=omega_0 + np.pi / (2 * mult * t_ramsey),
+        omega_r=omega_0 + np.pi / (2 * protocol.multiplier(n_ions) * t_ramsey),
         omega_0=omega_0,
         noise=noise,
+        protocol=protocol,
         shots=shots,
     )
 
 
 class TestSampledRuns:
-    def test_standard_outcomes_are_counts(self):
-        cfg = _half_fringe_cfg("standard", 3, shots=500)
-        recs = run_standard_ramsey(cfg, stream(1, 0), seed_label="1/0")
-        assert len(recs) == 500
-        assert all(r.protocol == "standard" for r in recs)
-        assert all(0 <= r.outcome <= 3 and float(r.outcome).is_integer() for r in recs)
+    @pytest.mark.parametrize(
+        "protocol,outcomes",
+        [
+            pytest.param(Protocol.STANDARD, {0.0, 1.0, 2.0, 3.0}, id="standard"),
+            pytest.param(Protocol.GHZ_PARITY, {-1.0, 1.0}, id="ghz_parity"),
+            pytest.param(Protocol.GHZ_REVERSED, {-0.5, 0.5}, id="ghz_reversed"),
+        ],
+    )
+    def test_outcomes_match_protocol(self, protocol, outcomes):
+        cfg = _half_fringe_cfg(protocol, 3, shots=400)
+        recs = run_ramsey(cfg, stream(1, 0), seed_label="1/0")
+        assert len(recs) == 400
+        assert all(r.protocol == protocol.value for r in recs)
+        # At the half fringe every outcome the protocol allows shows up.
+        assert {r.outcome for r in recs} == outcomes
         assert recs[0].seed == "1/0"
 
-    def test_ghz_parity_outcomes_are_signs(self):
-        cfg = _half_fringe_cfg("ghz", 3, shots=400)
-        recs = run_ghz_ramsey(cfg, stream(2, 0))
-        assert {r.outcome for r in recs} <= {-1.0, 1.0}
-        assert all(r.protocol == "ghz_parity" for r in recs)
-
-    def test_reversed_outcomes_are_half_signs(self):
-        cfg = RamseyConfig(
-            n_ions=3,
-            t_ramsey=1.0,
-            omega_r=np.pi / 6,
-            omega_0=0.0,
-            readout="time_reversed",
-            shots=400,
-        )
-        recs = run_ghz_ramsey(cfg, stream(3, 0))
-        assert {r.outcome for r in recs} <= {-0.5, 0.5}
-        assert all(r.protocol == "ghz_reversed" for r in recs)
-
-    @pytest.mark.parametrize("protocol", ["standard", "ghz"])
-    def test_estimator_recovers_detuning(self, protocol):
+    @pytest.mark.parametrize(
+        "protocol,final_phase",
+        [
+            pytest.param(Protocol.STANDARD, 0.0, id="standard"),
+            pytest.param(Protocol.GHZ_PARITY, 0.0, id="ghz"),
+            # The time-reversed readout cancels phi_f: the estimator must ignore it.
+            pytest.param(Protocol.GHZ_REVERSED, 0.3, id="ghz_reversed"),
+        ],
+    )
+    def test_estimator_recovers_detuning(self, protocol, final_phase):
         truth = 0.12
-        runner = run_ghz_ramsey if protocol == "ghz" else run_standard_ramsey
-        cfg = _half_fringe_cfg(protocol, 3, shots=20_000, omega_0=0.0)
+        omega_r = _half_fringe_cfg(protocol, 3, shots=1).omega_r
         cfg = RamseyConfig(
             n_ions=3,
             t_ramsey=1.0,
-            omega_r=cfg.omega_r,
-            omega_0=cfg.omega_r - truth,  # put the truth off the half-fringe
+            omega_r=omega_r,
+            omega_0=omega_r - truth,  # put the truth off the half-fringe
+            protocol=protocol,
+            final_phase=final_phase,
             shots=20_000,
         )
-        recs = runner(cfg, stream(11, 5))
-        est = estimate_frequency(recs, contrast=1.0)
+        recs = run_ramsey(cfg, stream(11, 5))
+        est = estimate_frequency(recs, contrast=1.0, final_phase=final_phase)
         assert est.estimate == pytest.approx(truth, abs=5 * est.sigma)
         assert est.sigma < 0.02
 
@@ -207,8 +219,8 @@ class TestSampledRuns:
         truth = np.pi / 6
         zs = []
         for k in range(60):
-            cfg = _half_fringe_cfg("ghz", 2, shots=2000, omega_0=0.0)
-            recs = run_ghz_ramsey(cfg, stream(100, k))
+            cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=2000, omega_0=0.0)
+            recs = run_ramsey(cfg, stream(100, k))
             est = estimate_frequency(recs, contrast=1.0)
             zs.append((est.estimate - cfg.delta_omega) / est.sigma)
         zs = np.array(zs)
@@ -218,16 +230,16 @@ class TestSampledRuns:
     def test_sigma_scales_inverse_sqrt_shots(self):
         sig = {}
         for shots in (2000, 8000):
-            cfg = _half_fringe_cfg("standard", 2, shots=shots)
-            recs = run_standard_ramsey(cfg, stream(7, shots))
+            cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=shots)
+            recs = run_ramsey(cfg, stream(7, shots))
             sig[shots] = estimate_frequency(recs, contrast=1.0).sigma
         assert sig[2000] / sig[8000] == pytest.approx(2.0, rel=0.15)
 
     def test_noisy_run_sigma_uses_contrast(self):
         gamma, t = 0.4, 1.0
-        cfg = _half_fringe_cfg("ghz", 2, shots=6000, gamma=gamma, t_ramsey=t)
-        recs = run_ghz_ramsey(cfg, stream(21, 0))
-        c = ensemble_contrast(2, cfg.noise, t, "ghz_parity")
+        cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=6000, gamma=gamma, t_ramsey=t)
+        recs = run_ramsey(cfg, stream(21, 0))
+        c = ensemble_contrast(2, cfg.noise, t, cfg.protocol)
         est = estimate_frequency(recs, contrast=c, operating_phase=np.pi / 2)
         # At the half-fringe the parity mean is ~0, variance ~1, slope c*L*T.
         want_sigma = 1.0 / (c * 2 * t * np.sqrt(6000))
@@ -237,7 +249,7 @@ class TestSampledRuns:
     def test_degenerate_slope_raises(self):
         # Operating at the fringe top: arccos slope vanishes there.
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.0, omega_0=0.0, shots=500)
-        recs = run_ghz_ramsey(cfg, stream(5, 5))
+        recs = run_ramsey(cfg, stream(5, 5))
         with pytest.raises(DegenerateSlopeError):
             estimate_frequency(recs, contrast=1.0)
 
@@ -254,15 +266,15 @@ class TestSampledRuns:
                 omega_0=omega0,
                 shots=8000,
             )
-            recs.extend(run_ghz_ramsey(cfg, stream(31, tag)))
+            recs.extend(run_ramsey(cfg, stream(31, tag)))
         est = estimate_frequency(recs, method="two_point", contrast=1.0)
         omega0_hat = est.omega_r - est.estimate
         assert omega0_hat == pytest.approx(omega0, abs=5 * est.sigma)
         assert est.omega_r == pytest.approx(omega0)  # symmetric bracket
 
     def test_two_point_requires_two_settings(self):
-        cfg = _half_fringe_cfg("ghz", 2, shots=100)
-        recs = run_ghz_ramsey(cfg, stream(1, 1))
+        cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=100)
+        recs = run_ramsey(cfg, stream(1, 1))
         with pytest.raises(ValueError):
             estimate_frequency(recs, method="two_point", contrast=1.0)
 
@@ -322,6 +334,13 @@ class TestCalibration:
         cal = CalibrationState(**self.CAL)
         with pytest.raises(ConvergenceError):
             two_point_calibrate(sim, cal, cfg, max_iter=1)
+
+    def test_max_iter_must_be_positive(self):
+        cfg = self._cfg()
+        with pytest.raises(ValueError):
+            two_point_calibrate(
+                make_truth_simulator(cfg), CalibrationState(**self.CAL), cfg, max_iter=0
+            )
 
     def test_wide_initial_bracket_is_ambiguous(self):
         cfg = self._cfg()
@@ -396,7 +415,7 @@ class TestFourier:
             allow_wrap=True,
         )
         t = 2 * np.pi / dw * np.arange(1, 65) / 64
-        sig = np.array([ghz_signal(cfg, t_ramsey=float(tt)) for tt in t])
+        sig = np.array([expected_signal(cfg, t_ramsey=float(tt)) for tt in t])
         fit = fourier_decompose(t, sig, n_ions, dw)
         assert fit.c[2] == pytest.approx(1 / (1 + eps**2), abs=1e-9)
         assert fit.c[0] == pytest.approx(0.0, abs=1e-9)

@@ -35,11 +35,11 @@ from .noise import NoiseSpec
 from .protocols import (
     Protocol,
     RamseyConfig,
+    Trials,
     ensemble_contrast,
     estimate_frequency,
     run_ramsey,
 )
-from .records import TrialRecord
 
 # The two protocols every benchmark compares; reports label them by family.
 PROTOCOLS = (Protocol.STANDARD, Protocol.GHZ_PARITY)
@@ -87,17 +87,24 @@ def _run_batches(
     path_prefix: tuple[int, ...],
     threads: int,
     batch_size: int = 2000,
-) -> list[TrialRecord]:
+) -> Trials:
+    """``trials`` shots of cfg in batches of ``batch_size``; batch b draws
+    from ``stream(seed, *path_prefix, b)``, labelled ``seed/.../b``, and the
+    batches are joined in batch order."""
     n_batches = math.ceil(trials / batch_size)
     sizes = [min(batch_size, trials - b * batch_size) for b in range(n_batches)]
 
-    def one_batch(b: int) -> list[TrialRecord]:
+    def one_batch(b: int) -> Trials:
         rng = streams.stream(seed, *path_prefix, b)
         label = "/".join(str(p) for p in (seed, *path_prefix, b))
         return run_ramsey(replace(cfg, shots=sizes[b]), rng, seed_label=label)
 
     batches = streams.parallel_map(one_batch, n_batches, threads)
-    return [rec for batch in batches for rec in batch]
+    return replace(
+        batches[0],
+        outcomes=np.concatenate([batch.outcomes for batch in batches]),
+        batches=tuple(label for batch in batches for label in batch.batches),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +174,8 @@ def scan_scaling(
             cfg = _half_fringe_config(
                 cfg_template, protocol, n_ions, cfg_template.t_ramsey, trials
             )
-            records = _run_batches(cfg, trials, seed, (proto_idx, l_idx), threads)
-            est = estimate_frequency(records, operating_phase=np.pi / 2)
+            run = _run_batches(cfg, trials, seed, (proto_idx, l_idx), threads)
+            est = estimate_frequency(run, operating_phase=np.pi / 2)
             sigmas.append(est.sigma)
             tau = trials * cfg.t_ramsey
             theory = theory_sigma(protocol, n_ions, cfg.t_ramsey, tau)
@@ -284,11 +291,9 @@ def dephasing_benchmark(
     for proto_idx, protocol in enumerate(PROTOCOLS):
         def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
-            records = _run_batches(cfg, trials, seed, path, threads)
+            run = _run_batches(cfg, trials, seed, path, threads)
             contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
-            est = estimate_frequency(
-                records, contrast=contrast, operating_phase=np.pi / 2
-            )
+            est = estimate_frequency(run, contrast=contrast, operating_phase=np.pi / 2)
             return est.sigma * math.sqrt(trials * t_ramsey)
 
         def value(t_ramsey: float, path: tuple[int, ...]) -> float:

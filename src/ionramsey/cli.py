@@ -17,8 +17,8 @@ overwritten unless ``--force`` is given. Each ``cmd_*`` function only
 computes a table and a summary; :func:`main` writes both once the command
 has returned, so a run that fails writes nothing. All outputs embed the
 library version and a manifest hash (sha256 over command, seed, format,
-flags, and the config text), and are byte-identical for equal seeds at any
-``--threads`` value.
+flags, the config text and the bytes of a ``[fourier] input=`` file), and
+are byte-identical for equal seeds at any ``--threads`` value.
 
 Exit codes: 0 success, 2 configuration error (including a config value a
 library check rejects with ``ValueError``), 3 register-capacity error,
@@ -72,7 +72,7 @@ from .protocols import (
     synthesize_signal,
     two_point_calibrate,
 )
-from .records import CSV_COLUMNS, TrialRecord, record_row, write_json, write_table_csv
+from .records import CSV_COLUMNS, _fmt, trial_rows, write_json, write_table_csv
 
 _RUN_KEYS = {"seed"}
 _SECTION_KEYS = {
@@ -139,19 +139,20 @@ class RunManifest:
     fmt: str
     expectation: bool
     threads: int
+    input_bytes: bytes | None = None  # the [fourier] input= file, read once
 
     def hash(self) -> str:
-        payload = json.dumps(
-            {
-                "command": self.command,
-                "config": self.config_text,
-                "expectation": self.expectation,
-                "format": self.fmt,
-                "seed": self.seed,
-                "version": __version__,
-            },
-            sort_keys=True,
-        )
+        fields = {
+            "command": self.command,
+            "config": self.config_text,
+            "expectation": self.expectation,
+            "format": self.fmt,
+            "seed": self.seed,
+            "version": __version__,
+        }
+        if self.input_bytes is not None:
+            fields["input_sha256"] = hashlib.sha256(self.input_bytes).hexdigest()
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def meta(self) -> dict[str, object]:
@@ -346,10 +347,9 @@ def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
         t_grid = scan_t_max * np.arange(1, scan_points + 1) / scan_points
         signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
-        records: list = [
-            TrialRecord(
-                cfg.protocol.family, cfg.n_ions, float(t), cfg.omega_r, "", float(s)
-            )
+        config = [cfg.protocol.family, str(cfg.n_ions)]
+        rows = [
+            [*config, _fmt(t), _fmt(cfg.omega_r), "", _fmt(s), "", ""]
             for t, s in zip(t_grid, signal)
         ]
         mult = cfg.protocol.multiplier(cfg.n_ions)
@@ -357,20 +357,21 @@ def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
         summary["expected_fringe_frequency"] = abs(cfg.delta_omega) * mult
         summary["fitted_amplitude"] = fit.amplitude
     else:
-        records = _run_batches(cfg, cfg.shots, manifest.seed, (0,), manifest.threads)
+        trials = _run_batches(cfg, cfg.shots, manifest.seed, (0,), manifest.threads)
         summary["shots"] = cfg.shots
-        summary["mean_outcome"] = float(np.mean([r.outcome for r in records]))
+        summary["mean_outcome"] = float(np.mean(trials.outcomes))
         contrast = ensemble_contrast(cfg.n_ions, cfg.noise, cfg.t_ramsey, cfg.protocol)
+        est = None
         try:
             est = estimate_frequency(
-                records, contrast=contrast, final_phase=cfg.final_phase
+                trials, contrast=contrast, final_phase=cfg.final_phase
             )
-            records.append(est)
             summary["estimate_delta_omega"] = est.estimate
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:
             summary["estimate_error"] = f"{type(exc).__name__}: {exc}"
-    return CSV_COLUMNS, [record_row(r) for r in records], summary
+        rows = trial_rows(trials, est)
+    return CSV_COLUMNS, rows, summary
 
 
 def cmd_scaling(manifest: RunManifest, parser) -> Outputs:
@@ -424,7 +425,7 @@ def cmd_dephasing(manifest: RunManifest, parser) -> Outputs:
     t_min = _get(parser, sec, "t_min", float, None)
     t_max = _get(parser, sec, "t_max", float, None)
     points = _get(parser, sec, "grid_points", int, 12)
-    trials = _get(parser, sec, "trials", int, 5000)
+    trials = _get(parser, sec, "trials", _count, 5000)
     mode = _get(parser, sec, "mode", str, "sampled")
     refine = _get(parser, sec, "refine", _parse_bool, True)
     if manifest.expectation:
@@ -511,13 +512,20 @@ def cmd_calibrate(manifest: RunManifest, parser) -> Outputs:
     return columns, history, summary
 
 
-def _read_signal_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    ts, ss = [], []
+def _read_input(parser, command: str) -> bytes | None:
+    """The bytes of the ``[fourier] input=`` file, or None without one."""
+    if command != "fourier" or not parser.has_option(command, "input"):
+        return None
+    path = parser.get(command, "input")
     try:
-        lines = Path(path).read_text().splitlines()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read signal file {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+
+
+def _read_signal_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
+    ts, ss = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -545,7 +553,9 @@ def cmd_fourier(manifest: RunManifest, parser) -> Outputs:
     delta_omega = _get(parser, sec, "delta_omega", _nonzero, None)
     threshold = _get(parser, sec, "threshold", float, 0.1)
     if parser.has_option(sec, "input"):
-        t_grid, signal = _read_signal_csv(parser.get(sec, "input"))
+        t_grid, signal = _read_signal_csv(
+            manifest.input_bytes.decode(), parser.get(sec, "input")
+        )
         source = "file"
     elif parser.has_option(sec, "c"):
         c = _get(parser, sec, "c", _parse_floats, None)
@@ -636,6 +646,7 @@ def main(argv: list[str] | None = None) -> int:
             fmt=args.format,
             expectation=args.expectation_mode,
             threads=args.threads,
+            input_bytes=_read_input(parser, args.command),
         )
         paths = _output_paths(manifest)
         _check_overwrite(paths, args.force)

@@ -11,14 +11,10 @@ controls a CNOT onto each other ion — and returns the gate list that built
 the state, so the exact time-reversed sequence can be replayed later to map
 an accumulated phase back onto ion 1.
 
-Gate sequences serialize to a line-oriented text format, one gate per line::
-
-    ROT i theta phi
-    CNOT c t
-    BUSMAP i
-
-Indices are 1-based ion indices; inside a ``CNOT`` line, index 0 denotes the
-bus qubit (produced by the routed-circuit variants).
+A gate sequence is a tuple of frozen gate descriptors (``Rot``, ``Cnot``,
+``BusMap``) that can be applied to a register and inverted. Indices are
+1-based ion indices; inside a ``Cnot``, index 0 (``BUS``) denotes the bus
+qubit (produced by the routed-circuit variants).
 """
 
 from __future__ import annotations
@@ -49,9 +45,6 @@ class Rot:
     def inverse(self) -> "Rot":
         return Rot(self.ion, self.theta, self.phi + np.pi)
 
-    def to_line(self) -> str:
-        return f"ROT {self.ion} {self.theta!r} {self.phi!r}"
-
 
 @dataclass(frozen=True)
 class Cnot:
@@ -60,9 +53,6 @@ class Cnot:
 
     def inverse(self) -> "Cnot":
         return self
-
-    def to_line(self) -> str:
-        return f"CNOT {self.control} {self.target}"
 
 
 @dataclass(frozen=True)
@@ -73,9 +63,6 @@ class BusMap:
 
     def inverse(self) -> "BusMap":
         return self
-
-    def to_line(self) -> str:
-        return f"BUSMAP {self.ion}"
 
 
 Gate = Rot | Cnot | BusMap
@@ -92,28 +79,6 @@ class GateSequence:
         for gate in self.gates:
             reg = _apply_gate(reg, gate)
         return reg
-
-    def to_text(self) -> str:
-        return "\n".join(g.to_line() for g in self.gates) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "GateSequence":
-        gates: list[Gate] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind = parts[0]
-            if kind == "ROT" and len(parts) == 4:
-                gates.append(Rot(int(parts[1]), float(parts[2]), float(parts[3])))
-            elif kind == "CNOT" and len(parts) == 3:
-                gates.append(Cnot(int(parts[1]), int(parts[2])))
-            elif kind == "BUSMAP" and len(parts) == 2:
-                gates.append(BusMap(int(parts[1])))
-            else:
-                raise ValueError(f"unparseable gate line: {raw!r}")
-        return GateSequence(tuple(gates))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -213,7 +178,7 @@ def prepare_ghz(reg: QubitRegister, phi0: float = 0.0) -> tuple[QubitRegister, G
     The relative phase phi0 is folded into the phase of the opening pi/2
     pulse (pulse phase phi0 + pi/2 makes the excited amplitude exactly
     e^{i phi0} after the CNOT ladder), so the returned GateSequence consists
-    only of ROT/CNOT lines and replays to the same state.
+    only of Rot/Cnot descriptors and replays to the same state.
     """
     _require_ground(reg, "prepare_ghz")
     gates: list[Gate] = [Rot(1, np.pi / 2, phi0 + np.pi / 2)]

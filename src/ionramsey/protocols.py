@@ -37,7 +37,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
@@ -56,7 +56,6 @@ from .noise import (
     perturb_ghz,
     sample_dephasing_phases,
 )
-from .records import EstimateRecord, TrialRecord
 from .register import (
     MeasurementSample,
     QubitRegister,
@@ -165,6 +164,11 @@ class RamseyConfig:
             raise ValueError(
                 "an imperfection (epsilon) perturbs the GHZ preparation; "
                 "the standard protocol has none"
+            )
+        if self.protocol is Protocol.STANDARD and self.phi0 != 0.0:
+            raise ValueError(
+                "phi0 is the GHZ relative phase; the standard protocol's "
+                "opening pulse has phase 0"
             )
 
     @property
@@ -287,15 +291,41 @@ def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Trials:
+    """The projective shots of one sampled run, stored column-wise.
+
+    One configuration (``protocol``, ``n_ions``, ``t_ramsey``, ``omega_r``)
+    holds for every shot. ``outcomes`` is the float64 array of per-shot
+    :meth:`Protocol.outcomes` values in shot order; ``batches`` lists the
+    (seed label, shot count) of each random stream the shots were drawn
+    from, in the same order.
+    """
+
+    protocol: Protocol
+    n_ions: int
+    t_ramsey: float
+    omega_r: float
+    outcomes: np.ndarray
+    batches: tuple[tuple[str, int], ...]
+
+
+class Estimate(NamedTuple):
+    """Detuning estimate dw_hat = omega_R - omega0_hat and its 1-sigma error."""
+
+    estimate: float
+    sigma: float
+
+
 def run_ramsey(
     cfg: RamseyConfig, rng: np.random.Generator, seed_label: str = ""
-) -> list[TrialRecord]:
-    """cfg.shots projective trials of cfg.protocol; one record per shot.
+) -> Trials:
+    """cfg.shots projective trials of cfg.protocol, drawn from ``rng``, whose
+    seed label the returned :class:`Trials` records.
 
-    ``outcome`` is :meth:`Protocol.outcomes` of the shot. Noiseless runs
-    sample every shot from one final state. With dephasing enabled, every
-    shot draws a fresh phase realization (each shot is an independent
-    experiment) onto the once-evolved state.
+    Noiseless runs sample every shot from one final state. With dephasing
+    enabled, every shot draws a fresh phase realization (each shot is an
+    independent experiment) onto the once-evolved state.
     """
     protocol = cfg.protocol
     ensure_unambiguous(
@@ -306,16 +336,19 @@ def run_ramsey(
         final = _close(evolved, cfg, seq)
         outcomes = protocol.outcomes(sample_measurement(final, rng, cfg.shots))
     else:
-        outcomes = []
-        for _ in range(cfg.shots):
+        outcomes = np.empty(cfg.shots)
+        for k in range(cfg.shots):
             phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
             final = _close(apply_phase_noise(evolved, phases), cfg, seq)
-            outcomes.append(protocol.outcomes(sample_measurement(final, rng, 1))[0])
-    tag = protocol.value  # a descriptor call: read it once, not once per record
-    return [
-        TrialRecord(tag, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, seed_label, float(v))
-        for v in outcomes
-    ]
+            outcomes[k] = protocol.outcomes(sample_measurement(final, rng, 1))[0]
+    return Trials(
+        protocol,
+        cfg.n_ions,
+        cfg.t_ramsey,
+        cfg.omega_r,
+        np.asarray(outcomes, dtype=np.float64),
+        ((seed_label, cfg.shots),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -323,31 +356,38 @@ def run_ramsey(
 # ---------------------------------------------------------------------------
 
 
-def _invert_group(
-    records: Sequence[TrialRecord],
-    contrast: float,
-    final_phase: float,
-    negative_branch: bool = False,
+def estimate_frequency(
+    trials: Trials,
+    *,
+    contrast: float = 1.0,
+    final_phase: float = 0.0,
     operating_phase: float | None = None,
-) -> tuple[float, float, float]:
-    """Return (delta_omega_hat, sigma, omega_r) for one consistent group."""
-    tag = records[0].protocol
-    n_ions = records[0].n_ions
-    t_r = records[0].t_ramsey
-    omega_r = records[0].omega_r
-    for r in records:
-        if (r.protocol, r.n_ions, r.t_ramsey, r.omega_r) != (tag, n_ions, t_r, omega_r):
-            raise ValueError("records mix incompatible configurations")
+) -> Estimate:
+    """Invert a sampled run into a detuning estimate with 1-sigma error.
+
+    The fringe model is inverted at the sample mean of the per-shot signal
+    (arccos principal branch, assuming the operating point sits in (0, pi) —
+    the half-fringe convention). ``estimate`` is dw_hat = omega_R -
+    omega0_hat; ``sigma`` is sigma_S / |dS/d omega| with sigma_S the
+    standard error of the mean.
+
+    ``contrast`` is the model fringe contrast (pass
+    :func:`ensemble_contrast` output for dephased runs). ``operating_phase``
+    pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
+    the half-fringe) instead of the inverted one.
+    """
+    if len(trials.outcomes) == 0:
+        raise ValueError("no trials to estimate from")
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
-    protocol = Protocol(tag)
-    s = protocol.signal(np.array([r.outcome for r in records]), n_ions)
+    protocol, t_r = trials.protocol, trials.t_ramsey
+    s = protocol.signal(trials.outcomes, trials.n_ions)
     n = len(s)
     mean = float(np.mean(s))
     sigma_s = float(np.std(s, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
-    mult = protocol.multiplier(n_ions)
+    mult = protocol.multiplier(trials.n_ions)
     if protocol is Protocol.STANDARD:
         u = (1.0 - 2.0 * mean) / contrast
         # dS/d(dw) for S = excited fraction; |.| taken after inversion.
@@ -368,85 +408,7 @@ def _invert_group(
             "fringe slope vanishes at the operating point "
             f"(inverted phase {x_hat:.3g} rad); frequency not identifiable"
         )
-    if negative_branch:
-        x_hat = -x_hat
-    delta_hat = (x_hat - phi) / (mult * t_r)
-    sigma = sigma_s / slope
-    return delta_hat, sigma, omega_r
-
-
-def estimate_frequency(
-    records: Sequence[TrialRecord],
-    method: str = "single_fringe",
-    *,
-    contrast: float = 1.0,
-    final_phase: float = 0.0,
-    operating_phase: float | None = None,
-) -> EstimateRecord:
-    """Invert trial records into a detuning estimate with 1-sigma error.
-
-    single_fringe: all records share one configuration; the fringe model is
-    inverted at the sample mean (arccos principal branch, assuming the
-    operating point sits in (0, pi) — the half-fringe convention).
-    ``estimate`` is dw_hat = omega_R - omega0_hat; uncertainty is
-    sigma_S / |dS/d omega| with sigma_S the standard error of the mean.
-
-    two_point: records must come from exactly two omega_R settings
-    bracketing the resonance; each group is inverted on its own branch
-    (lower setting negative) and the two implied omega0 values averaged.
-    ``estimate`` is the group-mean omega_R minus omega0_hat.
-
-    ``contrast`` is the model fringe contrast (pass
-    :func:`ensemble_contrast` output for dephased runs). ``operating_phase``
-    pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
-    the half-fringe) instead of the inverted one.
-    """
-    if not records:
-        raise ValueError("no records to estimate from")
-    if method == "single_fringe":
-        delta_hat, sigma, omega_r = _invert_group(
-            records, contrast, final_phase, operating_phase=operating_phase
-        )
-        return EstimateRecord(
-            protocol=records[0].protocol,
-            n_ions=records[0].n_ions,
-            t_ramsey=records[0].t_ramsey,
-            omega_r=omega_r,
-            seed=records[0].seed,
-            estimate=delta_hat,
-            sigma=sigma,
-            n_trials=len(records),
-            method=method,
-        )
-    if method != "two_point":
-        raise ValueError(f"unknown method {method!r}")
-    settings = sorted({r.omega_r for r in records})
-    if len(settings) != 2:
-        raise ValueError(
-            f"two_point needs records from exactly 2 omega_R settings, got {len(settings)}"
-        )
-    low = [r for r in records if r.omega_r == settings[0]]
-    high = [r for r in records if r.omega_r == settings[1]]
-    d_low, s_low, w_low = _invert_group(
-        low, contrast, final_phase, negative_branch=True, operating_phase=operating_phase
-    )
-    d_high, s_high, w_high = _invert_group(
-        high, contrast, final_phase, operating_phase=operating_phase
-    )
-    omega0_hat = 0.5 * ((w_low - d_low) + (w_high - d_high))
-    mean_setting = 0.5 * (w_low + w_high)
-    sigma = 0.5 * float(np.hypot(s_low, s_high))
-    return EstimateRecord(
-        protocol=records[0].protocol,
-        n_ions=records[0].n_ions,
-        t_ramsey=records[0].t_ramsey,
-        omega_r=mean_setting,
-        seed=records[0].seed,
-        estimate=mean_setting - omega0_hat,
-        sigma=sigma,
-        n_trials=len(records),
-        method=method,
-    )
+    return Estimate((x_hat - phi) / (mult * t_r), sigma_s / slope)
 
 
 # ---------------------------------------------------------------------------

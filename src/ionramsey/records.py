@@ -1,55 +1,36 @@
-"""Trial and estimate records, and their CSV serialization.
+"""Record tables and their CSV/JSON serialization.
 
-One fixed column order serves both record kinds::
+A sampled run (:class:`~ionramsey.protocols.Trials`) becomes a table with one
+fixed column order::
 
     protocol,L,T_R,omega_R,seed,outcome,estimate,sigma
 
-Trial rows fill ``outcome`` and leave ``estimate``/``sigma`` empty; estimate
-rows do the opposite. ``outcome`` is protocol-dependent:
+:func:`trial_rows` writes one row per shot, which fills ``outcome`` and
+leaves ``estimate``/``sigma`` empty, then optionally one estimate row, which
+does the opposite. ``seed`` is the label of the random stream the shot was
+drawn from; the estimate row carries the first one. ``outcome`` is
+protocol-dependent:
 
 * ``standard``      — the number of ions found |dn> in that shot (0..L);
 * ``ghz_parity``    — the normalized parity sign of that shot (+1 or -1);
 * ``ghz_reversed``  — the measured spin of ion 1 (+0.5 or -0.5).
 
-Floats are serialized with ``repr`` (shortest round-trip form), so equal
-runs produce byte-identical files. Metadata rides in ``# key=value`` comment
-lines before the header, gnuplot-compatible.
+Every cell of a record row is a string, so JSON tables carry the same text
+as CSV ones. Floats are serialized with ``repr`` (shortest round-trip form),
+so equal runs produce byte-identical files. Metadata rides in
+``# key=value`` comment lines before the header, gnuplot-compatible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .protocols import Estimate, Trials
 
 CSV_COLUMNS = ("protocol", "L", "T_R", "omega_R", "seed", "outcome", "estimate", "sigma")
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    protocol: str
-    n_ions: int
-    t_ramsey: float
-    omega_r: float
-    seed: str
-    outcome: float
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    protocol: str
-    n_ions: int
-    t_ramsey: float
-    omega_r: float
-    seed: str
-    estimate: float
-    sigma: float
-    n_trials: int
-    method: str
-
-
-Record = Union[TrialRecord, EstimateRecord]
 
 
 def _fmt(value: float | int | str) -> str:
@@ -60,28 +41,28 @@ def _fmt(value: float | int | str) -> str:
     return repr(float(value))
 
 
-def record_row(rec: Record) -> list[str]:
-    if isinstance(rec, TrialRecord):
-        return [
-            rec.protocol,
-            str(rec.n_ions),
-            _fmt(rec.t_ramsey),
-            _fmt(rec.omega_r),
-            rec.seed,
-            _fmt(rec.outcome),
-            "",
-            "",
-        ]
-    return [
-        rec.protocol,
-        str(rec.n_ions),
-        _fmt(rec.t_ramsey),
-        _fmt(rec.omega_r),
-        rec.seed,
-        "",
-        _fmt(rec.estimate),
-        _fmt(rec.sigma),
+def trial_rows(trials: Trials, estimate: Estimate | None = None) -> list[list[str]]:
+    """The ``CSV_COLUMNS`` rows of a sampled run, in shot order, then the
+    estimate row when ``estimate`` is given."""
+    config = [
+        trials.protocol.value,
+        str(trials.n_ions),
+        _fmt(trials.t_ramsey),
+        _fmt(trials.omega_r),
     ]
+    outcomes = trials.outcomes.tolist()
+    rows = []
+    start = 0
+    for label, count in trials.batches:
+        rows.extend(
+            [*config, label, repr(v), "", ""] for v in outcomes[start : start + count]
+        )
+        start += count
+    if estimate is not None:
+        rows.append(
+            [*config, trials.batches[0][0], "", _fmt(estimate.estimate), _fmt(estimate.sigma)]
+        )
+    return rows
 
 
 def write_table_csv(
@@ -92,7 +73,7 @@ def write_table_csv(
 ) -> None:
     """CSV with ``# key=value`` provenance comments, then a header row.
 
-    Record tables pass ``CSV_COLUMNS`` and one :func:`record_row` per record.
+    Record tables pass ``CSV_COLUMNS`` and the rows of :func:`trial_rows`.
     """
     lines: list[str] = []
     for key in sorted((meta or {})):

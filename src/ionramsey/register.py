@@ -193,11 +193,6 @@ def expect_sz_ion(reg: QubitRegister, ion: int) -> float:
     return p_up - 0.5
 
 
-def prob_down_ion(reg: QubitRegister, ion: int) -> float:
-    """Marginal probability that a projective measurement finds the ion |dn>."""
-    return 0.5 - expect_sz_ion(reg, ion)
-
-
 def bus_purity(reg: QubitRegister) -> float:
     """Purity of the reduced bus state; 1.0 iff bus is unentangled."""
     axis = _bus_axis(reg)

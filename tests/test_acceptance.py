@@ -158,8 +158,7 @@ def test_criterion_04_projection_noise():
             protocol=Protocol.STANDARD,
             shots=shots,
         )
-        records = run_ramsey(cfg, np.random.default_rng(20260814))
-        counts = np.array([r.outcome for r in records])
+        counts = run_ramsey(cfg, np.random.default_rng(20260814)).outcomes
 
         k = np.arange(n_ions + 1)
         from math import comb
@@ -226,7 +225,7 @@ def test_criterion_06_ghz_decoherence_rate():
                     shots=shots,
                     noise=NoiseSpec(gamma=gamma, mode="independent"),
                 )
-                outcomes = [r.outcome for r in run_ramsey(cfg, rng)]
+                outcomes = run_ramsey(cfg, rng).outcomes
                 mean = float(np.mean(outcomes))
                 sd_mean = float(np.std(outcomes, ddof=1)) / np.sqrt(shots)
                 log_means.append(np.log(mean))

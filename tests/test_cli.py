@@ -91,6 +91,45 @@ scan_t_max = 3.9269908169872414
             4 * 0.4, rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "protocol,readout,omega_r,tag",
+        [
+            ("standard", "final_pulse", 1.6707963267948966, "standard"),
+            ("ghz", "final_pulse", 0.6235987755982989, "ghz_parity"),
+            ("ghz", "time_reversed", 0.6235987755982989, "ghz_reversed"),
+        ],
+    )
+    def test_record_table_layout(self, tmp_path, protocol, readout, omega_r, tag):
+        # 2,300 shots run as two batches: 2,000 from stream 42/0/0, 300 from 42/0/1.
+        cfg = write_config(
+            tmp_path,
+            "r.ini",
+            f"[run]\nseed = 42\n[ramsey]\nprotocol = {protocol}\nreadout = {readout}\n"
+            f"n_ions = 3\nt_ramsey = 1.0\nomega_0 = 0.1\nomega_r = {omega_r}\nshots = 2300\n",
+        )
+        out = tmp_path / "out"
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "ramsey.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert rows[0] == [
+            "protocol", "L", "T_R", "omega_R", "seed", "outcome", "estimate", "sigma",
+        ]
+        shots, estimate = rows[1:-1], rows[-1]
+        assert len(shots) == 2300
+        assert {row[0] for row in rows[1:]} == {tag}
+        assert [row[4] for row in shots] == ["42/0/0"] * 2000 + ["42/0/1"] * 300
+        assert all(row[5] and row[6:] == ["", ""] for row in shots)
+        assert estimate[4:6] == ["42/0/0", ""]
+        assert estimate[6] and estimate[7]
+
+        json_out = tmp_path / "json"
+        argv = ["ramsey", "--config", cfg, "--out", str(json_out), "--format", "json"]
+        assert main([*argv, "--threads", "2"]) == 0
+        json_rows = json.loads((json_out / "ramsey.json").read_text())["rows"]
+        assert len(json_rows) == 2301
+        assert all(isinstance(v, str) for row in json_rows for v in row.values())
+        assert [row["seed"] for row in json_rows] == [row[4] for row in rows[1:]]
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
         out = tmp_path / "out"
@@ -199,6 +238,14 @@ class TestErrorPaths:
                 "epsilon",
                 id="standard_epsilon",
             ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = standard\nphi0 = 0.5\nn_ions = 2\n"
+                "t_ramsey = 1.0\nomega_r = 0.1\n",
+                (),
+                "phi0",
+                id="standard_phi0",
+            ),
             # Range checks at parse time.
             pytest.param(
                 "scaling",
@@ -221,6 +268,22 @@ class TestErrorPaths:
                 (),
                 "max_iter",
                 id="calibrate_zero_max_iter",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 3\nt_min = 0.05\nt_max = 3.0\n"
+                "trials = -2\nmode = analytic\n",
+                (),
+                "trials",
+                id="dephasing_negative_trials_analytic",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 3\nt_min = 0.05\nt_max = 3.0\n"
+                "trials = 0\n",
+                (),
+                "trials",
+                id="dephasing_zero_trials",
             ),
             pytest.param(
                 "fourier",
@@ -360,6 +423,23 @@ class TestOtherCommands:
             got[int(p)] = (float(cp), float(xip))
         for p in range(1, n_ions + 1):
             assert got[p][0] == pytest.approx(c[p - 1], abs=1e-6)
+
+    def test_fourier_manifest_covers_input(self, tmp_path):
+        # Same config text, different data behind input=: different manifests.
+        data = tmp_path / "sig.csv"
+        cfg = write_config(
+            tmp_path, "f.ini", f"[fourier]\ninput = {data}\nn_ions = 1\ndelta_omega = 1.0\n"
+        )
+        t = 2 * np.pi * np.arange(16) / 16
+        hashes = []
+        for amp in (1.0, 0.5):
+            rows = zip(t.tolist(), (amp * np.cos(t)).tolist())
+            data.write_text("".join(f"{tt!r},{ss!r}\n" for tt, ss in rows))
+            out = tmp_path / f"out{amp}"
+            assert main(["fourier", "--config", cfg, "--out", str(out)]) == 0
+            summary = json.loads((out / "fourier_summary.json").read_text())
+            hashes.append(summary["meta"]["manifest_sha256"])
+        assert hashes[0] != hashes[1]
 
     def test_fourier_needs_a_source(self, tmp_path):
         cfg = write_config(

@@ -217,15 +217,3 @@ class TestGateSequences:
             seq = GateSequence(tuple(gates))
             out = seq.inverse().apply(seq.apply(reg))
             np.testing.assert_allclose(out.amplitudes, reg.amplitudes, atol=1e-11)
-
-    def test_text_round_trip(self):
-        seq = GateSequence(
-            (Rot(1, np.pi / 2, 0.123456789), Cnot(1, 3), BusMap(2), Cnot(BUS, 2))
-        )
-        text = seq.to_text()
-        again = GateSequence.from_text(text)
-        assert again == seq
-
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            GateSequence.from_text("HADAMARD 1")

@@ -181,12 +181,14 @@ class TestSampledRuns:
     )
     def test_outcomes_match_protocol(self, protocol, outcomes):
         cfg = _half_fringe_cfg(protocol, 3, shots=400)
-        recs = run_ramsey(cfg, stream(1, 0), seed_label="1/0")
-        assert len(recs) == 400
-        assert all(r.protocol == protocol.value for r in recs)
+        trials = run_ramsey(cfg, stream(1, 0), seed_label="1/0")
+        assert trials.protocol is protocol
+        assert (trials.n_ions, trials.t_ramsey, trials.omega_r) == (3, 1.0, cfg.omega_r)
+        assert trials.outcomes.dtype == np.float64
+        assert trials.outcomes.shape == (400,)
         # At the half fringe every outcome the protocol allows shows up.
-        assert {r.outcome for r in recs} == outcomes
-        assert recs[0].seed == "1/0"
+        assert set(trials.outcomes.tolist()) == outcomes
+        assert trials.batches == (("1/0", 400),)
 
     @pytest.mark.parametrize(
         "protocol,final_phase",
@@ -209,8 +211,8 @@ class TestSampledRuns:
             final_phase=final_phase,
             shots=20_000,
         )
-        recs = run_ramsey(cfg, stream(11, 5))
-        est = estimate_frequency(recs, contrast=1.0, final_phase=final_phase)
+        trials = run_ramsey(cfg, stream(11, 5))
+        est = estimate_frequency(trials, contrast=1.0, final_phase=final_phase)
         assert est.estimate == pytest.approx(truth, abs=5 * est.sigma)
         assert est.sigma < 0.02
 
@@ -220,8 +222,8 @@ class TestSampledRuns:
         zs = []
         for k in range(60):
             cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=2000, omega_0=0.0)
-            recs = run_ramsey(cfg, stream(100, k))
-            est = estimate_frequency(recs, contrast=1.0)
+            trials = run_ramsey(cfg, stream(100, k))
+            est = estimate_frequency(trials, contrast=1.0)
             zs.append((est.estimate - cfg.delta_omega) / est.sigma)
         zs = np.array(zs)
         assert abs(np.mean(zs)) < 4 / np.sqrt(60)
@@ -231,16 +233,16 @@ class TestSampledRuns:
         sig = {}
         for shots in (2000, 8000):
             cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=shots)
-            recs = run_ramsey(cfg, stream(7, shots))
-            sig[shots] = estimate_frequency(recs, contrast=1.0).sigma
+            trials = run_ramsey(cfg, stream(7, shots))
+            sig[shots] = estimate_frequency(trials, contrast=1.0).sigma
         assert sig[2000] / sig[8000] == pytest.approx(2.0, rel=0.15)
 
     def test_noisy_run_sigma_uses_contrast(self):
         gamma, t = 0.4, 1.0
         cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=6000, gamma=gamma, t_ramsey=t)
-        recs = run_ramsey(cfg, stream(21, 0))
+        trials = run_ramsey(cfg, stream(21, 0))
         c = ensemble_contrast(2, cfg.noise, t, cfg.protocol)
-        est = estimate_frequency(recs, contrast=c, operating_phase=np.pi / 2)
+        est = estimate_frequency(trials, contrast=c, operating_phase=np.pi / 2)
         # At the half-fringe the parity mean is ~0, variance ~1, slope c*L*T.
         want_sigma = 1.0 / (c * 2 * t * np.sqrt(6000))
         assert est.sigma == pytest.approx(want_sigma, rel=0.1)
@@ -249,34 +251,9 @@ class TestSampledRuns:
     def test_degenerate_slope_raises(self):
         # Operating at the fringe top: arccos slope vanishes there.
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.0, omega_0=0.0, shots=500)
-        recs = run_ramsey(cfg, stream(5, 5))
+        trials = run_ramsey(cfg, stream(5, 5))
         with pytest.raises(DegenerateSlopeError):
-            estimate_frequency(recs, contrast=1.0)
-
-    def test_two_point_method(self):
-        omega0 = 0.35
-        t = 1.0
-        half = np.pi / (2 * 2 * t)
-        recs = []
-        for sign, tag in ((-1, 0), (+1, 1)):
-            cfg = RamseyConfig(
-                n_ions=2,
-                t_ramsey=t,
-                omega_r=omega0 + sign * half,
-                omega_0=omega0,
-                shots=8000,
-            )
-            recs.extend(run_ramsey(cfg, stream(31, tag)))
-        est = estimate_frequency(recs, method="two_point", contrast=1.0)
-        omega0_hat = est.omega_r - est.estimate
-        assert omega0_hat == pytest.approx(omega0, abs=5 * est.sigma)
-        assert est.omega_r == pytest.approx(omega0)  # symmetric bracket
-
-    def test_two_point_requires_two_settings(self):
-        cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=100)
-        recs = run_ramsey(cfg, stream(1, 1))
-        with pytest.raises(ValueError):
-            estimate_frequency(recs, method="two_point", contrast=1.0)
+            estimate_frequency(trials, contrast=1.0)
 
 
 class TestCalibration:

@@ -29,7 +29,6 @@ from ionramsey.register import (
     excitation_counts,
     expect_sz_ion,
     pi_half_pulse,
-    prob_down_ion,
     rotation_matrix,
 )
 
@@ -194,7 +193,6 @@ class TestObservables:
         sz1 = embed_on_ions(SZ, 3, (1,))
         want = float(np.real(amps.conj() @ sz1 @ amps))
         assert expect_sz_ion(reg, 1) == pytest.approx(want, abs=1e-12)
-        assert prob_down_ion(reg, 1) == pytest.approx(0.5 - want, abs=1e-12)
 
     def test_bus_purity_product_vs_entangled(self):
         reg = new_register(2, has_bus=True)

@@ -10,20 +10,24 @@ Subcommands wrap the library's protocols and benchmarks::
 
 Configs are INI files (flat key-value with sections, diff-friendly for
 experiment logs): a command reads its own section plus the optional [run]
-section; unknown sections or keys are rejected. Every successful run
-writes ``<command>.csv`` (or ``.json`` with ``--format json``) plus
-``<command>_summary.json`` into ``--out``; existing files are never
-overwritten unless ``--force`` is given. Each ``cmd_*`` function only
-computes a table and a summary; :func:`main` writes both once the command
-has returned, so a run that fails writes nothing. All outputs embed the
+section. ``_SCHEMA`` declares every key once, with its parser, default
+and range; :func:`main` parses both sections against it before the
+command runs, so unknown sections or keys, missing required keys and
+malformed, non-finite or out-of-range values are rejected up front. Every
+successful run writes ``<command>.csv`` (or ``.json`` with ``--format
+json``) plus ``<command>_summary.json`` into ``--out``; existing files are
+never overwritten unless ``--force`` is given. Each ``cmd_*`` function
+takes the parsed values and only computes a table and a summary;
+:func:`main` writes both once the command has returned, so a run that
+fails writes nothing. All outputs embed the
 library version and a manifest hash (sha256 over command, seed, format,
 flags, the config text and the bytes of a ``[fourier] input=`` file), and
 are byte-identical for equal seeds at any ``--threads`` value.
 
-Exit codes: 0 success, 2 configuration error (including a config value a
-library check rejects with ``ValueError``), 3 register-capacity error,
-4 non-convergence or ambiguous-fringe error. Errors are reported as one
-JSON object on stderr.
+Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
+a config value a library check rejects with ``ValueError``), 3
+register-capacity error, 4 non-convergence or ambiguous-fringe error.
+Errors are reported as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -74,65 +79,174 @@ from .protocols import (
 )
 from .records import CSV_COLUMNS, _fmt, trial_rows, write_json, write_table_csv
 
-_RUN_KEYS = {"seed"}
-_SECTION_KEYS = {
+# ---------------------------------------------------------------------------
+# Config schema
+# ---------------------------------------------------------------------------
+
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+def _floats(raw: str) -> list[float]:
+    return [_float(x) for x in raw.replace(",", " ").split()]
+
+
+def _ints(raw: str) -> list[int]:
+    return [int(x) for x in raw.replace(",", " ").split()]
+
+
+def _epsilon(raw: str) -> ImperfectionSpec:
+    """Admixture list: whitespace-separated ``p:amplitude[:phase]`` items."""
+    eps: dict[int, complex] = {}
+    for item in raw.split():
+        parts = item.split(":")
+        if len(parts) not in (2, 3):
+            raise ValueError(item)
+        p = int(parts[0])
+        if p in eps:
+            raise ValueError(f"excitation number {p} given twice")
+        phase = _float(parts[2]) if len(parts) == 3 else 0.0
+        eps[p] = _float(parts[1]) * np.exp(1j * phase)
+    return ImperfectionSpec(epsilon=eps)
+
+
+# A range is (what it requires, test). Checks that the library makes itself
+# (RamseyConfig, CalibrationState, NoiseSpec, the bench functions) are not
+# repeated here.
+_AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
+_POSITIVE = ("must be > 0", lambda v: v > 0)
+_NONZERO = ("must be nonzero", lambda v: v != 0)
+_TWO_L = (
+    "needs at least two distinct values, each >= 1",
+    lambda v: min(v, default=0) >= 1 and len(set(v)) >= 2,
+)
+_REQUIRED = object()  # the default of a key the section must set
+
+# Every config key, once: section -> key -> (parser, default, range). A None
+# default means "unset": the command decides what that means.
+_SCHEMA: dict[str, dict[str, tuple]] = {
+    "run": {"seed": (int, 0, None)},
     "ramsey": {
-        "protocol",
-        "n_ions",
-        "t_ramsey",
-        "omega_0",
-        "omega_r",
-        "readout",
-        "final_phase",
-        "phi0",
-        "shots",
-        "gamma",
-        "noise_mode",
-        "epsilon",
-        "allow_wrap",
-        "scan_points",
-        "scan_t_max",
+        "protocol": (str, "ghz", None),
+        "n_ions": (int, _REQUIRED, None),
+        "t_ramsey": (_float, _REQUIRED, None),
+        "omega_0": (_float, 0.0, None),
+        "omega_r": (_float, _REQUIRED, None),
+        "readout": (str, "final_pulse", None),
+        "final_phase": (_float, 0.0, None),
+        "phi0": (_float, 0.0, None),
+        "shots": (int, 1000, None),
+        "gamma": (_float, 0.0, None),
+        "noise_mode": (str, "independent", None),
+        "epsilon": (_epsilon, None, None),
+        "allow_wrap": (_bool, False, None),
+        "scan_points": (int, 64, None),
+        "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey
     },
-    "scaling": {"l_values", "trials", "t_ramsey", "omega_0"},
+    "scaling": {
+        "l_values": (_ints, _REQUIRED, _TWO_L),
+        "trials": (int, 10_000, _AT_LEAST_1),
+        "t_ramsey": (_float, 1.0, None),
+        "omega_0": (_float, 0.0, None),
+    },
     "dephasing": {
-        "gamma",
-        "n_ions",
-        "t_min",
-        "t_max",
-        "grid_points",
-        "trials",
-        "mode",
-        "refine",
+        "gamma": (_float, _REQUIRED, None),
+        "n_ions": (int, _REQUIRED, None),
+        "t_min": (_float, _REQUIRED, _POSITIVE),
+        "t_max": (_float, _REQUIRED, None),  # > t_min, checked by the command
+        "grid_points": (int, 12, None),
+        "trials": (int, 5000, _AT_LEAST_1),
+        "mode": (str, "sampled", None),
+        "refine": (_bool, True, None),
     },
     "calibrate": {
-        "n_ions",
-        "omega_0",
-        "omega_r1",
-        "omega_r2",
-        "t_r1",
-        "t_r2",
-        "bias_tc",
-        "tol",
-        "max_iter",
-        "phi0",
+        "n_ions": (int, _REQUIRED, None),
+        "omega_0": (_float, _REQUIRED, None),
+        "omega_r1": (_float, _REQUIRED, None),
+        "omega_r2": (_float, _REQUIRED, None),
+        "t_r1": (_float, _REQUIRED, None),
+        "t_r2": (_float, _REQUIRED, None),
+        "bias_tc": (_float, 0.0, None),
+        "tol": (_float, 0.0, None),  # 0: the calibration's own default
+        "max_iter": (int, 50, _AT_LEAST_1),
+        "phi0": (_float, 0.0, None),
     },
-    "fourier": {
-        "input",
-        "n_ions",
-        "delta_omega",
-        "grid_points",
-        "c",
-        "xi",
-        "epsilon",
-        "threshold",
+    "fourier": {  # exactly one source: input, c (with optional xi) or epsilon
+        "input": (str, None, None),
+        "n_ions": (int, _REQUIRED, None),
+        "delta_omega": (_float, _REQUIRED, _NONZERO),
+        "grid_points": (int, 128, None),
+        "c": (_floats, None, None),
+        "xi": (_floats, None, None),  # unset: zeros
+        "epsilon": (_epsilon, None, None),
+        "threshold": (_float, 0.1, None),
     },
 }
+
+
+def _load_config(path: str, command: str) -> tuple[str, configparser.ConfigParser]:
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"config parse error in {path}: {exc}") from exc
+    allowed_sections = {"run", command}
+    for section in parser.sections():
+        if section not in allowed_sections:
+            raise ConfigError(
+                f"unknown section [{section}] for command {command!r} "
+                f"(allowed: {sorted(allowed_sections)})"
+            )
+    if not parser.has_section(command):
+        raise ConfigError(f"config is missing the [{command}] section")
+    return text, parser
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, object]:
+    """Every key of one section, parsed and range-checked against its table."""
+    table = _SCHEMA[section]
+    raw = parser[section] if parser.has_section(section) else {}
+    for key in raw:
+        if key not in table:
+            raise ConfigError(
+                f"unknown key {key!r} in [{section}] (allowed: {sorted(table)})"
+            )
+    values = {}
+    for key, (parse, default, valid) in table.items():
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r} in [{section}]")
+            values[key] = default
+            continue
+        try:
+            values[key] = parse(raw[key])
+            if valid is not None and not valid[1](values[key]):
+                raise ValueError(valid[0])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(
+                f"bad value for {key!r} in [{section}]: {raw[key]!r} ({exc})"
+            ) from exc
+    return values
 
 
 @dataclass(frozen=True)
 class RunManifest:
     command: str
-    config_path: str
     config_text: str
     seed: int
     out_dir: str
@@ -162,101 +276,6 @@ class RunManifest:
             "seed": self.seed,
             "version": __version__,
         }
-
-
-def _load_config(path: str, command: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    allowed_sections = {"run", command}
-    for section in parser.sections():
-        if section not in allowed_sections:
-            raise ConfigError(
-                f"unknown section [{section}] for command {command!r} "
-                f"(allowed: {sorted(allowed_sections)})"
-            )
-        allowed = _RUN_KEYS if section == "run" else _SECTION_KEYS[command]
-        for key in parser[section]:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}] (allowed: {sorted(allowed)})"
-                )
-    if not parser.has_section(command):
-        raise ConfigError(f"config is missing the [{command}] section")
-    return parser
-
-
-def _get(parser, section: str, key: str, conv, default):
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"missing required key {key!r} in [{section}]")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(
-            f"bad value for {key!r} in [{section}]: {raw!r} ({exc})"
-        ) from exc
-
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("not a boolean")
-
-
-def _count(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
-
-
-def _nonzero(raw: str) -> float:
-    value = float(raw)
-    if value == 0.0:
-        raise ValueError("must be nonzero")
-    return value
-
-
-def _parse_epsilon(raw: str) -> ImperfectionSpec:
-    """Admixture list: whitespace-separated ``p:amplitude[:phase]`` items."""
-    eps: dict[int, complex] = {}
-    for item in raw.split():
-        parts = item.split(":")
-        if len(parts) not in (2, 3):
-            raise ValueError(item)
-        p = int(parts[0])
-        amp = float(parts[1])
-        phase = float(parts[2]) if len(parts) == 3 else 0.0
-        eps[p] = amp * np.exp(1j * phase)
-    return ImperfectionSpec(epsilon=eps)
-
-
-def _parse_floats(raw: str) -> list[float]:
-    return [float(x) for x in raw.replace(",", " ").split()]
-
-
-def _parse_ints(raw: str) -> list[int]:
-    return [int(x) for x in raw.replace(",", " ").split()]
-
-
-def _resolve_seed(parser, cli_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    if parser.has_section("run") and parser.has_option("run", "seed"):
-        return _get(parser, "run", "seed", int, 0)
-    return 0
 
 
 def _output_paths(manifest: RunManifest) -> tuple[Path, Path]:
@@ -301,39 +320,21 @@ def _write_outputs(
 Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 
 
-def _ramsey_config(parser) -> tuple[RamseyConfig, int, float]:
-    sec = "ramsey"
-    protocol = Protocol.named(
-        _get(parser, sec, "protocol", str, "ghz"),
-        _get(parser, sec, "readout", str, "final_pulse"),
-    )
-    noise = NoiseSpec(
-        gamma=_get(parser, sec, "gamma", float, 0.0),
-        mode=_get(parser, sec, "noise_mode", str, "independent"),
-    )
-    imperfection = None
-    if parser.has_option(sec, "epsilon"):
-        imperfection = _get(parser, sec, "epsilon", _parse_epsilon, None)
+def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
+    noise = NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"])
     cfg = RamseyConfig(
-        n_ions=_get(parser, sec, "n_ions", int, None),
-        t_ramsey=_get(parser, sec, "t_ramsey", float, None),
-        omega_r=_get(parser, sec, "omega_r", float, None),
-        omega_0=_get(parser, sec, "omega_0", float, 0.0),
+        n_ions=values["n_ions"],
+        t_ramsey=values["t_ramsey"],
+        omega_r=values["omega_r"],
+        omega_0=values["omega_0"],
         noise=noise if noise.gamma != 0.0 else None,
-        imperfection=imperfection,
-        protocol=protocol,
-        final_phase=_get(parser, sec, "final_phase", float, 0.0),
-        phi0=_get(parser, sec, "phi0", float, 0.0),
-        shots=_get(parser, sec, "shots", int, 1000),
-        allow_wrap=_get(parser, sec, "allow_wrap", _parse_bool, False),
+        imperfection=values["epsilon"],
+        protocol=Protocol.named(values["protocol"], values["readout"]),
+        final_phase=values["final_phase"],
+        phi0=values["phi0"],
+        shots=values["shots"],
+        allow_wrap=values["allow_wrap"],
     )
-    scan_points = _get(parser, sec, "scan_points", int, 64)
-    scan_t_max = _get(parser, sec, "scan_t_max", float, cfg.t_ramsey)
-    return cfg, scan_points, scan_t_max
-
-
-def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
-    cfg, scan_points, scan_t_max = _ramsey_config(parser)
     summary: dict[str, object] = {
         "protocol": cfg.protocol.family,
         "n_ions": cfg.n_ions,
@@ -344,7 +345,14 @@ def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
         "expectation_mode": manifest.expectation,
     }
     if manifest.expectation:
-        t_grid = scan_t_max * np.arange(1, scan_points + 1) / scan_points
+        if cfg.noise is not None:
+            raise ConfigError(
+                "[ramsey] gamma must be 0 with --expectation-mode: the scan is "
+                "noiseless and would ignore it"
+            )
+        points = values["scan_points"]
+        t_max = cfg.t_ramsey if values["scan_t_max"] is None else values["scan_t_max"]
+        t_grid = t_max * np.arange(1, points + 1) / points
         signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         config = [cfg.protocol.family, str(cfg.n_ions)]
@@ -374,15 +382,10 @@ def cmd_ramsey(manifest: RunManifest, parser) -> Outputs:
     return CSV_COLUMNS, rows, summary
 
 
-def cmd_scaling(manifest: RunManifest, parser) -> Outputs:
-    sec = "scaling"
-    l_values = _get(parser, sec, "l_values", _parse_ints, None)
-    trials = _get(parser, sec, "trials", _count, 10_000)
+def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
+    l_values, trials = values["l_values"], values["trials"]
     template = RamseyConfig(
-        n_ions=1,
-        t_ramsey=_get(parser, sec, "t_ramsey", float, 1.0),
-        omega_r=0.0,
-        omega_0=_get(parser, sec, "omega_0", float, 0.0),
+        n_ions=1, t_ramsey=values["t_ramsey"], omega_r=0.0, omega_0=values["omega_0"]
     )
     columns = ("protocol", "L", "T_R", "tau", "sigma_measured", "sigma_theory", "ratio")
     if manifest.expectation:
@@ -418,30 +421,19 @@ def cmd_scaling(manifest: RunManifest, parser) -> Outputs:
     return columns, rows, summary
 
 
-def cmd_dephasing(manifest: RunManifest, parser) -> Outputs:
-    sec = "dephasing"
-    gamma = _get(parser, sec, "gamma", float, None)
-    n_ions = _get(parser, sec, "n_ions", int, None)
-    t_min = _get(parser, sec, "t_min", float, None)
-    t_max = _get(parser, sec, "t_max", float, None)
-    points = _get(parser, sec, "grid_points", int, 12)
-    trials = _get(parser, sec, "trials", _count, 5000)
-    mode = _get(parser, sec, "mode", str, "sampled")
-    refine = _get(parser, sec, "refine", _parse_bool, True)
-    if manifest.expectation:
-        mode = "analytic"
-    if t_min <= 0 or t_max <= t_min:
-        raise ConfigError("need 0 < t_min < t_max")
-    t_grid = np.geomspace(t_min, t_max, points)
+def cmd_dephasing(manifest: RunManifest, values: dict) -> Outputs:
+    t_min, t_max = values["t_min"], values["t_max"]
+    if t_max <= t_min:
+        raise ConfigError(f"[dephasing] t_max must be > t_min, got {t_max} <= {t_min}")
     report = dephasing_benchmark(
-        gamma,
-        n_ions,
-        t_grid,
-        trials,
+        values["gamma"],
+        values["n_ions"],
+        np.geomspace(t_min, t_max, values["grid_points"]),
+        values["trials"],
         seed=manifest.seed,
         threads=manifest.threads,
-        mode=mode,
-        refine=refine,
+        mode="analytic" if manifest.expectation else values["mode"],
+        refine=values["refine"],
     )
     columns = ("protocol", "T_R", "sigma_sqrt_tau")
     rows = []
@@ -450,8 +442,8 @@ def cmd_dephasing(manifest: RunManifest, parser) -> Outputs:
             (family, float(t), float(v)) for t, v in zip(curve.t_grid, curve.sigma_tau)
         )
     summary = {
-        "gamma": gamma,
-        "n_ions": n_ions,
+        "gamma": values["gamma"],
+        "n_ions": values["n_ions"],
         "mode": report.mode,
         "trials": report.trials,
         "t_opt": {p: report.curves[p].t_opt for p in report.curves},
@@ -467,29 +459,25 @@ def cmd_dephasing(manifest: RunManifest, parser) -> Outputs:
     return columns, rows, summary
 
 
-def cmd_calibrate(manifest: RunManifest, parser) -> Outputs:
-    sec = "calibrate"
-    n_ions = _get(parser, sec, "n_ions", int, None)
-    omega_0 = _get(parser, sec, "omega_0", float, None)
+def cmd_calibrate(manifest: RunManifest, values: dict) -> Outputs:
+    n_ions, omega_0, bias_tc = values["n_ions"], values["omega_0"], values["bias_tc"]
     cal = CalibrationState(
-        omega_r1=_get(parser, sec, "omega_r1", float, None),
-        omega_r2=_get(parser, sec, "omega_r2", float, None),
-        t_r1=_get(parser, sec, "t_r1", float, None),
-        t_r2=_get(parser, sec, "t_r2", float, None),
+        omega_r1=values["omega_r1"],
+        omega_r2=values["omega_r2"],
+        t_r1=values["t_r1"],
+        t_r2=values["t_r2"],
     )
-    bias_tc = _get(parser, sec, "bias_tc", float, 0.0)
-    tol = _get(parser, sec, "tol", float, 0.0) or None
-    max_iter = _get(parser, sec, "max_iter", _count, 50)
     cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=cal.t_r2,
         omega_r=cal.omega_r1,
         omega_0=omega_0,
-        phi0=_get(parser, sec, "phi0", float, 0.0),
+        phi0=values["phi0"],
     )
     bias = (lambda t: float(np.exp(-t / bias_tc))) if bias_tc > 0 else None
     sim = make_truth_simulator(cfg, bias=bias)
     history: list = []
+    tol, max_iter = values["tol"] or None, values["max_iter"]
     result = two_point_calibrate(
         sim, cal, cfg, tol=tol, max_iter=max_iter, history=history
     )
@@ -512,11 +500,10 @@ def cmd_calibrate(manifest: RunManifest, parser) -> Outputs:
     return columns, history, summary
 
 
-def _read_input(parser, command: str) -> bytes | None:
+def _read_input(path: str | None) -> bytes | None:
     """The bytes of the ``[fourier] input=`` file, or None without one."""
-    if command != "fourier" or not parser.has_option(command, "input"):
+    if path is None:
         return None
-    path = parser.get(command, "input")
     try:
         return Path(path).read_bytes()
     except OSError as exc:
@@ -524,66 +511,61 @@ def _read_input(parser, command: str) -> bytes | None:
 
 
 def _read_signal_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
-    ts, ss = [], []
+    """``t, signal`` rows; ``#`` comments and one leading header row are skipped."""
+    ts, ss, first = [], [], True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise ConfigError(f"bad signal row {line!r} in {path} (line {lineno})")
         try:
-            t, s = float(parts[0]), float(parts[1])
+            t, s = map(_float, line.split(",")[:2])
         except ValueError:
-            if not ts:  # column-header row before the first sample
-                continue
-            raise ConfigError(
-                f"bad signal row {line!r} in {path} (line {lineno})"
-            ) from None
-        ts.append(t)
-        ss.append(s)
+            if not first:
+                raise ConfigError(
+                    f"bad signal row {line!r} in {path} (line {lineno})"
+                ) from None
+        else:
+            ts.append(t)
+            ss.append(s)
+        first = False
     if not ts:
         raise ConfigError(f"no samples found in {path}")
     return np.array(ts), np.array(ss)
 
 
-def cmd_fourier(manifest: RunManifest, parser) -> Outputs:
-    sec = "fourier"
-    n_ions = _get(parser, sec, "n_ions", int, None)
-    delta_omega = _get(parser, sec, "delta_omega", _nonzero, None)
-    threshold = _get(parser, sec, "threshold", float, 0.1)
-    if parser.has_option(sec, "input"):
-        t_grid, signal = _read_signal_csv(
-            manifest.input_bytes.decode(), parser.get(sec, "input")
+def cmd_fourier(manifest: RunManifest, values: dict) -> Outputs:
+    n_ions, delta_omega = values["n_ions"], values["delta_omega"]
+    sources = [key for key in ("input", "c", "epsilon") if values[key] is not None]
+    if len(sources) != 1:
+        raise ConfigError(
+            f"[fourier] needs exactly one of input=, c=, epsilon=; got {sources}"
         )
+    if values["xi"] is not None and values["c"] is None:
+        raise ConfigError("[fourier] xi is the phase list of c= and needs c")
+    period, points = 2 * np.pi / abs(delta_omega), values["grid_points"]
+    if values["input"] is not None:
+        t_grid, signal = _read_signal_csv(manifest.input_bytes.decode(), values["input"])
         source = "file"
-    elif parser.has_option(sec, "c"):
-        c = _get(parser, sec, "c", _parse_floats, None)
-        xi = _get(parser, sec, "xi", _parse_floats, [0.0] * len(c))
+    elif values["c"] is not None:
+        c = values["c"]
+        xi = [0.0] * len(c) if values["xi"] is None else values["xi"]
         if len(c) != n_ions or len(xi) != n_ions:
             raise ConfigError("c and xi must list one value per harmonic (n_ions)")
-        points = _get(parser, sec, "grid_points", int, 128)
-        period = 2 * np.pi / abs(delta_omega)
         t_grid = period * np.arange(points) / points
         signal = synthesize_signal(t_grid, delta_omega, c, xi)
         source = "synthetic"
-    elif parser.has_option(sec, "epsilon"):
-        imperfection = _get(parser, sec, "epsilon", _parse_epsilon, None)
-        points = _get(parser, sec, "grid_points", int, 128)
-        period = 2 * np.pi / abs(delta_omega)
+    else:
         t_grid = period * np.arange(1, points + 1) / points
         cfg = RamseyConfig(
             n_ions=n_ions,
             t_ramsey=1.0,
             omega_r=delta_omega,
             omega_0=0.0,
-            imperfection=imperfection,
+            imperfection=values["epsilon"],
             allow_wrap=True,
         )
         signal = np.array([expected_signal(cfg, t_ramsey=float(t)) for t in t_grid])
         source = "state_vector"
-    else:
-        raise ConfigError("[fourier] needs one of: input=, c=, or epsilon=")
     fit = fourier_decompose(t_grid, signal, n_ions, delta_omega)
     columns = ("p", "C_p", "xi_p")
     rows = [(p, float(fit.c[p - 1]), float(fit.xi[p - 1])) for p in range(1, n_ions + 1)]
@@ -594,7 +576,7 @@ def cmd_fourier(manifest: RunManifest, parser) -> Outputs:
         "n_samples": int(len(t_grid)),
         "residual_rms": fit.residual,
         "dominant_p": int(np.argmax(fit.c)) + 1,
-        "large_admixture_flag": flag_large_admixture(fit, threshold),
+        "large_admixture_flag": flag_large_admixture(fit, values["threshold"]),
     }
     return columns, rows, summary
 
@@ -605,6 +587,16 @@ _COMMANDS = {
     "dephasing": cmd_dephasing,
     "calibrate": cmd_calibrate,
     "fourier": cmd_fourier,
+}
+
+# Exit code by error class; the most specific class in an error's MRO wins.
+# A ValueError is a config value that a library check rejected.
+_EXIT_CODES = {
+    CapacityError: 3,
+    ConvergenceError: 4,
+    AmbiguousFringeError: 4,
+    IonRamseyError: 2,
+    ValueError: 2,
 }
 
 
@@ -636,41 +628,31 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        parser = _load_config(args.config, args.command)
+        text, parser = _load_config(args.config, args.command)
+        values = _read_section(parser, args.command)
+        seed = _read_section(parser, "run")["seed"]
         manifest = RunManifest(
             command=args.command,
-            config_path=args.config,
-            config_text=Path(args.config).read_text(),
-            seed=_resolve_seed(parser, args.seed),
+            config_text=text,
+            seed=seed if args.seed is None else args.seed,
             out_dir=args.out,
             fmt=args.format,
             expectation=args.expectation_mode,
             threads=args.threads,
-            input_bytes=_read_input(parser, args.command),
+            input_bytes=_read_input(values.get("input")),
         )
         paths = _output_paths(manifest)
         _check_overwrite(paths, args.force)
-        result = _COMMANDS[args.command](manifest, parser)
+        result = _COMMANDS[args.command](manifest, values)
         if isinstance(result, int):
             # A stand-in command (perfbench's set-up probe) has nothing to write.
             return result
         _write_outputs(manifest, paths, *result)
         return 0
-    except ConfigError as exc:
-        _fail(exc)
-        return 2
-    except CapacityError as exc:
-        _fail(exc)
-        return 3
-    except (ConvergenceError, AmbiguousFringeError) as exc:
-        _fail(exc)
-        return 4
-    except IonRamseyError as exc:  # residual library errors: config-level
-        _fail(exc)
-        return 2
-    except ValueError as exc:  # a library check rejected a config value
-        _fail(ConfigError(str(exc)))
-        return 2
+    except (IonRamseyError, ValueError) as exc:
+        code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+        _fail(exc if isinstance(exc, IonRamseyError) else ConfigError(str(exc)))
+        return code
 
 
 def _fail(exc: Exception) -> None:

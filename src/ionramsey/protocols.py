@@ -34,13 +34,12 @@ an expectation mode (exact expectations, no statistics) are first-class:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, brentq, curve_fit
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     AmbiguousFringeError,
@@ -722,44 +721,49 @@ class FringeFit:
     offset: float
 
 
-def fit_fringe_frequency(
-    t_grid: np.ndarray, signal: np.ndarray, f0: float | None = None
-) -> FringeFit:
-    """Fit A cos(f t + phi) + c to a scanned fringe; init from the FFT peak."""
+def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
+    """Fit A cos(f t + phi) + c to a fringe scanned on a uniform grid.
+
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): at fixed f the model is linear in (A cos phi, -A sin phi, c), so
+    a linear least-squares solve leaves a residual that depends on f alone.
+    A bounded scalar minimiser finds its minimum within half a natural bin,
+    pi / (n dt), of the peak of a zero-padded periodogram.
+    """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
     if len(t) < 8:
         raise FitError("need at least 8 samples to fit a fringe")
-    if f0 is None:
-        dt = t[1] - t[0]
-        spectrum = np.abs(np.fft.rfft(s - np.mean(s)))
-        freqs = 2 * np.pi * np.fft.rfftfreq(len(s), d=dt)
-        f0 = float(freqs[int(np.argmax(spectrum[1:])) + 1])
+    ones = np.ones_like(t)
 
-    def model(tt, amp, freq, phase, offset):
-        return amp * np.cos(freq * tt + phase) + offset
+    def solve(freq: float) -> tuple[np.ndarray, np.ndarray]:
+        design = np.column_stack((np.cos(freq * t), np.sin(freq * t), ones))
+        coef = np.linalg.lstsq(design, s, rcond=None)[0]
+        return coef, s - design @ coef
 
-    amp0 = (np.max(s) - np.min(s)) / 2 or 1.0
-    try:
-        with warnings.catch_warnings():
-            # Noise-free scans fit exactly; the (discarded) covariance is
-            # then singular and scipy warns about it.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                model,
-                t,
-                s,
-                p0=[amp0, f0, 0.0, float(np.mean(s))],
-                maxfev=20000,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-            )
-    except RuntimeError as exc:  # pragma: no cover - pathological inputs
-        raise FitError(f"fringe fit failed to converge: {exc}") from exc
-    amp, freq, phase, offset = popt
-    if amp < 0:
-        amp, phase = -amp, phase + np.pi
-    freq = abs(freq)
-    phase = float(np.arctan2(np.sin(phase), np.cos(phase)))
-    return FringeFit(frequency=float(freq), amplitude=float(amp), phase=phase, offset=float(offset))
+    def sq_residual(shift: float, centre: float) -> float:
+        return float(np.sum(solve(centre + shift)[1] ** 2))
+
+    pad = 16  # periodogram bins per natural bin
+    spectrum = np.abs(np.fft.rfft(s - np.mean(s), pad * len(s)))
+    # Bins below half a natural bin hold the mean's leakage, not a fringe.
+    peak = pad // 2 + int(np.argmax(spectrum[pad // 2 :]))
+    half_bin = np.pi / (len(s) * (t[1] - t[0]))
+    freq = 2 * half_bin * peak / pad
+    # The minimiser's step floor is sqrt(eps) times the shift it searches;
+    # a second, narrow pass around the first result makes it negligible.
+    for width in (half_bin, 1e-6 * half_bin):
+        freq += minimize_scalar(
+            sq_residual,
+            bounds=(-width, width),
+            args=(freq,),
+            method="bounded",
+            options={"xatol": 1e-13 * freq},
+        ).x
+    (a, b, offset), _ = solve(freq)
+    return FringeFit(
+        frequency=float(freq),
+        amplitude=float(np.hypot(a, b)),
+        phase=float(np.arctan2(-b, a)),
+        offset=float(offset),
+    )

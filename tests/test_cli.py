@@ -1,6 +1,8 @@
 """End-to-end command-line checks (in-process via cli.main)."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,26 @@ omega_0 = 0.1
 omega_r = 0.62359877559829887
 shots = 1500
 """
+
+
+# One valid config per command, as key -> raw value.
+MINIMAL = {
+    "ramsey": {"n_ions": "2", "t_ramsey": "1.0", "omega_r": "0.4", "shots": "100"},
+    "scaling": {"l_values": "1 2", "trials": "100"},
+    "dephasing": {
+        "gamma": "0.5", "n_ions": "2", "t_min": "0.05", "t_max": "3.0", "mode": "analytic",
+    },
+    "calibrate": {
+        "n_ions": "4", "omega_0": "0.61803", "omega_r1": "0.50", "omega_r2": "0.70",
+        "t_r1": "0.02", "t_r2": "2.0",
+    },
+    "fourier": {"n_ions": "2", "delta_omega": "1.0", "c": "0.5 0.5"},
+}
+
+
+
+def _ini(section, values):
+    return f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
 class TestRamseyCommand:
@@ -299,6 +321,104 @@ class TestErrorPaths:
                 "delta_omega",
                 id="fourier_zero_delta_omega_epsilon",
             ),
+            # Non-finite numbers.
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = nan\nn_ions = 3\nt_min = 0.05\nt_max = 3.0\n"
+                "mode = analytic\n",
+                (),
+                "gamma",
+                id="dephasing_nan_gamma_analytic",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 3\nt_min = 0.05\nt_max = inf\n"
+                "mode = analytic\n",
+                (),
+                "t_max",
+                id="dephasing_inf_t_max_analytic",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = nan\nomega_r = 0.1\n",
+                (),
+                "t_ramsey",
+                id="ramsey_nan_t_ramsey",
+            ),
+            pytest.param(
+                "fourier",
+                "[fourier]\nn_ions = 2\ndelta_omega = 1.0\nc = 0.5 nan\n",
+                (),
+                "'c'",
+                id="fourier_nan_in_c",
+            ),
+            pytest.param(
+                "fourier",
+                "[fourier]\nn_ions = 2\ndelta_omega = 1.0\nepsilon = 1:-inf\n",
+                (),
+                "epsilon",
+                id="fourier_inf_epsilon_amplitude",
+            ),
+            # [scaling] l_values: at least two distinct values, each >= 1.
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values =\ntrials = 100\n",
+                ("--expectation-mode",),
+                "l_values",
+                id="scaling_empty_l_values",
+            ),
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 0 1\ntrials = 100\n",
+                ("--expectation-mode",),
+                "l_values",
+                id="scaling_zero_in_l_values",
+            ),
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 2\ntrials = 100\n",
+                ("--expectation-mode",),
+                "l_values",
+                id="scaling_single_l_value",
+            ),
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 2 2\ntrials = 100\n",
+                (),
+                "l_values",
+                id="scaling_repeated_l_value",
+            ),
+            # Keys that would be silently ignored.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "gamma = 0.2\n",
+                ("--expectation-mode",),
+                "gamma",
+                id="ramsey_gamma_expectation",
+            ),
+            pytest.param(
+                "fourier",
+                "[fourier]\nn_ions = 2\ndelta_omega = 1.0\nc = 0.5 0.5\nepsilon = 1:0.1\n",
+                (),
+                "epsilon",
+                id="fourier_two_sources",
+            ),
+            pytest.param(
+                "fourier",
+                "[fourier]\nn_ions = 2\ndelta_omega = 1.0\nepsilon = 1:0.1\nxi = 0 0\n",
+                (),
+                "xi",
+                id="fourier_xi_without_c",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 3\nt_ramsey = 1.0\nomega_r = 0.1\n"
+                "epsilon = 1:0.1 1:0.2\n",
+                (),
+                "epsilon",
+                id="ramsey_repeated_epsilon_p",
+            ),
         ],
     )
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, text, flags, needle):
@@ -310,6 +430,30 @@ class TestErrorPaths:
         err = json.loads(err[0])
         assert err["error"] == "ConfigError"
         assert needle in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", list(MINIMAL))
+    def test_minimal_config_runs(self, tmp_path, section):
+        cfg = write_config(tmp_path, "ok.ini", _ini(section, MINIMAL[section]))
+        assert main([section, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            (section, key)
+            for section, table in cli._SCHEMA.items()
+            for key, (_, _, valid) in table.items()
+            if valid is not None
+        ],
+    )
+    def test_each_declared_range_rejects_zero(self, tmp_path, capsys, section, key):
+        # 0 lies outside every range the schema declares.
+        cfg = write_config(tmp_path, "bad.ini", _ini(section, {**MINIMAL[section], key: "0"}))
+        out = tmp_path / "o"
+        assert main([section, "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"{key!r} in [{section}]" in err["message"]
         assert not out.exists()
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
@@ -462,6 +606,39 @@ class TestOtherCommands:
         )
         assert main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
+    def test_fourier_rejects_malformed_first_sample(self, tmp_path, capsys):
+        # Only the first row may be a header; a typo in the next one is an error.
+        t = 2 * np.pi * np.arange(1, 40) / 39
+        data = tmp_path / "sig.csv"
+        data.write_text(
+            "t,signal\n0.0,1.O\n"
+            + "".join(f"{float(tt)!r},{float(np.cos(tt))!r}\n" for tt in t)
+        )
+        cfg = write_config(
+            tmp_path,
+            "f.ini",
+            f"[fourier]\ninput = {data}\nn_ions = 1\ndelta_omega = 1.0\n",
+        )
+        out = tmp_path / "o"
+        assert main(["fourier", "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "line 2" in err["message"]
+        assert not out.exists()
+
+    def test_fourier_input_and_c_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "sig.csv"
+        t = 2 * np.pi * np.arange(16) / 16
+        data.write_text("".join(f"{tt!r},{np.cos(tt)!r}\n" for tt in t.tolist()))
+        cfg = write_config(
+            tmp_path,
+            "f.ini",
+            f"[fourier]\ninput = {data}\nn_ions = 1\ndelta_omega = 1.0\nc = 1.0\n",
+        )
+        assert main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "input" in err["message"] and "'c'" in err["message"]
+
     def test_fourier_rejects_malformed_row(self, tmp_path, capsys):
         data = tmp_path / "sig.csv"
         data.write_text("t,signal\n0.1,0.5\noops,not-a-number\n")
@@ -473,3 +650,16 @@ class TestOtherCommands:
         assert main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "line 3" in err["message"]
+
+
+def test_readme_lists_the_schema_keys():
+    """README's "Section keys per command" list names each schema key once."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("Section keys per command")[1]
+    listed: dict[str, list[str]] = {}
+    for line in text.split("\n\n", 2)[1].splitlines():
+        if match := re.match(r"- `\[(\w+)\]`", line):
+            section = listed.setdefault(match[1], [])
+        elif match := re.match(r"  - `(\w+)`", line):
+            section.append(match[1])
+    assert listed == {name: list(table) for name, table in cli._SCHEMA.items()}

@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionramsey import (
     AmbiguousFringeError,
@@ -424,3 +426,28 @@ class TestFringeFit:
     def test_needs_minimum_samples(self):
         with pytest.raises(FitError):
             fit_fringe_frequency(np.arange(5.0), np.ones(5))
+
+    def test_scan_ending_mid_fringe(self):
+        # A 64-point standard scan over 2.7 fringes once fitted 1.529934.
+        t = 2.7 * 2 * np.pi * np.arange(1, 65) / 64
+        signal = fringe_scan(
+            RamseyConfig(n_ions=1, t_ramsey=1.0, omega_r=1.0, omega_0=0.0,
+                         protocol=Protocol.STANDARD, allow_wrap=True),
+            t,
+        )
+        assert fit_fringe_frequency(t, signal).frequency == pytest.approx(1.0, rel=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(
+        fringes=st.floats(1.0, 4.0),
+        phase=st.floats(-np.pi, np.pi),
+        offset=st.floats(-1.0, 1.0),
+    )
+    def test_recovers_any_noiseless_fringe(self, fringes, phase, offset):
+        freq = 1.3
+        t = fringes * 2 * np.pi / freq * np.arange(1, 65) / 64
+        fit = fit_fringe_frequency(t, 0.7 * np.cos(freq * t + phase) + offset)
+        assert fit.frequency == pytest.approx(freq, rel=1e-9)
+        assert fit.amplitude == pytest.approx(0.7, rel=1e-9)
+        assert fit.offset == pytest.approx(offset, abs=1e-9)
+        assert np.exp(1j * fit.phase) == pytest.approx(np.exp(1j * phase), abs=1e-9)

@@ -148,7 +148,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "phi0": (_float, 0.0, None),
         "shots": (int, 1000, None),
         "gamma": (_float, 0.0, None),
-        "noise_mode": (str, "independent", None),
+        "noise_mode": (str, None, None),  # unset: independent; needs gamma
         "epsilon": (_epsilon, None, None),
         "allow_wrap": (_bool, False, None),
         "scan_points": (int, 64, None),
@@ -178,7 +178,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "t_r1": (_float, _REQUIRED, None),
         "t_r2": (_float, _REQUIRED, None),
         "bias_tc": (_float, 0.0, None),
-        "tol": (_float, 0.0, None),  # 0: the calibration's own default
+        "tol": (_float, None, _POSITIVE),  # unset: the calibration's own default
         "max_iter": (int, 50, _AT_LEAST_1),
         "phi0": (_float, 0.0, None),
     },
@@ -321,7 +321,9 @@ Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 
 
 def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
-    noise = NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"])
+    if values["noise_mode"] is not None and values["gamma"] == 0.0:
+        raise ConfigError("[ramsey] noise_mode needs gamma > 0; a noiseless run ignores it")
+    noise = NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"] or "independent")
     cfg = RamseyConfig(
         n_ions=values["n_ions"],
         t_ramsey=values["t_ramsey"],
@@ -477,7 +479,7 @@ def cmd_calibrate(manifest: RunManifest, values: dict) -> Outputs:
     bias = (lambda t: float(np.exp(-t / bias_tc))) if bias_tc > 0 else None
     sim = make_truth_simulator(cfg, bias=bias)
     history: list = []
-    tol, max_iter = values["tol"] or None, values["max_iter"]
+    tol, max_iter = values["tol"], values["max_iter"]
     result = two_point_calibrate(
         sim, cal, cfg, tol=tol, max_iter=max_iter, history=history
     )

@@ -14,7 +14,8 @@ an accumulated phase back onto ion 1.
 A gate sequence is a tuple of frozen gate descriptors (``Rot``, ``Cnot``,
 ``BusMap``) that can be applied to a register and inverted. Indices are
 1-based ion indices; inside a ``Cnot``, index 0 (``BUS``) denotes the bus
-qubit (produced by the routed-circuit variants).
+qubit (produced by the routed-circuit variants). Gates act row by row on a
+batch of states (see :mod:`.register`).
 """
 
 from __future__ import annotations
@@ -104,9 +105,11 @@ def _apply_gate(reg: QubitRegister, gate: Gate) -> QubitRegister:
 def _two_qubit_op(
     amplitudes: np.ndarray, axis_a: int, axis_b: int, n_qubits: int, kind: str
 ) -> np.ndarray:
-    """Apply CNOT (control = axis_a) or SWAP between two tensor axes."""
-    psi = amplitudes.reshape([2] * n_qubits).copy()
-    view = np.moveaxis(psi, (axis_a, axis_b), (0, 1))
+    """Apply CNOT (control = axis_a) or SWAP between two qubit axes of
+    amplitudes ``(..., 2**n)``."""
+    rank = amplitudes.ndim - 1  # batch axes come first
+    psi = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * n_qubits).copy()
+    view = np.moveaxis(psi, (rank + axis_a, rank + axis_b), (0, 1))
     if kind == "cnot":
         block = view[1].copy()
         view[1, 0] = block[1]
@@ -117,7 +120,7 @@ def _two_qubit_op(
         view[1, 0] = cross
     else:
         raise ValueError(kind)
-    return psi.reshape(-1)
+    return psi.reshape(amplitudes.shape)
 
 
 def _cnot_axes(reg: QubitRegister, axis_c: int, axis_t: int) -> QubitRegister:

@@ -7,7 +7,8 @@ over trajectories this reproduces exponential coherence decay exactly —
 ``<e^{i phi}> = e^{-gamma t}`` for one ion, and ``e^{-L gamma t}`` for the
 relative coherence of an L-ion GHZ state under independent noise, because
 the GHZ components accumulate the *sum* of the per-ion phases. In common
-mode all ions share one draw, so the GHZ phase variance grows as L^2.
+mode all ions share one draw, so the GHZ phase variance grows as L^2. Phases
+are drawn one trajectory at a time and applied a batch at a time.
 
 Preparation imperfection is modelled as small coherent admixtures of the
 symmetric (fixed-excitation) states into the GHZ state; scanning the Ramsey
@@ -64,18 +65,19 @@ def sample_dephasing_phases(
 
 
 def apply_phase_noise(reg: QubitRegister, phases: np.ndarray) -> QubitRegister:
-    """Phase each basis state by the sum of its excited ions' phases."""
+    """Phase each basis state by the sum of its excited ions' phases; ``phases``
+    is ``(..., n_ions)``, broadcast against the batch axes, one trajectory a row."""
     phases = np.asarray(phases, dtype=float)
-    if phases.shape != (reg.n_ions,):
+    if phases.shape[-1:] != (reg.n_ions,):
         raise ValueError(
-            f"need one phase per ion: expected shape ({reg.n_ions},), got {phases.shape}"
+            f"need one phase per ion: expected shape (..., {reg.n_ions}), got {phases.shape}"
         )
     idx = np.arange(reg.dim, dtype=np.int64)
     ion_bits = idx >> (1 if reg.has_bus else 0)
-    total = np.zeros(reg.dim)
+    total = np.zeros(phases.shape[:-1] + (reg.dim,))
     for b in range(reg.n_ions):
         # Bit b (counting from the least significant ion bit) is ion L-b.
-        total += ((ion_bits >> b) & 1) * phases[reg.n_ions - 1 - b]
+        total += ((ion_bits >> b) & 1) * phases[..., reg.n_ions - 1 - b, None]
     return QubitRegister(reg.n_ions, reg.has_bus, reg.amplitudes * np.exp(1j * total))
 
 

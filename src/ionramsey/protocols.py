@@ -69,6 +69,8 @@ from .register import (
 )
 
 DEFAULT_MAX_ITER = 50
+# Amplitudes per chunk of dephased shots (1 MiB); a larger state is a chunk alone.
+CHUNK_AMPLITUDES = 1 << 16
 
 
 class Protocol(Enum):
@@ -322,9 +324,11 @@ def run_ramsey(
     """cfg.shots projective trials of cfg.protocol, drawn from ``rng``, whose
     seed label the returned :class:`Trials` records.
 
-    Noiseless runs sample every shot from one final state. With dephasing
-    enabled, every shot draws a fresh phase realization (each shot is an
-    independent experiment) onto the once-evolved state.
+    Noiseless runs sample every shot from one final state. With dephasing,
+    each shot is a trajectory: shot by shot, ``rng`` draws its phases, then
+    its one uniform. The shots are then closed and sampled as a batch, in
+    chunks of ``CHUNK_AMPLITUDES``; the chunking follows every draw, so it
+    cannot change an outcome.
     """
     protocol = cfg.protocol
     ensure_unambiguous(
@@ -333,13 +337,19 @@ def run_ramsey(
     evolved, seq = _evolved(cfg, cfg.t_ramsey, cfg.delta_omega)
     if cfg.noise is None or cfg.noise.gamma == 0.0:
         final = _close(evolved, cfg, seq)
-        outcomes = protocol.outcomes(sample_measurement(final, rng, cfg.shots))
+        outcomes = protocol.outcomes(sample_measurement(final, rng.random(cfg.shots)))
     else:
-        outcomes = np.empty(cfg.shots)
+        phases = np.empty((cfg.shots, cfg.n_ions))
+        uniforms = np.empty(cfg.shots)
         for k in range(cfg.shots):
-            phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
-            final = _close(apply_phase_noise(evolved, phases), cfg, seq)
-            outcomes[k] = protocol.outcomes(sample_measurement(final, rng, 1))[0]
+            phases[k] = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
+            uniforms[k] = rng.random()
+        rows = max(1, CHUNK_AMPLITUDES // evolved.dim)
+        outcomes = np.empty(cfg.shots)
+        for k in range(0, cfg.shots, rows):
+            final = _close(apply_phase_noise(evolved, phases[k : k + rows]), cfg, seq)
+            sample = sample_measurement(final, uniforms[k : k + rows])
+            outcomes[k : k + rows] = protocol.outcomes(sample)
     return Trials(
         protocol,
         cfg.n_ions,

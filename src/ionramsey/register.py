@@ -22,6 +22,9 @@ Conventions (fixed; everything downstream relies on them):
 
 Registers are values: every operation returns a new register and leaves its
 input untouched, so Monte Carlo trials can share prepared states freely.
+``amplitudes`` may carry leading batch axes, ``(..., 2**n)``, one state (say
+one dephasing trajectory) per row; pulses, free evolution, phase noise, gates
+and sampling act on each row as on that state alone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ MAX_IONS = 24
 
 @dataclass
 class QubitRegister:
-    """State vector over ``n_ions`` ions and, optionally, one bus qubit."""
+    """State vector (or batch of them) over ``n_ions`` ions and, optionally,
+    one bus qubit."""
 
     n_ions: int
     has_bus: bool
@@ -121,11 +125,12 @@ def _bus_axis(reg: QubitRegister) -> int:
 def apply_matrix_on_axis(
     amplitudes: np.ndarray, mat: np.ndarray, axis: int, n_qubits: int
 ) -> np.ndarray:
-    """Apply a 2x2 matrix on one tensor axis of a flat amplitude vector."""
-    psi = amplitudes.reshape([2] * n_qubits)
-    psi = np.tensordot(mat, psi, axes=([1], [axis]))
-    psi = np.moveaxis(psi, 0, axis)
-    return np.ascontiguousarray(psi).reshape(-1)
+    """Apply a 2x2 matrix on one qubit axis of flat amplitudes ``(..., 2**n)``;
+    ``axis`` counts qubits, after any batch axes."""
+    axis += amplitudes.ndim - 1
+    psi = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * n_qubits)
+    psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [axis])), 0, axis)
+    return np.ascontiguousarray(psi).reshape(amplitudes.shape)
 
 
 def apply_rotation(reg: QubitRegister, pulse: PulseSpec) -> QubitRegister:
@@ -223,15 +228,21 @@ class MeasurementSample:
         return len(self.indices)
 
 
-def sample_measurement(
-    reg: QubitRegister, rng: np.random.Generator, shots: int = 1
-) -> MeasurementSample:
-    """Born-rule sampling of all-ion z measurements; register unchanged."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> MeasurementSample:
+    """Born-rule z measurements of all ions at the given uniforms in [0, 1):
+    one per shot of a single state, one per row of a batch. The CDF is
+    normalised and inverted as ``Generator.choice`` does it, so
+    ``uniforms = rng.random(n)`` draws what ``rng.choice(dim, n, p=...)`` would.
+    """
+    uniforms = np.asarray(uniforms, dtype=float)
     probs = _probabilities(reg)
-    probs = probs / probs.sum()
-    indices = rng.choice(reg.dim, size=shots, p=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(probs, axis=-1, out=probs)
+    cdf /= cdf[..., -1:]
+    if cdf.ndim == 1:
+        indices = cdf.searchsorted(uniforms, side="right")
+    else:  # a non-decreasing row's searchsorted index is its count of entries <= u
+        indices = np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
     p = excitation_counts(reg.n_ions, reg.has_bus)[indices]
     n_down = reg.n_ions - p
     parity_sign = np.where(n_down % 2 == 0, 1, -1).astype(np.int64)

@@ -419,6 +419,23 @@ class TestErrorPaths:
                 "epsilon",
                 id="ramsey_repeated_epsilon_p",
             ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "noise_mode = common\nshots = 100\n",
+                (),
+                "noise_mode",
+                id="ramsey_noise_mode_without_gamma",
+            ),
+            # A negative tolerance can never be met: it is a config error,
+            # not a calibration that failed to converge.
+            pytest.param(
+                "calibrate",
+                _ini("calibrate", {**MINIMAL["calibrate"], "tol": "-1"}),
+                (),
+                "tol",
+                id="calibrate_negative_tol",
+            ),
         ],
     )
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, text, flags, needle):

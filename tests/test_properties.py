@@ -1,5 +1,6 @@
-"""Property checks: every state operation keeps the norm, and a GHZ
-preparation's gate sequence inverts exactly.
+"""Property checks: every state operation keeps the norm, a GHZ
+preparation's gate sequence inverts exactly, and on a batch of states
+``(B, 2**n)`` every operation matches the same operation on each row alone.
 
 Registers hold up to 6 ions (plus the optional bus). Hypothesis runs
 derandomized with a small example budget, so the suite stays deterministic
@@ -21,6 +22,8 @@ from ionramsey import (
     perturb_ghz,
     prepare_ghz,
     prepare_ghz_via_bus,
+    reverse_prep,
+    sample_measurement,
 )
 
 NORM_TOL = 1e-12
@@ -29,6 +32,7 @@ check = settings(derandomize=True, deadline=None, max_examples=30, database=None
 n_ions = st.integers(1, 6)
 angles = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 seeds = st.integers(0, 2**32 - 1)
+rows = st.integers(1, 5)
 
 
 def random_register(n: int, has_bus: bool, seed: int) -> QubitRegister:
@@ -87,3 +91,68 @@ def test_inverse_sequence_undoes_ghz_preparation(n, phi0, via_bus):
     reg, seq = prepare(ground, phi0)
     back = seq.inverse().apply(reg)
     np.testing.assert_allclose(back.amplitudes, ground.amplitudes, rtol=0, atol=NORM_TOL)
+
+
+def random_batch(n: int, has_bus: bool, seed: int, size: int) -> tuple[list, QubitRegister]:
+    """``size`` random states, alone and stacked into one batched register."""
+    singles = [random_register(n, has_bus, seed + k) for k in range(size)]
+    return singles, QubitRegister(n, has_bus, np.stack([r.amplitudes for r in singles]))
+
+
+def assert_rows_match(batch: QubitRegister, singles: list) -> None:
+    want = np.stack([r.amplitudes for r in singles])
+    assert batch.amplitudes.shape == want.shape
+    np.testing.assert_allclose(batch.amplitudes, want, rtol=0, atol=NORM_TOL)
+
+
+@check
+@given(n_ions, st.booleans(), seeds, rows, angles, angles, st.data())
+def test_batched_rotation_matches_rows(n, has_bus, seed, size, theta, phi, data):
+    pulse = PulseSpec(theta, phi, tuple(data.draw(st.sets(st.integers(1, n), min_size=1))))
+    singles, batch = random_batch(n, has_bus, seed, size)
+    assert_rows_match(apply_rotation(batch, pulse), [apply_rotation(r, pulse) for r in singles])
+
+
+@check
+@given(n_ions, st.booleans(), seeds, rows, angles, st.floats(0.0, 1e3))
+def test_batched_free_evolution_matches_rows(n, has_bus, seed, size, delta_omega, t):
+    singles, batch = random_batch(n, has_bus, seed, size)
+    assert_rows_match(
+        free_evolve(batch, delta_omega, t), [free_evolve(r, delta_omega, t) for r in singles]
+    )
+
+
+@check
+@given(n_ions, st.booleans(), seeds, rows, st.data())
+def test_batched_phase_noise_matches_rows(n, has_bus, seed, size, data):
+    phases = np.array(data.draw(st.lists(
+        st.lists(angles, min_size=n, max_size=n), min_size=size, max_size=size
+    )))
+    singles, batch = random_batch(n, has_bus, seed, size)
+    want = [apply_phase_noise(r, ph) for r, ph in zip(singles, phases)]
+    assert_rows_match(apply_phase_noise(batch, phases), want)
+    # One state against a block of realisations: one trajectory per row.
+    one = singles[0]
+    want = [apply_phase_noise(one, ph) for ph in phases]
+    assert_rows_match(apply_phase_noise(one, phases), want)
+
+
+@check
+@given(n_ions, angles, st.booleans(), seeds, rows)
+def test_batched_reverse_prep_matches_rows(n, phi0, via_bus, seed, size):
+    prepare = prepare_ghz_via_bus if via_bus else prepare_ghz
+    _, seq = prepare(new_register(n, has_bus=via_bus), phi0)
+    singles, batch = random_batch(n, via_bus, seed, size)
+    assert_rows_match(reverse_prep(batch, seq), [reverse_prep(r, seq) for r in singles])
+
+
+@check
+@given(n_ions, st.booleans(), seeds, rows)
+def test_batched_sampling_matches_rows(n, has_bus, seed, size):
+    singles, batch = random_batch(n, has_bus, seed, size)
+    uniforms = np.random.default_rng(seed).random(size)
+    got = sample_measurement(batch, uniforms)
+    for k, reg in enumerate(singles):
+        want = sample_measurement(reg, uniforms[k : k + 1])
+        for field in ("indices", "n_down", "parity_sign", "sz_ion1"):
+            assert getattr(got, field)[k] == getattr(want, field)[0]

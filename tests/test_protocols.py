@@ -37,9 +37,14 @@ from ionramsey import (
     stream,
     two_point_calibrate,
 )
+from ionramsey import protocols
+from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
+from ionramsey.noise import apply_phase_noise, sample_dephasing_phases
 from ionramsey.protocols import (
     FringeFit,
+    _close,
+    _evolved,
     fit_fringe_frequency,
     flag_large_admixture,
     naive_single_point_omega0,
@@ -256,6 +261,84 @@ class TestSampledRuns:
         trials = run_ramsey(cfg, stream(5, 5))
         with pytest.raises(DegenerateSlopeError):
             estimate_frequency(trials, contrast=1.0)
+
+
+def per_shot_outcomes(cfg, rng):
+    """Reference for dephased runs: one trajectory at a time. Each shot draws
+    its phases, closes its own state and samples it with ``rng.choice``; the
+    outcome is read straight off the drawn basis index."""
+    evolved, seq = _evolved(cfg, cfg.t_ramsey, cfg.delta_omega)
+    outcomes = np.empty(cfg.shots)
+    for k in range(cfg.shots):
+        phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
+        final = _close(apply_phase_noise(evolved, phases), cfg, seq)
+        probs = np.abs(final.amplitudes) ** 2
+        index = int(rng.choice(final.dim, size=1, p=probs / probs.sum())[0])
+        n_down = cfg.n_ions - bin(index).count("1")
+        if cfg.protocol is Protocol.STANDARD:
+            outcomes[k] = n_down
+        elif cfg.protocol is Protocol.GHZ_REVERSED:
+            outcomes[k] = ((index >> (cfg.n_ions - 1)) & 1) - 0.5
+        else:
+            outcomes[k] = 1.0 if n_down % 2 == 0 else -1.0
+    return outcomes
+
+
+def _dephased_cfg(protocol, n_ions, mode, *, shots, epsilon=None):
+    return RamseyConfig(
+        n_ions=n_ions,
+        t_ramsey=0.8,
+        omega_r=0.9 / protocol.multiplier(n_ions),
+        omega_0=0.1,
+        noise=NoiseSpec(gamma=0.3, mode=mode),
+        imperfection=None if epsilon is None else ImperfectionSpec(epsilon=epsilon),
+        protocol=protocol,
+        final_phase=0.0 if protocol is Protocol.GHZ_REVERSED else 0.35,
+        phi0=0.0 if protocol is Protocol.STANDARD else 0.6,
+        shots=shots,
+    )
+
+
+_ORACLE_CASES = [
+    pytest.param(protocol, n_ions, mode, epsilon, id=f"{protocol.value}-L{n_ions}-{mode}-{tag}")
+    for protocol in Protocol
+    for n_ions in (1, 3, 5)
+    for mode in ("independent", "common")
+    for tag, epsilon in (("pure", None), ("epsilon", {1: 0.2, n_ions - 1: 0.1j}))
+    if tag == "pure" or (protocol is not Protocol.STANDARD and n_ions > 1)
+]
+
+
+class TestBatchedTrajectories:
+    """Dephased shots run as a batch but consume their stream shot by shot,
+    so every outcome equals the one-trajectory-at-a-time reference."""
+
+    @pytest.mark.parametrize("protocol,n_ions,mode,epsilon", _ORACLE_CASES)
+    def test_outcomes_equal_per_shot_reference(self, protocol, n_ions, mode, epsilon):
+        cfg = _dephased_cfg(protocol, n_ions, mode, shots=300, epsilon=epsilon)
+        want = per_shot_outcomes(cfg, stream(41, n_ions))
+        got = run_ramsey(cfg, stream(41, n_ions)).outcomes
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("budget", [1, 8, 40])
+    def test_chunk_budget_cannot_change_outcomes(self, monkeypatch, budget):
+        # Three ions, eight amplitudes a state: one, one and five rows a chunk.
+        cfg = _dephased_cfg(Protocol.GHZ_PARITY, 3, "independent", shots=203)
+        want = per_shot_outcomes(cfg, stream(8, 1))
+        monkeypatch.setattr(protocols, "CHUNK_AMPLITUDES", budget)
+        assert np.array_equal(run_ramsey(cfg, stream(8, 1)).outcomes, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batches_equal_per_shot_reference(self, threads):
+        # 2,300 shots: batches of 2,000 and 300, each from its own stream.
+        cfg = _dephased_cfg(Protocol.STANDARD, 3, "independent", shots=1)
+        want = np.concatenate([
+            per_shot_outcomes(replace(cfg, shots=shots), stream(13, 0, b))
+            for b, shots in enumerate((2000, 300))
+        ])
+        trials = _run_batches(cfg, 2300, 13, (0,), threads)
+        assert trials.batches == (("13/0/0", 2000), ("13/0/1", 300))
+        assert np.array_equal(trials.outcomes, want)
 
 
 class TestCalibration:

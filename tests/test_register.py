@@ -214,15 +214,36 @@ class TestSampling:
         reg = QubitRegister(3, False, amps)
         probs = np.abs(amps) ** 2
         n = 200_000
-        sample = sample_measurement(reg, stream(123, 9), n)
+        sample = sample_measurement(reg, stream(123, 9).random(n))
         counts = np.bincount(sample.indices, minlength=8)
         chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
         # 7 dof: 99.9% quantile is 24.3
         assert chi2 < 24.3
 
+    @pytest.mark.parametrize("n_ions", [1, 3, 6, 12])
+    def test_uniforms_draw_what_generator_choice_draws(self, n_ions):
+        # sample_measurement(reg, rng.random(n)) inverts the CDF exactly as
+        # Generator.choice does: the same indices from the same stream.
+        amps = random_state(1 << n_ions, np.random.default_rng(n_ions))
+        reg = QubitRegister(n_ions, False, amps)
+        probs = np.abs(reg.amplitudes) ** 2
+        want = stream(3, n_ions).choice(reg.dim, size=5000, p=probs / probs.sum())
+        got = sample_measurement(reg, stream(3, n_ions).random(5000)).indices
+        assert np.array_equal(got, want)
+
+    def test_uniform_on_a_cdf_step_skips_zero_probability_states(self):
+        # Born probabilities 0, 1/2, 0, 1/2: the CDF is 0, 1/2, 1/2, 1. A
+        # uniform equal to a step value lands past it, as in searchsorted
+        # with side="right", for one state and for every row of a batch.
+        amps = np.array([0.0, 1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+        uniforms = np.array([0.0, 0.25, 0.5, 0.75])
+        single = sample_measurement(QubitRegister(2, False, amps), uniforms)
+        batch = sample_measurement(QubitRegister(2, False, np.stack([amps] * 4)), uniforms)
+        assert single.indices.tolist() == batch.indices.tolist() == [1, 1, 3, 3]
+
     def test_derived_quantities_match_indices(self):
         reg, _ = _half_fringe_register()
-        s = sample_measurement(reg, stream(5, 1), 1000)
+        s = sample_measurement(reg, stream(5, 1).random(1000))
         n_qubits = reg.n_qubits
         for idx, nd, par, sz in zip(
             s.indices[:50], s.n_down[:50], s.parity_sign[:50], s.sz_ion1[:50]
@@ -237,7 +258,7 @@ class TestSampling:
         # Independent half-fringe ions: L_down is Binomial(L, 1/2).
         reg, n_ions = _half_fringe_register()
         n = 100_000
-        s = sample_measurement(reg, stream(77, 0), n)
+        s = sample_measurement(reg, stream(77, 0).random(n))
         var = float(np.var(s.n_down, ddof=1))
         # Oracle: exact moments of the sampled distribution give the
         # standard error of the sample variance.

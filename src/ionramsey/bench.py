@@ -36,9 +36,10 @@ from .protocols import (
     Protocol,
     RamseyConfig,
     Trials,
+    _run_state,
+    _sample,
     ensemble_contrast,
     estimate_frequency,
-    run_ramsey,
 )
 
 # The two protocols every benchmark compares; reports label them by family.
@@ -88,16 +89,17 @@ def _run_batches(
     threads: int,
     batch_size: int = 2000,
 ) -> Trials:
-    """``trials`` shots of cfg in batches of ``batch_size``; batch b draws
-    from ``stream(seed, *path_prefix, b)``, labelled ``seed/.../b``, and the
-    batches are joined in batch order."""
+    """``trials`` shots of cfg in batches of ``batch_size``, all sampled from
+    one prepared state; batch b draws from ``stream(seed, *path_prefix, b)``,
+    labelled ``seed/.../b``, and the batches are joined in batch order."""
     n_batches = math.ceil(trials / batch_size)
     sizes = [min(batch_size, trials - b * batch_size) for b in range(n_batches)]
+    state = _run_state(cfg)
 
     def one_batch(b: int) -> Trials:
         rng = streams.stream(seed, *path_prefix, b)
         label = "/".join(str(p) for p in (seed, *path_prefix, b))
-        return run_ramsey(replace(cfg, shots=sizes[b]), rng, seed_label=label)
+        return _sample(replace(cfg, shots=sizes[b]), state, rng, label)
 
     batches = streams.parallel_map(one_batch, n_batches, threads)
     return replace(

@@ -146,13 +146,13 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "readout": (str, "final_pulse", None),
         "final_phase": (_float, 0.0, None),
         "phi0": (_float, 0.0, None),
-        "shots": (int, 1000, None),
+        "shots": (int, None, None),  # unset: 1000; sampled runs only
         "gamma": (_float, 0.0, None),
         "noise_mode": (str, None, None),  # unset: independent; needs gamma
         "epsilon": (_epsilon, None, None),
         "allow_wrap": (_bool, False, None),
-        "scan_points": (int, 64, None),
-        "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey
+        "scan_points": (int, None, None),  # unset: 64; --expectation-mode only
+        "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey; likewise
     },
     "scaling": {
         "l_values": (_ints, _REQUIRED, _TWO_L),
@@ -186,7 +186,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "input": (str, None, None),
         "n_ions": (int, _REQUIRED, None),
         "delta_omega": (_float, _REQUIRED, _NONZERO),
-        "grid_points": (int, 128, None),
+        "grid_points": (int, None, None),  # unset: 128; not with input
         "c": (_floats, None, None),
         "xi": (_floats, None, None),  # unset: zeros
         "epsilon": (_epsilon, None, None),
@@ -299,16 +299,23 @@ def _write_outputs(
     rows: list,
     summary: dict[str, object],
 ) -> None:
-    """The one place outputs are written: the table, then the summary."""
-    table_path, summary_path = paths
-    table_path.parent.mkdir(parents=True, exist_ok=True)
-    meta = manifest.meta()
-    if manifest.fmt == "csv":
-        write_table_csv(table_path, columns, rows, meta)
-    else:
-        dicts = [dict(zip(columns, row)) for row in rows]
-        write_json(table_path, {"meta": meta, "rows": dicts})
-    write_json(summary_path, {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
+    """The one place outputs are written: both files are staged under hidden
+    names in ``--out`` and renamed into place once both are complete."""
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    staged = [path.with_name(f".{path.name}.partial") for path in paths]
+    try:
+        meta = manifest.meta()
+        if manifest.fmt == "csv":
+            write_table_csv(staged[0], columns, rows, meta)
+        else:
+            dicts = [dict(zip(columns, row)) for row in rows]
+            write_json(staged[0], {"meta": meta, "rows": dicts})
+        write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
+        for written, path in zip(staged, paths):
+            written.replace(path)
+    finally:  # a failed write leaves no partial file behind
+        for written in staged:
+            written.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +330,10 @@ Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
     if values["noise_mode"] is not None and values["gamma"] == 0.0:
         raise ConfigError("[ramsey] noise_mode needs gamma > 0; a noiseless run ignores it")
+    for key in ("shots",) if manifest.expectation else ("scan_points", "scan_t_max"):
+        if values[key] is not None:
+            mode = "with" if manifest.expectation else "without"
+            raise ConfigError(f"[ramsey] {key} has no effect {mode} --expectation-mode")
     noise = NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"] or "independent")
     cfg = RamseyConfig(
         n_ions=values["n_ions"],
@@ -334,7 +345,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         protocol=Protocol.named(values["protocol"], values["readout"]),
         final_phase=values["final_phase"],
         phi0=values["phi0"],
-        shots=values["shots"],
+        shots=1000 if values["shots"] is None else values["shots"],
         allow_wrap=values["allow_wrap"],
     )
     summary: dict[str, object] = {
@@ -352,7 +363,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
                 "[ramsey] gamma must be 0 with --expectation-mode: the scan is "
                 "noiseless and would ignore it"
             )
-        points = values["scan_points"]
+        points = 64 if values["scan_points"] is None else values["scan_points"]
         t_max = cfg.t_ramsey if values["scan_t_max"] is None else values["scan_t_max"]
         t_grid = t_max * np.arange(1, points + 1) / points
         signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
@@ -544,7 +555,10 @@ def cmd_fourier(manifest: RunManifest, values: dict) -> Outputs:
         )
     if values["xi"] is not None and values["c"] is None:
         raise ConfigError("[fourier] xi is the phase list of c= and needs c")
-    period, points = 2 * np.pi / abs(delta_omega), values["grid_points"]
+    if values["input"] is not None and values["grid_points"] is not None:
+        raise ConfigError("[fourier] grid_points has no effect with input=, which sets the grid")
+    period = 2 * np.pi / abs(delta_omega)
+    points = 128 if values["grid_points"] is None else values["grid_points"]
     if values["input"] is not None:
         t_grid, signal = _read_signal_csv(manifest.input_bytes.decode(), values["input"])
         source = "file"
@@ -566,7 +580,7 @@ def cmd_fourier(manifest: RunManifest, values: dict) -> Outputs:
             imperfection=values["epsilon"],
             allow_wrap=True,
         )
-        signal = np.array([expected_signal(cfg, t_ramsey=float(t)) for t in t_grid])
+        signal = expected_signal(cfg, t_ramsey=t_grid)
         source = "state_vector"
     fit = fourier_decompose(t_grid, signal, n_ions, delta_omega)
     columns = ("p", "C_p", "xi_p")

@@ -217,11 +217,9 @@ def ensemble_contrast(
 # ---------------------------------------------------------------------------
 
 
-def _evolved(
-    cfg: RamseyConfig, t: float, delta_omega: float
-) -> tuple[QubitRegister, GateSequence | None]:
-    """Opening pulse (or GHZ preparation) and free evolution; the gate
-    sequence is what the time-reversed readout replays."""
+def _prepare(cfg: RamseyConfig) -> tuple[QubitRegister, GateSequence | None]:
+    """Opening pulse (or GHZ preparation), read only, for a whole run or grid
+    to share; the gate sequence is what the time-reversed readout replays."""
     reg = new_register(cfg.n_ions)
     if cfg.protocol is Protocol.STANDARD:
         reg, seq = apply_rotation(reg, pi_half_pulse(cfg.n_ions, 0.0)), None
@@ -229,7 +227,8 @@ def _evolved(
         reg, seq = prepare_ghz(reg, cfg.phi0)
         if cfg.imperfection is not None:
             reg = perturb_ghz(reg, cfg.imperfection)
-    return free_evolve(reg, delta_omega, t), seq
+    reg.amplitudes.flags.writeable = False
+    return reg, seq
 
 
 def _close(
@@ -252,12 +251,14 @@ def _close(
 def expected_signal(
     cfg: RamseyConfig,
     *,
-    t_ramsey: float | None = None,
-    delta_omega: float | None = None,
+    t_ramsey: float | np.ndarray | None = None,
+    delta_omega: float | np.ndarray | None = None,
     phases: np.ndarray | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Expected fringe signal of cfg.protocol: the mean of
-    :meth:`Protocol.signal` over shots.
+    :meth:`Protocol.signal` over shots. ``t_ramsey`` and ``delta_omega`` may
+    be 1-D arrays (of one length if both are), whose entries are evaluated
+    as one batch from one preparation, one signal per entry.
 
     standard: excited-state fraction (1 - C cos(dw T_R + phi_f)) / 2;
     GHZ parity: normalized parity (2^L times the spin-product expectation)
@@ -270,7 +271,20 @@ def expected_signal(
     """
     t = cfg.t_ramsey if t_ramsey is None else t_ramsey
     dw = cfg.delta_omega if delta_omega is None else delta_omega
-    reg, seq = _evolved(cfg, t, dw)
+    return _signal(cfg, _prepare(cfg), t, dw, phases)
+
+
+def _signal(cfg: RamseyConfig, prepared, t, dw, phases=None) -> float | np.ndarray:
+    """:func:`expected_signal` from a :func:`_prepare` result; a batch runs
+    in chunks of at most ``CHUNK_AMPLITUDES`` amplitudes."""
+    reg, seq = prepared
+    if np.ndim(t) or np.ndim(dw):
+        t, dw = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(dw, dtype=float))
+        rows = max(1, CHUNK_AMPLITUDES // reg.dim)
+        if len(t) > rows:
+            chunks = (slice(k, k + rows) for k in range(0, len(t), rows))
+            return np.concatenate([_signal(cfg, prepared, t[c], dw[c], phases) for c in chunks])
+    reg = free_evolve(reg, dw, t)
     if phases is not None:
         reg = apply_phase_noise(reg, phases)
     reg = _close(reg, cfg, seq)
@@ -283,8 +297,8 @@ def expected_signal(
 
 def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
     """Expectation-mode signal of cfg.protocol over a T_R grid (multi-fringe
-    scans allowed)."""
-    return np.array([expected_signal(cfg, t_ramsey=t) for t in t_grid])
+    scans allowed), evaluated as one batch."""
+    return expected_signal(cfg, t_ramsey=np.asarray(t_grid, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -330,34 +344,43 @@ def run_ramsey(
     chunks of ``CHUNK_AMPLITUDES``; the chunking follows every draw, so it
     cannot change an outcome.
     """
-    protocol = cfg.protocol
+    return _sample(cfg, _run_state(cfg), rng, seed_label)
+
+
+def _run_state(cfg: RamseyConfig) -> tuple[QubitRegister, GateSequence | None]:
+    """What every shot of a sampled run starts from, computed once a run,
+    before any draw, and read only: the final state of a noiseless run, else
+    the evolved state; and the sequence the closing readout replays."""
     ensure_unambiguous(
-        protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
+        cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
     )
-    evolved, seq = _evolved(cfg, cfg.t_ramsey, cfg.delta_omega)
+    reg, seq = _prepare(cfg)
+    reg = free_evolve(reg, cfg.delta_omega, cfg.t_ramsey)  # drops the prepared state early
     if cfg.noise is None or cfg.noise.gamma == 0.0:
-        final = _close(evolved, cfg, seq)
-        outcomes = protocol.outcomes(sample_measurement(final, rng.random(cfg.shots)))
+        reg = _close(reg, cfg, seq)
+    reg.amplitudes.flags.writeable = False
+    return reg, seq
+
+
+def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str) -> Trials:
+    """:func:`run_ramsey` from a :func:`_run_state` result."""
+    protocol, (reg, seq) = cfg.protocol, state
+    if cfg.noise is None or cfg.noise.gamma == 0.0:
+        outcomes = protocol.outcomes(sample_measurement(reg, rng.random(cfg.shots)))
     else:
         phases = np.empty((cfg.shots, cfg.n_ions))
         uniforms = np.empty(cfg.shots)
         for k in range(cfg.shots):
             phases[k] = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
             uniforms[k] = rng.random()
-        rows = max(1, CHUNK_AMPLITUDES // evolved.dim)
+        rows = max(1, CHUNK_AMPLITUDES // reg.dim)
         outcomes = np.empty(cfg.shots)
         for k in range(0, cfg.shots, rows):
-            final = _close(apply_phase_noise(evolved, phases[k : k + rows]), cfg, seq)
+            final = _close(apply_phase_noise(reg, phases[k : k + rows]), cfg, seq)
             sample = sample_measurement(final, uniforms[k : k + rows])
             outcomes[k : k + rows] = protocol.outcomes(sample)
-    return Trials(
-        protocol,
-        cfg.n_ions,
-        cfg.t_ramsey,
-        cfg.omega_r,
-        np.asarray(outcomes, dtype=np.float64),
-        ((seed_label, cfg.shots),),
-    )
+    outcomes, batches = np.asarray(outcomes, dtype=np.float64), ((seed_label, cfg.shots),)
+    return Trials(protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, batches)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +448,9 @@ def estimate_frequency(
 # ---------------------------------------------------------------------------
 
 
-TruthSimulator = Callable[[float, float, float], float]
-"""Measured fringe signal as a function of (omega_r, t_ramsey, phi_f)."""
+TruthSimulator = Callable[[float | np.ndarray, float, float], float | np.ndarray]
+"""Measured fringe signal as a function of (omega_r, t_ramsey, phi_f);
+``omega_r`` may be a 1-D array, giving one signal per entry."""
 
 
 @dataclass(frozen=True)
@@ -455,12 +479,8 @@ class CalibrationState:
         return 0.5 * (self.omega_r1 + self.omega_r2)
 
 
-def _bracketed_roots(
-    fn: Callable[[float], float], lo: float, hi: float, n_grid: int
-) -> list[float]:
-    """All sign-change roots of fn on [lo, hi] found via a uniform grid."""
-    xs = np.linspace(lo, hi, n_grid)
-    ys = np.array([fn(x) for x in xs])
+def _bracketed_roots(fn: Callable[[float], float], xs: np.ndarray, ys: np.ndarray) -> list[float]:
+    """All sign-change roots of fn on the grid ``xs``, where ``ys = fn(xs)``."""
     roots = []
     for k in range(len(xs) - 1):
         a, b = ys[k], ys[k + 1]
@@ -524,28 +544,23 @@ def two_point_calibrate(
                 omega_r2, cal.t_r1, phi
             )
 
-        scale = max(
-            abs(truth_simulator(omega_r1, cal.t_r1, phi_f)),
-            abs(truth_simulator(omega_r2, cal.t_r1, phi_f)),
-            1e-30,
-        )
-        if abs(phase_diff(phi_f)) > 1e-14 * scale:
-            roots = _bracketed_roots(phase_diff, -np.pi / 2, np.pi / 2, 41)
+        now = [truth_simulator(omega, cal.t_r1, phi_f) for omega in (omega_r1, omega_r2)]
+        if abs(now[0] - now[1]) > 1e-14 * max(abs(now[0]), abs(now[1]), 1e-30):
+            xs = np.linspace(-np.pi / 2, np.pi / 2, 41)
+            roots = _bracketed_roots(phase_diff, xs, np.array([phase_diff(x) for x in xs]))
             if not roots:
                 raise ConvergenceError(
                     "no readout phase nulls the short-time signal difference"
                 )
             phi_f = min(roots, key=abs)
 
-        # Step 2: match the long-time signals by moving omega_r1.
+        # Step 2: match the long-time signals by moving omega_r1 (one batch a grid).
+        target = truth_simulator(omega_r2, cal.t_r2, phi_f)
         def freq_diff(omega: float) -> float:
-            return truth_simulator(omega, cal.t_r2, phi_f) - truth_simulator(
-                omega_r2, cal.t_r2, phi_f
-            )
+            return truth_simulator(omega, cal.t_r2, phi_f) - target
 
-        roots = _bracketed_roots(
-            freq_diff, omega_r1 - window, omega_r1 + window, 81
-        )
+        xs = np.linspace(omega_r1 - window, omega_r1 + window, 81)
+        roots = _bracketed_roots(freq_diff, xs, truth_simulator(xs, cal.t_r2, phi_f) - target)
         trivial_tol = max(1e-9 * window, 1e-15 * max(abs(omega_r2), 1.0))
         candidates = [r for r in roots if abs(r - omega_r2) > trivial_tol]
         if not candidates:
@@ -600,21 +615,17 @@ def make_truth_simulator(
     *,
     bias: Callable[[float], float] | None = None,
 ) -> TruthSimulator:
-    """Expectation-mode GHZ signal closure for calibration runs.
+    """Expectation-mode GHZ signal closure for calibration runs. It prepares
+    cfg's state once, and evaluates an array of ``omega_r`` as one batch.
 
     ``bias`` multiplies the signal by B(t_ramsey), emulating a T_R-dependent
     contrast systematic.
     """
+    prepared = _prepare(cfg)
 
-    def simulate(omega_r: float, t_ramsey: float, phi_f: float) -> float:
-        local = replace(
-            cfg,
-            omega_r=omega_r,
-            t_ramsey=t_ramsey,
-            final_phase=phi_f,
-            allow_wrap=True,
-        )
-        s = expected_signal(local)
+    def simulate(omega_r, t_ramsey: float, phi_f: float):
+        local = replace(cfg, t_ramsey=t_ramsey, final_phase=phi_f)
+        s = _signal(local, prepared, t_ramsey, np.subtract(omega_r, cfg.omega_0))
         if bias is not None:
             s *= bias(t_ramsey)
         return s

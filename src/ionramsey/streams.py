@@ -8,14 +8,13 @@ Two properties follow:
 
 * the same seed and path always yield the same draws, independent of how many
   other streams were created before, and
-* work can be sharded across any number of threads and merged in path order
+* work can be split into any number of pieces and merged in path order
   with byte-identical results, because no stream's state depends on
   scheduling.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -42,13 +41,12 @@ def parallel_map(
 
     ``fn`` must derive any randomness it needs from its index (via
     :func:`stream`), never from shared state; then the returned list is
-    identical for every ``threads`` value.
+    identical for every ``threads`` value. ``threads`` is checked, but the
+    items run in order on the calling thread: a pool of two threads measured
+    slower than one on the sampled scans.
     """
     if n_items < 0:
         raise ValueError(f"n_items must be >= 0, got {n_items}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1 or n_items <= 1:
-        return [fn(i) for i in range(n_items)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_items)))
+    return [fn(i) for i in range(n_items)]

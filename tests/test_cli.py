@@ -48,6 +48,10 @@ MINIMAL = {
 
 
 
+# A signal file that exists wherever the tests run.
+SIGNAL_FILE = Path(__file__).resolve().parents[1] / "demos" / "data" / "imperfect_ghz_fringe.csv"
+
+
 def _ini(section, values):
     return f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
 
@@ -427,6 +431,38 @@ class TestErrorPaths:
                 "noise_mode",
                 id="ramsey_noise_mode_without_gamma",
             ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "shots = 100\n",
+                ("--expectation-mode",),
+                "shots",
+                id="ramsey_shots_expectation",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "scan_points = 32\n",
+                (),
+                "scan_points",
+                id="ramsey_scan_points_sampled",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "scan_t_max = 2.0\n",
+                (),
+                "scan_t_max",
+                id="ramsey_scan_t_max_sampled",
+            ),
+            pytest.param(
+                "fourier",
+                f"[fourier]\ninput = {SIGNAL_FILE}\nn_ions = 3\ndelta_omega = 1.0\n"
+                "grid_points = 64\n",
+                (),
+                "grid_points",
+                id="fourier_grid_points_with_input",
+            ),
             # A negative tolerance can never be met: it is a config error,
             # not a calibration that failed to converge.
             pytest.param(
@@ -489,6 +525,20 @@ class TestErrorPaths:
         # Nothing was left behind, so a rerun is not refused as an overwrite.
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FitError"
+
+
+    def test_failed_summary_write_leaves_no_table(self, tmp_path, monkeypatch):
+        # The table is complete before the summary writer fails; neither
+        # file may be left behind, staged or in place.
+        def failing_summary(path, payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_json", failing_summary)
+        cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+        out = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            main(["ramsey", "--config", cfg, "--out", str(out)])
+        assert list(out.iterdir()) == []
 
 
 class TestOtherCommands:

@@ -40,11 +40,13 @@ from ionramsey import (
 from ionramsey import protocols
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
+from ionramsey.gates import prepare_ghz
 from ionramsey.noise import apply_phase_noise, sample_dephasing_phases
+from ionramsey.register import free_evolve
 from ionramsey.protocols import (
     FringeFit,
     _close,
-    _evolved,
+    _prepare,
     fit_fringe_frequency,
     flag_large_admixture,
     naive_single_point_omega0,
@@ -267,7 +269,8 @@ def per_shot_outcomes(cfg, rng):
     """Reference for dephased runs: one trajectory at a time. Each shot draws
     its phases, closes its own state and samples it with ``rng.choice``; the
     outcome is read straight off the drawn basis index."""
-    evolved, seq = _evolved(cfg, cfg.t_ramsey, cfg.delta_omega)
+    prepared, seq = _prepare(cfg)
+    evolved = free_evolve(prepared, cfg.delta_omega, cfg.t_ramsey)
     outcomes = np.empty(cfg.shots)
     for k in range(cfg.shots):
         phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
@@ -341,6 +344,83 @@ class TestBatchedTrajectories:
         assert np.array_equal(trials.outcomes, want)
 
 
+def _grid_cfg(protocol, n_ions):
+    """Every knob the pipeline has: phi0, final_phase and an admixture."""
+    ghz = protocol is not Protocol.STANDARD
+    return RamseyConfig(
+        n_ions=n_ions,
+        t_ramsey=1.3,
+        omega_r=0.7,
+        omega_0=0.1,
+        protocol=protocol,
+        imperfection=ImperfectionSpec({1: 0.15, n_ions - 1: 0.05j}) if ghz and n_ions > 2 else None,
+        phi0=0.4 if ghz else 0.0,
+        final_phase=-0.3,
+        allow_wrap=True,
+    )
+
+
+class TestBatchedGrids:
+    """A grid evaluated as one batch equals the point-by-point loop."""
+
+    TS = np.linspace(0.05, 6.0, 57)
+    DWS = np.linspace(-1.4, 2.2, 57)
+
+    def _pairs(self, cfg):
+        batched_t = expected_signal(cfg, t_ramsey=self.TS)
+        looped_t = np.array([expected_signal(cfg, t_ramsey=t) for t in self.TS])
+        batched_dw = expected_signal(cfg, delta_omega=self.DWS)
+        looped_dw = np.array([expected_signal(cfg, delta_omega=dw) for dw in self.DWS])
+        both = expected_signal(cfg, t_ramsey=self.TS, delta_omega=self.DWS)
+        looped_both = np.array([
+            expected_signal(cfg, t_ramsey=t, delta_omega=dw) for t, dw in zip(self.TS, self.DWS)
+        ])
+        return [(batched_t, looped_t), (batched_dw, looped_dw), (both, looped_both),
+                (fringe_scan(cfg, self.TS), looped_t)]
+
+    @pytest.mark.parametrize("n_ions", [3, 5])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_equal_to_loop(self, protocol, n_ions):
+        for got, want in self._pairs(_grid_cfg(protocol, n_ions)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_ions", [1, 2])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_small_registers_within_rounding(self, protocol, n_ions):
+        # At L <= 2 BLAS closes a batch with another gemm kernel than one state.
+        for got, want in self._pairs(_grid_cfg(protocol, n_ions)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_chunks_cannot_change_signals(self, monkeypatch):
+        cfg = _grid_cfg(Protocol.GHZ_PARITY, 3)
+        want = fringe_scan(cfg, self.TS)
+        monkeypatch.setattr(protocols, "CHUNK_AMPLITUDES", 40)  # five rows a chunk
+        assert np.array_equal(fringe_scan(cfg, self.TS), want)
+
+    def test_scalar_stays_float(self):
+        assert type(expected_signal(_grid_cfg(Protocol.GHZ_REVERSED, 3))) is float
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_prepares_once(self, monkeypatch, threads):
+        # 2,300 noiseless shots: two batches share one prepared final state.
+        cfg = replace(_grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3)
+        want = np.concatenate([
+            run_ramsey(replace(cfg, shots=shots), stream(13, 0, b)).outcomes
+            for b, shots in enumerate((2000, 300))
+        ])
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return prepare_ghz(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "prepare_ghz", counting)
+        trials = _run_batches(cfg, 2300, 13, (0,), threads)
+        assert len(calls) == 1
+        assert np.array_equal(trials.outcomes, want)
+
+
 class TestCalibration:
     TRUTH = 0.61803
     CAL = dict(omega_r1=0.50, omega_r2=0.70, t_r1=0.02, t_r2=2.0)
@@ -381,6 +461,34 @@ class TestCalibration:
         res_biased, _ = self._run(bias)
         assert res_biased.omega0 == pytest.approx(res_plain.omega0, abs=1e-12)
         assert res_biased.phi_f == pytest.approx(res_plain.phi_f, abs=1e-12)
+
+    @pytest.mark.parametrize("n_ions,phi0", [(3, 0.0), (4, 0.0), (5, 0.7)])
+    def test_batched_simulator_follows_point_loop(self, n_ions, phi0):
+        # The reference evaluates one configuration per omega_r, as a
+        # simulator that knows nothing of batches would.
+        cfg = replace(self._cfg(), n_ions=n_ions, phi0=phi0)
+        window = np.pi / (n_ions * self.CAL["t_r2"])
+        cal = CalibrationState(
+            omega_r1=self.TRUTH - 0.3 * window, omega_r2=self.TRUTH + 0.2 * window,
+            t_r1=0.02, t_r2=2.0,
+        )
+
+        def one_point(omega_r, t_ramsey, phi_f):
+            local = replace(cfg, omega_r=omega_r, t_ramsey=t_ramsey,
+                            final_phase=phi_f, allow_wrap=True)
+            return expected_signal(local) * np.exp(-t_ramsey / 5.0)
+
+        def looping(omega_r, t_ramsey, phi_f):
+            if np.ndim(omega_r):
+                return np.array([one_point(w, t_ramsey, phi_f) for w in omega_r])
+            return one_point(omega_r, t_ramsey, phi_f)
+
+        want, got = [], []
+        two_point_calibrate(looping, cal, cfg, history=want)
+        sim = make_truth_simulator(cfg, bias=lambda t: np.exp(-t / 5.0))
+        two_point_calibrate(sim, cal, cfg, history=got)
+        assert len(got) > 2
+        assert got == want
 
     def test_naive_estimator_is_biased(self):
         cfg = self._cfg()

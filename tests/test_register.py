@@ -80,6 +80,13 @@ class TestRegisterBasics:
             expected = [bin(i >> shift).count("1") for i in range(reg.dim)]
             np.testing.assert_array_equal(counts, expected)
 
+    def test_excitation_counts_is_one_read_only_table(self):
+        counts = excitation_counts(5, True)
+        assert excitation_counts(5, True) is counts
+        assert counts.dtype == np.uint8
+        with pytest.raises(ValueError):
+            counts[0] = 1
+
 
 class TestRotations:
     def test_rotation_matrix_is_unitary(self):
@@ -157,6 +164,15 @@ class TestFreeEvolution:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             free_evolve(new_register(1), 0.1, -1.0)
+        with pytest.raises(ValueError):  # every entry of a batch is checked
+            free_evolve(new_register(1), 0.1, np.array([0.5, 0.0, -1e-9]))
+
+    def test_batch_rows_equal_single_evolutions(self):
+        reg = QubitRegister(3, True, random_state(16, np.random.default_rng(9)))
+        ts, dws = np.array([0.0, 0.4, 1.7]), np.array([0.3, -1.1, 2.5])
+        got = free_evolve(reg, dws, ts).amplitudes
+        want = [free_evolve(reg, dw, t).amplitudes for dw, t in zip(dws, ts)]
+        assert np.array_equal(got, want)
 
 
 class TestObservables:

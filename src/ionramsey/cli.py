@@ -25,8 +25,9 @@ flags, the config text and the bytes of a ``[fourier] input=`` file), and
 are byte-identical for equal seeds at any ``--threads`` value.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
-a config value a library check rejects with ``ValueError``), 3
-register-capacity error, 4 non-convergence or ambiguous-fringe error.
+a config value a library check rejects with ``ValueError``, and an
+``--out`` that cannot be created or written), 3 register-capacity error,
+4 non-convergence or ambiguous-fringe error.
 Errors are reported as one JSON object on stderr.
 """
 
@@ -300,10 +301,11 @@ def _write_outputs(
     summary: dict[str, object],
 ) -> None:
     """The one place outputs are written: both files are staged under hidden
-    names in ``--out`` and renamed into place once both are complete."""
-    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    names in ``--out`` and renamed into place once both are complete. An
+    ``OSError`` (``--out`` below a regular file, say) is a ``ConfigError``."""
     staged = [path.with_name(f".{path.name}.partial") for path in paths]
     try:
+        paths[0].parent.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
         if manifest.fmt == "csv":
             write_table_csv(staged[0], columns, rows, meta)
@@ -313,9 +315,12 @@ def _write_outputs(
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
             written.replace(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to --out {manifest.out_dir}: {exc}") from exc
     finally:  # a failed write leaves no partial file behind
         for written in staged:
-            written.unlink(missing_ok=True)
+            if written.exists():  # unlink(missing_ok=True) raises below a regular file
+                written.unlink()
 
 
 # ---------------------------------------------------------------------------

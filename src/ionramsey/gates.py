@@ -106,21 +106,21 @@ def _two_qubit_op(
     amplitudes: np.ndarray, axis_a: int, axis_b: int, n_qubits: int, kind: str
 ) -> np.ndarray:
     """Apply CNOT (control = axis_a) or SWAP between two qubit axes of
-    amplitudes ``(..., 2**n)``."""
-    rank = amplitudes.ndim - 1  # batch axes come first
-    psi = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * n_qubits).copy()
-    view = np.moveaxis(psi, (rank + axis_a, rank + axis_b), (0, 1))
-    if kind == "cnot":
-        block = view[1].copy()
-        view[1, 0] = block[1]
-        view[1, 1] = block[0]
-    elif kind == "swap":
-        cross = view[0, 1].copy()
-        view[0, 1] = view[1, 0]
-        view[1, 0] = cross
+    amplitudes ``(..., 2**n)`` in one pass: every block of a fresh array is
+    written once, from its source block."""
+    lo, hi = sorted((axis_a, axis_b))
+    src = amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (n_qubits - hi - 1))
+    out = np.empty_like(src)
+    if kind == "swap":
+        out[...] = src.swapaxes(1, 3)  # the two bit axes trade places
+    elif kind == "cnot":  # the control's |1> half has its target bit reversed
+        if axis_a < axis_b:
+            out[:, 0], out[:, 1] = src[:, 0], src[:, 1, :, ::-1]
+        else:
+            out[:, :, :, 0], out[:, :, :, 1] = src[:, :, :, 0], src[:, ::-1, :, 1]
     else:
         raise ValueError(kind)
-    return psi.reshape(amplitudes.shape)
+    return out.reshape(amplitudes.shape)
 
 
 def _cnot_axes(reg: QubitRegister, axis_c: int, axis_t: int) -> QubitRegister:

@@ -25,6 +25,15 @@ input untouched, so Monte Carlo trials can share prepared states freely.
 ``amplitudes`` may carry leading batch axes, ``(..., 2**n)``, one state (say
 one dephasing trajectory) per row; pulses, free evolution, phase noise, gates
 and sampling act on each row as on that state alone.
+
+No kernel transposes the state. A pulse applies Kronecker blocks of its 2x2
+rotation (identity on the non-targets inside a block), each with one matmul:
+a register of up to five qubits is one block, a larger one runs in windows
+of four qubits counted back from the last. A lone state that one block spans
+whole is padded to two rows, so it runs the gemm a batch runs and every batch
+row equals its single-state result bit for bit. Free evolution computes the
+L + 1 distinct phases once and gathers them through the cached excitation
+count table; CNOT and SWAP (:mod:`.gates`) copy each block of the state once.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ import numpy as np
 from .errors import CapacityError
 
 MAX_IONS = 24
+_BLOCK_QUBITS = 4  # a pulse runs in Kronecker blocks of up to 16 x 16 ...
+_ONE_BLOCK_QUBITS = 5  # ... or as one block on a register of up to 5 qubits
+_I2 = np.eye(2, dtype=np.complex128)
 
 
 @dataclass
@@ -126,12 +138,48 @@ def _bus_axis(reg: QubitRegister) -> int:
 def apply_matrix_on_axis(
     amplitudes: np.ndarray, mat: np.ndarray, axis: int, n_qubits: int
 ) -> np.ndarray:
-    """Apply a 2x2 matrix on one qubit axis of flat amplitudes ``(..., 2**n)``;
-    ``axis`` counts qubits, after any batch axes."""
-    axis += amplitudes.ndim - 1
-    psi = amplitudes.reshape(amplitudes.shape[:-1] + (2,) * n_qubits)
-    psi = np.moveaxis(np.tensordot(mat, psi, axes=([1], [axis])), 0, axis)
-    return np.ascontiguousarray(psi).reshape(amplitudes.shape)
+    """Apply a ``2**k x 2**k`` block to the k qubits from ``axis`` on of flat
+    amplitudes ``(..., 2**n)``; ``axis`` counts qubits, after any batch axes.
+
+    One matmul, no transpose: a block that ends at the last qubit is
+    ``(rows, 2**k) @ mat.T``, any other is ``mat @`` the ``(pre, 2**k, post)``
+    view, one gemm a ``pre`` slice.
+    """
+    size = len(mat)
+    post = (1 << (n_qubits - axis)) // size
+    if post > 1:
+        return (mat @ amplitudes.reshape(-1, size, post)).reshape(amplitudes.shape)
+    rows = amplitudes.reshape(-1, size)
+    if len(rows) == 1:  # np.matmul sends one row to gemv, which rounds unlike a batch's gemm
+        return (np.vstack([rows, np.zeros_like(rows)]) @ mat.T)[0].reshape(amplitudes.shape)
+    return (rows @ mat.T).reshape(amplitudes.shape)
+
+
+def _blocks(axes: list[int], n_qubits: int) -> list[tuple[int, int]]:
+    """``(first qubit, width)`` of the Kronecker blocks that cover the sorted
+    target ``axes``: windows of ``_BLOCK_QUBITS`` counted back from the last
+    qubit, each trimmed to its targets, except that the last window keeps the
+    qubits after its targets (the bus, say), so it stays one ``(rows, 2**k)``
+    product. A register of at most ``_ONE_BLOCK_QUBITS`` is one block, since
+    a block that starts at the first qubit runs one gemm per batch row."""
+    if n_qubits <= _ONE_BLOCK_QUBITS:
+        return [(0, n_qubits)]
+    blocks = []
+    for end in range(n_qubits, 0, -_BLOCK_QUBITS):
+        inside = [q for q in axes if end - _BLOCK_QUBITS <= q < end]
+        if inside:
+            last = n_qubits if end == n_qubits else inside[-1] + 1
+            blocks.append((inside[0], last - inside[0]))
+    return blocks
+
+
+def _kron(factors: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of 2x2 factors, the first on the most significant
+    qubit; a few times cheaper per call than chained ``np.kron``."""
+    block = factors[-1]
+    for f in reversed(factors[:-1]):
+        block = (f[:, None, :, None] * block[None, :, None, :]).reshape(2 * len(block), -1)
+    return block
 
 
 def apply_rotation(reg: QubitRegister, pulse: PulseSpec) -> QubitRegister:
@@ -141,9 +189,11 @@ def apply_rotation(reg: QubitRegister, pulse: PulseSpec) -> QubitRegister:
             f"pulse targets ion {pulse.targets[-1]} but register has {reg.n_ions}"
         )
     mat = rotation_matrix(pulse.theta, pulse.phi)
+    axes = [_qubit_axis(reg, ion) for ion in pulse.targets]
     amps = reg.amplitudes
-    for ion in pulse.targets:
-        amps = apply_matrix_on_axis(amps, mat, _qubit_axis(reg, ion), reg.n_qubits)
+    for first, width in _blocks(axes, reg.n_qubits):
+        block = _kron([mat if q in axes else _I2 for q in range(first, first + width)])
+        amps = apply_matrix_on_axis(amps, block, first, reg.n_qubits)
     return QubitRegister(reg.n_ions, reg.has_bus, amps)
 
 
@@ -166,13 +216,18 @@ def free_evolve(
     reg: QubitRegister, delta_omega: float | np.ndarray, t: float | np.ndarray
 ) -> QubitRegister:
     """Accumulate detuning phase exp(+i p delta_omega t) on p-excitation states;
-    1-D arrays of ``delta_omega`` and/or ``t`` evolve one batch row an entry."""
+    1-D arrays of ``delta_omega`` and/or ``t`` evolve one batch row an entry.
+    The L + 1 distinct phases are computed once and gathered by excitation
+    count."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if (t < 0).any():
         raise ValueError(f"evolution time must be >= 0, got {np.min(t)}")
-    p = excitation_counts(reg.n_ions, reg.has_bus)
-    phases = np.exp(1j * p * np.asarray(delta_omega, dtype=float)[..., None] * t[..., None])
-    return QubitRegister(reg.n_ions, reg.has_bus, reg.amplitudes * phases)
+    k = np.arange(reg.n_ions + 1, dtype=np.uint8)  # the count table's dtype: same products
+    table = np.exp(1j * k * np.asarray(delta_omega, dtype=float)[..., None] * t[..., None])
+    phases = table.take(excitation_counts(reg.n_ions, reg.has_bus), axis=-1)
+    amps = reg.amplitudes
+    out = phases if amps.ndim == 1 or amps.shape == phases.shape else None  # in place if it fits
+    return QubitRegister(reg.n_ions, reg.has_bus, np.multiply(amps, phases, out=out))
 
 
 def _probabilities(reg: QubitRegister) -> np.ndarray:

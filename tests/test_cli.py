@@ -527,7 +527,7 @@ class TestErrorPaths:
         assert json.loads(capsys.readouterr().err)["error"] == "FitError"
 
 
-    def test_failed_summary_write_leaves_no_table(self, tmp_path, monkeypatch):
+    def test_failed_summary_write_leaves_no_table(self, tmp_path, monkeypatch, capsys):
         # The table is complete before the summary writer fails; neither
         # file may be left behind, staged or in place.
         def failing_summary(path, payload):
@@ -536,9 +536,22 @@ class TestErrorPaths:
         monkeypatch.setattr(cli, "write_json", failing_summary)
         cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
         out = tmp_path / "out"
-        with pytest.raises(OSError, match="disk full"):
-            main(["ramsey", "--config", cfg, "--out", str(out)])
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "disk full" in err["message"]
         assert list(out.iterdir()) == []
+
+    def test_out_below_a_regular_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+        (tmp_path / "afile").write_text("not a directory\n")
+        out = tmp_path / "afile" / "sub"
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert f"--out {out}" in err["message"]
+        assert not list(tmp_path.rglob("*.partial"))
 
 
 class TestOtherCommands:

@@ -23,7 +23,7 @@ from ionramsey import (
     prepare_ghz_via_bus,
     reverse_prep,
 )
-from ionramsey.gates import BUS, BusMap, Cnot
+from ionramsey.gates import BUS, BusMap, Cnot, _two_qubit_op
 from ionramsey.register import bus_purity
 
 
@@ -94,6 +94,41 @@ class TestTwoQubitPrimitives:
             cnot(reg, 1, 1)
         with pytest.raises(ValueError):
             cnot(reg, 1, 3)
+
+
+def permuted(amps, n_qubits, bit_a, bit_b, kind):
+    """Oracle: CNOT (control bit_a) or SWAP by basis-index arithmetic on the
+    last axis; both are involutions, so output j reads input j's image."""
+    idx = np.arange(1 << n_qubits)
+    mask_a, mask_b = 1 << (n_qubits - 1 - bit_a), 1 << (n_qubits - 1 - bit_b)
+    a, b = (idx & mask_a) > 0, (idx & mask_b) > 0
+    flip = np.where(a, mask_b, 0) if kind == "cnot" else np.where(a != b, mask_a | mask_b, 0)
+    return amps[..., idx ^ flip]
+
+
+class TestTwoQubitKernel:
+    @pytest.mark.parametrize("kind", ["cnot", "swap"])
+    @pytest.mark.parametrize("n_qubits", [2, 3, 5])
+    def test_equals_index_permutation(self, n_qubits, kind):
+        # Every ordered axis pair: the last axis is where a bus would sit.
+        rng = np.random.default_rng(n_qubits)
+        for rows in ((), (3,), (2, 2)):
+            amps = rng.normal(size=rows + (1 << n_qubits,)) + 0j
+            for a in range(n_qubits):
+                for b in range(n_qubits):
+                    if a != b:
+                        got = _two_qubit_op(amps, a, b, n_qubits, kind)
+                        assert np.array_equal(got, permuted(amps, n_qubits, a, b, kind))
+
+    def test_bus_gates_equal_index_permutation(self):
+        reg = random_register(3, True, np.random.default_rng(5))
+        bus_cnot = GateSequence((Cnot(BUS, 2),)).apply(reg).amplitudes
+        assert np.array_equal(bus_cnot, permuted(reg.amplitudes, 4, 3, 1, "cnot"))
+        assert np.array_equal(bus_map(reg, 1).amplitudes, permuted(reg.amplitudes, 4, 0, 3, "swap"))
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            _two_qubit_op(np.zeros(4, complex), 0, 1, 2, "cz")
 
 
 class TestBusMediatedGate:

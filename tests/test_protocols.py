@@ -378,19 +378,12 @@ class TestBatchedGrids:
         return [(batched_t, looped_t), (batched_dw, looped_dw), (both, looped_both),
                 (fringe_scan(cfg, self.TS), looped_t)]
 
-    @pytest.mark.parametrize("n_ions", [3, 5])
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 5])
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_equal_to_loop(self, protocol, n_ions):
         for got, want in self._pairs(_grid_cfg(protocol, n_ions)):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("n_ions", [1, 2])
-    @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_small_registers_within_rounding(self, protocol, n_ions):
-        # At L <= 2 BLAS closes a batch with another gemm kernel than one state.
-        for got, want in self._pairs(_grid_cfg(protocol, n_ions)):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_chunks_cannot_change_signals(self, monkeypatch):
         cfg = _grid_cfg(Protocol.GHZ_PARITY, 3)

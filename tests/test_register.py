@@ -7,6 +7,8 @@ significant bit, the bus (when present) is the least significant, and bit
 value 0 means the ion is in the lower state.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from ionramsey import (
     sample_measurement,
     stream,
 )
+from ionramsey.gates import prepare_ghz, reverse_prep
 from ionramsey.register import (
     bus_purity,
     excitation_counts,
@@ -173,6 +176,73 @@ class TestFreeEvolution:
         got = free_evolve(reg, dws, ts).amplitudes
         want = [free_evolve(reg, dw, t).amplitudes for dw, t in zip(dws, ts)]
         assert np.array_equal(got, want)
+
+
+class TestKernelReferences:
+    """The block pulse and the gathered phase table against direct formulas,
+    for single states and batches."""
+
+    @staticmethod
+    def _target_sets(n_ions, rng):
+        every = tuple(range(1, n_ions + 1))
+        subset = tuple(int(i) for i in rng.choice(every, size=(n_ions + 1) // 2, replace=False))
+        return {every, (1,), (n_ions,), every[::2], subset}
+
+    @pytest.mark.parametrize("has_bus", [False, True])
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 4, 5, 6, 9])
+    def test_pulse_matches_full_matrix(self, n_ions, has_bus):
+        rng = np.random.default_rng(10 * n_ions + has_bus)
+        dim = 2 ** (n_ions + has_bus)
+        for targets in self._target_sets(n_ions, rng):
+            theta, phi = rng.uniform(0, 2 * np.pi, size=2)
+            dense = embed_on_ions(rotation_matrix(theta, phi), n_ions, targets, has_bus)
+            for rows in ((), (3,), (2, 2)):
+                amps = rng.normal(size=rows + (dim,)) + 1j * rng.normal(size=rows + (dim,))
+                reg = QubitRegister(n_ions, has_bus, amps)
+                got = apply_rotation(reg, PulseSpec(theta, phi, targets)).amplitudes
+                np.testing.assert_allclose(got, amps @ dense.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("has_bus", [False, True])
+    @pytest.mark.parametrize("n_ions", [1, 2, 4, 7])
+    def test_free_evolve_equals_direct_formula(self, n_ions, has_bus):
+        rng = np.random.default_rng(n_ions)
+        dim = 2 ** (n_ions + has_bus)
+        p = excitation_counts(n_ions, has_bus)
+        dws, ts = np.array([0.3, -1.1, 2.5]), np.array([0.0, 0.4, 1.7])
+        for rows in ((), (3,)):
+            amps = rng.normal(size=rows + (dim,)) + 1j * rng.normal(size=rows + (dim,))
+            reg = QubitRegister(n_ions, has_bus, amps)
+            for dw, t in ((0.37, 1.9), (-1.3, 0.0), (dws, ts), (dws, 0.8), (0.5, ts)):
+                want = amps * np.exp(
+                    1j * p * np.asarray(dw, dtype=float)[..., None] * np.asarray(t)[..., None]
+                )
+                assert np.array_equal(free_evolve(reg, dw, t).amplitudes, want)
+
+
+class TestPeakMemory:
+    """A kernel holds its input and its output and little more: the peak
+    traced allocation stays within 2.1 states (numpy reports its buffers to
+    tracemalloc)."""
+
+    N_IONS = 16
+
+    @pytest.mark.parametrize("op", ["pulse", "prepare_ghz", "reverse_prep", "free_evolve"])
+    def test_peak_allocation(self, op):
+        ground = new_register(self.N_IONS)
+        ghz, seq = prepare_ghz(ground, 0.3)
+        run = {
+            "pulse": lambda: apply_rotation(ghz, pi_half_pulse(self.N_IONS, 0.2)),
+            "prepare_ghz": lambda: prepare_ghz(ground, 0.3),
+            "reverse_prep": lambda: reverse_prep(ghz, seq),
+            "free_evolve": lambda: free_evolve(ghz, 0.7, 1.3),
+        }[op]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * ground.amplitudes.nbytes
 
 
 class TestObservables:

@@ -14,7 +14,7 @@ Two benchmarks:
 
 Time accounting charges tau = trials * T_R (zero dead time). Each
 (protocol, grid point, batch) gets its own counter-based random stream, so
-reports are byte-reproducible at any thread count.
+a report depends on its seed alone.
 
 Every experiment is run at its half-fringe operating point (detuning
 pi/(2 m T_R) with m the protocol's fringe multiplier) and the estimator's
@@ -86,7 +86,6 @@ def _run_batches(
     trials: int,
     seed: int,
     path_prefix: tuple[int, ...],
-    threads: int,
     batch_size: int = 2000,
 ) -> Trials:
     """``trials`` shots of cfg in batches of ``batch_size``, all sampled from
@@ -101,7 +100,7 @@ def _run_batches(
         label = "/".join(str(p) for p in (seed, *path_prefix, b))
         return _sample(replace(cfg, shots=sizes[b]), state, rng, label)
 
-    batches = streams.parallel_map(one_batch, n_batches, threads)
+    batches = [one_batch(b) for b in range(n_batches)]
     return replace(
         batches[0],
         outcomes=np.concatenate([batch.outcomes for batch in batches]),
@@ -152,7 +151,6 @@ def scan_scaling(
     trials: int = 10_000,
     *,
     seed: int = 0,
-    threads: int = 1,
 ) -> ScalingReport:
     """Measure sigma(dw) for both protocols over a list of ion numbers.
 
@@ -176,7 +174,7 @@ def scan_scaling(
             cfg = _half_fringe_config(
                 cfg_template, protocol, n_ions, cfg_template.t_ramsey, trials
             )
-            run = _run_batches(cfg, trials, seed, (proto_idx, l_idx), threads)
+            run = _run_batches(cfg, trials, seed, (proto_idx, l_idx))
             est = estimate_frequency(run, operating_phase=np.pi / 2)
             sigmas.append(est.sigma)
             tau = trials * cfg.t_ramsey
@@ -263,7 +261,6 @@ def dephasing_benchmark(
     trials: int = 10_000,
     *,
     seed: int = 0,
-    threads: int = 1,
     mode: str = "sampled",
     refine: bool = True,
     refine_iters: int = 10,
@@ -293,7 +290,7 @@ def dephasing_benchmark(
     for proto_idx, protocol in enumerate(PROTOCOLS):
         def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
-            run = _run_batches(cfg, trials, seed, path, threads)
+            run = _run_batches(cfg, trials, seed, path)
             contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
             est = estimate_frequency(run, contrast=contrast, operating_phase=np.pi / 2)
             return est.sigma * math.sqrt(trials * t_ramsey)

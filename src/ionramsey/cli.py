@@ -22,7 +22,8 @@ takes the parsed values and only computes a table and a summary;
 fails writes nothing. All outputs embed the
 library version and a manifest hash (sha256 over command, seed, format,
 flags, the config text and the bytes of a ``[fourier] input=`` file), and
-are byte-identical for equal seeds at any ``--threads`` value.
+are byte-identical for equal seeds. ``--threads`` is accepted and must be
+>= 1, but every run is single-threaded, so it cannot change an output.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
 a config value a library check rejects with ``ValueError``, and an
@@ -126,6 +127,7 @@ def _epsilon(raw: str) -> ImperfectionSpec:
 # (RamseyConfig, CalibrationState, NoiseSpec, the bench functions) are not
 # repeated here.
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
+_AT_LEAST_2 = ("must be >= 2 (a standard error needs two)", lambda v: v >= 2)
 _POSITIVE = ("must be > 0", lambda v: v > 0)
 _NONZERO = ("must be nonzero", lambda v: v != 0)
 _TWO_L = (
@@ -147,7 +149,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "readout": (str, "final_pulse", None),
         "final_phase": (_float, 0.0, None),
         "phi0": (_float, 0.0, None),
-        "shots": (int, None, None),  # unset: 1000; sampled runs only
+        "shots": (int, None, _AT_LEAST_2),  # unset: 1000; sampled runs only
         "gamma": (_float, 0.0, None),
         "noise_mode": (str, None, None),  # unset: independent; needs gamma
         "epsilon": (_epsilon, None, None),
@@ -157,7 +159,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "scaling": {
         "l_values": (_ints, _REQUIRED, _TWO_L),
-        "trials": (int, 10_000, _AT_LEAST_1),
+        "trials": (int, 10_000, _AT_LEAST_2),
         "t_ramsey": (_float, 1.0, None),
         "omega_0": (_float, 0.0, None),
     },
@@ -167,7 +169,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "t_min": (_float, _REQUIRED, _POSITIVE),
         "t_max": (_float, _REQUIRED, None),  # > t_min, checked by the command
         "grid_points": (int, 12, None),
-        "trials": (int, 5000, _AT_LEAST_1),
+        "trials": (int, 5000, _AT_LEAST_2),
         "mode": (str, "sampled", None),
         "refine": (_bool, True, None),
     },
@@ -253,7 +255,6 @@ class RunManifest:
     out_dir: str
     fmt: str
     expectation: bool
-    threads: int
     input_bytes: bytes | None = None  # the [fourier] input= file, read once
 
     def hash(self) -> str:
@@ -383,7 +384,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         summary["expected_fringe_frequency"] = abs(cfg.delta_omega) * mult
         summary["fitted_amplitude"] = fit.amplitude
     else:
-        trials = _run_batches(cfg, cfg.shots, manifest.seed, (0,), manifest.threads)
+        trials = _run_batches(cfg, cfg.shots, manifest.seed, (0,))
         summary["shots"] = cfg.shots
         summary["mean_outcome"] = float(np.mean(trials.outcomes))
         contrast = ensemble_contrast(cfg.n_ions, cfg.noise, cfg.t_ramsey, cfg.protocol)
@@ -422,9 +423,7 @@ def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
             slopes[protocol.family] = _loglog_slope(l_values, sigmas)[0]
         summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
         return columns, rows, summary
-    report = scan_scaling(
-        l_values, template, trials, seed=manifest.seed, threads=manifest.threads
-    )
+    report = scan_scaling(l_values, template, trials, seed=manifest.seed)
     rows = [
         (p.protocol, p.n_ions, p.t_ramsey, p.tau, p.sigma_measured, p.sigma_theory, p.ratio)
         for p in report.points
@@ -449,7 +448,6 @@ def cmd_dephasing(manifest: RunManifest, values: dict) -> Outputs:
         np.geomspace(t_min, t_max, values["grid_points"]),
         values["trials"],
         seed=manifest.seed,
-        threads=manifest.threads,
         mode="analytic" if manifest.expectation else values["mode"],
         refine=values["refine"],
     )
@@ -639,7 +637,9 @@ def _build_argparser() -> argparse.ArgumentParser:
             help="exact expectations instead of sampled shots "
             "(scaling/dephasing: analytic curves)",
         )
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=int, default=1, help="must be >= 1; runs are single-threaded"
+        )
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return ap
 
@@ -659,7 +659,6 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=args.out,
             fmt=args.format,
             expectation=args.expectation_mode,
-            threads=args.threads,
             input_bytes=_read_input(values.get("input")),
         )
         paths = _output_paths(manifest)

@@ -14,7 +14,11 @@ Protocols
   so that ``-2 <Sz>_1 = C cos(L dw T_R)`` while ions 2..L return to |dn>.
 
 :class:`Protocol` names these three variants; a :class:`RamseyConfig`
-carries one, and every pipeline below runs whichever it carries.
+carries one, and every pipeline below runs whichever it carries. Each
+protocol's readout is one outcome map from measured basis indices: sampled
+shots record it, the expected signal is its signal averaged over the Born
+probabilities, and the estimator inverts its fringe model
+(:attr:`Protocol.fringe`), with no per-protocol branch elsewhere.
 
 Pulse-phase bookkeeping (fixed here, verified in tests): the standard
 protocol's closing pulse has phase ``pi - phi_f``; the GHZ final readout
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -56,12 +61,9 @@ from .noise import (
     sample_dephasing_phases,
 )
 from .register import (
-    MeasurementSample,
     QubitRegister,
     apply_rotation,
-    expect_jz,
-    expect_parity_normalized,
-    expect_sz_ion,
+    excitation_counts,
     free_evolve,
     new_register,
     pi_half_pulse,
@@ -78,9 +80,10 @@ class Protocol(Enum):
 
     ``family`` (``standard`` or ``ghz``) is the name configs and benchmark
     tables use; ``readout`` is ``final_pulse`` or, for GHZ only,
-    ``time_reversed``. A trial's ``outcome`` is the count of ions found
-    |dn> (standard), the normalized parity sign +-1 (GHZ parity) or ion 1's
-    measured spin +-1/2 (GHZ time-reversed).
+    ``time_reversed``. The readout is defined once, by :meth:`outcomes` and
+    :meth:`signal`; sampling records the outcomes of measured indices,
+    :meth:`expected` averages the signal over the Born distribution, and
+    :attr:`fringe` is the cosine model the estimator inverts.
     """
 
     STANDARD = "standard"
@@ -110,22 +113,54 @@ class Protocol(Enum):
         """Fringe-frequency factor m: the signal oscillates as cos(m dw T_R)."""
         return 1 if self is Protocol.STANDARD else n_ions
 
-    def outcomes(self, sample: MeasurementSample) -> np.ndarray:
-        """Per-shot record outcomes of a measurement sample."""
+    @property
+    def fringe(self) -> tuple[float, float]:
+        """``(offset, scale)``: the expected signal is offset + scale C
+        cos(m dw T_R + phi), with m the :meth:`multiplier`, C the contrast and
+        phi the :meth:`readout_phase`."""
+        return (0.5, -0.5) if self is Protocol.STANDARD else (0.0, 1.0)
+
+    def readout_phase(self, final_phase: float) -> float:
+        """The fringe phase phi; the time-reversed readout cancels phi_f."""
+        return 0.0 if self is Protocol.GHZ_REVERSED else final_phase
+
+    def outcomes(self, indices: np.ndarray, n_ions: int, has_bus: bool = False) -> np.ndarray:
+        """Record outcomes (float64) of measured basis indices, the bus bit
+        ignored: the count of ions found |dn> (standard), the parity sign +-1
+        of that count (GHZ parity) or ion 1's spin +-1/2 (GHZ time-reversed)."""
+        if self is Protocol.GHZ_REVERSED:  # ion 1 is the most significant bit
+            return ((indices >> (n_ions - 1 + has_bus)) & 1) - 0.5
+        n_down = n_ions - excitation_counts(n_ions, has_bus)[indices]
         if self is Protocol.STANDARD:
-            return sample.n_down
-        if self is Protocol.GHZ_REVERSED:
-            return sample.sz_ion1
-        return sample.parity_sign
+            return n_down.astype(np.float64)
+        return np.where(n_down % 2 == 0, 1.0, -1.0)
 
     def signal(self, outcomes: np.ndarray, n_ions: int) -> np.ndarray:
         """Per-shot fringe signal of recorded outcomes; its mean is the
-        protocol's expected signal (see :func:`expected_signal`)."""
+        protocol's expected signal (see :meth:`expected`)."""
         if self is Protocol.STANDARD:
             return (n_ions - outcomes) / n_ions  # excited fraction per shot
         if self is Protocol.GHZ_REVERSED:
             return -2.0 * outcomes  # +-1, mean C cos(L dw T)
         return outcomes  # parity signs +-1
+
+    def expected(self, reg: QubitRegister) -> float | np.ndarray:
+        """Expected signal of a state (a float), or of each row of a batch:
+        the Born probabilities dotted with the signal of every basis index.
+        ``np.vecdot`` calls the BLAS dot that ``np.dot`` does for one state,
+        so a batch row equals that state's value."""
+        table = _signal_table(self, reg.n_ions, reg.has_bus)
+        value = np.vecdot(np.abs(reg.amplitudes) ** 2, table)
+        return float(value) if value.ndim == 0 else value
+
+
+@lru_cache(maxsize=None)
+def _signal_table(protocol: Protocol, n_ions: int, has_bus: bool) -> np.ndarray:
+    """The signal of every basis index, a shared read-only table."""
+    indices = np.arange(1 << (n_ions + has_bus))
+    table = protocol.signal(protocol.outcomes(indices, n_ions, has_bus), n_ions)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -253,7 +288,6 @@ def expected_signal(
     *,
     t_ramsey: float | np.ndarray | None = None,
     delta_omega: float | np.ndarray | None = None,
-    phases: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Expected fringe signal of cfg.protocol: the mean of
     :meth:`Protocol.signal` over shots. ``t_ramsey`` and ``delta_omega`` may
@@ -263,18 +297,16 @@ def expected_signal(
     standard: excited-state fraction (1 - C cos(dw T_R + phi_f)) / 2;
     GHZ parity: normalized parity (2^L times the spin-product expectation)
     C cos(L dw T_R + phi_f); GHZ time-reversed: -2<Sz> of ion 1,
-    C cos(L dw T_R). C = 1 noise-free.
-
-    ``phases`` injects one dephasing realization; omit it for the noiseless
-    expectation. (The noise-averaged signal is the noiseless one with
-    contrast :func:`ensemble_contrast`.)
+    C cos(L dw T_R). C = 1 noise-free; that is :attr:`Protocol.fringe`.
+    The signal is noiseless: the noise-averaged one has contrast
+    :func:`ensemble_contrast`.
     """
     t = cfg.t_ramsey if t_ramsey is None else t_ramsey
     dw = cfg.delta_omega if delta_omega is None else delta_omega
-    return _signal(cfg, _prepare(cfg), t, dw, phases)
+    return _signal(cfg, _prepare(cfg), t, dw)
 
 
-def _signal(cfg: RamseyConfig, prepared, t, dw, phases=None) -> float | np.ndarray:
+def _signal(cfg: RamseyConfig, prepared, t, dw) -> float | np.ndarray:
     """:func:`expected_signal` from a :func:`_prepare` result; a batch runs
     in chunks of at most ``CHUNK_AMPLITUDES`` amplitudes."""
     reg, seq = prepared
@@ -283,16 +315,8 @@ def _signal(cfg: RamseyConfig, prepared, t, dw, phases=None) -> float | np.ndarr
         rows = max(1, CHUNK_AMPLITUDES // reg.dim)
         if len(t) > rows:
             chunks = (slice(k, k + rows) for k in range(0, len(t), rows))
-            return np.concatenate([_signal(cfg, prepared, t[c], dw[c], phases) for c in chunks])
-    reg = free_evolve(reg, dw, t)
-    if phases is not None:
-        reg = apply_phase_noise(reg, phases)
-    reg = _close(reg, cfg, seq)
-    if cfg.protocol is Protocol.STANDARD:
-        return 0.5 + expect_jz(reg) / cfg.n_ions  # E[n_up]/L = 1/2 + <Jz>/L
-    if cfg.protocol is Protocol.GHZ_REVERSED:
-        return -2.0 * expect_sz_ion(reg, 1)
-    return expect_parity_normalized(reg)
+            return np.concatenate([_signal(cfg, prepared, t[c], dw[c]) for c in chunks])
+    return cfg.protocol.expected(_close(free_evolve(reg, dw, t), cfg, seq))
 
 
 def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
@@ -366,7 +390,7 @@ def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str)
     """:func:`run_ramsey` from a :func:`_run_state` result."""
     protocol, (reg, seq) = cfg.protocol, state
     if cfg.noise is None or cfg.noise.gamma == 0.0:
-        outcomes = protocol.outcomes(sample_measurement(reg, rng.random(cfg.shots)))
+        outcomes = protocol.outcomes(sample_measurement(reg, rng.random(cfg.shots)), cfg.n_ions)
     else:
         phases = np.empty((cfg.shots, cfg.n_ions))
         uniforms = np.empty(cfg.shots)
@@ -377,9 +401,9 @@ def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str)
         outcomes = np.empty(cfg.shots)
         for k in range(0, cfg.shots, rows):
             final = _close(apply_phase_noise(reg, phases[k : k + rows]), cfg, seq)
-            sample = sample_measurement(final, uniforms[k : k + rows])
-            outcomes[k : k + rows] = protocol.outcomes(sample)
-    outcomes, batches = np.asarray(outcomes, dtype=np.float64), ((seed_label, cfg.shots),)
+            indices = sample_measurement(final, uniforms[k : k + rows])
+            outcomes[k : k + rows] = protocol.outcomes(indices, cfg.n_ions)
+    batches = ((seed_label, cfg.shots),)
     return Trials(protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, batches)
 
 
@@ -397,19 +421,22 @@ def estimate_frequency(
 ) -> Estimate:
     """Invert a sampled run into a detuning estimate with 1-sigma error.
 
-    The fringe model is inverted at the sample mean of the per-shot signal
-    (arccos principal branch, assuming the operating point sits in (0, pi) —
-    the half-fringe convention). ``estimate`` is dw_hat = omega_R -
-    omega0_hat; ``sigma`` is sigma_S / |dS/d omega| with sigma_S the
-    standard error of the mean.
+    The fringe model :attr:`Protocol.fringe` is inverted at the sample mean
+    of the per-shot signal (arccos principal branch, assuming the operating
+    point sits in (0, pi) — the half-fringe convention). ``estimate`` is
+    dw_hat = omega_R - omega0_hat; ``sigma`` is sigma_S / |dS/d omega| with
+    sigma_S the standard error of the mean, so a run needs two trials or
+    more (``ValueError`` otherwise).
 
     ``contrast`` is the model fringe contrast (pass
     :func:`ensemble_contrast` output for dephased runs). ``operating_phase``
     pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
     the half-fringe) instead of the inverted one.
     """
-    if len(trials.outcomes) == 0:
-        raise ValueError("no trials to estimate from")
+    if len(trials.outcomes) < 2:
+        raise ValueError(
+            f"need at least 2 trials for a standard error, got {len(trials.outcomes)}"
+        )
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
@@ -417,19 +444,13 @@ def estimate_frequency(
     s = protocol.signal(trials.outcomes, trials.n_ions)
     n = len(s)
     mean = float(np.mean(s))
-    sigma_s = float(np.std(s, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    sigma_s = float(np.std(s, ddof=1) / np.sqrt(n))
 
     mult = protocol.multiplier(trials.n_ions)
-    if protocol is Protocol.STANDARD:
-        u = (1.0 - 2.0 * mean) / contrast
-        # dS/d(dw) for S = excited fraction; |.| taken after inversion.
-        slope_scale = 0.5 * contrast * t_r
-    else:
-        u = mean / contrast
-        slope_scale = contrast * mult * t_r
-    phi = 0.0 if protocol is Protocol.GHZ_REVERSED else final_phase
-
-    u = float(np.clip(u, -1.0, 1.0))
+    offset, scale = protocol.fringe
+    u = float(np.clip((mean - offset) / (scale * contrast), -1.0, 1.0))
+    slope_scale = abs(scale) * contrast * mult * t_r  # |dS/d(dw)| at |sin| = 1
+    phi = protocol.readout_phase(final_phase)
     x_hat = float(np.arccos(u))  # principal branch [0, pi]
     # Sensitivity at the inverted phase, or at the phase the experiment was
     # designed to sit at (exact when the operating point is known a priori,

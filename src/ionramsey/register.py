@@ -15,10 +15,10 @@ Conventions (fixed; everything downstream relies on them):
   ions excited acquires phase ``exp(+i p delta_omega t)`` under free
   evolution with detuning ``delta_omega`` (drive minus atomic frequency).
   The bus qubit never accumulates detuning phase.
-* Spin eigenvalues are +-1/2, so the parity operator (product of the
-  single-ion spins) has range +-(1/2)**L; a 2**L-normalized variant in
-  [-1, 1] is exposed for readability. The bus is excluded from all
-  observables.
+* A z measurement returns basis indices; reading them out (counting ions,
+  parity, ion 1's spin) is the protocol's job, in one place:
+  :meth:`.protocols.Protocol.outcomes`. The excitation count table ignores
+  the bus bit.
 
 Registers are values: every operation returns a new register and leaves its
 input untouched, so Monte Carlo trials can share prepared states freely.
@@ -230,44 +230,6 @@ def free_evolve(
     return QubitRegister(reg.n_ions, reg.has_bus, np.multiply(amps, phases, out=out))
 
 
-def _probabilities(reg: QubitRegister) -> np.ndarray:
-    return np.abs(reg.amplitudes) ** 2
-
-
-def _per_state(values: np.ndarray) -> float | np.ndarray:  # a float for one state
-    return float(values) if values.ndim == 0 else values
-
-
-# Expectations reduce row by row with np.vecdot, which calls the BLAS dot
-# that np.dot does for one state, so a batch row equals that state's value.
-def expect_jz(reg: QubitRegister) -> float | np.ndarray:
-    """<Jz> with Jz eigenvalue (n_up - n_dn)/2 per basis state."""
-    p = excitation_counts(reg.n_ions, reg.has_bus)
-    jz = p - reg.n_ions / 2.0
-    return _per_state(np.vecdot(_probabilities(reg), jz))
-
-
-def expect_parity(reg: QubitRegister) -> float | np.ndarray:
-    """<product of single-ion spins>, range +-(1/2)**n_ions."""
-    p = excitation_counts(reg.n_ions, reg.has_bus)
-    n_down = reg.n_ions - p
-    signs = np.where(n_down % 2 == 0, 1.0, -1.0)
-    return _per_state(np.vecdot(_probabilities(reg), signs) * 0.5**reg.n_ions)
-
-
-def expect_parity_normalized(reg: QubitRegister) -> float | np.ndarray:
-    """2**n_ions times :func:`expect_parity`; a fringe signal in [-1, 1]."""
-    return expect_parity(reg) * 2.0**reg.n_ions
-
-
-def expect_sz_ion(reg: QubitRegister, ion: int) -> float | np.ndarray:
-    """<Sz> of a single ion (marginal), in [-1/2, 1/2]."""
-    probs = _probabilities(reg)
-    rows = probs.shape[:-1]  # each row: 2**(ion-1) blocks of an |dn> half, an |up> half
-    up = probs.reshape(rows + (1 << _qubit_axis(reg, ion), 2, -1))[..., 1, :]
-    return _per_state(up.reshape(rows + (-1,)).sum(axis=-1) - 0.5)
-
-
 def bus_purity(reg: QubitRegister) -> float:
     """Purity of the reduced bus state; 1.0 iff bus is unentangled."""
     axis = _bus_axis(reg)
@@ -277,35 +239,16 @@ def bus_purity(reg: QubitRegister) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-@dataclass
-class MeasurementSample:
-    """Outcomes of projective z-basis measurements on every ion.
-
-    Per shot this records the raw basis index, the count of ions found
-    |dn> (``n_down``), the sign of the spin-product parity
-    (``parity_sign``, +1 when ``n_down`` is even), and the measured spin
-    of ion 1 (``sz_ion1``, +-1/2). The bus bit, if present, is ignored by
-    all derived quantities.
-    """
-
-    n_ions: int
-    indices: np.ndarray
-    n_down: np.ndarray
-    parity_sign: np.ndarray
-    sz_ion1: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> MeasurementSample:
-    """Born-rule z measurements of all ions at the given uniforms in [0, 1):
-    one per shot of a single state, one per row of a batch. The CDF is
-    normalised and inverted as ``Generator.choice`` does it, so
-    ``uniforms = rng.random(n)`` draws what ``rng.choice(dim, n, p=...)`` would.
+def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> np.ndarray:
+    """Basis indices (``int64``) of Born-rule z measurements of every qubit at
+    the given uniforms in [0, 1): one per shot of a single state, one per row
+    of a batch. The CDF is normalised and inverted as ``Generator.choice``
+    does it, so ``uniforms = rng.random(n)`` draws what
+    ``rng.choice(dim, n, p=...)`` would. :meth:`.protocols.Protocol.outcomes`
+    maps the indices to a protocol's record outcomes.
     """
     uniforms = np.asarray(uniforms, dtype=float)
-    probs = _probabilities(reg)
+    probs = np.abs(reg.amplitudes) ** 2
     probs /= probs.sum(axis=-1, keepdims=True)
     cdf = np.cumsum(probs, axis=-1, out=probs)
     cdf /= cdf[..., -1:]
@@ -313,15 +256,4 @@ def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> MeasurementS
         indices = cdf.searchsorted(uniforms, side="right")
     else:  # a non-decreasing row's searchsorted index is its count of entries <= u
         indices = np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
-    p = excitation_counts(reg.n_ions, reg.has_bus)[indices]
-    n_down = reg.n_ions - p
-    parity_sign = np.where(n_down % 2 == 0, 1, -1).astype(np.int64)
-    ion1_bit = (indices >> (reg.n_qubits - 1)) & 1
-    sz_ion1 = ion1_bit - 0.5
-    return MeasurementSample(
-        n_ions=reg.n_ions,
-        indices=indices.astype(np.int64),
-        n_down=n_down.astype(np.int64),
-        parity_sign=parity_sign,
-        sz_ion1=sz_ion1,
-    )
+    return indices.astype(np.int64, copy=False)

@@ -15,11 +15,7 @@ Two properties follow:
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
-
 import numpy as np
-
-T = TypeVar("T")
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -30,23 +26,3 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def parallel_map(
-    fn: Callable[[int], T],
-    n_items: int,
-    threads: int = 1,
-) -> list[T]:
-    """Evaluate ``fn(i)`` for ``i in range(n_items)``, results in index order.
-
-    ``fn`` must derive any randomness it needs from its index (via
-    :func:`stream`), never from shared state; then the returned list is
-    identical for every ``threads`` value. ``threads`` is checked, but the
-    items run in order on the calling thread: a pool of two threads measured
-    slower than one on the sampled scans.
-    """
-    if n_items < 0:
-        raise ValueError(f"n_items must be >= 0, got {n_items}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return [fn(i) for i in range(n_items)]

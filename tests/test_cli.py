@@ -472,6 +472,29 @@ class TestErrorPaths:
                 "tol",
                 id="calibrate_negative_tol",
             ),
+            # One trial has no standard error: the summary would hold NaN.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = standard\nn_ions = 3\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "shots = 1\n",
+                (),
+                "shots",
+                id="ramsey_one_shot",
+            ),
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 1 2\ntrials = 1\n",
+                (),
+                "trials",
+                id="scaling_one_trial",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\nt_max = 3.0\ntrials = 1\n",
+                (),
+                "trials",
+                id="dephasing_one_trial",
+            ),
         ],
     )
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, text, flags, needle):

@@ -105,6 +105,30 @@ class TestFringeShapes:
         got = np.array([expected_signal(cfg, t_ramsey=t) for t in ts])
         np.testing.assert_allclose(got, np.cos(n_ions * 0.33 * ts), atol=1e-12)
 
+    @pytest.mark.parametrize("n_ions", [1, 2, 4])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_fringe_model_is_the_expected_signal(self, protocol, n_ions):
+        # Protocol.fringe is the model the estimator inverts; the time-reversed
+        # readout cancels phi_f, the others keep it.
+        ghz = protocol is not Protocol.STANDARD
+        cfg = RamseyConfig(
+            n_ions=n_ions,
+            t_ramsey=1.0,
+            omega_r=0.41,
+            omega_0=0.07,
+            protocol=protocol,
+            final_phase=0.7,
+            phi0=1.1 if ghz else 0.0,
+            allow_wrap=True,
+        )
+        phi = 0.0 if protocol is Protocol.GHZ_REVERSED else 0.7
+        assert protocol.readout_phase(0.7) == phi
+        offset, scale = protocol.fringe
+        ts = np.linspace(0.0, 4.0, 23)
+        m = protocol.multiplier(n_ions)
+        want = offset + scale * np.cos(m * cfg.delta_omega * ts + phi)
+        np.testing.assert_allclose(expected_signal(cfg, t_ramsey=ts), want, rtol=0, atol=1e-12)
+
     def test_both_readouts_share_fringe_frequency(self):
         cfg = dict(n_ions=3, t_ramsey=1.0, omega_r=0.4, omega_0=0.0, allow_wrap=True)
         ts = np.linspace(0.0, 2 * np.pi / 0.4, 64)
@@ -331,15 +355,14 @@ class TestBatchedTrajectories:
         monkeypatch.setattr(protocols, "CHUNK_AMPLITUDES", budget)
         assert np.array_equal(run_ramsey(cfg, stream(8, 1)).outcomes, want)
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_batches_equal_per_shot_reference(self, threads):
+    def test_batches_equal_per_shot_reference(self):
         # 2,300 shots: batches of 2,000 and 300, each from its own stream.
         cfg = _dephased_cfg(Protocol.STANDARD, 3, "independent", shots=1)
         want = np.concatenate([
             per_shot_outcomes(replace(cfg, shots=shots), stream(13, 0, b))
             for b, shots in enumerate((2000, 300))
         ])
-        trials = _run_batches(cfg, 2300, 13, (0,), threads)
+        trials = _run_batches(cfg, 2300, 13, (0,))
         assert trials.batches == (("13/0/0", 2000), ("13/0/1", 300))
         assert np.array_equal(trials.outcomes, want)
 
@@ -394,8 +417,7 @@ class TestBatchedGrids:
     def test_scalar_stays_float(self):
         assert type(expected_signal(_grid_cfg(Protocol.GHZ_REVERSED, 3))) is float
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_run_prepares_once(self, monkeypatch, threads):
+    def test_run_prepares_once(self, monkeypatch):
         # 2,300 noiseless shots: two batches share one prepared final state.
         cfg = replace(_grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3)
         want = np.concatenate([
@@ -409,7 +431,7 @@ class TestBatchedGrids:
             return prepare_ghz(*args, **kwargs)
 
         monkeypatch.setattr(protocols, "prepare_ghz", counting)
-        trials = _run_batches(cfg, 2300, 13, (0,), threads)
+        trials = _run_batches(cfg, 2300, 13, (0,))
         assert len(calls) == 1
         assert np.array_equal(trials.outcomes, want)
 

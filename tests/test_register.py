@@ -1,10 +1,10 @@
 """Register-level checks against dense-matrix oracles.
 
 Every structured operation (rotations on selected qubits, free evolution,
-observables) is compared to an explicit 2^n x 2^n matrix built with np.kron,
-which only relies on the documented axis convention: ion 1 is the most
-significant bit, the bus (when present) is the least significant, and bit
-value 0 means the ion is in the lower state.
+each protocol's readout) is compared to an explicit 2^n x 2^n matrix built
+with np.kron, which only relies on the documented axis convention: ion 1 is
+the most significant bit, the bus (when present) is the least significant,
+and bit value 0 means the ion is in the lower state.
 """
 
 import tracemalloc
@@ -15,12 +15,10 @@ import pytest
 from ionramsey import (
     CapacityError,
     MAX_IONS,
+    Protocol,
     PulseSpec,
     QubitRegister,
     apply_rotation,
-    expect_jz,
-    expect_parity,
-    expect_parity_normalized,
     free_evolve,
     new_register,
     sample_measurement,
@@ -30,7 +28,6 @@ from ionramsey.gates import prepare_ghz, reverse_prep
 from ionramsey.register import (
     bus_purity,
     excitation_counts,
-    expect_sz_ion,
     pi_half_pulse,
     rotation_matrix,
 )
@@ -245,41 +242,61 @@ class TestPeakMemory:
         assert peak <= 2.1 * ground.amplitudes.nbytes
 
 
-class TestObservables:
-    def _dense_expectations(self, n_ions, amps):
-        """Oracle: dense J_z and parity-product matrices."""
-        jz = np.zeros((2**n_ions,) * 2, dtype=complex)
-        for i in range(1, n_ions + 1):
-            jz += embed_on_ions(SZ, n_ions, (i,))
-        par = kron_chain([SZ] * n_ions)
-        ev = lambda m: float(np.real(amps.conj() @ m @ amps))
-        return ev(jz), ev(par)
+class TestReadout:
+    """Each protocol's readout is one outcome map of measured basis indices;
+    its expected signal is checked against dense operators."""
 
+    @staticmethod
+    def _dense_signal(protocol, n_ions, has_bus, amps):
+        """Oracle, row by row: 1/2 + <Jz>/L (standard), 2**L <prod of the
+        spins> (GHZ parity) and -2 <Sz> of ion 1 (GHZ time-reversed)."""
+        ions = range(1, n_ions + 1)
+        if protocol is Protocol.STANDARD:
+            jz = sum(embed_on_ions(SZ, n_ions, (i,), has_bus) for i in ions)
+            op, shift = jz / n_ions, 0.5
+        elif protocol is Protocol.GHZ_PARITY:
+            op, shift = 2**n_ions * embed_on_ions(SZ, n_ions, ions, has_bus), 0.0
+        else:
+            op, shift = -2 * embed_on_ions(SZ, n_ions, (1,), has_bus), 0.0
+        return shift + np.real(np.einsum("...i,ij,...j->...", amps.conj(), op, amps))
+
+    @pytest.mark.parametrize("has_bus", [False, True])
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
-    def test_jz_and_parity_match_dense(self, n_ions):
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_expected_matches_dense_oracles(self, protocol, n_ions, has_bus):
         rng = np.random.default_rng(100 + n_ions)
-        amps = random_state(2**n_ions, rng)
-        reg = QubitRegister(n_ions, False, amps)
-        jz_o, par_o = self._dense_expectations(n_ions, amps)
-        assert expect_jz(reg) == pytest.approx(jz_o, abs=1e-12)
-        assert expect_parity(reg) == pytest.approx(par_o, abs=1e-12)
-        assert expect_parity_normalized(reg) == pytest.approx(
-            2**n_ions * par_o, abs=1e-12
-        )
+        dim = 1 << (n_ions + has_bus)
+        batch = np.stack([random_state(dim, rng) for _ in range(3)])
+        want = self._dense_signal(protocol, n_ions, has_bus, batch)
+        got = protocol.expected(QubitRegister(n_ions, has_bus, batch))
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for amps, value in zip(batch, want):
+            single = protocol.expected(QubitRegister(n_ions, has_bus, amps))
+            assert type(single) is float
+            assert single == pytest.approx(value, abs=1e-12)
 
-    def test_parity_range(self):
-        reg = new_register(3)  # all down: parity (-1/2)^3
-        assert expect_parity(reg) == pytest.approx(-0.125)
-        assert expect_parity_normalized(reg) == pytest.approx(-1.0)
+    def test_ground_state_readouts(self):
+        reg = new_register(3)  # all down: no ion up, parity (-1)^3, ion 1 down
+        assert Protocol.STANDARD.expected(reg) == 0.0
+        assert Protocol.GHZ_PARITY.expected(reg) == -1.0
+        assert Protocol.GHZ_REVERSED.expected(reg) == 1.0
 
-    def test_single_ion_marginals(self):
-        rng = np.random.default_rng(21)
-        amps = random_state(8, rng)
-        reg = QubitRegister(3, False, amps)
-        sz1 = embed_on_ions(SZ, 3, (1,))
-        want = float(np.real(amps.conj() @ sz1 @ amps))
-        assert expect_sz_ion(reg, 1) == pytest.approx(want, abs=1e-12)
+    @pytest.mark.parametrize("has_bus", [False, True])
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
+    def test_outcomes_match_bit_formulas(self, n_ions, has_bus):
+        n_qubits = n_ions + has_bus
+        indices = np.arange(1 << n_qubits)
+        maps = [p.outcomes(indices, n_ions, has_bus) for p in Protocol]
+        assert all(m.dtype == np.float64 for m in maps)
+        for idx, nd, par, sz in zip(indices.tolist(), *maps):
+            n_down = n_ions - bin(idx >> has_bus).count("1")  # the bus is the lowest bit
+            assert nd == n_down
+            assert par == (-1) ** n_down
+            assert sz == (0.5 if (idx >> (n_qubits - 1)) & 1 else -0.5)
 
+
+class TestObservables:
     def test_bus_purity_product_vs_entangled(self):
         reg = new_register(2, has_bus=True)
         assert bus_purity(reg) == pytest.approx(1.0, abs=1e-12)
@@ -301,7 +318,8 @@ class TestSampling:
         probs = np.abs(amps) ** 2
         n = 200_000
         sample = sample_measurement(reg, stream(123, 9).random(n))
-        counts = np.bincount(sample.indices, minlength=8)
+        assert sample.dtype == np.int64 and sample.shape == (n,)
+        counts = np.bincount(sample, minlength=8)
         chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
         # 7 dof: 99.9% quantile is 24.3
         assert chi2 < 24.3
@@ -314,7 +332,7 @@ class TestSampling:
         reg = QubitRegister(n_ions, False, amps)
         probs = np.abs(reg.amplitudes) ** 2
         want = stream(3, n_ions).choice(reg.dim, size=5000, p=probs / probs.sum())
-        got = sample_measurement(reg, stream(3, n_ions).random(5000)).indices
+        got = sample_measurement(reg, stream(3, n_ions).random(5000))
         assert np.array_equal(got, want)
 
     def test_uniform_on_a_cdf_step_skips_zero_probability_states(self):
@@ -325,27 +343,14 @@ class TestSampling:
         uniforms = np.array([0.0, 0.25, 0.5, 0.75])
         single = sample_measurement(QubitRegister(2, False, amps), uniforms)
         batch = sample_measurement(QubitRegister(2, False, np.stack([amps] * 4)), uniforms)
-        assert single.indices.tolist() == batch.indices.tolist() == [1, 1, 3, 3]
-
-    def test_derived_quantities_match_indices(self):
-        reg, _ = _half_fringe_register()
-        s = sample_measurement(reg, stream(5, 1).random(1000))
-        n_qubits = reg.n_qubits
-        for idx, nd, par, sz in zip(
-            s.indices[:50], s.n_down[:50], s.parity_sign[:50], s.sz_ion1[:50]
-        ):
-            ups = bin(int(idx)).count("1")
-            assert nd == reg.n_ions - ups
-            assert par == (-1) ** nd
-            bit1 = (int(idx) >> (n_qubits - 1)) & 1
-            assert sz == pytest.approx(0.5 if bit1 else -0.5)
+        assert single.tolist() == batch.tolist() == [1, 1, 3, 3]
 
     def test_projection_noise_variance_binomial(self):
         # Independent half-fringe ions: L_down is Binomial(L, 1/2).
         reg, n_ions = _half_fringe_register()
         n = 100_000
         s = sample_measurement(reg, stream(77, 0).random(n))
-        var = float(np.var(s.n_down, ddof=1))
+        var = float(np.var(Protocol.STANDARD.outcomes(s, n_ions), ddof=1))
         # Oracle: exact moments of the sampled distribution give the
         # standard error of the sample variance.
         probs = np.abs(reg.amplitudes) ** 2

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import streams
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateSlopeError
 from .noise import NoiseSpec
 from .protocols import (
     Protocol,
@@ -49,21 +49,45 @@ SCHEMA_VERSION = 1
 
 
 def theory_sigma(protocol: Protocol, n_ions: int, t_ramsey: float, tau: float) -> float:
-    """Noise-free uncertainty limit for one protocol."""
+    """Noise-free uncertainty limit for one protocol; a ``ConfigError`` when
+    the product of the times under the root leaves the float range."""
+    exposure = (n_ions * t_ramsey if protocol is Protocol.STANDARD else t_ramsey) * tau
+    if not 0.0 < exposure < math.inf:
+        raise ConfigError(
+            f"T_R = {t_ramsey!r} and tau = {tau!r} under- or overflow the uncertainty limit"
+        )
     if protocol is Protocol.STANDARD:
-        return 1.0 / math.sqrt(n_ions * t_ramsey * tau)
-    return 1.0 / (n_ions * math.sqrt(t_ramsey * tau))
+        return 1.0 / math.sqrt(exposure)
+    return 1.0 / (n_ions * math.sqrt(exposure))
 
 
 def analytic_sigma_tau(
     protocol: Protocol, n_ions: int, gamma: float, t_ramsey: float
 ) -> float:
     """sigma(dw)*sqrt(tau) under independent dephasing, infinite trials: the
-    noise-free limit at unit tau divided by the ensemble fringe contrast."""
+    noise-free limit at unit tau divided by the ensemble fringe contrast
+    (a ``ConfigError`` where that contrast underflows to 0)."""
     noise = NoiseSpec(gamma=gamma, mode="independent")
-    return theory_sigma(protocol, n_ions, t_ramsey, 1.0) / ensemble_contrast(
-        n_ions, noise, t_ramsey, protocol
-    )
+    contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
+    if contrast == 0.0:
+        raise ConfigError(
+            f"the {protocol.family} contrast exp(-gamma T_R ...) underflows to 0 at "
+            f"gamma = {gamma!r}, T_R = {t_ramsey!r}"
+        )
+    return theory_sigma(protocol, n_ions, t_ramsey, 1.0) / contrast
+
+
+def _half_fringe_sigma(run: Trials, contrast: float = 1.0) -> float:
+    """The estimate's sigma for a run at the half fringe. It must be finite
+    and > 0: when every shot of a small run agrees it is 0, which measures
+    nothing and would reach a log or a ratio (``DegenerateSlopeError``)."""
+    sigma = estimate_frequency(run, contrast=contrast, operating_phase=np.pi / 2).sigma
+    if not 0.0 < sigma < math.inf:
+        raise DegenerateSlopeError(
+            f"the {run.protocol.family} run at L = {run.n_ions}, T_R = {run.t_ramsey!r} "
+            f"has sigma {sigma}: its {len(run.outcomes)} shots show no spread"
+        )
+    return sigma
 
 
 def _half_fringe_config(
@@ -175,8 +199,8 @@ def scan_scaling(
                 cfg_template, protocol, n_ions, cfg_template.t_ramsey, trials
             )
             run = _run_batches(cfg, trials, seed, (proto_idx, l_idx))
-            est = estimate_frequency(run, operating_phase=np.pi / 2)
-            sigmas.append(est.sigma)
+            sigma = _half_fringe_sigma(run)
+            sigmas.append(sigma)
             tau = trials * cfg.t_ramsey
             theory = theory_sigma(protocol, n_ions, cfg.t_ramsey, tau)
             points.append(
@@ -185,9 +209,9 @@ def scan_scaling(
                     n_ions=n_ions,
                     t_ramsey=cfg.t_ramsey,
                     tau=tau,
-                    sigma_measured=est.sigma,
+                    sigma_measured=sigma,
                     sigma_theory=theory,
-                    ratio=est.sigma / theory,
+                    ratio=sigma / theory,
                 )
             )
         slopes[protocol.family], slope_sigma[protocol.family] = _loglog_slope(
@@ -292,8 +316,7 @@ def dephasing_benchmark(
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
             run = _run_batches(cfg, trials, seed, path)
             contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
-            est = estimate_frequency(run, contrast=contrast, operating_phase=np.pi / 2)
-            return est.sigma * math.sqrt(trials * t_ramsey)
+            return _half_fringe_sigma(run, contrast) * math.sqrt(trials * t_ramsey)
 
         def value(t_ramsey: float, path: tuple[int, ...]) -> float:
             if mode == "analytic":

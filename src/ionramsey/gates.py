@@ -175,6 +175,11 @@ def _require_ground(reg: QubitRegister, what: str) -> None:
         raise ProtocolError(f"{what} expects the register in the all-ground state")
 
 
+def _opening_pulse(phi0: float) -> Rot:
+    """The star circuit's pi/2 pulse on ion 1, phase phi0 + pi/2."""
+    return Rot(1, np.pi / 2, phi0 + np.pi / 2)
+
+
 def prepare_ghz(reg: QubitRegister, phi0: float = 0.0) -> tuple[QubitRegister, GateSequence]:
     """Entangle all ions into (|dn...dn> + e^{i phi0}|up...up>)/sqrt(2).
 
@@ -184,7 +189,7 @@ def prepare_ghz(reg: QubitRegister, phi0: float = 0.0) -> tuple[QubitRegister, G
     only of Rot/Cnot descriptors and replays to the same state.
     """
     _require_ground(reg, "prepare_ghz")
-    gates: list[Gate] = [Rot(1, np.pi / 2, phi0 + np.pi / 2)]
+    gates: list[Gate] = [_opening_pulse(phi0)]
     gates.extend(Cnot(1, k) for k in range(2, reg.n_ions + 1))
     seq = GateSequence(tuple(gates))
     return seq.apply(reg), seq
@@ -197,7 +202,7 @@ def prepare_ghz_via_bus(
     if not reg.has_bus:
         raise ProtocolError("prepare_ghz_via_bus needs a register with a bus qubit")
     _require_ground(reg, "prepare_ghz_via_bus")
-    gates: list[Gate] = [Rot(1, np.pi / 2, phi0 + np.pi / 2)]
+    gates: list[Gate] = [_opening_pulse(phi0)]
     for k in range(2, reg.n_ions + 1):
         gates.extend(cn_sequence(1, k))
     seq = GateSequence(tuple(gates))

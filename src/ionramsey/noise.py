@@ -24,7 +24,7 @@ from math import comb
 import numpy as np
 
 from .errors import NormError
-from .register import QubitRegister, excitation_counts
+from .register import DickeState, QubitRegister, excitation_counts
 
 Mode = str  # "independent" | "common"
 
@@ -65,19 +65,19 @@ def sample_dephasing_phases(
 
 
 def apply_phase_noise(reg: QubitRegister, phases: np.ndarray) -> QubitRegister:
-    """Phase each basis state by the sum of its excited ions' phases; ``phases``
-    is ``(..., n_ions)``, broadcast against the batch axes, one trajectory a row."""
+    """Phase each basis state of an ion register (no bus) by the sum of its
+    excited ions' phases; ``phases`` is ``(..., n_ions)``, broadcast against
+    the batch axes, one trajectory a row."""
     phases = np.asarray(phases, dtype=float)
     if phases.shape[-1:] != (reg.n_ions,):
         raise ValueError(
             f"need one phase per ion: expected shape (..., {reg.n_ions}), got {phases.shape}"
         )
-    idx = np.arange(reg.dim, dtype=np.int64)
-    ion_bits = idx >> (1 if reg.has_bus else 0)
-    total = np.zeros(phases.shape[:-1] + (reg.dim,))
+    idx = np.arange(1 << reg.n_ions, dtype=np.int64)
+    total = np.zeros(phases.shape[:-1] + idx.shape)
     for b in range(reg.n_ions):
-        # Bit b (counting from the least significant ion bit) is ion L-b.
-        total += ((ion_bits >> b) & 1) * phases[..., reg.n_ions - 1 - b, None]
+        # Bit b (counting from the least significant bit) is ion L-b.
+        total += ((idx >> b) & 1) * phases[..., reg.n_ions - 1 - b, None]
     return QubitRegister(reg.n_ions, reg.has_bus, reg.amplitudes * np.exp(1j * total))
 
 
@@ -97,32 +97,37 @@ class ImperfectionSpec:
                 raise ValueError(f"admixture excitation number must be >= 1, got {p}")
 
 
-def symmetric_state(n_ions: int, p: int, has_bus: bool = False) -> np.ndarray:
+def symmetric_state(n_ions: int, p: int) -> np.ndarray:
     """Amplitudes of the normalized symmetric state with p ions excited."""
     if not 0 <= p <= n_ions:
         raise ValueError(f"excitation number {p} outside [0, {n_ions}]")
-    counts = excitation_counts(n_ions, has_bus)
+    counts = excitation_counts(n_ions, False)
     amps = np.zeros(len(counts), dtype=np.complex128)
-    if has_bus:
-        bus_ground = (np.arange(len(counts)) & 1) == 0
-        sel = (counts == p) & bus_ground
-    else:
-        sel = counts == p
-    amps[sel] = 1.0 / np.sqrt(comb(n_ions, p))
+    amps[counts == p] = 1.0 / np.sqrt(comb(n_ions, p))
     return amps
 
 
-def perturb_ghz(reg: QubitRegister, spec: ImperfectionSpec) -> QubitRegister:
-    """Add the specified symmetric-state admixtures and renormalize."""
-    amps = reg.amplitudes.copy()
+def perturb_ghz(
+    state: QubitRegister | DickeState, spec: ImperfectionSpec
+) -> QubitRegister | DickeState:
+    """Add the specified symmetric-state admixtures and renormalize: dense
+    amplitudes gain ``eps * symmetric_state(L, p)``, Dicke amplitudes
+    ``eps`` at p, the same state in the other basis."""
+    dicke = isinstance(state, DickeState)
+    amps = (state.dicke if dicke else state.amplitudes).copy()
     for p, eps in sorted(spec.epsilon.items()):
-        if p > reg.n_ions - 1:
+        if p > state.n_ions - 1:
             raise ValueError(
                 f"admixture excitation {p} is not an intermediate component "
-                f"for {reg.n_ions} ions"
+                f"for {state.n_ions} ions"
             )
-        amps += complex(eps) * symmetric_state(reg.n_ions, p, reg.has_bus)
+        if dicke:
+            amps[p] += complex(eps)
+        else:
+            amps += complex(eps) * symmetric_state(state.n_ions, p)
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if norm < 1e-12:
         raise NormError("perturbed state has zero norm; cannot renormalize")
-    return QubitRegister(reg.n_ions, reg.has_bus, amps / norm)
+    if dicke:
+        return DickeState(state.n_ions, amps / norm)
+    return QubitRegister(state.n_ions, state.has_bus, amps / norm)

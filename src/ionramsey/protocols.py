@@ -31,9 +31,13 @@ the half-fringe operating point. The quoted uncertainty is
 ``sigma_S / |dS/d omega|`` with sigma_S the standard error of the per-shot
 signal mean.
 
-Both a sampled mode (projective shots through the state-vector pipeline) and
-an expectation mode (exact expectations, no statistics) are first-class:
-:func:`run_ramsey` and :func:`expected_signal` run every protocol.
+Both a sampled mode (projective shots) and an expectation mode (exact
+expectations, no statistics) are first-class: :func:`run_ramsey` and
+:func:`expected_signal` run every protocol. A noiseless sampled run keeps
+its state in the symmetric subspace, L + 1 Dicke amplitudes
+(:class:`.register.DickeState`), and samples shots from the Born table its
+readout leaves; dephased runs and expectation mode run the dense 2**L state
+vector, which stays the reference.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .errors import (
     DegenerateSlopeError,
     FitError,
 )
-from .gates import GateSequence, prepare_ghz, reverse_prep
+from .gates import GateSequence, _opening_pulse, prepare_ghz, reverse_prep
 from .noise import (
     ImperfectionSpec,
     NoiseSpec,
@@ -61,12 +65,19 @@ from .noise import (
     sample_dephasing_phases,
 )
 from .register import (
+    DickeState,
+    PulseSpec,
     QubitRegister,
     apply_rotation,
-    excitation_counts,
+    born_table_pulse,
+    born_table_reversed,
+    dicke_ghz,
+    dicke_product,
     free_evolve,
     new_register,
     pi_half_pulse,
+    rotation_matrix,
+    sample_born_table,
     sample_measurement,
 )
 
@@ -124,13 +135,13 @@ class Protocol(Enum):
         """The fringe phase phi; the time-reversed readout cancels phi_f."""
         return 0.0 if self is Protocol.GHZ_REVERSED else final_phase
 
-    def outcomes(self, indices: np.ndarray, n_ions: int, has_bus: bool = False) -> np.ndarray:
-        """Record outcomes (float64) of measured basis indices, the bus bit
-        ignored: the count of ions found |dn> (standard), the parity sign +-1
-        of that count (GHZ parity) or ion 1's spin +-1/2 (GHZ time-reversed)."""
+    def outcomes(self, indices: np.ndarray, n_ions: int) -> np.ndarray:
+        """Record outcomes (float64) of measured basis indices: the count of
+        ions found |dn> (standard), the parity sign +-1 of that count (GHZ
+        parity) or ion 1's spin +-1/2 (GHZ time-reversed)."""
         if self is Protocol.GHZ_REVERSED:  # ion 1 is the most significant bit
-            return ((indices >> (n_ions - 1 + has_bus)) & 1) - 0.5
-        n_down = n_ions - excitation_counts(n_ions, has_bus)[indices]
+            return ((indices >> (n_ions - 1)) & 1) - 0.5
+        n_down = n_ions - np.bitwise_count(indices)
         if self is Protocol.STANDARD:
             return n_down.astype(np.float64)
         return np.where(n_down % 2 == 0, 1.0, -1.0)
@@ -149,16 +160,16 @@ class Protocol(Enum):
         the Born probabilities dotted with the signal of every basis index.
         ``np.vecdot`` calls the BLAS dot that ``np.dot`` does for one state,
         so a batch row equals that state's value."""
-        table = _signal_table(self, reg.n_ions, reg.has_bus)
+        table = _signal_table(self, reg.n_ions)
         value = np.vecdot(np.abs(reg.amplitudes) ** 2, table)
         return float(value) if value.ndim == 0 else value
 
 
 @lru_cache(maxsize=None)
-def _signal_table(protocol: Protocol, n_ions: int, has_bus: bool) -> np.ndarray:
+def _signal_table(protocol: Protocol, n_ions: int) -> np.ndarray:
     """The signal of every basis index, a shared read-only table."""
-    indices = np.arange(1 << (n_ions + has_bus))
-    table = protocol.signal(protocol.outcomes(indices, n_ions, has_bus), n_ions)
+    indices = np.arange(1 << n_ions)
+    table = protocol.signal(protocol.outcomes(indices, n_ions), n_ions)
     table.flags.writeable = False
     return table
 
@@ -210,6 +221,10 @@ class RamseyConfig:
     @property
     def delta_omega(self) -> float:
         return self.omega_r - self.omega_0
+
+    @property
+    def noiseless(self) -> bool:
+        return self.noise is None or self.noise.gamma == 0.0
 
 
 def ensure_unambiguous(
@@ -266,16 +281,41 @@ def _prepare(cfg: RamseyConfig) -> tuple[QubitRegister, GateSequence | None]:
     return reg, seq
 
 
+def _closing_pulse(cfg: RamseyConfig) -> PulseSpec:
+    """The collective pi/2 pulse that closes the standard and GHZ-parity readouts."""
+    if cfg.protocol is Protocol.STANDARD:
+        phase = np.pi - cfg.final_phase
+    else:
+        phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
+    return pi_half_pulse(cfg.n_ions, phase)
+
+
 def _close(
     reg: QubitRegister, cfg: RamseyConfig, seq: GateSequence | None
 ) -> QubitRegister:
     if cfg.protocol is Protocol.GHZ_REVERSED:
         return reverse_prep(reg, seq)
+    return apply_rotation(reg, _closing_pulse(cfg))
+
+
+def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
+    """:func:`_prepare`'s state as its L + 1 Dicke amplitudes: the opening
+    pulse's column on every ion (standard), or in the two GHZ components."""
     if cfg.protocol is Protocol.STANDARD:
-        phase = np.pi - cfg.final_phase
-    else:
-        phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
-    return apply_rotation(reg, pi_half_pulse(cfg.n_ions, phase))
+        return dicke_product(cfg.n_ions, rotation_matrix(np.pi / 2, 0.0)[:, 0])
+    rot = _opening_pulse(cfg.phi0)
+    state = dicke_ghz(cfg.n_ions, rotation_matrix(rot.theta, rot.phi)[:, 0])
+    return state if cfg.imperfection is None else perturb_ghz(state, cfg.imperfection)
+
+
+def _born_table(state: DickeState, cfg: RamseyConfig) -> np.ndarray:
+    """The Born table (see :func:`.register.sample_born_table`) of the
+    closed state: :func:`_close` on the Dicke amplitudes."""
+    if cfg.protocol is Protocol.GHZ_REVERSED:
+        rot = _opening_pulse(cfg.phi0).inverse()
+        return born_table_reversed(state, rotation_matrix(rot.theta, rot.phi))
+    pulse = _closing_pulse(cfg)
+    return born_table_pulse(state, rotation_matrix(pulse.theta, pulse.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +402,7 @@ def run_ramsey(
     """cfg.shots projective trials of cfg.protocol, drawn from ``rng``, whose
     seed label the returned :class:`Trials` records.
 
-    Noiseless runs sample every shot from one final state. With dephasing,
+    Noiseless runs sample every shot from one Born table. With dephasing,
     each shot is a trajectory: shot by shot, ``rng`` draws its phases, then
     its one uniform. The shots are then closed and sampled as a batch, in
     chunks of ``CHUNK_AMPLITUDES``; the chunking follows every draw, so it
@@ -371,27 +411,33 @@ def run_ramsey(
     return _sample(cfg, _run_state(cfg), rng, seed_label)
 
 
-def _run_state(cfg: RamseyConfig) -> tuple[QubitRegister, GateSequence | None]:
+def _run_state(cfg: RamseyConfig) -> np.ndarray | tuple[QubitRegister, GateSequence | None]:
     """What every shot of a sampled run starts from, computed once a run,
-    before any draw, and read only: the final state of a noiseless run, else
-    the evolved state; and the sequence the closing readout replays."""
+    before any draw, and read only. A noiseless run never leaves the
+    symmetric subspace: its state is the Born table of the closed state,
+    built from L + 1 Dicke amplitudes. A dephased run's is the evolved dense
+    state and the sequence the closing readout replays."""
     ensure_unambiguous(
         cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
     )
+    if cfg.noiseless:
+        table = _born_table(free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey), cfg)
+        table.flags.writeable = False
+        return table
     reg, seq = _prepare(cfg)
     reg = free_evolve(reg, cfg.delta_omega, cfg.t_ramsey)  # drops the prepared state early
-    if cfg.noise is None or cfg.noise.gamma == 0.0:
-        reg = _close(reg, cfg, seq)
     reg.amplitudes.flags.writeable = False
     return reg, seq
 
 
 def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str) -> Trials:
     """:func:`run_ramsey` from a :func:`_run_state` result."""
-    protocol, (reg, seq) = cfg.protocol, state
-    if cfg.noise is None or cfg.noise.gamma == 0.0:
-        outcomes = protocol.outcomes(sample_measurement(reg, rng.random(cfg.shots)), cfg.n_ions)
+    protocol = cfg.protocol
+    if cfg.noiseless:
+        indices = sample_born_table(state, rng.random(cfg.shots))
+        outcomes = protocol.outcomes(indices, cfg.n_ions)
     else:
+        reg, seq = state
         phases = np.empty((cfg.shots, cfg.n_ions))
         uniforms = np.empty(cfg.shots)
         for k in range(cfg.shots):

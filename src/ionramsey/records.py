@@ -17,15 +17,17 @@ protocol-dependent:
 
 Every cell of a record row is a string, so JSON tables carry the same text
 as CSV ones. Floats are serialized with ``repr`` (shortest round-trip form),
-so equal runs produce byte-identical files. Metadata rides in
+so equal runs produce byte-identical files; a non-finite float is refused
+(``ValueError``) by both writers, so no table or summary holds NaN or inf. Metadata rides in
 ``# key=value`` comment lines before the header, gnuplot-compatible.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .protocols import Estimate, Trials
@@ -38,7 +40,10 @@ def _fmt(value: float | int | str) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    return repr(float(value))
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"refusing to write the non-finite value {value!r}")
+    return repr(value)
 
 
 def trial_rows(trials: Trials, estimate: Estimate | None = None) -> list[list[str]]:
@@ -68,7 +73,7 @@ def trial_rows(trials: Trials, estimate: Estimate | None = None) -> list[list[st
 def write_table_csv(
     path: str | Path,
     columns: tuple[str, ...],
-    rows: Iterable[Iterable[object]],
+    rows: Iterable[Sequence[object]],
     meta: dict[str, object] | None = None,
 ) -> None:
     """CSV with ``# key=value`` provenance comments, then a header row.
@@ -80,10 +85,15 @@ def write_table_csv(
         lines.append(f"# {key}={meta[key]}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        try:  # record rows are all strings: join them as they are
+            lines.append(",".join(row))
+        except TypeError:
+            lines.append(",".join(_fmt(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_json(path: str | Path, payload: dict[str, object]) -> None:
-    """Deterministic JSON: sorted keys, fixed layout, trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Deterministic JSON: sorted keys, fixed layout, trailing newline; a
+    non-finite float raises ``ValueError``."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")

@@ -1,5 +1,6 @@
 """Dense state-vector register for a chain of two-level ions plus an
-optional bus qubit.
+optional bus qubit, and the symmetric subspace that noiseless sampled runs
+use instead.
 
 Conventions (fixed; everything downstream relies on them):
 
@@ -34,6 +35,17 @@ whole is padded to two rows, so it runs the gemm a batch runs and every batch
 row equals its single-state result bit for bit. Free evolution computes the
 L + 1 distinct phases once and gathers them through the cached excitation
 count table; CNOT and SWAP (:mod:`.gates`) copy each block of the state once.
+
+Every noiseless state the Ramsey protocols build is symmetric under
+permuting the ions: GHZ preparation, collective pi/2 pulses (spin-L/2
+rotations) and free evolution never leave the (L + 1)-dimensional Dicke
+subspace. A :class:`DickeState` holds such a state by its L + 1 Dicke
+amplitudes, and a noiseless sampled run never builds a dense register: its
+closing readout (:func:`born_table_pulse` or :func:`born_table_reversed`)
+leaves a (2, L) Born table, and :func:`sample_born_table` draws basis indices
+from it at the uniforms :func:`sample_measurement` would invert. Dephased
+runs, expectation mode and the bus circuits stay dense, and the dense
+register is the reference the subspace path is tested against.
 """
 
 from __future__ import annotations
@@ -69,6 +81,21 @@ class QubitRegister:
         return 1 << self.n_qubits
 
 
+@dataclass
+class DickeState:
+    """A state of ``n_ions`` ions that is symmetric under permuting them, as
+    its L + 1 amplitudes on the Dicke states |D_p> (the normalised sum of
+    the C(L, p) basis states with p ions excited): basis index x has
+    amplitude ``dicke[|x|] / sqrt(C(L, |x|))``, |x| its popcount.
+
+    It has no ``amplitudes`` field: code that sizes a dense register by
+    that field (perfbench's tracer among it) must not mistake this for one.
+    """
+
+    n_ions: int
+    dicke: np.ndarray
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Resonant pulse: rotation angle ``theta``, phase ``phi``, target ions.
@@ -94,16 +121,48 @@ def pi_half_pulse(n_ions: int, phi: float = 0.0) -> PulseSpec:
     return PulseSpec(theta=np.pi / 2, phi=phi, targets=tuple(range(1, n_ions + 1)))
 
 
+def _check_capacity(n_ions: int) -> None:
+    if not 1 <= n_ions <= MAX_IONS:
+        raise CapacityError(f"n_ions must be in [1, {MAX_IONS}], got {n_ions}")
+
+
 def new_register(n_ions: int, has_bus: bool = False) -> QubitRegister:
     """All ions (and bus) in |dn>: amplitude 1 on basis index 0."""
-    if not 1 <= n_ions <= MAX_IONS:
-        raise CapacityError(
-            f"n_ions must be in [1, {MAX_IONS}] for dense simulation, got {n_ions}"
-        )
+    _check_capacity(n_ions)
     n_qubits = n_ions + (1 if has_bus else 0)
     amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
     amplitudes[0] = 1.0
     return QubitRegister(n_ions=n_ions, has_bus=has_bus, amplitudes=amplitudes)
+
+
+def dicke_product(n_ions: int, ion: np.ndarray) -> DickeState:
+    """Every ion in the single-ion state ``ion`` (amplitudes of |dn>, |up>):
+    ``d_p = sqrt(C(L, p)) ion[0]**(L - p) ion[1]**p``."""
+    _check_capacity(n_ions)
+    p = np.arange(n_ions + 1)
+    dicke = np.sqrt(_binomials(n_ions)[n_ions]) * ion[0] ** (n_ions - p) * ion[1] ** p
+    return DickeState(n_ions, dicke)
+
+
+def dicke_ghz(n_ions: int, ion: np.ndarray) -> DickeState:
+    """``ion[0] |dn...dn> + ion[1] |up...up>``: what :func:`.gates.prepare_ghz`
+    builds from the column ``ion`` of its opening pulse."""
+    _check_capacity(n_ions)
+    dicke = np.zeros(n_ions + 1, dtype=np.complex128)
+    dicke[0], dicke[n_ions] = ion[0], ion[1]
+    return DickeState(n_ions, dicke)
+
+
+@lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    """``C(m, k)`` at ``[m, k]`` for m, k in [0, n], 0 where k > m: a shared
+    read-only float table, exact up to ``MAX_IONS``."""
+    table = np.zeros((n + 1, n + 1))
+    table[:, 0] = 1.0
+    for m in range(1, n + 1):
+        table[m, 1:] = table[m - 1, 1:] + table[m - 1, :-1]
+    table.flags.writeable = False
+    return table
 
 
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
@@ -213,17 +272,20 @@ def _count_table(n_ions: int, has_bus: bool) -> np.ndarray:
 
 
 def free_evolve(
-    reg: QubitRegister, delta_omega: float | np.ndarray, t: float | np.ndarray
-) -> QubitRegister:
+    reg: QubitRegister | DickeState, delta_omega: float | np.ndarray, t: float | np.ndarray
+) -> QubitRegister | DickeState:
     """Accumulate detuning phase exp(+i p delta_omega t) on p-excitation states;
     1-D arrays of ``delta_omega`` and/or ``t`` evolve one batch row an entry.
-    The L + 1 distinct phases are computed once and gathered by excitation
+    The L + 1 distinct phases are computed once: a :class:`DickeState`
+    takes them as they are, a dense register gathers them by excitation
     count."""
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
         raise ValueError(f"evolution time must be >= 0, got {np.min(t)}")
     k = np.arange(reg.n_ions + 1, dtype=np.uint8)  # the count table's dtype: same products
     table = np.exp(1j * k * np.asarray(delta_omega, dtype=float)[..., None] * t[..., None])
+    if isinstance(reg, DickeState):
+        return DickeState(reg.n_ions, reg.dicke * table)
     phases = table.take(excitation_counts(reg.n_ions, reg.has_bus), axis=-1)
     amps = reg.amplitudes
     out = phases if amps.ndim == 1 or amps.shape == phases.shape else None  # in place if it fits
@@ -257,3 +319,100 @@ def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> np.ndarray:
     else:  # a non-decreasing row's searchsorted index is its count of entries <= u
         indices = np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
     return indices.astype(np.int64, copy=False)
+
+
+# ---------------------------------------------------------------------------
+# Sampling a symmetric state through its closing readout
+# ---------------------------------------------------------------------------
+#
+# Each readout below leaves a state whose Born probability of basis index x
+# depends only on ion 1's bit b and on the count k of ions excited among
+# ions 2..L. Its "Born table" q, shape (2, L), holds that probability at
+# q[b, k]; sample_born_table draws basis indices from it without building
+# the 2**L distribution.
+
+
+@lru_cache(maxsize=None)
+def _wigner_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``max(m - k, 0)`` and ``i + j`` over [0, n]**2, shared and read only."""
+    m = np.arange(n + 1)
+    lower, hankel = np.clip(m[:, None] - m, 0, None), m[:, None] + m
+    lower.flags.writeable = hankel.flags.writeable = False
+    return lower, hankel
+
+
+def born_table_pulse(state: DickeState, mat: np.ndarray) -> np.ndarray:
+    """Born table after the 2x2 rotation ``mat`` = U on every ion.
+
+    The pulsed state is symmetric too: basis index x with popcount c has
+    amplitude ``a[c] = sum_p S(c, p) e_p``, ``e_p = d_p / sqrt(C(L, p))``,
+    where the Wigner row S(c, .) holds the coefficients of
+    ``(U10 + U11 z)**c (U00 + U01 z)**(L - c)``: ion by ion, a bit that ends
+    |up> contributes U1x, one that ends |dn> U0x. With ``up[c, i]`` the z**i
+    coefficient of the first factor and ``down[c, j]`` that of z**j in the
+    second, ``a[c] = up[c] @ H @ down[c]`` for the Hankel matrix
+    ``H[i, j] = e[i + j]``. Then ``q[b, k] = |a[b + k]|**2``.
+    """
+    n = state.n_ions
+    binom = _binomials(n)
+    lower, hankel = _wigner_indices(n)
+    powers = np.empty((4, n + 1), dtype=np.complex128)  # U00**k, U01**k, U10**k, U11**k
+    powers[:, 0] = 1.0
+    powers[:, 1:] = np.reshape(mat, (4, 1))
+    np.cumprod(powers, axis=1, out=powers)
+    up = binom * powers[2][lower] * powers[3]
+    down = (binom * powers[0][lower] * powers[1])[::-1]
+    e = np.zeros(2 * n + 1, dtype=np.complex128)
+    e[: n + 1] = state.dicke / np.sqrt(binom[n])
+    probs = np.abs(np.sum((up @ e[hankel]) * down, axis=1)) ** 2
+    return np.stack([probs[:-1], probs[1:]])
+
+
+def born_table_reversed(state: DickeState, mat: np.ndarray) -> np.ndarray:
+    """Born table after the inverse star circuit: CNOTs from ion 1 onto every
+    other ion, then the 2x2 rotation ``mat`` on ion 1 (the inverse of
+    :func:`.gates.prepare_ghz`'s opening pulse).
+
+    The CNOTs map (b, y) to (b, y xor b...b), so an index whose ions 2..L hold
+    y, with k = |y|, has amplitude
+    ``(mat[b, 0] d_k + mat[b, 1] d_(L-k)) / sqrt(C(L, k))``: O(L) work.
+    """
+    n, d = state.n_ions, state.dicke
+    k = np.arange(n)
+    amps = (mat[:, :1] * d[k] + mat[:, 1:] * d[n - k]) / np.sqrt(_binomials(n)[n, :n])
+    return np.abs(amps) ** 2
+
+
+def sample_born_table(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Basis indices (``int64``) drawn from a Born table at the given uniforms
+    in [0, 1), one per uniform, by inverting the CDF over basis indices in
+    index order, as :func:`sample_measurement` does for the dense state.
+
+    A prefix of the index fixes ion 1's bit b and the count c of excited
+    ions among the ions decided after it; the r ions still free hold mass
+    ``mass[r, b, c] = sum_k C(r, k) q[b, c + k]``, which the Pascal recursion
+    ``mass[r] = mass[r - 1][:, :-1] + mass[r - 1][:, 1:]`` gives for every
+    (b, c) at once. The descent decides ion 1, then one ion a step for
+    every shot together: with Z the total mass and ``acc`` the mass of the
+    indices already passed, the bit is 1 when ``u Z >= acc + mass0``, mass0
+    that of the block whose next bit is 0; like ``searchsorted(...,
+    side="right")``, a uniform on a boundary lands past it.
+    """
+    n = table.shape[1]
+    mass = np.zeros((n, 2, n))  # mass[r, b, c]; zero past c = n - r - 1
+    mass[0] = table
+    for r in range(1, n):
+        mass[r, :, : n - r] = mass[r - 1, :, : n - r] + mass[r - 1, :, 1 : n - r + 1]
+    half0, half1 = mass[n - 1, :, 0]
+    uz = np.asarray(uniforms, dtype=float) * (half0 + half1)
+    bit = uz >= half0  # ion 1
+    index, acc = bit.astype(np.int64), half0 * bit
+    pos = n * index  # the flat (b, c) entry of a mass[r] block
+    for block in reversed(mass[:-1]):  # ion j = 2..L reads mass[L - j]
+        mass0 = block.take(pos)
+        bit = uz >= acc + mass0
+        acc += mass0 * bit  # acc + mass0 where the bit is 1, as compared
+        pos += bit
+        index <<= 1
+        index += bit
+    return index

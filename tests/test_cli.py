@@ -532,6 +532,54 @@ class TestErrorPaths:
         assert f"{key!r} in [{section}]" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command,text,flags,error",
+        [
+            # Two trials whose parity outcomes agree: a zero sigma reached
+            # the log-log fit, and the summary held NaN.
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 1 2 3\ntrials = 2\nt_ramsey = 3\nomega_0 = -1\n",
+                ("--seed", "1"),
+                "DegenerateSlopeError",
+                id="scaling_zero_sigma",
+            ),
+            # n T tau underflows to 0 in the uncertainty limit.
+            pytest.param(
+                "scaling",
+                "[scaling]\nl_values = 1 2\ntrials = 20\nt_ramsey = 1e-300\n",
+                ("--expectation-mode",),
+                "ConfigError",
+                id="scaling_theory_underflow",
+            ),
+            # Both shots of a grid point agree: its sigma is 0, min_ratio divided by it.
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 1e-300\nn_ions = 2\nt_min = 100\nt_max = 1e300\n"
+                "grid_points = 3\ntrials = 2\nrefine = false\n",
+                (),
+                "DegenerateSlopeError",
+                id="dephasing_zero_sigma",
+            ),
+            # exp(-3 gamma T) underflows to 0 at T = 1000: the analytic curve divided by it.
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 1\nn_ions = 3\nt_min = 0.5\nt_max = 1000\nmode = analytic\n",
+                (),
+                "ConfigError",
+                id="dephasing_contrast_underflow",
+            ),
+        ],
+    )
+    def test_degenerate_result_exits_2(self, tmp_path, capsys, command, text, flags, error):
+        cfg = write_config(tmp_path, "bad.ini", text)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == error
+        assert not out.exists()
+
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
         # Too few scan points: the fringe fit fails after the scan was computed.
         cfg = write_config(

@@ -159,7 +159,7 @@ class TestEnvelopes:
 class TestImperfections:
     def test_symmetric_state_is_normalized_uniform(self):
         for n_ions, p in [(3, 1), (4, 2), (5, 3)]:
-            amps = symmetric_state(n_ions, p, has_bus=False)
+            amps = symmetric_state(n_ions, p)
             probs = np.abs(amps) ** 2
             nz = np.flatnonzero(probs > 0)
             counts = [bin(i).count("1") for i in nz]

@@ -61,10 +61,10 @@ def test_free_evolution_keeps_norm(n, has_bus, seed, delta_omega, t):
 
 
 @check
-@given(n_ions, st.booleans(), seeds, st.data())
-def test_phase_noise_keeps_norm(n, has_bus, seed, data):
+@given(n_ions, seeds, st.data())
+def test_phase_noise_keeps_norm(n, seed, data):
     phases = data.draw(st.lists(angles, min_size=n, max_size=n))
-    assert_normalized(apply_phase_noise(random_register(n, has_bus, seed), np.array(phases)))
+    assert_normalized(apply_phase_noise(random_register(n, False, seed), np.array(phases)))
 
 
 @check
@@ -123,12 +123,12 @@ def test_batched_free_evolution_matches_rows(n, has_bus, seed, size, delta_omega
 
 
 @check
-@given(n_ions, st.booleans(), seeds, rows, st.data())
-def test_batched_phase_noise_matches_rows(n, has_bus, seed, size, data):
+@given(n_ions, seeds, rows, st.data())
+def test_batched_phase_noise_matches_rows(n, seed, size, data):
     phases = np.array(data.draw(st.lists(
         st.lists(angles, min_size=n, max_size=n), min_size=size, max_size=size
     )))
-    singles, batch = random_batch(n, has_bus, seed, size)
+    singles, batch = random_batch(n, False, seed, size)
     want = [apply_phase_noise(r, ph) for r, ph in zip(singles, phases)]
     assert_rows_match(apply_phase_noise(batch, phases), want)
     # One state against a block of realisations: one trajectory per row.

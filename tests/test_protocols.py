@@ -12,6 +12,7 @@ matrices; everything below leans on them plus plain statistics.
 """
 
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionramsey import (
+    MAX_IONS,
     AmbiguousFringeError,
+    CapacityError,
     CalibrationState,
     ConvergenceError,
     DegenerateSlopeError,
@@ -40,9 +43,8 @@ from ionramsey import (
 from ionramsey import protocols
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
-from ionramsey.gates import prepare_ghz
 from ionramsey.noise import apply_phase_noise, sample_dephasing_phases
-from ionramsey.register import free_evolve
+from ionramsey.register import free_evolve, sample_born_table, sample_measurement
 from ionramsey.protocols import (
     FringeFit,
     _close,
@@ -418,22 +420,102 @@ class TestBatchedGrids:
         assert type(expected_signal(_grid_cfg(Protocol.GHZ_REVERSED, 3))) is float
 
     def test_run_prepares_once(self, monkeypatch):
-        # 2,300 noiseless shots: two batches share one prepared final state.
+        # 2,300 noiseless shots: two batches share one prepared Born table.
         cfg = replace(_grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3)
         want = np.concatenate([
             run_ramsey(replace(cfg, shots=shots), stream(13, 0, b)).outcomes
             for b, shots in enumerate((2000, 300))
         ])
         calls = []
+        prepare_dicke = protocols._prepare_dicke
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return prepare_ghz(*args, **kwargs)
+            return prepare_dicke(*args, **kwargs)
 
-        monkeypatch.setattr(protocols, "prepare_ghz", counting)
+        monkeypatch.setattr(protocols, "_prepare_dicke", counting)
         trials = _run_batches(cfg, 2300, 13, (0,))
         assert len(calls) == 1
         assert np.array_equal(trials.outcomes, want)
+
+
+def _dense_final(cfg):
+    """The dense reference for a noiseless sampled run: prepare, evolve and
+    close the full 2**L state."""
+    reg, seq = _prepare(cfg)
+    return _close(free_evolve(reg, cfg.delta_omega, cfg.t_ramsey), cfg, seq)
+
+
+def _subspace_cfg(protocol, n_ions):
+    """phi0, final_phase and admixtures at p = 1 and L - 1, as far as the
+    protocol takes them."""
+    ghz = protocol is not Protocol.STANDARD
+    return RamseyConfig(
+        n_ions=n_ions,
+        t_ramsey=0.9,
+        omega_r=0.37,
+        omega_0=-0.2,
+        protocol=protocol,
+        imperfection=ImperfectionSpec({1: 0.2 - 0.1j, n_ions - 1: 0.15j}) if ghz and n_ions > 1 else None,
+        phi0=0.7 if ghz else 0.0,
+        final_phase=-0.45,
+        allow_wrap=True,
+    )
+
+
+class TestSymmetricSubspace:
+    """Noiseless sampled runs draw from a Born table built from L + 1 Dicke
+    amplitudes; the dense state vector is the reference."""
+
+    @pytest.mark.parametrize("n_ions", range(1, 13))
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_indices_equal_dense_sampling(self, protocol, n_ions):
+        cfg = _subspace_cfg(protocol, n_ions)
+        uniforms = stream(61, n_ions).random(20_000)
+        want = sample_measurement(_dense_final(cfg), uniforms)
+        got = sample_born_table(protocols._run_state(cfg), uniforms)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 5, 9, 12])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_table_mass_and_signal_match_dense(self, protocol, n_ions):
+        cfg = _subspace_cfg(protocol, n_ions)
+        table = protocols._run_state(cfg)
+        assert table.shape == (2, n_ions)
+        # One basis index per (ion 1's bit b, k ions excited among the rest),
+        # standing for the C(L - 1, k) indices that share its probability.
+        b, k = np.meshgrid([0, 1], np.arange(n_ions), indexing="ij")
+        representative = (b << (n_ions - 1)) | ((1 << k) - 1)
+        multiplicity = np.array([comb(n_ions - 1, int(x)) for x in range(n_ions)])
+        assert abs(np.sum(multiplicity * table) - 1.0) <= 1e-12
+        signal = protocol.signal(protocol.outcomes(representative, n_ions), n_ions)
+        want = protocol.expected(_dense_final(cfg))
+        assert abs(np.sum(multiplicity * table * signal) - want) <= 1e-12
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_full_capacity_run_follows_the_fringe(self, protocol):
+        # L = MAX_IONS: a dense state would hold 2**24 amplitudes.
+        n_ions, shots = MAX_IONS, 4000
+        cfg = RamseyConfig(
+            n_ions=n_ions, t_ramsey=1.1, omega_r=0.5 + 0.9 / n_ions, omega_0=0.5,
+            protocol=protocol, shots=shots,
+        )
+        fringe = np.cos(protocol.multiplier(n_ions) * cfg.delta_omega * cfg.t_ramsey)
+        mean = run_ramsey(cfg, stream(5, 24)).outcomes.mean()
+        if protocol is Protocol.STANDARD:  # ions found |dn>: binomial
+            p_up = (1 - fringe) / 2
+            want, se = n_ions * (1 - p_up), np.sqrt(n_ions * p_up * (1 - p_up) / shots)
+        elif protocol is Protocol.GHZ_PARITY:  # parity signs +-1
+            want, se = fringe, np.sqrt((1 - fringe**2) / shots)
+        else:  # ion 1's spin +-1/2
+            want, se = -fringe / 2, 0.5 * np.sqrt((1 - fringe**2) / shots)
+        assert abs(mean - want) <= 5 * se
+
+    def test_capacity_is_checked_without_a_register(self):
+        cfg = RamseyConfig(n_ions=MAX_IONS + 1, t_ramsey=1.0, omega_r=0.1, omega_0=0.0, shots=2)
+        with pytest.raises(CapacityError):
+            run_ramsey(cfg, stream(0))
 
 
 class TestCalibration:

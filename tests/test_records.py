@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ionramsey.protocols import Estimate, Protocol, Trials
 from ionramsey.records import CSV_COLUMNS, trial_rows, write_json, write_table_csv
@@ -55,6 +56,11 @@ class TestCsvWriters:
         write_table_csv(path, ("a", "b"), [(1, 2.5), (3, np.float64(4.25))], {"k": 1})
         assert path.read_text() == "# k=1\na,b\n1,2.5\n3,4.25\n"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_non_finite_cell_is_refused(self, tmp_path, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            write_table_csv(tmp_path / "t.csv", ("a", "b"), [("x", 1.0), ("y", value)])
+
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
         rows = trial_rows(make_trials([float(x) for x in range(5)]))
@@ -76,3 +82,8 @@ class TestJsonWriter:
         path = tmp_path / "n.json"
         write_json(path, {"v": float(np.float64(1.5)), "n": int(np.int64(3))})
         assert json.loads(path.read_text()) == {"v": 1.5, "n": 3}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_is_refused(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "s.json", {"slopes": {"ghz": value}})

@@ -30,6 +30,7 @@ from ionramsey.register import (
     excitation_counts,
     pi_half_pulse,
     rotation_matrix,
+    sample_born_table,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -247,32 +248,30 @@ class TestReadout:
     its expected signal is checked against dense operators."""
 
     @staticmethod
-    def _dense_signal(protocol, n_ions, has_bus, amps):
+    def _dense_signal(protocol, n_ions, amps):
         """Oracle, row by row: 1/2 + <Jz>/L (standard), 2**L <prod of the
         spins> (GHZ parity) and -2 <Sz> of ion 1 (GHZ time-reversed)."""
         ions = range(1, n_ions + 1)
         if protocol is Protocol.STANDARD:
-            jz = sum(embed_on_ions(SZ, n_ions, (i,), has_bus) for i in ions)
+            jz = sum(embed_on_ions(SZ, n_ions, (i,)) for i in ions)
             op, shift = jz / n_ions, 0.5
         elif protocol is Protocol.GHZ_PARITY:
-            op, shift = 2**n_ions * embed_on_ions(SZ, n_ions, ions, has_bus), 0.0
+            op, shift = 2**n_ions * embed_on_ions(SZ, n_ions, ions), 0.0
         else:
-            op, shift = -2 * embed_on_ions(SZ, n_ions, (1,), has_bus), 0.0
+            op, shift = -2 * embed_on_ions(SZ, n_ions, (1,)), 0.0
         return shift + np.real(np.einsum("...i,ij,...j->...", amps.conj(), op, amps))
 
-    @pytest.mark.parametrize("has_bus", [False, True])
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_expected_matches_dense_oracles(self, protocol, n_ions, has_bus):
+    def test_expected_matches_dense_oracles(self, protocol, n_ions):
         rng = np.random.default_rng(100 + n_ions)
-        dim = 1 << (n_ions + has_bus)
-        batch = np.stack([random_state(dim, rng) for _ in range(3)])
-        want = self._dense_signal(protocol, n_ions, has_bus, batch)
-        got = protocol.expected(QubitRegister(n_ions, has_bus, batch))
+        batch = np.stack([random_state(1 << n_ions, rng) for _ in range(3)])
+        want = self._dense_signal(protocol, n_ions, batch)
+        got = protocol.expected(QubitRegister(n_ions, False, batch))
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for amps, value in zip(batch, want):
-            single = protocol.expected(QubitRegister(n_ions, has_bus, amps))
+            single = protocol.expected(QubitRegister(n_ions, False, amps))
             assert type(single) is float
             assert single == pytest.approx(value, abs=1e-12)
 
@@ -282,18 +281,16 @@ class TestReadout:
         assert Protocol.GHZ_PARITY.expected(reg) == -1.0
         assert Protocol.GHZ_REVERSED.expected(reg) == 1.0
 
-    @pytest.mark.parametrize("has_bus", [False, True])
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
-    def test_outcomes_match_bit_formulas(self, n_ions, has_bus):
-        n_qubits = n_ions + has_bus
-        indices = np.arange(1 << n_qubits)
-        maps = [p.outcomes(indices, n_ions, has_bus) for p in Protocol]
+    def test_outcomes_match_bit_formulas(self, n_ions):
+        indices = np.arange(1 << n_ions)
+        maps = [p.outcomes(indices, n_ions) for p in Protocol]
         assert all(m.dtype == np.float64 for m in maps)
         for idx, nd, par, sz in zip(indices.tolist(), *maps):
-            n_down = n_ions - bin(idx >> has_bus).count("1")  # the bus is the lowest bit
+            n_down = n_ions - bin(idx).count("1")
             assert nd == n_down
             assert par == (-1) ** n_down
-            assert sz == (0.5 if (idx >> (n_qubits - 1)) & 1 else -0.5)
+            assert sz == (0.5 if (idx >> (n_ions - 1)) & 1 else -0.5)
 
 
 class TestObservables:
@@ -344,6 +341,13 @@ class TestSampling:
         single = sample_measurement(QubitRegister(2, False, amps), uniforms)
         batch = sample_measurement(QubitRegister(2, False, np.stack([amps] * 4)), uniforms)
         assert single.tolist() == batch.tolist() == [1, 1, 3, 3]
+
+    def test_born_table_uniform_on_a_step_skips_zero_probability_states(self):
+        # The same four-state distribution as a Born table: index = 2 b + k,
+        # ion 1's bit b and ion 2's k. The descent lands where searchsorted does.
+        table = np.array([[0.0, 0.5], [0.0, 0.5]])
+        uniforms = np.array([0.0, 0.25, 0.5, 0.75])
+        assert sample_born_table(table, uniforms).tolist() == [1, 1, 3, 3]
 
     def test_projection_noise_variance_binomial(self):
         # Independent half-fringe ions: L_down is Binomial(L, 1/2).

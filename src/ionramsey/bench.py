@@ -316,7 +316,10 @@ def dephasing_benchmark(
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
             run = _run_batches(cfg, trials, seed, path)
             contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
-            return _half_fringe_sigma(run, contrast) * math.sqrt(trials * t_ramsey)
+            value = float(_half_fringe_sigma(run, contrast)) * math.sqrt(trials * float(t_ramsey))
+            if math.isfinite(value):  # Python floats overflow to inf without a warning
+                return value
+            raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {float(t_ramsey)!r}")
 
         def value(t_ramsey: float, path: tuple[int, ...]) -> float:
             if mode == "analytic":

@@ -39,6 +39,7 @@ import configparser
 import hashlib
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -303,10 +304,13 @@ def _write_outputs(
 ) -> None:
     """The one place outputs are written: both files are staged under hidden
     names in ``--out`` and renamed into place once both are complete. An
-    ``OSError`` (``--out`` below a regular file, say) is a ``ConfigError``."""
+    ``OSError`` (``--out`` below a regular file, say) is a ``ConfigError``.
+    A failed write removes its staged files and the directories it made."""
     staged = [path.with_name(f".{path.name}.partial") for path in paths]
+    out_dir = paths[0].parent
+    made = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
     try:
-        paths[0].parent.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
         if manifest.fmt == "csv":
             write_table_csv(staged[0], columns, rows, meta)
@@ -316,12 +320,15 @@ def _write_outputs(
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
             written.replace(path)
+        made = None  # complete: the directories stay
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to --out {manifest.out_dir}: {exc}") from exc
-    finally:  # a failed write leaves no partial file behind
+    finally:
         for written in staged:
             if written.exists():  # unlink(missing_ok=True) raises below a regular file
                 written.unlink()
+        if made is not None:  # the topmost directory this failed write created
+            shutil.rmtree(made, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

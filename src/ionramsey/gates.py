@@ -81,9 +81,6 @@ class GateSequence:
             reg = _apply_gate(reg, gate)
         return reg
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def _axis_of(reg: QubitRegister, index: int) -> int:
     """Tensor axis for an ion index, with 0 meaning the bus qubit."""

@@ -33,16 +33,16 @@ signal mean.
 
 Both a sampled mode (projective shots) and an expectation mode (exact
 expectations, no statistics) are first-class: :func:`run_ramsey` and
-:func:`expected_signal` run every protocol. A noiseless sampled run keeps
-its state in the symmetric subspace, L + 1 Dicke amplitudes
-(:class:`.register.DickeState`), and samples shots from the Born table its
-readout leaves; dephased runs and expectation mode run the dense 2**L state
-vector, which stays the reference.
+:func:`expected_signal` run every protocol. Every noiseless state stays L + 1
+Dicke amplitudes (:class:`.register.DickeState`) whose closing readout leaves
+a Born table, sampled for shots or averaged for expectations. Only dephased
+runs build the dense 2**L state, since per-ion phases break the symmetry; the
+dense pipeline stays the reference the tests check the subspace against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -66,8 +66,8 @@ from .noise import (
 )
 from .register import (
     DickeState,
-    PulseSpec,
     QubitRegister,
+    _binomials,
     apply_rotation,
     born_table_pulse,
     born_table_reversed,
@@ -93,7 +93,7 @@ class Protocol(Enum):
     tables use; ``readout`` is ``final_pulse`` or, for GHZ only,
     ``time_reversed``. The readout is defined once, by :meth:`outcomes` and
     :meth:`signal`; sampling records the outcomes of measured indices,
-    :meth:`expected` averages the signal over the Born distribution, and
+    :meth:`expected` averages the signal over a Born table, and
     :attr:`fringe` is the cosine model the estimator inverts.
     """
 
@@ -155,23 +155,26 @@ class Protocol(Enum):
             return -2.0 * outcomes  # +-1, mean C cos(L dw T)
         return outcomes  # parity signs +-1
 
-    def expected(self, reg: QubitRegister) -> float | np.ndarray:
-        """Expected signal of a state (a float), or of each row of a batch:
-        the Born probabilities dotted with the signal of every basis index.
-        ``np.vecdot`` calls the BLAS dot that ``np.dot`` does for one state,
-        so a batch row equals that state's value."""
-        table = _signal_table(self, reg.n_ions)
-        value = np.vecdot(np.abs(reg.amplitudes) ** 2, table)
+    def expected(self, table: np.ndarray) -> float | np.ndarray:
+        """Expected signal of a C-ordered Born table (a float), or of each of a
+        batch ``(..., 2, L)``: its dot with :func:`_signal_weights`, each row
+        by the BLAS dot that one table gets."""
+        n_ions = table.shape[-1]
+        flat = table.reshape(*table.shape[:-2], 2 * n_ions)
+        value = np.vecdot(flat, _signal_weights(self, n_ions))
         return float(value) if value.ndim == 0 else value
 
 
 @lru_cache(maxsize=None)
-def _signal_table(protocol: Protocol, n_ions: int) -> np.ndarray:
-    """The signal of every basis index, a shared read-only table."""
-    indices = np.arange(1 << n_ions)
-    table = protocol.signal(protocol.outcomes(indices, n_ions), n_ions)
-    table.flags.writeable = False
-    return table
+def _signal_weights(protocol: Protocol, n_ions: int) -> np.ndarray:
+    """Born table cell (b, k), flat: C(L - 1, k) indices (ion 1's bit b, k ions
+    up among the rest) times the signal of one of them. Shared, read only."""
+    b, k = np.divmod(np.arange(2 * n_ions), n_ions)
+    representative = (b << (n_ions - 1)) | ((1 << k) - 1)
+    signal = protocol.signal(protocol.outcomes(representative, n_ions), n_ions)
+    weights = _binomials(n_ions - 1)[n_ions - 1, k] * signal
+    weights.flags.writeable = False
+    return weights
 
 
 @dataclass(frozen=True)
@@ -281,21 +284,18 @@ def _prepare(cfg: RamseyConfig) -> tuple[QubitRegister, GateSequence | None]:
     return reg, seq
 
 
-def _closing_pulse(cfg: RamseyConfig) -> PulseSpec:
-    """The collective pi/2 pulse that closes the standard and GHZ-parity readouts."""
+def _closing_phase(cfg: RamseyConfig, final_phase: float | np.ndarray) -> float | np.ndarray:
+    """Phase of the collective pi/2 pulse that closes the standard and
+    GHZ-parity readouts at readout phase phi_f = ``final_phase``."""
     if cfg.protocol is Protocol.STANDARD:
-        phase = np.pi - cfg.final_phase
-    else:
-        phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
-    return pi_half_pulse(cfg.n_ions, phase)
+        return np.pi - final_phase
+    return (cfg.phi0 - final_phase) / cfg.n_ions + np.pi / 2
 
 
-def _close(
-    reg: QubitRegister, cfg: RamseyConfig, seq: GateSequence | None
-) -> QubitRegister:
+def _close(reg: QubitRegister, cfg: RamseyConfig, seq: GateSequence | None) -> QubitRegister:
     if cfg.protocol is Protocol.GHZ_REVERSED:
         return reverse_prep(reg, seq)
-    return apply_rotation(reg, _closing_pulse(cfg))
+    return apply_rotation(reg, pi_half_pulse(cfg.n_ions, _closing_phase(cfg, cfg.final_phase)))
 
 
 def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
@@ -308,14 +308,17 @@ def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
     return state if cfg.imperfection is None else perturb_ghz(state, cfg.imperfection)
 
 
-def _born_table(state: DickeState, cfg: RamseyConfig) -> np.ndarray:
+def _born_table(state: DickeState, cfg: RamseyConfig, final_phase) -> np.ndarray:
     """The Born table (see :func:`.register.sample_born_table`) of the
-    closed state: :func:`_close` on the Dicke amplitudes."""
+    closed state, or of each row of a batch: :func:`_close` on the Dicke
+    amplitudes at readout phase ``final_phase``, one row an entry of a 1-D
+    array (which the time-reversed readout ignores, row by row)."""
     if cfg.protocol is Protocol.GHZ_REVERSED:
+        rows = np.broadcast_shapes(state.dicke.shape[:-1], np.shape(final_phase))
+        state = DickeState(state.n_ions, np.broadcast_to(state.dicke, (*rows, state.n_ions + 1)))
         rot = _opening_pulse(cfg.phi0).inverse()
         return born_table_reversed(state, rotation_matrix(rot.theta, rot.phi))
-    pulse = _closing_pulse(cfg)
-    return born_table_pulse(state, rotation_matrix(pulse.theta, pulse.phi))
+    return born_table_pulse(state, _closing_phase(cfg, final_phase))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,8 @@ def expected_signal(
     """Expected fringe signal of cfg.protocol: the mean of
     :meth:`Protocol.signal` over shots. ``t_ramsey`` and ``delta_omega`` may
     be 1-D arrays (of one length if both are), whose entries are evaluated
-    as one batch from one preparation, one signal per entry.
+    as one batch from one preparation, one signal per entry, with no 2**L
+    array: only dephasing breaks the symmetric subspace, and it runs sampled.
 
     standard: excited-state fraction (1 - C cos(dw T_R + phi_f)) / 2;
     GHZ parity: normalized parity (2^L times the spin-product expectation)
@@ -343,20 +347,13 @@ def expected_signal(
     """
     t = cfg.t_ramsey if t_ramsey is None else t_ramsey
     dw = cfg.delta_omega if delta_omega is None else delta_omega
-    return _signal(cfg, _prepare(cfg), t, dw)
+    return _signal(cfg, _prepare_dicke(cfg), t, dw, cfg.final_phase)
 
 
-def _signal(cfg: RamseyConfig, prepared, t, dw) -> float | np.ndarray:
-    """:func:`expected_signal` from a :func:`_prepare` result; a batch runs
-    in chunks of at most ``CHUNK_AMPLITUDES`` amplitudes."""
-    reg, seq = prepared
-    if np.ndim(t) or np.ndim(dw):
-        t, dw = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(dw, dtype=float))
-        rows = max(1, CHUNK_AMPLITUDES // reg.dim)
-        if len(t) > rows:
-            chunks = (slice(k, k + rows) for k in range(0, len(t), rows))
-            return np.concatenate([_signal(cfg, prepared, t[c], dw[c]) for c in chunks])
-    return cfg.protocol.expected(_close(free_evolve(reg, dw, t), cfg, seq))
+def _signal(cfg: RamseyConfig, state: DickeState, t, dw, final_phase) -> float | np.ndarray:
+    """:func:`expected_signal` from a :func:`_prepare_dicke` state, one
+    batch row per entry of 1-D ``t``, ``dw`` or ``final_phase``."""
+    return cfg.protocol.expected(_born_table(free_evolve(state, dw, t), cfg, final_phase))
 
 
 def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
@@ -421,7 +418,8 @@ def _run_state(cfg: RamseyConfig) -> np.ndarray | tuple[QubitRegister, GateSeque
         cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
     )
     if cfg.noiseless:
-        table = _born_table(free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey), cfg)
+        state = free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey)
+        table = _born_table(state, cfg, cfg.final_phase)
         table.flags.writeable = False
         return table
     reg, seq = _prepare(cfg)
@@ -515,9 +513,9 @@ def estimate_frequency(
 # ---------------------------------------------------------------------------
 
 
-TruthSimulator = Callable[[float | np.ndarray, float, float], float | np.ndarray]
+TruthSimulator = Callable[[float | np.ndarray, float, float | np.ndarray], float | np.ndarray]
 """Measured fringe signal as a function of (omega_r, t_ramsey, phi_f);
-``omega_r`` may be a 1-D array, giving one signal per entry."""
+``omega_r`` or ``phi_f`` may be a 1-D array, giving one signal per entry."""
 
 
 @dataclass(frozen=True)
@@ -546,9 +544,10 @@ class CalibrationState:
         return 0.5 * (self.omega_r1 + self.omega_r2)
 
 
-def _bracketed_roots(fn: Callable[[float], float], xs: np.ndarray, ys: np.ndarray) -> list[float]:
-    """All sign-change roots of fn on the grid ``xs``, where ``ys = fn(xs)``."""
-    roots = []
+def _bracketed_roots(fn: Callable, xs: np.ndarray) -> list[float]:
+    """All sign-change roots of fn on the grid ``xs``, which fn evaluates as
+    one batch."""
+    ys, roots = fn(xs), []
     for k in range(len(xs) - 1):
         a, b = ys[k], ys[k + 1]
         if a == 0.0:
@@ -606,28 +605,26 @@ def two_point_calibrate(
 
     for iteration in range(1, max_iter + 1):
         # Step 1: null the signal difference at the short time via phi_f.
-        def phase_diff(phi: float) -> float:
+        def phase_diff(phi):
             return truth_simulator(omega_r1, cal.t_r1, phi) - truth_simulator(
                 omega_r2, cal.t_r1, phi
             )
 
         now = [truth_simulator(omega, cal.t_r1, phi_f) for omega in (omega_r1, omega_r2)]
         if abs(now[0] - now[1]) > 1e-14 * max(abs(now[0]), abs(now[1]), 1e-30):
-            xs = np.linspace(-np.pi / 2, np.pi / 2, 41)
-            roots = _bracketed_roots(phase_diff, xs, np.array([phase_diff(x) for x in xs]))
+            roots = _bracketed_roots(phase_diff, np.linspace(-np.pi / 2, np.pi / 2, 41))
             if not roots:
                 raise ConvergenceError(
                     "no readout phase nulls the short-time signal difference"
                 )
             phi_f = min(roots, key=abs)
 
-        # Step 2: match the long-time signals by moving omega_r1 (one batch a grid).
+        # Step 2: match the long-time signals by moving omega_r1.
         target = truth_simulator(omega_r2, cal.t_r2, phi_f)
-        def freq_diff(omega: float) -> float:
+        def freq_diff(omega):
             return truth_simulator(omega, cal.t_r2, phi_f) - target
 
-        xs = np.linspace(omega_r1 - window, omega_r1 + window, 81)
-        roots = _bracketed_roots(freq_diff, xs, truth_simulator(xs, cal.t_r2, phi_f) - target)
+        roots = _bracketed_roots(freq_diff, np.linspace(omega_r1 - window, omega_r1 + window, 81))
         trivial_tol = max(1e-9 * window, 1e-15 * max(abs(omega_r2), 1.0))
         candidates = [r for r in roots if abs(r - omega_r2) > trivial_tol]
         if not candidates:
@@ -682,17 +679,17 @@ def make_truth_simulator(
     *,
     bias: Callable[[float], float] | None = None,
 ) -> TruthSimulator:
-    """Expectation-mode GHZ signal closure for calibration runs. It prepares
-    cfg's state once, and evaluates an array of ``omega_r`` as one batch.
+    """Expectation-mode signal closure of cfg.protocol for calibration runs.
+    It prepares cfg's Dicke amplitudes once, and evaluates an array of
+    ``omega_r`` or of ``phi_f`` as one batch.
 
     ``bias`` multiplies the signal by B(t_ramsey), emulating a T_R-dependent
     contrast systematic.
     """
-    prepared = _prepare(cfg)
+    state = _prepare_dicke(cfg)
 
-    def simulate(omega_r, t_ramsey: float, phi_f: float):
-        local = replace(cfg, t_ramsey=t_ramsey, final_phase=phi_f)
-        s = _signal(local, prepared, t_ramsey, np.subtract(omega_r, cfg.omega_0))
+    def simulate(omega_r, t_ramsey: float, phi_f):
+        s = _signal(cfg, state, t_ramsey, np.subtract(omega_r, cfg.omega_0), phi_f)
         if bias is not None:
             s *= bias(t_ramsey)
         return s

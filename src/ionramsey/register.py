@@ -1,6 +1,6 @@
 """Dense state-vector register for a chain of two-level ions plus an
-optional bus qubit, and the symmetric subspace that noiseless sampled runs
-use instead.
+optional bus qubit, and the symmetric subspace that noiseless runs use
+instead.
 
 Conventions (fixed; everything downstream relies on them):
 
@@ -38,14 +38,13 @@ count table; CNOT and SWAP (:mod:`.gates`) copy each block of the state once.
 
 Every noiseless state the Ramsey protocols build is symmetric under
 permuting the ions: GHZ preparation, collective pi/2 pulses (spin-L/2
-rotations) and free evolution never leave the (L + 1)-dimensional Dicke
-subspace. A :class:`DickeState` holds such a state by its L + 1 Dicke
-amplitudes, and a noiseless sampled run never builds a dense register: its
-closing readout (:func:`born_table_pulse` or :func:`born_table_reversed`)
-leaves a (2, L) Born table, and :func:`sample_born_table` draws basis indices
-from it at the uniforms :func:`sample_measurement` would invert. Dephased
-runs, expectation mode and the bus circuits stay dense, and the dense
-register is the reference the subspace path is tested against.
+rotations, one cached matrix per L) and free evolution never leave the
+(L + 1)-dimensional Dicke subspace. A :class:`DickeState` holds such a state,
+or a batch of them, and its closing readout leaves a (2, L) Born table per
+state, which :func:`sample_born_table` samples at the uniforms
+:func:`sample_measurement` would invert, or expectation mode averages. The
+dense register stays where noise breaks the symmetry (dephasing
+trajectories), for the bus circuits, and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -322,65 +321,59 @@ def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Sampling a symmetric state through its closing readout
+# Born tables of a symmetric state's closing readout
 # ---------------------------------------------------------------------------
 #
 # Each readout below leaves a state whose Born probability of basis index x
-# depends only on ion 1's bit b and on the count k of ions excited among
-# ions 2..L. Its "Born table" q, shape (2, L), holds that probability at
-# q[b, k]; sample_born_table draws basis indices from it without building
-# the 2**L distribution.
+# depends only on ion 1's bit b and the count k of ions up among ions 2..L:
+# its Born table q, shape (2, L), holds it at q[b, k].
 
 
 @lru_cache(maxsize=None)
-def _wigner_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``max(m - k, 0)`` and ``i + j`` over [0, n]**2, shared and read only."""
-    m = np.arange(n + 1)
-    lower, hankel = np.clip(m[:, None] - m, 0, None), m[:, None] + m
-    lower.flags.writeable = hankel.flags.writeable = False
-    return lower, hankel
-
-
-def born_table_pulse(state: DickeState, mat: np.ndarray) -> np.ndarray:
-    """Born table after the 2x2 rotation ``mat`` = U on every ion.
-
-    The pulsed state is symmetric too: basis index x with popcount c has
-    amplitude ``a[c] = sum_p S(c, p) e_p``, ``e_p = d_p / sqrt(C(L, p))``,
-    where the Wigner row S(c, .) holds the coefficients of
-    ``(U10 + U11 z)**c (U00 + U01 z)**(L - c)``: ion by ion, a bit that ends
-    |up> contributes U1x, one that ends |dn> U0x. With ``up[c, i]`` the z**i
-    coefficient of the first factor and ``down[c, j]`` that of z**j in the
-    second, ``a[c] = up[c] @ H @ down[c]`` for the Hankel matrix
-    ``H[i, j] = e[i + j]``. Then ``q[b, k] = |a[b + k]|**2``.
-    """
-    n = state.n_ions
+def _pulse_matrix(n: int) -> np.ndarray:
+    """``W[c, p]``, shared and read only: the amplitude of one basis index
+    with popcount c after U = R(pi/2, -pi/2) = [[1, 1], [-1, 1]] / sqrt(2) on
+    every ion of |D_p>. Ion by ion, a bit that ends |up> contributes U1x and
+    one that ends |dn> U0x, x its bit before, so W[c, p] is the z**p
+    coefficient of (z - 1)**c (1 + z)**(n - c), over sqrt(2**n C(n, p))."""
     binom = _binomials(n)
-    lower, hankel = _wigner_indices(n)
-    powers = np.empty((4, n + 1), dtype=np.complex128)  # U00**k, U01**k, U10**k, U11**k
-    powers[:, 0] = 1.0
-    powers[:, 1:] = np.reshape(mat, (4, 1))
-    np.cumprod(powers, axis=1, out=powers)
-    up = binom * powers[2][lower] * powers[3]
-    down = (binom * powers[0][lower] * powers[1])[::-1]
-    e = np.zeros(2 * n + 1, dtype=np.complex128)
-    e[: n + 1] = state.dicke / np.sqrt(binom[n])
-    probs = np.abs(np.sum((up @ e[hankel]) * down, axis=1)) ** 2
-    return np.stack([probs[:-1], probs[1:]])
+    signs = (-1.0) ** np.arange(n + 1)
+    coeffs = np.array([np.convolve(signs[c::-1] * binom[c, : c + 1], binom[n - c, : n - c + 1])
+                       for c in range(n + 1)])  # integers below 2**n: exact
+    matrix = coeffs / np.sqrt(2.0**n * binom[n])
+    matrix.flags.writeable = False
+    return matrix
+
+
+def born_table_pulse(state: DickeState, phi: float | np.ndarray) -> np.ndarray:
+    """Born table after the collective pulse R(pi/2, phi), for a state or
+    each row of a batch; a 1-D ``phi`` pulses row k with phi[k].
+
+    R(pi/2, phi) = P R(pi/2, -pi/2) P^-1 with P = diag(1, e^{i psi}), psi =
+    phi + pi/2, which is e^{i p psi} on |D_p>: the pulse is :func:`_pulse_matrix`
+    W between two diagonal phases, and the outer one drops out of ``q[b, k] =
+    |a[b + k]|**2``, ``a = W (e^{-i p psi} d_p)``. The real and imaginary
+    parts are the rows of one real gemm, so a lone state runs a batch's."""
+    n = state.n_ions
+    psi = np.asarray(phi, dtype=float)[..., None] + np.pi / 2
+    pulsed = state.dicke * np.exp(-1j * np.arange(n + 1) * psi)
+    rows = pulsed.reshape(-1, n + 1)
+    parts = np.concatenate([rows.real, rows.imag]) @ _pulse_matrix(n).T
+    probs = (parts[: len(rows)] ** 2 + parts[len(rows) :] ** 2).reshape(pulsed.shape)
+    return np.stack([probs[..., :-1], probs[..., 1:]], axis=-2)
 
 
 def born_table_reversed(state: DickeState, mat: np.ndarray) -> np.ndarray:
-    """Born table after the inverse star circuit: CNOTs from ion 1 onto every
-    other ion, then the 2x2 rotation ``mat`` on ion 1 (the inverse of
-    :func:`.gates.prepare_ghz`'s opening pulse).
-
-    The CNOTs map (b, y) to (b, y xor b...b), so an index whose ions 2..L hold
-    y, with k = |y|, has amplitude
-    ``(mat[b, 0] d_k + mat[b, 1] d_(L-k)) / sqrt(C(L, k))``: O(L) work.
-    """
+    """Born table after the inverse star circuit, for a state or each row of
+    a batch: CNOTs from ion 1 onto every other ion, then the 2x2 rotation
+    ``mat`` on ion 1 (the inverse of :func:`.gates.prepare_ghz`'s opening
+    pulse). The CNOTs map (b, y) to (b, y xor b...b), so an index whose ions
+    2..L hold y, k = |y|, has amplitude
+    ``(mat[b, 0] d_k + mat[b, 1] d_(L-k)) / sqrt(C(L, k))``: O(L) work."""
     n, d = state.n_ions, state.dicke
-    k = np.arange(n)
-    amps = (mat[:, :1] * d[k] + mat[:, 1:] * d[n - k]) / np.sqrt(_binomials(n)[n, :n])
-    return np.abs(amps) ** 2
+    scale = np.sqrt(_binomials(n)[n, :n])
+    amps = [(mat[b, 0] * d[..., :n] + mat[b, 1] * d[..., :0:-1]) / scale for b in (0, 1)]
+    return np.abs(np.stack(amps, axis=-2)) ** 2  # C order, a batch's rows like a lone table
 
 
 def sample_born_table(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -569,6 +569,15 @@ class TestErrorPaths:
                 "ConfigError",
                 id="dephasing_contrast_underflow",
             ),
+            # sigma * sqrt(trials * T_R) overflows at T_R = 1e307.
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 1e-320\nn_ions = 2\nt_min = 1\nt_max = 1e307\n"
+                "grid_points = 3\ntrials = 50\nrefine = false\n",
+                (),
+                "ConfigError",
+                id="dephasing_sigma_tau_overflow",
+            ),
         ],
     )
     def test_degenerate_result_exits_2(self, tmp_path, capsys, command, text, flags, error):
@@ -610,7 +619,21 @@ class TestErrorPaths:
         assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "disk full" in err["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_write_keeps_an_existing_out_directory(self, tmp_path, monkeypatch, capsys):
+        def failing_summary(path, payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_json", failing_summary)
+        cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+        out = tmp_path / "out"
+        (out / "mine").mkdir(parents=True)
+        assert main(["ramsey", "--config", cfg, "--out", str(out / "new" / "deeper")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert [p.name for p in out.iterdir()] == ["mine"]
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["mine"]
 
     def test_out_below_a_regular_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)

@@ -11,6 +11,7 @@ with C = 1 noise-free. These were derived by multiplying out the 2x2 pulse
 matrices; everything below leans on them plus plain statistics.
 """
 
+import tracemalloc
 from dataclasses import replace
 from math import comb
 
@@ -40,7 +41,7 @@ from ionramsey import (
     stream,
     two_point_calibrate,
 )
-from ionramsey import protocols
+from ionramsey import protocols, register
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
 from ionramsey.noise import apply_phase_noise, sample_dephasing_phases
@@ -54,6 +55,7 @@ from ionramsey.protocols import (
     naive_single_point_omega0,
     synthesize_signal,
 )
+from test_register import dense_final, dense_signal
 
 
 class TestFringeShapes:
@@ -390,6 +392,7 @@ class TestBatchedGrids:
 
     TS = np.linspace(0.05, 6.0, 57)
     DWS = np.linspace(-1.4, 2.2, 57)
+    PHIS = np.linspace(-np.pi / 2, np.pi / 2, 41)
 
     def _pairs(self, cfg):
         batched_t = expected_signal(cfg, t_ramsey=self.TS)
@@ -410,11 +413,16 @@ class TestBatchedGrids:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
 
-    def test_chunks_cannot_change_signals(self, monkeypatch):
-        cfg = _grid_cfg(Protocol.GHZ_PARITY, 3)
-        want = fringe_scan(cfg, self.TS)
-        monkeypatch.setattr(protocols, "CHUNK_AMPLITUDES", 40)  # five rows a chunk
-        assert np.array_equal(fringe_scan(cfg, self.TS), want)
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 5])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_phase_grid_equal_to_loop(self, protocol, n_ions):
+        # Calibration step 1 evaluates a grid of readout phases as one batch.
+        cfg = _grid_cfg(protocol, n_ions)
+        sim = make_truth_simulator(cfg)
+        got = sim(cfg.omega_r, cfg.t_ramsey, self.PHIS)
+        want = np.array([sim(cfg.omega_r, cfg.t_ramsey, phi) for phi in self.PHIS])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_scalar_stays_float(self):
         assert type(expected_signal(_grid_cfg(Protocol.GHZ_REVERSED, 3))) is float
@@ -439,11 +447,7 @@ class TestBatchedGrids:
         assert np.array_equal(trials.outcomes, want)
 
 
-def _dense_final(cfg):
-    """The dense reference for a noiseless sampled run: prepare, evolve and
-    close the full 2**L state."""
-    reg, seq = _prepare(cfg)
-    return _close(free_evolve(reg, cfg.delta_omega, cfg.t_ramsey), cfg, seq)
+_dense_final = dense_final  # the dense reference for a noiseless run
 
 
 def _subspace_cfg(protocol, n_ions):
@@ -490,8 +494,9 @@ class TestSymmetricSubspace:
         multiplicity = np.array([comb(n_ions - 1, int(x)) for x in range(n_ions)])
         assert abs(np.sum(multiplicity * table) - 1.0) <= 1e-12
         signal = protocol.signal(protocol.outcomes(representative, n_ions), n_ions)
-        want = protocol.expected(_dense_final(cfg))
+        want = dense_signal(protocol, n_ions, _dense_final(cfg).amplitudes)
         assert abs(np.sum(multiplicity * table * signal) - want) <= 1e-12
+        assert abs(expected_signal(cfg) - want) <= 1e-12
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_full_capacity_run_follows_the_fringe(self, protocol):
@@ -516,6 +521,110 @@ class TestSymmetricSubspace:
         cfg = RamseyConfig(n_ions=MAX_IONS + 1, t_ramsey=1.0, omega_r=0.1, omega_0=0.0, shots=2)
         with pytest.raises(CapacityError):
             run_ramsey(cfg, stream(0))
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_expectation_builds_no_register(self, monkeypatch, protocol):
+        def dense(*args, **kwargs):
+            raise AssertionError("a noiseless evaluation reached the dense register")
+
+        for name in ("_prepare", "apply_rotation", "reverse_prep"):
+            monkeypatch.setattr(protocols, name, dense)
+        monkeypatch.setattr(register, "excitation_counts", dense)
+        cfg = _subspace_cfg(protocol, 6)
+        expected_signal(cfg)
+        expected_signal(cfg, t_ramsey=np.linspace(0.1, 2.0, 5), delta_omega=0.3)
+        fringe_scan(cfg, np.linspace(0.1, 2.0, 5))
+        sim = make_truth_simulator(cfg)
+        sim(np.linspace(-0.2, 0.2, 5), 0.9, 0.1)
+        sim(0.1, 0.9, np.linspace(-0.2, 0.2, 5))
+
+    def test_wide_scan_allocates_no_2L_array(self):
+        # At L = 20 one dense state is 16 MiB; the subspace scan holds 16 x 21 amplitudes.
+        cfg = RamseyConfig(n_ions=20, t_ramsey=1.0, omega_r=0.31, omega_0=0.3, allow_wrap=True)
+        tracemalloc.start()
+        try:
+            fringe_scan(cfg, np.linspace(0.1, 3.0, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_ions", [18, 20, 24])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_wide_signal_is_the_analytic_fringe(self, protocol, n_ions):
+        cfg = replace(_subspace_cfg(protocol, n_ions), imperfection=None)
+        ts = np.linspace(0.0, 3.0, 7)
+        offset, scale = protocol.fringe
+        m = protocol.multiplier(n_ions)
+        want = offset + scale * np.cos(m * cfg.delta_omega * ts + protocol.readout_phase(-0.45))
+        np.testing.assert_allclose(expected_signal(cfg, t_ramsey=ts), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_ions", [18, 20, 24])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_wide_signal_matches_50_digit_reference(self, protocol, n_ions):
+        # Where a dense state is too large to be the reference: phi0,
+        # phi_f and epsilon at p = 1 and L - 1, against 50-digit arithmetic.
+        cfg = _subspace_cfg(protocol, n_ions)
+        ts = np.array([0.3, 0.9, 2.1])
+        want = _mp_signals(cfg, ts)
+        np.testing.assert_allclose(expected_signal(cfg, t_ramsey=ts), want, rtol=0, atol=1e-13)
+
+
+def _mp_signals(cfg, ts):
+    """Noiseless expected signals of cfg at each T_R of ts, in 50-digit
+    arithmetic, from the Dicke amplitudes. It shares no code with the
+    library: each pulse is its full 2x2 matrix, lifted to the L ions by the
+    generating polynomial (U10 + U11 z)**c (U00 + U01 z)**(L - c)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp, protocol, n = mpmath.mp, cfg.protocol, cfg.n_ions
+    binom = mpmath.binomial
+    with mp.workdps(50):
+        pi, phi0, phi_f = mp.pi, mpmath.mpf(cfg.phi0), mpmath.mpf(cfg.final_phase)
+
+        def rot(phi):  # R(pi/2, phi)
+            c = s = mpmath.sqrt(2) / 2
+            return [[c, -1j * mpmath.exp(-1j * phi) * s], [-1j * mpmath.exp(1j * phi) * s, c]]
+
+        if protocol is Protocol.STANDARD:
+            (down, _), (up, _) = rot(0)
+            d = [mpmath.sqrt(binom(n, p)) * down ** (n - p) * up**p for p in range(n + 1)]
+        else:
+            (down, _), (up, _) = rot(phi0 + pi / 2)
+            d = [mpmath.mpc(0)] * (n + 1)
+            d[0], d[n] = down, up
+            for p, eps in (cfg.imperfection.epsilon if cfg.imperfection else {}).items():
+                d[p] += mpmath.mpc(eps)
+            norm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in d))
+            d = [x / norm for x in d]
+        if protocol is Protocol.GHZ_REVERSED:
+            u = rot(phi0 + pi / 2 + pi)  # the inverse opening pulse on ion 1
+        else:
+            u = rot(pi - phi_f if protocol is Protocol.STANDARD else (phi0 - phi_f) / n + pi / 2)
+            wigner = []  # wigner[c][p]: the z**p coefficient
+            for c in range(n + 1):
+                row = [mpmath.mpc(0)] * (n + 1)
+                for i in range(c + 1):
+                    for j in range(n - c + 1):
+                        row[i + j] += (binom(c, i) * u[1][0] ** (c - i) * u[1][1] ** i
+                                       * binom(n - c, j) * u[0][0] ** (n - c - j) * u[0][1] ** j)
+                wigner.append(row)
+        out = []
+        for t in ts:
+            phase = mpmath.mpf(cfg.delta_omega) * mpmath.mpf(t)
+            e = [d[p] * mpmath.exp(1j * p * phase) / mpmath.sqrt(binom(n, p)) for p in range(n + 1)]
+            if protocol is Protocol.GHZ_REVERSED:  # ion 1 ends b, the CNOTs leave k up
+                total = mpmath.fsum(
+                    binom(n - 1, k) * (1 - 2 * b) * abs(u[b][0] * e[k] + u[b][1] * e[n - k]) ** 2
+                    for k in range(n) for b in (0, 1)
+                )
+            else:  # c ions up: excited fraction c / L, or parity (-1)**(L - c)
+                total = mpmath.fsum(
+                    binom(n, c) * abs(mpmath.fsum(w * x for w, x in zip(wigner[c], e))) ** 2
+                    * (mpmath.mpf(c) / n if protocol is Protocol.STANDARD else (-1) ** (n - c))
+                    for c in range(n + 1)
+                )
+            out.append(float(total))
+    return np.array(out)
 
 
 class TestCalibration:
@@ -578,6 +687,8 @@ class TestCalibration:
         def looping(omega_r, t_ramsey, phi_f):
             if np.ndim(omega_r):
                 return np.array([one_point(w, t_ramsey, phi_f) for w in omega_r])
+            if np.ndim(phi_f):
+                return np.array([one_point(omega_r, t_ramsey, phi) for phi in phi_f])
             return one_point(omega_r, t_ramsey, phi_f)
 
         want, got = [], []

@@ -8,6 +8,7 @@ and bit value 0 means the ion is in the lower state.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +16,20 @@ import pytest
 from ionramsey import (
     CapacityError,
     MAX_IONS,
+    ImperfectionSpec,
     Protocol,
     PulseSpec,
     QubitRegister,
+    RamseyConfig,
     apply_rotation,
+    expected_signal,
     free_evolve,
     new_register,
     sample_measurement,
     stream,
 )
 from ionramsey.gates import prepare_ghz, reverse_prep
+from ionramsey.protocols import _close, _prepare
 from ionramsey.register import (
     bus_purity,
     excitation_counts,
@@ -243,43 +248,61 @@ class TestPeakMemory:
         assert peak <= 2.1 * ground.amplitudes.nbytes
 
 
+def dense_signal(protocol, n_ions, amps):
+    """Oracle, row by row: 1/2 + <Jz>/L (standard), 2**L <prod of the
+    spins> (GHZ parity) and -2 <Sz> of ion 1 (GHZ time-reversed)."""
+    ions = range(1, n_ions + 1)
+    if protocol is Protocol.STANDARD:
+        jz = sum(embed_on_ions(SZ, n_ions, (i,)) for i in ions)
+        op, shift = jz / n_ions, 0.5
+    elif protocol is Protocol.GHZ_PARITY:
+        op, shift = 2**n_ions * embed_on_ions(SZ, n_ions, ions), 0.0
+    else:
+        op, shift = -2 * embed_on_ions(SZ, n_ions, (1,)), 0.0
+    return shift + np.real(np.einsum("...i,ij,...j->...", amps.conj(), op, amps))
+
+
+def dense_final(cfg):
+    """The dense reference for a noiseless run: prepare, evolve and close
+    the full 2**L state."""
+    reg, seq = _prepare(cfg)
+    return _close(free_evolve(reg, cfg.delta_omega, cfg.t_ramsey), cfg, seq)
+
+
 class TestReadout:
     """Each protocol's readout is one outcome map of measured basis indices;
-    its expected signal is checked against dense operators."""
-
-    @staticmethod
-    def _dense_signal(protocol, n_ions, amps):
-        """Oracle, row by row: 1/2 + <Jz>/L (standard), 2**L <prod of the
-        spins> (GHZ parity) and -2 <Sz> of ion 1 (GHZ time-reversed)."""
-        ions = range(1, n_ions + 1)
-        if protocol is Protocol.STANDARD:
-            jz = sum(embed_on_ions(SZ, n_ions, (i,)) for i in ions)
-            op, shift = jz / n_ions, 0.5
-        elif protocol is Protocol.GHZ_PARITY:
-            op, shift = 2**n_ions * embed_on_ions(SZ, n_ions, ions), 0.0
-        else:
-            op, shift = -2 * embed_on_ions(SZ, n_ions, (1,)), 0.0
-        return shift + np.real(np.einsum("...i,ij,...j->...", amps.conj(), op, amps))
+    its expected signal, averaged over the subspace Born table, is checked
+    against dense operators on the dense final state."""
 
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_expected_matches_dense_oracles(self, protocol, n_ions):
-        rng = np.random.default_rng(100 + n_ions)
-        batch = np.stack([random_state(1 << n_ions, rng) for _ in range(3)])
-        want = self._dense_signal(protocol, n_ions, batch)
-        got = protocol.expected(QubitRegister(n_ions, False, batch))
+        ghz = protocol is not Protocol.STANDARD
+        cfg = RamseyConfig(
+            n_ions=n_ions, t_ramsey=1.0, omega_r=0.37, omega_0=-0.2, protocol=protocol,
+            imperfection=ImperfectionSpec({1: 0.2 - 0.1j, n_ions - 1: 0.15j}) if ghz and n_ions > 1 else None,
+            phi0=0.7 if ghz else 0.0, final_phase=-0.45, allow_wrap=True,
+        )
+        ts = np.array([0.4, 1.1, 2.3])
+        want = np.array([
+            dense_signal(protocol, n_ions, dense_final(replace(cfg, t_ramsey=t)).amplitudes)
+            for t in ts
+        ])
+        got = expected_signal(cfg, t_ramsey=ts)
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for amps, value in zip(batch, want):
-            single = protocol.expected(QubitRegister(n_ions, False, amps))
+        for t, value in zip(ts, want):
+            single = expected_signal(replace(cfg, t_ramsey=t))
             assert type(single) is float
             assert single == pytest.approx(value, abs=1e-12)
 
     def test_ground_state_readouts(self):
-        reg = new_register(3)  # all down: no ion up, parity (-1)^3, ion 1 down
-        assert Protocol.STANDARD.expected(reg) == 0.0
-        assert Protocol.GHZ_PARITY.expected(reg) == -1.0
-        assert Protocol.GHZ_REVERSED.expected(reg) == 1.0
+        # All down: no ion up, parity (-1)^3, ion 1 down; the dense oracle agrees.
+        table = np.zeros((2, 3))
+        table[0, 0] = 1.0
+        want = [dense_signal(p, 3, new_register(3).amplitudes) for p in Protocol]
+        assert want == [0.0, -1.0, 1.0]
+        assert [p.expected(table) for p in Protocol] == want
 
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
     def test_outcomes_match_bit_formulas(self, n_ions):

@@ -42,6 +42,7 @@ import math
 import shutil
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +156,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "noise_mode": (str, None, None),  # unset: independent; needs gamma
         "epsilon": (_epsilon, None, None),
         "allow_wrap": (_bool, False, None),
-        "scan_points": (int, None, None),  # unset: 64; --expectation-mode only
+        "scan_points": (int, None, _AT_LEAST_1),  # unset: 64; --expectation-mode only
         "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey; likewise
     },
     "scaling": {
@@ -378,6 +379,15 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
             )
         points = 64 if values["scan_points"] is None else values["scan_points"]
         t_max = cfg.t_ramsey if values["scan_t_max"] is None else values["scan_t_max"]
+        fringe = abs(cfg.delta_omega) * cfg.protocol.multiplier(cfg.n_ions)
+        nyquist = np.pi * points / t_max
+        # The fit searches half a natural bin, pi / t_max, around its periodogram
+        # peak; that close to the grid's Nyquist frequency the window holds the alias.
+        if fringe >= nyquist - np.pi / t_max:
+            raise ConfigError(
+                f"[ramsey] fringe frequency {fringe:.6g} rad/s is within pi/scan_t_max of "
+                f"the scan's Nyquist frequency pi*scan_points/scan_t_max = {nyquist:.6g} rad/s"
+            )
         t_grid = t_max * np.arange(1, points + 1) / points
         signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
@@ -386,9 +396,8 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
             [*config, _fmt(t), _fmt(cfg.omega_r), "", _fmt(s), "", ""]
             for t, s in zip(t_grid, signal)
         ]
-        mult = cfg.protocol.multiplier(cfg.n_ions)
         summary["fitted_fringe_frequency"] = fit.frequency
-        summary["expected_fringe_frequency"] = abs(cfg.delta_omega) * mult
+        summary["expected_fringe_frequency"] = fringe
         summary["fitted_amplitude"] = fit.amplitude
     else:
         trials = _run_batches(cfg, cfg.shots, manifest.seed, (0,))
@@ -626,7 +635,10 @@ _EXIT_CODES = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first :func:`main` call of a
+    process and reused; it dispatches through ``_COMMANDS`` by name only."""
     ap = argparse.ArgumentParser(
         prog="ionramsey",
         description="Ramsey spectroscopy simulations on entangled trapped-ion registers",

@@ -8,23 +8,23 @@ over trajectories this reproduces exponential coherence decay exactly —
 relative coherence of an L-ion GHZ state under independent noise, because
 the GHZ components accumulate the *sum* of the per-ion phases. In common
 mode all ions share one draw, so the GHZ phase variance grows as L^2. Phases
-are drawn one trajectory at a time and applied a batch at a time.
+are drawn one trajectory at a time and applied to the dense register a batch
+at a time, as the Kronecker product of the per-ion factors (1, e^{i phi_k}).
 
 Preparation imperfection is modelled as small coherent admixtures of the
-symmetric (fixed-excitation) states into the GHZ state; scanning the Ramsey
-fringe of such a state produces a multi-harmonic signal with one component
-per excitation number.
+symmetric (fixed-excitation) states, added to the GHZ state's Dicke
+amplitudes; scanning the Ramsey fringe of such a state produces a
+multi-harmonic signal with one component per excitation number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
 from .errors import NormError
-from .register import DickeState, QubitRegister, excitation_counts
+from .register import DickeState, QubitRegister
 
 Mode = str  # "independent" | "common"
 
@@ -67,18 +67,22 @@ def sample_dephasing_phases(
 def apply_phase_noise(reg: QubitRegister, phases: np.ndarray) -> QubitRegister:
     """Phase each basis state of an ion register (no bus) by the sum of its
     excited ions' phases; ``phases`` is ``(..., n_ions)``, broadcast against
-    the batch axes, one trajectory a row."""
+    the batch axes, one trajectory a row. The factor is the Kronecker product
+    of (1, e^{i phi_k}) over the ions, ion 1 (the most significant bit) the
+    outermost: L ``exp`` calls a row and about 2 * 2**L multiplies."""
     phases = np.asarray(phases, dtype=float)
     if phases.shape[-1:] != (reg.n_ions,):
         raise ValueError(
             f"need one phase per ion: expected shape (..., {reg.n_ions}), got {phases.shape}"
         )
-    idx = np.arange(1 << reg.n_ions, dtype=np.int64)
-    total = np.zeros(phases.shape[:-1] + idx.shape)
-    for b in range(reg.n_ions):
-        # Bit b (counting from the least significant bit) is ion L-b.
-        total += ((idx >> b) & 1) * phases[..., reg.n_ions - 1 - b, None]
-    return QubitRegister(reg.n_ions, reg.has_bus, reg.amplitudes * np.exp(1j * total))
+    n = reg.n_ions
+    ions = np.exp(1j * phases)
+    factor = np.empty(phases.shape[:-1] + (1 << n,), dtype=np.complex128)
+    factor[..., 0] = 1.0
+    for j in range(n):  # bit j is ion L - j: it doubles the factor built so far
+        lower = factor[..., : 1 << j]
+        np.multiply(lower, ions[..., n - 1 - j, None], out=factor[..., 1 << j : 2 << j])
+    return QubitRegister(reg.n_ions, reg.has_bus, reg.amplitudes * factor)
 
 
 @dataclass(frozen=True)
@@ -97,37 +101,18 @@ class ImperfectionSpec:
                 raise ValueError(f"admixture excitation number must be >= 1, got {p}")
 
 
-def symmetric_state(n_ions: int, p: int) -> np.ndarray:
-    """Amplitudes of the normalized symmetric state with p ions excited."""
-    if not 0 <= p <= n_ions:
-        raise ValueError(f"excitation number {p} outside [0, {n_ions}]")
-    counts = excitation_counts(n_ions, False)
-    amps = np.zeros(len(counts), dtype=np.complex128)
-    amps[counts == p] = 1.0 / np.sqrt(comb(n_ions, p))
-    return amps
-
-
-def perturb_ghz(
-    state: QubitRegister | DickeState, spec: ImperfectionSpec
-) -> QubitRegister | DickeState:
-    """Add the specified symmetric-state admixtures and renormalize: dense
-    amplitudes gain ``eps * symmetric_state(L, p)``, Dicke amplitudes
-    ``eps`` at p, the same state in the other basis."""
-    dicke = isinstance(state, DickeState)
-    amps = (state.dicke if dicke else state.amplitudes).copy()
+def perturb_ghz(state: DickeState, spec: ImperfectionSpec) -> DickeState:
+    """Add the specified admixtures to the Dicke amplitudes, ``eps`` at its
+    excitation number p, and renormalize."""
+    amps = state.dicke.copy()
     for p, eps in sorted(spec.epsilon.items()):
         if p > state.n_ions - 1:
             raise ValueError(
                 f"admixture excitation {p} is not an intermediate component "
                 f"for {state.n_ions} ions"
             )
-        if dicke:
-            amps[p] += complex(eps)
-        else:
-            amps += complex(eps) * symmetric_state(state.n_ions, p)
+        amps[p] += complex(eps)
     norm = np.sqrt(np.sum(np.abs(amps) ** 2))
     if norm < 1e-12:
         raise NormError("perturbed state has zero norm; cannot renormalize")
-    if dicke:
-        return DickeState(state.n_ions, amps / norm)
-    return QubitRegister(state.n_ions, state.has_bus, amps / norm)
+    return DickeState(state.n_ions, amps / norm)

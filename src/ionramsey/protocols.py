@@ -33,11 +33,12 @@ signal mean.
 
 Both a sampled mode (projective shots) and an expectation mode (exact
 expectations, no statistics) are first-class: :func:`run_ramsey` and
-:func:`expected_signal` run every protocol. Every noiseless state stays L + 1
-Dicke amplitudes (:class:`.register.DickeState`) whose closing readout leaves
-a Born table, sampled for shots or averaged for expectations. Only dephased
-runs build the dense 2**L state, since per-ion phases break the symmetry; the
-dense pipeline stays the reference the tests check the subspace against.
+:func:`expected_signal` run every protocol. Every run prepares and evolves
+its state once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`).
+A noiseless run closes them into a Born table, sampled for shots or averaged
+for expectations; a dephased run expands them once into the dense 2**L state
+that each trajectory phases and closes. The tests check both against the
+gate-level circuits of :mod:`.gates`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .errors import (
     DegenerateSlopeError,
     FitError,
 )
-from .gates import GateSequence, _opening_pulse, prepare_ghz, reverse_prep
+from .gates import _opening_pulse
 from .noise import (
     ImperfectionSpec,
     NoiseSpec,
@@ -73,8 +74,9 @@ from .register import (
     born_table_reversed,
     dicke_ghz,
     dicke_product,
+    expand_dicke,
     free_evolve,
-    new_register,
+    inverse_star,
     pi_half_pulse,
     rotation_matrix,
     sample_born_table,
@@ -270,18 +272,20 @@ def ensemble_contrast(
 # ---------------------------------------------------------------------------
 
 
-def _prepare(cfg: RamseyConfig) -> tuple[QubitRegister, GateSequence | None]:
-    """Opening pulse (or GHZ preparation), read only, for a whole run or grid
-    to share; the gate sequence is what the time-reversed readout replays."""
-    reg = new_register(cfg.n_ions)
+def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
+    """The prepared state as L + 1 Dicke amplitudes: the opening pulse's
+    column on every ion (standard), or the GHZ pair plus any admixture."""
     if cfg.protocol is Protocol.STANDARD:
-        reg, seq = apply_rotation(reg, pi_half_pulse(cfg.n_ions, 0.0)), None
-    else:
-        reg, seq = prepare_ghz(reg, cfg.phi0)
-        if cfg.imperfection is not None:
-            reg = perturb_ghz(reg, cfg.imperfection)
-    reg.amplitudes.flags.writeable = False
-    return reg, seq
+        return dicke_product(cfg.n_ions, rotation_matrix(np.pi / 2, 0.0)[:, 0])
+    rot = _opening_pulse(cfg.phi0)
+    state = dicke_ghz(cfg.n_ions, rotation_matrix(rot.theta, rot.phi)[:, 0])
+    return state if cfg.imperfection is None else perturb_ghz(state, cfg.imperfection)
+
+
+def _unstar_matrix(cfg: RamseyConfig) -> np.ndarray:
+    """The time-reversed readout's rotation on ion 1: the inverse opening pulse."""
+    rot = _opening_pulse(cfg.phi0).inverse()
+    return rotation_matrix(rot.theta, rot.phi)
 
 
 def _closing_phase(cfg: RamseyConfig, final_phase: float | np.ndarray) -> float | np.ndarray:
@@ -292,20 +296,11 @@ def _closing_phase(cfg: RamseyConfig, final_phase: float | np.ndarray) -> float 
     return (cfg.phi0 - final_phase) / cfg.n_ions + np.pi / 2
 
 
-def _close(reg: QubitRegister, cfg: RamseyConfig, seq: GateSequence | None) -> QubitRegister:
+def _close(reg: QubitRegister, cfg: RamseyConfig) -> QubitRegister:
+    """The closing readout on the dense register, for a state or a batch."""
     if cfg.protocol is Protocol.GHZ_REVERSED:
-        return reverse_prep(reg, seq)
+        return inverse_star(reg, _unstar_matrix(cfg))
     return apply_rotation(reg, pi_half_pulse(cfg.n_ions, _closing_phase(cfg, cfg.final_phase)))
-
-
-def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
-    """:func:`_prepare`'s state as its L + 1 Dicke amplitudes: the opening
-    pulse's column on every ion (standard), or in the two GHZ components."""
-    if cfg.protocol is Protocol.STANDARD:
-        return dicke_product(cfg.n_ions, rotation_matrix(np.pi / 2, 0.0)[:, 0])
-    rot = _opening_pulse(cfg.phi0)
-    state = dicke_ghz(cfg.n_ions, rotation_matrix(rot.theta, rot.phi)[:, 0])
-    return state if cfg.imperfection is None else perturb_ghz(state, cfg.imperfection)
 
 
 def _born_table(state: DickeState, cfg: RamseyConfig, final_phase) -> np.ndarray:
@@ -316,8 +311,7 @@ def _born_table(state: DickeState, cfg: RamseyConfig, final_phase) -> np.ndarray
     if cfg.protocol is Protocol.GHZ_REVERSED:
         rows = np.broadcast_shapes(state.dicke.shape[:-1], np.shape(final_phase))
         state = DickeState(state.n_ions, np.broadcast_to(state.dicke, (*rows, state.n_ions + 1)))
-        rot = _opening_pulse(cfg.phi0).inverse()
-        return born_table_reversed(state, rotation_matrix(rot.theta, rot.phi))
+        return born_table_reversed(state, _unstar_matrix(cfg))
     return born_table_pulse(state, _closing_phase(cfg, final_phase))
 
 
@@ -408,24 +402,22 @@ def run_ramsey(
     return _sample(cfg, _run_state(cfg), rng, seed_label)
 
 
-def _run_state(cfg: RamseyConfig) -> np.ndarray | tuple[QubitRegister, GateSequence | None]:
+def _run_state(cfg: RamseyConfig) -> np.ndarray | QubitRegister:
     """What every shot of a sampled run starts from, computed once a run,
-    before any draw, and read only. A noiseless run never leaves the
-    symmetric subspace: its state is the Born table of the closed state,
-    built from L + 1 Dicke amplitudes. A dephased run's is the evolved dense
-    state and the sequence the closing readout replays."""
+    before any draw, and read only: the prepared and evolved Dicke
+    amplitudes, closed into their Born table (noiseless) or expanded into
+    the dense register that each dephasing trajectory phases and closes."""
     ensure_unambiguous(
         cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
     )
+    state = free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey)
     if cfg.noiseless:
-        state = free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey)
         table = _born_table(state, cfg, cfg.final_phase)
         table.flags.writeable = False
         return table
-    reg, seq = _prepare(cfg)
-    reg = free_evolve(reg, cfg.delta_omega, cfg.t_ramsey)  # drops the prepared state early
+    reg = expand_dicke(state)
     reg.amplitudes.flags.writeable = False
-    return reg, seq
+    return reg
 
 
 def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str) -> Trials:
@@ -435,16 +427,15 @@ def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str)
         indices = sample_born_table(state, rng.random(cfg.shots))
         outcomes = protocol.outcomes(indices, cfg.n_ions)
     else:
-        reg, seq = state
         phases = np.empty((cfg.shots, cfg.n_ions))
         uniforms = np.empty(cfg.shots)
         for k in range(cfg.shots):
             phases[k] = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
             uniforms[k] = rng.random()
-        rows = max(1, CHUNK_AMPLITUDES // reg.dim)
+        rows = max(1, CHUNK_AMPLITUDES // state.dim)
         outcomes = np.empty(cfg.shots)
         for k in range(0, cfg.shots, rows):
-            final = _close(apply_phase_noise(reg, phases[k : k + rows]), cfg, seq)
+            final = _close(apply_phase_noise(state, phases[k : k + rows]), cfg)
             indices = sample_measurement(final, uniforms[k : k + rows])
             outcomes[k : k + rows] = protocol.outcomes(indices, cfg.n_ions)
     batches = ((seed_label, cfg.shots),)

@@ -1,6 +1,5 @@
 """Dense state-vector register for a chain of two-level ions plus an
-optional bus qubit, and the symmetric subspace that noiseless runs use
-instead.
+optional bus qubit, and the symmetric subspace every run prepares in.
 
 Conventions (fixed; everything downstream relies on them):
 
@@ -15,36 +14,34 @@ Conventions (fixed; everything downstream relies on them):
 * In the frame rotating at the drive frequency, a basis state with ``p``
   ions excited acquires phase ``exp(+i p delta_omega t)`` under free
   evolution with detuning ``delta_omega`` (drive minus atomic frequency).
-  The bus qubit never accumulates detuning phase.
 * A z measurement returns basis indices; reading them out (counting ions,
   parity, ion 1's spin) is the protocol's job, in one place:
-  :meth:`.protocols.Protocol.outcomes`. The excitation count table ignores
-  the bus bit.
+  :meth:`.protocols.Protocol.outcomes`.
 
 Registers are values: every operation returns a new register and leaves its
 input untouched, so Monte Carlo trials can share prepared states freely.
 ``amplitudes`` may carry leading batch axes, ``(..., 2**n)``, one state (say
-one dephasing trajectory) per row; pulses, free evolution, phase noise, gates
-and sampling act on each row as on that state alone.
+one dephasing trajectory) per row; pulses, phase noise, gates, the inverse
+star circuit and sampling act on each row as on that state alone.
 
 No kernel transposes the state. A pulse applies Kronecker blocks of its 2x2
 rotation (identity on the non-targets inside a block), each with one matmul:
 a register of up to five qubits is one block, a larger one runs in windows
 of four qubits counted back from the last. A lone state that one block spans
 whole is padded to two rows, so it runs the gemm a batch runs and every batch
-row equals its single-state result bit for bit. Free evolution computes the
-L + 1 distinct phases once and gathers them through the cached excitation
-count table; CNOT and SWAP (:mod:`.gates`) copy each block of the state once.
+row equals its single-state result bit for bit. CNOT and SWAP
+(:mod:`.gates`) copy each block of the state once.
 
-Every noiseless state the Ramsey protocols build is symmetric under
-permuting the ions: GHZ preparation, collective pi/2 pulses (spin-L/2
+Every state the Ramsey protocols prepare is symmetric under permuting the
+ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
 rotations, one cached matrix per L) and free evolution never leave the
 (L + 1)-dimensional Dicke subspace. A :class:`DickeState` holds such a state,
-or a batch of them, and its closing readout leaves a (2, L) Born table per
-state, which :func:`sample_born_table` samples at the uniforms
-:func:`sample_measurement` would invert, or expectation mode averages. The
-dense register stays where noise breaks the symmetry (dephasing
-trajectories), for the bus circuits, and as the tests' reference.
+or a batch of them, and free evolution acts on it alone. Its closing readout
+leaves a (2, L) Born table per state, which :func:`sample_born_table` samples
+at the uniforms :func:`sample_measurement` would invert, or expectation mode
+averages. Dephasing breaks the symmetry: a dephased run expands the state
+once (:func:`expand_dicke`). The gate-level circuits of :mod:`.gates` stay
+dense, as the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -255,40 +252,27 @@ def apply_rotation(reg: QubitRegister, pulse: PulseSpec) -> QubitRegister:
     return QubitRegister(reg.n_ions, reg.has_bus, amps)
 
 
-def excitation_counts(n_ions: int, has_bus: bool) -> np.ndarray:
-    """Excited *ions* per basis index (bus bit ignored): a shared read-only uint8 table."""
-    return _count_table(n_ions, has_bus)
-
-
-@lru_cache(maxsize=None)
-def _count_table(n_ions: int, has_bus: bool) -> np.ndarray:
-    counts = np.zeros(1, dtype=np.uint8)
-    for _ in range(n_ions):  # one more ion bit: the upper half has one more excitation
-        counts = np.concatenate([counts, counts + 1])
-    counts = np.repeat(counts, 2) if has_bus else counts  # the bus is the lowest bit
-    counts.flags.writeable = False
-    return counts
-
-
 def free_evolve(
-    reg: QubitRegister | DickeState, delta_omega: float | np.ndarray, t: float | np.ndarray
-) -> QubitRegister | DickeState:
-    """Accumulate detuning phase exp(+i p delta_omega t) on p-excitation states;
-    1-D arrays of ``delta_omega`` and/or ``t`` evolve one batch row an entry.
-    The L + 1 distinct phases are computed once: a :class:`DickeState`
-    takes them as they are, a dense register gathers them by excitation
-    count."""
+    state: DickeState, delta_omega: float | np.ndarray, t: float | np.ndarray
+) -> DickeState:
+    """Accumulate detuning phase exp(+i p delta_omega t) on the p-excitation
+    Dicke amplitude; 1-D arrays of ``delta_omega`` and/or ``t`` evolve one
+    batch row an entry."""
     t = np.asarray(t, dtype=float)
     if (t < 0).any():
         raise ValueError(f"evolution time must be >= 0, got {np.min(t)}")
-    k = np.arange(reg.n_ions + 1, dtype=np.uint8)  # the count table's dtype: same products
-    table = np.exp(1j * k * np.asarray(delta_omega, dtype=float)[..., None] * t[..., None])
-    if isinstance(reg, DickeState):
-        return DickeState(reg.n_ions, reg.dicke * table)
-    phases = table.take(excitation_counts(reg.n_ions, reg.has_bus), axis=-1)
-    amps = reg.amplitudes
-    out = phases if amps.ndim == 1 or amps.shape == phases.shape else None  # in place if it fits
-    return QubitRegister(reg.n_ions, reg.has_bus, np.multiply(amps, phases, out=out))
+    p = np.arange(state.n_ions + 1)
+    table = np.exp(1j * p * np.asarray(delta_omega, dtype=float)[..., None] * t[..., None])
+    return DickeState(state.n_ions, state.dicke * table)
+
+
+def expand_dicke(state: DickeState) -> QubitRegister:
+    """The dense ion register (no bus) of a Dicke state, or of each row of a
+    batch: basis index x gets ``dicke[|x|] / sqrt(C(L, |x|))``."""
+    n = state.n_ions
+    counts = np.bitwise_count(np.arange(1 << n))
+    per_count = state.dicke / np.sqrt(_binomials(n)[n])
+    return QubitRegister(n, False, per_count.take(counts, axis=-1))
 
 
 def bus_purity(reg: QubitRegister) -> float:
@@ -374,6 +358,19 @@ def born_table_reversed(state: DickeState, mat: np.ndarray) -> np.ndarray:
     scale = np.sqrt(_binomials(n)[n, :n])
     amps = [(mat[b, 0] * d[..., :n] + mat[b, 1] * d[..., :0:-1]) / scale for b in (0, 1)]
     return np.abs(np.stack(amps, axis=-2)) ** 2  # C order, a batch's rows like a lone table
+
+
+def inverse_star(reg: QubitRegister, mat: np.ndarray) -> QubitRegister:
+    """The inverse star circuit of :func:`born_table_reversed` on a dense ion
+    register (no bus), a state or a batch, in one pass: its CNOTs reverse ion
+    1's |up> half (y to ~y, the reversed last axis), so ``amp[b, y] = mat[b,
+    0] a(0, y) + mat[b, 1] a(1, ~y)`` on ion 1's halves, as that table uses."""
+    halves = reg.amplitudes.reshape(*reg.amplitudes.shape[:-1], 2, -1)
+    out = np.empty_like(halves)
+    for b in (0, 1):
+        np.multiply(mat[b, 0], halves[..., 0, :], out=out[..., b, :])
+        out[..., b, :] += mat[b, 1] * halves[..., 1, ::-1]
+    return QubitRegister(reg.n_ions, False, out.reshape(reg.amplitudes.shape))
 
 
 def sample_born_table(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -45,6 +45,7 @@ from ionramsey import (
     two_point_calibrate,
 )
 from ionramsey.gates import QubitRegister
+from ionramsey.register import dicke_ghz
 
 
 @contextmanager
@@ -406,9 +407,9 @@ def test_note_imperfect_fidelity_fixture():
     """
     eps = np.sqrt(3.0 / 7.0)
     spec = ImperfectionSpec(epsilon={1: eps})
-    ideal, _ = prepare_ghz(new_register(2))
+    ideal = dicke_ghz(2, np.array([1.0, 1.0]) / np.sqrt(2))
     state = perturb_ghz(ideal, spec)
-    fidelity = abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2
+    fidelity = abs(np.vdot(ideal.dicke, state.dicke)) ** 2
     assert abs(fidelity - 0.7) < 1e-12
 
     delta_omega = 0.5

@@ -1,7 +1,10 @@
 """End-to-end command-line checks (in-process via cli.main)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,23 @@ scan_t_max = 3.9269908169872414
         assert summary["fitted_fringe_frequency"] == pytest.approx(
             4 * 0.4, rel=1e-6
         )
+
+    @pytest.mark.parametrize("below_bins,code", [(1.5, 0), (1.01, 0), (0.99, 2), (0.1, 2)])
+    def test_expectation_scan_nyquist_margin(self, tmp_path, below_bins, code):
+        # The fringe may come up to half a frequency bin, pi / scan_t_max,
+        # below the grid's Nyquist frequency pi * scan_points / scan_t_max.
+        n_ions, t_max, points = 4, 3.0, 64
+        fringe = np.pi * (points - below_bins) / t_max
+        ini = (
+            f"[ramsey]\nprotocol = ghz\nn_ions = {n_ions}\nt_ramsey = 1.0\n"
+            f"omega_r = {fringe / n_ions!r}\nscan_points = {points}\nscan_t_max = {t_max}\n"
+        )
+        out = tmp_path / "out"
+        argv = ["ramsey", "--config", write_config(tmp_path, "e.ini", ini), "--out", str(out)]
+        assert main([*argv, "--expectation-mode"]) == code
+        if code == 0:
+            summary = json.loads((out / "ramsey_summary.json").read_text())
+            assert summary["fitted_fringe_frequency"] == pytest.approx(fringe, rel=1e-9)
 
     @pytest.mark.parametrize(
         "protocol,readout,omega_r,tag",
@@ -481,6 +501,17 @@ class TestErrorPaths:
                 "shots",
                 id="ramsey_one_shot",
             ),
+            # A fringe at the scan's Nyquist frequency: the fit returned an
+            # amplitude of 3079.8 for a signal bounded by 1, and exit 0.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 16\nt_ramsey = 3.0\nomega_0 = 0.1\n"
+                "omega_r = 4.28879020478639\nscan_points = 64\nfinal_phase = 0.3\n"
+                "phi0 = 0.6\nepsilon = 1:0.08 15:0.05:1.1\n",
+                ("--expectation-mode",),
+                "Nyquist",
+                id="ramsey_scan_at_nyquist",
+            ),
             pytest.param(
                 "scaling",
                 "[scaling]\nl_values = 1 2\ntrials = 1\n",
@@ -649,6 +680,19 @@ class TestErrorPaths:
 
 
 class TestOtherCommands:
+    def test_argparser_is_built_once_and_not_at_import(self, tmp_path):
+        cfg = write_config(tmp_path, "r.ini", _ini("ramsey", MINIMAL["ramsey"]))
+        assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        built = cli._build_argparser()
+        assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        assert cli._build_argparser() is built
+        probe = "import ionramsey.cli as c; print(c._build_argparser.cache_info().currsize)"
+        fresh = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert fresh.stdout.strip() == "0"
+
     def test_stand_in_command_writes_nothing(self, tmp_path, monkeypatch):
         # perfbench's set-up probe replaces a command with a stub returning 0.
         monkeypatch.setitem(cli._COMMANDS, "ramsey", lambda manifest, parser: 0)

@@ -224,6 +224,15 @@ class TestGhzPreparation:
             want[0] = 1.0
             np.testing.assert_allclose(back.amplitudes, want, atol=1e-12)
 
+    def test_reverse_prep_rejects_a_foreign_sequence(self):
+        # A sequence that addresses an ion, or a bus, the register lacks.
+        _, seq = prepare_ghz(new_register(4), phi0=0.3)
+        with pytest.raises(ValueError):
+            reverse_prep(new_register(3), seq)
+        _, bus_seq = prepare_ghz_via_bus(new_register(2, has_bus=True), phi0=0.3)
+        with pytest.raises(ValueError):
+            reverse_prep(new_register(2), bus_seq)
+
 
 class TestGateSequences:
     def test_inverse_on_random_states(self):

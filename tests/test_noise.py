@@ -18,8 +18,13 @@ from ionramsey import (
     prepare_ghz,
     stream,
 )
-from ionramsey.noise import sample_dephasing_phases, symmetric_state
-from ionramsey.register import QubitRegister
+from ionramsey.noise import sample_dephasing_phases
+from ionramsey.register import DickeState, QubitRegister, dicke_ghz
+
+
+def ghz_dicke(n_ions, phi0):
+    """(|dn...dn> + e^{i phi0} |up...up>) / sqrt(2) as Dicke amplitudes."""
+    return dicke_ghz(n_ions, np.array([1.0, np.exp(1j * phi0)]) / np.sqrt(2))
 
 
 def coherence(reg):
@@ -94,6 +99,21 @@ class TestAppliedPhases:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("n_ions", [2, 5])
+    def test_matches_explicit_phase_sum(self, n_ions):
+        # Index x gains exp(i sum_k x_k phi_k), x_k ion k's bit and ion 1 the
+        # most significant; a random register and distinct phases break
+        # every symmetry that would hide a reversed ion order.
+        rng = np.random.default_rng(19 + n_ions)
+        amps = rng.normal(size=(3, 1 << n_ions)) + 1j * rng.normal(size=(3, 1 << n_ions))
+        phases = rng.uniform(-np.pi, np.pi, size=(3, n_ions))
+        bits = (np.arange(1 << n_ions)[:, None] >> np.arange(n_ions - 1, -1, -1)) & 1
+        want = amps * np.exp(1j * phases @ bits.T)
+        got = apply_phase_noise(QubitRegister(n_ions, False, amps), phases).amplitudes
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        one = apply_phase_noise(QubitRegister(n_ions, False, amps[0]), phases[0]).amplitudes
+        np.testing.assert_allclose(one, want[0], rtol=0, atol=1e-14)
+
     def test_single_ion_addressing(self):
         # Only ion 2 of three gets a phase: basis states with ion-2 excited
         # acquire it, all others do not. Ion 2 is the middle bit.
@@ -157,41 +177,32 @@ class TestEnvelopes:
 
 
 class TestImperfections:
-    def test_symmetric_state_is_normalized_uniform(self):
-        for n_ions, p in [(3, 1), (4, 2), (5, 3)]:
-            amps = symmetric_state(n_ions, p)
-            probs = np.abs(amps) ** 2
-            nz = np.flatnonzero(probs > 0)
-            counts = [bin(i).count("1") for i in nz]
-            assert all(c == p for c in counts)
-            np.testing.assert_allclose(probs[nz], 1 / len(nz), atol=1e-12)
-            np.testing.assert_allclose(np.linalg.norm(amps), 1.0, atol=1e-12)
-
     def test_perturbed_state_fidelity(self):
         # Admixture amplitudes are defined relative to the unit GHZ part, so
         # fidelity = 1 / (1 + sum |eps|^2).
         eps = {1: 0.3, 2: 0.2j}
-        reg0, _ = prepare_ghz(new_register(4), 0.0)
-        out = perturb_ghz(reg0, ImperfectionSpec(epsilon=eps))
-        overlap = abs(np.vdot(reg0.amplitudes, out.amplitudes)) ** 2
+        state0 = ghz_dicke(4, 0.0)
+        out = perturb_ghz(state0, ImperfectionSpec(epsilon=eps))
+        overlap = abs(np.vdot(state0.dicke, out.dicke)) ** 2
         want = 1 / (1 + 0.3**2 + 0.2**2)
         assert overlap == pytest.approx(want, abs=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(out.amplitudes), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(out.dicke), 1.0, atol=1e-12)
 
     def test_empty_spec_is_identity(self):
-        reg0, _ = prepare_ghz(new_register(3), 0.5)
-        out = perturb_ghz(reg0, ImperfectionSpec(epsilon={}))
-        np.testing.assert_allclose(out.amplitudes, reg0.amplitudes, atol=0)
+        state0 = ghz_dicke(3, 0.5)
+        out = perturb_ghz(state0, ImperfectionSpec(epsilon={}))
+        assert isinstance(out, DickeState)
+        np.testing.assert_allclose(out.dicke, state0.dicke, atol=0)
 
     def test_rejects_out_of_range_p(self):
-        reg0, _ = prepare_ghz(new_register(3), 0.0)
+        state0 = ghz_dicke(3, 0.0)
         for bad_p in (0, 3, 4):
             with pytest.raises(ValueError):
-                perturb_ghz(reg0, ImperfectionSpec(epsilon={bad_p: 0.1}))
+                perturb_ghz(state0, ImperfectionSpec(epsilon={bad_p: 0.1}))
 
     def test_degenerate_cancellation_raises(self):
         # An admixture engineered to cancel the whole state must be caught.
-        reg0, _ = prepare_ghz(new_register(1), 0.0)
+        state0 = ghz_dicke(1, 0.0)
         # For L=1 no interior p exists, so use the norm guard another way:
         with pytest.raises(ValueError):
-            perturb_ghz(reg0, ImperfectionSpec(epsilon={1: 1.0}))
+            perturb_ghz(state0, ImperfectionSpec(epsilon={1: 1.0}))

@@ -1,6 +1,8 @@
 """Property checks: every state operation keeps the norm, a GHZ
-preparation's gate sequence inverts exactly, and on a batch of states
-``(B, 2**n)`` every operation matches the same operation on each row alone.
+preparation's gate sequence inverts exactly, the one-pass inverse star
+circuit equals the replayed gate sequence, and on a batch of states
+``(B, 2**n)`` (or of Dicke amplitudes ``(B, n + 1)``) every operation
+matches the same operation on each row alone.
 
 Registers hold up to 6 ions (plus the optional bus). Hypothesis runs
 derandomized with a small example budget, so the suite stays deterministic
@@ -25,6 +27,7 @@ from ionramsey import (
     reverse_prep,
     sample_measurement,
 )
+from ionramsey.register import DickeState, dicke_ghz, inverse_star, rotation_matrix
 
 NORM_TOL = 1e-12
 check = settings(derandomize=True, deadline=None, max_examples=30, database=None)
@@ -42,8 +45,15 @@ def random_register(n: int, has_bus: bool, seed: int) -> QubitRegister:
     return QubitRegister(n, has_bus, amps / np.linalg.norm(amps))
 
 
-def assert_normalized(reg: QubitRegister) -> None:
-    assert abs(np.linalg.norm(reg.amplitudes) - 1.0) <= NORM_TOL
+def random_dicke(n: int, seed: int) -> DickeState:
+    rng = np.random.default_rng(seed)
+    dicke = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return DickeState(n, dicke / np.linalg.norm(dicke))
+
+
+def assert_normalized(reg: QubitRegister | DickeState) -> None:
+    amps = reg.dicke if isinstance(reg, DickeState) else reg.amplitudes
+    assert abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL
 
 
 @check
@@ -55,9 +65,9 @@ def test_rotation_keeps_norm(n, has_bus, seed, theta, phi, data):
 
 
 @check
-@given(n_ions, st.booleans(), seeds, angles, st.floats(0.0, 1e3))
-def test_free_evolution_keeps_norm(n, has_bus, seed, delta_omega, t):
-    assert_normalized(free_evolve(random_register(n, has_bus, seed), delta_omega, t))
+@given(n_ions, seeds, angles, st.floats(0.0, 1e3))
+def test_free_evolution_keeps_norm(n, seed, delta_omega, t):
+    assert_normalized(free_evolve(random_dicke(n, seed), delta_omega, t))
 
 
 @check
@@ -79,8 +89,8 @@ def test_ghz_preparation_keeps_norm(n, phi0):
 def test_ghz_admixture_keeps_norm(n, phi0, data):
     amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
     epsilon = data.draw(st.dictionaries(st.integers(1, n - 1), amplitude, min_size=1))
-    reg, _ = prepare_ghz(new_register(n), phi0)
-    assert_normalized(perturb_ghz(reg, ImperfectionSpec(epsilon=epsilon)))
+    ghz = dicke_ghz(n, np.array([1.0, np.exp(1j * phi0)]) / np.sqrt(2))
+    assert_normalized(perturb_ghz(ghz, ImperfectionSpec(epsilon=epsilon)))
 
 
 @check
@@ -114,12 +124,12 @@ def test_batched_rotation_matches_rows(n, has_bus, seed, size, theta, phi, data)
 
 
 @check
-@given(n_ions, st.booleans(), seeds, rows, angles, st.floats(0.0, 1e3))
-def test_batched_free_evolution_matches_rows(n, has_bus, seed, size, delta_omega, t):
-    singles, batch = random_batch(n, has_bus, seed, size)
-    assert_rows_match(
-        free_evolve(batch, delta_omega, t), [free_evolve(r, delta_omega, t) for r in singles]
-    )
+@given(n_ions, seeds, rows, angles, st.floats(0.0, 1e3))
+def test_batched_free_evolution_matches_rows(n, seed, size, delta_omega, t):
+    singles = [random_dicke(n, seed + k) for k in range(size)]
+    batch = DickeState(n, np.stack([s.dicke for s in singles]))
+    got = free_evolve(batch, delta_omega, t).dicke
+    assert np.array_equal(got, [free_evolve(s, delta_omega, t).dicke for s in singles])
 
 
 @check
@@ -144,6 +154,23 @@ def test_batched_reverse_prep_matches_rows(n, phi0, via_bus, seed, size):
     _, seq = prepare(new_register(n, has_bus=via_bus), phi0)
     singles, batch = random_batch(n, via_bus, seed, size)
     assert_rows_match(reverse_prep(batch, seq), [reverse_prep(r, seq) for r in singles])
+
+
+@check
+@given(n_ions, angles, seeds, rows)
+def test_inverse_star_matches_reverse_prep(n, phi0, seed, size):
+    # The one-pass readout against the replayed GHZ sequence: to 1e-15 on
+    # every row, and each batch row bit for bit its single-state result.
+    _, seq = prepare_ghz(new_register(n), phi0)
+    opening = seq.gates[0].inverse()
+    mat = rotation_matrix(opening.theta, opening.phi)
+    singles, batch = random_batch(n, False, seed, size)
+    got = inverse_star(batch, mat)
+    want = [reverse_prep(r, seq) for r in singles]
+    np.testing.assert_allclose(
+        got.amplitudes, np.stack([r.amplitudes for r in want]), rtol=0, atol=1e-15
+    )
+    assert np.array_equal(got.amplitudes, [inverse_star(r, mat).amplitudes for r in singles])
 
 
 @check

@@ -41,21 +41,20 @@ from ionramsey import (
     stream,
     two_point_calibrate,
 )
-from ionramsey import protocols, register
+from ionramsey import protocols
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
 from ionramsey.noise import apply_phase_noise, sample_dephasing_phases
-from ionramsey.register import free_evolve, sample_born_table, sample_measurement
+from ionramsey.register import expand_dicke, sample_born_table, sample_measurement
 from ionramsey.protocols import (
     FringeFit,
-    _close,
-    _prepare,
+    _prepare_dicke,
     fit_fringe_frequency,
     flag_large_admixture,
     naive_single_point_omega0,
     synthesize_signal,
 )
-from test_register import dense_final, dense_signal
+from test_register import dense_close, dense_evolve, dense_final, dense_prepare, dense_signal
 
 
 class TestFringeShapes:
@@ -295,14 +294,14 @@ class TestSampledRuns:
 
 def per_shot_outcomes(cfg, rng):
     """Reference for dephased runs: one trajectory at a time. Each shot draws
-    its phases, closes its own state and samples it with ``rng.choice``; the
-    outcome is read straight off the drawn basis index."""
-    prepared, seq = _prepare(cfg)
-    evolved = free_evolve(prepared, cfg.delta_omega, cfg.t_ramsey)
+    its phases, closes its own state at gate level and samples it with
+    ``rng.choice``; the outcome is read straight off the drawn basis index."""
+    prepared, seq = dense_prepare(cfg)
+    evolved = dense_evolve(prepared, cfg.delta_omega, cfg.t_ramsey)
     outcomes = np.empty(cfg.shots)
     for k in range(cfg.shots):
         phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
-        final = _close(apply_phase_noise(evolved, phases), cfg, seq)
+        final = dense_close(apply_phase_noise(evolved, phases), cfg, seq)
         probs = np.abs(final.amplitudes) ** 2
         index = int(rng.choice(final.dim, size=1, p=probs / probs.sum())[0])
         n_down = cfg.n_ions - bin(index).count("1")
@@ -471,6 +470,20 @@ class TestSymmetricSubspace:
     """Noiseless sampled runs draw from a Born table built from L + 1 Dicke
     amplitudes; the dense state vector is the reference."""
 
+    @pytest.mark.parametrize("n_ions", range(1, 11))
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_expansion_equals_gate_level_preparation(self, protocol, n_ions):
+        # Bit for bit for the pure GHZ state, whose two amplitudes the CNOT
+        # ladder copies; to 1e-15 with admixtures and for the product state.
+        cfg = _subspace_cfg(protocol, n_ions)
+        for cfg in (cfg, replace(cfg, imperfection=None)):
+            got = expand_dicke(_prepare_dicke(cfg)).amplitudes
+            want = dense_prepare(cfg)[0].amplitudes
+            if protocol is not Protocol.STANDARD and cfg.imperfection is None:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("n_ions", range(1, 13))
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_indices_equal_dense_sampling(self, protocol, n_ions):
@@ -527,9 +540,8 @@ class TestSymmetricSubspace:
         def dense(*args, **kwargs):
             raise AssertionError("a noiseless evaluation reached the dense register")
 
-        for name in ("_prepare", "apply_rotation", "reverse_prep"):
+        for name in ("expand_dicke", "apply_rotation", "inverse_star"):
             monkeypatch.setattr(protocols, name, dense)
-        monkeypatch.setattr(register, "excitation_counts", dense)
         cfg = _subspace_cfg(protocol, 6)
         expected_signal(cfg)
         expected_signal(cfg, t_ramsey=np.linspace(0.1, 2.0, 5), delta_omega=0.3)

@@ -9,6 +9,7 @@ and bit value 0 means the ion is in the lower state.
 
 import tracemalloc
 from dataclasses import replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -29,10 +30,11 @@ from ionramsey import (
     stream,
 )
 from ionramsey.gates import prepare_ghz, reverse_prep
-from ionramsey.protocols import _close, _prepare
 from ionramsey.register import (
+    DickeState,
     bus_purity,
-    excitation_counts,
+    expand_dicke,
+    inverse_star,
     pi_half_pulse,
     rotation_matrix,
     sample_born_table,
@@ -62,6 +64,17 @@ def random_state(dim, rng):
     return amps / np.linalg.norm(amps)
 
 
+def random_dicke(n_ions, rng, rows=()):
+    shape = rows + (n_ions + 1,)
+    dicke = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return DickeState(n_ions, dicke / np.linalg.norm(dicke, axis=-1, keepdims=True))
+
+
+def popcounts(n_ions):
+    """Excited ions of every basis index of an ion register, by bin()."""
+    return np.array([bin(x).count("1") for x in range(1 << n_ions)])
+
+
 class TestRegisterBasics:
     def test_new_register_is_ground_state(self):
         reg = new_register(3)
@@ -77,21 +90,33 @@ class TestRegisterBasics:
         with pytest.raises(CapacityError):
             new_register(n)
 
-    def test_excitation_counts_matches_popcount(self):
-        # Oracle: count set bits among the ion bits of each basis index.
-        for has_bus in (False, True):
-            reg = new_register(3, has_bus=has_bus)
-            counts = excitation_counts(reg.n_ions, reg.has_bus)
-            shift = 1 if has_bus else 0
-            expected = [bin(i >> shift).count("1") for i in range(reg.dim)]
-            np.testing.assert_array_equal(counts, expected)
 
-    def test_excitation_counts_is_one_read_only_table(self):
-        counts = excitation_counts(5, True)
-        assert excitation_counts(5, True) is counts
-        assert counts.dtype == np.uint8
-        with pytest.raises(ValueError):
-            counts[0] = 1
+class TestDickeExpansion:
+    """A Dicke state's dense register: index x holds dicke[|x|] / sqrt(C(L, |x|))."""
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 3, 6])
+    def test_matches_popcount_formula(self, n_ions):
+        rng = np.random.default_rng(n_ions)
+        for rows in ((), (3,)):
+            dicke = random_dicke(n_ions, rng, rows).dicke
+            reg = expand_dicke(DickeState(n_ions, dicke))
+            assert (reg.n_ions, reg.has_bus) == (n_ions, False)
+            assert reg.amplitudes.shape == rows + (1 << n_ions,)
+            for x, p in enumerate(popcounts(n_ions)):
+                want = dicke[..., p] / np.sqrt(comb(n_ions, p))
+                np.testing.assert_allclose(reg.amplitudes[..., x], want, rtol=1e-15, atol=0)
+
+    def test_dicke_basis_state_is_normalized_uniform(self):
+        # |D_p>: equal weight on the C(L, p) indices with p ions up, nothing elsewhere.
+        for n_ions, p in [(3, 1), (4, 2), (5, 3)]:
+            dicke = np.zeros(n_ions + 1, dtype=complex)
+            dicke[p] = 1.0
+            probs = np.abs(expand_dicke(DickeState(n_ions, dicke)).amplitudes) ** 2
+            nz = np.flatnonzero(probs > 0)
+            assert all(bin(i).count("1") == p for i in nz)
+            assert len(nz) == comb(n_ions, p)
+            np.testing.assert_allclose(probs[nz], 1 / len(nz), atol=1e-12)
+            np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
 
 class TestRotations:
@@ -145,39 +170,34 @@ class TestRotations:
 
 class TestFreeEvolution:
     def test_matches_diagonal_oracle(self):
+        # The evolved Dicke amplitudes expand to the dense state phased by
+        # exp(i p dw t), p each basis index's popcount.
         rng = np.random.default_rng(7)
-        for has_bus in (False, True):
-            n_ions, dw, t = 3, 0.37, 1.9
-            dim = 2 ** (n_ions + has_bus)
-            amps = random_state(dim, rng)
-            reg = QubitRegister(n_ions, has_bus, amps.copy())
-            got = free_evolve(reg, dw, t)
-            shift = 1 if has_bus else 0
-            phases = np.array(
-                [np.exp(1j * bin(i >> shift).count("1") * dw * t) for i in range(dim)]
-            )
-            np.testing.assert_allclose(got.amplitudes, phases * amps, atol=1e-12)
+        n_ions, dw, t = 3, 0.37, 1.9
+        state = random_dicke(n_ions, rng)
+        got = expand_dicke(free_evolve(state, dw, t)).amplitudes
+        phases = np.exp(1j * popcounts(n_ions) * dw * t)
+        np.testing.assert_allclose(got, phases * expand_dicke(state).amplitudes, atol=1e-12)
 
     def test_composition_of_intervals(self):
         # Evolving t1 then t2 must equal evolving t1+t2 exactly.
-        rng = np.random.default_rng(8)
-        amps = random_state(16, rng)
-        reg = QubitRegister(4, False, amps)
-        a = free_evolve(free_evolve(reg, 0.81, 0.4), 0.81, 1.13)
-        b = free_evolve(reg, 0.81, 1.53)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-12)
+        state = random_dicke(4, np.random.default_rng(8))
+        a = free_evolve(free_evolve(state, 0.81, 0.4), 0.81, 1.13)
+        b = free_evolve(state, 0.81, 1.53)
+        np.testing.assert_allclose(a.dicke, b.dicke, atol=1e-12)
 
     def test_rejects_negative_time(self):
+        state = random_dicke(1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            free_evolve(new_register(1), 0.1, -1.0)
+            free_evolve(state, 0.1, -1.0)
         with pytest.raises(ValueError):  # every entry of a batch is checked
-            free_evolve(new_register(1), 0.1, np.array([0.5, 0.0, -1e-9]))
+            free_evolve(state, 0.1, np.array([0.5, 0.0, -1e-9]))
 
     def test_batch_rows_equal_single_evolutions(self):
-        reg = QubitRegister(3, True, random_state(16, np.random.default_rng(9)))
+        state = random_dicke(3, np.random.default_rng(9))
         ts, dws = np.array([0.0, 0.4, 1.7]), np.array([0.3, -1.1, 2.5])
-        got = free_evolve(reg, dws, ts).amplitudes
-        want = [free_evolve(reg, dw, t).amplitudes for dw, t in zip(dws, ts)]
+        got = free_evolve(state, dws, ts).dicke
+        want = [free_evolve(state, dw, t).dicke for dw, t in zip(dws, ts)]
         assert np.array_equal(got, want)
 
 
@@ -205,21 +225,18 @@ class TestKernelReferences:
                 got = apply_rotation(reg, PulseSpec(theta, phi, targets)).amplitudes
                 np.testing.assert_allclose(got, amps @ dense.T, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("has_bus", [False, True])
     @pytest.mark.parametrize("n_ions", [1, 2, 4, 7])
-    def test_free_evolve_equals_direct_formula(self, n_ions, has_bus):
+    def test_free_evolve_equals_direct_formula(self, n_ions):
         rng = np.random.default_rng(n_ions)
-        dim = 2 ** (n_ions + has_bus)
-        p = excitation_counts(n_ions, has_bus)
+        p = np.arange(n_ions + 1)
         dws, ts = np.array([0.3, -1.1, 2.5]), np.array([0.0, 0.4, 1.7])
         for rows in ((), (3,)):
-            amps = rng.normal(size=rows + (dim,)) + 1j * rng.normal(size=rows + (dim,))
-            reg = QubitRegister(n_ions, has_bus, amps)
+            state = random_dicke(n_ions, rng, rows)
             for dw, t in ((0.37, 1.9), (-1.3, 0.0), (dws, ts), (dws, 0.8), (0.5, ts)):
-                want = amps * np.exp(
+                want = state.dicke * np.exp(
                     1j * p * np.asarray(dw, dtype=float)[..., None] * np.asarray(t)[..., None]
                 )
-                assert np.array_equal(free_evolve(reg, dw, t).amplitudes, want)
+                assert np.array_equal(free_evolve(state, dw, t).dicke, want)
 
 
 class TestPeakMemory:
@@ -229,15 +246,19 @@ class TestPeakMemory:
 
     N_IONS = 16
 
-    @pytest.mark.parametrize("op", ["pulse", "prepare_ghz", "reverse_prep", "free_evolve"])
+    @pytest.mark.parametrize(
+        "op", ["pulse", "prepare_ghz", "reverse_prep", "inverse_star", "expand_dicke"]
+    )
     def test_peak_allocation(self, op):
         ground = new_register(self.N_IONS)
         ghz, seq = prepare_ghz(ground, 0.3)
+        dicke = random_dicke(self.N_IONS, np.random.default_rng(3))
         run = {
             "pulse": lambda: apply_rotation(ghz, pi_half_pulse(self.N_IONS, 0.2)),
             "prepare_ghz": lambda: prepare_ghz(ground, 0.3),
             "reverse_prep": lambda: reverse_prep(ghz, seq),
-            "free_evolve": lambda: free_evolve(ghz, 0.7, 1.3),
+            "inverse_star": lambda: inverse_star(ghz, rotation_matrix(np.pi / 2, 0.4)),
+            "expand_dicke": lambda: expand_dicke(dicke),
         }[op]
         tracemalloc.start()
         try:
@@ -250,23 +271,70 @@ class TestPeakMemory:
 
 def dense_signal(protocol, n_ions, amps):
     """Oracle, row by row: 1/2 + <Jz>/L (standard), 2**L <prod of the
-    spins> (GHZ parity) and -2 <Sz> of ion 1 (GHZ time-reversed)."""
+    spins> (GHZ parity) and -2 <Sz> of ion 1 (GHZ time-reversed). Each
+    observable is diagonal in the basis, so it is its diagonal: the
+    Kronecker product of one single-ion diagonal per ion."""
     ions = range(1, n_ions + 1)
+
+    def on_ions(targets):
+        diagonal = np.ones(1)
+        for i in ions:
+            diagonal = np.kron(diagonal, np.diag(SZ).real if i in targets else np.ones(2))
+        return diagonal
+
     if protocol is Protocol.STANDARD:
-        jz = sum(embed_on_ions(SZ, n_ions, (i,)) for i in ions)
-        op, shift = jz / n_ions, 0.5
+        op, shift = sum(on_ions((i,)) for i in ions) / n_ions, 0.5
     elif protocol is Protocol.GHZ_PARITY:
-        op, shift = 2**n_ions * embed_on_ions(SZ, n_ions, ions), 0.0
+        op, shift = 2**n_ions * on_ions(ions), 0.0
     else:
-        op, shift = -2 * embed_on_ions(SZ, n_ions, (1,)), 0.0
-    return shift + np.real(np.einsum("...i,ij,...j->...", amps.conj(), op, amps))
+        op, shift = -2 * on_ions((1,)), 0.0
+    return shift + np.sum(np.abs(amps) ** 2 * op, axis=-1)
+
+
+def dense_prepare(cfg):
+    """Gate-level reference preparation: the opening pulse on every ion
+    (standard), or the GHZ star circuit with each admixture eps_p added as
+    eps_p times the normalized uniform superposition of the indices with p
+    ions up, then renormalized. Returns the register and the GHZ gate
+    sequence (None for standard)."""
+    reg = new_register(cfg.n_ions)
+    if cfg.protocol is Protocol.STANDARD:
+        return apply_rotation(reg, pi_half_pulse(cfg.n_ions, 0.0)), None
+    reg, seq = prepare_ghz(reg, cfg.phi0)
+    if cfg.imperfection is not None:
+        amps, counts = reg.amplitudes.copy(), popcounts(cfg.n_ions)
+        for p, eps in sorted(cfg.imperfection.epsilon.items()):
+            amps += eps * (counts == p) / np.sqrt(comb(cfg.n_ions, p))
+        reg = QubitRegister(cfg.n_ions, False, amps / np.linalg.norm(amps))
+    return reg, seq
+
+
+def dense_evolve(reg, delta_omega, t):
+    """Free evolution on the dense register: exp(i p dw t) on p ions up."""
+    return QubitRegister(
+        reg.n_ions, reg.has_bus,
+        reg.amplitudes * np.exp(1j * popcounts(reg.n_ions) * delta_omega * t),
+    )
+
+
+def dense_close(reg, cfg, seq):
+    """Gate-level reference readout: the replayed inverse GHZ sequence
+    (time-reversed), or the collective pi/2 pulse at phase pi - phi_f
+    (standard) or (phi0 - phi_f)/L + pi/2 (GHZ parity)."""
+    if cfg.protocol is Protocol.GHZ_REVERSED:
+        return reverse_prep(reg, seq)
+    if cfg.protocol is Protocol.STANDARD:
+        phase = np.pi - cfg.final_phase
+    else:
+        phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
+    return apply_rotation(reg, pi_half_pulse(cfg.n_ions, phase))
 
 
 def dense_final(cfg):
     """The dense reference for a noiseless run: prepare, evolve and close
-    the full 2**L state."""
-    reg, seq = _prepare(cfg)
-    return _close(free_evolve(reg, cfg.delta_omega, cfg.t_ramsey), cfg, seq)
+    the full 2**L state at gate level."""
+    reg, seq = dense_prepare(cfg)
+    return dense_close(dense_evolve(reg, cfg.delta_omega, cfg.t_ramsey), cfg, seq)
 
 
 class TestReadout:

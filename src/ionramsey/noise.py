@@ -7,9 +7,9 @@ over trajectories this reproduces exponential coherence decay exactly —
 ``<e^{i phi}> = e^{-gamma t}`` for one ion, and ``e^{-L gamma t}`` for the
 relative coherence of an L-ion GHZ state under independent noise, because
 the GHZ components accumulate the *sum* of the per-ion phases. In common
-mode all ions share one draw, so the GHZ phase variance grows as L^2. Phases
-are drawn one trajectory at a time and applied to the dense register a batch
-at a time, as the Kronecker product of the per-ion factors (1, e^{i phi_k}).
+mode all ions share one draw, so the GHZ phase variance grows as L^2. A
+batch's phases are drawn as one block, a row a trajectory, and applied to the
+dense register as the Kronecker product of the per-ion factors (1, e^{i phi_k}).
 
 Preparation imperfection is modelled as small coherent admixtures of the
 symmetric (fixed-excitation) states, added to the GHZ state's Dicke
@@ -51,17 +51,19 @@ class NoiseSpec:
 
 
 def sample_dephasing_phases(
-    spec: NoiseSpec, t: float, n_ions: int, rng: np.random.Generator
+    spec: NoiseSpec, t: float, n_ions: int, rng: np.random.Generator, shots: int
 ) -> np.ndarray:
-    """One phase per ion for a single free-evolution interval of length t."""
+    """Phases of ``shots`` trajectories over a free evolution of length t: one
+    ``rng.normal`` block ``(shots, n_ions)``, row k trajectory k; common mode draws
+    ``(shots, 1)``, broadcast (read only) across the ions. No draw at zero variance."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     sigma = np.sqrt(2.0 * spec.gamma * t)
     if sigma == 0.0:
-        return np.zeros(n_ions)
+        return np.zeros((shots, n_ions))
     if spec.mode == "common":
-        return np.full(n_ions, rng.normal(0.0, sigma))
-    return rng.normal(0.0, sigma, size=n_ions)
+        return np.broadcast_to(rng.normal(0.0, sigma, size=(shots, 1)), (shots, n_ions))
+    return rng.normal(0.0, sigma, size=(shots, n_ions))
 
 
 def apply_phase_noise(reg: QubitRegister, phases: np.ndarray) -> QubitRegister:

@@ -394,10 +394,11 @@ def run_ramsey(
     seed label the returned :class:`Trials` records.
 
     Noiseless runs sample every shot from one Born table. With dephasing,
-    each shot is a trajectory: shot by shot, ``rng`` draws its phases, then
-    its one uniform. The shots are then closed and sampled as a batch, in
-    chunks of ``CHUNK_AMPLITUDES``; the chunking follows every draw, so it
-    cannot change an outcome.
+    each shot is a trajectory: ``rng`` draws every shot's phases as one
+    block (:func:`.noise.sample_dephasing_phases`, row k shot k), then every
+    shot's one uniform as one ``random(shots)`` call. The shots are then
+    closed and sampled as a batch, in chunks of ``CHUNK_AMPLITUDES``; the
+    chunking follows every draw, so it cannot change an outcome.
     """
     return _sample(cfg, _run_state(cfg), rng, seed_label)
 
@@ -427,11 +428,8 @@ def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str)
         indices = sample_born_table(state, rng.random(cfg.shots))
         outcomes = protocol.outcomes(indices, cfg.n_ions)
     else:
-        phases = np.empty((cfg.shots, cfg.n_ions))
-        uniforms = np.empty(cfg.shots)
-        for k in range(cfg.shots):
-            phases[k] = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
-            uniforms[k] = rng.random()
+        phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng, cfg.shots)
+        uniforms = rng.random(cfg.shots)
         rows = max(1, CHUNK_AMPLITUDES // state.dim)
         outcomes = np.empty(cfg.shots)
         for k in range(0, cfg.shots, rows):
@@ -804,7 +802,9 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     1973): at fixed f the model is linear in (A cos phi, -A sin phi, c), so
     a linear least-squares solve leaves a residual that depends on f alone.
     A bounded scalar minimiser finds its minimum within half a natural bin,
-    pi / (n dt), of the peak of a zero-padded periodogram.
+    pi / (n dt), of the peak of a zero-padded periodogram. Within half a bin
+    of the grid's Nyquist frequency pi / dt that window holds the alias
+    2 pi / dt - f of a slower fringe, so a fit there raises ``FitError``.
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
@@ -836,6 +836,12 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
             method="bounded",
             options={"xatol": 1e-13 * freq},
         ).x
+    nyquist = len(s) * half_bin
+    if freq >= nyquist - half_bin:
+        raise FitError(
+            f"fitted frequency {freq:.6g} rad/s is not half a bin, {half_bin:.6g} rad/s, below "
+            f"the grid's Nyquist frequency {nyquist:.6g} rad/s: it may be an alias"
+        )
     (a, b, offset), _ = solve(freq)
     return FringeFit(
         frequency=float(freq),

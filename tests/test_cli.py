@@ -501,17 +501,6 @@ class TestErrorPaths:
                 "shots",
                 id="ramsey_one_shot",
             ),
-            # A fringe at the scan's Nyquist frequency: the fit returned an
-            # amplitude of 3079.8 for a signal bounded by 1, and exit 0.
-            pytest.param(
-                "ramsey",
-                "[ramsey]\nprotocol = ghz\nn_ions = 16\nt_ramsey = 3.0\nomega_0 = 0.1\n"
-                "omega_r = 4.28879020478639\nscan_points = 64\nfinal_phase = 0.3\n"
-                "phi0 = 0.6\nepsilon = 1:0.08 15:0.05:1.1\n",
-                ("--expectation-mode",),
-                "Nyquist",
-                id="ramsey_scan_at_nyquist",
-            ),
             pytest.param(
                 "scaling",
                 "[scaling]\nl_values = 1 2\ntrials = 1\n",
@@ -591,6 +580,17 @@ class TestErrorPaths:
                 (),
                 "DegenerateSlopeError",
                 id="dephasing_zero_sigma",
+            ),
+            # A fringe at the scan's Nyquist frequency: the fit returned an
+            # amplitude of 3079.8 for a signal bounded by 1, and exit 0.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 16\nt_ramsey = 3.0\nomega_0 = 0.1\n"
+                "omega_r = 4.28879020478639\nscan_points = 64\nfinal_phase = 0.3\n"
+                "phi0 = 0.6\nepsilon = 1:0.08 15:0.05:1.1\n",
+                ("--expectation-mode",),
+                "FitError",
+                id="ramsey_scan_at_nyquist",
             ),
             # exp(-3 gamma T) underflows to 0 at T = 1000: the analytic curve divided by it.
             pytest.param(

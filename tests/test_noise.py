@@ -28,18 +28,18 @@ def ghz_dicke(n_ions, phi0):
 
 
 def coherence(reg):
-    """|<all-down| rho |all-up>| normalized to the GHZ value 1/2."""
-    return 2 * abs(reg.amplitudes[0].conjugate() * reg.amplitudes[-1])
+    """|<all-down| rho |all-up>| normalized to the GHZ value 1/2, one a row."""
+    return 2 * np.abs(reg.amplitudes[..., 0].conjugate() * reg.amplitudes[..., -1])
 
 
 def coherence_re(reg):
-    """Real part of the normalized extreme-state coherence.
+    """Real part of the normalized extreme-state coherence, one a row.
 
     The diagonal parity observable is blind to dephasing until the readout
     rotation; the decay lives in this off-diagonal element, whose
     trajectory average gives the fringe envelope.
     """
-    return 2 * float(np.real(reg.amplitudes[0].conjugate() * reg.amplitudes[-1]))
+    return 2 * np.real(reg.amplitudes[..., 0].conjugate() * reg.amplitudes[..., -1])
 
 
 class TestPhaseSampling:
@@ -48,7 +48,7 @@ class TestPhaseSampling:
         # bulk sampler for the oracle statistics.
         rng = stream(1, 0)
         spec = NoiseSpec(gamma=0.7)
-        phases = sample_dephasing_phases(spec, 1.3, 200_000, rng)
+        phases = sample_dephasing_phases(spec, 1.3, 200_000, rng, 1)
         var = float(np.var(phases))
         want = 2 * 0.7 * 1.3
         # var(sample var) ~ 2 sigma^4 / n for Gaussians
@@ -59,7 +59,7 @@ class TestPhaseSampling:
         # E[cos theta] = exp(-gamma t); E[cos^2] = (1 + exp(-4 gamma t)) / 2
         gamma, t, n = 0.5, 0.8, 400_000
         rng = stream(2, 0)
-        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, n, rng)
+        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, n, rng, 1)
         want = np.exp(-gamma * t)
         var_cos = (1 + np.exp(-4 * gamma * t)) / 2 - want**2
         got = float(np.mean(np.cos(phases)))
@@ -67,9 +67,29 @@ class TestPhaseSampling:
 
     def test_common_mode_draws_single_phase(self):
         spec = NoiseSpec(gamma=0.4, mode="common")
-        phases = sample_dephasing_phases(spec, 1.0, 5, stream(3, 0))
-        assert phases.shape == (5,)
-        assert np.all(phases == phases[0])
+        phases = sample_dephasing_phases(spec, 1.0, 5, stream(3, 0), shots=7)
+        assert phases.shape == (7, 5)
+        assert np.all(phases == phases[:, :1])
+        assert len(np.unique(phases[:, 0])) == 7
+
+    @pytest.mark.parametrize("mode,width", [("independent", 4), ("common", 1)])
+    def test_block_is_one_normal_draw(self, mode, width):
+        # Row k is trajectory k: one normal block, row-major, (shots, 1) in common mode.
+        spec = NoiseSpec(gamma=0.3, mode=mode)
+        rng = stream(3, 1)
+        phases = sample_dephasing_phases(spec, 0.7, 4, rng, shots=6)
+        fresh = stream(3, 1)
+        want = fresh.normal(0.0, np.sqrt(2 * 0.3 * 0.7), (6, width))
+        assert phases.shape == (6, 4)
+        assert np.array_equal(phases, np.broadcast_to(want, (6, 4)))
+        assert np.array_equal(rng.random(4), fresh.random(4))
+
+    @pytest.mark.parametrize("gamma,t", [(0.0, 1.0), (0.5, 0.0)])
+    def test_zero_variance_draws_nothing(self, gamma, t):
+        rng = stream(3, 2)
+        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, 3, rng, shots=5)
+        assert np.array_equal(phases, np.zeros((5, 3)))
+        assert np.array_equal(rng.random(4), stream(3, 2).random(4))
 
     def test_zero_gamma_is_identity(self):
         reg, _ = prepare_ghz(new_register(3), 0.0)
@@ -131,6 +151,8 @@ class TestAppliedPhases:
 
 
 class TestEnvelopes:
+    """Each envelope averages one block of trajectories, phased as one batch."""
+
     @pytest.mark.parametrize("n_ions", [2, 4])
     def test_ghz_envelope_exponent_independent(self, n_ions):
         # GHZ coherence decays exp(-L gamma t) under independent dephasing.
@@ -138,10 +160,8 @@ class TestEnvelopes:
         rng = stream(10 + n_ions, 0)
         spec = NoiseSpec(gamma=gamma)
         reg0, _ = prepare_ghz(new_register(n_ions), 0.0)
-        vals = np.empty(trials)
-        for k in range(trials):
-            phases = sample_dephasing_phases(spec, t, n_ions, rng)
-            vals[k] = coherence_re(apply_phase_noise(reg0, phases))
+        phases = sample_dephasing_phases(spec, t, n_ions, rng, trials)
+        vals = coherence_re(apply_phase_noise(reg0, phases))
         want = np.exp(-n_ions * gamma * t)
         sem = float(np.std(vals, ddof=1) / np.sqrt(trials))
         assert abs(float(np.mean(vals)) - want) < 4 * sem
@@ -153,10 +173,8 @@ class TestEnvelopes:
         rng = stream(17, 0)
         spec = NoiseSpec(gamma=gamma, mode="common")
         reg0, _ = prepare_ghz(new_register(n_ions), 0.0)
-        vals = np.empty(trials)
-        for k in range(trials):
-            phases = sample_dephasing_phases(spec, t, n_ions, rng)
-            vals[k] = coherence_re(apply_phase_noise(reg0, phases))
+        phases = sample_dephasing_phases(spec, t, n_ions, rng, trials)
+        vals = coherence_re(apply_phase_noise(reg0, phases))
         want = np.exp(-n_ions**2 * gamma * t)
         sem = float(np.std(vals, ddof=1) / np.sqrt(trials))
         assert abs(float(np.mean(vals)) - want) < 4 * sem
@@ -166,10 +184,8 @@ class TestEnvelopes:
         gamma, t, trials = 0.8, 0.9, 40_000
         rng = stream(23, 0)
         reg0, _ = prepare_ghz(new_register(1), 0.0)  # (|0>+|1>)/sqrt(2)
-        vals = np.empty(trials)
-        for k in range(trials):
-            phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, 1, rng)
-            vals[k] = coherence(apply_phase_noise(reg0, phases)) * np.cos(phases[0])
+        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, 1, rng, trials)
+        vals = coherence(apply_phase_noise(reg0, phases)) * np.cos(phases[:, 0])
         # coherence magnitude stays 1; the signal-relevant part is cos(theta)
         want = np.exp(-gamma * t)
         sem = float(np.std(vals, ddof=1) / np.sqrt(trials))

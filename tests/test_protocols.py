@@ -41,10 +41,10 @@ from ionramsey import (
     stream,
     two_point_calibrate,
 )
-from ionramsey import protocols
+from ionramsey import protocols, streams
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
-from ionramsey.noise import apply_phase_noise, sample_dephasing_phases
+from ionramsey.noise import apply_phase_noise
 from ionramsey.register import expand_dicke, sample_born_table, sample_measurement
 from ionramsey.protocols import (
     FringeFit,
@@ -293,15 +293,20 @@ class TestSampledRuns:
 
 
 def per_shot_outcomes(cfg, rng):
-    """Reference for dephased runs: one trajectory at a time. Each shot draws
-    its phases, closes its own state at gate level and samples it with
-    ``rng.choice``; the outcome is read straight off the drawn basis index."""
+    """Reference for dephased runs: one trajectory at a time. The stream first
+    gives every shot's phases as one ``(shots, L)`` normal block, row k shot k
+    (``(shots, 1)``, broadcast across the ions, in common mode); then each shot
+    closes its own state at gate level and samples it with ``rng.choice``; the
+    outcome is read straight off the drawn basis index."""
     prepared, seq = dense_prepare(cfg)
     evolved = dense_evolve(prepared, cfg.delta_omega, cfg.t_ramsey)
+    sigma = np.sqrt(2 * cfg.noise.gamma * cfg.t_ramsey)
+    width = 1 if cfg.noise.mode == "common" else cfg.n_ions
+    phases = rng.normal(0.0, sigma, (cfg.shots, width))
     outcomes = np.empty(cfg.shots)
     for k in range(cfg.shots):
-        phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng)
-        final = dense_close(apply_phase_noise(evolved, phases), cfg, seq)
+        row = np.broadcast_to(phases[k], cfg.n_ions)
+        final = dense_close(apply_phase_noise(evolved, row), cfg, seq)
         probs = np.abs(final.amplitudes) ** 2
         index = int(rng.choice(final.dim, size=1, p=probs / probs.sum())[0])
         n_down = cfg.n_ions - bin(index).count("1")
@@ -340,8 +345,9 @@ _ORACLE_CASES = [
 
 
 class TestBatchedTrajectories:
-    """Dephased shots run as a batch but consume their stream shot by shot,
-    so every outcome equals the one-trajectory-at-a-time reference."""
+    """Dephased shots run as a batch: a batch's stream gives every shot's
+    phases as one block, then every shot's uniform, and every outcome equals
+    the one-trajectory-at-a-time reference that consumes it in that order."""
 
     @pytest.mark.parametrize("protocol,n_ions,mode,epsilon", _ORACLE_CASES)
     def test_outcomes_equal_per_shot_reference(self, protocol, n_ions, mode, epsilon):
@@ -368,6 +374,42 @@ class TestBatchedTrajectories:
         trials = _run_batches(cfg, 2300, 13, (0,))
         assert trials.batches == (("13/0/0", 2000), ("13/0/1", 300))
         assert np.array_equal(trials.outcomes, want)
+
+
+def _drawn_as_blocks(seed_path, shots, width):
+    """A fresh stream after one (shots, width) normal block and one
+    random(shots) call: where a dephased batch must leave its stream."""
+    rng = stream(*seed_path)
+    rng.normal(size=(shots, width))
+    rng.random(shots)
+    return rng
+
+
+class TestStreamConsumption:
+    """A dephased batch consumes its stream as two blocks: all phases, row by
+    row, then all uniforms."""
+
+    @pytest.mark.parametrize("mode,width", [("independent", 3), ("common", 1)])
+    def test_run_leaves_stream_after_two_blocks(self, mode, width):
+        cfg = _dephased_cfg(Protocol.GHZ_PARITY, 3, mode, shots=500)
+        rng = stream(29, 3)
+        run_ramsey(cfg, rng)
+        assert np.array_equal(rng.random(8), _drawn_as_blocks((29, 3), 500, width).random(8))
+
+    def test_each_batch_leaves_its_stream_after_two_blocks(self, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(stream(*args))
+            return made[-1]
+
+        monkeypatch.setattr(streams, "stream", recording)
+        cfg = _dephased_cfg(Protocol.STANDARD, 4, "independent", shots=1)
+        assert _run_batches(cfg, 2300, 13, (0,)).batches == (("13/0/0", 2000), ("13/0/1", 300))
+        assert len(made) == 2
+        for b, (rng, shots) in enumerate(zip(made, (2000, 300))):
+            want = _drawn_as_blocks((13, 0, b), shots, 4).random(8)
+            assert np.array_equal(rng.random(8), want)
 
 
 def _grid_cfg(protocol, n_ions):
@@ -837,6 +879,16 @@ class TestFringeFit:
     def test_needs_minimum_samples(self):
         with pytest.raises(FitError):
             fit_fringe_frequency(np.arange(5.0), np.ones(5))
+
+    def test_fringe_near_nyquist_raises(self):
+        # A GHZ scan at L = 4, 64 points over 3 s, of a fringe a tenth of half a
+        # bin under the grid's Nyquist frequency 67.021 rad/s once fitted its
+        # alias, 67.125, at amplitude 1.0.
+        t = 3.0 * np.arange(1, 65) / 64
+        cfg = RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=66.916 / 4, omega_0=0.0,
+                           allow_wrap=True)
+        with pytest.raises(FitError, match="Nyquist"):
+            fit_fringe_frequency(t, fringe_scan(cfg, t))
 
     def test_scan_ending_mid_fringe(self):
         # A 64-point standard scan over 2.7 fringes once fitted 1.529934.

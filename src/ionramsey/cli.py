@@ -380,6 +380,12 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         points = 64 if values["scan_points"] is None else values["scan_points"]
         t_max = cfg.t_ramsey if values["scan_t_max"] is None else values["scan_t_max"]
         fringe = abs(cfg.delta_omega) * cfg.protocol.multiplier(cfg.n_ions)
+        nyquist = np.pi * points / t_max
+        # The fit's own guard sees only the fitted frequency, so it misses a fringe
+        # above Nyquist that aliases well below it; only here is the fringe known.
+        if fringe >= nyquist - np.pi / t_max:
+            msg = f"[ramsey] fringe frequency {fringe:.6g} rad/s is within pi/scan_t_max of"
+            raise ConfigError(f"{msg} the scan's Nyquist frequency {nyquist:.6g} rad/s")
         t_grid = t_max * np.arange(1, points + 1) / points
         signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
         fit = fit_fringe_frequency(t_grid, signal)

@@ -53,9 +53,8 @@ class NoiseSpec:
 def sample_dephasing_phases(
     spec: NoiseSpec, t: float, n_ions: int, rng: np.random.Generator, shots: int
 ) -> np.ndarray:
-    """Phases of ``shots`` trajectories over a free evolution of length t: one
-    ``rng.normal`` block ``(shots, n_ions)``, row k trajectory k; common mode draws
-    ``(shots, 1)``, broadcast (read only) across the ions. No draw at zero variance."""
+    """Phases ``(shots, n_ions)`` over a free evolution t, row k trajectory k, from one
+    ``rng.normal`` block; common mode draws ``(shots, 1)``, broadcast. None at zero variance."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     sigma = np.sqrt(2.0 * spec.gamma * t)

@@ -394,11 +394,10 @@ def run_ramsey(
     seed label the returned :class:`Trials` records.
 
     Noiseless runs sample every shot from one Born table. With dephasing,
-    each shot is a trajectory: ``rng`` draws every shot's phases as one
-    block (:func:`.noise.sample_dephasing_phases`, row k shot k), then every
-    shot's one uniform as one ``random(shots)`` call. The shots are then
-    closed and sampled as a batch, in chunks of ``CHUNK_AMPLITUDES``; the
-    chunking follows every draw, so it cannot change an outcome.
+    each shot is a trajectory: ``rng`` draws every shot's phases as one block
+    (:func:`.noise.sample_dephasing_phases`, row k shot k), then its uniforms as
+    one ``random(shots)`` call. The shots are closed and sampled in chunks of
+    ``CHUNK_AMPLITUDES``, after every draw, so chunking cannot change an outcome.
     """
     return _sample(cfg, _run_state(cfg), rng, seed_label)
 
@@ -802,9 +801,10 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     1973): at fixed f the model is linear in (A cos phi, -A sin phi, c), so
     a linear least-squares solve leaves a residual that depends on f alone.
     A bounded scalar minimiser finds its minimum within half a natural bin,
-    pi / (n dt), of the peak of a zero-padded periodogram. Within half a bin
-    of the grid's Nyquist frequency pi / dt that window holds the alias
-    2 pi / dt - f of a slower fringe, so a fit there raises ``FitError``.
+    pi / (n dt), of the peak of a zero-padded periodogram. A fit within half
+    a bin of the grid's Nyquist frequency pi / dt may be the alias of a slower
+    fringe and raises ``FitError``; a fringe above Nyquist fits its alias
+    cleanly, so a caller that knows the fringe must check it itself.
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
@@ -830,18 +830,12 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     # a second, narrow pass around the first result makes it negligible.
     for width in (half_bin, 1e-6 * half_bin):
         freq += minimize_scalar(
-            sq_residual,
-            bounds=(-width, width),
-            args=(freq,),
-            method="bounded",
+            sq_residual, bounds=(-width, width), args=(freq,), method="bounded",
             options={"xatol": 1e-13 * freq},
         ).x
-    nyquist = len(s) * half_bin
-    if freq >= nyquist - half_bin:
-        raise FitError(
-            f"fitted frequency {freq:.6g} rad/s is not half a bin, {half_bin:.6g} rad/s, below "
-            f"the grid's Nyquist frequency {nyquist:.6g} rad/s: it may be an alias"
-        )
+    if freq >= len(s) * half_bin - half_bin:
+        msg = f"fitted frequency {freq:.6g} rad/s is within half a bin, {half_bin:.6g} rad/s, of"
+        raise FitError(f"{msg} the grid's Nyquist frequency {len(s) * half_bin:.6g} rad/s")
     (a, b, offset), _ = solve(freq)
     return FringeFit(
         frequency=float(freq),

@@ -120,10 +120,14 @@ scan_t_max = 3.9269908169872414
             4 * 0.4, rel=1e-6
         )
 
-    @pytest.mark.parametrize("below_bins,code", [(1.5, 0), (1.01, 0), (0.99, 2), (0.1, 2)])
-    def test_expectation_scan_nyquist_margin(self, tmp_path, below_bins, code):
+    @pytest.mark.parametrize(
+        "below_bins,code", [(1.5, 0), (1.01, 0), (0.99, 2), (0.1, 2), (-1, 2), (-32, 2)]
+    )
+    def test_expectation_scan_nyquist_margin(self, tmp_path, capsys, below_bins, code):
         # The fringe may come up to half a frequency bin, pi / scan_t_max,
         # below the grid's Nyquist frequency pi * scan_points / scan_t_max.
+        # Above it (below_bins < 0) the scan aliases: at -32 the fringe is 1.5
+        # times Nyquist and the fit alone finds its alias at half Nyquist.
         n_ions, t_max, points = 4, 3.0, 64
         fringe = np.pi * (points - below_bins) / t_max
         ini = (
@@ -133,6 +137,9 @@ scan_t_max = 3.9269908169872414
         out = tmp_path / "out"
         argv = ["ramsey", "--config", write_config(tmp_path, "e.ini", ini), "--out", str(out)]
         assert main([*argv, "--expectation-mode"]) == code
+        if code == 2:
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError" and "Nyquist" in err["message"]
         if code == 0:
             summary = json.loads((out / "ramsey_summary.json").read_text())
             assert summary["fitted_fringe_frequency"] == pytest.approx(fringe, rel=1e-9)
@@ -501,6 +508,17 @@ class TestErrorPaths:
                 "shots",
                 id="ramsey_one_shot",
             ),
+            # A fringe at the scan's Nyquist frequency: the fit returned an
+            # amplitude of 3079.8 for a signal bounded by 1, and exit 0.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 16\nt_ramsey = 3.0\nomega_0 = 0.1\n"
+                "omega_r = 4.28879020478639\nscan_points = 64\nfinal_phase = 0.3\n"
+                "phi0 = 0.6\nepsilon = 1:0.08 15:0.05:1.1\n",
+                ("--expectation-mode",),
+                "Nyquist",
+                id="ramsey_scan_at_nyquist",
+            ),
             pytest.param(
                 "scaling",
                 "[scaling]\nl_values = 1 2\ntrials = 1\n",
@@ -580,17 +598,6 @@ class TestErrorPaths:
                 (),
                 "DegenerateSlopeError",
                 id="dephasing_zero_sigma",
-            ),
-            # A fringe at the scan's Nyquist frequency: the fit returned an
-            # amplitude of 3079.8 for a signal bounded by 1, and exit 0.
-            pytest.param(
-                "ramsey",
-                "[ramsey]\nprotocol = ghz\nn_ions = 16\nt_ramsey = 3.0\nomega_0 = 0.1\n"
-                "omega_r = 4.28879020478639\nscan_points = 64\nfinal_phase = 0.3\n"
-                "phi0 = 0.6\nepsilon = 1:0.08 15:0.05:1.1\n",
-                ("--expectation-mode",),
-                "FitError",
-                id="ramsey_scan_at_nyquist",
             ),
             # exp(-3 gamma T) underflows to 0 at T = 1000: the analytic curve divided by it.
             pytest.param(

@@ -46,6 +46,7 @@ from .protocols import (
 PROTOCOLS = (Protocol.STANDARD, Protocol.GHZ_PARITY)
 
 SCHEMA_VERSION = 1
+BATCH_SHOTS = 2000  # shots a random stream draws; a longer run takes several
 
 
 def theory_sigma(protocol: Protocol, n_ions: int, t_ramsey: float, tau: float) -> float:
@@ -106,17 +107,13 @@ def _half_fringe_config(
 
 
 def _run_batches(
-    cfg: RamseyConfig,
-    trials: int,
-    seed: int,
-    path_prefix: tuple[int, ...],
-    batch_size: int = 2000,
+    cfg: RamseyConfig, trials: int, seed: int, path_prefix: tuple[int, ...]
 ) -> Trials:
-    """``trials`` shots of cfg in batches of ``batch_size``, all sampled from
+    """``trials`` shots of cfg in batches of ``BATCH_SHOTS``, all sampled from
     one prepared state; batch b draws from ``stream(seed, *path_prefix, b)``,
     labelled ``seed/.../b``, and the batches are joined in batch order."""
-    n_batches = math.ceil(trials / batch_size)
-    sizes = [min(batch_size, trials - b * batch_size) for b in range(n_batches)]
+    n_batches = math.ceil(trials / BATCH_SHOTS)
+    sizes = [min(BATCH_SHOTS, trials - b * BATCH_SHOTS) for b in range(n_batches)]
     state = _run_state(cfg)
 
     def one_batch(b: int) -> Trials:

@@ -380,12 +380,14 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         points = 64 if values["scan_points"] is None else values["scan_points"]
         t_max = cfg.t_ramsey if values["scan_t_max"] is None else values["scan_t_max"]
         fringe = abs(cfg.delta_omega) * cfg.protocol.multiplier(cfg.n_ions)
-        nyquist = np.pi * points / t_max
-        # The fit's own guard sees only the fitted frequency, so it misses a fringe
-        # above Nyquist that aliases well below it; only here is the fringe known.
-        if fringe >= nyquist - np.pi / t_max:
-            msg = f"[ramsey] fringe frequency {fringe:.6g} rad/s is within pi/scan_t_max of"
-            raise ConfigError(f"{msg} the scan's Nyquist frequency {nyquist:.6g} rad/s")
+        low = np.pi / t_max
+        high = np.pi * points / t_max - low  # half a bin under the Nyquist frequency
+        # The fit's own guards see only the fitted frequency, so they miss a fringe
+        # above Nyquist that aliases well below it, or no fringe at all; only here
+        # is the fringe known. Below ``low`` the scan spans under half a fringe.
+        if not low <= fringe < high:
+            msg = f"[ramsey] fringe frequency {fringe:.6g} rad/s is outside [pi/scan_t_max,"
+            raise ConfigError(f"{msg} Nyquist - pi/scan_t_max) = [{low:.6g}, {high:.6g}) rad/s")
         t_grid = t_max * np.arange(1, points + 1) / points
         signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
         fit = fit_fringe_frequency(t_grid, signal)

@@ -15,9 +15,9 @@ Protocols
 
 :class:`Protocol` names these three variants; a :class:`RamseyConfig`
 carries one, and every pipeline below runs whichever it carries. Each
-protocol's readout is one outcome map from measured basis indices: sampled
-shots record it, the expected signal is its signal averaged over the Born
-probabilities, and the estimator inverts its fringe model
+protocol's readout is one outcome map from measured readout classes:
+sampled shots record it, the expected signal is its signal averaged over
+the Born probabilities, and the estimator inverts its fringe model
 (:attr:`Protocol.fringe`), with no per-protocol branch elsewhere.
 
 Pulse-phase bookkeeping (fixed here, verified in tests): the standard
@@ -37,8 +37,9 @@ expectations, no statistics) are first-class: :func:`run_ramsey` and
 its state once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`).
 A noiseless run closes them into a Born table, sampled for shots or averaged
 for expectations; a dephased run expands them once into the dense 2**L state
-that each trajectory phases and closes. The tests check both against the
-gate-level circuits of :mod:`.gates`.
+that each trajectory phases, closes and reduces to its Born table; every
+shot is drawn from a table by :func:`.register.sample_measurement`. The
+tests check both against the gate-level circuits of :mod:`.gates`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .register import (
     QubitRegister,
     _binomials,
     apply_rotation,
+    born_table,
     born_table_pulse,
     born_table_reversed,
     dicke_ghz,
@@ -79,7 +81,6 @@ from .register import (
     inverse_star,
     pi_half_pulse,
     rotation_matrix,
-    sample_born_table,
     sample_measurement,
 )
 
@@ -94,7 +95,7 @@ class Protocol(Enum):
     ``family`` (``standard`` or ``ghz``) is the name configs and benchmark
     tables use; ``readout`` is ``final_pulse`` or, for GHZ only,
     ``time_reversed``. The readout is defined once, by :meth:`outcomes` and
-    :meth:`signal`; sampling records the outcomes of measured indices,
+    :meth:`signal`; sampling records the outcomes of measured classes,
     :meth:`expected` averages the signal over a Born table, and
     :attr:`fringe` is the cosine model the estimator inverts.
     """
@@ -137,16 +138,12 @@ class Protocol(Enum):
         """The fringe phase phi; the time-reversed readout cancels phi_f."""
         return 0.0 if self is Protocol.GHZ_REVERSED else final_phase
 
-    def outcomes(self, indices: np.ndarray, n_ions: int) -> np.ndarray:
-        """Record outcomes (float64) of measured basis indices: the count of
-        ions found |dn> (standard), the parity sign +-1 of that count (GHZ
-        parity) or ion 1's spin +-1/2 (GHZ time-reversed)."""
-        if self is Protocol.GHZ_REVERSED:  # ion 1 is the most significant bit
-            return ((indices >> (n_ions - 1)) & 1) - 0.5
-        n_down = n_ions - np.bitwise_count(indices)
-        if self is Protocol.STANDARD:
-            return n_down.astype(np.float64)
-        return np.where(n_down % 2 == 0, 1.0, -1.0)
+    def outcomes(self, classes: np.ndarray, n_ions: int) -> np.ndarray:
+        """Record outcomes (float64) of readout classes b L + k (ion 1's bit
+        b, k ions up among ions 2..L): the count L - b - k of ions found |dn>
+        (standard), the parity sign +-1 of that count (GHZ parity) or ion 1's
+        spin b - 1/2 (GHZ time-reversed)."""
+        return _class_outcomes(self, n_ions).take(classes)
 
     def signal(self, outcomes: np.ndarray, n_ions: int) -> np.ndarray:
         """Per-shot fringe signal of recorded outcomes; its mean is the
@@ -168,12 +165,26 @@ class Protocol(Enum):
 
 
 @lru_cache(maxsize=None)
+def _class_outcomes(protocol: Protocol, n_ions: int) -> np.ndarray:
+    """:meth:`Protocol.outcomes` of every readout class, in class order: shared, read only."""
+    b, k = np.divmod(np.arange(2 * n_ions), n_ions)
+    n_down = n_ions - b - k
+    if protocol is Protocol.STANDARD:
+        table = n_down.astype(np.float64)
+    elif protocol is Protocol.GHZ_PARITY:
+        table = np.where(n_down % 2 == 0, 1.0, -1.0)
+    else:
+        table = b - 0.5
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
 def _signal_weights(protocol: Protocol, n_ions: int) -> np.ndarray:
     """Born table cell (b, k), flat: C(L - 1, k) indices (ion 1's bit b, k ions
-    up among the rest) times the signal of one of them. Shared, read only."""
-    b, k = np.divmod(np.arange(2 * n_ions), n_ions)
-    representative = (b << (n_ions - 1)) | ((1 << k) - 1)
-    signal = protocol.signal(protocol.outcomes(representative, n_ions), n_ions)
+    up among the rest) times the signal of their class. Shared, read only."""
+    k = np.arange(2 * n_ions) % n_ions
+    signal = protocol.signal(_class_outcomes(protocol, n_ions), n_ions)
     weights = _binomials(n_ions - 1)[n_ions - 1, k] * signal
     weights.flags.writeable = False
     return weights
@@ -304,8 +315,8 @@ def _close(reg: QubitRegister, cfg: RamseyConfig) -> QubitRegister:
 
 
 def _born_table(state: DickeState, cfg: RamseyConfig, final_phase) -> np.ndarray:
-    """The Born table (see :func:`.register.sample_born_table`) of the
-    closed state, or of each row of a batch: :func:`_close` on the Dicke
+    """The Born table (see :func:`.register.born_table`) of the closed
+    state, or of each row of a batch: :func:`_close` on the Dicke
     amplitudes at readout phase ``final_phase``, one row an entry of a 1-D
     array (which the time-reversed readout ignores, row by row)."""
     if cfg.protocol is Protocol.GHZ_REVERSED:
@@ -396,8 +407,9 @@ def run_ramsey(
     Noiseless runs sample every shot from one Born table. With dephasing,
     each shot is a trajectory: ``rng`` draws every shot's phases as one block
     (:func:`.noise.sample_dephasing_phases`, row k shot k), then its uniforms as
-    one ``random(shots)`` call. The shots are closed and sampled in chunks of
-    ``CHUNK_AMPLITUDES``, after every draw, so chunking cannot change an outcome.
+    one ``random(shots)`` call. The shots are closed, reduced to their Born
+    tables and sampled in chunks of ``CHUNK_AMPLITUDES``, after every draw, so
+    chunking cannot change an outcome.
     """
     return _sample(cfg, _run_state(cfg), rng, seed_label)
 
@@ -421,22 +433,21 @@ def _run_state(cfg: RamseyConfig) -> np.ndarray | QubitRegister:
 
 
 def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str) -> Trials:
-    """:func:`run_ramsey` from a :func:`_run_state` result."""
-    protocol = cfg.protocol
+    """:func:`run_ramsey` from a :func:`_run_state` result: each shot's readout
+    class is drawn from a Born table, the run's own or its trajectory's."""
     if cfg.noiseless:
-        indices = sample_born_table(state, rng.random(cfg.shots))
-        outcomes = protocol.outcomes(indices, cfg.n_ions)
+        classes = sample_measurement(state, rng.random(cfg.shots))
     else:
         phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng, cfg.shots)
         uniforms = rng.random(cfg.shots)
         rows = max(1, CHUNK_AMPLITUDES // state.dim)
-        outcomes = np.empty(cfg.shots)
+        classes = np.empty(cfg.shots, dtype=np.int64)
         for k in range(0, cfg.shots, rows):
             final = _close(apply_phase_noise(state, phases[k : k + rows]), cfg)
-            indices = sample_measurement(final, uniforms[k : k + rows])
-            outcomes[k : k + rows] = protocol.outcomes(indices, cfg.n_ions)
+            classes[k : k + rows] = sample_measurement(born_table(final), uniforms[k : k + rows])
+    outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
     batches = ((seed_label, cfg.shots),)
-    return Trials(protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, batches)
+    return Trials(cfg.protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, batches)
 
 
 # ---------------------------------------------------------------------------
@@ -641,25 +652,17 @@ def two_point_calibrate(
 
 
 def naive_single_point_omega0(
-    truth_simulator: TruthSimulator,
-    omega_r: float,
-    t_r: float,
-    n_ions: int,
-    *,
-    assumed_contrast: float = 1.0,
-    phi_f: float = 0.0,
+    truth_simulator: TruthSimulator, omega_r: float, t_r: float, n_ions: int
 ) -> float:
-    """Single-measurement inversion assuming a known contrast.
+    """Single-measurement inversion assuming full contrast, at readout phase 0.
 
     The comparison baseline for the calibration loop: any unmodelled
     contrast decay B(T_R) biases this estimate, since it inverts
-    S = B * cos(L dw T_R + phi_f) as if B were ``assumed_contrast``.
-    Assumes the setting sits above the resonance (positive branch).
+    S = B * cos(L dw T_R) as if B were 1. Assumes the setting sits above
+    the resonance (positive branch).
     """
-    s = truth_simulator(omega_r, t_r, phi_f)
-    u = float(np.clip(s / assumed_contrast, -1.0, 1.0))
-    delta_hat = (np.arccos(u) - phi_f) / (n_ions * t_r)
-    return omega_r - delta_hat
+    u = float(np.clip(truth_simulator(omega_r, t_r, 0.0), -1.0, 1.0))
+    return omega_r - np.arccos(u) / (n_ions * t_r)
 
 
 def make_truth_simulator(
@@ -803,8 +806,9 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     A bounded scalar minimiser finds its minimum within half a natural bin,
     pi / (n dt), of the peak of a zero-padded periodogram. A fit within half
     a bin of the grid's Nyquist frequency pi / dt may be the alias of a slower
-    fringe and raises ``FitError``; a fringe above Nyquist fits its alias
-    cleanly, so a caller that knows the fringe must check it itself.
+    fringe, and one below half a bin is the mean's leakage, which the
+    periodogram skips: both raise ``FitError``. A fringe above Nyquist fits
+    its alias cleanly, so a caller that knows the fringe must check it itself.
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
@@ -836,6 +840,9 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     if freq >= len(s) * half_bin - half_bin:
         msg = f"fitted frequency {freq:.6g} rad/s is within half a bin, {half_bin:.6g} rad/s, of"
         raise FitError(f"{msg} the grid's Nyquist frequency {len(s) * half_bin:.6g} rad/s")
+    if freq < half_bin:
+        msg = f"fitted frequency {freq:.6g} rad/s is below half a bin, {half_bin:.6g} rad/s,"
+        raise FitError(f"{msg} where the periodogram holds the mean's leakage")
     (a, b, offset), _ = solve(freq)
     return FringeFit(
         frequency=float(freq),

@@ -14,15 +14,16 @@ Conventions (fixed; everything downstream relies on them):
 * In the frame rotating at the drive frequency, a basis state with ``p``
   ions excited acquires phase ``exp(+i p delta_omega t)`` under free
   evolution with detuning ``delta_omega`` (drive minus atomic frequency).
-* A z measurement returns basis indices; reading them out (counting ions,
-  parity, ion 1's spin) is the protocol's job, in one place:
-  :meth:`.protocols.Protocol.outcomes`.
+* Every readout depends only on ion 1's bit b and the count k of ions up
+  among ions 2..L, so a z measurement returns the readout class b L + k;
+  reading it out (counting ions, parity, ion 1's spin) is the protocol's
+  job, in one place: :meth:`.protocols.Protocol.outcomes`.
 
 Registers are values: every operation returns a new register and leaves its
 input untouched, so Monte Carlo trials can share prepared states freely.
 ``amplitudes`` may carry leading batch axes, ``(..., 2**n)``, one state (say
 one dephasing trajectory) per row; pulses, phase noise, gates, the inverse
-star circuit and sampling act on each row as on that state alone.
+star circuit and :func:`born_table` act on each row as on that state alone.
 
 No kernel transposes the state. A pulse applies Kronecker blocks of its 2x2
 rotation (identity on the non-targets inside a block), each with one matmul:
@@ -37,11 +38,12 @@ ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
 rotations, one cached matrix per L) and free evolution never leave the
 (L + 1)-dimensional Dicke subspace. A :class:`DickeState` holds such a state,
 or a batch of them, and free evolution acts on it alone. Its closing readout
-leaves a (2, L) Born table per state, which :func:`sample_born_table` samples
-at the uniforms :func:`sample_measurement` would invert, or expectation mode
-averages. Dephasing breaks the symmetry: a dephased run expands the state
-once (:func:`expand_dicke`). The gate-level circuits of :mod:`.gates` stay
-dense, as the tests' independent reference.
+leaves a (2, L) Born table per state, which expectation mode averages.
+Dephasing breaks the symmetry: a dephased run expands the state once
+(:func:`expand_dicke`), and :func:`born_table` reduces each closed
+trajectory to the same table. :func:`sample_measurement` samples a table,
+whichever made it. The gate-level circuits of :mod:`.gates` stay dense, as
+the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -284,33 +286,13 @@ def bus_purity(reg: QubitRegister) -> float:
     return float(np.real(np.trace(rho @ rho)))
 
 
-def sample_measurement(reg: QubitRegister, uniforms: np.ndarray) -> np.ndarray:
-    """Basis indices (``int64``) of Born-rule z measurements of every qubit at
-    the given uniforms in [0, 1): one per shot of a single state, one per row
-    of a batch. The CDF is normalised and inverted as ``Generator.choice``
-    does it, so ``uniforms = rng.random(n)`` draws what
-    ``rng.choice(dim, n, p=...)`` would. :meth:`.protocols.Protocol.outcomes`
-    maps the indices to a protocol's record outcomes.
-    """
-    uniforms = np.asarray(uniforms, dtype=float)
-    probs = np.abs(reg.amplitudes) ** 2
-    probs /= probs.sum(axis=-1, keepdims=True)
-    cdf = np.cumsum(probs, axis=-1, out=probs)
-    cdf /= cdf[..., -1:]
-    if cdf.ndim == 1:
-        indices = cdf.searchsorted(uniforms, side="right")
-    else:  # a non-decreasing row's searchsorted index is its count of entries <= u
-        indices = np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
-    return indices.astype(np.int64, copy=False)
-
-
 # ---------------------------------------------------------------------------
-# Born tables of a symmetric state's closing readout
+# Born tables, and the one sampler that draws shots from them
 # ---------------------------------------------------------------------------
 #
 # Each readout below leaves a state whose Born probability of basis index x
 # depends only on ion 1's bit b and the count k of ions up among ions 2..L:
-# its Born table q, shape (2, L), holds it at q[b, k].
+# its Born table q, shape (2, L), holds it at q[b, k] (a mean, for a dense state).
 
 
 @lru_cache(maxsize=None)
@@ -373,36 +355,46 @@ def inverse_star(reg: QubitRegister, mat: np.ndarray) -> QubitRegister:
     return QubitRegister(reg.n_ions, False, out.reshape(reg.amplitudes.shape))
 
 
-def sample_born_table(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Basis indices (``int64``) drawn from a Born table at the given uniforms
-    in [0, 1), one per uniform, by inverting the CDF over basis indices in
-    index order, as :func:`sample_measurement` does for the dense state.
+@lru_cache(maxsize=None)
+def _class_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of n ions in readout-class order (b n + k; index order
+    within a class) and where each class starts: shared, read only."""
+    index = np.arange(1 << n)
+    classes = (index >> (n - 1)) * (n - 1) + np.bitwise_count(index)  # b n + k
+    order = np.argsort(classes, kind="stable")
+    starts = np.searchsorted(classes[order], np.arange(2 * n))
+    order.flags.writeable = starts.flags.writeable = False
+    return order, starts
 
-    A prefix of the index fixes ion 1's bit b and the count c of excited
-    ions among the ions decided after it; the r ions still free hold mass
-    ``mass[r, b, c] = sum_k C(r, k) q[b, c + k]``, which the Pascal recursion
-    ``mass[r] = mass[r - 1][:, :-1] + mass[r - 1][:, 1:]`` gives for every
-    (b, c) at once. The descent decides ion 1, then one ion a step for
-    every shot together: with Z the total mass and ``acc`` the mass of the
-    indices already passed, the bit is 1 when ``u Z >= acc + mass0``, mass0
-    that of the block whose next bit is 0; like ``searchsorted(...,
-    side="right")``, a uniform on a boundary lands past it.
+
+def born_table(reg: QubitRegister) -> np.ndarray:
+    """Born table of a dense ion register (no bus), or of each row of a
+    batch: cell [b, k] holds the mean Born probability of its C(L - 1, k)
+    basis indices, one gather and one ``reduceat`` a state."""
+    n = reg.n_ions
+    order, starts = _class_order(n)
+    sums = np.add.reduceat((np.abs(reg.amplitudes) ** 2)[..., order], starts, axis=-1)
+    return sums.reshape(*sums.shape[:-1], 2, n) / _binomials(n - 1)[n - 1, :n]
+
+
+def sample_measurement(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Readout classes (``int64``) of Born-rule z measurements at the given
+    uniforms in [0, 1): one per uniform of a (2, L) Born table, one per row
+    of a batch ``(rows, 2, L)``. Class b L + k holds the C(L - 1, k) basis
+    indices of cell [b, k]; the class masses are normalised and their CDF
+    inverted as ``Generator.choice`` does, so ``uniforms = rng.random(n)``
+    draws what ``rng.choice(2 L, n, p=...)`` would.
+    :meth:`.protocols.Protocol.outcomes` maps the classes to a protocol's
+    record outcomes.
     """
-    n = table.shape[1]
-    mass = np.zeros((n, 2, n))  # mass[r, b, c]; zero past c = n - r - 1
-    mass[0] = table
-    for r in range(1, n):
-        mass[r, :, : n - r] = mass[r - 1, :, : n - r] + mass[r - 1, :, 1 : n - r + 1]
-    half0, half1 = mass[n - 1, :, 0]
-    uz = np.asarray(uniforms, dtype=float) * (half0 + half1)
-    bit = uz >= half0  # ion 1
-    index, acc = bit.astype(np.int64), half0 * bit
-    pos = n * index  # the flat (b, c) entry of a mass[r] block
-    for block in reversed(mass[:-1]):  # ion j = 2..L reads mass[L - j]
-        mass0 = block.take(pos)
-        bit = uz >= acc + mass0
-        acc += mass0 * bit  # acc + mass0 where the bit is 1, as compared
-        pos += bit
-        index <<= 1
-        index += bit
-    return index
+    n = table.shape[-1]
+    mass = (table * _binomials(n - 1)[n - 1, :n]).reshape(*table.shape[:-2], 2 * n)
+    mass /= mass.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(mass, axis=-1, out=mass)
+    cdf /= cdf[..., -1:]
+    uniforms = np.asarray(uniforms, dtype=float)
+    if cdf.ndim == 1:
+        classes = cdf.searchsorted(uniforms, side="right")
+    else:  # a non-decreasing row's searchsorted index is its count of entries <= u
+        classes = np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
+    return classes.astype(np.int64, copy=False)

@@ -519,6 +519,24 @@ class TestErrorPaths:
                 "Nyquist",
                 id="ramsey_scan_at_nyquist",
             ),
+            # Fringes below pi/scan_t_max, under half a fringe over the scan:
+            # the fit skipped their bins and exited 0, fitting 1.178 rad/s
+            # for 0.8, and 2.06 rad/s at amplitude 1.2e-16 for no fringe.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n",
+                ("--expectation-mode",),
+                "[pi/scan_t_max,",
+                id="ramsey_scan_under_half_a_fringe",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 3\nt_ramsey = 2\nomega_0 = 0.5\n"
+                "omega_r = 0.5\n",
+                ("--expectation-mode",),
+                "[pi/scan_t_max,",
+                id="ramsey_scan_at_zero_detuning",
+            ),
             pytest.param(
                 "scaling",
                 "[scaling]\nl_values = 1 2\ntrials = 1\n",
@@ -632,7 +650,7 @@ class TestErrorPaths:
         cfg = write_config(
             tmp_path,
             "e.ini",
-            "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+            "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 2.0\n"
             "scan_points = 4\n",
         )
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Schema-driven fuzzing of the command-line exit-code contract.
 
 Every config starts from a valid one of its command (``test_cli.MINIMAL``;
-for ``ramsey`` also a dephased and an expectation-mode one) and changes up
+for ``ramsey`` also a dephased and an expectation-mode one, whose 8 s scan
+spans several fringes) and changes up
 to three keys of ``cli._SCHEMA``: a key is dropped or set
 to a value drawn from its parser's type. Besides ordinary values that
 includes the edges every range is tested at: 0, 1, 2, -1, 1e-300, 1e300
@@ -14,7 +15,10 @@ the contract:
 
 * the exit code is 0, 2, 3 or 4;
 * a non-zero exit writes one JSON line to stderr and no ``--out``;
-* a zero exit writes only finite values, in the table and the summary.
+* a zero exit writes only finite values, in the table and the summary;
+* a zero-exit ``ramsey --expectation-mode`` scan without ``epsilon`` (whose
+  harmonics the one-frequency fit does not model) fits the expected fringe
+  frequency to 1e-6 relative.
 
 Hypothesis runs derandomized, so the examples are the same on every run.
 """
@@ -49,7 +53,7 @@ BASES = {
     "ramsey": [
         MINIMAL["ramsey"],
         {**MINIMAL["ramsey"], "gamma": "0.2"},
-        {k: v for k, v in MINIMAL["ramsey"].items() if k != "shots"},
+        {**{k: v for k, v in MINIMAL["ramsey"].items() if k != "shots"}, "scan_t_max": "8"},
     ],
     "run": [{}],
 }
@@ -164,6 +168,11 @@ def check_contract(command, values, flags, run=None):
         ]
         for path in files:
             (_assert_finite_csv if path.suffix == ".csv" else _assert_finite_json)(path)
+        if command == "ramsey" and "--expectation-mode" in flags and "epsilon" not in values:
+            summary = json.loads((out / "ramsey_summary.json").read_text())
+            assert summary["fitted_fringe_frequency"] == pytest.approx(
+                summary["expected_fringe_frequency"], rel=1e-6
+            )
 
 
 NYQUIST = {  # a fringe at the scan's Nyquist frequency once fitted an amplitude of 3079.8

@@ -45,7 +45,7 @@ from ionramsey import protocols, streams
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
 from ionramsey.noise import apply_phase_noise
-from ionramsey.register import expand_dicke, sample_born_table, sample_measurement
+from ionramsey.register import born_table, expand_dicke, sample_measurement
 from ionramsey.protocols import (
     FringeFit,
     _prepare_dicke,
@@ -54,7 +54,14 @@ from ionramsey.protocols import (
     naive_single_point_omega0,
     synthesize_signal,
 )
-from test_register import dense_close, dense_evolve, dense_final, dense_prepare, dense_signal
+from test_register import (
+    class_masses,
+    dense_close,
+    dense_evolve,
+    dense_final,
+    dense_prepare,
+    dense_signal,
+)
 
 
 class TestFringeShapes:
@@ -296,8 +303,9 @@ def per_shot_outcomes(cfg, rng):
     """Reference for dephased runs: one trajectory at a time. The stream first
     gives every shot's phases as one ``(shots, L)`` normal block, row k shot k
     (``(shots, 1)``, broadcast across the ions, in common mode); then each shot
-    closes its own state at gate level and samples it with ``rng.choice``; the
-    outcome is read straight off the drawn basis index."""
+    closes its own state at gate level and draws its readout class (ion 1's
+    bit b, k ions up among the rest) from the state's class masses with
+    ``rng.choice``; the outcome is read straight off b and k."""
     prepared, seq = dense_prepare(cfg)
     evolved = dense_evolve(prepared, cfg.delta_omega, cfg.t_ramsey)
     sigma = np.sqrt(2 * cfg.noise.gamma * cfg.t_ramsey)
@@ -307,13 +315,14 @@ def per_shot_outcomes(cfg, rng):
     for k in range(cfg.shots):
         row = np.broadcast_to(phases[k], cfg.n_ions)
         final = dense_close(apply_phase_noise(evolved, row), cfg, seq)
-        probs = np.abs(final.amplitudes) ** 2
-        index = int(rng.choice(final.dim, size=1, p=probs / probs.sum())[0])
-        n_down = cfg.n_ions - bin(index).count("1")
+        masses = class_masses(cfg.n_ions, final.amplitudes)
+        drawn = int(rng.choice(2 * cfg.n_ions, size=1, p=masses / masses.sum())[0])
+        b, excited = divmod(drawn, cfg.n_ions)
+        n_down = cfg.n_ions - b - excited
         if cfg.protocol is Protocol.STANDARD:
             outcomes[k] = n_down
         elif cfg.protocol is Protocol.GHZ_REVERSED:
-            outcomes[k] = ((index >> (cfg.n_ions - 1)) & 1) - 0.5
+            outcomes[k] = b - 0.5
         else:
             outcomes[k] = 1.0 if n_down % 2 == 0 else -1.0
     return outcomes
@@ -529,10 +538,12 @@ class TestSymmetricSubspace:
     @pytest.mark.parametrize("n_ions", range(1, 13))
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_indices_equal_dense_sampling(self, protocol, n_ions):
+        # The run's readout classes are what Generator.choice draws over the
+        # gate-level dense state's class masses, from the same stream.
         cfg = _subspace_cfg(protocol, n_ions)
-        uniforms = stream(61, n_ions).random(20_000)
-        want = sample_measurement(_dense_final(cfg), uniforms)
-        got = sample_born_table(protocols._run_state(cfg), uniforms)
+        masses = class_masses(n_ions, _dense_final(cfg).amplitudes)
+        want = stream(61, n_ions).choice(2 * n_ions, size=20_000, p=masses / masses.sum())
+        got = sample_measurement(protocols._run_state(cfg), stream(61, n_ions).random(20_000))
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
 
@@ -542,14 +553,15 @@ class TestSymmetricSubspace:
         cfg = _subspace_cfg(protocol, n_ions)
         table = protocols._run_state(cfg)
         assert table.shape == (2, n_ions)
-        # One basis index per (ion 1's bit b, k ions excited among the rest),
-        # standing for the C(L - 1, k) indices that share its probability.
+        # Cell (b, k), ion 1's bit b and k ions excited among the rest, holds
+        # the probability of each of the C(L - 1, k) indices of class b L + k.
         b, k = np.meshgrid([0, 1], np.arange(n_ions), indexing="ij")
-        representative = (b << (n_ions - 1)) | ((1 << k) - 1)
         multiplicity = np.array([comb(n_ions - 1, int(x)) for x in range(n_ions)])
         assert abs(np.sum(multiplicity * table) - 1.0) <= 1e-12
-        signal = protocol.signal(protocol.outcomes(representative, n_ions), n_ions)
-        want = dense_signal(protocol, n_ions, _dense_final(cfg).amplitudes)
+        dense = _dense_final(cfg)
+        np.testing.assert_allclose(born_table(dense), table, rtol=0, atol=1e-15)
+        signal = protocol.signal(protocol.outcomes(b * n_ions + k, n_ions), n_ions)
+        want = dense_signal(protocol, n_ions, dense.amplitudes)
         assert abs(np.sum(multiplicity * table * signal) - want) <= 1e-12
         assert abs(expected_signal(cfg) - want) <= 1e-12
 
@@ -888,6 +900,14 @@ class TestFringeFit:
         cfg = RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=66.916 / 4, omega_0=0.0,
                            allow_wrap=True)
         with pytest.raises(FitError, match="Nyquist"):
+            fit_fringe_frequency(t, fringe_scan(cfg, t))
+
+    def test_fringe_below_half_a_bin_raises(self):
+        # A GHZ scan at L = 2, 64 points over 1 s, of a 0.8 rad/s fringe (under
+        # half a bin, pi rad/s) once fitted 1.178 rad/s.
+        t = np.arange(1, 65) / 64
+        cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.4, omega_0=0.0)
+        with pytest.raises(FitError, match="below half a bin"):
             fit_fringe_frequency(t, fringe_scan(cfg, t))
 
     def test_scan_ending_mid_fringe(self):

@@ -32,12 +32,12 @@ from ionramsey import (
 from ionramsey.gates import prepare_ghz, reverse_prep
 from ionramsey.register import (
     DickeState,
+    born_table,
     bus_purity,
     expand_dicke,
     inverse_star,
     pi_half_pulse,
     rotation_matrix,
-    sample_born_table,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -73,6 +73,23 @@ def random_dicke(n_ions, rng, rows=()):
 def popcounts(n_ions):
     """Excited ions of every basis index of an ion register, by bin()."""
     return np.array([bin(x).count("1") for x in range(1 << n_ions)])
+
+
+def readout_class(index, n_ions):
+    """Readout class b L + k of a basis index: ion 1's bit b, k ions up
+    among ions 2..L, by bin()."""
+    b = index >> (n_ions - 1)
+    return b * n_ions + bin(index).count("1") - b
+
+
+def class_masses(n_ions, amps):
+    """Oracle: the Born mass of each readout class of a dense ion state (or
+    of each row of a batch), summed index by index."""
+    probs = np.abs(amps) ** 2
+    masses = np.zeros((*probs.shape[:-1], 2 * n_ions))
+    for index in range(1 << n_ions):
+        masses[..., readout_class(index, n_ions)] += probs[..., index]
+    return masses
 
 
 class TestRegisterBasics:
@@ -338,7 +355,7 @@ def dense_final(cfg):
 
 
 class TestReadout:
-    """Each protocol's readout is one outcome map of measured basis indices;
+    """Each protocol's readout is one outcome map of measured readout classes;
     its expected signal, averaged over the subspace Born table, is checked
     against dense operators on the dense final state."""
 
@@ -374,10 +391,11 @@ class TestReadout:
 
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 4])
     def test_outcomes_match_bit_formulas(self, n_ions):
-        indices = np.arange(1 << n_ions)
-        maps = [p.outcomes(indices, n_ions) for p in Protocol]
+        # Every basis index has the outcome of its readout class.
+        maps = [p.outcomes(np.arange(2 * n_ions), n_ions) for p in Protocol]
         assert all(m.dtype == np.float64 for m in maps)
-        for idx, nd, par, sz in zip(indices.tolist(), *maps):
+        for idx in range(1 << n_ions):
+            nd, par, sz = (m[readout_class(idx, n_ions)] for m in maps)
             n_down = n_ions - bin(idx).count("1")
             assert nd == n_down
             assert par == (-1) ** n_down
@@ -398,14 +416,14 @@ class TestObservables:
 
 class TestSampling:
     def test_sample_distribution_chi2(self):
-        # Oracle: exact Born probabilities; Pearson chi^2 at a fixed seed
-        # should sit well inside the 99.9% quantile.
+        # Oracle: exact Born masses of the 8 readout classes of 4 ions;
+        # Pearson chi^2 at a fixed seed should sit well inside the 99.9% quantile.
         rng = np.random.default_rng(4)
-        amps = random_state(8, rng)
-        reg = QubitRegister(3, False, amps)
-        probs = np.abs(amps) ** 2
+        amps = random_state(16, rng)
+        table = born_table(QubitRegister(4, False, amps))
+        probs = class_masses(4, amps)
         n = 200_000
-        sample = sample_measurement(reg, stream(123, 9).random(n))
+        sample = sample_measurement(table, stream(123, 9).random(n))
         assert sample.dtype == np.int64 and sample.shape == (n,)
         counts = np.bincount(sample, minlength=8)
         chi2 = float(np.sum((counts - n * probs) ** 2 / (n * probs)))
@@ -414,37 +432,43 @@ class TestSampling:
 
     @pytest.mark.parametrize("n_ions", [1, 3, 6, 12])
     def test_uniforms_draw_what_generator_choice_draws(self, n_ions):
-        # sample_measurement(reg, rng.random(n)) inverts the CDF exactly as
-        # Generator.choice does: the same indices from the same stream.
+        # sample_measurement(table, rng.random(n)) inverts the CDF exactly as
+        # Generator.choice does over the classes' masses: the same classes
+        # from the same stream.
         amps = random_state(1 << n_ions, np.random.default_rng(n_ions))
-        reg = QubitRegister(n_ions, False, amps)
-        probs = np.abs(reg.amplitudes) ** 2
-        want = stream(3, n_ions).choice(reg.dim, size=5000, p=probs / probs.sum())
-        got = sample_measurement(reg, stream(3, n_ions).random(5000))
+        masses = class_masses(n_ions, amps)
+        want = stream(3, n_ions).choice(2 * n_ions, size=5000, p=masses / masses.sum())
+        table = born_table(QubitRegister(n_ions, False, amps))
+        got = sample_measurement(table, stream(3, n_ions).random(5000))
         assert np.array_equal(got, want)
 
     def test_uniform_on_a_cdf_step_skips_zero_probability_states(self):
-        # Born probabilities 0, 1/2, 0, 1/2: the CDF is 0, 1/2, 1/2, 1. A
-        # uniform equal to a step value lands past it, as in searchsorted
-        # with side="right", for one state and for every row of a batch.
-        amps = np.array([0.0, 1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+        # Class masses 0, 1/2, 0, 1/2 (class 2 b + k, ion 1's bit b and ion
+        # 2's k): the CDF is 0, 1/2, 1/2, 1. A uniform equal to a step value
+        # lands past it, as in searchsorted with side="right", for one table
+        # and for every row of a batch.
+        table = np.array([[0.0, 0.5], [0.0, 0.5]])
         uniforms = np.array([0.0, 0.25, 0.5, 0.75])
-        single = sample_measurement(QubitRegister(2, False, amps), uniforms)
-        batch = sample_measurement(QubitRegister(2, False, np.stack([amps] * 4)), uniforms)
+        single = sample_measurement(table, uniforms)
+        batch = sample_measurement(np.stack([table] * 4), uniforms)
         assert single.tolist() == batch.tolist() == [1, 1, 3, 3]
 
     def test_born_table_uniform_on_a_step_skips_zero_probability_states(self):
-        # The same four-state distribution as a Born table: index = 2 b + k,
-        # ion 1's bit b and ion 2's k. The descent lands where searchsorted does.
-        table = np.array([[0.0, 0.5], [0.0, 0.5]])
+        # The same distribution as a dense state, one state and a batch of
+        # four: its Born table holds the masses exactly, so the steps stay.
+        amps = np.array([0.0, 1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
         uniforms = np.array([0.0, 0.25, 0.5, 0.75])
-        assert sample_born_table(table, uniforms).tolist() == [1, 1, 3, 3]
+        single = born_table(QubitRegister(2, False, amps))
+        batch = born_table(QubitRegister(2, False, np.stack([amps] * 4)))
+        assert np.array_equal(batch, np.stack([single] * 4))
+        assert sample_measurement(single, uniforms).tolist() == [1, 1, 3, 3]
+        assert sample_measurement(batch, uniforms).tolist() == [1, 1, 3, 3]
 
     def test_projection_noise_variance_binomial(self):
         # Independent half-fringe ions: L_down is Binomial(L, 1/2).
         reg, n_ions = _half_fringe_register()
         n = 100_000
-        s = sample_measurement(reg, stream(77, 0).random(n))
+        s = sample_measurement(born_table(reg), stream(77, 0).random(n))
         var = float(np.var(Protocol.STANDARD.outcomes(s, n_ions), ddof=1))
         # Oracle: exact moments of the sampled distribution give the
         # standard error of the sample variance.

@@ -110,16 +110,16 @@ def _run_batches(
     cfg: RamseyConfig, trials: int, seed: int, path_prefix: tuple[int, ...]
 ) -> Trials:
     """``trials`` shots of cfg in batches of ``BATCH_SHOTS``, all sampled from
-    one prepared state; batch b draws from ``stream(seed, *path_prefix, b)``,
+    one Born table; batch b draws from ``stream(seed, *path_prefix, b)``,
     labelled ``seed/.../b``, and the batches are joined in batch order."""
     n_batches = math.ceil(trials / BATCH_SHOTS)
     sizes = [min(BATCH_SHOTS, trials - b * BATCH_SHOTS) for b in range(n_batches)]
-    state = _run_state(cfg)
+    table = _run_state(cfg)
 
     def one_batch(b: int) -> Trials:
         rng = streams.stream(seed, *path_prefix, b)
         label = "/".join(str(p) for p in (seed, *path_prefix, b))
-        return _sample(replace(cfg, shots=sizes[b]), state, rng, label)
+        return _sample(replace(cfg, shots=sizes[b]), table, rng, label)
 
     batches = [one_batch(b) for b in range(n_batches)]
     return replace(
@@ -289,8 +289,8 @@ def dephasing_benchmark(
     """sigma(dw)*sqrt(tau) vs T_R for both protocols under independent
     dephasing at rate gamma; locates each protocol's optimum Ramsey time.
 
-    ``mode="sampled"`` runs Monte Carlo trials (one fresh noise draw and one
-    projective shot per trial); ``mode="analytic"`` evaluates the
+    ``mode="sampled"`` runs Monte Carlo trials (one projective shot per
+    trial, drawn from the dephased Born table); ``mode="analytic"`` evaluates the
     infinite-trial formulas. After the coarse grid, the optimum is refined
     by golden section inside the bracketing grid cells unless the coarse
     argmin sits on the grid boundary (then it is flagged and left as is).

@@ -1,15 +1,15 @@
-"""Stochastic pure-state noise: dephasing trajectories and imperfect GHZ
-preparation.
+"""Dephasing and imperfect GHZ preparation.
 
-Dephasing is modelled as a random phase on each ion's |up> amplitude drawn
-fresh per trajectory: Gaussian, zero mean, variance ``2*gamma*t``. Averaged
-over trajectories this reproduces exponential coherence decay exactly —
-``<e^{i phi}> = e^{-gamma t}`` for one ion, and ``e^{-L gamma t}`` for the
-relative coherence of an L-ion GHZ state under independent noise, because
-the GHZ components accumulate the *sum* of the per-ion phases. In common
-mode all ions share one draw, so the GHZ phase variance grows as L^2. A
-batch's phases are drawn as one block, a row a trajectory, and applied to the
-dense register as the Kronecker product of the per-ion factors (1, e^{i phi_k}).
+Dephasing is a random phase on each ion's |up> amplitude during the free
+evolution: Gaussian, zero mean, variance ``2*gamma*t``, drawn per ion
+(``independent``) or shared by every ion (``common``). A shot only sees the
+phases through its readout, and shots are independent, so each shot's
+readout follows the Born table of the phase-averaged (dephased) density
+matrix. Its coherences are the characteristic function of the phases,
+:func:`_coherence_decay`: a coherence between basis states whose excited
+ions differ in m places decays as ``e^{-m gamma t}`` under independent noise
+and as ``e^{-m^2 gamma t}`` under common noise when the m differences all
+point one way, as in the two halves of an L-ion GHZ state.
 
 Preparation imperfection is modelled as small coherent admixtures of the
 symmetric (fixed-excitation) states, added to the GHZ state's Dicke
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NormError
-from .register import DickeState, QubitRegister
+from .register import DickeState
 
 Mode = str  # "independent" | "common"
 
@@ -33,11 +33,9 @@ Mode = str  # "independent" | "common"
 class NoiseSpec:
     """Dephasing rate and correlation mode.
 
-    ``gamma`` is the single-ion dephasing rate (1/s). ``independent`` draws
-    one phase per ion; ``common`` draws a single phase shared by all ions
+    ``gamma`` is the single-ion dephasing rate (1/s). ``independent`` gives
+    each ion its own phase; ``common`` gives all ions one shared phase
     (drive/clock frequency jitter rather than per-ion magnetic noise).
-    Stream derivation for trials lives in :mod:`ionramsey.streams`; sampling
-    here takes an explicit Generator.
     """
 
     gamma: float
@@ -50,40 +48,16 @@ class NoiseSpec:
             raise ValueError(f"mode must be 'independent' or 'common', got {self.mode!r}")
 
 
-def sample_dephasing_phases(
-    spec: NoiseSpec, t: float, n_ions: int, rng: np.random.Generator, shots: int
-) -> np.ndarray:
-    """Phases ``(shots, n_ions)`` over a free evolution t, row k trajectory k, from one
-    ``rng.normal`` block; common mode draws ``(shots, 1)``, broadcast. None at zero variance."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    sigma = np.sqrt(2.0 * spec.gamma * t)
-    if sigma == 0.0:
-        return np.zeros((shots, n_ions))
-    if spec.mode == "common":
-        return np.broadcast_to(rng.normal(0.0, sigma, size=(shots, 1)), (shots, n_ions))
-    return rng.normal(0.0, sigma, size=(shots, n_ions))
-
-
-def apply_phase_noise(reg: QubitRegister, phases: np.ndarray) -> QubitRegister:
-    """Phase each basis state of an ion register (no bus) by the sum of its
-    excited ions' phases; ``phases`` is ``(..., n_ions)``, broadcast against
-    the batch axes, one trajectory a row. The factor is the Kronecker product
-    of (1, e^{i phi_k}) over the ions, ion 1 (the most significant bit) the
-    outermost: L ``exp`` calls a row and about 2 * 2**L multiplies."""
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape[-1:] != (reg.n_ions,):
-        raise ValueError(
-            f"need one phase per ion: expected shape (..., {reg.n_ions}), got {phases.shape}"
-        )
-    n = reg.n_ions
-    ions = np.exp(1j * phases)
-    factor = np.empty(phases.shape[:-1] + (1 << n,), dtype=np.complex128)
-    factor[..., 0] = 1.0
-    for j in range(n):  # bit j is ion L - j: it doubles the factor built so far
-        lower = factor[..., : 1 << j]
-        np.multiply(lower, ions[..., n - 1 - j, None], out=factor[..., 1 << j : 2 << j])
-    return QubitRegister(reg.n_ions, reg.has_bus, reg.amplitudes * factor)
+def _coherence_decay(
+    noise: NoiseSpec, t: float, ions: int | np.ndarray, net: int | np.ndarray | None = None
+) -> float | np.ndarray:
+    """Mean of e^{i (s_1 phi_1 + ... + s_L phi_L)} over the dephasing phases
+    of a free evolution t, each s_i in {-1, 0, 1}: ``ions`` of them nonzero,
+    summing to ``net`` (default ``ions``). Independent phases give
+    e^{-ions gamma t}; a common one gives e^{-net**2 gamma t}."""
+    m = ions if net is None else net
+    k = m * m if noise.mode == "common" else ions
+    return np.exp(-k * (noise.gamma * t))
 
 
 @dataclass(frozen=True)

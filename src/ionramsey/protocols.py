@@ -34,12 +34,15 @@ signal mean.
 Both a sampled mode (projective shots) and an expectation mode (exact
 expectations, no statistics) are first-class: :func:`run_ramsey` and
 :func:`expected_signal` run every protocol. Every run prepares and evolves
-its state once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`).
-A noiseless run closes them into a Born table, sampled for shots or averaged
-for expectations; a dephased run expands them once into the dense 2**L state
-that each trajectory phases, closes and reduces to its Born table; every
-shot is drawn from a table by :func:`.register.sample_measurement`. The
-tests check both against the gate-level circuits of :mod:`.gates`.
+its state once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`),
+and closes them into one Born table: the closed state's when noiseless,
+averaged for expectations; with dephasing, the dephased density matrix's
+(:func:`_averaged_table`), which is the mean of every dephasing trajectory's
+table and so the law each independent shot follows. No run holds a 2**L
+array. Every shot is drawn from its run's table by
+:func:`.register.sample_measurement`. The tests check the tables against the
+gate-level circuits of :mod:`.gates`, the dense density matrix and dense
+trajectories.
 """
 
 from __future__ import annotations
@@ -59,34 +62,22 @@ from .errors import (
     FitError,
 )
 from .gates import _opening_pulse
-from .noise import (
-    ImperfectionSpec,
-    NoiseSpec,
-    apply_phase_noise,
-    perturb_ghz,
-    sample_dephasing_phases,
-)
+from .noise import ImperfectionSpec, NoiseSpec, _coherence_decay, perturb_ghz
 from .register import (
     DickeState,
-    QubitRegister,
     _binomials,
-    apply_rotation,
-    born_table,
     born_table_pulse,
     born_table_reversed,
+    dephase_pulse_table,
     dicke_ghz,
     dicke_product,
-    expand_dicke,
     free_evolve,
-    inverse_star,
-    pi_half_pulse,
     rotation_matrix,
     sample_measurement,
 )
 
 DEFAULT_MAX_ITER = 50
-# Amplitudes per chunk of dephased shots (1 MiB); a larger state is a chunk alone.
-CHUNK_AMPLITUDES = 1 << 16
+AMPLITUDE_FLOOR = 1e-10  # a fitted fringe below this fraction of the signal's scale is rounding
 
 
 class Protocol(Enum):
@@ -273,9 +264,7 @@ def ensemble_contrast(
     """
     if noise is None or noise.gamma == 0.0:
         return 1.0
-    m = protocol.multiplier(n_ions)
-    k = m * m if noise.mode == "common" else m
-    return float(np.exp(-k * (noise.gamma * t)))
+    return float(_coherence_decay(noise, t, protocol.multiplier(n_ions)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +296,38 @@ def _closing_phase(cfg: RamseyConfig, final_phase: float | np.ndarray) -> float 
     return (cfg.phi0 - final_phase) / cfg.n_ions + np.pi / 2
 
 
-def _close(reg: QubitRegister, cfg: RamseyConfig) -> QubitRegister:
-    """The closing readout on the dense register, for a state or a batch."""
-    if cfg.protocol is Protocol.GHZ_REVERSED:
-        return inverse_star(reg, _unstar_matrix(cfg))
-    return apply_rotation(reg, pi_half_pulse(cfg.n_ions, _closing_phase(cfg, cfg.final_phase)))
-
-
 def _born_table(state: DickeState, cfg: RamseyConfig, final_phase) -> np.ndarray:
-    """The Born table (see :func:`.register.born_table`) of the closed
-    state, or of each row of a batch: :func:`_close` on the Dicke
-    amplitudes at readout phase ``final_phase``, one row an entry of a 1-D
-    array (which the time-reversed readout ignores, row by row)."""
+    """The Born table of the closed state, or of each row of a batch: the
+    closing readout on the Dicke amplitudes at readout phase
+    ``final_phase``, one row an entry of a 1-D array (which the
+    time-reversed readout ignores, row by row)."""
     if cfg.protocol is Protocol.GHZ_REVERSED:
         rows = np.broadcast_shapes(state.dicke.shape[:-1], np.shape(final_phase))
         state = DickeState(state.n_ions, np.broadcast_to(state.dicke, (*rows, state.n_ions + 1)))
         return born_table_reversed(state, _unstar_matrix(cfg))
     return born_table_pulse(state, _closing_phase(cfg, final_phase))
+
+
+def _averaged_table(state: DickeState, cfg: RamseyConfig) -> np.ndarray:
+    """The Born table of the dephased density matrix of the evolved Dicke
+    amplitudes, closed at cfg's readout phase: the mean of every dephasing
+    trajectory's table, which each shot's class follows, since each shot
+    draws its own phases (Huelga et al., PRL 79, 3865, 1997). It holds no
+    2**L array. The time-reversed readout damps the cross term of basis
+    states (0, y) and (1, ~y), whose excited ions differ in all L places and
+    in number by L - 2|y|; common noise keeps the state symmetric, as the
+    density matrix rho_pq damped by the decay of p - q; the collective pulse
+    under independent noise flips each ion's reading (see
+    :func:`.register.dephase_pulse_table`)."""
+    noise, t, n = cfg.noise, cfg.t_ramsey, cfg.n_ions
+    if cfg.protocol is Protocol.GHZ_REVERSED:
+        decay = _coherence_decay(noise, t, n, n - 2 * np.arange(n))
+        return born_table_reversed(state, _unstar_matrix(cfg), decay)
+    phi = _closing_phase(cfg, cfg.final_phase)
+    if noise.mode == "common":
+        apart = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+        return born_table_pulse(state, phi, _coherence_decay(noise, t, np.abs(apart), apart))
+    return dephase_pulse_table(born_table_pulse(state, phi), _coherence_decay(noise, t, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -404,47 +408,35 @@ def run_ramsey(
     """cfg.shots projective trials of cfg.protocol, drawn from ``rng``, whose
     seed label the returned :class:`Trials` records.
 
-    Noiseless runs sample every shot from one Born table. With dephasing,
-    each shot is a trajectory: ``rng`` draws every shot's phases as one block
-    (:func:`.noise.sample_dephasing_phases`, row k shot k), then its uniforms as
-    one ``random(shots)`` call. The shots are closed, reduced to their Born
-    tables and sampled in chunks of ``CHUNK_AMPLITUDES``, after every draw, so
-    chunking cannot change an outcome.
+    Every shot's readout class is drawn from one Born table, the closed
+    state's (noiseless) or the dephased density matrix's
+    (:func:`_averaged_table`), at the uniforms of one ``rng.random(shots)``
+    call.
     """
     return _sample(cfg, _run_state(cfg), rng, seed_label)
 
 
-def _run_state(cfg: RamseyConfig) -> np.ndarray | QubitRegister:
-    """What every shot of a sampled run starts from, computed once a run,
-    before any draw, and read only: the prepared and evolved Dicke
-    amplitudes, closed into their Born table (noiseless) or expanded into
-    the dense register that each dephasing trajectory phases and closes."""
+def _run_state(cfg: RamseyConfig) -> np.ndarray:
+    """The read-only Born table that every shot of a sampled run is drawn
+    from, computed once a run, before any draw, from the prepared and
+    evolved Dicke amplitudes."""
     ensure_unambiguous(
         cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
     )
     state = free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey)
     if cfg.noiseless:
         table = _born_table(state, cfg, cfg.final_phase)
-        table.flags.writeable = False
-        return table
-    reg = expand_dicke(state)
-    reg.amplitudes.flags.writeable = False
-    return reg
-
-
-def _sample(cfg: RamseyConfig, state, rng: np.random.Generator, seed_label: str) -> Trials:
-    """:func:`run_ramsey` from a :func:`_run_state` result: each shot's readout
-    class is drawn from a Born table, the run's own or its trajectory's."""
-    if cfg.noiseless:
-        classes = sample_measurement(state, rng.random(cfg.shots))
     else:
-        phases = sample_dephasing_phases(cfg.noise, cfg.t_ramsey, cfg.n_ions, rng, cfg.shots)
-        uniforms = rng.random(cfg.shots)
-        rows = max(1, CHUNK_AMPLITUDES // state.dim)
-        classes = np.empty(cfg.shots, dtype=np.int64)
-        for k in range(0, cfg.shots, rows):
-            final = _close(apply_phase_noise(state, phases[k : k + rows]), cfg)
-            classes[k : k + rows] = sample_measurement(born_table(final), uniforms[k : k + rows])
+        table = _averaged_table(state, cfg)
+    table.flags.writeable = False
+    return table
+
+
+def _sample(
+    cfg: RamseyConfig, table: np.ndarray, rng: np.random.Generator, seed_label: str
+) -> Trials:
+    """:func:`run_ramsey` from a :func:`_run_state` table."""
+    classes = sample_measurement(table, rng.random(cfg.shots))
     outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
     batches = ((seed_label, cfg.shots),)
     return Trials(cfg.protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, batches)
@@ -543,14 +535,17 @@ class CalibrationState:
         return 0.5 * (self.omega_r1 + self.omega_r2)
 
 
-def _bracketed_roots(fn: Callable, xs: np.ndarray) -> list[float]:
+def _bracketed_roots(fn: Callable, xs: np.ndarray, known: float | None = None) -> list[float]:
     """All sign-change roots of fn on the grid ``xs``, which fn evaluates as
-    one batch."""
+    one batch; a sign change whose bracket holds ``known``, a root known
+    beforehand, yields it without a search."""
     ys, roots = fn(xs), []
     for k in range(len(xs) - 1):
         a, b = ys[k], ys[k + 1]
         if a == 0.0:
             roots.append(float(xs[k]))
+        elif a * b < 0.0 and known is not None and xs[k] <= known <= xs[k + 1]:
+            roots.append(float(known))
         elif a * b < 0.0:
             roots.append(
                 float(brentq(fn, xs[k], xs[k + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps))
@@ -623,7 +618,9 @@ def two_point_calibrate(
         def freq_diff(omega):
             return truth_simulator(omega, cal.t_r2, phi_f) - target
 
-        roots = _bracketed_roots(freq_diff, np.linspace(omega_r1 - window, omega_r1 + window, 81))
+        # omega_r2 matches itself: its bracket is not searched.
+        grid = np.linspace(omega_r1 - window, omega_r1 + window, 81)
+        roots = _bracketed_roots(freq_diff, grid, known=omega_r2)
         trivial_tol = max(1e-9 * window, 1e-15 * max(abs(omega_r2), 1.0))
         candidates = [r for r in roots if abs(r - omega_r2) > trivial_tol]
         if not candidates:
@@ -807,8 +804,10 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     pi / (n dt), of the peak of a zero-padded periodogram. A fit within half
     a bin of the grid's Nyquist frequency pi / dt may be the alias of a slower
     fringe, and one below half a bin is the mean's leakage, which the
-    periodogram skips: both raise ``FitError``. A fringe above Nyquist fits
-    its alias cleanly, so a caller that knows the fringe must check it itself.
+    periodogram skips: both raise ``FitError``, as does an amplitude below
+    ``AMPLITUDE_FLOOR`` times the signal's largest magnitude, which rounding
+    leaves on a scan with no fringe. A fringe above Nyquist fits its alias
+    cleanly, so a caller that knows the fringe must check it itself.
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
@@ -844,9 +843,15 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
         msg = f"fitted frequency {freq:.6g} rad/s is below half a bin, {half_bin:.6g} rad/s,"
         raise FitError(f"{msg} where the periodogram holds the mean's leakage")
     (a, b, offset), _ = solve(freq)
+    amplitude = float(np.hypot(a, b))
+    if amplitude <= AMPLITUDE_FLOOR * float(np.max(np.abs(s))):
+        raise FitError(
+            f"fitted amplitude {amplitude:.3g} is rounding noise on a signal of scale "
+            f"{np.max(np.abs(s)):.3g}: the scan holds no fringe"
+        )
     return FringeFit(
         frequency=float(freq),
-        amplitude=float(np.hypot(a, b)),
+        amplitude=amplitude,
         phase=float(np.arctan2(-b, a)),
         offset=float(offset),
     )

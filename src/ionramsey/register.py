@@ -20,10 +20,8 @@ Conventions (fixed; everything downstream relies on them):
   job, in one place: :meth:`.protocols.Protocol.outcomes`.
 
 Registers are values: every operation returns a new register and leaves its
-input untouched, so Monte Carlo trials can share prepared states freely.
-``amplitudes`` may carry leading batch axes, ``(..., 2**n)``, one state (say
-one dephasing trajectory) per row; pulses, phase noise, gates, the inverse
-star circuit and :func:`born_table` act on each row as on that state alone.
+input untouched. ``amplitudes`` may carry leading batch axes, ``(..., 2**n)``,
+one state a row; pulses and gates act on each row as on that state alone.
 
 No kernel transposes the state. A pulse applies Kronecker blocks of its 2x2
 rotation (identity on the non-targets inside a block), each with one matmul:
@@ -38,12 +36,14 @@ ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
 rotations, one cached matrix per L) and free evolution never leave the
 (L + 1)-dimensional Dicke subspace. A :class:`DickeState` holds such a state,
 or a batch of them, and free evolution acts on it alone. Its closing readout
-leaves a (2, L) Born table per state, which expectation mode averages.
-Dephasing breaks the symmetry: a dephased run expands the state once
-(:func:`expand_dicke`), and :func:`born_table` reduces each closed
-trajectory to the same table. :func:`sample_measurement` samples a table,
-whichever made it. The gate-level circuits of :mod:`.gates` stay dense, as
-the tests' independent reference.
+leaves a (2, L) Born table per state, which expectation mode averages and
+:func:`sample_measurement` samples. Dephasing makes the state mixed, but its
+density matrix stays invariant under permuting the ions, so its table is
+reached from the same L + 1 amplitudes: the closing kernels damp the
+coherences that dephasing decays (:func:`born_table_pulse`,
+:func:`born_table_reversed`) or flip each ion's reading
+(:func:`dephase_pulse_table`). The dense register serves the gate-level
+circuits of :mod:`.gates`, the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -268,15 +268,6 @@ def free_evolve(
     return DickeState(state.n_ions, state.dicke * table)
 
 
-def expand_dicke(state: DickeState) -> QubitRegister:
-    """The dense ion register (no bus) of a Dicke state, or of each row of a
-    batch: basis index x gets ``dicke[|x|] / sqrt(C(L, |x|))``."""
-    n = state.n_ions
-    counts = np.bitwise_count(np.arange(1 << n))
-    per_count = state.dicke / np.sqrt(_binomials(n)[n])
-    return QubitRegister(n, False, per_count.take(counts, axis=-1))
-
-
 def bus_purity(reg: QubitRegister) -> float:
     """Purity of the reduced bus state; 1.0 iff bus is unentangled."""
     axis = _bus_axis(reg)
@@ -292,7 +283,7 @@ def bus_purity(reg: QubitRegister) -> float:
 #
 # Each readout below leaves a state whose Born probability of basis index x
 # depends only on ion 1's bit b and the count k of ions up among ions 2..L:
-# its Born table q, shape (2, L), holds it at q[b, k] (a mean, for a dense state).
+# its Born table q, shape (2, L), holds it at q[b, k].
 
 
 @lru_cache(maxsize=None)
@@ -311,7 +302,9 @@ def _pulse_matrix(n: int) -> np.ndarray:
     return matrix
 
 
-def born_table_pulse(state: DickeState, phi: float | np.ndarray) -> np.ndarray:
+def born_table_pulse(
+    state: DickeState, phi: float | np.ndarray, coherence: np.ndarray | None = None
+) -> np.ndarray:
     """Born table after the collective pulse R(pi/2, phi), for a state or
     each row of a batch; a 1-D ``phi`` pulses row k with phi[k].
 
@@ -319,82 +312,90 @@ def born_table_pulse(state: DickeState, phi: float | np.ndarray) -> np.ndarray:
     phi + pi/2, which is e^{i p psi} on |D_p>: the pulse is :func:`_pulse_matrix`
     W between two diagonal phases, and the outer one drops out of ``q[b, k] =
     |a[b + k]|**2``, ``a = W (e^{-i p psi} d_p)``. The real and imaginary
-    parts are the rows of one real gemm, so a lone state runs a batch's."""
+    parts are the rows of one real gemm, so a lone state runs a batch's.
+
+    With ``coherence``, a real symmetric (L + 1)-square matrix, a lone state
+    is the density matrix rho_pq = d_p d_q* coherence[p, q] (common-mode
+    dephasing), and ``q[b, k]`` is entry b + k of the diagonal of W rho W^T,
+    rho between the inner phases: O(L**3). Only its real part reaches that
+    diagonal; a mass that rounding leaves below 0 is clipped to 0."""
     n = state.n_ions
     psi = np.asarray(phi, dtype=float)[..., None] + np.pi / 2
     pulsed = state.dicke * np.exp(-1j * np.arange(n + 1) * psi)
-    rows = pulsed.reshape(-1, n + 1)
-    parts = np.concatenate([rows.real, rows.imag]) @ _pulse_matrix(n).T
-    probs = (parts[: len(rows)] ** 2 + parts[len(rows) :] ** 2).reshape(pulsed.shape)
+    if coherence is not None:
+        w = _pulse_matrix(n)
+        rho = np.outer(pulsed, pulsed.conj()).real * coherence
+        probs = np.maximum(np.sum((w @ rho) * w, axis=-1), 0.0)
+    else:
+        rows = pulsed.reshape(-1, n + 1)
+        parts = np.concatenate([rows.real, rows.imag]) @ _pulse_matrix(n).T
+        probs = (parts[: len(rows)] ** 2 + parts[len(rows) :] ** 2).reshape(pulsed.shape)
     return np.stack([probs[..., :-1], probs[..., 1:]], axis=-2)
 
 
-def born_table_reversed(state: DickeState, mat: np.ndarray) -> np.ndarray:
+def dephase_pulse_table(table: np.ndarray, r: float) -> np.ndarray:
+    """The Born table of a collective pi/2-pulse readout once independent
+    dephasing has damped each ion's coherence by ``r``, from the noiseless
+    ``table`` of a lone state.
+
+    The pulse measures each ion along an equatorial axis n, with projector
+    (1 + n.sigma) / 2 for |up>. Moved onto it, the dephasing leaves
+    (1 + r n.sigma) / 2: each ion reads what the noiseless readout would with
+    probability s = (1 + r) / 2 and the other bit with f = (1 - r) / 2,
+    independently of the rest. So the count w of ions read up is the
+    noiseless count j under those flips, a of the j staying up and w - a of
+    the other L - j flipping up: the stochastic matrix K[j, w], the t**w
+    coefficient of (f + s t)**j (s + f t)**(L - j), acts on the count masses
+    C(L, j) q(j). Its terms are products of non-negatives, so every mass is."""
+    n = table.shape[-1]
+    binom, i = _binomials(n), np.arange(n + 1)
+    keep, flip = (1 + r) / 2, (1 - r) / 2
+    stay = binom * keep**i * flip ** np.maximum(i[:, None] - i, 0)  # [j, a]
+    rise = binom[::-1] * flip**i * keep ** np.maximum(n - i[:, None] - i, 0)  # [j, w - a]
+    gap = i - i[:, None]  # [a, w]: w - a
+    counts = np.append(table[0], table[1, -1]) * binom[n]
+    probs = np.einsum("j,ja,jaw->w", counts, stay, np.where(gap >= 0, rise[:, gap], 0.0))
+    probs /= binom[n]
+    return np.stack([probs[:-1], probs[1:]])
+
+
+def born_table_reversed(
+    state: DickeState, mat: np.ndarray, coherence: float | np.ndarray | None = None
+) -> np.ndarray:
     """Born table after the inverse star circuit, for a state or each row of
     a batch: CNOTs from ion 1 onto every other ion, then the 2x2 rotation
     ``mat`` on ion 1 (the inverse of :func:`.gates.prepare_ghz`'s opening
     pulse). The CNOTs map (b, y) to (b, y xor b...b), so an index whose ions
     2..L hold y, k = |y|, has amplitude
-    ``(mat[b, 0] d_k + mat[b, 1] d_(L-k)) / sqrt(C(L, k))``: O(L) work."""
+    ``(mat[b, 0] d_k + mat[b, 1] d_(L-k)) / sqrt(C(L, k))``: O(L) work.
+
+    With ``coherence`` (a scalar, or one entry per k), a lone state's cross
+    term between d_k and d_(L-k) is damped by it: the table is ``coherence q +
+    (1 - coherence) q_apart``, q_apart the table without that term."""
     n, d = state.n_ions, state.dicke
-    scale = np.sqrt(_binomials(n)[n, :n])
+    scale_sq = _binomials(n)[n, :n]
+    scale = np.sqrt(scale_sq)
     amps = [(mat[b, 0] * d[..., :n] + mat[b, 1] * d[..., :0:-1]) / scale for b in (0, 1)]
-    return np.abs(np.stack(amps, axis=-2)) ** 2  # C order, a batch's rows like a lone table
-
-
-def inverse_star(reg: QubitRegister, mat: np.ndarray) -> QubitRegister:
-    """The inverse star circuit of :func:`born_table_reversed` on a dense ion
-    register (no bus), a state or a batch, in one pass: its CNOTs reverse ion
-    1's |up> half (y to ~y, the reversed last axis), so ``amp[b, y] = mat[b,
-    0] a(0, y) + mat[b, 1] a(1, ~y)`` on ion 1's halves, as that table uses."""
-    halves = reg.amplitudes.reshape(*reg.amplitudes.shape[:-1], 2, -1)
-    out = np.empty_like(halves)
-    for b in (0, 1):
-        np.multiply(mat[b, 0], halves[..., 0, :], out=out[..., b, :])
-        out[..., b, :] += mat[b, 1] * halves[..., 1, ::-1]
-    return QubitRegister(reg.n_ions, False, out.reshape(reg.amplitudes.shape))
-
-
-@lru_cache(maxsize=None)
-def _class_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of n ions in readout-class order (b n + k; index order
-    within a class) and where each class starts: shared, read only."""
-    index = np.arange(1 << n)
-    classes = (index >> (n - 1)) * (n - 1) + np.bitwise_count(index)  # b n + k
-    order = np.argsort(classes, kind="stable")
-    starts = np.searchsorted(classes[order], np.arange(2 * n))
-    order.flags.writeable = starts.flags.writeable = False
-    return order, starts
-
-
-def born_table(reg: QubitRegister) -> np.ndarray:
-    """Born table of a dense ion register (no bus), or of each row of a
-    batch: cell [b, k] holds the mean Born probability of its C(L - 1, k)
-    basis indices, one gather and one ``reduceat`` a state."""
-    n = reg.n_ions
-    order, starts = _class_order(n)
-    sums = np.add.reduceat((np.abs(reg.amplitudes) ** 2)[..., order], starts, axis=-1)
-    return sums.reshape(*sums.shape[:-1], 2, n) / _binomials(n - 1)[n - 1, :n]
+    table = np.abs(np.stack(amps, axis=-2)) ** 2  # C order, a batch's rows like a lone table
+    if coherence is None:
+        return table
+    apart = (np.abs(mat[:, :1] * d[:n]) ** 2 + np.abs(mat[:, 1:] * d[:0:-1]) ** 2) / scale_sq
+    return coherence * table + (1 - coherence) * apart
 
 
 def sample_measurement(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Readout classes (``int64``) of Born-rule z measurements at the given
-    uniforms in [0, 1): one per uniform of a (2, L) Born table, one per row
-    of a batch ``(rows, 2, L)``. Class b L + k holds the C(L - 1, k) basis
-    indices of cell [b, k]; the class masses are normalised and their CDF
-    inverted as ``Generator.choice`` does, so ``uniforms = rng.random(n)``
-    draws what ``rng.choice(2 L, n, p=...)`` would.
-    :meth:`.protocols.Protocol.outcomes` maps the classes to a protocol's
-    record outcomes.
+    """Readout classes (``int64``) of Born-rule z measurements of a (2, L)
+    Born table, one per uniform in [0, 1). Class b L + k holds the
+    C(L - 1, k) basis indices of cell [b, k]; the class masses are
+    normalised and their CDF inverted as ``Generator.choice`` does, so
+    ``uniforms = rng.random(n)`` draws what ``rng.choice(2 L, n, p=...)``
+    would. :meth:`.protocols.Protocol.outcomes` maps the classes to a
+    protocol's record outcomes.
     """
     n = table.shape[-1]
-    mass = (table * _binomials(n - 1)[n - 1, :n]).reshape(*table.shape[:-2], 2 * n)
-    mass /= mass.sum(axis=-1, keepdims=True)
-    cdf = np.cumsum(mass, axis=-1, out=mass)
-    cdf /= cdf[..., -1:]
-    uniforms = np.asarray(uniforms, dtype=float)
-    if cdf.ndim == 1:
-        classes = cdf.searchsorted(uniforms, side="right")
-    else:  # a non-decreasing row's searchsorted index is its count of entries <= u
-        classes = np.count_nonzero(cdf <= uniforms[..., None], axis=-1)
+    mass = (table * _binomials(n - 1)[n - 1, :n]).reshape(2 * n)
+    mass /= mass.sum()
+    cdf = np.cumsum(mass, out=mass)
+    cdf /= cdf[-1]
+    classes = cdf.searchsorted(np.asarray(uniforms, dtype=float), side="right")
     return classes.astype(np.int64, copy=False)

@@ -1,25 +1,43 @@
 """Dephasing and state-imperfection checks.
 
-The coherence-decay oracle is the Gaussian characteristic function: a phase
-theta ~ N(0, 2 gamma t) has E[exp(i theta)] = exp(-gamma t), so averaging
-cos(theta) over trajectories must reproduce the exponential envelope within
-the exactly computable Monte Carlo error.
+A dephased run samples every shot from the Born table of the dephased
+density matrix (``protocols._averaged_table``). The references here hold the
+dense 2**L state that the table avoids: the exact density matrix, damped
+entrywise by the characteristic function of the Gaussian phases and closed
+at gate level (L <= 8), and trajectories, each shot drawing its own phases
+and its class from its own closed state, the way a dephased experiment
+runs (L = 3, 6, 9). Past the dense reach, 50-digit arithmetic is the
+reference (L = 12).
 """
+
+from math import comb
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from ionramsey import (
     ImperfectionSpec,
     NoiseSpec,
-    apply_phase_noise,
-    new_register,
+    Protocol,
+    QubitRegister,
+    RamseyConfig,
+    ensemble_contrast,
+    expected_signal,
     perturb_ghz,
-    prepare_ghz,
+    sample_measurement,
     stream,
 )
-from ionramsey.noise import sample_dephasing_phases
-from ionramsey.register import DickeState, QubitRegister, dicke_ghz
+from ionramsey.protocols import _run_state
+from ionramsey.register import DickeState, _binomials, dicke_ghz
+from test_register import (
+    class_masses,
+    dense_close,
+    dense_evolve,
+    dense_prepare,
+    popcounts,
+    probs_class_masses,
+)
 
 
 def ghz_dicke(n_ions, phi0):
@@ -27,169 +45,233 @@ def ghz_dicke(n_ions, phi0):
     return dicke_ghz(n_ions, np.array([1.0, np.exp(1j * phi0)]) / np.sqrt(2))
 
 
-def coherence(reg):
-    """|<all-down| rho |all-up>| normalized to the GHZ value 1/2, one a row."""
-    return 2 * np.abs(reg.amplitudes[..., 0].conjugate() * reg.amplitudes[..., -1])
+def dephased_cfg(protocol, n_ions, mode, *, epsilon=None, gamma=0.3):
+    """Off the fringe's symmetry points, with phi0, phi_f and, if given, an
+    admixture."""
+    return RamseyConfig(
+        n_ions=n_ions,
+        t_ramsey=0.8,
+        omega_r=0.9 / protocol.multiplier(n_ions),
+        omega_0=0.1,
+        noise=NoiseSpec(gamma=gamma, mode=mode),
+        imperfection=None if epsilon is None else ImperfectionSpec(epsilon=epsilon),
+        protocol=protocol,
+        final_phase=0.35,
+        phi0=0.0 if protocol is Protocol.STANDARD else 0.6,
+    )
 
 
-def coherence_re(reg):
-    """Real part of the normalized extreme-state coherence, one a row.
-
-    The diagonal parity observable is blind to dephasing until the readout
-    rotation; the decay lives in this off-diagonal element, whose
-    trajectory average gives the fringe envelope.
-    """
-    return 2 * np.real(reg.amplitudes[..., 0].conjugate() * reg.amplitudes[..., -1])
+def dense_evolved(cfg):
+    """The gate-level prepared and evolved dense state, and its GHZ sequence."""
+    reg, seq = dense_prepare(cfg)
+    return dense_evolve(reg, cfg.delta_omega, cfg.t_ramsey), seq
 
 
-class TestPhaseSampling:
-    def test_variance_matches_spec(self):
-        # Independent mode gives iid draws, so a wide register doubles as a
-        # bulk sampler for the oracle statistics.
-        rng = stream(1, 0)
-        spec = NoiseSpec(gamma=0.7)
-        phases = sample_dephasing_phases(spec, 1.3, 200_000, rng, 1)
-        var = float(np.var(phases))
-        want = 2 * 0.7 * 1.3
-        # var(sample var) ~ 2 sigma^4 / n for Gaussians
-        sd = np.sqrt(2 * want**2 / 200_000)
-        assert abs(var - want) < 4 * sd
+def dense_averaged_table(cfg):
+    """Reference: the Born table of the exact dephased density matrix. Basis
+    states x, y whose bits differ in h places, and whose popcounts differ by
+    m, keep rho_xy times e^{-h gamma t} (independent phases) or e^{-m^2
+    gamma t} (one common phase). The gate-level close U maps rho to U rho
+    U^dagger: applied to the columns of rho it gives M = U rho, and applied
+    to those of M^dagger, U rho U^dagger, whose diagonal holds the Born
+    probabilities."""
+    reg, seq = dense_evolved(cfg)
+    index, gamma_t = np.arange(reg.dim), cfg.noise.gamma * cfg.t_ramsey
+    if cfg.noise.mode == "common":
+        counts = popcounts(cfg.n_ions)
+        damping = np.exp(-gamma_t * np.subtract.outer(counts, counts) ** 2)
+    else:
+        damping = np.exp(-gamma_t * np.bitwise_count(index[:, None] ^ index))
+    rho = np.outer(reg.amplitudes, reg.amplitudes.conj()) * damping
 
-    def test_characteristic_function_oracle(self):
-        # E[cos theta] = exp(-gamma t); E[cos^2] = (1 + exp(-4 gamma t)) / 2
-        gamma, t, n = 0.5, 0.8, 400_000
-        rng = stream(2, 0)
-        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, n, rng, 1)
-        want = np.exp(-gamma * t)
-        var_cos = (1 + np.exp(-4 * gamma * t)) / 2 - want**2
-        got = float(np.mean(np.cos(phases)))
-        assert abs(got - want) < 4 * np.sqrt(var_cos / n)
+    def close_columns(matrix):  # row i of the result: U times column i
+        return dense_close(QubitRegister(cfg.n_ions, False, matrix.T.copy()), cfg, seq).amplitudes
 
-    def test_common_mode_draws_single_phase(self):
-        spec = NoiseSpec(gamma=0.4, mode="common")
-        phases = sample_dephasing_phases(spec, 1.0, 5, stream(3, 0), shots=7)
-        assert phases.shape == (7, 5)
-        assert np.all(phases == phases[:, :1])
-        assert len(np.unique(phases[:, 0])) == 7
+    probs = np.diagonal(close_columns(close_columns(rho).conj())).real
+    per_index = [comb(cfg.n_ions - 1, k) for k in range(cfg.n_ions)]
+    return probs_class_masses(cfg.n_ions, probs).reshape(2, cfg.n_ions) / per_index
 
-    @pytest.mark.parametrize("mode,width", [("independent", 4), ("common", 1)])
-    def test_block_is_one_normal_draw(self, mode, width):
-        # Row k is trajectory k: one normal block, row-major, (shots, 1) in common mode.
-        spec = NoiseSpec(gamma=0.3, mode=mode)
-        rng = stream(3, 1)
-        phases = sample_dephasing_phases(spec, 0.7, 4, rng, shots=6)
-        fresh = stream(3, 1)
-        want = fresh.normal(0.0, np.sqrt(2 * 0.3 * 0.7), (6, width))
-        assert phases.shape == (6, 4)
-        assert np.array_equal(phases, np.broadcast_to(want, (6, 4)))
-        assert np.array_equal(rng.random(4), fresh.random(4))
 
-    @pytest.mark.parametrize("gamma,t", [(0.0, 1.0), (0.5, 0.0)])
-    def test_zero_variance_draws_nothing(self, gamma, t):
-        rng = stream(3, 2)
-        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, 3, rng, shots=5)
-        assert np.array_equal(phases, np.zeros((5, 3)))
-        assert np.array_equal(rng.random(4), stream(3, 2).random(4))
+def phase_trajectories(reg, phases):
+    """One dephasing trajectory a row of ``phases`` (shots, L): basis index x
+    gains e^{i sum_k x_k phi_k}, x_k ion k's bit. The factor is built ion by
+    ion, each one the next bit below those placed, so ion 1 ends the most
+    significant."""
+    ions = np.exp(1j * phases)
+    factor = np.ones((len(phases), 1), dtype=complex)
+    for k in range(reg.n_ions):
+        factor = np.stack([factor, factor * ions[:, k : k + 1]], axis=-1).reshape(len(phases), -1)
+    return QubitRegister(reg.n_ions, False, reg.amplitudes * factor)
 
-    def test_zero_gamma_is_identity(self):
-        reg, _ = prepare_ghz(new_register(3), 0.0)
-        out = apply_phase_noise(
-            reg, np.zeros(3)
-        )
-        np.testing.assert_allclose(out.amplitudes, reg.amplitudes, atol=0)
 
+def trajectory_classes(cfg, rng, shots, chunk=250):
+    """Readout classes of dephased shots run one trajectory each: every shot
+    draws its phases (one per ion, or one shared), closes its own state at
+    gate level and draws its class from that state's class masses."""
+    reg, seq = dense_evolved(cfg)
+    width = 1 if cfg.noise.mode == "common" else cfg.n_ions
+    sigma = np.sqrt(2 * cfg.noise.gamma * cfg.t_ramsey)
+    phases = np.broadcast_to(rng.normal(0.0, sigma, (shots, width)), (shots, cfg.n_ions))
+    uniforms = rng.random(shots)
+    classes = []
+    for k in range(0, shots, chunk):
+        final = dense_close(phase_trajectories(reg, phases[k : k + chunk]), cfg, seq)
+        cdf = np.cumsum(class_masses(cfg.n_ions, final.amplitudes), axis=-1)
+        drawn = cdf / cdf[:, -1:] <= uniforms[k : k + chunk, None]
+        classes.append(np.count_nonzero(drawn, axis=-1))
+    return np.concatenate(classes)
+
+
+def mp_count_masses(cfg):
+    """Reference in 50-digit arithmetic for an independently dephased
+    collective-pulse readout (no 2**L array, no code shared with the
+    library): the mass of each count w of ions read up is the t**w
+    coefficient of <d| A_t^(x L) |d>, A_t = M_0 + t M_1, where M_z is the
+    projector U^dagger |z><z| U of the closing pulse U with its off-diagonal
+    entries damped by e^{-gamma t}. On the Dicke states A^(x L) is the
+    symmetric power: <D_p|A^(x L)|D_q> is sqrt(C(L, q) / C(L, p)) times the
+    x**(L-p) y**p coefficient of (A00 x + A10 y)**(L-q) (A01 x + A11 y)**q,
+    a polynomial in x, y and t."""
+    mpmath = pytest.importorskip("mpmath")
+    mp, n, binom = mpmath.mp, cfg.n_ions, mpmath.binomial
+    with mp.workdps(50):
+        pi, phi0, phi_f = mp.pi, mpmath.mpf(cfg.phi0), mpmath.mpf(cfg.final_phase)
+
+        def rot(phi):  # R(pi/2, phi)
+            c = s = mpmath.sqrt(2) / 2
+            return [[c, -1j * mpmath.exp(-1j * phi) * s], [-1j * mpmath.exp(1j * phi) * s, c]]
+
+        (down, _), (up, _) = rot(phi0 + pi / 2)
+        d = {0: down, n: up}
+        for p, eps in cfg.imperfection.epsilon.items():
+            d[p] = mpmath.mpc(eps)
+        norm = mpmath.sqrt(mpmath.fsum(abs(x) ** 2 for x in d.values()))
+        phase = mpmath.mpf(cfg.delta_omega) * mpmath.mpf(cfg.t_ramsey)
+        d = {p: x / norm * mpmath.exp(1j * p * phase) for p, x in d.items()}
+        u = rot((phi0 - phi_f) / n + pi / 2)
+        r = mpmath.exp(-mpmath.mpf(cfg.noise.gamma) * mpmath.mpf(cfg.t_ramsey))
+        m = [[[mpmath.conj(u[z][i]) * u[z][j] * (1 if i == j else r) for j in (0, 1)]
+              for i in (0, 1)] for z in (0, 1)]
+
+        def times(poly, j):  # poly[(y degree, t degree)] times A0j x + A1j y
+            out = {}
+            for (yd, td), v in poly.items():
+                for dy, dt, a in ((0, 0, m[0][0][j]), (0, 1, m[1][0][j]),
+                                  (1, 0, m[0][1][j]), (1, 1, m[1][1][j])):
+                    out[yd + dy, td + dt] = out.get((yd + dy, td + dt), 0) + a * v
+            return out
+
+        masses = [mpmath.mpc(0)] * (n + 1)
+        for q, dq in d.items():
+            poly = {(0, 0): mpmath.mpc(1)}
+            for j in [0] * (n - q) + [1] * q:
+                poly = times(poly, j)
+            for (p, td), v in poly.items():
+                if p in d:
+                    masses[td] += mpmath.conj(d[p]) * dq * mpmath.sqrt(binom(n, q) / binom(n, p)) * v
+        return np.array([float(mpmath.re(x)) for x in masses])
+
+
+def _cases(sizes, epsilons=True):
+    return [
+        pytest.param(protocol, n_ions, mode, epsilon, id=f"{protocol.value}-L{n_ions}-{mode}-{tag}")
+        for protocol in Protocol
+        for n_ions in sizes
+        for mode in ("independent", "common")
+        for tag, epsilon in (("pure", None), ("epsilon", {1: 0.2 - 0.1j, n_ions - 1: 0.15j}))
+        if tag == "pure" or (epsilons and protocol is not Protocol.STANDARD and n_ions > 1)
+    ]
+
+
+class TestAveragedTable:
+    """The dephased table against the dense density matrix, trajectory
+    shots and the ensemble contrast model."""
+
+    @pytest.mark.parametrize("protocol,n_ions,mode,epsilon", _cases(range(1, 9)))
+    def test_equals_dense_density_matrix(self, protocol, n_ions, mode, epsilon):
+        cfg = dephased_cfg(protocol, n_ions, mode, epsilon=epsilon)
+        want = dense_averaged_table(cfg)
+        np.testing.assert_allclose(_run_state(cfg), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("protocol,n_ions,mode,epsilon", [
+        *_cases((3, 6), epsilons=False),
+        # One dense trajectory at L = 9 holds 512 amplitudes: one case, the
+        # general one, keeps the suite's wall time.
+        *[c for c in _cases((9,)) if c.id == "ghz_parity-L9-independent-epsilon"],
+    ])
+    def test_shots_match_trajectory_shots(self, protocol, n_ions, mode, epsilon):
+        # Two-sample Pearson chi^2 of the class histograms of 40,000 shots
+        # each; classes seen fewer than 10 times in both runs together are
+        # pooled into one bin.
+        cfg = dephased_cfg(protocol, n_ions, mode, epsilon=epsilon)
+        drawn = sample_measurement(_run_state(cfg), stream(71, n_ions).random(40_000))
+        ours = np.bincount(drawn, minlength=2 * n_ions)
+        trajectories = trajectory_classes(cfg, stream(72, n_ions), 40_000)
+        theirs = np.bincount(trajectories, minlength=2 * n_ions)
+        rare = ours + theirs < 10
+        ours = np.append(ours[~rare], ours[rare].sum())
+        theirs = np.append(theirs[~rare], theirs[rare].sum())
+        seen = ours + theirs > 0
+        stat = np.sum((ours[seen] - theirs[seen]) ** 2 / (ours[seen] + theirs[seen]))
+        assert chi2.sf(stat, np.count_nonzero(seen) - 1) > 1e-3
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.3])
+    def test_flips_match_50_digit_reference(self, gamma):
+        # Past the dense reference's reach: GHZ parity with admixtures at
+        # p = 1, L/2 and L - 1 under independent dephasing.
+        n_ions = 12
+        cfg = dephased_cfg(Protocol.GHZ_PARITY, n_ions, "independent", gamma=gamma,
+                           epsilon={1: 0.2 - 0.1j, 6: 0.1, 11: 0.15j})
+        table = _run_state(cfg)
+        got = np.append(table[0], table[1, -1]) * _binomials(n_ions)[n_ions]
+        np.testing.assert_allclose(got, mp_count_masses(cfg), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["independent", "common"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_mean_signal_follows_ensemble_contrast(self, protocol, mode):
+        # The fringe about its offset shrinks by ensemble_contrast exactly,
+        # at every L up to capacity.
+        offset, _ = protocol.fringe
+        for n_ions in range(1, 25):
+            cfg = dephased_cfg(protocol, n_ions, mode, gamma=0.05)
+            contrast = ensemble_contrast(n_ions, cfg.noise, cfg.t_ramsey, protocol)
+            want = offset + contrast * (expected_signal(cfg) - offset)
+            assert abs(protocol.expected(_run_state(cfg)) - want) <= 1e-12, n_ions
+
+    @pytest.mark.parametrize("n_ions", [1, 2, 4, 7])
+    @pytest.mark.parametrize("protocol", [Protocol.GHZ_PARITY, Protocol.GHZ_REVERSED])
+    def test_ghz_envelopes(self, protocol, n_ions):
+        # At the fringe top the GHZ signal is its envelope: e^{-L gamma t}
+        # under independent dephasing, e^{-L^2 gamma t} under common; one
+        # ion's is e^{-gamma t} either way.
+        gamma, t = 0.05, 0.9
+        for mode, want in (("independent", np.exp(-n_ions * gamma * t)),
+                           ("common", np.exp(-n_ions**2 * gamma * t))):
+            cfg = RamseyConfig(n_ions=n_ions, t_ramsey=t, omega_r=0.4, omega_0=0.4,
+                               noise=NoiseSpec(gamma, mode), protocol=protocol)
+            assert protocol.expected(_run_state(cfg)) == pytest.approx(want, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("mode", ["independent", "common"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_full_capacity_masses_are_a_distribution(self, protocol, mode):
+        # L = 24 with phi0, phi_f and admixtures at p = 1, 12 and 23: every
+        # cell >= 0, the masses sum to 1, and the sampler's CDF never
+        # decreases: rising uniforms draw classes that never fall.
+        epsilon = None if protocol is Protocol.STANDARD else {1: 0.2 - 0.1j, 12: 0.1, 23: 0.15j}
+        for gamma in (1e-9, 0.05, 3.0):
+            table = _run_state(dephased_cfg(protocol, 24, mode, epsilon=epsilon, gamma=gamma))
+            assert table.shape == (2, 24) and np.all(table >= 0)
+            assert np.sum(table * _binomials(23)[23, :24]) == pytest.approx(1.0, abs=1e-12)
+            classes = sample_measurement(table, np.linspace(0.0, 1.0, 4001)[:-1])
+            assert np.all(np.diff(classes) >= 0)
+
+
+class TestNoiseSpec:
     def test_rejects_bad_mode_and_negative_gamma(self):
         with pytest.raises(ValueError):
             NoiseSpec(gamma=-0.1)
         with pytest.raises(ValueError):
             NoiseSpec(gamma=0.1, mode="pink")
-
-
-class TestAppliedPhases:
-    def test_phase_lands_on_excited_components(self):
-        # |psi> = GHZ; phases theta_i multiply the all-up component by
-        # exp(i sum theta) and leave all-down alone.
-        reg, _ = prepare_ghz(new_register(3), 0.0)
-        thetas = np.array([0.3, -1.1, 0.7])
-        out = apply_phase_noise(reg, thetas)
-        np.testing.assert_allclose(out.amplitudes[0], reg.amplitudes[0], atol=1e-12)
-        np.testing.assert_allclose(
-            out.amplitudes[-1],
-            reg.amplitudes[-1] * np.exp(1j * thetas.sum()),
-            atol=1e-12,
-        )
-
-    @pytest.mark.parametrize("n_ions", [2, 5])
-    def test_matches_explicit_phase_sum(self, n_ions):
-        # Index x gains exp(i sum_k x_k phi_k), x_k ion k's bit and ion 1 the
-        # most significant; a random register and distinct phases break
-        # every symmetry that would hide a reversed ion order.
-        rng = np.random.default_rng(19 + n_ions)
-        amps = rng.normal(size=(3, 1 << n_ions)) + 1j * rng.normal(size=(3, 1 << n_ions))
-        phases = rng.uniform(-np.pi, np.pi, size=(3, n_ions))
-        bits = (np.arange(1 << n_ions)[:, None] >> np.arange(n_ions - 1, -1, -1)) & 1
-        want = amps * np.exp(1j * phases @ bits.T)
-        got = apply_phase_noise(QubitRegister(n_ions, False, amps), phases).amplitudes
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        one = apply_phase_noise(QubitRegister(n_ions, False, amps[0]), phases[0]).amplitudes
-        np.testing.assert_allclose(one, want[0], rtol=0, atol=1e-14)
-
-    def test_single_ion_addressing(self):
-        # Only ion 2 of three gets a phase: basis states with ion-2 excited
-        # acquire it, all others do not. Ion 2 is the middle bit.
-        rng = np.random.default_rng(8)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        reg = QubitRegister(3, False, amps.copy())
-        theta = 0.9
-        out = apply_phase_noise(reg, np.array([0.0, theta, 0.0]))
-        for idx in range(8):
-            factor = np.exp(1j * theta) if (idx >> 1) & 1 else 1.0
-            np.testing.assert_allclose(
-                out.amplitudes[idx], amps[idx] * factor, atol=1e-12
-            )
-
-
-class TestEnvelopes:
-    """Each envelope averages one block of trajectories, phased as one batch."""
-
-    @pytest.mark.parametrize("n_ions", [2, 4])
-    def test_ghz_envelope_exponent_independent(self, n_ions):
-        # GHZ coherence decays exp(-L gamma t) under independent dephasing.
-        gamma, t, trials = 0.5, 0.6, 40_000
-        rng = stream(10 + n_ions, 0)
-        spec = NoiseSpec(gamma=gamma)
-        reg0, _ = prepare_ghz(new_register(n_ions), 0.0)
-        phases = sample_dephasing_phases(spec, t, n_ions, rng, trials)
-        vals = coherence_re(apply_phase_noise(reg0, phases))
-        want = np.exp(-n_ions * gamma * t)
-        sem = float(np.std(vals, ddof=1) / np.sqrt(trials))
-        assert abs(float(np.mean(vals)) - want) < 4 * sem
-
-    def test_common_mode_is_l_squared(self):
-        # Common-mode phase hits the GHZ coherence L times coherently:
-        # envelope exp(-L^2 gamma t).
-        n_ions, gamma, t, trials = 3, 0.05, 1.0, 40_000
-        rng = stream(17, 0)
-        spec = NoiseSpec(gamma=gamma, mode="common")
-        reg0, _ = prepare_ghz(new_register(n_ions), 0.0)
-        phases = sample_dephasing_phases(spec, t, n_ions, rng, trials)
-        vals = coherence_re(apply_phase_noise(reg0, phases))
-        want = np.exp(-n_ions**2 * gamma * t)
-        sem = float(np.std(vals, ddof=1) / np.sqrt(trials))
-        assert abs(float(np.mean(vals)) - want) < 4 * sem
-
-    def test_single_ion_envelope(self):
-        # One ion: <2 S_x> after noise = cos(theta); mean is exp(-gamma t).
-        gamma, t, trials = 0.8, 0.9, 40_000
-        rng = stream(23, 0)
-        reg0, _ = prepare_ghz(new_register(1), 0.0)  # (|0>+|1>)/sqrt(2)
-        phases = sample_dephasing_phases(NoiseSpec(gamma=gamma), t, 1, rng, trials)
-        vals = coherence(apply_phase_noise(reg0, phases)) * np.cos(phases[:, 0])
-        # coherence magnitude stays 1; the signal-relevant part is cos(theta)
-        want = np.exp(-gamma * t)
-        sem = float(np.std(vals, ddof=1) / np.sqrt(trials))
-        assert abs(float(np.mean(vals)) - want) < 4 * sem
 
 
 class TestImperfections:

@@ -11,6 +11,8 @@ with C = 1 noise-free. These were derived by multiplying out the 2x2 pulse
 matrices; everything below leans on them plus plain statistics.
 """
 
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from math import comb
@@ -41,11 +43,10 @@ from ionramsey import (
     stream,
     two_point_calibrate,
 )
-from ionramsey import protocols, streams
+from ionramsey import bench, gates, protocols, register, streams
 from ionramsey.bench import _run_batches
 from ionramsey.errors import FitError
-from ionramsey.noise import apply_phase_noise
-from ionramsey.register import born_table, expand_dicke, sample_measurement
+from ionramsey.register import sample_measurement
 from ionramsey.protocols import (
     FringeFit,
     _prepare_dicke,
@@ -56,11 +57,11 @@ from ionramsey.protocols import (
 )
 from test_register import (
     class_masses,
-    dense_close,
-    dense_evolve,
     dense_final,
     dense_prepare,
     dense_signal,
+    dense_table,
+    expand,
 )
 
 
@@ -299,113 +300,43 @@ class TestSampledRuns:
             estimate_frequency(trials, contrast=1.0)
 
 
-def per_shot_outcomes(cfg, rng):
-    """Reference for dephased runs: one trajectory at a time. The stream first
-    gives every shot's phases as one ``(shots, L)`` normal block, row k shot k
-    (``(shots, 1)``, broadcast across the ions, in common mode); then each shot
-    closes its own state at gate level and draws its readout class (ion 1's
-    bit b, k ions up among the rest) from the state's class masses with
-    ``rng.choice``; the outcome is read straight off b and k."""
-    prepared, seq = dense_prepare(cfg)
-    evolved = dense_evolve(prepared, cfg.delta_omega, cfg.t_ramsey)
-    sigma = np.sqrt(2 * cfg.noise.gamma * cfg.t_ramsey)
-    width = 1 if cfg.noise.mode == "common" else cfg.n_ions
-    phases = rng.normal(0.0, sigma, (cfg.shots, width))
-    outcomes = np.empty(cfg.shots)
-    for k in range(cfg.shots):
-        row = np.broadcast_to(phases[k], cfg.n_ions)
-        final = dense_close(apply_phase_noise(evolved, row), cfg, seq)
-        masses = class_masses(cfg.n_ions, final.amplitudes)
-        drawn = int(rng.choice(2 * cfg.n_ions, size=1, p=masses / masses.sum())[0])
-        b, excited = divmod(drawn, cfg.n_ions)
-        n_down = cfg.n_ions - b - excited
-        if cfg.protocol is Protocol.STANDARD:
-            outcomes[k] = n_down
-        elif cfg.protocol is Protocol.GHZ_REVERSED:
-            outcomes[k] = b - 0.5
-        else:
-            outcomes[k] = 1.0 if n_down % 2 == 0 else -1.0
-    return outcomes
-
-
-def _dephased_cfg(protocol, n_ions, mode, *, shots, epsilon=None):
+def _dephased_cfg(protocol, n_ions, mode, *, shots):
     return RamseyConfig(
         n_ions=n_ions,
         t_ramsey=0.8,
         omega_r=0.9 / protocol.multiplier(n_ions),
         omega_0=0.1,
         noise=NoiseSpec(gamma=0.3, mode=mode),
-        imperfection=None if epsilon is None else ImperfectionSpec(epsilon=epsilon),
         protocol=protocol,
-        final_phase=0.0 if protocol is Protocol.GHZ_REVERSED else 0.35,
+        final_phase=0.35,
         phi0=0.0 if protocol is Protocol.STANDARD else 0.6,
         shots=shots,
     )
 
 
-_ORACLE_CASES = [
-    pytest.param(protocol, n_ions, mode, epsilon, id=f"{protocol.value}-L{n_ions}-{mode}-{tag}")
-    for protocol in Protocol
-    for n_ions in (1, 3, 5)
-    for mode in ("independent", "common")
-    for tag, epsilon in (("pure", None), ("epsilon", {1: 0.2, n_ions - 1: 0.1j}))
-    if tag == "pure" or (protocol is not Protocol.STANDARD and n_ions > 1)
-]
-
-
-class TestBatchedTrajectories:
-    """Dephased shots run as a batch: a batch's stream gives every shot's
-    phases as one block, then every shot's uniform, and every outcome equals
-    the one-trajectory-at-a-time reference that consumes it in that order."""
-
-    @pytest.mark.parametrize("protocol,n_ions,mode,epsilon", _ORACLE_CASES)
-    def test_outcomes_equal_per_shot_reference(self, protocol, n_ions, mode, epsilon):
-        cfg = _dephased_cfg(protocol, n_ions, mode, shots=300, epsilon=epsilon)
-        want = per_shot_outcomes(cfg, stream(41, n_ions))
-        got = run_ramsey(cfg, stream(41, n_ions)).outcomes
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("budget", [1, 8, 40])
-    def test_chunk_budget_cannot_change_outcomes(self, monkeypatch, budget):
-        # Three ions, eight amplitudes a state: one, one and five rows a chunk.
-        cfg = _dephased_cfg(Protocol.GHZ_PARITY, 3, "independent", shots=203)
-        want = per_shot_outcomes(cfg, stream(8, 1))
-        monkeypatch.setattr(protocols, "CHUNK_AMPLITUDES", budget)
-        assert np.array_equal(run_ramsey(cfg, stream(8, 1)).outcomes, want)
-
-    def test_batches_equal_per_shot_reference(self):
-        # 2,300 shots: batches of 2,000 and 300, each from its own stream.
-        cfg = _dephased_cfg(Protocol.STANDARD, 3, "independent", shots=1)
-        want = np.concatenate([
-            per_shot_outcomes(replace(cfg, shots=shots), stream(13, 0, b))
-            for b, shots in enumerate((2000, 300))
-        ])
-        trials = _run_batches(cfg, 2300, 13, (0,))
-        assert trials.batches == (("13/0/0", 2000), ("13/0/1", 300))
-        assert np.array_equal(trials.outcomes, want)
-
-
-def _drawn_as_blocks(seed_path, shots, width):
-    """A fresh stream after one (shots, width) normal block and one
-    random(shots) call: where a dephased batch must leave its stream."""
+def _drawn(seed_path, shots):
+    """A fresh stream after one random(shots) call: where a batch, noiseless
+    or dephased, must leave its stream."""
     rng = stream(*seed_path)
-    rng.normal(size=(shots, width))
     rng.random(shots)
     return rng
 
 
 class TestStreamConsumption:
-    """A dephased batch consumes its stream as two blocks: all phases, row by
-    row, then all uniforms."""
+    """A batch consumes its stream as one block of uniforms, dephased or not:
+    its shots are drawn from one Born table, the dephased density matrix's."""
 
-    @pytest.mark.parametrize("mode,width", [("independent", 3), ("common", 1)])
-    def test_run_leaves_stream_after_two_blocks(self, mode, width):
-        cfg = _dephased_cfg(Protocol.GHZ_PARITY, 3, mode, shots=500)
+    @pytest.mark.parametrize("mode", ["independent", "common"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_run_draws_one_block_of_uniforms(self, protocol, mode):
+        cfg = _dephased_cfg(protocol, 3, mode, shots=500)
         rng = stream(29, 3)
-        run_ramsey(cfg, rng)
-        assert np.array_equal(rng.random(8), _drawn_as_blocks((29, 3), 500, width).random(8))
+        trials = run_ramsey(cfg, rng)
+        want = sample_measurement(protocols._run_state(cfg), stream(29, 3).random(500))
+        assert np.array_equal(trials.outcomes, protocol.outcomes(want, 3))
+        assert np.array_equal(rng.random(8), _drawn((29, 3), 500).random(8))
 
-    def test_each_batch_leaves_its_stream_after_two_blocks(self, monkeypatch):
+    def test_each_batch_leaves_its_stream_after_one_block(self, monkeypatch):
         made = []
 
         def recording(*args):
@@ -417,8 +348,7 @@ class TestStreamConsumption:
         assert _run_batches(cfg, 2300, 13, (0,)).batches == (("13/0/0", 2000), ("13/0/1", 300))
         assert len(made) == 2
         for b, (rng, shots) in enumerate(zip(made, (2000, 300))):
-            want = _drawn_as_blocks((13, 0, b), shots, 4).random(8)
-            assert np.array_equal(rng.random(8), want)
+            assert np.array_equal(rng.random(8), _drawn((13, 0, b), shots).random(8))
 
 
 def _grid_cfg(protocol, n_ions):
@@ -528,7 +458,7 @@ class TestSymmetricSubspace:
         # ladder copies; to 1e-15 with admixtures and for the product state.
         cfg = _subspace_cfg(protocol, n_ions)
         for cfg in (cfg, replace(cfg, imperfection=None)):
-            got = expand_dicke(_prepare_dicke(cfg)).amplitudes
+            got = expand(_prepare_dicke(cfg)).amplitudes
             want = dense_prepare(cfg)[0].amplitudes
             if protocol is not Protocol.STANDARD and cfg.imperfection is None:
                 assert np.array_equal(got, want)
@@ -559,7 +489,7 @@ class TestSymmetricSubspace:
         multiplicity = np.array([comb(n_ions - 1, int(x)) for x in range(n_ions)])
         assert abs(np.sum(multiplicity * table) - 1.0) <= 1e-12
         dense = _dense_final(cfg)
-        np.testing.assert_allclose(born_table(dense), table, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dense_table(n_ions, dense.amplitudes), table, rtol=0, atol=1e-15)
         signal = protocol.signal(protocol.outcomes(b * n_ions + k, n_ions), n_ions)
         want = dense_signal(protocol, n_ions, dense.amplitudes)
         assert abs(np.sum(multiplicity * table * signal) - want) <= 1e-12
@@ -591,11 +521,7 @@ class TestSymmetricSubspace:
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_expectation_builds_no_register(self, monkeypatch, protocol):
-        def dense(*args, **kwargs):
-            raise AssertionError("a noiseless evaluation reached the dense register")
-
-        for name in ("expand_dicke", "apply_rotation", "inverse_star"):
-            monkeypatch.setattr(protocols, name, dense)
+        _forbid_dense_register(monkeypatch)
         cfg = _subspace_cfg(protocol, 6)
         expected_signal(cfg)
         expected_signal(cfg, t_ramsey=np.linspace(0.1, 2.0, 5), delta_omega=0.3)
@@ -603,6 +529,30 @@ class TestSymmetricSubspace:
         sim = make_truth_simulator(cfg)
         sim(np.linspace(-0.2, 0.2, 5), 0.9, 0.1)
         sim(0.1, 0.9, np.linspace(-0.2, 0.2, 5))
+
+    @pytest.mark.parametrize("mode", ["independent", "common"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_dephased_run_builds_no_register(self, monkeypatch, protocol, mode):
+        _forbid_dense_register(monkeypatch)
+        cfg = replace(_subspace_cfg(protocol, 6), noise=NoiseSpec(0.2, mode), shots=300,
+                      allow_wrap=False, t_ramsey=0.3)
+        assert len(run_ramsey(cfg, stream(3)).outcomes) == 300
+
+    def test_sampled_dephasing_benchmark_builds_no_register(self, monkeypatch):
+        _forbid_dense_register(monkeypatch)
+        report = bench.dephasing_benchmark(0.5, 3, np.geomspace(0.2, 2.0, 4), trials=200,
+                                           seed=1, refine=False)
+        assert set(report.curves) == {"standard", "ghz"}
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_wide_dephased_run_is_fast(self, protocol):
+        # 2,500 dephased shots at L = 20, where one dense trajectory holds
+        # 2**20 amplitudes.
+        cfg = replace(_subspace_cfg(protocol, 20), noise=NoiseSpec(0.05), shots=2500,
+                      allow_wrap=False, t_ramsey=0.1)
+        start = time.perf_counter()
+        run_ramsey(cfg, stream(4))
+        assert time.perf_counter() - start < 1.0
 
     def test_wide_scan_allocates_no_2L_array(self):
         # At L = 20 one dense state is 16 MiB; the subspace scan holds 16 x 21 amplitudes.
@@ -634,6 +584,22 @@ class TestSymmetricSubspace:
         ts = np.array([0.3, 0.9, 2.1])
         want = _mp_signals(cfg, ts)
         np.testing.assert_allclose(expected_signal(cfg, t_ramsey=ts), want, rtol=0, atol=1e-13)
+
+
+def _forbid_dense_register(monkeypatch):
+    """Make every dense-register entry point fail, the register type itself
+    among them, in every ionramsey namespace that holds it."""
+    dense = (register.QubitRegister, register.new_register, register.apply_rotation,
+             gates.prepare_ghz, gates.reverse_prep)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run reached the dense register")
+
+    for name, module in list(sys.modules.items()):
+        if name == "ionramsey" or name.startswith("ionramsey."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in dense):
+                    monkeypatch.setattr(module, attr, refuse)
 
 
 def _mp_signals(cfg, ts):
@@ -909,6 +875,18 @@ class TestFringeFit:
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.4, omega_0=0.0)
         with pytest.raises(FitError, match="below half a bin"):
             fit_fringe_frequency(t, fringe_scan(cfg, t))
+
+    @pytest.mark.parametrize("n_ions,span", [(3, 2.0), (2, 1.0)])
+    def test_scan_without_a_fringe_raises(self, n_ions, span):
+        # A GHZ scan at zero detuning is constant: its rounding once fitted
+        # 2.059 rad/s at amplitude 1.2e-16 (L = 3 over 2 s) and 4.118 rad/s
+        # (L = 2 over 1 s).
+        t = span * np.arange(1, 65) / 64
+        cfg = RamseyConfig(n_ions=n_ions, t_ramsey=1.0, omega_r=0.5, omega_0=0.5)
+        with pytest.raises(FitError, match="rounding noise"):
+            fit_fringe_frequency(t, fringe_scan(cfg, t))
+        with pytest.raises(FitError, match="rounding noise"):
+            fit_fringe_frequency(t, np.zeros(64))
 
     def test_scan_ending_mid_fringe(self):
         # A 64-point standard scan over 2.7 fringes once fitted 1.529934.

@@ -9,6 +9,7 @@ and bit value 0 means the ion is in the lower state.
 
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -32,10 +33,7 @@ from ionramsey import (
 from ionramsey.gates import prepare_ghz, reverse_prep
 from ionramsey.register import (
     DickeState,
-    born_table,
     bus_purity,
-    expand_dicke,
-    inverse_star,
     pi_half_pulse,
     rotation_matrix,
 )
@@ -85,11 +83,36 @@ def readout_class(index, n_ions):
 def class_masses(n_ions, amps):
     """Oracle: the Born mass of each readout class of a dense ion state (or
     of each row of a batch), summed index by index."""
-    probs = np.abs(amps) ** 2
-    masses = np.zeros((*probs.shape[:-1], 2 * n_ions))
-    for index in range(1 << n_ions):
-        masses[..., readout_class(index, n_ions)] += probs[..., index]
-    return masses
+    return probs_class_masses(n_ions, np.abs(amps) ** 2)
+
+
+def probs_class_masses(n_ions, probs):
+    """The readout-class masses of Born probabilities over the basis indices
+    (or of each row of a batch): each index's probability added to its class."""
+    return probs @ _class_indicator(n_ions)
+
+
+@lru_cache(maxsize=None)
+def _class_indicator(n_ions):
+    """[x, c]: 1.0 where basis index x lies in readout class c."""
+    classes = [readout_class(index, n_ions) for index in range(1 << n_ions)]
+    return (np.array(classes)[:, None] == np.arange(2 * n_ions)).astype(float)
+
+
+def dense_table(n_ions, amps):
+    """Oracle: the (2, L) Born table of a dense ion state, or of each row of
+    a batch: cell [b, k] is its class's mass over its C(L - 1, k) indices."""
+    masses = class_masses(n_ions, amps)
+    per_index = np.array([comb(n_ions - 1, k) for k in range(n_ions)])
+    return masses.reshape(*masses.shape[:-1], 2, n_ions) / per_index
+
+
+def expand(state):
+    """Dense ion register of a Dicke state, or of each row of a batch: basis
+    index x holds ``dicke[|x|] / sqrt(C(L, |x|))``."""
+    n = state.n_ions
+    scale = np.sqrt([comb(n, p) for p in range(n + 1)])
+    return QubitRegister(n, False, (state.dicke / scale)[..., popcounts(n)])
 
 
 class TestRegisterBasics:
@@ -106,34 +129,6 @@ class TestRegisterBasics:
     def test_capacity_limits(self, n):
         with pytest.raises(CapacityError):
             new_register(n)
-
-
-class TestDickeExpansion:
-    """A Dicke state's dense register: index x holds dicke[|x|] / sqrt(C(L, |x|))."""
-
-    @pytest.mark.parametrize("n_ions", [1, 2, 3, 6])
-    def test_matches_popcount_formula(self, n_ions):
-        rng = np.random.default_rng(n_ions)
-        for rows in ((), (3,)):
-            dicke = random_dicke(n_ions, rng, rows).dicke
-            reg = expand_dicke(DickeState(n_ions, dicke))
-            assert (reg.n_ions, reg.has_bus) == (n_ions, False)
-            assert reg.amplitudes.shape == rows + (1 << n_ions,)
-            for x, p in enumerate(popcounts(n_ions)):
-                want = dicke[..., p] / np.sqrt(comb(n_ions, p))
-                np.testing.assert_allclose(reg.amplitudes[..., x], want, rtol=1e-15, atol=0)
-
-    def test_dicke_basis_state_is_normalized_uniform(self):
-        # |D_p>: equal weight on the C(L, p) indices with p ions up, nothing elsewhere.
-        for n_ions, p in [(3, 1), (4, 2), (5, 3)]:
-            dicke = np.zeros(n_ions + 1, dtype=complex)
-            dicke[p] = 1.0
-            probs = np.abs(expand_dicke(DickeState(n_ions, dicke)).amplitudes) ** 2
-            nz = np.flatnonzero(probs > 0)
-            assert all(bin(i).count("1") == p for i in nz)
-            assert len(nz) == comb(n_ions, p)
-            np.testing.assert_allclose(probs[nz], 1 / len(nz), atol=1e-12)
-            np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
 
 class TestRotations:
@@ -192,9 +187,9 @@ class TestFreeEvolution:
         rng = np.random.default_rng(7)
         n_ions, dw, t = 3, 0.37, 1.9
         state = random_dicke(n_ions, rng)
-        got = expand_dicke(free_evolve(state, dw, t)).amplitudes
+        got = expand(free_evolve(state, dw, t)).amplitudes
         phases = np.exp(1j * popcounts(n_ions) * dw * t)
-        np.testing.assert_allclose(got, phases * expand_dicke(state).amplitudes, atol=1e-12)
+        np.testing.assert_allclose(got, phases * expand(state).amplitudes, atol=1e-12)
 
     def test_composition_of_intervals(self):
         # Evolving t1 then t2 must equal evolving t1+t2 exactly.
@@ -263,19 +258,14 @@ class TestPeakMemory:
 
     N_IONS = 16
 
-    @pytest.mark.parametrize(
-        "op", ["pulse", "prepare_ghz", "reverse_prep", "inverse_star", "expand_dicke"]
-    )
+    @pytest.mark.parametrize("op", ["pulse", "prepare_ghz", "reverse_prep"])
     def test_peak_allocation(self, op):
         ground = new_register(self.N_IONS)
         ghz, seq = prepare_ghz(ground, 0.3)
-        dicke = random_dicke(self.N_IONS, np.random.default_rng(3))
         run = {
             "pulse": lambda: apply_rotation(ghz, pi_half_pulse(self.N_IONS, 0.2)),
             "prepare_ghz": lambda: prepare_ghz(ground, 0.3),
             "reverse_prep": lambda: reverse_prep(ghz, seq),
-            "inverse_star": lambda: inverse_star(ghz, rotation_matrix(np.pi / 2, 0.4)),
-            "expand_dicke": lambda: expand_dicke(dicke),
         }[op]
         tracemalloc.start()
         try:
@@ -420,7 +410,7 @@ class TestSampling:
         # Pearson chi^2 at a fixed seed should sit well inside the 99.9% quantile.
         rng = np.random.default_rng(4)
         amps = random_state(16, rng)
-        table = born_table(QubitRegister(4, False, amps))
+        table = dense_table(4, amps)
         probs = class_masses(4, amps)
         n = 200_000
         sample = sample_measurement(table, stream(123, 9).random(n))
@@ -438,37 +428,23 @@ class TestSampling:
         amps = random_state(1 << n_ions, np.random.default_rng(n_ions))
         masses = class_masses(n_ions, amps)
         want = stream(3, n_ions).choice(2 * n_ions, size=5000, p=masses / masses.sum())
-        table = born_table(QubitRegister(n_ions, False, amps))
+        table = dense_table(n_ions, amps)
         got = sample_measurement(table, stream(3, n_ions).random(5000))
         assert np.array_equal(got, want)
 
     def test_uniform_on_a_cdf_step_skips_zero_probability_states(self):
         # Class masses 0, 1/2, 0, 1/2 (class 2 b + k, ion 1's bit b and ion
         # 2's k): the CDF is 0, 1/2, 1/2, 1. A uniform equal to a step value
-        # lands past it, as in searchsorted with side="right", for one table
-        # and for every row of a batch.
+        # lands past it, as in searchsorted with side="right".
         table = np.array([[0.0, 0.5], [0.0, 0.5]])
         uniforms = np.array([0.0, 0.25, 0.5, 0.75])
-        single = sample_measurement(table, uniforms)
-        batch = sample_measurement(np.stack([table] * 4), uniforms)
-        assert single.tolist() == batch.tolist() == [1, 1, 3, 3]
-
-    def test_born_table_uniform_on_a_step_skips_zero_probability_states(self):
-        # The same distribution as a dense state, one state and a batch of
-        # four: its Born table holds the masses exactly, so the steps stay.
-        amps = np.array([0.0, 1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-        uniforms = np.array([0.0, 0.25, 0.5, 0.75])
-        single = born_table(QubitRegister(2, False, amps))
-        batch = born_table(QubitRegister(2, False, np.stack([amps] * 4)))
-        assert np.array_equal(batch, np.stack([single] * 4))
-        assert sample_measurement(single, uniforms).tolist() == [1, 1, 3, 3]
-        assert sample_measurement(batch, uniforms).tolist() == [1, 1, 3, 3]
+        assert sample_measurement(table, uniforms).tolist() == [1, 1, 3, 3]
 
     def test_projection_noise_variance_binomial(self):
         # Independent half-fringe ions: L_down is Binomial(L, 1/2).
         reg, n_ions = _half_fringe_register()
         n = 100_000
-        s = sample_measurement(born_table(reg), stream(77, 0).random(n))
+        s = sample_measurement(dense_table(n_ions, reg.amplitudes), stream(77, 0).random(n))
         var = float(np.var(Protocol.STANDARD.outcomes(s, n_ions), ddof=1))
         # Oracle: exact moments of the sampled distribution give the
         # standard error of the sample variance.

@@ -13,8 +13,8 @@ Two benchmarks:
   this noise model entanglement buys no precision, only speed.
 
 Time accounting charges tau = trials * T_R (zero dead time). Each
-(protocol, grid point, batch) gets its own counter-based random stream, so
-a report depends on its seed alone.
+(protocol, grid point) run draws all of its trials from its own
+counter-based random stream, so a report depends on its seed alone.
 
 Every experiment is run at its half-fringe operating point (detuning
 pi/(2 m T_R) with m the protocol's fringe multiplier) and the estimator's
@@ -36,17 +36,15 @@ from .protocols import (
     Protocol,
     RamseyConfig,
     Trials,
-    _run_state,
-    _sample,
     ensemble_contrast,
     estimate_frequency,
+    run_ramsey,
 )
 
 # The two protocols every benchmark compares; reports label them by family.
 PROTOCOLS = (Protocol.STANDARD, Protocol.GHZ_PARITY)
 
 SCHEMA_VERSION = 1
-BATCH_SHOTS = 2000  # shots a random stream draws; a longer run takes several
 
 
 def theory_sigma(protocol: Protocol, n_ions: int, t_ramsey: float, tau: float) -> float:
@@ -106,27 +104,12 @@ def _half_fringe_config(
     )
 
 
-def _run_batches(
-    cfg: RamseyConfig, trials: int, seed: int, path_prefix: tuple[int, ...]
-) -> Trials:
-    """``trials`` shots of cfg in batches of ``BATCH_SHOTS``, all sampled from
-    one Born table; batch b draws from ``stream(seed, *path_prefix, b)``,
-    labelled ``seed/.../b``, and the batches are joined in batch order."""
-    n_batches = math.ceil(trials / BATCH_SHOTS)
-    sizes = [min(BATCH_SHOTS, trials - b * BATCH_SHOTS) for b in range(n_batches)]
-    table = _run_state(cfg)
-
-    def one_batch(b: int) -> Trials:
-        rng = streams.stream(seed, *path_prefix, b)
-        label = "/".join(str(p) for p in (seed, *path_prefix, b))
-        return _sample(replace(cfg, shots=sizes[b]), table, rng, label)
-
-    batches = [one_batch(b) for b in range(n_batches)]
-    return replace(
-        batches[0],
-        outcomes=np.concatenate([batch.outcomes for batch in batches]),
-        batches=tuple(label for batch in batches for label in batch.batches),
-    )
+def _run_stream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
+    """The random stream every shot of the sampled run at ``path`` is drawn
+    from, ``stream(seed, *path, 0)``, and its label ``seed/.../0``: the
+    arguments :func:`run_ramsey` takes after the config."""
+    full = (seed, *path, 0)
+    return streams.stream(*full), "/".join(map(str, full))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +178,7 @@ def scan_scaling(
             cfg = _half_fringe_config(
                 cfg_template, protocol, n_ions, cfg_template.t_ramsey, trials
             )
-            run = _run_batches(cfg, trials, seed, (proto_idx, l_idx))
+            run = run_ramsey(cfg, *_run_stream(seed, proto_idx, l_idx))
             sigma = _half_fringe_sigma(run)
             sigmas.append(sigma)
             tau = trials * cfg.t_ramsey
@@ -311,7 +294,7 @@ def dephasing_benchmark(
     for proto_idx, protocol in enumerate(PROTOCOLS):
         def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
             cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
-            run = _run_batches(cfg, trials, seed, path)
+            run = run_ramsey(cfg, *_run_stream(seed, *path))
             contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
             value = float(_half_fringe_sigma(run, contrast)) * math.sqrt(trials * float(t_ramsey))
             if math.isfinite(value):  # Python floats overflow to inf without a warning

@@ -52,7 +52,7 @@ from .bench import (
     PROTOCOLS,
     SCHEMA_VERSION,
     _loglog_slope,
-    _run_batches,
+    _run_stream,
     dephasing_benchmark,
     scan_scaling,
     theory_sigma,
@@ -78,6 +78,7 @@ from .protocols import (
     fringe_scan,
     make_truth_simulator,
     naive_single_point_omega0,
+    run_ramsey,
     synthesize_signal,
     two_point_calibrate,
 )
@@ -400,7 +401,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         summary["expected_fringe_frequency"] = fringe
         summary["fitted_amplitude"] = fit.amplitude
     else:
-        trials = _run_batches(cfg, cfg.shots, manifest.seed, (0,))
+        trials = run_ramsey(cfg, *_run_stream(manifest.seed, 0))
         summary["shots"] = cfg.shots
         summary["mean_outcome"] = float(np.mean(trials.outcomes))
         contrast = ensemble_contrast(cfg.n_ions, cfg.noise, cfg.t_ramsey, cfg.protocol)

@@ -382,9 +382,8 @@ class Trials:
 
     One configuration (``protocol``, ``n_ions``, ``t_ramsey``, ``omega_r``)
     holds for every shot. ``outcomes`` is the float64 array of per-shot
-    :meth:`Protocol.outcomes` values in shot order; ``batches`` lists the
-    (seed label, shot count) of each random stream the shots were drawn
-    from, in the same order.
+    :meth:`Protocol.outcomes` values in shot order; ``seed_label`` names
+    the one random stream every shot was drawn from.
     """
 
     protocol: Protocol
@@ -392,7 +391,7 @@ class Trials:
     t_ramsey: float
     omega_r: float
     outcomes: np.ndarray
-    batches: tuple[tuple[str, int], ...]
+    seed_label: str
 
 
 class Estimate(NamedTuple):
@@ -413,7 +412,9 @@ def run_ramsey(
     (:func:`_averaged_table`), at the uniforms of one ``rng.random(shots)``
     call.
     """
-    return _sample(cfg, _run_state(cfg), rng, seed_label)
+    classes = sample_measurement(_run_state(cfg), rng.random(cfg.shots))
+    outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
+    return Trials(cfg.protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, seed_label)
 
 
 def _run_state(cfg: RamseyConfig) -> np.ndarray:
@@ -430,16 +431,6 @@ def _run_state(cfg: RamseyConfig) -> np.ndarray:
         table = _averaged_table(state, cfg)
     table.flags.writeable = False
     return table
-
-
-def _sample(
-    cfg: RamseyConfig, table: np.ndarray, rng: np.random.Generator, seed_label: str
-) -> Trials:
-    """:func:`run_ramsey` from a :func:`_run_state` table."""
-    classes = sample_measurement(table, rng.random(cfg.shots))
-    outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
-    batches = ((seed_label, cfg.shots),)
-    return Trials(cfg.protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, batches)
 
 
 # ---------------------------------------------------------------------------

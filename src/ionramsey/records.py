@@ -7,9 +7,8 @@ fixed column order::
 
 :func:`trial_rows` writes one row per shot, which fills ``outcome`` and
 leaves ``estimate``/``sigma`` empty, then optionally one estimate row, which
-does the opposite. ``seed`` is the label of the random stream the shot was
-drawn from; the estimate row carries the first one. ``outcome`` is
-protocol-dependent:
+does the opposite. ``seed`` is the label of the run's random stream, the
+same on every row. ``outcome`` is protocol-dependent:
 
 * ``standard``      — the number of ions found |dn> in that shot (0..L);
 * ``ghz_parity``    — the normalized parity sign of that shot (+1 or -1);
@@ -54,19 +53,11 @@ def trial_rows(trials: Trials, estimate: Estimate | None = None) -> list[list[st
         str(trials.n_ions),
         _fmt(trials.t_ramsey),
         _fmt(trials.omega_r),
+        trials.seed_label,
     ]
-    outcomes = trials.outcomes.tolist()
-    rows = []
-    start = 0
-    for label, count in trials.batches:
-        rows.extend(
-            [*config, label, repr(v), "", ""] for v in outcomes[start : start + count]
-        )
-        start += count
+    rows = [[*config, repr(v), "", ""] for v in trials.outcomes.tolist()]
     if estimate is not None:
-        rows.append(
-            [*config, trials.batches[0][0], "", _fmt(estimate.estimate), _fmt(estimate.sigma)]
-        )
+        rows.append([*config, "", _fmt(estimate.estimate), _fmt(estimate.sigma)])
     return rows
 
 

@@ -26,10 +26,8 @@ one state a row; pulses and gates act on each row as on that state alone.
 No kernel transposes the state. A pulse applies Kronecker blocks of its 2x2
 rotation (identity on the non-targets inside a block), each with one matmul:
 a register of up to five qubits is one block, a larger one runs in windows
-of four qubits counted back from the last. A lone state that one block spans
-whole is padded to two rows, so it runs the gemm a batch runs and every batch
-row equals its single-state result bit for bit. CNOT and SWAP
-(:mod:`.gates`) copy each block of the state once.
+of four qubits counted back from the last. CNOT and SWAP (:mod:`.gates`)
+copy each block of the state once.
 
 Every state the Ramsey protocols prepare is symmetric under permuting the
 ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
@@ -206,10 +204,7 @@ def apply_matrix_on_axis(
     post = (1 << (n_qubits - axis)) // size
     if post > 1:
         return (mat @ amplitudes.reshape(-1, size, post)).reshape(amplitudes.shape)
-    rows = amplitudes.reshape(-1, size)
-    if len(rows) == 1:  # np.matmul sends one row to gemv, which rounds unlike a batch's gemm
-        return (np.vstack([rows, np.zeros_like(rows)]) @ mat.T)[0].reshape(amplitudes.shape)
-    return (rows @ mat.T).reshape(amplitudes.shape)
+    return (amplitudes.reshape(-1, size) @ mat.T).reshape(amplitudes.shape)
 
 
 def _blocks(axes: list[int], n_qubits: int) -> list[tuple[int, int]]:

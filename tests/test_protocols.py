@@ -44,7 +44,7 @@ from ionramsey import (
     two_point_calibrate,
 )
 from ionramsey import bench, gates, protocols, register, streams
-from ionramsey.bench import _run_batches
+from ionramsey.bench import _run_stream
 from ionramsey.errors import FitError
 from ionramsey.register import sample_measurement
 from ionramsey.protocols import (
@@ -232,7 +232,7 @@ class TestSampledRuns:
         assert trials.outcomes.shape == (400,)
         # At the half fringe every outcome the protocol allows shows up.
         assert set(trials.outcomes.tolist()) == outcomes
-        assert trials.batches == (("1/0", 400),)
+        assert trials.seed_label == "1/0"
 
     @pytest.mark.parametrize(
         "protocol,final_phase",
@@ -315,7 +315,7 @@ def _dephased_cfg(protocol, n_ions, mode, *, shots):
 
 
 def _drawn(seed_path, shots):
-    """A fresh stream after one random(shots) call: where a batch, noiseless
+    """A fresh stream after one random(shots) call: where a run, noiseless
     or dephased, must leave its stream."""
     rng = stream(*seed_path)
     rng.random(shots)
@@ -323,7 +323,7 @@ def _drawn(seed_path, shots):
 
 
 class TestStreamConsumption:
-    """A batch consumes its stream as one block of uniforms, dephased or not:
+    """A run consumes its stream as one block of uniforms, dephased or not:
     its shots are drawn from one Born table, the dephased density matrix's."""
 
     @pytest.mark.parametrize("mode", ["independent", "common"])
@@ -336,19 +336,18 @@ class TestStreamConsumption:
         assert np.array_equal(trials.outcomes, protocol.outcomes(want, 3))
         assert np.array_equal(rng.random(8), _drawn((29, 3), 500).random(8))
 
-    def test_each_batch_leaves_its_stream_after_one_block(self, monkeypatch):
+    def test_long_run_leaves_its_one_stream_after_one_block(self, monkeypatch):
         made = []
 
         def recording(*args):
-            made.append(stream(*args))
-            return made[-1]
+            made.append((args, stream(*args)))
+            return made[-1][1]
 
         monkeypatch.setattr(streams, "stream", recording)
-        cfg = _dephased_cfg(Protocol.STANDARD, 4, "independent", shots=1)
-        assert _run_batches(cfg, 2300, 13, (0,)).batches == (("13/0/0", 2000), ("13/0/1", 300))
-        assert len(made) == 2
-        for b, (rng, shots) in enumerate(zip(made, (2000, 300))):
-            assert np.array_equal(rng.random(8), _drawn((13, 0, b), shots).random(8))
+        cfg = _dephased_cfg(Protocol.STANDARD, 4, "independent", shots=2300)
+        assert run_ramsey(cfg, *_run_stream(13, 0)).seed_label == "13/0/0"
+        assert [args for args, _ in made] == [(13, 0, 0)]
+        assert np.array_equal(made[0][1].random(8), _drawn((13, 0, 0), 2300).random(8))
 
 
 def _grid_cfg(protocol, n_ions):
@@ -408,12 +407,11 @@ class TestBatchedGrids:
         assert type(expected_signal(_grid_cfg(Protocol.GHZ_REVERSED, 3))) is float
 
     def test_run_prepares_once(self, monkeypatch):
-        # 2,300 noiseless shots: two batches share one prepared Born table.
-        cfg = replace(_grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3)
-        want = np.concatenate([
-            run_ramsey(replace(cfg, shots=shots), stream(13, 0, b)).outcomes
-            for b, shots in enumerate((2000, 300))
-        ])
+        # 2,300 noiseless shots, all drawn from one prepared Born table.
+        cfg = replace(
+            _grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3, shots=2300
+        )
+        want = run_ramsey(cfg, stream(13, 0, 0)).outcomes
         calls = []
         prepare_dicke = protocols._prepare_dicke
 
@@ -422,7 +420,7 @@ class TestBatchedGrids:
             return prepare_dicke(*args, **kwargs)
 
         monkeypatch.setattr(protocols, "_prepare_dicke", counting)
-        trials = _run_batches(cfg, 2300, 13, (0,))
+        trials = run_ramsey(cfg, *_run_stream(13, 0))
         assert len(calls) == 1
         assert np.array_equal(trials.outcomes, want)
 

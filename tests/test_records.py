@@ -9,7 +9,7 @@ from ionramsey.protocols import Estimate, Protocol, Trials
 from ionramsey.records import CSV_COLUMNS, trial_rows, write_json, write_table_csv
 
 
-def make_trials(outcomes=(1.0,), batches=None):
+def make_trials(outcomes=(1.0,), seed_label="7/0/0"):
     outcomes = np.array(outcomes, dtype=np.float64)
     return Trials(
         protocol=Protocol.GHZ_PARITY,
@@ -17,7 +17,7 @@ def make_trials(outcomes=(1.0,), batches=None):
         t_ramsey=1.0,
         omega_r=0.5235987755982988,
         outcomes=outcomes,
-        batches=batches or (("7/0/0", len(outcomes)),),
+        seed_label=seed_label,
     )
 
 
@@ -44,9 +44,9 @@ class TestCsvWriters:
         assert float(data_line.split(",")[5]) == value
 
     def test_estimate_record_row_shape(self):
-        trials = make_trials([1.0, -1.0, 1.0], batches=(("1/0/0", 2), ("1/0/1", 1)))
+        trials = make_trials([1.0, -1.0, 1.0], seed_label="1/0/0")
         rows = trial_rows(trials, Estimate(estimate=0.05, sigma=0.002))
-        assert [row[4] for row in rows] == ["1/0/0", "1/0/0", "1/0/1", "1/0/0"]
+        assert [row[4] for row in rows] == ["1/0/0"] * 4
         assert all(len(row) == len(CSV_COLUMNS) for row in rows)
         assert rows[-1][5:] == ["", "0.05", "0.002"]
         assert all(isinstance(cell, str) for row in rows for cell in row)

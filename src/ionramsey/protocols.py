@@ -33,16 +33,16 @@ signal mean.
 
 Both a sampled mode (projective shots) and an expectation mode (exact
 expectations, no statistics) are first-class: :func:`run_ramsey` and
-:func:`expected_signal` run every protocol. Every run prepares and evolves
-its state once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`),
-and closes them into one Born table: the closed state's when noiseless,
-averaged for expectations; with dephasing, the dephased density matrix's
-(:func:`_averaged_table`), which is the mean of every dephasing trajectory's
-table and so the law each independent shot follows. No run holds a 2**L
-array. Every shot is drawn from its run's table by
-:func:`.register.sample_measurement`. The tests check the tables against the
-gate-level circuits of :mod:`.gates`, the dense density matrix and dense
-trajectories.
+:func:`expected_signal` run every protocol. Every run prepares its state
+once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`), and one
+function, :func:`_table`, evolves and closes them into a Born table.
+Expectation mode averages the signal over the noiseless table. A sampled run
+passes its noise, if any, and gets the dephased density matrix's table: the
+mean of every dephasing trajectory's table, and so the law each independent
+shot follows. No run holds a 2**L array. Every shot is drawn from its run's
+table by :func:`.register.sample_measurement`. The tests check the tables
+against the gate-level circuits of :mod:`.gates`, the dense density matrix
+and dense trajectories.
 """
 
 from __future__ import annotations
@@ -282,48 +282,39 @@ def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
     return state if cfg.imperfection is None else perturb_ghz(state, cfg.imperfection)
 
 
-def _unstar_matrix(cfg: RamseyConfig) -> np.ndarray:
-    """The time-reversed readout's rotation on ion 1: the inverse opening pulse."""
-    rot = _opening_pulse(cfg.phi0).inverse()
-    return rotation_matrix(rot.theta, rot.phi)
+def _table(
+    state: DickeState, cfg: RamseyConfig, t, dw, final_phase, noise: NoiseSpec | None = None
+) -> np.ndarray:
+    """The Born table of a :func:`_prepare_dicke` state evolved for ``t`` at
+    detuning ``dw`` and closed by cfg's readout at readout phase
+    ``final_phase``, one batch row per entry of 1-D ``t``, ``dw`` or
+    ``final_phase`` (which the time-reversed readout ignores, row by row).
+    The close is the collective pi/2 pulse at phase pi - phi_f (standard) or
+    (phi0 - phi_f)/L + pi/2 (GHZ parity), or the inverse star circuit.
 
-
-def _closing_phase(cfg: RamseyConfig, final_phase: float | np.ndarray) -> float | np.ndarray:
-    """Phase of the collective pi/2 pulse that closes the standard and
-    GHZ-parity readouts at readout phase phi_f = ``final_phase``."""
+    With ``noise``, the table of a lone state is that of its dephased density
+    matrix: the mean of every dephasing trajectory's table, which each shot's
+    class follows, since each shot draws its own phases (Huelga et al., PRL
+    79, 3865, 1997). It holds no 2**L array. The time-reversed readout damps
+    the cross term of basis states (0, y) and (1, ~y), whose excited ions
+    differ in all L places and in number by L - 2|y|; common noise keeps the
+    state symmetric, as the density matrix rho_pq damped by the decay of
+    p - q; the collective pulse under independent noise flips each ion's
+    reading (see :func:`.register.dephase_pulse_table`)."""
+    state, n = free_evolve(state, dw, t), cfg.n_ions
+    if cfg.protocol is Protocol.GHZ_REVERSED:
+        if np.ndim(final_phase):  # a row per readout phase, which this close ignores
+            rows = np.broadcast_shapes(state.dicke.shape[:-1], np.shape(final_phase))
+            state = DickeState(n, np.broadcast_to(state.dicke, (*rows, n + 1)))
+        rot = _opening_pulse(cfg.phi0).inverse()
+        decay = None if noise is None else _coherence_decay(noise, t, n, n - 2 * np.arange(n))
+        return born_table_reversed(state, rotation_matrix(rot.theta, rot.phi), decay)
     if cfg.protocol is Protocol.STANDARD:
-        return np.pi - final_phase
-    return (cfg.phi0 - final_phase) / cfg.n_ions + np.pi / 2
-
-
-def _born_table(state: DickeState, cfg: RamseyConfig, final_phase) -> np.ndarray:
-    """The Born table of the closed state, or of each row of a batch: the
-    closing readout on the Dicke amplitudes at readout phase
-    ``final_phase``, one row an entry of a 1-D array (which the
-    time-reversed readout ignores, row by row)."""
-    if cfg.protocol is Protocol.GHZ_REVERSED:
-        rows = np.broadcast_shapes(state.dicke.shape[:-1], np.shape(final_phase))
-        state = DickeState(state.n_ions, np.broadcast_to(state.dicke, (*rows, state.n_ions + 1)))
-        return born_table_reversed(state, _unstar_matrix(cfg))
-    return born_table_pulse(state, _closing_phase(cfg, final_phase))
-
-
-def _averaged_table(state: DickeState, cfg: RamseyConfig) -> np.ndarray:
-    """The Born table of the dephased density matrix of the evolved Dicke
-    amplitudes, closed at cfg's readout phase: the mean of every dephasing
-    trajectory's table, which each shot's class follows, since each shot
-    draws its own phases (Huelga et al., PRL 79, 3865, 1997). It holds no
-    2**L array. The time-reversed readout damps the cross term of basis
-    states (0, y) and (1, ~y), whose excited ions differ in all L places and
-    in number by L - 2|y|; common noise keeps the state symmetric, as the
-    density matrix rho_pq damped by the decay of p - q; the collective pulse
-    under independent noise flips each ion's reading (see
-    :func:`.register.dephase_pulse_table`)."""
-    noise, t, n = cfg.noise, cfg.t_ramsey, cfg.n_ions
-    if cfg.protocol is Protocol.GHZ_REVERSED:
-        decay = _coherence_decay(noise, t, n, n - 2 * np.arange(n))
-        return born_table_reversed(state, _unstar_matrix(cfg), decay)
-    phi = _closing_phase(cfg, cfg.final_phase)
+        phi = np.pi - final_phase
+    else:
+        phi = (cfg.phi0 - final_phase) / n + np.pi / 2
+    if noise is None:
+        return born_table_pulse(state, phi)
     if noise.mode == "common":
         apart = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
         return born_table_pulse(state, phi, _coherence_decay(noise, t, np.abs(apart), apart))
@@ -345,7 +336,8 @@ def expected_signal(
     :meth:`Protocol.signal` over shots. ``t_ramsey`` and ``delta_omega`` may
     be 1-D arrays (of one length if both are), whose entries are evaluated
     as one batch from one preparation, one signal per entry, with no 2**L
-    array: only dephasing breaks the symmetric subspace, and it runs sampled.
+    array. It reads the noiseless :func:`_table`, the one a noiseless
+    sampled run draws its shots from.
 
     standard: excited-state fraction (1 - C cos(dw T_R + phi_f)) / 2;
     GHZ parity: normalized parity (2^L times the spin-product expectation)
@@ -356,13 +348,7 @@ def expected_signal(
     """
     t = cfg.t_ramsey if t_ramsey is None else t_ramsey
     dw = cfg.delta_omega if delta_omega is None else delta_omega
-    return _signal(cfg, _prepare_dicke(cfg), t, dw, cfg.final_phase)
-
-
-def _signal(cfg: RamseyConfig, state: DickeState, t, dw, final_phase) -> float | np.ndarray:
-    """:func:`expected_signal` from a :func:`_prepare_dicke` state, one
-    batch row per entry of 1-D ``t``, ``dw`` or ``final_phase``."""
-    return cfg.protocol.expected(_born_table(free_evolve(state, dw, t), cfg, final_phase))
+    return cfg.protocol.expected(_table(_prepare_dicke(cfg), cfg, t, dw, cfg.final_phase))
 
 
 def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
@@ -407,10 +393,8 @@ def run_ramsey(
     """cfg.shots projective trials of cfg.protocol, drawn from ``rng``, whose
     seed label the returned :class:`Trials` records.
 
-    Every shot's readout class is drawn from one Born table, the closed
-    state's (noiseless) or the dephased density matrix's
-    (:func:`_averaged_table`), at the uniforms of one ``rng.random(shots)``
-    call.
+    Every shot's readout class is drawn from one Born table,
+    :func:`_run_state`, at the uniforms of one ``rng.random(shots)`` call.
     """
     classes = sample_measurement(_run_state(cfg), rng.random(cfg.shots))
     outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
@@ -419,16 +403,16 @@ def run_ramsey(
 
 def _run_state(cfg: RamseyConfig) -> np.ndarray:
     """The read-only Born table that every shot of a sampled run is drawn
-    from, computed once a run, before any draw, from the prepared and
-    evolved Dicke amplitudes."""
+    from, computed once a run, before any draw: the :func:`_table` of the
+    prepared Dicke amplitudes, damped by cfg's noise unless it is
+    noiseless."""
     ensure_unambiguous(
         cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
     )
-    state = free_evolve(_prepare_dicke(cfg), cfg.delta_omega, cfg.t_ramsey)
-    if cfg.noiseless:
-        table = _born_table(state, cfg, cfg.final_phase)
-    else:
-        table = _averaged_table(state, cfg)
+    noise = None if cfg.noiseless else cfg.noise
+    table = _table(
+        _prepare_dicke(cfg), cfg, cfg.t_ramsey, cfg.delta_omega, cfg.final_phase, noise
+    )
     table.flags.writeable = False
     return table
 
@@ -668,7 +652,8 @@ def make_truth_simulator(
     state = _prepare_dicke(cfg)
 
     def simulate(omega_r, t_ramsey: float, phi_f):
-        s = _signal(cfg, state, t_ramsey, np.subtract(omega_r, cfg.omega_0), phi_f)
+        dw = np.subtract(omega_r, cfg.omega_0)
+        s = cfg.protocol.expected(_table(state, cfg, t_ramsey, dw, phi_f))
         if bias is not None:
             s *= bias(t_ramsey)
         return s

@@ -112,11 +112,6 @@ class PulseSpec:
             raise ValueError(f"ion indices are 1-based, got {targets[0]}")
 
 
-def pi_half_pulse(n_ions: int, phi: float = 0.0) -> PulseSpec:
-    """A pi/2 pulse addressing all ions, the workhorse of Ramsey sequences."""
-    return PulseSpec(theta=np.pi / 2, phi=phi, targets=tuple(range(1, n_ions + 1)))
-
-
 def _check_capacity(n_ions: int) -> None:
     if not 1 <= n_ions <= MAX_IONS:
         raise CapacityError(f"n_ions must be in [1, {MAX_IONS}], got {n_ions}")

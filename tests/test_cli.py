@@ -925,6 +925,38 @@ class TestPinnedOutputs:
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED}
         assert got == self.PINNED
 
+    # Each dephased table off the half fringe, where the contrast moves it
+    # (the ramsey pin above sits on it): common noise on a collective pulse,
+    # independent noise on one and the time-reversed readout's cross term.
+    DEPHASED = {
+        "independent_parity": (
+            "final_phase = 0.3\ngamma = 0.2\nepsilon = 2:0.1\n",
+            "2ae98cb5f88fbf4a57d1d855a3a9fa0d5792055bbf20484094d0af1001c2d915",
+            "0b65511efd0a6a90ed424664a9c9089fea3891c4ff93f7914eed026afc548cfc",
+        ),
+        "common_parity": (
+            "final_phase = 0.3\ngamma = 0.1\nnoise_mode = common\nphi0 = 0.4\nepsilon = 1:0.1\n",
+            "4afd5f1ec3cb25c5773c02803f4dcab7bada1184cc8fcd9136de64b8a23dfb1b",
+            "e693998556f9253c1150ac667783f0a0bb95cb3dfba1f6a76e377645bdd765de",
+        ),
+        "time_reversed": (
+            "readout = time_reversed\ngamma = 0.2\nphi0 = 0.4\n",
+            "5f8ebbc6fad4eb4350c02275b14a08c807b23aeddac334c4ae6050e6a0d8baed",
+            "4df3926688f38999eb05f609b08e1fd74babf29e818afc8809cda7c7586fc25b",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", DEPHASED)
+    def test_dephased_runs_keep_their_bytes(self, tmp_path, case):
+        extra, table, summary = self.DEPHASED[case]
+        text = RAMSEY_INI.replace("0.62359877559829887", "0.45") + extra  # 1,500 shots
+        cfg = write_config(tmp_path, "ramsey.ini", text)
+        out = tmp_path / "out"
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 0
+        got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("ramsey.csv", "ramsey_summary.json")]
+        assert got == [table, summary]
+
 
 def test_readme_lists_the_schema_keys():
     """README's "Section keys per command" list names each schema key once."""

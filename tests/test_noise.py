@@ -1,13 +1,13 @@
 """Dephasing and state-imperfection checks.
 
 A dephased run samples every shot from the Born table of the dephased
-density matrix (``protocols._averaged_table``). The references here hold the
-dense 2**L state that the table avoids: the exact density matrix, damped
-entrywise by the characteristic function of the Gaussian phases and closed
-at gate level (L <= 8), and trajectories, each shot drawing its own phases
-and its class from its own closed state, the way a dephased experiment
-runs (L = 3, 6, 9). Past the dense reach, 50-digit arithmetic is the
-reference (L = 12).
+density matrix: ``protocols._table`` given the run's noise. The references
+here hold the dense 2**L state that the table avoids: the exact density
+matrix, damped entrywise by the characteristic function of the Gaussian
+phases and closed at gate level (L <= 8), and trajectories, each shot
+drawing its own phases and its class from its own closed state, the way a
+dephased experiment runs (L = 3, 6, 9). Past the dense reach, 50-digit
+arithmetic is the reference (L = 12).
 """
 
 from math import comb

@@ -493,6 +493,15 @@ class TestSymmetricSubspace:
         assert abs(np.sum(multiplicity * table * signal) - want) <= 1e-12
         assert abs(expected_signal(cfg) - want) <= 1e-12
 
+    @pytest.mark.parametrize("n_ions", range(1, 13))
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_expectation_reads_the_run_table(self, protocol, n_ions):
+        # Bit for bit: the expected signal is the run's own table averaged,
+        # for a run without noise and for one whose noise has gamma = 0.
+        cfg = _subspace_cfg(protocol, n_ions)
+        for cfg in (cfg, replace(cfg, noise=NoiseSpec(0.0, "common"))):
+            assert expected_signal(cfg) == protocol.expected(protocols._run_state(cfg))
+
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_full_capacity_run_follows_the_fringe(self, protocol):
         # L = MAX_IONS: a dense state would hold 2**24 amplitudes.

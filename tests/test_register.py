@@ -34,7 +34,6 @@ from ionramsey.gates import prepare_ghz, reverse_prep
 from ionramsey.register import (
     DickeState,
     bus_purity,
-    pi_half_pulse,
     rotation_matrix,
 )
 
@@ -55,6 +54,11 @@ def embed_on_ions(single_qubit, n_ions, targets, has_bus=False):
     if has_bus:
         mats.append(I2)
     return kron_chain(mats)
+
+
+def all_ions_pi_half(n_ions, phi):
+    """A pi/2 pulse at phase ``phi`` on every ion."""
+    return PulseSpec(np.pi / 2, phi, tuple(range(1, n_ions + 1)))
 
 
 def random_state(dim, rng):
@@ -174,11 +178,6 @@ class TestRotations:
         with pytest.raises(ValueError):
             PulseSpec(0.5, 0.0, (0,))
 
-    def test_pi_half_pulse_helper(self):
-        spec = pi_half_pulse(4, 0.25)
-        assert spec.theta == pytest.approx(np.pi / 2)
-        assert spec.targets == (1, 2, 3, 4)
-
 
 class TestFreeEvolution:
     def test_matches_diagonal_oracle(self):
@@ -263,7 +262,7 @@ class TestPeakMemory:
         ground = new_register(self.N_IONS)
         ghz, seq = prepare_ghz(ground, 0.3)
         run = {
-            "pulse": lambda: apply_rotation(ghz, pi_half_pulse(self.N_IONS, 0.2)),
+            "pulse": lambda: apply_rotation(ghz, all_ions_pi_half(self.N_IONS, 0.2)),
             "prepare_ghz": lambda: prepare_ghz(ground, 0.3),
             "reverse_prep": lambda: reverse_prep(ghz, seq),
         }[op]
@@ -306,7 +305,7 @@ def dense_prepare(cfg):
     sequence (None for standard)."""
     reg = new_register(cfg.n_ions)
     if cfg.protocol is Protocol.STANDARD:
-        return apply_rotation(reg, pi_half_pulse(cfg.n_ions, 0.0)), None
+        return apply_rotation(reg, all_ions_pi_half(cfg.n_ions, 0.0)), None
     reg, seq = prepare_ghz(reg, cfg.phi0)
     if cfg.imperfection is not None:
         amps, counts = reg.amplitudes.copy(), popcounts(cfg.n_ions)
@@ -334,7 +333,7 @@ def dense_close(reg, cfg, seq):
         phase = np.pi - cfg.final_phase
     else:
         phase = (cfg.phi0 - cfg.final_phase) / cfg.n_ions + np.pi / 2
-    return apply_rotation(reg, pi_half_pulse(cfg.n_ions, phase))
+    return apply_rotation(reg, all_ions_pi_half(cfg.n_ions, phase))
 
 
 def dense_final(cfg):
@@ -461,5 +460,5 @@ class TestSampling:
 def _half_fringe_register():
     n_ions = 4
     reg = new_register(n_ions)
-    reg = apply_rotation(reg, pi_half_pulse(n_ions, 0.0))
+    reg = apply_rotation(reg, all_ions_pi_half(n_ions, 0.0))
     return reg, n_ions

@@ -43,7 +43,7 @@ def main() -> None:
     )
 
     history: list = []
-    result = two_point_calibrate(sim, cal, cfg, history=history)
+    result = two_point_calibrate(sim, cal, cfg.n_ions, history=history)
     err = abs(result.omega0 - TRUTH)
     print(
         f"two-point estimate after {result.iterations} iterations: "

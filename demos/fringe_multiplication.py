@@ -31,7 +31,6 @@ def main() -> None:
             t_ramsey=1.0,
             omega_r=DELTA_OMEGA,
             omega_0=0.0,
-            allow_wrap=True,
         )
         signal = fringe_scan(cfg, t_grid)
         fit = fit_fringe_frequency(t_grid, signal)

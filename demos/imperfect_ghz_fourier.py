@@ -41,7 +41,6 @@ def generate_dataset() -> None:
         omega_r=DELTA_OMEGA,
         omega_0=0.0,
         imperfection=spec,
-        allow_wrap=True,
     )
     period = 2.0 * np.pi / DELTA_OMEGA
     t_grid = period * np.arange(1, 129) / 128.0

@@ -24,7 +24,7 @@ sensitivity is evaluated at that designed phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,6 @@ from .noise import NoiseSpec
 from .protocols import (
     Protocol,
     RamseyConfig,
-    Trials,
     ensemble_contrast,
     estimate_frequency,
     run_ramsey,
@@ -76,32 +75,38 @@ def analytic_sigma_tau(
     return theory_sigma(protocol, n_ions, t_ramsey, 1.0) / contrast
 
 
-def _half_fringe_sigma(run: Trials, contrast: float = 1.0) -> float:
-    """The estimate's sigma for a run at the half fringe. It must be finite
-    and > 0: when every shot of a small run agrees it is 0, which measures
-    nothing and would reach a log or a ratio (``DegenerateSlopeError``)."""
-    sigma = estimate_frequency(run, contrast=contrast, operating_phase=np.pi / 2).sigma
-    if not 0.0 < sigma < math.inf:
-        raise DegenerateSlopeError(
-            f"the {run.protocol.family} run at L = {run.n_ions}, T_R = {run.t_ramsey!r} "
-            f"has sigma {sigma}: its {len(run.outcomes)} shots show no spread"
-        )
-    return sigma
-
-
-def _half_fringe_config(
-    template: RamseyConfig, protocol: Protocol, n_ions: int, t_ramsey: float, shots: int
-) -> RamseyConfig:
-    mult = protocol.multiplier(n_ions)
-    return replace(
-        template,
-        protocol=protocol,
+def _half_fringe_sigma(
+    protocol: Protocol,
+    n_ions: int,
+    t_ramsey: float,
+    shots: int,
+    path: tuple[int, ...],
+    *,
+    omega_0: float = 0.0,
+    noise: NoiseSpec | None = None,
+) -> float:
+    """The estimate's sigma for a run of ``shots`` trials at the half fringe
+    above ``omega_0``, dephased by ``noise``, on the stream
+    ``_run_stream(*path)``. It must be finite and > 0: when every shot of a
+    small run agrees it is 0, which measures nothing and would reach a log
+    or a ratio (``DegenerateSlopeError``)."""
+    cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=t_ramsey,
-        omega_r=template.omega_0 + np.pi / (2 * mult * t_ramsey),
+        omega_r=omega_0 + np.pi / (2 * protocol.multiplier(n_ions) * t_ramsey),
+        omega_0=omega_0,
+        noise=noise,
+        protocol=protocol,
         shots=shots,
-        final_phase=0.0,
     )
+    run = run_ramsey(cfg, *_run_stream(*path))
+    sigma = estimate_frequency(run, operating_phase=np.pi / 2).sigma
+    if not 0.0 < sigma < math.inf:
+        raise DegenerateSlopeError(
+            f"the {protocol.family} run at L = {n_ions}, T_R = {t_ramsey!r} "
+            f"has sigma {sigma}: its {shots} shots show no spread"
+        )
+    return sigma
 
 
 def _run_stream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
@@ -151,14 +156,16 @@ def _loglog_slope(l_values: np.ndarray, sigmas: np.ndarray) -> tuple[float, floa
 
 def scan_scaling(
     l_values: list[int],
-    cfg_template: RamseyConfig | None = None,
     trials: int = 10_000,
     *,
+    t_ramsey: float = 1.0,
+    omega_0: float = 0.0,
     seed: int = 0,
 ) -> ScalingReport:
     """Measure sigma(dw) for both protocols over a list of ion numbers.
 
-    Each point runs ``trials`` shots at the half-fringe operating point and
+    Each point runs ``trials`` noiseless shots of Ramsey time ``t_ramsey``
+    at the half-fringe operating point above the resonance ``omega_0`` and
     propagates the per-shot sample spread through the fringe slope. Slopes
     of log sigma vs log L are least-squares fits; their quoted 1-sigma
     uncertainty comes from the fit covariance (with few trials the points
@@ -167,27 +174,25 @@ def scan_scaling(
     """
     if len(l_values) < 2:
         raise ConfigError("need at least two L values to fit a scaling slope")
-    if cfg_template is None:
-        cfg_template = RamseyConfig(n_ions=1, t_ramsey=1.0, omega_r=0.0, omega_0=0.0)
+    if not t_ramsey > 0:
+        raise ConfigError(f"scaling needs t_ramsey > 0, got {t_ramsey!r}")
     points: list[ScalingPoint] = []
     slopes: dict[str, float] = {}
     slope_sigma: dict[str, float] = {}
     for proto_idx, protocol in enumerate(PROTOCOLS):
         sigmas = []
         for l_idx, n_ions in enumerate(l_values):
-            cfg = _half_fringe_config(
-                cfg_template, protocol, n_ions, cfg_template.t_ramsey, trials
+            sigma = _half_fringe_sigma(
+                protocol, n_ions, t_ramsey, trials, (seed, proto_idx, l_idx), omega_0=omega_0
             )
-            run = run_ramsey(cfg, *_run_stream(seed, proto_idx, l_idx))
-            sigma = _half_fringe_sigma(run)
             sigmas.append(sigma)
-            tau = trials * cfg.t_ramsey
-            theory = theory_sigma(protocol, n_ions, cfg.t_ramsey, tau)
+            tau = trials * t_ramsey
+            theory = theory_sigma(protocol, n_ions, t_ramsey, tau)
             points.append(
                 ScalingPoint(
                     protocol=protocol.family,
                     n_ions=n_ions,
-                    t_ramsey=cfg.t_ramsey,
+                    t_ramsey=t_ramsey,
                     tau=tau,
                     sigma_measured=sigma,
                     sigma_theory=theory,
@@ -286,17 +291,14 @@ def dephasing_benchmark(
     if mode not in ("sampled", "analytic"):
         raise ConfigError(f"unknown mode {mode!r}")
     noise = NoiseSpec(gamma=gamma, mode="independent")
-    template = RamseyConfig(
-        n_ions=n_ions, t_ramsey=1.0, omega_r=0.0, omega_0=0.0, noise=noise
-    )
 
     curves: dict[str, DephasingCurve] = {}
     for proto_idx, protocol in enumerate(PROTOCOLS):
         def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
-            cfg = _half_fringe_config(template, protocol, n_ions, t_ramsey, trials)
-            run = run_ramsey(cfg, *_run_stream(seed, *path))
-            contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
-            value = float(_half_fringe_sigma(run, contrast)) * math.sqrt(trials * float(t_ramsey))
+            sigma = _half_fringe_sigma(
+                protocol, n_ions, t_ramsey, trials, (seed, *path), noise=noise
+            )
+            value = float(sigma) * math.sqrt(trials * float(t_ramsey))
             if math.isfinite(value):  # Python floats overflow to inf without a warning
                 return value
             raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {float(t_ramsey)!r}")

@@ -41,7 +41,7 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -66,10 +66,10 @@ from .errors import (
 )
 from .noise import ImperfectionSpec, NoiseSpec
 from .protocols import (
+    DEFAULT_MAX_ITER,
     CalibrationState,
     Protocol,
     RamseyConfig,
-    ensemble_contrast,
     estimate_frequency,
     expected_signal,
     fit_fringe_frequency,
@@ -163,7 +163,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     "scaling": {
         "l_values": (_ints, _REQUIRED, _TWO_L),
         "trials": (int, 10_000, _AT_LEAST_2),
-        "t_ramsey": (_float, 1.0, None),
+        "t_ramsey": (_float, 1.0, _POSITIVE),
         "omega_0": (_float, 0.0, None),
     },
     "dephasing": {
@@ -185,7 +185,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "t_r2": (_float, _REQUIRED, None),
         "bias_tc": (_float, 0.0, None),
         "tol": (_float, None, _POSITIVE),  # unset: the calibration's own default
-        "max_iter": (int, 50, _AT_LEAST_1),
+        "max_iter": (int, DEFAULT_MAX_ITER, _AT_LEAST_1),
         "phi0": (_float, 0.0, None),
     },
     "fourier": {  # exactly one source: input, c (with optional xi) or epsilon
@@ -390,7 +390,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
             msg = f"[ramsey] fringe frequency {fringe:.6g} rad/s is outside [pi/scan_t_max,"
             raise ConfigError(f"{msg} Nyquist - pi/scan_t_max) = [{low:.6g}, {high:.6g}) rad/s")
         t_grid = t_max * np.arange(1, points + 1) / points
-        signal = fringe_scan(replace(cfg, allow_wrap=True), t_grid)
+        signal = fringe_scan(cfg, t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         config = [cfg.protocol.family, str(cfg.n_ions)]
         rows = [
@@ -404,12 +404,9 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         trials = run_ramsey(cfg, *_run_stream(manifest.seed, 0))
         summary["shots"] = cfg.shots
         summary["mean_outcome"] = float(np.mean(trials.outcomes))
-        contrast = ensemble_contrast(cfg.n_ions, cfg.noise, cfg.t_ramsey, cfg.protocol)
         est = None
         try:
-            est = estimate_frequency(
-                trials, contrast=contrast, final_phase=cfg.final_phase
-            )
+            est = estimate_frequency(trials)
             summary["estimate_delta_omega"] = est.estimate
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:
@@ -419,10 +416,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
 
 
 def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
-    l_values, trials = values["l_values"], values["trials"]
-    template = RamseyConfig(
-        n_ions=1, t_ramsey=values["t_ramsey"], omega_r=0.0, omega_0=values["omega_0"]
-    )
+    l_values, trials, t_ramsey = values["l_values"], values["trials"], values["t_ramsey"]
     columns = ("protocol", "L", "T_R", "tau", "sigma_measured", "sigma_theory", "ratio")
     if manifest.expectation:
         # No sampling noise to measure: emit the analytic limits themselves.
@@ -431,16 +425,16 @@ def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
         for protocol in PROTOCOLS:
             sigmas = []
             for n_ions in l_values:
-                tau = trials * template.t_ramsey
-                sig = theory_sigma(protocol, n_ions, template.t_ramsey, tau)
+                tau = trials * t_ramsey
+                sig = theory_sigma(protocol, n_ions, t_ramsey, tau)
                 sigmas.append(sig)
-                rows.append(
-                    (protocol.family, n_ions, template.t_ramsey, tau, sig, sig, 1.0)
-                )
+                rows.append((protocol.family, n_ions, t_ramsey, tau, sig, sig, 1.0))
             slopes[protocol.family] = _loglog_slope(l_values, sigmas)[0]
         summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
         return columns, rows, summary
-    report = scan_scaling(l_values, template, trials, seed=manifest.seed)
+    report = scan_scaling(
+        l_values, trials, t_ramsey=t_ramsey, omega_0=values["omega_0"], seed=manifest.seed
+    )
     rows = [
         (p.protocol, p.n_ions, p.t_ramsey, p.tau, p.sigma_measured, p.sigma_theory, p.ratio)
         for p in report.points
@@ -512,7 +506,7 @@ def cmd_calibrate(manifest: RunManifest, values: dict) -> Outputs:
     history: list = []
     tol, max_iter = values["tol"], values["max_iter"]
     result = two_point_calibrate(
-        sim, cal, cfg, tol=tol, max_iter=max_iter, history=history
+        sim, cal, n_ions, tol=tol, max_iter=max_iter, history=history
     )
     columns = ("iteration", "omega_r1", "omega_r2", "phi_f", "omega0_estimate")
     fringe_width = float(np.pi / (n_ions * cal.t_r2))
@@ -598,7 +592,6 @@ def cmd_fourier(manifest: RunManifest, values: dict) -> Outputs:
             omega_r=delta_omega,
             omega_0=0.0,
             imperfection=values["epsilon"],
-            allow_wrap=True,
         )
         signal = expected_signal(cfg, t_ramsey=t_grid)
         source = "state_vector"

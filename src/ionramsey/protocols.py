@@ -189,8 +189,8 @@ class RamseyConfig:
     ``final_phase`` is the phase offset phi_f the readout exposes (ignored
     by the time_reversed readout, which cancels all preparation phases).
     ``imperfection`` perturbs the GHZ preparation, so the standard protocol
-    rejects it. ``allow_wrap`` lifts the ambiguity guard for deliberate
-    multi-fringe scans.
+    rejects it. ``allow_wrap`` lifts a sampled run's ambiguity guard for
+    deliberate multi-fringe runs; expectation mode has no such guard.
     """
 
     n_ions: int
@@ -366,16 +366,13 @@ def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
 class Trials:
     """The projective shots of one sampled run, stored column-wise.
 
-    One configuration (``protocol``, ``n_ions``, ``t_ramsey``, ``omega_r``)
-    holds for every shot. ``outcomes`` is the float64 array of per-shot
-    :meth:`Protocol.outcomes` values in shot order; ``seed_label`` names
-    the one random stream every shot was drawn from.
+    ``cfg`` is the run's configuration, which holds for every shot.
+    ``outcomes`` is the float64 array of per-shot :meth:`Protocol.outcomes`
+    values in shot order; ``seed_label`` names the one random stream every
+    shot was drawn from.
     """
 
-    protocol: Protocol
-    n_ions: int
-    t_ramsey: float
-    omega_r: float
+    cfg: RamseyConfig
     outcomes: np.ndarray
     seed_label: str
 
@@ -398,7 +395,7 @@ def run_ramsey(
     """
     classes = sample_measurement(_run_state(cfg), rng.random(cfg.shots))
     outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
-    return Trials(cfg.protocol, cfg.n_ions, cfg.t_ramsey, cfg.omega_r, outcomes, seed_label)
+    return Trials(cfg, outcomes, seed_label)
 
 
 def _run_state(cfg: RamseyConfig) -> np.ndarray:
@@ -422,13 +419,7 @@ def _run_state(cfg: RamseyConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def estimate_frequency(
-    trials: Trials,
-    *,
-    contrast: float = 1.0,
-    final_phase: float = 0.0,
-    operating_phase: float | None = None,
-) -> Estimate:
+def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) -> Estimate:
     """Invert a sampled run into a detuning estimate with 1-sigma error.
 
     The fringe model :attr:`Protocol.fringe` is inverted at the sample mean
@@ -438,8 +429,10 @@ def estimate_frequency(
     sigma_S the standard error of the mean, so a run needs two trials or
     more (``ValueError`` otherwise).
 
-    ``contrast`` is the model fringe contrast (pass
-    :func:`ensemble_contrast` output for dephased runs). ``operating_phase``
+    The model fringe is the one the run's config implies: its contrast is
+    the :func:`ensemble_contrast` of ``trials.cfg`` (1 for a noiseless run;
+    a ``ValueError`` where it underflows to 0) and its phase the protocol's
+    :meth:`Protocol.readout_phase` of ``cfg.final_phase``. ``operating_phase``
     pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
     the half-fringe) instead of the inverted one.
     """
@@ -447,20 +440,22 @@ def estimate_frequency(
         raise ValueError(
             f"need at least 2 trials for a standard error, got {len(trials.outcomes)}"
         )
+    cfg = trials.cfg
+    protocol, t_r = cfg.protocol, cfg.t_ramsey
+    contrast = ensemble_contrast(cfg.n_ions, cfg.noise, t_r, protocol)
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
-    protocol, t_r = trials.protocol, trials.t_ramsey
-    s = protocol.signal(trials.outcomes, trials.n_ions)
+    s = protocol.signal(trials.outcomes, cfg.n_ions)
     n = len(s)
     mean = float(np.mean(s))
     sigma_s = float(np.std(s, ddof=1) / np.sqrt(n))
 
-    mult = protocol.multiplier(trials.n_ions)
+    mult = protocol.multiplier(cfg.n_ions)
     offset, scale = protocol.fringe
     u = float(np.clip((mean - offset) / (scale * contrast), -1.0, 1.0))
     slope_scale = abs(scale) * contrast * mult * t_r  # |dS/d(dw)| at |sin| = 1
-    phi = protocol.readout_phase(final_phase)
+    phi = protocol.readout_phase(cfg.final_phase)
     x_hat = float(np.arccos(u))  # principal branch [0, pi]
     # Sensitivity at the inverted phase, or at the phase the experiment was
     # designed to sit at (exact when the operating point is known a priori,
@@ -533,7 +528,7 @@ def _bracketed_roots(fn: Callable, xs: np.ndarray, known: float | None = None) -
 def two_point_calibrate(
     truth_simulator: TruthSimulator,
     cal: CalibrationState,
-    cfg: RamseyConfig,
+    n_ions: int,
     *,
     tol: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -558,11 +553,10 @@ def two_point_calibrate(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    n_ions = cfg.n_ions
     if tol is None:
         tol = 1e-3 * np.pi / (n_ions * cal.t_r2)
     window = np.pi / (n_ions * cal.t_r2)  # half fringe period in omega
-    if abs(cal.omega_r2 - cal.omega_r1) >= window and not cfg.allow_wrap:
+    if abs(cal.omega_r2 - cal.omega_r1) >= window:
         raise AmbiguousFringeError(
             "initial settings span a full half-fringe at t_r2; bracketing ambiguous"
         )

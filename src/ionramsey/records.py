@@ -48,11 +48,12 @@ def _fmt(value: float | int | str) -> str:
 def trial_rows(trials: Trials, estimate: Estimate | None = None) -> list[list[str]]:
     """The ``CSV_COLUMNS`` rows of a sampled run, in shot order, then the
     estimate row when ``estimate`` is given."""
+    cfg = trials.cfg
     config = [
-        trials.protocol.value,
-        str(trials.n_ions),
-        _fmt(trials.t_ramsey),
-        _fmt(trials.omega_r),
+        cfg.protocol.value,
+        str(cfg.n_ions),
+        _fmt(cfg.t_ramsey),
+        _fmt(cfg.omega_r),
         trials.seed_label,
     ]
     rows = [[*config, repr(v), "", ""] for v in trials.outcomes.tolist()]

@@ -280,7 +280,7 @@ def test_criterion_08_bias_robust_calibration():
         bias = lambda t: np.exp(-t / 5.0)  # noqa: E731
         sim = make_truth_simulator(cfg, bias=bias)
         cal = CalibrationState(omega_r1=0.50, omega_r2=0.70, t_r1=0.02, t_r2=2.0)
-        result = two_point_calibrate(sim, cal, cfg)
+        result = two_point_calibrate(sim, cal, cfg.n_ions)
         fringe_width = np.pi / (cfg.n_ions * cal.t_r2)
         assert abs(result.omega0 - truth) < 1e-3 * fringe_width
 

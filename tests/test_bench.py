@@ -134,6 +134,17 @@ class TestScanScaling:
         with pytest.raises(ConfigError):
             scan_scaling([4], trials=100)
 
+    @pytest.mark.parametrize("t_ramsey", [0.0, -1.0])
+    def test_needs_positive_ramsey_time(self, t_ramsey):
+        with pytest.raises(ConfigError, match="t_ramsey > 0"):
+            scan_scaling([1, 2], trials=100, t_ramsey=t_ramsey)
+
+    def test_runs_at_the_given_time_and_resonance(self):
+        report = scan_scaling([1, 3], trials=3000, t_ramsey=0.5, omega_0=3.0, seed=4)
+        for point in report.points:
+            assert (point.t_ramsey, point.tau) == (0.5, 1500.0)
+            assert point.ratio == pytest.approx(1.0, abs=0.1)
+
     def test_low_statistics_flag(self):
         report = scan_scaling([1, 2], trials=500, seed=0)
         assert report.low_statistics

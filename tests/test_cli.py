@@ -646,6 +646,17 @@ class TestErrorPaths:
         assert json.loads(err[0])["error"] == error
         assert not out.exists()
 
+    def test_underflowed_contrast_exits_2(self, tmp_path, capsys):
+        # exp(-3 gamma T) underflows to 0: the estimator refuses to divide by it.
+        text = "[ramsey]\nn_ions = 3\nt_ramsey = 1.0\nomega_r = 0.4\ngamma = 400\n"
+        cfg = write_config(tmp_path, "u.ini", text)
+        out = tmp_path / "o"
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            '{"error": "ConfigError", "message": "contrast must be positive"}\n'
+        )
+        assert not out.exists()
+
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
         # Too few scan points: the fringe fit fails after the scan was computed.
         cfg = write_config(
@@ -955,6 +966,44 @@ class TestPinnedOutputs:
         assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 0
         got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("ramsey.csv", "ramsey_summary.json")]
+        assert got == [table, summary]
+
+    # Commands whose library calls take explicit values, not a RamseyConfig
+    # copy: sampled scaling off the default T_R and resonance, its analytic
+    # form, and a calibration against a biased contrast.
+    LIBRARY_CALLS = {
+        "scaling_sampled": (
+            "scaling",
+            "[run]\nseed = 5\n[scaling]\nl_values = 1 2 3\ntrials = 400\n"
+            "t_ramsey = 0.8\nomega_0 = 0.2\n",
+            (),
+            "ed2937fbc1a159d3571da55c283d1f28f082eef532a861cbbed20520bfe25a08",
+            "eb3a7cb601c6435379785b2080fa68f87dc4751926742cd9020b8d318b3631fb",
+        ),
+        "scaling_expectation": (
+            "scaling",
+            "[scaling]\nl_values = 1 2 4 8\ntrials = 100\nt_ramsey = 0.7\nomega_0 = 0.3\n",
+            ("--expectation-mode",),
+            "d9c4a6b91734757ead0f7220a442e9b998891f8245589f081a2d82ce76c5caed",
+            "fa4a4209ea6468e59e93ab103440611c5b5e44a1233b100e3aedf39c46e05fd6",
+        ),
+        "calibrate_biased": (
+            "calibrate",
+            _ini("calibrate", {**MINIMAL["calibrate"], "bias_tc": "5.0"}),
+            (),
+            "508cf556c77b28930adc5f34f74d995367202adf394b6ec6261eeca4bc553f07",
+            "cf1444fcbe09d8316add344fa6cc2cd86e54f08b78fc00637bb47fc8f784d999",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", LIBRARY_CALLS)
+    def test_library_call_outputs_keep_their_bytes(self, tmp_path, case):
+        command, text, flags, table, summary = self.LIBRARY_CALLS[case]
+        cfg = write_config(tmp_path, f"{command}.ini", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in (f"{command}.csv", f"{command}_summary.json")]
         assert got == [table, summary]
 
 

@@ -226,8 +226,7 @@ class TestSampledRuns:
     def test_outcomes_match_protocol(self, protocol, outcomes):
         cfg = _half_fringe_cfg(protocol, 3, shots=400)
         trials = run_ramsey(cfg, stream(1, 0), seed_label="1/0")
-        assert trials.protocol is protocol
-        assert (trials.n_ions, trials.t_ramsey, trials.omega_r) == (3, 1.0, cfg.omega_r)
+        assert trials.cfg is cfg
         assert trials.outcomes.dtype == np.float64
         assert trials.outcomes.shape == (400,)
         # At the half fringe every outcome the protocol allows shows up.
@@ -239,6 +238,8 @@ class TestSampledRuns:
         [
             pytest.param(Protocol.STANDARD, 0.0, id="standard"),
             pytest.param(Protocol.GHZ_PARITY, 0.0, id="ghz"),
+            # The parity fringe sits at L dw T + phi_f: the estimator takes phi_f off.
+            pytest.param(Protocol.GHZ_PARITY, 0.2, id="ghz_final_phase"),
             # The time-reversed readout cancels phi_f: the estimator must ignore it.
             pytest.param(Protocol.GHZ_REVERSED, 0.3, id="ghz_reversed"),
         ],
@@ -256,7 +257,7 @@ class TestSampledRuns:
             shots=20_000,
         )
         trials = run_ramsey(cfg, stream(11, 5))
-        est = estimate_frequency(trials, contrast=1.0, final_phase=final_phase)
+        est = estimate_frequency(trials)
         assert est.estimate == pytest.approx(truth, abs=5 * est.sigma)
         assert est.sigma < 0.02
 
@@ -267,7 +268,7 @@ class TestSampledRuns:
         for k in range(60):
             cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=2000, omega_0=0.0)
             trials = run_ramsey(cfg, stream(100, k))
-            est = estimate_frequency(trials, contrast=1.0)
+            est = estimate_frequency(trials)
             zs.append((est.estimate - cfg.delta_omega) / est.sigma)
         zs = np.array(zs)
         assert abs(np.mean(zs)) < 4 / np.sqrt(60)
@@ -278,15 +279,15 @@ class TestSampledRuns:
         for shots in (2000, 8000):
             cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=shots)
             trials = run_ramsey(cfg, stream(7, shots))
-            sig[shots] = estimate_frequency(trials, contrast=1.0).sigma
+            sig[shots] = estimate_frequency(trials).sigma
         assert sig[2000] / sig[8000] == pytest.approx(2.0, rel=0.15)
 
     def test_noisy_run_sigma_uses_contrast(self):
         gamma, t = 0.4, 1.0
         cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=6000, gamma=gamma, t_ramsey=t)
         trials = run_ramsey(cfg, stream(21, 0))
-        c = ensemble_contrast(2, cfg.noise, t, cfg.protocol)
-        est = estimate_frequency(trials, contrast=c, operating_phase=np.pi / 2)
+        c = np.exp(-2 * gamma * t)  # two independent phases on the GHZ coherence
+        est = estimate_frequency(trials, operating_phase=np.pi / 2)
         # At the half-fringe the parity mean is ~0, variance ~1, slope c*L*T.
         want_sigma = 1.0 / (c * 2 * t * np.sqrt(6000))
         assert est.sigma == pytest.approx(want_sigma, rel=0.1)
@@ -297,7 +298,35 @@ class TestSampledRuns:
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.0, omega_0=0.0, shots=500)
         trials = run_ramsey(cfg, stream(5, 5))
         with pytest.raises(DegenerateSlopeError):
-            estimate_frequency(trials, contrast=1.0)
+            estimate_frequency(trials)
+
+    def test_dephased_estimate_uses_the_run_contrast(self):
+        # A dephased parity fringe C cos(x), C = exp(-L gamma T), at 0.3 of a
+        # fringe: inverted with C = 1, the estimate lands tens of sigma off.
+        n_ions, t, gamma, shots = 4, 1.0, 0.1, 20_000
+        x = 0.3 * np.pi
+        cfg = RamseyConfig(
+            n_ions=n_ions,
+            t_ramsey=t,
+            omega_r=x / (n_ions * t),
+            omega_0=0.0,
+            noise=NoiseSpec(gamma=gamma),
+            shots=shots,
+        )
+        est = estimate_frequency(run_ramsey(cfg, stream(19, 0)))
+        c = np.exp(-n_ions * gamma * t)
+        assert est.estimate == pytest.approx(cfg.delta_omega, abs=5 * est.sigma)
+        # Delta-method sigma: the parity's spread over the fringe slope. At the
+        # half fringe it is 1 / (C L T sqrt(shots)); here 1.14 times that.
+        spread = np.sqrt(1 - (c * np.cos(x)) ** 2)
+        want = spread / (c * n_ions * t * np.sin(x) * np.sqrt(shots))
+        assert est.sigma == pytest.approx(want, rel=0.1)
+
+    def test_underflowed_contrast_raises(self):
+        cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 3, shots=50, gamma=400.0)
+        trials = run_ramsey(cfg, stream(3, 0))
+        with pytest.raises(ValueError, match="contrast must be positive"):
+            estimate_frequency(trials)
 
 
 def _dephased_cfg(protocol, n_ions, mode, *, shots):
@@ -680,7 +709,7 @@ class TestCalibration:
         sim = make_truth_simulator(cfg, bias=bias)
         cal = CalibrationState(**self.CAL)
         hist = []
-        res = two_point_calibrate(sim, cal, cfg, history=hist)
+        res = two_point_calibrate(sim, cal, cfg.n_ions, history=hist)
         return res, hist
 
     def test_unbiased_recovery(self):
@@ -731,9 +760,9 @@ class TestCalibration:
             return one_point(omega_r, t_ramsey, phi_f)
 
         want, got = [], []
-        two_point_calibrate(looping, cal, cfg, history=want)
+        two_point_calibrate(looping, cal, cfg.n_ions, history=want)
         sim = make_truth_simulator(cfg, bias=lambda t: np.exp(-t / 5.0))
-        two_point_calibrate(sim, cal, cfg, history=got)
+        two_point_calibrate(sim, cal, cfg.n_ions, history=got)
         assert len(got) > 2
         assert got == want
 
@@ -750,13 +779,13 @@ class TestCalibration:
         sim = make_truth_simulator(cfg)
         cal = CalibrationState(**self.CAL)
         with pytest.raises(ConvergenceError):
-            two_point_calibrate(sim, cal, cfg, max_iter=1)
+            two_point_calibrate(sim, cal, cfg.n_ions, max_iter=1)
 
     def test_max_iter_must_be_positive(self):
         cfg = self._cfg()
         with pytest.raises(ValueError):
             two_point_calibrate(
-                make_truth_simulator(cfg), CalibrationState(**self.CAL), cfg, max_iter=0
+                make_truth_simulator(cfg), CalibrationState(**self.CAL), 4, max_iter=0
             )
 
     def test_wide_initial_bracket_is_ambiguous(self):
@@ -764,7 +793,7 @@ class TestCalibration:
         sim = make_truth_simulator(cfg)
         cal = CalibrationState(omega_r1=0.2, omega_r2=0.7, t_r1=0.02, t_r2=2.0)
         with pytest.raises(AmbiguousFringeError):
-            two_point_calibrate(sim, cal, cfg)
+            two_point_calibrate(sim, cal, cfg.n_ions)
 
     def test_time_ratio_validation(self):
         with pytest.raises(ValueError):

@@ -5,20 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from ionramsey.protocols import Estimate, Protocol, Trials
+from ionramsey.protocols import Estimate, Protocol, RamseyConfig, Trials
 from ionramsey.records import CSV_COLUMNS, trial_rows, write_json, write_table_csv
 
 
 def make_trials(outcomes=(1.0,), seed_label="7/0/0"):
     outcomes = np.array(outcomes, dtype=np.float64)
-    return Trials(
-        protocol=Protocol.GHZ_PARITY,
+    cfg = RamseyConfig(
         n_ions=3,
         t_ramsey=1.0,
         omega_r=0.5235987755982988,
-        outcomes=outcomes,
-        seed_label=seed_label,
+        omega_0=0.0,
+        protocol=Protocol.GHZ_PARITY,
     )
+    return Trials(cfg=cfg, outcomes=outcomes, seed_label=seed_label)
 
 
 class TestCsvWriters:

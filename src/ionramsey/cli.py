@@ -156,7 +156,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "gamma": (_float, 0.0, None),
         "noise_mode": (str, None, None),  # unset: independent; needs gamma
         "epsilon": (_epsilon, None, None),
-        "allow_wrap": (_bool, False, None),
+        "allow_wrap": (_bool, None, None),  # unset: false; sampled runs only
         "scan_points": (int, None, _AT_LEAST_1),  # unset: 64; --expectation-mode only
         "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey; likewise
     },
@@ -345,7 +345,7 @@ Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
     if values["noise_mode"] is not None and values["gamma"] == 0.0:
         raise ConfigError("[ramsey] noise_mode needs gamma > 0; a noiseless run ignores it")
-    for key in ("shots",) if manifest.expectation else ("scan_points", "scan_t_max"):
+    for key in ("shots", "allow_wrap") if manifest.expectation else ("scan_points", "scan_t_max"):
         if values[key] is not None:
             mode = "with" if manifest.expectation else "without"
             raise ConfigError(f"[ramsey] {key} has no effect {mode} --expectation-mode")
@@ -361,7 +361,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         final_phase=values["final_phase"],
         phi0=values["phi0"],
         shots=1000 if values["shots"] is None else values["shots"],
-        allow_wrap=values["allow_wrap"],
+        allow_wrap=bool(values["allow_wrap"]),
     )
     summary: dict[str, object] = {
         "protocol": cfg.protocol.family,

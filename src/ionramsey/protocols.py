@@ -47,13 +47,13 @@ and dense trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import (
     AmbiguousFringeError,
@@ -470,6 +470,145 @@ def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) 
 
 
 # ---------------------------------------------------------------------------
+# Brent solvers
+# ---------------------------------------------------------------------------
+# Brent, Algorithms for Minimization Without Derivatives (1973), ch. 4-5, as
+# scipy implements them (the C brentq and _minimize_scalar_bounded): step for
+# step, so each returns scipy's result to the bit. The tests compare them.
+
+
+def _checked(f: Callable, x: float) -> float:
+    """f(x) as a float; a NaN raises, since a solver cannot compare it."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN; the solver cannot continue")
+    return fx
+
+
+def _div(n: float, d: float) -> float:
+    """n / d as IEEE 754 (and so C) has it: a zero divisor gives inf, or NaN for 0/0."""
+    if d:
+        return n / d
+    if n == 0 or math.isnan(n):
+        return math.nan
+    return math.copysign(math.inf, n * math.copysign(1.0, d))
+
+
+def brentq(
+    f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
+) -> float:
+    """A root of f in the sign-changing bracket [xa, xb], to within
+    ``xtol + rtol * |root|``. Raises ValueError when f(xa) and f(xb) share a
+    sign, and ConvergenceError after ``maxiter`` steps."""
+    if xtol <= 0 or rtol < 4 * np.finfo(float).eps:
+        raise ValueError(f"need xtol > 0 and rtol >= 4 eps, got {xtol:g} and {rtol:g}")
+    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    fpre, fcur = _checked(f, xpre), _checked(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _checked(f, xcur)
+    raise ConvergenceError(f"brentq did not converge in {maxiter} iterations (last x {xcur!r})")
+
+
+def _fminbound(func: Callable, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
+    """The minimiser of func on [a, b] to within about ``xatol``, by golden
+    sections and parabolic steps. Raises ConvergenceError once ``maxfun``
+    evaluations are spent."""
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bounds must be finite with a <= b, got [{a}, {b}]")
+    a, b, xatol = float(a), float(b), float(xatol)
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = _checked(func, xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = _checked(func, x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            raise ConvergenceError(f"minimisation spent {maxfun} evaluations (last x {xf!r})")
+    return xf
+
+
+# ---------------------------------------------------------------------------
 # Two-point calibration
 # ---------------------------------------------------------------------------
 
@@ -541,6 +680,8 @@ def two_point_calibrate(
     equal signals at the long time t_r2, which forces the detunings toward
     equal magnitude and opposite sign. Any multiplicative signal bias B(T_R)
     cancels because every comparison is between signals at the same T_R.
+    Both steps bracket their roots by sign changes on a grid and refine each
+    with :func:`brentq`, the in-house Brent root finder.
 
     Convergence: the midpoint estimate moves by less than ``tol`` (default
     1e-3 of the fringe width pi/(L*t_r2)) between iterations; with
@@ -770,14 +911,15 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
     1973): at fixed f the model is linear in (A cos phi, -A sin phi, c), so
     a linear least-squares solve leaves a residual that depends on f alone.
-    A bounded scalar minimiser finds its minimum within half a natural bin,
-    pi / (n dt), of the peak of a zero-padded periodogram. A fit within half
-    a bin of the grid's Nyquist frequency pi / dt may be the alias of a slower
-    fringe, and one below half a bin is the mean's leakage, which the
-    periodogram skips: both raise ``FitError``, as does an amplitude below
-    ``AMPLITUDE_FLOOR`` times the signal's largest magnitude, which rounding
-    leaves on a scan with no fringe. A fringe above Nyquist fits its alias
-    cleanly, so a caller that knows the fringe must check it itself.
+    Brent's bounded minimiser (:func:`_fminbound`, in-house) finds its
+    minimum within half a natural bin, pi / (n dt), of the peak of a
+    zero-padded periodogram. A fit within half a bin of the grid's Nyquist
+    frequency pi / dt may be the alias of a slower fringe, and one below
+    half a bin is the mean's leakage, which the periodogram skips: both
+    raise ``FitError``, as does an amplitude below ``AMPLITUDE_FLOOR``
+    times the signal's largest magnitude, which rounding leaves on a scan
+    with no fringe. A fringe above Nyquist fits its alias cleanly, so a
+    caller that knows the fringe must check it itself.
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
@@ -802,10 +944,7 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     # The minimiser's step floor is sqrt(eps) times the shift it searches;
     # a second, narrow pass around the first result makes it negligible.
     for width in (half_bin, 1e-6 * half_bin):
-        freq += minimize_scalar(
-            sq_residual, bounds=(-width, width), args=(freq,), method="bounded",
-            options={"xatol": 1e-13 * freq},
-        ).x
+        freq += _fminbound(partial(sq_residual, centre=freq), -width, width, 1e-13 * freq)
     if freq >= len(s) * half_bin - half_bin:
         msg = f"fitted frequency {freq:.6g} rad/s is within half a bin, {half_bin:.6g} rad/s, of"
         raise FitError(f"{msg} the grid's Nyquist frequency {len(s) * half_bin:.6g} rad/s")

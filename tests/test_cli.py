@@ -467,6 +467,16 @@ class TestErrorPaths:
                 "shots",
                 id="ramsey_shots_expectation",
             ),
+            # The scan never checks the fringe for wrapping: the key was
+            # silently ignored and the run exited 0.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 4.0\n"
+                "allow_wrap = true\n",
+                ("--expectation-mode",),
+                "allow_wrap has no effect with --expectation-mode",
+                id="ramsey_allow_wrap_expectation",
+            ),
             pytest.param(
                 "ramsey",
                 "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
@@ -729,6 +739,27 @@ class TestOtherCommands:
             env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
         )
         assert fresh.stdout.strip() == "0"
+
+    def test_solver_runs_leave_scipy_unimported(self, tmp_path):
+        # Importing scipy.optimize took most of every start-up; the root
+        # finder and the fringe fit's minimiser are in-house.
+        ramsey = "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 4.0\n"
+        runs = [
+            ["calibrate", "--config", write_config(tmp_path, "c.ini", _ini("calibrate",
+             MINIMAL["calibrate"])), "--out", str(tmp_path / "c")],
+            ["ramsey", "--config", write_config(tmp_path, "r.ini", ramsey),
+             "--out", str(tmp_path / "r"), "--expectation-mode"],
+        ]
+        probe = (
+            "import json, sys\nfrom ionramsey.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", probe, json.dumps(runs)], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert json.loads(fresh.stdout) == [[0, 0], []]
 
     def test_stand_in_command_writes_nothing(self, tmp_path, monkeypatch):
         # perfbench's set-up probe replaces a command with a stub returning 0.

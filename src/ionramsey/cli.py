@@ -303,11 +303,13 @@ def _write_outputs(
     columns: tuple[str, ...],
     rows: list,
     summary: dict[str, object],
+    index: list[int] | None = None,
 ) -> None:
-    """The one place outputs are written: both files are staged under hidden
-    names in ``--out`` and renamed into place once both are complete. An
-    ``OSError`` (``--out`` below a regular file, say) is a ``ConfigError``.
-    A failed write removes its staged files and the directories it made."""
+    """The one place outputs are written: the table is ``rows``, or ``rows[k]``
+    for each ``k`` in ``index``. Both files are staged under hidden names in
+    ``--out`` and renamed into place once both are complete. An ``OSError``
+    (``--out`` below a regular file, say) is a ``ConfigError``. A failed write
+    removes its staged files and the directories it made."""
     staged = [path.with_name(f".{path.name}.partial") for path in paths]
     out_dir = paths[0].parent
     made = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
@@ -315,9 +317,10 @@ def _write_outputs(
         out_dir.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
         if manifest.fmt == "csv":
-            write_table_csv(staged[0], columns, rows, meta)
+            write_table_csv(staged[0], columns, rows, meta, index)
         else:
             dicts = [dict(zip(columns, row)) for row in rows]
+            dicts = dicts if index is None else [dicts[k] for k in index]
             write_json(staged[0], {"meta": meta, "rows": dicts})
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
@@ -338,11 +341,13 @@ def _write_outputs(
 # ---------------------------------------------------------------------------
 
 # What every subcommand returns: table columns, table rows (a list, one
-# sequence per row) and the summary fields besides schema_version and meta.
+# sequence per row) and the summary fields besides schema_version and meta;
+# ``ramsey`` adds its table's index into the rows (see ``trial_rows``) or None.
 Outputs = tuple[tuple[str, ...], list, dict[str, object]]
+RamseyOutputs = tuple[tuple[str, ...], list, dict[str, object], list[int] | None]
 
 
-def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
+def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
     if values["noise_mode"] is not None and values["gamma"] == 0.0:
         raise ConfigError("[ramsey] noise_mode needs gamma > 0; a noiseless run ignores it")
     for key in ("shots", "allow_wrap") if manifest.expectation else ("scan_points", "scan_t_max"):
@@ -393,6 +398,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
         signal = fringe_scan(cfg, t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         config = [cfg.protocol.family, str(cfg.n_ions)]
+        index = None
         rows = [
             [*config, _fmt(t), _fmt(cfg.omega_r), "", _fmt(s), "", ""]
             for t, s in zip(t_grid, signal)
@@ -411,8 +417,8 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> Outputs:
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:
             summary["estimate_error"] = f"{type(exc).__name__}: {exc}"
-        rows = trial_rows(trials, est)
-    return CSV_COLUMNS, rows, summary
+        rows, index = trial_rows(trials, est)
+    return CSV_COLUMNS, rows, summary, index
 
 
 def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:

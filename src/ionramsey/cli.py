@@ -82,7 +82,7 @@ from .protocols import (
     synthesize_signal,
     two_point_calibrate,
 )
-from .records import CSV_COLUMNS, _fmt, trial_rows, write_json, write_table_csv
+from .records import CSV_COLUMNS, _fmt, trial_rows, write_json, write_table_csv, write_table_json
 
 # ---------------------------------------------------------------------------
 # Config schema
@@ -316,12 +316,8 @@ def _write_outputs(
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
-        if manifest.fmt == "csv":
-            write_table_csv(staged[0], columns, rows, meta, index)
-        else:
-            dicts = [dict(zip(columns, row)) for row in rows]
-            dicts = dicts if index is None else [dicts[k] for k in index]
-            write_json(staged[0], {"meta": meta, "rows": dicts})
+        write_table = write_table_csv if manifest.fmt == "csv" else write_table_json
+        write_table(staged[0], columns, rows, meta, index)
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
             written.replace(path)
@@ -397,11 +393,11 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
         t_grid = t_max * np.arange(1, points + 1) / points
         signal = fringe_scan(cfg, t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
-        config = [cfg.protocol.family, str(cfg.n_ions)]
+        family, n_ions, omega_r = cfg.protocol.family, str(cfg.n_ions), _fmt(cfg.omega_r)
         index = None
         rows = [
-            [*config, _fmt(t), _fmt(cfg.omega_r), "", _fmt(s), "", ""]
-            for t, s in zip(t_grid, signal)
+            [family, n_ions, _fmt(t), omega_r, "", _fmt(s), "", ""]
+            for t, s in zip(t_grid.tolist(), signal.tolist())
         ]
         summary["fitted_fringe_frequency"] = fit.frequency
         summary["expected_fringe_frequency"] = fringe

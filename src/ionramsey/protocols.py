@@ -477,9 +477,10 @@ def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) 
 # step, so each returns scipy's result to the bit. The tests compare them.
 
 
-def _checked(f: Callable, x: float) -> float:
-    """f(x) as a float; a NaN raises, since a solver cannot compare it."""
-    fx = float(f(x))
+def _checked(f: Callable, x: float, fx: float | None = None) -> float:
+    """f(x), or its value ``fx`` when the caller holds it, as a float; a NaN
+    raises, since a solver cannot compare it."""
+    fx = float(f(x) if fx is None else fx)
     if math.isnan(fx):
         raise ValueError(f"the function value at x={x} is NaN; the solver cannot continue")
     return fx
@@ -495,15 +496,23 @@ def _div(n: float, d: float) -> float:
 
 
 def brentq(
-    f: Callable, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
+    f: Callable,
+    xa: float,
+    xb: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+    f_ends: tuple[float, float] | None = None,
 ) -> float:
     """A root of f in the sign-changing bracket [xa, xb], to within
     ``xtol + rtol * |root|``. Raises ValueError when f(xa) and f(xb) share a
-    sign, and ConvergenceError after ``maxiter`` steps."""
+    sign, and ConvergenceError after ``maxiter`` steps. ``f_ends`` gives
+    f(xa) and f(xb) when the caller holds them, which spares their calls."""
     if xtol <= 0 or rtol < 4 * np.finfo(float).eps:
         raise ValueError(f"need xtol > 0 and rtol >= 4 eps, got {xtol:g} and {rtol:g}")
     xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    fpre, fcur = _checked(f, xpre), _checked(f, xcur)
+    fa, fb = (None, None) if f_ends is None else f_ends
+    fpre, fcur = _checked(f, xpre, fa), _checked(f, xcur, fb)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -615,7 +624,8 @@ def _fminbound(func: Callable, a: float, b: float, xatol: float, maxfun: int = 5
 
 TruthSimulator = Callable[[float | np.ndarray, float, float | np.ndarray], float | np.ndarray]
 """Measured fringe signal as a function of (omega_r, t_ramsey, phi_f);
-``omega_r`` or ``phi_f`` may be a 1-D array, giving one signal per entry."""
+``omega_r`` or ``phi_f`` may be a 1-D array, giving one signal per entry:
+the signal a lone call with that entry gives."""
 
 
 @dataclass(frozen=True)
@@ -644,11 +654,14 @@ class CalibrationState:
         return 0.5 * (self.omega_r1 + self.omega_r2)
 
 
-def _bracketed_roots(fn: Callable, xs: np.ndarray, known: float | None = None) -> list[float]:
-    """All sign-change roots of fn on the grid ``xs``, which fn evaluates as
-    one batch; a sign change whose bracket holds ``known``, a root known
-    beforehand, yields it without a search."""
-    ys, roots = fn(xs), []
+def _bracketed_roots(
+    fn: Callable, xs: np.ndarray, ys: np.ndarray, known: float | None = None
+) -> list[float]:
+    """All sign-change roots of fn on the grid ``xs``, where it takes the
+    values ``ys``; each bracket's search starts from the values at its ends.
+    A sign change whose bracket holds ``known``, a root known beforehand,
+    yields it without a search."""
+    ys, roots = ys.tolist(), []  # Python floats: the scan below is a Python loop
     for k in range(len(xs) - 1):
         a, b = ys[k], ys[k + 1]
         if a == 0.0:
@@ -656,9 +669,10 @@ def _bracketed_roots(fn: Callable, xs: np.ndarray, known: float | None = None) -
         elif a * b < 0.0 and known is not None and xs[k] <= known <= xs[k + 1]:
             roots.append(float(known))
         elif a * b < 0.0:
-            roots.append(
-                float(brentq(fn, xs[k], xs[k + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps))
+            root = brentq(
+                fn, xs[k], xs[k + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps, f_ends=(a, b)
             )
+            roots.append(float(root))
     if len(ys) and ys[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -680,8 +694,11 @@ def two_point_calibrate(
     equal signals at the long time t_r2, which forces the detunings toward
     equal magnitude and opposite sign. Any multiplicative signal bias B(T_R)
     cancels because every comparison is between signals at the same T_R.
-    Both steps bracket their roots by sign changes on a grid and refine each
-    with :func:`brentq`, the in-house Brent root finder.
+    Both steps bracket their roots by sign changes on a grid, evaluated as
+    one batch per setting, and refine each with :func:`brentq`, the in-house
+    Brent root finder, which starts from the grid's values at the bracket's
+    ends. Each phase the phase step evaluates on its own gets both settings
+    from one call, as a 2-row batch of ``omega_r``.
 
     Convergence: the midpoint estimate moves by less than ``tol`` (default
     1e-3 of the fringe width pi/(L*t_r2)) between iterations; with
@@ -708,15 +725,22 @@ def two_point_calibrate(
         history.append((0, omega_r1, omega_r2, phi_f, omega0_prev))
 
     for iteration in range(1, max_iter + 1):
-        # Step 1: null the signal difference at the short time via phi_f.
-        def phase_diff(phi):
-            return truth_simulator(omega_r1, cal.t_r1, phi) - truth_simulator(
-                omega_r2, cal.t_r1, phi
-            )
+        # Step 1: null the signal difference at the short time via phi_f. A
+        # lone phase evaluates both settings as one 2-row batch; the phase
+        # grid is one batch per setting.
+        settings = np.array([omega_r1, omega_r2])
 
-        now = [truth_simulator(omega, cal.t_r1, phi_f) for omega in (omega_r1, omega_r2)]
+        def phase_diff(phi):
+            s1, s2 = truth_simulator(settings, cal.t_r1, phi)
+            return s1 - s2
+
+        now = truth_simulator(settings, cal.t_r1, phi_f)
         if abs(now[0] - now[1]) > 1e-14 * max(abs(now[0]), abs(now[1]), 1e-30):
-            roots = _bracketed_roots(phase_diff, np.linspace(-np.pi / 2, np.pi / 2, 41))
+            phis = np.linspace(-np.pi / 2, np.pi / 2, 41)
+            grid_diff = truth_simulator(omega_r1, cal.t_r1, phis) - truth_simulator(
+                omega_r2, cal.t_r1, phis
+            )
+            roots = _bracketed_roots(phase_diff, phis, grid_diff)
             if not roots:
                 raise ConvergenceError(
                     "no readout phase nulls the short-time signal difference"
@@ -730,7 +754,7 @@ def two_point_calibrate(
 
         # omega_r2 matches itself: its bracket is not searched.
         grid = np.linspace(omega_r1 - window, omega_r1 + window, 81)
-        roots = _bracketed_roots(freq_diff, grid, known=omega_r2)
+        roots = _bracketed_roots(freq_diff, grid, freq_diff(grid), known=omega_r2)
         trivial_tol = max(1e-9 * window, 1e-15 * max(abs(omega_r2), 1.0))
         candidates = [r for r in roots if abs(r - omega_r2) > trivial_tol]
         if not candidates:
@@ -787,7 +811,7 @@ def make_truth_simulator(
     state = _prepare_dicke(cfg)
 
     def simulate(omega_r, t_ramsey: float, phi_f):
-        dw = np.subtract(omega_r, cfg.omega_0)
+        dw = omega_r - cfg.omega_0
         s = cfg.protocol.expected(_table(state, cfg, t_ramsey, dw, phi_f))
         if bias is not None:
             s *= bias(t_ramsey)
@@ -925,10 +949,12 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     s = np.asarray(signal, dtype=float)
     if len(t) < 8:
         raise FitError("need at least 8 samples to fit a fringe")
-    ones = np.ones_like(t)
+    design = np.ones((len(t), 3))  # columns cos, sin and 1; each solve rewrites the first two
 
     def solve(freq: float) -> tuple[np.ndarray, np.ndarray]:
-        design = np.column_stack((np.cos(freq * t), np.sin(freq * t), ones))
+        arg = freq * t
+        np.cos(arg, out=design[:, 0])
+        np.sin(arg, out=design[:, 1])
         coef = np.linalg.lstsq(design, s, rcond=None)[0]
         return coef, s - design @ coef
 

@@ -244,17 +244,38 @@ def apply_rotation(reg: QubitRegister, pulse: PulseSpec) -> QubitRegister:
     return QubitRegister(reg.n_ions, reg.has_bus, amps)
 
 
+@lru_cache(maxsize=None)
+def _phase_rates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``1j p`` and ``-1j p`` for p in [0, n], shared and read only: the
+    phase per unit angle of |D_p> under free evolution and under the inner
+    diagonal of a collective pulse (:func:`born_table_pulse`)."""
+    rates = 1j * np.arange(n + 1), -1j * np.arange(n + 1)
+    for rate in rates:
+        rate.flags.writeable = False
+    return rates
+
+
+@lru_cache(maxsize=None)
+def _table_cells(n: int) -> np.ndarray:
+    """For each cell (b, k) of a flat (2, n) Born table, the excitation count
+    b + k whose mass it holds after a collective pulse: shared, read only."""
+    cells = np.add.outer(np.arange(2), np.arange(n)).ravel()
+    cells.flags.writeable = False
+    return cells
+
+
 def free_evolve(
     state: DickeState, delta_omega: float | np.ndarray, t: float | np.ndarray
 ) -> DickeState:
     """Accumulate detuning phase exp(+i p delta_omega t) on the p-excitation
     Dicke amplitude; 1-D arrays of ``delta_omega`` and/or ``t`` evolve one
-    batch row an entry."""
+    batch row an entry. The rates ``1j p`` are cached per L."""
     t = np.asarray(t, dtype=float)
-    if (t < 0).any():
+    if (t < 0).any() if t.ndim else float(t) < 0:
         raise ValueError(f"evolution time must be >= 0, got {np.min(t)}")
-    p = np.arange(state.n_ions + 1)
-    table = np.exp(1j * p * np.asarray(delta_omega, dtype=float)[..., None] * t[..., None])
+    # dw and t as the complex values the products would cast them to, cast once.
+    dw = np.asarray(delta_omega, dtype=float).astype(complex)[..., None]
+    table = np.exp(_phase_rates(state.n_ions)[0] * dw * t.astype(complex)[..., None])
     return DickeState(state.n_ions, state.dicke * table)
 
 
@@ -302,7 +323,9 @@ def born_table_pulse(
     phi + pi/2, which is e^{i p psi} on |D_p>: the pulse is :func:`_pulse_matrix`
     W between two diagonal phases, and the outer one drops out of ``q[b, k] =
     |a[b + k]|**2``, ``a = W (e^{-i p psi} d_p)``. The real and imaginary
-    parts are the rows of one real gemm, so a lone state runs a batch's.
+    parts are the rows of one real gemm, so a lone state runs a batch's. W,
+    the inner phase rates ``-1j p`` and the count index of each table cell
+    are cached per L.
 
     With ``coherence``, a real symmetric (L + 1)-square matrix, a lone state
     is the density matrix rho_pq = d_p d_q* coherence[p, q] (common-mode
@@ -310,8 +333,8 @@ def born_table_pulse(
     rho between the inner phases: O(L**3). Only its real part reaches that
     diagonal; a mass that rounding leaves below 0 is clipped to 0."""
     n = state.n_ions
-    psi = np.asarray(phi, dtype=float)[..., None] + np.pi / 2
-    pulsed = state.dicke * np.exp(-1j * np.arange(n + 1) * psi)
+    psi = np.asarray(phi, dtype=complex)[..., None] + np.pi / 2  # real part phi + pi/2
+    pulsed = state.dicke * np.exp(_phase_rates(n)[1] * psi)
     if coherence is not None:
         w = _pulse_matrix(n)
         rho = np.outer(pulsed, pulsed.conj()).real * coherence
@@ -319,8 +342,9 @@ def born_table_pulse(
     else:
         rows = pulsed.reshape(-1, n + 1)
         parts = np.concatenate([rows.real, rows.imag]) @ _pulse_matrix(n).T
-        probs = (parts[: len(rows)] ** 2 + parts[len(rows) :] ** 2).reshape(pulsed.shape)
-    return np.stack([probs[..., :-1], probs[..., 1:]], axis=-2)
+        np.square(parts, out=parts)
+        probs = parts[: len(rows)] + parts[len(rows) :]
+    return probs.take(_table_cells(n), axis=-1).reshape(*pulsed.shape[:-1], 2, n)
 
 
 def dephase_pulse_table(table: np.ndarray, r: float) -> np.ndarray:

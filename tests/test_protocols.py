@@ -766,6 +766,49 @@ class TestCalibration:
         assert len(got) > 2
         assert got == want
 
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(
+        st.sampled_from(list(Protocol)),
+        st.integers(1, 8),
+        st.floats(0.05, 1.5),  # phi0, ignored by the standard protocol
+        st.booleans(),  # epsilon admixture on GHZ preparations
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        st.floats(0.0, 8.0),
+        st.floats(-np.pi, np.pi),
+    )
+    def test_two_row_call_matches_lone_calls(self, protocol, n_ions, phi0, admix, omegas, t, phi):
+        # The phase step evaluates both settings as one 2-row batch; each row
+        # must be, to the bit, the signal a lone call gives.
+        ghz = protocol is not Protocol.STANDARD
+        eps = ImperfectionSpec({1: 0.03 + 0.02j}) if ghz and admix and n_ions > 2 else None
+        cfg = RamseyConfig(n_ions=n_ions, t_ramsey=1.0, omega_r=0.5, omega_0=0.61803,
+                           protocol=protocol, phi0=phi0 if ghz else 0.0, imperfection=eps)
+        sim = make_truth_simulator(cfg, bias=lambda t: np.exp(-t / 5.0))
+        pair = sim(np.array(omegas), t, phi)
+        lone = np.array([sim(omega, t, phi) for omega in omegas])
+        assert pair.tobytes() == lone.tobytes()
+
+    def test_phase_step_evaluates_both_settings_as_one_batch(self):
+        cfg = self._cfg()
+        sim = make_truth_simulator(cfg, bias=lambda t: np.exp(-t / 5.0))
+        calls = []
+
+        def counting(omega_r, t_ramsey, phi_f):
+            calls.append((np.copy(omega_r), t_ramsey, np.ndim(phi_f)))
+            return sim(omega_r, t_ramsey, phi_f)
+
+        cal = CalibrationState(**self.CAL)
+        hist = []
+        two_point_calibrate(counting, cal, cfg.n_ions, history=hist)
+        settings_used = {entry[1] for entry in hist}  # omega_r1 of each iteration
+        lone_phase = [omega for omega, t, grid in calls if t == cal.t_r1 and not grid]
+        assert len(lone_phase) > len(hist)  # the now pair and the root searches
+        for omega in lone_phase:
+            assert omega.shape == (2,)
+            assert omega[0] in settings_used and omega[1] == cal.omega_r2
+        phase_grid = [omega for omega, t, grid in calls if t == cal.t_r1 and grid]
+        assert phase_grid and all(omega.shape == () for omega in phase_grid)
+
     def test_naive_estimator_is_biased(self):
         cfg = self._cfg()
         sim = make_truth_simulator(cfg, bias=lambda t: np.exp(-t / 5.0))

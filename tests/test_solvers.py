@@ -69,6 +69,25 @@ class TestBrentq:
         got = outcome(lambda: brentq(f, a, b, **tol))
         assert got == (ConvergenceError if want is RuntimeError else want)
 
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(coefs, sines, ends, widths, st.floats(0, 1))
+    def test_known_end_values_spare_their_calls(self, coef, sine, a, width, level):
+        g = poly_sine(coef, sine)
+        b = a + width
+        target = g(a) + level * (g(b) - g(a))
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return g(x) - target
+
+        tol = dict(xtol=1e-300, rtol=4 * EPS)
+        want = outcome(lambda: brentq(f, a, b, **tol))
+        evaluated, seen[:] = list(seen), []
+        got = outcome(lambda: brentq(f, a, b, **tol, f_ends=(g(a) - target, g(b) - target)))
+        assert got == want
+        assert seen == evaluated[2:]
+
     def test_same_sign_bracket_raises(self):
         with pytest.raises(ValueError, match="different signs"):
             scipy_brentq(lambda x: x * x + 1, -1.0, 1.0)

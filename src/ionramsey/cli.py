@@ -82,7 +82,7 @@ from .protocols import (
     synthesize_signal,
     two_point_calibrate,
 )
-from .records import CSV_COLUMNS, _fmt, trial_rows, write_json, write_table_csv, write_table_json
+from .records import CSV_COLUMNS, _fmt, trial_rows, write_json, write_table_csv
 
 # ---------------------------------------------------------------------------
 # Config schema
@@ -316,8 +316,12 @@ def _write_outputs(
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
-        write_table = write_table_csv if manifest.fmt == "csv" else write_table_json
-        write_table(staged[0], columns, rows, meta, index)
+        if manifest.fmt == "csv":
+            write_table_csv(staged[0], columns, rows, meta, index)
+        else:
+            dicts = [dict(zip(columns, row)) for row in rows]
+            dicts = dicts if index is None else [dicts[k] for k in index]
+            write_json(staged[0], {"meta": meta, "rows": dicts})
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
             written.replace(path)

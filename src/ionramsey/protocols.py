@@ -477,10 +477,9 @@ def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) 
 # step, so each returns scipy's result to the bit. The tests compare them.
 
 
-def _checked(f: Callable, x: float, fx: float | None = None) -> float:
-    """f(x), or its value ``fx`` when the caller holds it, as a float; a NaN
-    raises, since a solver cannot compare it."""
-    fx = float(f(x) if fx is None else fx)
+def _checked(f: Callable, x: float) -> float:
+    """f(x) as a float; a NaN raises, since a solver cannot compare it."""
+    fx = float(f(x))
     if math.isnan(fx):
         raise ValueError(f"the function value at x={x} is NaN; the solver cannot continue")
     return fx
@@ -499,20 +498,22 @@ def brentq(
     f: Callable,
     xa: float,
     xb: float,
+    fa: float,
+    fb: float,
     xtol: float,
     rtol: float,
     maxiter: int = 100,
-    f_ends: tuple[float, float] | None = None,
 ) -> float:
-    """A root of f in the sign-changing bracket [xa, xb], to within
-    ``xtol + rtol * |root|``. Raises ValueError when f(xa) and f(xb) share a
-    sign, and ConvergenceError after ``maxiter`` steps. ``f_ends`` gives
-    f(xa) and f(xb) when the caller holds them, which spares their calls."""
+    """A root of f in the sign-changing bracket [xa, xb], where f takes the
+    values fa and fb, to within ``xtol + rtol * |root|``: scipy's brentq
+    after its two calls at the ends. Raises ValueError when fa and fb share
+    a sign or one is NaN, and ConvergenceError after ``maxiter`` steps."""
     if xtol <= 0 or rtol < 4 * np.finfo(float).eps:
         raise ValueError(f"need xtol > 0 and rtol >= 4 eps, got {xtol:g} and {rtol:g}")
     xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
-    fa, fb = (None, None) if f_ends is None else f_ends
-    fpre, fcur = _checked(f, xpre, fa), _checked(f, xcur, fb)
+    fpre, fcur = float(fa), float(fb)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError(f"the function value at an end of [{xpre}, {xcur}] is NaN")
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -669,9 +670,7 @@ def _bracketed_roots(
         elif a * b < 0.0 and known is not None and xs[k] <= known <= xs[k + 1]:
             roots.append(float(known))
         elif a * b < 0.0:
-            root = brentq(
-                fn, xs[k], xs[k + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps, f_ends=(a, b)
-            )
+            root = brentq(fn, xs[k], xs[k + 1], a, b, xtol=1e-300, rtol=4 * np.finfo(float).eps)
             roots.append(float(root))
     if len(ys) and ys[-1] == 0.0:
         roots.append(float(xs[-1]))

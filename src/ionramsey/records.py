@@ -94,29 +94,8 @@ def write_table_csv(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _dumps(value: object) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-
-
-def write_table_json(
-    path: str | Path,
-    columns: tuple[str, ...],
-    rows: Sequence[Sequence[object]],
-    meta: dict[str, object] | None = None,
-    index: Sequence[int] | None = None,
-) -> None:
-    """``{"meta": meta, "rows": [...]}`` with one object per line of the table
-    keyed by ``columns``, as :func:`write_table_csv` lays the lines out: the
-    bytes :func:`write_json` writes for that payload, but each distinct row is
-    encoded once, its text indented to its depth and repeated by ``index``."""
-    objects = ["    " + _dumps(dict(zip(columns, row))).replace("\n", "\n    ") for row in rows]
-    lines = objects if index is None else [objects[k] for k in index]
-    table = "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
-    head = _dumps({"meta": meta or {}})[:-2]  # open after meta, which sorts before rows
-    Path(path).write_text(f'{head},\n  "rows": {table}\n}}\n')
-
-
 def write_json(path: str | Path, payload: dict[str, object]) -> None:
     """Deterministic JSON: sorted keys, fixed layout, trailing newline; a
     non-finite float raises ``ValueError``."""
-    Path(path).write_text(_dumps(payload) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")

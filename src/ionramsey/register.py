@@ -255,15 +255,6 @@ def _phase_rates(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rates
 
 
-@lru_cache(maxsize=None)
-def _table_cells(n: int) -> np.ndarray:
-    """For each cell (b, k) of a flat (2, n) Born table, the excitation count
-    b + k whose mass it holds after a collective pulse: shared, read only."""
-    cells = np.add.outer(np.arange(2), np.arange(n)).ravel()
-    cells.flags.writeable = False
-    return cells
-
-
 def free_evolve(
     state: DickeState, delta_omega: float | np.ndarray, t: float | np.ndarray
 ) -> DickeState:
@@ -323,9 +314,8 @@ def born_table_pulse(
     phi + pi/2, which is e^{i p psi} on |D_p>: the pulse is :func:`_pulse_matrix`
     W between two diagonal phases, and the outer one drops out of ``q[b, k] =
     |a[b + k]|**2``, ``a = W (e^{-i p psi} d_p)``. The real and imaginary
-    parts are the rows of one real gemm, so a lone state runs a batch's. W,
-    the inner phase rates ``-1j p`` and the count index of each table cell
-    are cached per L.
+    parts are the rows of one real gemm, so a lone state runs a batch's. W
+    and the inner phase rates ``-1j p`` are cached per L.
 
     With ``coherence``, a real symmetric (L + 1)-square matrix, a lone state
     is the density matrix rho_pq = d_p d_q* coherence[p, q] (common-mode
@@ -343,8 +333,11 @@ def born_table_pulse(
         rows = pulsed.reshape(-1, n + 1)
         parts = np.concatenate([rows.real, rows.imag]) @ _pulse_matrix(n).T
         np.square(parts, out=parts)
-        probs = parts[: len(rows)] + parts[len(rows) :]
-    return probs.take(_table_cells(n), axis=-1).reshape(*pulsed.shape[:-1], 2, n)
+        probs = (parts[: len(rows)] + parts[len(rows) :]).reshape(pulsed.shape)
+    table = np.empty((*pulsed.shape[:-1], 2, n))
+    table[..., 0, :] = probs[..., :-1]
+    table[..., 1, :] = probs[..., 1:]
+    return table
 
 
 def dephase_pulse_table(table: np.ndarray, r: float) -> np.ndarray:

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from ionramsey import cli
 from ionramsey.protocols import Estimate, Protocol, RamseyConfig, Trials, run_ramsey
-from ionramsey.records import (
-    CSV_COLUMNS,
-    trial_rows,
-    write_json,
-    write_table_csv,
-    write_table_json,
-)
+from ionramsey.records import CSV_COLUMNS, trial_rows, write_json, write_table_csv
 
 
 def make_trials(outcomes=(1.0,), seed_label="7/0/0"):
@@ -163,23 +157,6 @@ class TestClassIndexedTables:
 
 
 class TestJsonWriter:
-    @pytest.mark.parametrize(
-        "rows,index",
-        [
-            ([], None),
-            ([(1, 0.5, "a\nb")], None),
-            ([(2, -0.0, "x"), (3, 1e-300, "y")], [1, 0, 1, 1]),
-        ],
-        ids=["empty", "one-row", "indexed"],
-    )
-    def test_table_bytes_match_one_dumps_of_the_payload(self, tmp_path, rows, index):
-        columns, meta = ("n", "value", "tag"), {"seed": 3, "command": "x"}
-        path = tmp_path / "t.json"
-        write_table_json(path, columns, rows, meta, index)
-        lines = rows if index is None else [rows[k] for k in index]
-        payload = {"meta": meta, "rows": [dict(zip(columns, row)) for row in lines]}
-        assert path.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
     def test_sorted_keys_and_trailing_newline(self, tmp_path):
         path = tmp_path / "s.json"
         write_json(path, {"zeta": 1, "alpha": {"y": 2, "x": 3}})

@@ -66,7 +66,7 @@ class TestBrentq:
 
         tol = dict(xtol=1e-300, rtol=4 * EPS)
         want = outcome(lambda: scipy_brentq(f, a, b, **tol))
-        got = outcome(lambda: brentq(f, a, b, **tol))
+        got = outcome(lambda: brentq(f, a, b, f(a), f(b), **tol))
         assert got == (ConvergenceError if want is RuntimeError else want)
 
     @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -82,17 +82,17 @@ class TestBrentq:
             return g(x) - target
 
         tol = dict(xtol=1e-300, rtol=4 * EPS)
-        want = outcome(lambda: brentq(f, a, b, **tol))
-        evaluated, seen[:] = list(seen), []
-        got = outcome(lambda: brentq(f, a, b, **tol, f_ends=(g(a) - target, g(b) - target)))
-        assert got == want
-        assert seen == evaluated[2:]
+        outcome(lambda: scipy_brentq(f, a, b, **tol))
+        scipy_calls, seen[:] = list(seen), []
+        fa, fb = g(a) - target, g(b) - target
+        outcome(lambda: brentq(f, a, b, fa, fb, **tol))
+        assert seen == scipy_calls[2:]  # scipy's steps after its calls at a and b
 
     def test_same_sign_bracket_raises(self):
         with pytest.raises(ValueError, match="different signs"):
             scipy_brentq(lambda x: x * x + 1, -1.0, 1.0)
         with pytest.raises(ValueError, match="different signs"):
-            brentq(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-12, rtol=4 * EPS)
+            brentq(lambda x: x * x + 1, -1.0, 1.0, 2.0, 2.0, xtol=1e-12, rtol=4 * EPS)
 
     def test_exhausted_iterations_raise_convergence_error(self):
         def f(x):
@@ -101,7 +101,7 @@ class TestBrentq:
         with pytest.raises(RuntimeError, match="Failed to converge"):
             scipy_brentq(f, 0.0, 2.0, xtol=1e-300, rtol=4 * EPS, maxiter=2)
         with pytest.raises(ConvergenceError, match="2 iterations"):
-            brentq(f, 0.0, 2.0, xtol=1e-300, rtol=4 * EPS, maxiter=2)
+            brentq(f, 0.0, 2.0, f(0.0), f(2.0), xtol=1e-300, rtol=4 * EPS, maxiter=2)
 
     @pytest.mark.parametrize("where", ["end", "interior"])
     def test_nan_value_raises_and_is_never_bisected(self, where):
@@ -118,7 +118,7 @@ class TestBrentq:
             scipy_brentq(f, 0.0, 1.0, **tol)
         scipy_calls, seen[:] = list(seen), []
         with pytest.raises(ValueError, match="NaN"):
-            brentq(f, 0.0, 1.0, **tol)
+            brentq(f, 0.0, 1.0, f(0.0), f(1.0), **tol)
         assert seen == scipy_calls  # it stops at the first NaN, as scipy does
 
     def test_is_a_private_module_global(self):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ionramsey import RamseyConfig, fit_fringe_frequency, fringe_scan
+from ionramsey import RamseyConfig, expected_signal, fit_fringe_frequency
 from ionramsey.records import write_table_csv
 
 DELTA_OMEGA = 0.4  # rad/s detuning from resonance
@@ -32,7 +32,7 @@ def main() -> None:
             omega_r=DELTA_OMEGA,
             omega_0=0.0,
         )
-        signal = fringe_scan(cfg, t_grid)
+        signal = expected_signal(cfg, t_ramsey=t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         expected = n_ions * DELTA_OMEGA
         rel = abs(fit.frequency - expected) / expected

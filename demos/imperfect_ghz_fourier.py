@@ -20,9 +20,9 @@ import numpy as np
 from ionramsey import (
     ImperfectionSpec,
     RamseyConfig,
+    expected_signal,
     flag_large_admixture,
     fourier_decompose,
-    fringe_scan,
 )
 from ionramsey.records import write_table_csv
 
@@ -44,7 +44,7 @@ def generate_dataset() -> None:
     )
     period = 2.0 * np.pi / DELTA_OMEGA
     t_grid = period * np.arange(1, 129) / 128.0
-    signal = fringe_scan(cfg, t_grid)
+    signal = expected_signal(cfg, t_ramsey=t_grid)
     DATA.mkdir(exist_ok=True)
     write_table_csv(
         DATASET,

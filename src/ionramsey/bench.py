@@ -23,6 +23,7 @@ sensitivity is evaluated at that designed phase.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -292,38 +293,29 @@ def dephasing_benchmark(
         raise ConfigError(f"unknown mode {mode!r}")
     noise = NoiseSpec(gamma=gamma, mode="independent")
 
+    def sigma_tau(protocol: Protocol, t_ramsey: float, path: tuple[int, ...]) -> float:
+        """One curve point: analytic, or a sampled run on the stream (seed, *path)."""
+        if mode == "analytic":
+            return analytic_sigma_tau(protocol, n_ions, gamma, t_ramsey)
+        sigma = _half_fringe_sigma(protocol, n_ions, t_ramsey, trials, (seed, *path), noise=noise)
+        value = float(sigma) * math.sqrt(trials * float(t_ramsey))
+        if math.isfinite(value):  # Python floats overflow to inf without a warning
+            return value
+        raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {float(t_ramsey)!r}")
+
     curves: dict[str, DephasingCurve] = {}
-    for proto_idx, protocol in enumerate(PROTOCOLS):
-        def sampled_value(t_ramsey: float, path: tuple[int, ...]) -> float:
-            sigma = _half_fringe_sigma(
-                protocol, n_ions, t_ramsey, trials, (seed, *path), noise=noise
-            )
-            value = float(sigma) * math.sqrt(trials * float(t_ramsey))
-            if math.isfinite(value):  # Python floats overflow to inf without a warning
-                return value
-            raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {float(t_ramsey)!r}")
-
-        def value(t_ramsey: float, path: tuple[int, ...]) -> float:
-            if mode == "analytic":
-                return analytic_sigma_tau(protocol, n_ions, gamma, t_ramsey)
-            return sampled_value(t_ramsey, path)
-
-        grid_vals = np.array(
-            [value(t, (proto_idx, k)) for k, t in enumerate(t_grid)]
-        )
+    for p, protocol in enumerate(PROTOCOLS):
+        grid_vals = np.array([sigma_tau(protocol, t, (p, k)) for k, t in enumerate(t_grid)])
         k_min = int(np.argmin(grid_vals))
         on_boundary = k_min in (0, len(t_grid) - 1)
         t_opt = float(t_grid[k_min])
         min_value = float(grid_vals[k_min])
         if refine and not on_boundary:
-            counter = [0]
-
-            def objective(t: float) -> float:
-                counter[0] += 1
-                return value(t, (proto_idx, 10_000 + counter[0]))
-
+            # The j-th refinement evaluation draws from the stream (seed, p, 10_000 + j).
+            refine_paths = ((p, j) for j in itertools.count(10_001))
             evals = golden_section(
-                objective, float(t_grid[k_min - 1]), float(t_grid[k_min + 1]), refine_iters
+                lambda t: sigma_tau(protocol, t, next(refine_paths)),
+                float(t_grid[k_min - 1]), float(t_grid[k_min + 1]), refine_iters,
             )
             for x, fx in evals:
                 if fx < min_value:

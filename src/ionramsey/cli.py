@@ -28,8 +28,9 @@ are byte-identical for equal seeds. ``--threads`` is accepted and must be
 Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
 a config value a library check rejects with ``ValueError``, and an
 ``--out`` that cannot be created or written), 3 register-capacity error,
-4 non-convergence or ambiguous-fringe error.
-Errors are reported as one JSON object on stderr.
+4 non-convergence or ambiguous-fringe error. A bad flag is a configuration
+error too. Errors are reported as one JSON object on stderr; ``--help``
+exits 0.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +77,6 @@ from .protocols import (
     fit_fringe_frequency,
     flag_large_admixture,
     fourier_decompose,
-    fringe_scan,
     make_truth_simulator,
     naive_single_point_omega0,
     run_ramsey,
@@ -312,7 +313,7 @@ def _write_outputs(
     removes its staged files and the directories it made."""
     staged = [path.with_name(f".{path.name}.partial") for path in paths]
     out_dir = paths[0].parent
-    made = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
+    made = [None, *takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents))][-1]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
@@ -354,13 +355,12 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
         if values[key] is not None:
             mode = "with" if manifest.expectation else "without"
             raise ConfigError(f"[ramsey] {key} has no effect {mode} --expectation-mode")
-    noise = NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"] or "independent")
     cfg = RamseyConfig(
         n_ions=values["n_ions"],
         t_ramsey=values["t_ramsey"],
         omega_r=values["omega_r"],
         omega_0=values["omega_0"],
-        noise=noise if noise.gamma != 0.0 else None,
+        noise=NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"] or "independent"),
         imperfection=values["epsilon"],
         protocol=Protocol.named(values["protocol"], values["readout"]),
         final_phase=values["final_phase"],
@@ -395,7 +395,7 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
             msg = f"[ramsey] fringe frequency {fringe:.6g} rad/s is outside [pi/scan_t_max,"
             raise ConfigError(f"{msg} Nyquist - pi/scan_t_max) = [{low:.6g}, {high:.6g}) rad/s")
         t_grid = t_max * np.arange(1, points + 1) / points
-        signal = fringe_scan(cfg, t_grid)
+        signal = expected_signal(cfg, t_ramsey=t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         family, n_ions, omega_r = cfg.protocol.family, str(cfg.n_ions), _fmt(cfg.omega_r)
         index = None
@@ -635,11 +635,18 @@ _EXIT_CODES = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 2, one JSON line); subparsers share the class."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @lru_cache(maxsize=None)
 def _build_argparser() -> argparse.ArgumentParser:
     """The command-line parser, built at the first :func:`main` call of a
     process and reused; it dispatches through ``_COMMANDS`` by name only."""
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ionramsey",
         description="Ramsey spectroscopy simulations on entangled trapped-ion registers",
     )
@@ -664,8 +671,8 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
     try:
+        args = _build_argparser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         text, parser = _load_config(args.config, args.command)

@@ -36,8 +36,9 @@ expectations, no statistics) are first-class: :func:`run_ramsey` and
 :func:`expected_signal` run every protocol. Every run prepares its state
 once, as L + 1 Dicke amplitudes (:class:`.register.DickeState`), and one
 function, :func:`_table`, evolves and closes them into a Born table.
-Expectation mode averages the signal over the noiseless table. A sampled run
-passes its noise, if any, and gets the dephased density matrix's table: the
+Expectation mode averages the signal over the noiseless table, for one T_R
+or a whole scan. A sampled run passes its noise, None when noiseless (see
+:class:`RamseyConfig`), and gets the dephased density matrix's table: the
 mean of every dephasing trajectory's table, and so the law each independent
 shot follows. No run holds a 2**L array. Every shot is drawn from its run's
 table by :func:`.register.sample_measurement`. The tests check the tables
@@ -189,7 +190,8 @@ class RamseyConfig:
     ``final_phase`` is the phase offset phi_f the readout exposes (ignored
     by the time_reversed readout, which cancels all preparation phases).
     ``imperfection`` perturbs the GHZ preparation, so the standard protocol
-    rejects it. ``allow_wrap`` lifts a sampled run's ambiguity guard for
+    rejects it. A zero-rate ``noise`` is stored as None: a noiseless run
+    has one spelling. ``allow_wrap`` lifts a sampled run's ambiguity guard for
     deliberate multi-fringe runs; expectation mode has no such guard.
     """
 
@@ -224,32 +226,12 @@ class RamseyConfig:
                 "phi0 is the GHZ relative phase; the standard protocol's "
                 "opening pulse has phase 0"
             )
+        if self.noise is not None and self.noise.gamma == 0.0:
+            object.__setattr__(self, "noise", None)
 
     @property
     def delta_omega(self) -> float:
         return self.omega_r - self.omega_0
-
-    @property
-    def noiseless(self) -> bool:
-        return self.noise is None or self.noise.gamma == 0.0
-
-
-def ensure_unambiguous(
-    multiplier: int, delta_omega: float, t_max: float, allow_wrap: bool = False
-) -> None:
-    """Reject detunings that wrap past the protocol's unambiguous fringe.
-
-    ``multiplier`` is the fringe-frequency factor
-    (:meth:`Protocol.multiplier`).
-    """
-    if allow_wrap:
-        return
-    if abs(delta_omega) * t_max * multiplier >= np.pi:
-        raise AmbiguousFringeError(
-            f"|detuning| * T_R * {multiplier} = "
-            f"{abs(delta_omega) * t_max * multiplier:.6g} rad >= pi wraps "
-            "past the unambiguous fringe; pass allow_wrap=True for deliberate scans"
-        )
 
 
 def ensemble_contrast(
@@ -351,12 +333,6 @@ def expected_signal(
     return cfg.protocol.expected(_table(_prepare_dicke(cfg), cfg, t, dw, cfg.final_phase))
 
 
-def fringe_scan(cfg: RamseyConfig, t_grid: np.ndarray) -> np.ndarray:
-    """Expectation-mode signal of cfg.protocol over a T_R grid (multi-fringe
-    scans allowed), evaluated as one batch."""
-    return expected_signal(cfg, t_ramsey=np.asarray(t_grid, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Sampled mode
 # ---------------------------------------------------------------------------
@@ -401,14 +377,17 @@ def run_ramsey(
 def _run_state(cfg: RamseyConfig) -> np.ndarray:
     """The read-only Born table that every shot of a sampled run is drawn
     from, computed once a run, before any draw: the :func:`_table` of the
-    prepared Dicke amplitudes, damped by cfg's noise unless it is
-    noiseless."""
-    ensure_unambiguous(
-        cfg.protocol.multiplier(cfg.n_ions), cfg.delta_omega, cfg.t_ramsey, cfg.allow_wrap
-    )
-    noise = None if cfg.noiseless else cfg.noise
+    prepared Dicke amplitudes, damped by cfg's noise. Unless cfg.allow_wrap,
+    a detuning past the unambiguous fringe (|dw| T_R m >= pi) raises."""
+    m = cfg.protocol.multiplier(cfg.n_ions)
+    phase = abs(cfg.delta_omega) * cfg.t_ramsey * m
+    if not cfg.allow_wrap and phase >= np.pi:
+        raise AmbiguousFringeError(
+            f"|detuning| * T_R * {m} = {phase:.6g} rad >= pi wraps past the unambiguous "
+            "fringe; pass allow_wrap=True for deliberate scans"
+        )
     table = _table(
-        _prepare_dicke(cfg), cfg, cfg.t_ramsey, cfg.delta_omega, cfg.final_phase, noise
+        _prepare_dicke(cfg), cfg, cfg.t_ramsey, cfg.delta_omega, cfg.final_phase, cfg.noise
     )
     table.flags.writeable = False
     return table

@@ -31,9 +31,9 @@ from ionramsey import (
     cn_via_bus,
     cnot,
     dephasing_benchmark,
+    expected_signal,
     fit_fringe_frequency,
     fourier_decompose,
-    fringe_scan,
     make_truth_simulator,
     naive_single_point_omega0,
     new_register,
@@ -130,7 +130,7 @@ def test_criterion_03_fringe_multiplication():
             )
             # span >= one full fringe of the slowest case (L=1)
             t_grid = 2.0 * np.pi / delta_omega * np.arange(1, 129) / 128.0
-            signal = fringe_scan(cfg, t_grid)
+            signal = expected_signal(cfg, t_ramsey=t_grid)
             fit = fit_fringe_frequency(t_grid, signal)
             expected = n_ions * delta_omega
             assert abs(fit.frequency - expected) / expected < 1e-6
@@ -423,7 +423,7 @@ def test_note_imperfect_fidelity_fixture():
     )
     period = 2.0 * np.pi / delta_omega
     t_grid = period * np.arange(1, 65) / 64.0
-    signal = fringe_scan(cfg, t_grid)
+    signal = expected_signal(cfg, t_ramsey=t_grid)
     fit = fourier_decompose(t_grid, signal, 2, delta_omega)
     c2 = fit.component(2)[0]
     assert c2 < 1.0 - 1e-6

@@ -249,6 +249,28 @@ class TestErrorPaths:
         assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["ramsey", "--config", "CFG", "--threads", "abc"], id="bad_threads"),
+            pytest.param(["ramsey", "--out", "o"], id="missing_config"),
+            pytest.param(["ramsey", "--config", "CFG", "--bogus"], id="unknown_flag"),
+            pytest.param([], id="no_subcommand"),
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_json_line(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+        assert main([cfg if arg == "CFG" else arg for arg in argv]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ramsey", "--help"])
+        assert exit_info.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "command,text,flags,needle",
         [
             pytest.param(
@@ -712,6 +734,17 @@ class TestErrorPaths:
         assert [p.name for p in out.iterdir()] == ["mine"]
         assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
         assert [p.name for p in out.iterdir()] == ["mine"]
+
+    def test_failed_write_removes_a_relative_out_directory(self, tmp_path, monkeypatch, capsys):
+        def failing_summary(path, payload):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_json", failing_summary)
+        cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+        monkeypatch.chdir(tmp_path)
+        assert main(["ramsey", "--config", cfg, "--out", "o/x"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.ini"]
 
     def test_out_below_a_regular_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)

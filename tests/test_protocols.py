@@ -37,7 +37,6 @@ from ionramsey import (
     estimate_frequency,
     expected_signal,
     fourier_decompose,
-    fringe_scan,
     make_truth_simulator,
     run_ramsey,
     stream,
@@ -143,8 +142,8 @@ class TestFringeShapes:
     def test_both_readouts_share_fringe_frequency(self):
         cfg = dict(n_ions=3, t_ramsey=1.0, omega_r=0.4, omega_0=0.0, allow_wrap=True)
         ts = np.linspace(0.0, 2 * np.pi / 0.4, 64)
-        par = fringe_scan(RamseyConfig(**cfg), ts)
-        rev = fringe_scan(RamseyConfig(**cfg, protocol=Protocol.GHZ_REVERSED), ts)
+        par = expected_signal(RamseyConfig(**cfg), t_ramsey=ts)
+        rev = expected_signal(RamseyConfig(**cfg, protocol=Protocol.GHZ_REVERSED), t_ramsey=ts)
         f_par = fit_fringe_frequency(ts, par).frequency
         f_rev = fit_fringe_frequency(ts, rev).frequency
         assert f_par == pytest.approx(3 * 0.4, rel=1e-8)
@@ -412,7 +411,7 @@ class TestBatchedGrids:
             expected_signal(cfg, t_ramsey=t, delta_omega=dw) for t, dw in zip(self.TS, self.DWS)
         ])
         return [(batched_t, looped_t), (batched_dw, looped_dw), (both, looped_both),
-                (fringe_scan(cfg, self.TS), looped_t)]
+                (expected_signal(cfg, t_ramsey=self.TS), looped_t)]
 
     @pytest.mark.parametrize("n_ions", [1, 2, 3, 5])
     @pytest.mark.parametrize("protocol", list(Protocol))
@@ -526,8 +525,15 @@ class TestSymmetricSubspace:
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_expectation_reads_the_run_table(self, protocol, n_ions):
         # Bit for bit: the expected signal is the run's own table averaged,
-        # for a run without noise and for one whose noise has gamma = 0.
-        cfg = _subspace_cfg(protocol, n_ions)
+        # for a run without noise and for one whose noise has gamma = 0. The
+        # config stores a zero rate, in either noise mode, as no noise, so
+        # that run also draws the noiseless run's shots.
+        cfg = replace(_subspace_cfg(protocol, n_ions), shots=50)
+        shots = run_ramsey(cfg, stream(13, n_ions)).outcomes.tobytes()
+        for mode in ("independent", "common"):
+            zero = replace(cfg, noise=NoiseSpec(0.0, mode))
+            assert zero.noise is None
+            assert run_ramsey(zero, stream(13, n_ions)).outcomes.tobytes() == shots
         for cfg in (cfg, replace(cfg, noise=NoiseSpec(0.0, "common"))):
             assert expected_signal(cfg) == protocol.expected(protocols._run_state(cfg))
 
@@ -561,7 +567,7 @@ class TestSymmetricSubspace:
         cfg = _subspace_cfg(protocol, 6)
         expected_signal(cfg)
         expected_signal(cfg, t_ramsey=np.linspace(0.1, 2.0, 5), delta_omega=0.3)
-        fringe_scan(cfg, np.linspace(0.1, 2.0, 5))
+        expected_signal(cfg, t_ramsey=np.linspace(0.1, 2.0, 5))
         sim = make_truth_simulator(cfg)
         sim(np.linspace(-0.2, 0.2, 5), 0.9, 0.1)
         sim(0.1, 0.9, np.linspace(-0.2, 0.2, 5))
@@ -595,7 +601,7 @@ class TestSymmetricSubspace:
         cfg = RamseyConfig(n_ions=20, t_ramsey=1.0, omega_r=0.31, omega_0=0.3, allow_wrap=True)
         tracemalloc.start()
         try:
-            fringe_scan(cfg, np.linspace(0.1, 3.0, 16))
+            expected_signal(cfg, t_ramsey=np.linspace(0.1, 3.0, 16))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -945,7 +951,7 @@ class TestFringeFit:
         cfg = RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=66.916 / 4, omega_0=0.0,
                            allow_wrap=True)
         with pytest.raises(FitError, match="Nyquist"):
-            fit_fringe_frequency(t, fringe_scan(cfg, t))
+            fit_fringe_frequency(t, expected_signal(cfg, t_ramsey=t))
 
     def test_fringe_below_half_a_bin_raises(self):
         # A GHZ scan at L = 2, 64 points over 1 s, of a 0.8 rad/s fringe (under
@@ -953,7 +959,7 @@ class TestFringeFit:
         t = np.arange(1, 65) / 64
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.4, omega_0=0.0)
         with pytest.raises(FitError, match="below half a bin"):
-            fit_fringe_frequency(t, fringe_scan(cfg, t))
+            fit_fringe_frequency(t, expected_signal(cfg, t_ramsey=t))
 
     @pytest.mark.parametrize("n_ions,span", [(3, 2.0), (2, 1.0)])
     def test_scan_without_a_fringe_raises(self, n_ions, span):
@@ -963,17 +969,17 @@ class TestFringeFit:
         t = span * np.arange(1, 65) / 64
         cfg = RamseyConfig(n_ions=n_ions, t_ramsey=1.0, omega_r=0.5, omega_0=0.5)
         with pytest.raises(FitError, match="rounding noise"):
-            fit_fringe_frequency(t, fringe_scan(cfg, t))
+            fit_fringe_frequency(t, expected_signal(cfg, t_ramsey=t))
         with pytest.raises(FitError, match="rounding noise"):
             fit_fringe_frequency(t, np.zeros(64))
 
     def test_scan_ending_mid_fringe(self):
         # A 64-point standard scan over 2.7 fringes once fitted 1.529934.
         t = 2.7 * 2 * np.pi * np.arange(1, 65) / 64
-        signal = fringe_scan(
+        signal = expected_signal(
             RamseyConfig(n_ions=1, t_ramsey=1.0, omega_r=1.0, omega_0=0.0,
                          protocol=Protocol.STANDARD, allow_wrap=True),
-            t,
+            t_ramsey=t,
         )
         assert fit_fringe_frequency(t, signal).frequency == pytest.approx(1.0, rel=1e-9)
 

@@ -38,10 +38,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import inspect
 import json
 import math
 import shutil
 import sys
+from collections import ChainMap
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import takewhile
@@ -140,8 +142,8 @@ _TWO_L = (
 )
 _REQUIRED = object()  # the default of a key the section must set
 
-# Every config key, once: section -> key -> (parser, default, range). A None
-# default means "unset": the command decides what that means.
+# Every config key and its default, once: section -> key -> (parser,
+# default, range). A None default means "unset"; the key's comment says what then.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {"seed": (int, 0, None)},
     "ramsey": {
@@ -151,14 +153,14 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "omega_0": (_float, 0.0, None),
         "omega_r": (_float, _REQUIRED, None),
         "readout": (str, "final_pulse", None),
-        "final_phase": (_float, 0.0, None),
+        "final_phase": (_float, 0.0, None),  # not with readout = time_reversed
         "phi0": (_float, 0.0, None),
-        "shots": (int, None, _AT_LEAST_2),  # unset: 1000; sampled runs only
+        "shots": (int, 1000, _AT_LEAST_2),  # sampled runs only
         "gamma": (_float, 0.0, None),
-        "noise_mode": (str, None, None),  # unset: independent; needs gamma
-        "epsilon": (_epsilon, None, None),
-        "allow_wrap": (_bool, None, None),  # unset: false; sampled runs only
-        "scan_points": (int, None, _AT_LEAST_1),  # unset: 64; --expectation-mode only
+        "noise_mode": (str, "independent", None),  # needs gamma > 0
+        "epsilon": (_epsilon, None, None),  # unset: no admixture
+        "allow_wrap": (_bool, False, None),  # sampled runs only
+        "scan_points": (int, 64, _AT_LEAST_1),  # --expectation-mode only
         "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey; likewise
     },
     "scaling": {
@@ -189,11 +191,11 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "max_iter": (int, DEFAULT_MAX_ITER, _AT_LEAST_1),
         "phi0": (_float, 0.0, None),
     },
-    "fourier": {  # exactly one source: input, c (with optional xi) or epsilon
+    "fourier": {  # set exactly one source: input, c (with optional xi) or epsilon
         "input": (str, None, None),
         "n_ions": (int, _REQUIRED, None),
         "delta_omega": (_float, _REQUIRED, _NONZERO),
-        "grid_points": (int, None, None),  # unset: 128; not with input
+        "grid_points": (int, 128, None),  # not with input
         "c": (_floats, None, None),
         "xi": (_floats, None, None),  # unset: zeros
         "epsilon": (_epsilon, None, None),
@@ -224,8 +226,11 @@ def _load_config(path: str, command: str) -> tuple[str, configparser.ConfigParse
     return text, parser
 
 
-def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, object]:
-    """Every key of one section, parsed and range-checked against its table."""
+def _read_section(parser: configparser.ConfigParser, section: str) -> ChainMap:
+    """Every key of one section: the keys the config sets, parsed and
+    range-checked against its table, over the table's defaults. The commands
+    read ``values.maps[0]``, the keys set, to refuse one that has no effect,
+    even when it is set to its default."""
     table = _SCHEMA[section]
     raw = parser[section] if parser.has_section(section) else {}
     for key in raw:
@@ -233,22 +238,32 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict[str, 
             raise ConfigError(
                 f"unknown key {key!r} in [{section}] (allowed: {sorted(table)})"
             )
-    values = {}
+    given = {}
     for key, (parse, default, valid) in table.items():
         if key not in raw:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
-            values[key] = default
             continue
         try:
-            values[key] = parse(raw[key])
-            if valid is not None and not valid[1](values[key]):
+            given[key] = parse(raw[key])
+            if valid is not None and not valid[1](given[key]):
                 raise ValueError(valid[0])
         except (ValueError, TypeError) as exc:
             raise ConfigError(
                 f"bad value for {key!r} in [{section}]: {raw[key]!r} ({exc})"
             ) from exc
-    return values
+    return ChainMap(given, {key: row[1] for key, row in table.items()})
+
+
+# Uncached, RamseyConfig's signature takes about 70 us (2-core Xeon, CPython 3.11).
+_signature = lru_cache(maxsize=None)(inspect.signature)
+
+
+def _by_name(target, values, **derived):
+    """``target`` called with each value whose key names one of its
+    parameters (a dataclass's fields), and with ``derived``, which wins."""
+    params = _signature(target).parameters
+    return target(**{**{k: v for k, v in values.items() if k in params}, **derived})
 
 
 @dataclass(frozen=True)
@@ -348,25 +363,22 @@ Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 RamseyOutputs = tuple[tuple[str, ...], list, dict[str, object], list[int] | None]
 
 
-def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
-    if values["noise_mode"] is not None and values["gamma"] == 0.0:
+def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
+    given = values.maps[0]
+    if "noise_mode" in given and values["gamma"] == 0.0:
         raise ConfigError("[ramsey] noise_mode needs gamma > 0; a noiseless run ignores it")
+    if "final_phase" in given and values["readout"] == "time_reversed":
+        raise ConfigError("[ramsey] final_phase has no effect with readout = time_reversed")
     for key in ("shots", "allow_wrap") if manifest.expectation else ("scan_points", "scan_t_max"):
-        if values[key] is not None:
+        if key in given:
             mode = "with" if manifest.expectation else "without"
             raise ConfigError(f"[ramsey] {key} has no effect {mode} --expectation-mode")
-    cfg = RamseyConfig(
-        n_ions=values["n_ions"],
-        t_ramsey=values["t_ramsey"],
-        omega_r=values["omega_r"],
-        omega_0=values["omega_0"],
-        noise=NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"] or "independent"),
+    cfg = _by_name(
+        RamseyConfig,
+        values,
+        noise=NoiseSpec(gamma=values["gamma"], mode=values["noise_mode"]),
         imperfection=values["epsilon"],
         protocol=Protocol.named(values["protocol"], values["readout"]),
-        final_phase=values["final_phase"],
-        phi0=values["phi0"],
-        shots=1000 if values["shots"] is None else values["shots"],
-        allow_wrap=bool(values["allow_wrap"]),
     )
     summary: dict[str, object] = {
         "protocol": cfg.protocol.family,
@@ -383,8 +395,8 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
                 "[ramsey] gamma must be 0 with --expectation-mode: the scan is "
                 "noiseless and would ignore it"
             )
-        points = 64 if values["scan_points"] is None else values["scan_points"]
-        t_max = cfg.t_ramsey if values["scan_t_max"] is None else values["scan_t_max"]
+        points = values["scan_points"]
+        t_max = values["scan_t_max"] or cfg.t_ramsey  # a set scan_t_max is > 0
         fringe = abs(cfg.delta_omega) * cfg.protocol.multiplier(cfg.n_ions)
         low = np.pi / t_max
         high = np.pi * points / t_max - low  # half a bin under the Nyquist frequency
@@ -421,10 +433,10 @@ def cmd_ramsey(manifest: RunManifest, values: dict) -> RamseyOutputs:
     return CSV_COLUMNS, rows, summary, index
 
 
-def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
-    l_values, trials, t_ramsey = values["l_values"], values["trials"], values["t_ramsey"]
+def cmd_scaling(manifest: RunManifest, values: ChainMap) -> Outputs:
     columns = ("protocol", "L", "T_R", "tau", "sigma_measured", "sigma_theory", "ratio")
     if manifest.expectation:
+        l_values, trials, t_ramsey = values["l_values"], values["trials"], values["t_ramsey"]
         # No sampling noise to measure: emit the analytic limits themselves.
         rows = []
         slopes = {}
@@ -438,9 +450,7 @@ def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
             slopes[protocol.family] = _loglog_slope(l_values, sigmas)[0]
         summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
         return columns, rows, summary
-    report = scan_scaling(
-        l_values, trials, t_ramsey=t_ramsey, omega_0=values["omega_0"], seed=manifest.seed
-    )
+    report = scan_scaling(**values, seed=manifest.seed)
     rows = [
         (p.protocol, p.n_ions, p.t_ramsey, p.tau, p.sigma_measured, p.sigma_theory, p.ratio)
         for p in report.points
@@ -455,18 +465,16 @@ def cmd_scaling(manifest: RunManifest, values: dict) -> Outputs:
     return columns, rows, summary
 
 
-def cmd_dephasing(manifest: RunManifest, values: dict) -> Outputs:
+def cmd_dephasing(manifest: RunManifest, values: ChainMap) -> Outputs:
     t_min, t_max = values["t_min"], values["t_max"]
     if t_max <= t_min:
         raise ConfigError(f"[dephasing] t_max must be > t_min, got {t_max} <= {t_min}")
-    report = dephasing_benchmark(
-        values["gamma"],
-        values["n_ions"],
-        np.geomspace(t_min, t_max, values["grid_points"]),
-        values["trials"],
+    report = _by_name(
+        dephasing_benchmark,
+        values,
+        t_grid=np.geomspace(t_min, t_max, values["grid_points"]),
         seed=manifest.seed,
         mode="analytic" if manifest.expectation else values["mode"],
-        refine=values["refine"],
     )
     columns = ("protocol", "T_R", "sigma_sqrt_tau")
     rows = []
@@ -475,8 +483,8 @@ def cmd_dephasing(manifest: RunManifest, values: dict) -> Outputs:
             (family, float(t), float(v)) for t, v in zip(curve.t_grid, curve.sigma_tau)
         )
     summary = {
-        "gamma": values["gamma"],
-        "n_ions": values["n_ions"],
+        "gamma": report.gamma,
+        "n_ions": report.n_ions,
         "mode": report.mode,
         "trials": report.trials,
         "t_opt": {p: report.curves[p].t_opt for p in report.curves},
@@ -492,28 +500,15 @@ def cmd_dephasing(manifest: RunManifest, values: dict) -> Outputs:
     return columns, rows, summary
 
 
-def cmd_calibrate(manifest: RunManifest, values: dict) -> Outputs:
+def cmd_calibrate(manifest: RunManifest, values: ChainMap) -> Outputs:
     n_ions, omega_0, bias_tc = values["n_ions"], values["omega_0"], values["bias_tc"]
-    cal = CalibrationState(
-        omega_r1=values["omega_r1"],
-        omega_r2=values["omega_r2"],
-        t_r1=values["t_r1"],
-        t_r2=values["t_r2"],
-    )
-    cfg = RamseyConfig(
-        n_ions=n_ions,
-        t_ramsey=cal.t_r2,
-        omega_r=cal.omega_r1,
-        omega_0=omega_0,
-        phi0=values["phi0"],
-    )
+    cal = _by_name(CalibrationState, values)
+    # The simulator reads no t_ramsey or omega_r of its config: placeholders.
+    cfg = _by_name(RamseyConfig, values, t_ramsey=cal.t_r2, omega_r=cal.omega_r1)
     bias = (lambda t: float(np.exp(-t / bias_tc))) if bias_tc > 0 else None
     sim = make_truth_simulator(cfg, bias=bias)
     history: list = []
-    tol, max_iter = values["tol"], values["max_iter"]
-    result = two_point_calibrate(
-        sim, cal, n_ions, tol=tol, max_iter=max_iter, history=history
-    )
+    result = _by_name(two_point_calibrate, values, truth_simulator=sim, cal=cal, history=history)
     columns = ("iteration", "omega_r1", "omega_r2", "phi_f", "omega0_estimate")
     fringe_width = float(np.pi / (n_ions * cal.t_r2))
     naive = naive_single_point_omega0(sim, cal.omega_r2, cal.t_r2, n_ions)
@@ -566,23 +561,24 @@ def _read_signal_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts), np.array(ss)
 
 
-def cmd_fourier(manifest: RunManifest, values: dict) -> Outputs:
+def cmd_fourier(manifest: RunManifest, values: ChainMap) -> Outputs:
+    given = values.maps[0]
     n_ions, delta_omega = values["n_ions"], values["delta_omega"]
-    sources = [key for key in ("input", "c", "epsilon") if values[key] is not None]
+    sources = [key for key in ("input", "c", "epsilon") if key in given]
     if len(sources) != 1:
         raise ConfigError(
             f"[fourier] needs exactly one of input=, c=, epsilon=; got {sources}"
         )
-    if values["xi"] is not None and values["c"] is None:
+    if "xi" in given and "c" not in given:
         raise ConfigError("[fourier] xi is the phase list of c= and needs c")
-    if values["input"] is not None and values["grid_points"] is not None:
+    if "input" in given and "grid_points" in given:
         raise ConfigError("[fourier] grid_points has no effect with input=, which sets the grid")
     period = 2 * np.pi / abs(delta_omega)
-    points = 128 if values["grid_points"] is None else values["grid_points"]
-    if values["input"] is not None:
+    points = values["grid_points"]
+    if "input" in given:
         t_grid, signal = _read_signal_csv(manifest.input_bytes.decode(), values["input"])
         source = "file"
-    elif values["c"] is not None:
+    elif "c" in given:
         c = values["c"]
         xi = [0.0] * len(c) if values["xi"] is None else values["xi"]
         if len(c) != n_ions or len(xi) != n_ions:

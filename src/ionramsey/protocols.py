@@ -781,7 +781,9 @@ def make_truth_simulator(
 ) -> TruthSimulator:
     """Expectation-mode signal closure of cfg.protocol for calibration runs.
     It prepares cfg's Dicke amplitudes once, and evaluates an array of
-    ``omega_r`` or of ``phi_f`` as one batch.
+    ``omega_r`` or of ``phi_f`` as one batch. Of cfg it reads ``n_ions``,
+    ``omega_0``, ``phi0``, ``protocol`` and ``imperfection``; each call
+    passes its own ``omega_r`` and ``t_ramsey``, so cfg's are placeholders.
 
     ``bias`` multiplies the signal by B(t_ramsey), emulating a T_R-dependent
     contrast systematic.

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ionramsey
+from ionramsey import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ionramsey").glob("*.py"))
@@ -53,3 +54,20 @@ def test_every_definition_is_named_outside_itself(path, name, first, last):
             if not inside and word.search(line):
                 return
     pytest.fail(f"{path.name}: {name} is named nowhere but in its own definition")
+
+
+def test_cli_looks_up_only_schema_keys():
+    """Each ``values["k"]`` in a ``cli.cmd_<section>`` names a key of that
+    section: a misspelled key raises KeyError, which ``cli.main`` does not
+    turn into an exit code."""
+    text = (ROOT / "src" / "ionramsey" / "cli.py").read_text()
+    looked_up = []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            table = cli._SCHEMA[node.name.removeprefix("cmd_")]
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "values" and isinstance(sub.slice, ast.Constant)):
+                    looked_up.append(sub.slice.value)
+                    assert sub.slice.value in table, f"{node.name}: {sub.slice.value!r}"
+    assert looked_up and len(looked_up) == text.count('values["')

@@ -584,6 +584,65 @@ class TestErrorPaths:
                 "trials",
                 id="dephasing_one_trial",
             ),
+            # A key set to its default still counts as set.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 4.0\n"
+                "shots = 1000\n",
+                ("--expectation-mode",),
+                "shots has no effect with --expectation-mode",
+                id="ramsey_default_shots_expectation",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 4.0\n"
+                "allow_wrap = false\n",
+                ("--expectation-mode",),
+                "allow_wrap has no effect with --expectation-mode",
+                id="ramsey_default_allow_wrap_expectation",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "shots = 100\nscan_points = 64\n",
+                (),
+                "scan_points has no effect without --expectation-mode",
+                id="ramsey_default_scan_points_sampled",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\n"
+                "shots = 100\nnoise_mode = independent\n",
+                (),
+                "noise_mode needs gamma",
+                id="ramsey_default_noise_mode_without_gamma",
+            ),
+            pytest.param(
+                "fourier",
+                f"[fourier]\ninput = {SIGNAL_FILE}\nn_ions = 3\ndelta_omega = 1.0\n"
+                "grid_points = 128\n",
+                (),
+                "grid_points has no effect with input=",
+                id="fourier_default_grid_points_with_input",
+            ),
+            # The time-reversed readout cancels every preparation phase:
+            # runs at final_phase 0.0 and 0.9 wrote the same table and exited 0.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nreadout = time_reversed\nn_ions = 2\n"
+                "t_ramsey = 1.0\nomega_r = 0.4\nshots = 100\nfinal_phase = 0.9\n",
+                (),
+                "final_phase has no effect with readout = time_reversed",
+                id="ramsey_final_phase_time_reversed",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nreadout = time_reversed\nn_ions = 2\n"
+                "t_ramsey = 1.0\nomega_r = 4.0\nfinal_phase = 0.9\n",
+                ("--expectation-mode",),
+                "final_phase has no effect with readout = time_reversed",
+                id="ramsey_final_phase_time_reversed_expectation",
+            ),
         ],
     )
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, text, flags, needle):
@@ -1082,3 +1141,53 @@ def test_readme_lists_the_schema_keys():
         elif match := re.match(r"  - `(\w+)`", line):
             section.append(match[1])
     assert listed == {name: list(table) for name, table in cli._SCHEMA.items()}
+
+
+# Each schema key whose default is a constant: (section, key, default).
+CONSTANT_DEFAULTS = [
+    (section, key, default)
+    for section, table in cli._SCHEMA.items()
+    for key, (_, default, _) in table.items()
+    if default is not None and default is not cli._REQUIRED
+]
+
+
+@pytest.mark.parametrize("flags", [(), ("--expectation-mode",)], ids=["sampled", "expectation"])
+@pytest.mark.parametrize(
+    "section,key,default", CONSTANT_DEFAULTS, ids=[f"{s}-{k}" for s, k, _ in CONSTANT_DEFAULTS]
+)
+def test_schema_default_is_the_real_default(tmp_path, capsys, section, key, default, flags):
+    """Setting a key to its schema default, as INI text, writes what the run
+    without the key writes, or is refused as a key that has no effect."""
+    command = "ramsey" if section == "run" else section
+    base = dict(MINIMAL[command])
+    if command == "ramsey" and flags:  # no shots, and a fringe inside the scan
+        del base["shots"]
+        base["omega_r"] = "4.0"
+    base.pop(key, None)
+    raw = str(default).lower() if isinstance(default, bool) else str(default)
+    without = _ini(command, base)
+    if section == "run":
+        with_key = f"{without}[run]\n{key} = {raw}\n"
+    else:
+        with_key = _ini(command, {**base, key: raw})
+
+    def run(name, text):
+        cfg = write_config(tmp_path, f"{name}.ini", text)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / name), *flags])
+        return code, capsys.readouterr().err
+
+    assert run("without", without) == (0, "")
+    code, err = run("with", with_key)
+    if code == 2:
+        message = json.loads(err)["message"]
+        assert "has no effect" in message or "needs" in message
+        return
+    assert (code, err) == (0, "")
+    for name in (f"{command}.csv", f"{command}_summary.json"):
+        got, want = (
+            [line for line in (tmp_path / out / name).read_text().splitlines()
+             if "manifest_sha256" not in line]
+            for out in ("with", "without")
+        )
+        assert got == want

@@ -256,12 +256,33 @@ def ensemble_contrast(
 
 def _prepare_dicke(cfg: RamseyConfig) -> DickeState:
     """The prepared state as L + 1 Dicke amplitudes: the opening pulse's
-    column on every ion (standard), or the GHZ pair plus any admixture."""
-    if cfg.protocol is Protocol.STANDARD:
-        return dicke_product(cfg.n_ions, rotation_matrix(np.pi / 2, 0.0)[:, 0])
-    rot = _opening_pulse(cfg.phi0)
-    state = dicke_ghz(cfg.n_ions, rotation_matrix(rot.theta, rot.phi)[:, 0])
+    column on every ion (standard), or the GHZ pair plus any admixture. The
+    admixture-free state is shared and read only (:func:`_pure_state`)."""
+    state = _pure_state(cfg.protocol.family, cfg.n_ions, cfg.phi0)
     return state if cfg.imperfection is None else perturb_ghz(state, cfg.imperfection)
+
+
+@lru_cache(maxsize=64)
+def _pure_state(family: str, n_ions: int, phi0: float) -> DickeState:
+    """The admixture-free prepared state of a protocol family, with read-only
+    amplitudes; the standard opening pulse has phase 0."""
+    if family == "standard":
+        state = dicke_product(n_ions, rotation_matrix(np.pi / 2, 0.0)[:, 0])
+    else:
+        rot = _opening_pulse(phi0)
+        state = dicke_ghz(n_ions, rotation_matrix(rot.theta, rot.phi)[:, 0])
+    state.dicke.flags.writeable = False
+    return state
+
+
+@lru_cache(maxsize=64)
+def _reversed_close(phi0: float) -> np.ndarray:
+    """The 2x2 rotation that ends the time-reversed readout, the inverse of
+    the opening pulse at ``phi0``; read only."""
+    rot = _opening_pulse(phi0).inverse()
+    mat = rotation_matrix(rot.theta, rot.phi)
+    mat.flags.writeable = False
+    return mat
 
 
 def _table(
@@ -288,9 +309,8 @@ def _table(
         if np.ndim(final_phase):  # a row per readout phase, which this close ignores
             rows = np.broadcast_shapes(state.dicke.shape[:-1], np.shape(final_phase))
             state = DickeState(n, np.broadcast_to(state.dicke, (*rows, n + 1)))
-        rot = _opening_pulse(cfg.phi0).inverse()
         decay = None if noise is None else _coherence_decay(noise, t, n, n - 2 * np.arange(n))
-        return born_table_reversed(state, rotation_matrix(rot.theta, rot.phi), decay)
+        return born_table_reversed(state, _reversed_close(cfg.phi0), decay)
     if cfg.protocol is Protocol.STANDARD:
         phi = np.pi - final_phase
     else:
@@ -425,14 +445,10 @@ def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) 
     if contrast <= 0:
         raise ValueError("contrast must be positive")
 
-    s = protocol.signal(trials.outcomes, cfg.n_ions)
-    n = len(s)
-    mean = float(np.mean(s))
-    sigma_s = float(np.std(s, ddof=1) / np.sqrt(n))
-
+    mean, sigma_s = _mean_and_error(protocol.signal(trials.outcomes, cfg.n_ions))
     mult = protocol.multiplier(cfg.n_ions)
     offset, scale = protocol.fringe
-    u = float(np.clip((mean - offset) / (scale * contrast), -1.0, 1.0))
+    u = min(max((mean - offset) / (scale * contrast), -1.0), 1.0)
     slope_scale = abs(scale) * contrast * mult * t_r  # |dS/d(dw)| at |sin| = 1
     phi = protocol.readout_phase(cfg.final_phase)
     x_hat = float(np.arccos(u))  # principal branch [0, pi]
@@ -446,6 +462,17 @@ def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) 
             f"(inverted phase {x_hat:.3g} rad); frequency not identifiable"
         )
     return Estimate((x_hat - phi) / (mult * t_r), sigma_s / slope)
+
+
+def _mean_and_error(s: np.ndarray) -> tuple[float, float]:
+    """The mean of the 1-D float64 signal ``s`` and its standard error,
+    ``np.mean(s)`` and ``np.std(s, ddof=1) / np.sqrt(len(s))`` to the bit: the
+    steps those take, the same pairwise sums, without their wrappers."""
+    n = len(s)
+    mean = float(np.add.reduce(s) / n)
+    deviations = s - mean
+    np.square(deviations, out=deviations)
+    return mean, math.sqrt(float(np.add.reduce(deviations) / (n - 1))) / math.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def dicke_product(n_ions: int, ion: np.ndarray) -> DickeState:
     ``d_p = sqrt(C(L, p)) ion[0]**(L - p) ion[1]**p``."""
     _check_capacity(n_ions)
     p = np.arange(n_ions + 1)
-    dicke = np.sqrt(_binomials(n_ions)[n_ions]) * ion[0] ** (n_ions - p) * ion[1] ** p
+    dicke = _root_binomials(n_ions) * ion[0] ** (n_ions - p) * ion[1] ** p
     return DickeState(n_ions, dicke)
 
 
@@ -154,6 +154,15 @@ def _binomials(n: int) -> np.ndarray:
         table[m, 1:] = table[m - 1, 1:] + table[m - 1, :-1]
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def _root_binomials(n: int) -> np.ndarray:
+    """``sqrt(C(n, p))`` for p in [0, n], shared and read only: a Dicke
+    state's amplitude scale."""
+    row = np.sqrt(_binomials(n)[n])
+    row.flags.writeable = False
+    return row
 
 
 def rotation_matrix(theta: float, phi: float) -> np.ndarray:
@@ -353,17 +362,33 @@ def dephase_pulse_table(table: np.ndarray, r: float) -> np.ndarray:
     noiseless count j under those flips, a of the j staying up and w - a of
     the other L - j flipping up: the stochastic matrix K[j, w], the t**w
     coefficient of (f + s t)**j (s + f t)**(L - j), acts on the count masses
-    C(L, j) q(j). Its terms are products of non-negatives, so every mass is."""
+    C(L, j) q(j). Its terms are products of non-negatives, so every mass is.
+    The integer exponents and offsets are cached per L."""
     n = table.shape[-1]
-    binom, i = _binomials(n), np.arange(n + 1)
+    binom, (i, stay_flips, rise_keeps, gap, rising) = _binomials(n), _flip_counts(n)
     keep, flip = (1 + r) / 2, (1 - r) / 2
-    stay = binom * keep**i * flip ** np.maximum(i[:, None] - i, 0)  # [j, a]
-    rise = binom[::-1] * flip**i * keep ** np.maximum(n - i[:, None] - i, 0)  # [j, w - a]
-    gap = i - i[:, None]  # [a, w]: w - a
-    counts = np.append(table[0], table[1, -1]) * binom[n]
-    probs = np.einsum("j,ja,jaw->w", counts, stay, np.where(gap >= 0, rise[:, gap], 0.0))
+    stay = binom * keep**i * flip**stay_flips  # [j, a]
+    rise = binom[::-1] * flip**i * keep**rise_keeps  # [j, w - a]
+    counts = np.concatenate((table[0], table[1, -1:])) * binom[n]
+    probs = np.einsum("j,ja,jaw->w", counts, stay, np.where(rising, rise[:, gap], 0.0))
     probs /= binom[n]
-    return np.stack([probs[:-1], probs[1:]])
+    dephased = np.empty((2, n))
+    dephased[0], dephased[1] = probs[:-1], probs[1:]
+    return dephased
+
+
+@lru_cache(maxsize=None)
+def _flip_counts(n: int) -> tuple[np.ndarray, ...]:
+    """The L-only integer arrays of :func:`dephase_pulse_table`, shared and
+    read only: the counts i in [0, n]; the flips j - a that stay [j, a] takes
+    and the keeps n - j - (w - a) of rise [j, w - a], both floored at 0; the
+    offsets ``gap`` [a, w] = w - a, and where they are >= 0."""
+    i = np.arange(n + 1)
+    gap = i - i[:, None]
+    arrays = (i, np.maximum(i[:, None] - i, 0), np.maximum(n - i[:, None] - i, 0), gap, gap >= 0)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def born_table_reversed(
@@ -380,10 +405,11 @@ def born_table_reversed(
     term between d_k and d_(L-k) is damped by it: the table is ``coherence q +
     (1 - coherence) q_apart``, q_apart the table without that term."""
     n, d = state.n_ions, state.dicke
-    scale_sq = _binomials(n)[n, :n]
-    scale = np.sqrt(scale_sq)
-    amps = [(mat[b, 0] * d[..., :n] + mat[b, 1] * d[..., :0:-1]) / scale for b in (0, 1)]
-    table = np.abs(np.stack(amps, axis=-2)) ** 2  # C order, a batch's rows like a lone table
+    scale_sq, scale = _binomials(n)[n, :n], _root_binomials(n)[:n]
+    amps = np.empty((*d.shape[:-1], 2, n), dtype=complex)  # C order: a batch's rows like a lone table
+    for b in (0, 1):
+        amps[..., b, :] = (mat[b, 0] * d[..., :n] + mat[b, 1] * d[..., :0:-1]) / scale
+    table = np.abs(amps) ** 2
     if coherence is None:
         return table
     apart = (np.abs(mat[:, :1] * d[:n]) ** 2 + np.abs(mat[:, 1:] * d[:0:-1]) ** 2) / scale_sq
@@ -392,17 +418,56 @@ def born_table_reversed(
 
 def sample_measurement(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Readout classes (``int64``) of Born-rule z measurements of a (2, L)
-    Born table, one per uniform in [0, 1). Class b L + k holds the
-    C(L - 1, k) basis indices of cell [b, k]; the class masses are
-    normalised and their CDF inverted as ``Generator.choice`` does, so
-    ``uniforms = rng.random(n)`` draws what ``rng.choice(2 L, n, p=...)``
-    would. :meth:`.protocols.Protocol.outcomes` maps the classes to a
-    protocol's record outcomes.
+    Born table, one per uniform in [0, 1); any other uniform, NaN among
+    them, raises ``ValueError``. Class b L + k holds the C(L - 1, k) basis
+    indices of cell [b, k]; the class masses are normalised and their CDF
+    inverted as ``Generator.choice`` does, so ``uniforms = rng.random(n)``
+    draws what ``rng.choice(2 L, n, p=...)`` would: the class of u is the
+    number of CDF values <= u, ``cdf.searchsorted(u, side="right")``.
+
+    A few thousand uniforms or more are looked up in M buckets [j/M, (j+1)/M),
+    M a power of two near n/16 (:func:`_bucket_bits`), so that ``u * M`` is
+    exact and its integer part is u's bucket. A bucket that holds no CDF value
+    in (j/M, (j+1)/M] gives every u in it one class; only the uniforms in the
+    others, at most 2L - 1 buckets, are searched. Per shot that costs O(1)
+    whatever L.
     """
     n = table.shape[-1]
     mass = (table * _binomials(n - 1)[n - 1, :n]).reshape(2 * n)
-    mass /= mass.sum()
-    cdf = np.cumsum(mass, out=mass)
+    mass /= np.add.reduce(mass)  # the sum and cumsum, without their wrappers
+    cdf = np.add.accumulate(mass, out=mass)
     cdf /= cdf[-1]
-    classes = cdf.searchsorted(np.asarray(uniforms, dtype=float), side="right")
-    return classes.astype(np.int64, copy=False)
+    u = np.asarray(uniforms, dtype=float)
+    if u.size and not (np.minimum.reduce(u, None) >= 0.0 and np.maximum.reduce(u, None) < 1.0):
+        raise ValueError("uniforms must lie in [0, 1), and none may be NaN")
+    bits = _bucket_bits(u.size)
+    if not bits:
+        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
+    flat = u.reshape(-1)
+    first = cdf.searchsorted(_bucket_edges(bits), side="right")  # CDF values <= j/M
+    buckets = (flat * (1 << bits)).astype(np.intp)
+    classes = first.take(buckets)
+    searched = np.flatnonzero((first[1:] != first[:-1]).take(buckets))
+    classes[searched] = cdf.searchsorted(flat[searched], side="right")
+    return classes.astype(np.int64, copy=False).reshape(u.shape)
+
+
+_LOOKUP_BITS = range(7, 13)  # from 128 buckets (2,048 uniforms) to 4,096
+
+
+def _bucket_bits(n: int) -> int:
+    """log2 of the bucket count M that :func:`sample_measurement` looks n
+    uniforms up in: the largest M <= n/16 in ``_LOOKUP_BITS``, or 0 below
+    its lower end, where one ``searchsorted`` of the n uniforms is cheaper
+    than building the buckets."""
+    bits = (n // 16).bit_length() - 1
+    return 0 if bits < _LOOKUP_BITS.start else min(bits, _LOOKUP_BITS.stop - 1)
+
+
+@lru_cache(maxsize=None)
+def _bucket_edges(bits: int) -> np.ndarray:
+    """The M + 1 edges j/M of M = 2**bits buckets, shared and read only; each
+    is exact."""
+    edges = np.arange((1 << bits) + 1) / (1 << bits)
+    edges.flags.writeable = False
+    return edges

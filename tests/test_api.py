@@ -1,9 +1,13 @@
-"""The public name list, and no definition left behind without a use."""
+"""The public name list, no definition left behind without a use, and no
+cache that a caller's floats can grow without bound."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ionramsey
@@ -71,3 +75,31 @@ def test_cli_looks_up_only_schema_keys():
                     looked_up.append(sub.slice.value)
                     assert sub.slice.value in table, f"{node.name}: {sub.slice.value!r}"
     assert looked_up and len(looked_up) == text.count('values["')
+
+
+def _caches():
+    """(qualified name, wrapper) of every ``functools`` cache at the top level
+    of a package module."""
+    for path in SOURCES:
+        module = importlib.import_module(f"ionramsey.{path.stem}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and getattr(obj, "__module__", None) == module.__name__:
+                yield f"{path.stem}.{name}", obj
+
+
+def test_float_keyed_caches_are_bounded():
+    """A cache keyed by a caller's float (a phase, say) holds a bounded
+    number of entries: a scan over that float must not grow it without end."""
+    checked = []
+    for name, cache in _caches():
+        params = inspect.signature(cache.__wrapped__).parameters.values()
+        if any("float" in str(p.annotation) for p in params):
+            assert cache.cache_info().maxsize is not None, name
+            checked.append(name)
+    assert "protocols._pure_state" in checked and "protocols._reversed_close" in checked
+    state, close = ionramsey.protocols._pure_state, ionramsey.protocols._reversed_close
+    for phi0 in np.linspace(0.0, 1.0, 1000):
+        state("ghz", 2, float(phi0))
+        close(float(phi0))
+    for cache in (state, close):
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize

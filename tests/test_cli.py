@@ -1129,6 +1129,33 @@ class TestPinnedOutputs:
                for name in (f"{command}.csv", f"{command}_summary.json")]
         assert got == [table, summary]
 
+    # Scans the size of the benchmark's threaded_scan jobs: 6,000 trials a
+    # scaling point, and a sampled dephasing scan whose refinement runs.
+    WORKLOAD_SIZED = {
+        "scaling": (
+            "[run]\nseed = 5\n[scaling]\nl_values = 1 2 3 4\ntrials = 6000\n"
+            "t_ramsey = 0.8\nomega_0 = 0.2\n",
+            "c1c1e3d8ec4c9063bd4eb839335c998f88a4bd672bb1631a863ce1286fb629d0",
+            "9df8062fd555a308aad4457dbd7db74e83e4dd7f23a45d3d0ceea7833f537b0d",
+        ),
+        "dephasing": (
+            "[run]\nseed = 11\n[dephasing]\ngamma = 0.2\nn_ions = 2\nt_min = 0.4\n"
+            "t_max = 12.5\ngrid_points = 5\ntrials = 500\nmode = sampled\nrefine = true\n",
+            "6701c0021fabbcd3cd0a22cf3f619d07b37e0af300a51dbb7aae1a63e78eb1c1",
+            "4c195ac60112385757790c68110379a164a9e188ee45ceeb0d3aa59193b77f8c",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", WORKLOAD_SIZED)
+    def test_workload_sized_scans_keep_their_bytes(self, tmp_path, command):
+        text, table, summary = self.WORKLOAD_SIZED[command]
+        cfg = write_config(tmp_path, f"{command}.ini", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in (f"{command}.csv", f"{command}_summary.json")]
+        assert got == [table, summary]
+
 
 def test_readme_lists_the_schema_keys():
     """README's "Section keys per command" list names each schema key once."""

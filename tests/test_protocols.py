@@ -378,6 +378,47 @@ class TestStreamConsumption:
         assert np.array_equal(made[0][1].random(8), _drawn((13, 0, 0), 2300).random(8))
 
 
+class TestEstimatorMoments:
+    """The estimator's one-pass mean and standard error are numpy's to the bit,
+    on either side of the pairwise-sum block sizes (8 and 128 values)."""
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 6000])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_moments_are_numpys(self, protocol, n):
+        n_ions = 5
+        classes = stream(41, n).integers(0, 2 * n_ions, n)
+        s = protocol.signal(protocol.outcomes(classes, n_ions), n_ions)
+        mean, error = protocols._mean_and_error(s)
+        want = float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(n))
+        assert (mean.hex(), error.hex()) == (want[0].hex(), want[1].hex())
+
+
+class TestSharedPreparation:
+    """Admixture-free prepared states and time-reversed closes are cached,
+    read only; a run with an admixture gets its own writable copy."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_prepared_state_is_shared_and_read_only(self, protocol):
+        phi0 = 0.0 if protocol is Protocol.STANDARD else 0.4
+        cfg = RamseyConfig(n_ions=3, t_ramsey=1.0, omega_r=0.1, omega_0=0.0,
+                           protocol=protocol, phi0=phi0)
+        state = _prepare_dicke(cfg)
+        assert state is _prepare_dicke(replace(cfg, omega_r=0.2))
+        assert not state.dicke.flags.writeable
+        with pytest.raises(ValueError):
+            state.dicke[0] = 0.0
+        if protocol is not Protocol.STANDARD:
+            mixed = _prepare_dicke(replace(cfg, imperfection=ImperfectionSpec({1: 0.1})))
+            assert mixed.dicke.flags.writeable and mixed.dicke[1] != 0.0
+            assert state.dicke[1] == 0.0
+
+    def test_reversed_close_is_read_only(self):
+        mat = protocols._reversed_close(0.4)
+        assert not mat.flags.writeable
+        rot = gates._opening_pulse(0.4).inverse()
+        assert np.array_equal(mat, register.rotation_matrix(rot.theta, rot.phi))
+
+
 def _grid_cfg(protocol, n_ions):
     """Every knob the pipeline has: phi0, final_phase and an admixture."""
     ghz = protocol is not Protocol.STANDARD

@@ -30,9 +30,16 @@ from ionramsey import (
     sample_measurement,
     stream,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ionramsey.gates import prepare_ghz, reverse_prep
 from ionramsey.register import (
     DickeState,
+    _bucket_bits,
+    _bucket_edges,
+    _flip_counts,
+    _root_binomials,
     bus_purity,
     rotation_matrix,
 )
@@ -455,6 +462,69 @@ class TestSampling:
         sd_var = np.sqrt((m4 - m2**2) / n)
         assert m2 == pytest.approx(n_ions / 4, abs=1e-9)
         assert abs(var - m2) < 4 * sd_var
+
+
+    @pytest.mark.parametrize("n", [5, 5000])  # one CDF search, and the bucket lookup
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, np.nan, np.inf, -np.inf])
+    def test_uniform_outside_the_unit_interval_raises(self, n, bad):
+        # A negative uniform used to give class 0 and one >= 1 (or NaN) class
+        # 2 L, which no protocol can read; a bucket index would wrap round.
+        table = np.array([[0.1, 0.4], [0.3, 0.2]])
+        uniforms = np.full(n, 0.3)
+        uniforms[n // 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            sample_measurement(table, uniforms)
+
+    def test_cached_tables_are_read_only(self):
+        for bits in (7, 12):
+            edges = _bucket_edges(bits)
+            assert not edges.flags.writeable and len(edges) == (1 << bits) + 1
+        for array in (_root_binomials(5), *_flip_counts(5)):
+            assert not array.flags.writeable
+
+
+@st.composite
+def _born_tables(draw) -> np.ndarray:
+    """A (2, L) Born table, 1 <= L <= 24, most of whose classes may carry no
+    mass. Half the tables hold integer masses summing to a power of two on the
+    cells with C(L - 1, k) = 1, so each CDF value is a multiple of a power of
+    two: it sits on bucket edges."""
+    n_ions = draw(st.integers(1, MAX_IONS))
+    table = np.zeros((2, n_ions))
+    if draw(st.booleans()):
+        total = 1 << draw(st.integers(0, 12))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
+        for (b, k), mass in zip([(0, 0), (0, -1), (1, 0), (1, -1)], np.diff([0, *cuts, total])):
+            table[b, k] += mass
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        table = rng.random((2, n_ions)) * (rng.random((2, n_ions)) < draw(st.floats(0.05, 1.0)))
+        table[rng.integers(2), rng.integers(n_ions)] += 0.5  # some class has mass
+    return table
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(_born_tables(), st.sampled_from([0, *range(7, 13)]), st.data())
+def test_bucket_lookup_is_the_cdf_search(table, bits, data):
+    # The classes are cdf.searchsorted(u, side="right") whichever path runs:
+    # one search below 2,048 uniforms (bits 0), else 2**bits buckets. The
+    # uniforms include 0, 1 - 2**-53, every bucket edge, every CDF value
+    # below 1, and the float just below each edge and each value.
+    low = 1 if bits == 0 else 16 << bits
+    n = data.draw(st.integers(low, (2048 if bits == 0 else 32 << bits) - 1))
+    assert _bucket_bits(n) == bits
+    n_ions = table.shape[-1]
+    mass = (table * np.array([comb(n_ions - 1, k) for k in range(n_ions)])).reshape(-1)
+    cdf = np.cumsum(mass / mass.sum())
+    cdf /= cdf[-1]
+    edges = _bucket_edges(max(bits, 7))[:-1]
+    marks = np.concatenate([edges, cdf[cdf < 1]])
+    special = np.concatenate([[0.0, 1 - 2.0**-53], marks, np.nextafter(marks[marks > 0], 0.0)])
+    uniforms = stream(data.draw(st.integers(0, 2**32 - 1))).random(n)
+    uniforms[: len(special)] = special[:n]
+    got = sample_measurement(table, uniforms)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, cdf.searchsorted(uniforms, side="right"))
 
 
 def _half_fringe_register():

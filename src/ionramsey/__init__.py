@@ -1,9 +1,12 @@
 """Ramsey spectroscopy simulations on entangled trapped-ion registers.
 
-State-vector simulation of small ion strings (optionally with a shared
-motional bus qubit), entangling gate sequences for GHZ preparation, collective
-dephasing noise, frequency-estimation protocols, and Monte Carlo benchmarks of
-how the estimate uncertainty scales with ion number and interrogation time.
+Standard and GHZ Ramsey runs on strings of up to 24 ions, simulated in the
+(L + 1)-dimensional symmetric subspace, with dephasing noise and coherent
+GHZ imperfections; frequency-estimation protocols, and Monte Carlo
+benchmarks of how the estimate uncertainty scales with ion number and
+interrogation time. The gate-level scheme that prepares the GHZ states (a
+dense state vector with an optional motional bus qubit, CNOTs through the
+bus) is :mod:`ionramsey.gates`, imported by name and not re-exported here.
 """
 
 __version__ = "0.1.0"
@@ -30,19 +33,6 @@ from .errors import (
     NormError,
     ProtocolError,
 )
-from .gates import (
-    BusMap,
-    Cnot,
-    GateSequence,
-    Rot,
-    bus_map,
-    cn_sequence,
-    cn_via_bus,
-    cnot,
-    prepare_ghz,
-    prepare_ghz_via_bus,
-    reverse_prep,
-)
 from .noise import ImperfectionSpec, NoiseSpec, perturb_ghz
 from .protocols import (
     CalibrationState,
@@ -64,24 +54,13 @@ from .protocols import (
     synthesize_signal,
     two_point_calibrate,
 )
-from .register import (
-    MAX_IONS,
-    PulseSpec,
-    QubitRegister,
-    apply_rotation,
-    bus_purity,
-    free_evolve,
-    new_register,
-    sample_measurement,
-)
+from .register import MAX_IONS, free_evolve, sample_measurement
 from .streams import stream
 
 __all__ = [
     "AmbiguousFringeError",
-    "BusMap",
     "CalibrationState",
     "CapacityError",
-    "Cnot",
     "ConfigError",
     "ConvergenceError",
     "DegenerateSlopeError",
@@ -91,7 +70,6 @@ __all__ = [
     "FitError",
     "FourierFit",
     "FringeFit",
-    "GateSequence",
     "ImperfectionSpec",
     "IonRamseyError",
     "MAX_IONS",
@@ -99,20 +77,11 @@ __all__ = [
     "NormError",
     "Protocol",
     "ProtocolError",
-    "PulseSpec",
-    "QubitRegister",
     "RamseyConfig",
-    "Rot",
     "ScalingPoint",
     "ScalingReport",
     "Trials",
     "analytic_sigma_tau",
-    "apply_rotation",
-    "bus_map",
-    "bus_purity",
-    "cn_sequence",
-    "cn_via_bus",
-    "cnot",
     "dephasing_benchmark",
     "ensemble_contrast",
     "estimate_frequency",
@@ -124,11 +93,7 @@ __all__ = [
     "golden_section",
     "make_truth_simulator",
     "naive_single_point_omega0",
-    "new_register",
     "perturb_ghz",
-    "prepare_ghz",
-    "prepare_ghz_via_bus",
-    "reverse_prep",
     "run_ramsey",
     "sample_measurement",
     "scan_scaling",

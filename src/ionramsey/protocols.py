@@ -62,11 +62,11 @@ from .errors import (
     DegenerateSlopeError,
     FitError,
 )
-from .gates import _opening_pulse
 from .noise import ImperfectionSpec, NoiseSpec, _coherence_decay, perturb_ghz
 from .register import (
     DickeState,
     _binomials,
+    _opening_phase,
     born_table_pulse,
     born_table_reversed,
     dephase_pulse_table,
@@ -269,8 +269,7 @@ def _pure_state(family: str, n_ions: int, phi0: float) -> DickeState:
     if family == "standard":
         state = dicke_product(n_ions, rotation_matrix(np.pi / 2, 0.0)[:, 0])
     else:
-        rot = _opening_pulse(phi0)
-        state = dicke_ghz(n_ions, rotation_matrix(rot.theta, rot.phi)[:, 0])
+        state = dicke_ghz(n_ions, rotation_matrix(np.pi / 2, _opening_phase(phi0))[:, 0])
     state.dicke.flags.writeable = False
     return state
 
@@ -279,8 +278,7 @@ def _pure_state(family: str, n_ions: int, phi0: float) -> DickeState:
 def _reversed_close(phi0: float) -> np.ndarray:
     """The 2x2 rotation that ends the time-reversed readout, the inverse of
     the opening pulse at ``phi0``; read only."""
-    rot = _opening_pulse(phi0).inverse()
-    mat = rotation_matrix(rot.theta, rot.phi)
+    mat = rotation_matrix(np.pi / 2, _opening_phase(phi0) + np.pi)
     mat.flags.writeable = False
     return mat
 

@@ -1,16 +1,16 @@
-"""Dense state-vector register for a chain of two-level ions plus an
-optional bus qubit, and the symmetric subspace every run prepares in.
+"""The Dicke engine: the symmetric subspace every Ramsey run lives in, and
+the Born tables and the sampler that read it out.
 
 Conventions (fixed; everything downstream relies on them):
 
-* Basis index bits: ion 1 is the most significant bit, ion L the least
-  significant ion bit, and the bus qubit (if present) the very least
-  significant bit. Bit value 0 = |dn> (ground), 1 = |up>.
+* Bit value 0 of an ion = |dn> (ground), 1 = |up>.
 * Single-qubit rotations use
   ``R(theta, phi) = exp[-i(theta/2)(cos(phi) sx + sin(phi) sy)]``,
   whose matrix in the (|dn>, |up>) basis is
   ``[[cos(t/2), -i e^{-i phi} sin(t/2)], [-i e^{i phi} sin(t/2), cos(t/2)]]``.
   The inverse of ``R(theta, phi)`` is ``R(theta, phi + pi)``.
+* GHZ preparation opens with R(pi/2, phi0 + pi/2) on ion 1
+  (:func:`_opening_phase`), which leaves e^{i phi0} on |up...up>.
 * In the frame rotating at the drive frequency, a basis state with ``p``
   ions excited acquires phase ``exp(+i p delta_omega t)`` under free
   evolution with detuning ``delta_omega`` (drive minus atomic frequency).
@@ -18,16 +18,6 @@ Conventions (fixed; everything downstream relies on them):
   among ions 2..L, so a z measurement returns the readout class b L + k;
   reading it out (counting ions, parity, ion 1's spin) is the protocol's
   job, in one place: :meth:`.protocols.Protocol.outcomes`.
-
-Registers are values: every operation returns a new register and leaves its
-input untouched. ``amplitudes`` may carry leading batch axes, ``(..., 2**n)``,
-one state a row; pulses and gates act on each row as on that state alone.
-
-No kernel transposes the state. A pulse applies Kronecker blocks of its 2x2
-rotation (identity on the non-targets inside a block), each with one matmul:
-a register of up to five qubits is one block, a larger one runs in windows
-of four qubits counted back from the last. CNOT and SWAP (:mod:`.gates`)
-copy each block of the state once.
 
 Every state the Ramsey protocols prepare is symmetric under permuting the
 ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
@@ -40,13 +30,14 @@ density matrix stays invariant under permuting the ions, so its table is
 reached from the same L + 1 amplitudes: the closing kernels damp the
 coherences that dephasing decays (:func:`born_table_pulse`,
 :func:`born_table_reversed`) or flip each ion's reading
-(:func:`dephase_pulse_table`). The dense register serves the gate-level
-circuits of :mod:`.gates`, the tests' independent reference.
+(:func:`dephase_pulse_table`). No function here holds a 2**L array; the
+dense register and the gate-level circuits, the tests' independent
+reference, are in :mod:`.gates`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,27 +45,6 @@ import numpy as np
 from .errors import CapacityError
 
 MAX_IONS = 24
-_BLOCK_QUBITS = 4  # a pulse runs in Kronecker blocks of up to 16 x 16 ...
-_ONE_BLOCK_QUBITS = 5  # ... or as one block on a register of up to 5 qubits
-_I2 = np.eye(2, dtype=np.complex128)
-
-
-@dataclass
-class QubitRegister:
-    """State vector (or batch of them) over ``n_ions`` ions and, optionally,
-    one bus qubit."""
-
-    n_ions: int
-    has_bus: bool
-    amplitudes: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n_ions + (1 if self.has_bus else 0)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
 
 
 @dataclass
@@ -92,38 +62,9 @@ class DickeState:
     dicke: np.ndarray
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """Resonant pulse: rotation angle ``theta``, phase ``phi``, target ions.
-
-    ``targets`` are 1-based ion indices; the bus cannot be pulsed.
-    """
-
-    theta: float
-    phi: float
-    targets: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        targets = tuple(sorted(set(int(i) for i in self.targets)))
-        object.__setattr__(self, "targets", targets)
-        if not targets:
-            raise ValueError("pulse needs at least one target ion")
-        if targets[0] < 1:
-            raise ValueError(f"ion indices are 1-based, got {targets[0]}")
-
-
 def _check_capacity(n_ions: int) -> None:
     if not 1 <= n_ions <= MAX_IONS:
         raise CapacityError(f"n_ions must be in [1, {MAX_IONS}], got {n_ions}")
-
-
-def new_register(n_ions: int, has_bus: bool = False) -> QubitRegister:
-    """All ions (and bus) in |dn>: amplitude 1 on basis index 0."""
-    _check_capacity(n_ions)
-    n_qubits = n_ions + (1 if has_bus else 0)
-    amplitudes = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amplitudes[0] = 1.0
-    return QubitRegister(n_ions=n_ions, has_bus=has_bus, amplitudes=amplitudes)
 
 
 def dicke_product(n_ions: int, ion: np.ndarray) -> DickeState:
@@ -178,79 +119,11 @@ def rotation_matrix(theta: float, phi: float) -> np.ndarray:
     )
 
 
-def _qubit_axis(reg: QubitRegister, ion: int) -> int:
-    """Tensor axis of an ion once amplitudes are reshaped to [2]*n_qubits.
-
-    Ion 1 is the most significant bit and therefore the first axis.
-    """
-    if not 1 <= ion <= reg.n_ions:
-        raise ValueError(f"ion index {ion} out of range [1, {reg.n_ions}]")
-    return ion - 1
-
-
-def _bus_axis(reg: QubitRegister) -> int:
-    if not reg.has_bus:
-        raise ValueError("register has no bus qubit")
-    return reg.n_qubits - 1
-
-
-def apply_matrix_on_axis(
-    amplitudes: np.ndarray, mat: np.ndarray, axis: int, n_qubits: int
-) -> np.ndarray:
-    """Apply a ``2**k x 2**k`` block to the k qubits from ``axis`` on of flat
-    amplitudes ``(..., 2**n)``; ``axis`` counts qubits, after any batch axes.
-
-    One matmul, no transpose: a block that ends at the last qubit is
-    ``(rows, 2**k) @ mat.T``, any other is ``mat @`` the ``(pre, 2**k, post)``
-    view, one gemm a ``pre`` slice.
-    """
-    size = len(mat)
-    post = (1 << (n_qubits - axis)) // size
-    if post > 1:
-        return (mat @ amplitudes.reshape(-1, size, post)).reshape(amplitudes.shape)
-    return (amplitudes.reshape(-1, size) @ mat.T).reshape(amplitudes.shape)
-
-
-def _blocks(axes: list[int], n_qubits: int) -> list[tuple[int, int]]:
-    """``(first qubit, width)`` of the Kronecker blocks that cover the sorted
-    target ``axes``: windows of ``_BLOCK_QUBITS`` counted back from the last
-    qubit, each trimmed to its targets, except that the last window keeps the
-    qubits after its targets (the bus, say), so it stays one ``(rows, 2**k)``
-    product. A register of at most ``_ONE_BLOCK_QUBITS`` is one block, since
-    a block that starts at the first qubit runs one gemm per batch row."""
-    if n_qubits <= _ONE_BLOCK_QUBITS:
-        return [(0, n_qubits)]
-    blocks = []
-    for end in range(n_qubits, 0, -_BLOCK_QUBITS):
-        inside = [q for q in axes if end - _BLOCK_QUBITS <= q < end]
-        if inside:
-            last = n_qubits if end == n_qubits else inside[-1] + 1
-            blocks.append((inside[0], last - inside[0]))
-    return blocks
-
-
-def _kron(factors: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of 2x2 factors, the first on the most significant
-    qubit; a few times cheaper per call than chained ``np.kron``."""
-    block = factors[-1]
-    for f in reversed(factors[:-1]):
-        block = (f[:, None, :, None] * block[None, :, None, :]).reshape(2 * len(block), -1)
-    return block
-
-
-def apply_rotation(reg: QubitRegister, pulse: PulseSpec) -> QubitRegister:
-    """Apply R(theta, phi) to every target ion; non-targets untouched."""
-    if pulse.targets[-1] > reg.n_ions:
-        raise ValueError(
-            f"pulse targets ion {pulse.targets[-1]} but register has {reg.n_ions}"
-        )
-    mat = rotation_matrix(pulse.theta, pulse.phi)
-    axes = [_qubit_axis(reg, ion) for ion in pulse.targets]
-    amps = reg.amplitudes
-    for first, width in _blocks(axes, reg.n_qubits):
-        block = _kron([mat if q in axes else _I2 for q in range(first, first + width)])
-        amps = apply_matrix_on_axis(amps, block, first, reg.n_qubits)
-    return QubitRegister(reg.n_ions, reg.has_bus, amps)
+def _opening_phase(phi0: float) -> float:
+    """Phase of the R(pi/2, .) pulse on ion 1 that opens GHZ preparation:
+    after the star circuit's CNOTs, |up...up> carries e^{i phi0}. The inverse
+    pulse, which closes the time-reversed readout, has this phase + pi."""
+    return phi0 + np.pi / 2
 
 
 @lru_cache(maxsize=None)
@@ -277,15 +150,6 @@ def free_evolve(
     dw = np.asarray(delta_omega, dtype=float).astype(complex)[..., None]
     table = np.exp(_phase_rates(state.n_ions)[0] * dw * t.astype(complex)[..., None])
     return DickeState(state.n_ions, state.dicke * table)
-
-
-def bus_purity(reg: QubitRegister) -> float:
-    """Purity of the reduced bus state; 1.0 iff bus is unentangled."""
-    axis = _bus_axis(reg)
-    psi = np.moveaxis(reg.amplitudes.reshape([2] * reg.n_qubits), axis, -1)
-    a = psi.reshape(-1, 2)
-    rho = a.conj().T @ a
-    return float(np.real(np.trace(rho @ rho)))
 
 
 # ---------------------------------------------------------------------------

@@ -27,24 +27,19 @@ from ionramsey import (
     NoiseSpec,
     Protocol,
     RamseyConfig,
-    bus_purity,
-    cn_via_bus,
-    cnot,
     dephasing_benchmark,
     expected_signal,
     fit_fringe_frequency,
     fourier_decompose,
     make_truth_simulator,
     naive_single_point_omega0,
-    new_register,
     perturb_ghz,
-    prepare_ghz,
     run_ramsey,
     scan_scaling,
     synthesize_signal,
     two_point_calibrate,
 )
-from ionramsey.gates import QubitRegister
+from ionramsey.gates import QubitRegister, bus_purity, cn_via_bus, cnot, new_register, prepare_ghz
 from ionramsey.register import dicke_ghz
 
 

@@ -1,10 +1,14 @@
-"""The public name list, no definition left behind without a use, and no
-cache that a caller's floats can grow without bound."""
+"""The public name list, no definition left behind without a use, no
+cache that a caller's floats can grow without bound, and the layering that
+keeps the gate-level circuits off the Ramsey pipeline."""
 
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -103,3 +107,33 @@ def test_float_keyed_caches_are_bounded():
         close(float(phi0))
     for cache in (state, close):
         assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def _imported(node: ast.AST) -> set[str]:
+    """The absolute names an import statement of a package module loads."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    base = node.module if node.level == 0 else ".".join(filter(None, ("ionramsey", node.module)))
+    return {base} | {f"{base}.{alias.name}" for alias in node.names}
+
+
+def test_only_gates_holds_the_dense_register():
+    """The Ramsey pipeline runs in the Dicke subspace of ``register``: no
+    package module but ``gates`` itself imports from ``gates``."""
+    importers = [path.stem for path in SOURCES if path.stem != "gates" and any(
+        "ionramsey.gates" in _imported(node) for node in ast.walk(ast.parse(path.read_text())))]
+    assert importers == []
+    for statement, loads in (("from .gates import Rot", True), ("from . import gates", True),
+                             ("import ionramsey.gates", True), ("from .register import MAX_IONS", False)):
+        assert ("ionramsey.gates" in _imported(ast.parse(statement).body[0])) is loads
+
+
+def test_cli_import_leaves_gates_unloaded():
+    probe = "import sys, ionramsey.cli; print('ionramsey.gates' in sys.modules)"
+    fresh = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert fresh.stdout.strip() == "False"

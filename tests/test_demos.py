@@ -31,7 +31,7 @@ def read_table(path):
 
 
 @pytest.mark.parametrize(
-    "name", ["calibration_bias", "fringe_multiplication", "scaling_laws"]
+    "name", ["bus_ghz", "calibration_bias", "fringe_multiplication", "scaling_laws"]
 )
 def test_demo_writes_its_table(tmp_path, monkeypatch, capsys, name):
     demo = load_demo(name)

@@ -2,19 +2,25 @@
 
 The two-qubit primitives are validated against dense matrices assembled by
 enumerating basis indices directly (independent of the tensor-reshape code
-under test), and the bus-mediated controlled-NOT is compared exhaustively
-with the direct two-ion gate.
+under test), the bus-mediated controlled-NOT is compared exhaustively
+with the direct two-ion gate, and a batch of registers is prepared row by
+row.
 """
 
 import numpy as np
 import pytest
 
-from ionramsey import (
+from ionramsey import ProtocolError
+from ionramsey.gates import (
+    BUS,
+    BusMap,
+    Cnot,
     GateSequence,
-    ProtocolError,
     QubitRegister,
     Rot,
+    _cnot_kernel,
     bus_map,
+    bus_purity,
     cn_sequence,
     cn_via_bus,
     cnot,
@@ -23,8 +29,6 @@ from ionramsey import (
     prepare_ghz_via_bus,
     reverse_prep,
 )
-from ionramsey.gates import BUS, BusMap, Cnot, _two_qubit_op
-from ionramsey.register import bus_purity
 
 
 def dense_cnot(n_qubits, control_bit, target_bit):
@@ -110,25 +114,27 @@ class TestTwoQubitKernel:
     @pytest.mark.parametrize("kind", ["cnot", "swap"])
     @pytest.mark.parametrize("n_qubits", [2, 3, 5])
     def test_equals_index_permutation(self, n_qubits, kind):
-        # Every ordered axis pair: the last axis is where a bus would sit.
+        # CNOT on every ordered axis pair; SWAP, three CNOTs, between each
+        # ion and a bus on the last axis.
         rng = np.random.default_rng(n_qubits)
+        last = n_qubits - 1
         for rows in ((), (3,), (2, 2)):
             amps = rng.normal(size=rows + (1 << n_qubits,)) + 0j
             for a in range(n_qubits):
                 for b in range(n_qubits):
-                    if a != b:
-                        got = _two_qubit_op(amps, a, b, n_qubits, kind)
-                        assert np.array_equal(got, permuted(amps, n_qubits, a, b, kind))
+                    if kind == "cnot" and a != b:
+                        got = _cnot_kernel(amps, a, b, n_qubits)
+                    elif kind == "swap" and a < b == last:
+                        got = bus_map(QubitRegister(last, True, amps), a + 1).amplitudes
+                    else:
+                        continue
+                    assert np.array_equal(got, permuted(amps, n_qubits, a, b, kind))
 
     def test_bus_gates_equal_index_permutation(self):
         reg = random_register(3, True, np.random.default_rng(5))
         bus_cnot = GateSequence((Cnot(BUS, 2),)).apply(reg).amplitudes
         assert np.array_equal(bus_cnot, permuted(reg.amplitudes, 4, 3, 1, "cnot"))
         assert np.array_equal(bus_map(reg, 1).amplitudes, permuted(reg.amplitudes, 4, 0, 3, "swap"))
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            _two_qubit_op(np.zeros(4, complex), 0, 1, 2, "cz")
 
 
 class TestBusMediatedGate:
@@ -234,6 +240,42 @@ class TestGhzPreparation:
             reverse_prep(new_register(2), bus_seq)
 
 
+class TestBatches:
+    """Gates act on each row of a batch as on that state alone; the entry
+    checks look at every row."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("via_bus", [False, True])
+    def test_ground_batch_prepares_each_row_alone(self, via_bus, rows):
+        prepare = prepare_ghz_via_bus if via_bus else prepare_ghz
+        lone = new_register(3, has_bus=via_bus)
+        batch = QubitRegister(3, via_bus, np.tile(lone.amplitudes, (rows, 1)))
+        got, seq = prepare(batch, 0.4)
+        want, want_seq = prepare(lone, 0.4)
+        assert seq == want_seq
+        assert np.array_equal(got.amplitudes, np.tile(want.amplitudes, (rows, 1)))
+
+    @pytest.mark.parametrize("via_bus", [False, True])
+    def test_batch_with_one_excited_row_is_refused(self, via_bus):
+        prepare = prepare_ghz_via_bus if via_bus else prepare_ghz
+        amps = np.tile(new_register(3, has_bus=via_bus).amplitudes, (3, 1))
+        amps[1] = np.roll(amps[1], 2)  # ion 3 (or, with the bus, ion 2) up
+        with pytest.raises(ProtocolError):
+            prepare(QubitRegister(3, via_bus, amps), 0.4)
+
+    def test_bus_check_takes_the_worst_row(self):
+        # Each row's bus weight is under the tolerance; their sum is not.
+        amps = np.zeros((4, 8), dtype=complex)
+        amps[:, 0], amps[:, 1] = np.sqrt(1 - 0.6e-12), np.sqrt(0.6e-12)
+        batch = QubitRegister(2, True, amps)
+        got = cn_via_bus(batch, 1, 2).amplitudes
+        assert np.array_equal(got, [cn_via_bus(QubitRegister(2, True, row), 1, 2).amplitudes
+                                    for row in amps])
+        amps[2, 1] = 1e-3
+        with pytest.raises(ProtocolError):
+            cn_via_bus(QubitRegister(2, True, amps), 1, 2)
+
+
 class TestGateSequences:
     def test_inverse_on_random_states(self):
         rng = np.random.default_rng(3)
@@ -252,7 +294,7 @@ class TestGateSequences:
                 if kind == "rot":
                     ion = int(rng.integers(1, n_ions + 1))
                     theta, phi = rng.uniform(0, 2 * np.pi, size=2)
-                    gates.append(Rot(ion, float(theta), float(phi)))
+                    gates.append(Rot(float(theta), float(phi), (ion,)))
                 elif kind == "cnot":
                     c, t = rng.choice(np.arange(1, n_ions + 1), 2, replace=False)
                     gates.append(Cnot(int(c), int(t)))

@@ -20,7 +20,6 @@ from ionramsey import (
     ImperfectionSpec,
     NoiseSpec,
     Protocol,
-    QubitRegister,
     RamseyConfig,
     ensemble_contrast,
     expected_signal,
@@ -28,6 +27,7 @@ from ionramsey import (
     sample_measurement,
     stream,
 )
+from ionramsey.gates import QubitRegister
 from ionramsey.protocols import _run_state
 from ionramsey.register import DickeState, _binomials, dicke_ghz
 from test_register import (

@@ -1,25 +1,34 @@
 """Property checks: every state operation keeps the norm, a GHZ
-preparation's gate sequence inverts exactly, and on a batch of states
+preparation's gate sequence inverts exactly, on a batch of states
 ``(B, 2**n)`` (or of Dicke amplitudes ``(B, n + 1)``) every operation
-matches the same operation on each row alone.
+matches the same operation on each row alone, and the GHZ phase phi0 moves
+no admixture-free signal.
 
 Registers hold up to 6 ions (plus the optional bus). Hypothesis runs
 derandomized with a small example budget, so the suite stays deterministic
 and fast.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionramsey import (
     ImperfectionSpec,
-    PulseSpec,
-    QubitRegister,
-    apply_rotation,
+    Protocol,
+    RamseyConfig,
+    expected_signal,
     free_evolve,
-    new_register,
     perturb_ghz,
+)
+from ionramsey.gates import (
+    QubitRegister,
+    Rot,
+    apply_rotation,
+    new_register,
     prepare_ghz,
     prepare_ghz_via_bus,
     reverse_prep,
@@ -58,7 +67,7 @@ def assert_normalized(reg: QubitRegister | DickeState) -> None:
 def test_rotation_keeps_norm(n, has_bus, seed, theta, phi, data):
     targets = data.draw(st.sets(st.integers(1, n), min_size=1))
     reg = random_register(n, has_bus, seed)
-    assert_normalized(apply_rotation(reg, PulseSpec(theta, phi, tuple(targets))))
+    assert_normalized(apply_rotation(reg, Rot(theta, phi, tuple(targets))))
 
 
 @check
@@ -108,7 +117,7 @@ def assert_rows_match(batch: QubitRegister, singles: list) -> None:
 @check
 @given(n_ions, st.booleans(), seeds, rows, angles, angles, st.data())
 def test_batched_rotation_matches_rows(n, has_bus, seed, size, theta, phi, data):
-    pulse = PulseSpec(theta, phi, tuple(data.draw(st.sets(st.integers(1, n), min_size=1))))
+    pulse = Rot(theta, phi, tuple(data.draw(st.sets(st.integers(1, n), min_size=1))))
     singles, batch = random_batch(n, has_bus, seed, size)
     assert_rows_match(apply_rotation(batch, pulse), [apply_rotation(r, pulse) for r in singles])
 
@@ -129,3 +138,41 @@ def test_batched_reverse_prep_matches_rows(n, phi0, via_bus, seed, size):
     _, seq = prepare(new_register(n, has_bus=via_bus), phi0)
     singles, batch = random_batch(n, via_bus, seed, size)
     assert_rows_match(reverse_prep(batch, seq), [reverse_prep(r, seq) for r in singles])
+
+
+GHZ_PROTOCOLS = (Protocol.GHZ_PARITY, Protocol.GHZ_REVERSED)
+PHI0S = (0.3, 1.7, -2.9, 6.0)
+
+
+def _phi0_shift(cfg: RamseyConfig, phi0s=PHI0S) -> float:
+    """The largest move of cfg's expected signal over a T_R scan when its
+    phi0 (0 in cfg) is set to each of ``phi0s``."""
+    ts = np.linspace(0.1, 3.0, 7)
+    base = expected_signal(cfg, t_ramsey=ts)
+    return max(np.max(np.abs(expected_signal(replace(cfg, phi0=phi0), t_ramsey=ts) - base))
+               for phi0 in phi0s)
+
+
+@check
+@given(st.integers(1, 12), st.sampled_from(GHZ_PROTOCOLS), st.floats(-2.0, 2.0),
+       st.floats(-np.pi, np.pi), st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+def test_phi0_moves_no_admixture_free_ghz_signal(n, protocol, delta_omega, final_phase, phi0s):
+    # Every GHZ close tracks phi0: the parity pulse phase (phi0 - phi_f)/L +
+    # pi/2, or the inverse opening pulse.
+    cfg = RamseyConfig(n_ions=n, t_ramsey=1.0, omega_r=delta_omega, omega_0=0.0,
+                       protocol=protocol, final_phase=final_phase, allow_wrap=True)
+    assert _phi0_shift(cfg, PHI0S + tuple(phi0s)) <= 1e-12
+
+
+@pytest.mark.parametrize("protocol,epsilon", [
+    (Protocol.GHZ_PARITY, {1: 0.1, 3: 0.05j}),
+    (Protocol.GHZ_REVERSED, {2: 0.2}),
+])
+def test_phi0_moves_a_paired_admixture(protocol, epsilon):
+    # An admixture's phase is set against |dn...dn>, not against the
+    # e^{i phi0} on |up...up>, so phi0 is no gauge once epsilon pairs with
+    # the GHZ components in the readout: at L = 4 it moves the signal by
+    # about 0.02 (parity) and 0.076 (time-reversed).
+    cfg = RamseyConfig(n_ions=4, t_ramsey=1.0, omega_r=0.37, omega_0=0.0, protocol=protocol,
+                       imperfection=ImperfectionSpec(epsilon), allow_wrap=True)
+    assert _phi0_shift(cfg) > 0.01

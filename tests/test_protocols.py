@@ -415,7 +415,8 @@ class TestSharedPreparation:
     def test_reversed_close_is_read_only(self):
         mat = protocols._reversed_close(0.4)
         assert not mat.flags.writeable
-        rot = gates._opening_pulse(0.4).inverse()
+        _, seq = gates.prepare_ghz(gates.new_register(1), 0.4)  # the gate-level opening pulse
+        rot = seq.gates[0].inverse()
         assert np.array_equal(mat, register.rotation_matrix(rot.theta, rot.phi))
 
 
@@ -672,17 +673,20 @@ class TestSymmetricSubspace:
 def _forbid_dense_register(monkeypatch):
     """Make every dense-register entry point fail, the register type itself
     among them, in every ionramsey namespace that holds it."""
-    dense = (register.QubitRegister, register.new_register, register.apply_rotation,
+    dense = (gates.QubitRegister, gates.new_register, gates.apply_rotation,
              gates.prepare_ghz, gates.reverse_prep)
 
     def refuse(*args, **kwargs):
         raise AssertionError("the run reached the dense register")
 
+    patched = 0
     for name, module in list(sys.modules.items()):
         if name == "ionramsey" or name.startswith("ionramsey."):
             for attr, value in list(vars(module).items()):
                 if any(value is fn for fn in dense):
                     monkeypatch.setattr(module, attr, refuse)
+                    patched += 1
+    assert patched >= len(dense)
 
 
 def _mp_signals(cfg, ts):

@@ -20,27 +20,30 @@ from ionramsey import (
     MAX_IONS,
     ImperfectionSpec,
     Protocol,
-    PulseSpec,
-    QubitRegister,
     RamseyConfig,
-    apply_rotation,
     expected_signal,
     free_evolve,
-    new_register,
     sample_measurement,
     stream,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionramsey.gates import prepare_ghz, reverse_prep
+from ionramsey.gates import (
+    QubitRegister,
+    Rot,
+    apply_rotation,
+    bus_purity,
+    new_register,
+    prepare_ghz,
+    reverse_prep,
+)
 from ionramsey.register import (
     DickeState,
     _bucket_bits,
     _bucket_edges,
     _flip_counts,
     _root_binomials,
-    bus_purity,
     rotation_matrix,
 )
 
@@ -65,7 +68,7 @@ def embed_on_ions(single_qubit, n_ions, targets, has_bus=False):
 
 def all_ions_pi_half(n_ions, phi):
     """A pi/2 pulse at phase ``phi`` on every ion."""
-    return PulseSpec(np.pi / 2, phi, tuple(range(1, n_ions + 1)))
+    return Rot(np.pi / 2, phi, tuple(range(1, n_ions + 1)))
 
 
 def random_state(dim, rng):
@@ -152,7 +155,7 @@ class TestRotations:
 
     def test_pi_pulse_inverts_population(self):
         reg = new_register(1)
-        reg = apply_rotation(reg, PulseSpec(np.pi, 0.3, (1,)))
+        reg = apply_rotation(reg, Rot(np.pi, 0.3, (1,)))
         assert abs(reg.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rotation_inverse_identity(self):
@@ -160,8 +163,8 @@ class TestRotations:
         reg = new_register(2)
         reg = QubitRegister(2, False, random_state(4, rng))
         theta, phi = 1.1, -0.7
-        out = apply_rotation(reg, PulseSpec(theta, phi, (1, 2)))
-        out = apply_rotation(out, PulseSpec(theta, phi + np.pi, (1, 2)))
+        out = apply_rotation(reg, Rot(theta, phi, (1, 2)))
+        out = apply_rotation(out, Rot(theta, phi + np.pi, (1, 2)))
         np.testing.assert_allclose(out.amplitudes, reg.amplitudes, atol=1e-12)
 
     @pytest.mark.parametrize("has_bus", [False, True])
@@ -173,17 +176,19 @@ class TestRotations:
         dim = 2 ** (n_ions + has_bus)
         amps = random_state(dim, rng)
         reg = QubitRegister(n_ions, has_bus, amps.copy())
-        got = apply_rotation(reg, PulseSpec(theta, phi, targets))
+        got = apply_rotation(reg, Rot(theta, phi, targets))
         dense = embed_on_ions(rotation_matrix(theta, phi), n_ions, targets, has_bus)
         np.testing.assert_allclose(got.amplitudes, dense @ amps, atol=1e-12)
 
-    def test_pulse_spec_normalizes_targets(self):
-        spec = PulseSpec(0.5, 0.0, (3, 1, 3))
+    def test_rot_normalizes_targets(self):
+        spec = Rot(0.5, 0.0, (3, 1, 3))
         assert spec.targets == (1, 3)
         with pytest.raises(ValueError):
-            PulseSpec(0.5, 0.0, ())
+            Rot(0.5, 0.0, ())
         with pytest.raises(ValueError):
-            PulseSpec(0.5, 0.0, (0,))
+            Rot(0.5, 0.0, (0,))
+        with pytest.raises(ValueError):  # an ion the register lacks
+            apply_rotation(new_register(2), Rot(0.5, 0.0, (1, 3)))
 
 
 class TestFreeEvolution:
@@ -240,7 +245,7 @@ class TestKernelReferences:
             for rows in ((), (3,), (2, 2)):
                 amps = rng.normal(size=rows + (dim,)) + 1j * rng.normal(size=rows + (dim,))
                 reg = QubitRegister(n_ions, has_bus, amps)
-                got = apply_rotation(reg, PulseSpec(theta, phi, targets)).amplitudes
+                got = apply_rotation(reg, Rot(theta, phi, targets)).amplitudes
                 np.testing.assert_allclose(got, amps @ dense.T, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_ions", [1, 2, 4, 7])

@@ -10,19 +10,19 @@ Subcommands wrap the library's protocols and benchmarks::
 
 Configs are INI files (flat key-value with sections, diff-friendly for
 experiment logs): a command reads its own section plus the optional [run]
-section. ``_SCHEMA`` declares every key once, with its parser, default
-and range; :func:`main` parses both sections against it before the
-command runs, so unknown sections or keys, missing required keys and
-malformed, non-finite or out-of-range values are rejected up front. Every
-successful run writes ``<command>.csv`` (or ``.json`` with ``--format
-json``) plus ``<command>_summary.json`` into ``--out``; existing files are
-never overwritten unless ``--force`` is given. Each ``cmd_*`` function
-takes the parsed values and only computes a table and a summary;
-:func:`main` writes both once the command has returned, so a run that
-fails writes nothing. All outputs embed the
-library version and a manifest hash (sha256 over command, seed, format,
-flags, the config text and the bytes of a ``[fourier] input=`` file), and
-are byte-identical for equal seeds. ``--threads`` is accepted and must be
+section. ``_SCHEMA`` declares every key once, with its parser, default,
+range and the runs that read it; :func:`main` parses both sections against
+it before the command runs, so unknown sections or keys, missing required
+keys, malformed, non-finite or out-of-range values and keys the run's mode
+does not read are rejected up front. Every successful run writes
+``<command>.csv`` (or ``.json`` with ``--format json``) plus
+``<command>_summary.json`` into ``--out``; existing files are never
+overwritten unless ``--force`` is given. Each ``cmd_*`` function takes the
+parsed values and only computes a table and a summary; :func:`main` writes
+both once the command has returned, so a run that fails writes nothing. All
+outputs embed the library version and a manifest hash (sha256 over command,
+seed, format, flags, the config text and the bytes of a ``[fourier] input=``
+file), and are byte-identical for equal seeds. ``--threads`` is accepted and must be
 >= 1, but every run is single-threaded, so it cannot change an output.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
@@ -143,63 +143,65 @@ _TWO_L = (
 _REQUIRED = object()  # the default of a key the section must set
 
 # Every config key and its default, once: section -> key -> (parser,
-# default, range). A None default means "unset"; the key's comment says what then.
+# default, range, runs). A None default means "unset"; the key's comment says
+# what then. The runs that read a key: all (None), only those without
+# --expectation-mode (_SAMPLED) or only those with it; main refuses it in others.
+_SAMPLED, _EXPECTATION = False, True
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    "run": {"seed": (int, 0, None)},
+    "run": {"seed": (int, 0, None, None)},
     "ramsey": {
-        "protocol": (str, "ghz", None),
-        "n_ions": (int, _REQUIRED, None),
-        "t_ramsey": (_float, _REQUIRED, None),
-        "omega_0": (_float, 0.0, None),
-        "omega_r": (_float, _REQUIRED, None),
-        "readout": (str, "final_pulse", None),
-        "final_phase": (_float, 0.0, None),  # not with readout = time_reversed
-        "phi0": (_float, 0.0, None),
-        "shots": (int, 1000, _AT_LEAST_2),  # sampled runs only
-        "gamma": (_float, 0.0, None),
-        "noise_mode": (str, "independent", None),  # needs gamma > 0
-        "epsilon": (_epsilon, None, None),  # unset: no admixture
-        "allow_wrap": (_bool, False, None),  # sampled runs only
-        "scan_points": (int, 64, _AT_LEAST_1),  # --expectation-mode only
-        "scan_t_max": (_float, None, _POSITIVE),  # unset: t_ramsey; likewise
+        "protocol": (str, "ghz", None, None),
+        "n_ions": (int, _REQUIRED, None, None),
+        "t_ramsey": (_float, _REQUIRED, None, None),
+        "omega_0": (_float, 0.0, None, None),
+        "omega_r": (_float, _REQUIRED, None, None),
+        "readout": (str, "final_pulse", None, None),
+        "final_phase": (_float, 0.0, None, None),  # not with readout = time_reversed
+        "phi0": (_float, 0.0, None, None),
+        "shots": (int, 1000, _AT_LEAST_2, _SAMPLED),
+        "gamma": (_float, 0.0, None, _SAMPLED),
+        "noise_mode": (str, "independent", None, _SAMPLED),  # needs gamma > 0
+        "epsilon": (_epsilon, None, None, None),  # unset: no admixture
+        "allow_wrap": (_bool, False, None, _SAMPLED),
+        "scan_points": (int, 64, _AT_LEAST_1, _EXPECTATION),
+        "scan_t_max": (_float, None, _POSITIVE, _EXPECTATION),  # unset: t_ramsey
     },
     "scaling": {
-        "l_values": (_ints, _REQUIRED, _TWO_L),
-        "trials": (int, 10_000, _AT_LEAST_2),
-        "t_ramsey": (_float, 1.0, _POSITIVE),
-        "omega_0": (_float, 0.0, None),
+        "l_values": (_ints, _REQUIRED, _TWO_L, None),
+        "trials": (int, 10_000, _AT_LEAST_2, None),
+        "t_ramsey": (_float, 1.0, _POSITIVE, None),
+        "omega_0": (_float, 0.0, None, None),
     },
     "dephasing": {
-        "gamma": (_float, _REQUIRED, None),
-        "n_ions": (int, _REQUIRED, None),
-        "t_min": (_float, _REQUIRED, _POSITIVE),
-        "t_max": (_float, _REQUIRED, None),  # > t_min, checked by the command
-        "grid_points": (int, 12, None),
-        "trials": (int, 5000, _AT_LEAST_2),
-        "mode": (str, "sampled", None),
-        "refine": (_bool, True, None),
+        "gamma": (_float, _REQUIRED, None, None),
+        "n_ions": (int, _REQUIRED, None, None),
+        "t_min": (_float, _REQUIRED, _POSITIVE, None),
+        "t_max": (_float, _REQUIRED, None, None),  # > t_min, checked by the command
+        "grid_points": (int, 12, None, None),
+        "trials": (int, 5000, _AT_LEAST_2, _SAMPLED),  # not with mode = analytic
+        "mode": (str, "sampled", None, _SAMPLED),  # --expectation-mode: analytic
+        "refine": (_bool, True, None, None),
     },
     "calibrate": {
-        "n_ions": (int, _REQUIRED, None),
-        "omega_0": (_float, _REQUIRED, None),
-        "omega_r1": (_float, _REQUIRED, None),
-        "omega_r2": (_float, _REQUIRED, None),
-        "t_r1": (_float, _REQUIRED, None),
-        "t_r2": (_float, _REQUIRED, None),
-        "bias_tc": (_float, 0.0, None),
-        "tol": (_float, None, _POSITIVE),  # unset: the calibration's own default
-        "max_iter": (int, DEFAULT_MAX_ITER, _AT_LEAST_1),
-        "phi0": (_float, 0.0, None),
+        "n_ions": (int, _REQUIRED, None, None),
+        "omega_0": (_float, _REQUIRED, None, None),
+        "omega_r1": (_float, _REQUIRED, None, None),
+        "omega_r2": (_float, _REQUIRED, None, None),
+        "t_r1": (_float, _REQUIRED, None, None),
+        "t_r2": (_float, _REQUIRED, None, None),
+        "bias_tc": (_float, 0.0, None, None),
+        "tol": (_float, None, _POSITIVE, None),  # unset: the calibration's own default
+        "max_iter": (int, DEFAULT_MAX_ITER, _AT_LEAST_1, None),
     },
     "fourier": {  # set exactly one source: input, c (with optional xi) or epsilon
-        "input": (str, None, None),
-        "n_ions": (int, _REQUIRED, None),
-        "delta_omega": (_float, _REQUIRED, _NONZERO),
-        "grid_points": (int, 128, None),  # not with input
-        "c": (_floats, None, None),
-        "xi": (_floats, None, None),  # unset: zeros
-        "epsilon": (_epsilon, None, None),
-        "threshold": (_float, 0.1, None),
+        "input": (str, None, None, None),
+        "n_ions": (int, _REQUIRED, None, None),
+        "delta_omega": (_float, _REQUIRED, _NONZERO, None),
+        "grid_points": (int, 128, None, None),  # not with input
+        "c": (_floats, None, None, None),
+        "xi": (_floats, None, None, None),  # unset: zeros
+        "epsilon": (_epsilon, None, None, None),
+        "threshold": (_float, 0.1, None, None),
     },
 }
 
@@ -239,7 +241,7 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> ChainMap:
                 f"unknown key {key!r} in [{section}] (allowed: {sorted(table)})"
             )
     given = {}
-    for key, (parse, default, valid) in table.items():
+    for key, (parse, default, valid, _) in table.items():
         if key not in raw:
             if default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
@@ -369,10 +371,6 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         raise ConfigError("[ramsey] noise_mode needs gamma > 0; a noiseless run ignores it")
     if "final_phase" in given and values["readout"] == "time_reversed":
         raise ConfigError("[ramsey] final_phase has no effect with readout = time_reversed")
-    for key in ("shots", "allow_wrap") if manifest.expectation else ("scan_points", "scan_t_max"):
-        if key in given:
-            mode = "with" if manifest.expectation else "without"
-            raise ConfigError(f"[ramsey] {key} has no effect {mode} --expectation-mode")
     cfg = _by_name(
         RamseyConfig,
         values,
@@ -390,11 +388,6 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         "expectation_mode": manifest.expectation,
     }
     if manifest.expectation:
-        if cfg.noise is not None:
-            raise ConfigError(
-                "[ramsey] gamma must be 0 with --expectation-mode: the scan is "
-                "noiseless and would ignore it"
-            )
         points = values["scan_points"]
         t_max = values["scan_t_max"] or cfg.t_ramsey  # a set scan_t_max is > 0
         fringe = abs(cfg.delta_omega) * cfg.protocol.multiplier(cfg.n_ions)
@@ -469,6 +462,8 @@ def cmd_dephasing(manifest: RunManifest, values: ChainMap) -> Outputs:
     t_min, t_max = values["t_min"], values["t_max"]
     if t_max <= t_min:
         raise ConfigError(f"[dephasing] t_max must be > t_min, got {t_max} <= {t_min}")
+    if "trials" in values.maps[0] and values["mode"] == "analytic":
+        raise ConfigError("[dephasing] trials has no effect with mode = analytic")
     report = _by_name(
         dephasing_benchmark,
         values,
@@ -539,23 +534,24 @@ def _read_input(path: str | None) -> bytes | None:
 
 
 def _read_signal_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
-    """``t, signal`` rows; ``#`` comments and one leading header row are skipped."""
+    """``t, signal`` rows of finite numbers; ``#`` comments are skipped, and so
+    is a first row whose two cells do not both read as numbers (a header)."""
     ts, ss, first = [], [], True
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        header, first = first, False
         try:
-            t, s = map(_float, line.split(",")[:2])
+            t, s = map(float, line.split(",")[:2])
         except ValueError:
-            if not first:
-                raise ConfigError(
-                    f"bad signal row {line!r} in {path} (line {lineno})"
-                ) from None
-        else:
-            ts.append(t)
-            ss.append(s)
-        first = False
+            if header:
+                continue
+            t = s = math.nan
+        if not (math.isfinite(t) and math.isfinite(s)):
+            raise ConfigError(f"bad signal row {line!r} in {path} (line {lineno})")
+        ts.append(t)
+        ss.append(s)
     if not ts:
         raise ConfigError(f"no samples found in {path}")
     return np.array(ts), np.array(ss)
@@ -673,6 +669,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         text, parser = _load_config(args.config, args.command)
         values = _read_section(parser, args.command)
+        for key in values.maps[0]:
+            if _SCHEMA[args.command][key][3] not in (None, args.expectation_mode):
+                mode = "with" if args.expectation_mode else "without"
+                raise ConfigError(f"[{args.command}] {key} has no effect {mode} --expectation-mode")
         seed = _read_section(parser, "run")["seed"]
         manifest = RunManifest(
             command=args.command,

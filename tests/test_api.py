@@ -81,6 +81,34 @@ def test_cli_looks_up_only_schema_keys():
     assert looked_up and len(looked_up) == text.count('values["')
 
 
+# The README's words for the runs a key is read by, by its schema column.
+RUNS = {"sampled runs only": cli._SAMPLED, "`--expectation-mode` only": cli._EXPECTATION}
+
+
+def test_readme_lists_the_schema_keys():
+    """README's "Section keys per command" list names each schema key once,
+    in schema order, and marks with RUNS exactly the keys that only one mode
+    reads."""
+    text = (ROOT / "README.md").read_text().split("Section keys per command")[1]
+    listed: dict[str, dict[str, str]] = {}
+    bullet = None
+    for line in text.split("\n\n", 2)[1].splitlines():
+        if match := re.match(r"- `\[(\w+)\]`", line):
+            section, bullet = listed.setdefault(match[1], {}), None
+        elif match := re.match(r"  - `(\w+)`", line):
+            bullet = match[1]
+            section[bullet] = line
+        elif bullet is not None:
+            section[bullet] += " " + line.strip()
+    assert {name: list(keys) for name, keys in listed.items()} == {
+        name: list(table) for name, table in cli._SCHEMA.items()
+    }
+    for name, keys in listed.items():
+        for key, words in keys.items():
+            said = {runs for phrase, runs in RUNS.items() if phrase in words}
+            assert said == {cli._SCHEMA[name][key][3]} - {None}, (name, key)
+
+
 def _caches():
     """(qualified name, wrapper) of every ``functools`` cache at the top level
     of a package module."""

@@ -1,11 +1,15 @@
 """End-to-end command-line checks (in-process via cli.main)."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
-import re
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -584,6 +588,56 @@ class TestErrorPaths:
                 "trials",
                 id="dephasing_one_trial",
             ),
+            # Keys that one mode reads, refused in the other even at 0 or
+            # their default: each wrote what the run without it writes.
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 4.0\n"
+                "gamma = 0\n",
+                ("--expectation-mode",),
+                "gamma has no effect with --expectation-mode",
+                id="ramsey_zero_gamma_expectation",
+            ),
+            pytest.param(
+                "ramsey",
+                "[ramsey]\nprotocol = ghz\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 4.0\n"
+                "noise_mode = common\n",
+                ("--expectation-mode",),
+                "noise_mode has no effect with --expectation-mode",
+                id="ramsey_noise_mode_expectation",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\nt_max = 3.0\n"
+                "trials = 50\n",
+                ("--expectation-mode",),
+                "trials has no effect with --expectation-mode",
+                id="dephasing_trials_expectation",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\nt_max = 3.0\n"
+                "mode = sampled\n",
+                ("--expectation-mode",),
+                "mode has no effect with --expectation-mode",
+                id="dephasing_mode_expectation",
+            ),
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\nt_max = 3.0\n"
+                "trials = 50\nmode = analytic\n",
+                (),
+                "trials has no effect with mode = analytic",
+                id="dephasing_trials_analytic",
+            ),
+            # The calibration's state has no admixture, so phi0 was a gauge.
+            pytest.param(
+                "calibrate",
+                _ini("calibrate", {**MINIMAL["calibrate"], "phi0": "0.9"}),
+                (),
+                "unknown key 'phi0' in [calibrate]",
+                id="calibrate_phi0",
+            ),
             # A key set to its default still counts as set.
             pytest.param(
                 "ramsey",
@@ -666,7 +720,7 @@ class TestErrorPaths:
         [
             (section, key)
             for section, table in cli._SCHEMA.items()
-            for key, (_, _, valid) in table.items()
+            for key, (_, _, valid, _) in table.items()
             if valid is not None
         ],
     )
@@ -888,7 +942,7 @@ class TestOtherCommands:
             tmp_path,
             "d.ini",
             "[dephasing]\ngamma = 0.5\nn_ions = 3\nt_min = 0.05\nt_max = 3.0\n"
-            "grid_points = 9\ntrials = 50\n",
+            "grid_points = 9\n",
         )
         out = tmp_path / "out"
         code = main(
@@ -984,14 +1038,19 @@ class TestOtherCommands:
         )
         assert main(["fourier", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
-    def test_fourier_rejects_malformed_first_sample(self, tmp_path, capsys):
-        # Only the first row may be a header; a typo in the next one is an error.
+    @pytest.mark.parametrize(
+        "head,line",
+        [("t,signal\n0.0,1.O\n", 2), ("t,signal\n0.0,nan\n", 2), ("0.0,nan\n", 1),
+         ("inf,1\n", 1)],
+        ids=["typo_after_header", "nan_after_header", "nan_first", "inf_first"],
+    )
+    def test_fourier_rejects_malformed_first_sample(self, tmp_path, capsys, head, line):
+        # Only the first row may be a header; a typo in the next one is an
+        # error. A first row that reads as numbers is a sample, not a header:
+        # a first row 0.0,nan was skipped as one, and the run exited 0.
         t = 2 * np.pi * np.arange(1, 40) / 39
         data = tmp_path / "sig.csv"
-        data.write_text(
-            "t,signal\n0.0,1.O\n"
-            + "".join(f"{float(tt)!r},{float(np.cos(tt))!r}\n" for tt in t)
-        )
+        data.write_text(head + "".join(f"{float(tt)!r},{float(np.cos(tt))!r}\n" for tt in t))
         cfg = write_config(
             tmp_path,
             "f.ini",
@@ -1001,7 +1060,7 @@ class TestOtherCommands:
         assert main(["fourier", "--config", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
-        assert "line 2" in err["message"]
+        assert f"line {line}" in err["message"]
         assert not out.exists()
 
     def test_fourier_input_and_c_exits_2(self, tmp_path, capsys):
@@ -1157,24 +1216,11 @@ class TestPinnedOutputs:
         assert got == [table, summary]
 
 
-def test_readme_lists_the_schema_keys():
-    """README's "Section keys per command" list names each schema key once."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    text = readme.read_text().split("Section keys per command")[1]
-    listed: dict[str, list[str]] = {}
-    for line in text.split("\n\n", 2)[1].splitlines():
-        if match := re.match(r"- `\[(\w+)\]`", line):
-            section = listed.setdefault(match[1], [])
-        elif match := re.match(r"  - `(\w+)`", line):
-            section.append(match[1])
-    assert listed == {name: list(table) for name, table in cli._SCHEMA.items()}
-
-
 # Each schema key whose default is a constant: (section, key, default).
 CONSTANT_DEFAULTS = [
     (section, key, default)
     for section, table in cli._SCHEMA.items()
-    for key, (_, default, _) in table.items()
+    for key, (_, default, _, _) in table.items()
     if default is not None and default is not cli._REQUIRED
 ]
 
@@ -1191,6 +1237,8 @@ def test_schema_default_is_the_real_default(tmp_path, capsys, section, key, defa
     if command == "ramsey" and flags:  # no shots, and a fringe inside the scan
         del base["shots"]
         base["omega_r"] = "4.0"
+    if command == "dephasing" and flags:  # the flag picks the analytic mode
+        del base["mode"]
     base.pop(key, None)
     raw = str(default).lower() if isinstance(default, bool) else str(default)
     without = _ini(command, base)
@@ -1218,3 +1266,194 @@ def test_schema_default_is_the_real_default(tmp_path, capsys, section, key, defa
             for out in ("with", "without")
         )
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Every key changes its run
+# ---------------------------------------------------------------------------
+
+# The config each pair of sweep runs starts from, by command and by whether
+# --expectation-mode is given: MINIMAL, less what the mode refuses. A ramsey
+# scan takes no shots and needs a fringe inside the scan; a dephasing run
+# without the flag samples (at four grid points), so that it reads trials.
+SWEEP_BASES = {
+    **{(command, flag): values for command, values in MINIMAL.items() for flag in (False, True)},
+    ("ramsey", True): {"n_ions": "2", "t_ramsey": "1.0", "omega_r": "4.0"},
+    ("dephasing", False): {
+        "gamma": "0.5", "n_ions": "2", "t_min": "0.05", "t_max": "3.0", "grid_points": "4",
+    },
+    ("dephasing", True): {"gamma": "0.5", "n_ions": "2", "t_min": "0.05", "t_max": "3.0"},
+    # The fringe file is the only source that delta_omega moves: c and
+    # epsilon signals are synthesized on a grid of the fringe's own period.
+    **{("fourier", flag): {"input": str(SIGNAL_FILE), "n_ions": "3", "delta_omega": "0.5"}
+       for flag in (False, True)},
+}
+
+# The value the sweep sets each key to, away from its default and its base;
+# a pair is (sampled, --expectation-mode).
+SWEEP_VALUES = {
+    "run": {"seed": "3"},
+    "ramsey": {
+        "protocol": "standard", "n_ions": "3", "t_ramsey": "1.5", "omega_0": "0.1",
+        "omega_r": ("0.5", "4.2"), "readout": "time_reversed", "final_phase": "0.3", "phi0": "0.6",
+        "shots": "50", "gamma": "0.2", "noise_mode": "common", "epsilon": "1:0.1",
+        "allow_wrap": "true", "scan_points": "32", "scan_t_max": "2.0",
+    },
+    "scaling": {"l_values": "1 3", "trials": "150", "t_ramsey": "0.5", "omega_0": "0.3"},
+    "dephasing": {
+        "gamma": "0.4", "n_ions": "3", "t_min": "0.1", "t_max": "2.5", "grid_points": "5",
+        "trials": "60", "mode": "analytic", "refine": "false",
+    },
+    "calibrate": {
+        "n_ions": "3", "omega_0": "0.62", "omega_r1": "0.52", "omega_r2": "0.68",
+        "t_r1": "0.03", "t_r2": "2.5", "bias_tc": "5.0", "tol": "1e-9", "max_iter": "40",
+    },
+    "fourier": {
+        "input": str(SIGNAL_FILE), "n_ions": "4", "delta_omega": "0.6", "grid_points": "64",
+        "c": "0.5 0.3 0.2", "xi": "0.1 0.2 0.3", "epsilon": "1:0.1", "threshold": "0.5",
+    },
+}
+
+# Keys both runs of a pair set besides the base, by (section, key, flag);
+# None drops a base key. The expected signals of the two readouts agree
+# unless an admixture's phase is set against a nonzero phi0. The c source,
+# whose phases xi are, replaces the file.
+_C_SOURCE = {"input": None, "c": "0.5 0.3 0.2"}
+SWEEP_CONTEXT = {
+    ("ramsey", "noise_mode", False): {"gamma": "0.2"},
+    ("ramsey", "readout", True): {"epsilon": "1:0.1", "phi0": "0.6"},
+    **{("fourier", key, flag): _C_SOURCE for key in ("input", "xi") for flag in (False, True)},
+}
+
+# Keys that leave their run still when set alone, and why. The sweep checks
+# that each stays still, so the list cannot outlive its reason, and
+# KEYS_THAT_BITE holds a case in which each but [scaling] omega_0 moves.
+STILL_KEYS = {
+    ("run", "seed", True): "an expectation run draws nothing; it only records the seed",
+    **{("ramsey", "phi0", flag): "a gauge without epsilon: every GHZ readout tracks it"
+       for flag in (False, True)},
+    ("ramsey", "allow_wrap", False): "a limit: the base fringe does not wrap",
+    **{("scaling", "omega_0", flag): "dead in both modes, as every point sits at the half "
+       "fringe above it; perfbench/workloads.py scaling() writes it" for flag in (False, True)},
+    **{("calibrate", "max_iter", flag): "a limit: the base calibration settles sooner"
+       for flag in (False, True)},
+    **{("fourier", "threshold", flag): "a limit: the fitted admixtures lie on one side of both"
+       for flag in (False, True)},
+}
+
+# (command, base, flag, key, value): a case in which a still key moves its run.
+KEYS_THAT_BITE = [
+    ("ramsey", {**MINIMAL["ramsey"], "omega_r": "4.0"}, False, "allow_wrap", "true"),
+    ("calibrate", MINIMAL["calibrate"], False, "max_iter", "1"),
+    ("fourier", {**MINIMAL["fourier"], "n_ions": "3", "c": "0.5 0.3 0.2"}, False,
+     "threshold", "0.7"),
+    ("ramsey", {**SWEEP_BASES["ramsey", True], "readout": "time_reversed", "epsilon": "1:0.1"},
+     True, "phi0", "0.6"),
+    ("ramsey", MINIMAL["ramsey"], False, "seed", "3"),
+]
+
+
+def _cells(value):
+    """The leaves of a summary, keys included, numbers as floats."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield key
+            yield from _cells(value[key])
+    elif isinstance(value, list):
+        for item in value:
+            yield from _cells(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield float(value)
+    else:
+        yield value
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+@lru_cache(maxsize=None)
+def _sweep_run(command, items, flag, echo):
+    """(exit code, stderr, output cells) of one run of ``items`` (a seed goes
+    to [run]): the table's cells and the summary's leaves, without the
+    provenance and the summary's ``echo`` key."""
+    values = dict(items)
+    text = _ini(command, {k: v for k, v in values.items() if k != "seed"})
+    if "seed" in values:
+        text += f"[run]\nseed = {values['seed']}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "sweep.ini", Path(tmp) / "out"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(out),
+                         *(("--expectation-mode",) if flag else ())])
+        if code != 0:
+            return code, err.getvalue(), ()
+        table = [_number(cell) for line in (out / f"{command}.csv").read_text().splitlines()
+                 if not line.startswith("#") for cell in line.split(",")]
+        summary = json.loads((out / f"{command}_summary.json").read_text())
+        del summary["meta"]
+        summary.pop(echo, None)
+        return code, err.getvalue(), (*table, *_cells(summary))
+
+
+def _moved(a, b):
+    """Whether two runs' outputs differ beyond rounding: in their words, or in
+    a number by more than 1e-9 of the largest magnitude in either."""
+    if len(a) != len(b):
+        return True
+    scale = max((abs(x) for x in (*a, *b) if isinstance(x, float) and math.isfinite(x)),
+                default=0.0)
+    return any(
+        abs(x - y) > 1e-9 * scale if isinstance(x, float) and isinstance(y, float) else x != y
+        for x, y in zip(a, b)
+    )
+
+
+def _pair(command, base, flag, key, value):
+    """The run of ``base`` (less its None values) and the run with ``key`` set."""
+    values = {k: v for k, v in base.items() if v is not None}
+    varied = {**values, key: value}
+    return (_sweep_run(command, tuple(sorted(values.items())), flag, key),
+            _sweep_run(command, tuple(sorted(varied.items())), flag, key))
+
+
+SWEEP = [
+    pytest.param(section, key, flag, id=f"{section}-{key}-{'expectation' if flag else 'sampled'}")
+    for section, table in cli._SCHEMA.items()
+    for key in table
+    for flag in (False, True)
+]
+
+
+@pytest.mark.parametrize("section,key,flag", SWEEP)
+def test_every_key_changes_its_run(section, key, flag):
+    """A key set alone to a value away from its default either is refused
+    as having no effect (or needing another key), or moves the table or
+    summary beyond rounding, or is on the named list of still keys."""
+    command = "ramsey" if section == "run" else section
+    base = {**SWEEP_BASES[command, flag], **SWEEP_CONTEXT.get((section, key, flag), {})}
+    value = SWEEP_VALUES[section][key]
+    value = value[flag] if isinstance(value, tuple) else value
+    assert base.get(key) != value
+    (code0, err0, before), (code, err, after) = _pair(command, base, flag, key, value)
+    assert (code0, err0) == (0, "")
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        message = json.loads(lines[0])["message"]
+        assert "has no effect" in message or "needs" in message, message
+        assert key in message and (section, key, flag) not in STILL_KEYS
+        return
+    assert (code, err) == (0, "")
+    assert _moved(before, after) == ((section, key, flag) not in STILL_KEYS)
+
+
+@pytest.mark.parametrize("command,base,flag,key,value", KEYS_THAT_BITE)
+def test_still_key_moves_where_it_bites(command, base, flag, key, value):
+    (code0, _, before), (code, _, after) = _pair(command, base, flag, key, value)
+    assert code0 != code or _moved(before, after)

@@ -2,7 +2,8 @@
 
 Every config starts from a valid one of its command (``test_cli.MINIMAL``;
 for ``ramsey`` also a dephased and an expectation-mode one, whose 8 s scan
-spans several fringes) and changes up
+spans several fringes, and for ``dephasing`` also one without its analytic
+``mode``) and changes up
 to three keys of ``cli._SCHEMA``: a key is dropped or set
 to a value drawn from its parser's type. Besides ordinary values that
 includes the edges every range is tested at: 0, 1, 2, -1, 1e-300, 1e300
@@ -47,9 +48,13 @@ COST_CAPS = {
     "n_ions": 5, "shots": 60, "trials": 30, "grid_points": 24, "max_iter": 5,
     "scan_points": 96, "l_values": 4,
 }
-# The valid configs a drawn config starts from.
+# The valid configs a drawn config starts from. MINIMAL's dephasing run is
+# analytic by its mode key, which --expectation-mode refuses; the second
+# base sets no mode.
 BASES = {
     **{command: [values] for command, values in MINIMAL.items()},
+    "dephasing": [MINIMAL["dephasing"], {k: v for k, v in MINIMAL["dephasing"].items()
+                                         if k != "mode"}],
     "ramsey": [
         MINIMAL["ramsey"],
         {**MINIMAL["ramsey"], "gamma": "0.2"},

@@ -14,7 +14,10 @@ Two benchmarks:
 
 Time accounting charges tau = trials * T_R (zero dead time). Each
 (protocol, grid point) run draws all of its trials from its own
-counter-based random stream, so a report depends on its seed alone.
+counter-based random stream, so a report depends on its seed alone. A point
+keeps only the mean and standard error of its trials' signal, which their
+2L readout-class counts fix, so it draws those counts, one multinomial over
+its Born table (:func:`.register.sample_counts`), not one class per trial.
 
 Every experiment is run at its half-fringe operating point (detuning
 pi/(2 m T_R) with m the protocol's fringe multiplier) and the estimator's
@@ -36,10 +39,11 @@ from .noise import NoiseSpec
 from .protocols import (
     Protocol,
     RamseyConfig,
+    _run_state,
     ensemble_contrast,
-    estimate_frequency,
-    run_ramsey,
+    invert_fringe,
 )
+from .register import sample_counts
 
 # The two protocols every benchmark compares; reports label them by family.
 PROTOCOLS = (Protocol.STANDARD, Protocol.GHZ_PARITY)
@@ -87,10 +91,12 @@ def _half_fringe_sigma(
     noise: NoiseSpec | None = None,
 ) -> float:
     """The estimate's sigma for a run of ``shots`` trials at the half fringe
-    above ``omega_0``, dephased by ``noise``, on the stream
-    ``_run_stream(*path)``. It must be finite and > 0: when every shot of a
-    small run agrees it is 0, which measures nothing and would reach a log
-    or a ratio (``DegenerateSlopeError``)."""
+    above ``omega_0``, dephased by ``noise``. The run's readout-class counts
+    are one multinomial draw from its Born table (:func:`.register.sample_counts`)
+    on the stream ``stream(*path, 0)``, and the signal's mean and standard
+    error follow from them, as from the shots they tally. The sigma must be
+    finite and > 0: when every shot of a small run agrees it is 0, which
+    measures nothing and would reach a log or a ratio (``DegenerateSlopeError``)."""
     cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=t_ramsey,
@@ -100,22 +106,19 @@ def _half_fringe_sigma(
         protocol=protocol,
         shots=shots,
     )
-    run = run_ramsey(cfg, *_run_stream(*path))
-    sigma = estimate_frequency(run, operating_phase=np.pi / 2).sigma
+    if shots < 2:
+        raise ValueError(f"need at least 2 trials for a standard error, got {shots}")
+    counts = sample_counts(_run_state(cfg), shots, streams.stream(*path, 0))
+    signal = protocol.signal(protocol.outcomes(np.arange(2 * n_ions), n_ions), n_ions)
+    mean = float(counts @ signal) / shots
+    spread = float(counts @ np.square(signal - mean)) / (shots - 1)
+    sigma = invert_fringe(cfg, mean, math.sqrt(spread / shots), operating_phase=np.pi / 2).sigma
     if not 0.0 < sigma < math.inf:
         raise DegenerateSlopeError(
             f"the {protocol.family} run at L = {n_ions}, T_R = {t_ramsey!r} "
             f"has sigma {sigma}: its {shots} shots show no spread"
         )
     return sigma
-
-
-def _run_stream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
-    """The random stream every shot of the sampled run at ``path`` is drawn
-    from, ``stream(seed, *path, 0)``, and its label ``seed/.../0``: the
-    arguments :func:`run_ramsey` takes after the config."""
-    full = (seed, *path, 0)
-    return streams.stream(*full), "/".join(map(str, full))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +148,19 @@ class ScalingReport:
 
 
 def _loglog_slope(l_values: np.ndarray, sigmas: np.ndarray) -> tuple[float, float]:
+    """The ordinary least-squares slope of log sigma against log L and its
+    1-sigma error sqrt(SSR / (n - 2) / Sxx), what ``np.polyfit(x, y, 1,
+    cov=True)`` quotes; two points fix the line exactly, with no residual to
+    scale an error by, so their error is 0."""
     x = np.log(np.asarray(l_values, dtype=float))
     y = np.log(np.asarray(sigmas, dtype=float))
+    dx, dy = x - np.mean(x), y - np.mean(y)
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
     if len(x) < 3:
-        # Two points fix the line exactly; no residual to scale an error by.
-        coef = np.polyfit(x, y, 1)
-        return float(coef[0]), 0.0
-    coef, cov = np.polyfit(x, y, 1, cov=True)
-    return float(coef[0]), float(np.sqrt(cov[0, 0]))
+        return slope, 0.0
+    residuals = dy - slope * dx
+    return slope, math.sqrt(float(residuals @ residuals) / (len(x) - 2) / sxx)
 
 
 def scan_scaling(
@@ -167,11 +175,12 @@ def scan_scaling(
 
     Each point runs ``trials`` noiseless shots of Ramsey time ``t_ramsey``
     at the half-fringe operating point above the resonance ``omega_0`` and
-    propagates the per-shot sample spread through the fringe slope. Slopes
-    of log sigma vs log L are least-squares fits; their quoted 1-sigma
-    uncertainty comes from the fit covariance (with few trials the points
-    scatter more and the interval widens accordingly; reports with fewer
-    than 1000 trials are additionally flagged ``low_statistics``).
+    propagates the per-shot sample spread, which the shots' readout-class
+    counts fix, through the fringe slope. Slopes of log sigma vs log L are
+    least-squares fits; their quoted 1-sigma uncertainty comes from the fit
+    covariance (with few trials the points scatter more and the interval
+    widens accordingly; reports with fewer than 1000 trials are additionally
+    flagged ``low_statistics``).
     """
     if len(l_values) < 2:
         raise ConfigError("need at least two L values to fit a scaling slope")
@@ -279,10 +288,11 @@ def dephasing_benchmark(
     dephasing at rate gamma; locates each protocol's optimum Ramsey time.
 
     ``mode="sampled"`` runs Monte Carlo trials (one projective shot per
-    trial, drawn from the dephased Born table); ``mode="analytic"`` evaluates the
-    infinite-trial formulas. After the coarse grid, the optimum is refined
-    by golden section inside the bracketing grid cells unless the coarse
-    argmin sits on the grid boundary (then it is flagged and left as is).
+    trial, drawn from the dephased Born table and tallied by readout class);
+    ``mode="analytic"`` evaluates the infinite-trial formulas. After the
+    coarse grid, the optimum is refined by golden section inside the
+    bracketing grid cells unless the coarse argmin sits on the grid boundary
+    (then it is flagged and left as is).
     """
     if gamma <= 0:
         raise ConfigError("dephasing benchmark needs gamma > 0")

@@ -51,12 +51,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, streams
 from .bench import (
     PROTOCOLS,
     SCHEMA_VERSION,
     _loglog_slope,
-    _run_stream,
     dephasing_benchmark,
     scan_scaling,
     theory_sigma,
@@ -327,27 +326,37 @@ def _write_outputs(
     for each ``k`` in ``index``. Both files are staged under hidden names in
     ``--out`` and renamed into place once both are complete. An ``OSError``
     (``--out`` below a regular file, say) is a ``ConfigError``. A failed write
-    removes its staged files and the directories it made."""
+    removes the staged files it began and the directories it made."""
     staged = [path.with_name(f".{path.name}.partial") for path in paths]
     out_dir = paths[0].parent
-    made = [None, *takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents))][-1]
+    made, begun = None, []
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir()
+            made = out_dir
+        except FileExistsError:
+            if not out_dir.is_dir():
+                raise
+        except FileNotFoundError:  # its parent is missing too: make the topmost missing one
+            made = [*takewhile(lambda d: not d.exists(), out_dir.parents)][-1]
+            out_dir.mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
+        begun.append(staged[0])
         if manifest.fmt == "csv":
             write_table_csv(staged[0], columns, rows, meta, index)
         else:
             dicts = [dict(zip(columns, row)) for row in rows]
             dicts = dicts if index is None else [dicts[k] for k in index]
             write_json(staged[0], {"meta": meta, "rows": dicts})
+        begun.append(staged[1])
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
             written.replace(path)
-        made = None  # complete: the directories stay
+        made, begun = None, []  # complete: the directories stay, no staged file is left
     except OSError as exc:
         raise ConfigError(f"cannot write outputs to --out {manifest.out_dir}: {exc}") from exc
     finally:
-        for written in staged:
+        for written in begun:
             if written.exists():  # unlink(missing_ok=True) raises below a regular file
                 written.unlink()
         if made is not None:  # the topmost directory this failed write created
@@ -363,6 +372,14 @@ def _write_outputs(
 # ``ramsey`` adds its table's index into the rows (see ``trial_rows``) or None.
 Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 RamseyOutputs = tuple[tuple[str, ...], list, dict[str, object], list[int] | None]
+
+
+def _run_stream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
+    """The random stream every shot of the sampled run at ``path`` is drawn
+    from, ``stream(seed, *path, 0)``, and its label ``seed/.../0``: the
+    arguments :func:`.protocols.run_ramsey` takes after the config."""
+    full = (seed, *path, 0)
+    return streams.stream(*full), "/".join(map(str, full))
 
 
 def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:

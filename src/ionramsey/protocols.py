@@ -41,7 +41,10 @@ or a whole scan. A sampled run passes its noise, None when noiseless (see
 :class:`RamseyConfig`), and gets the dephased density matrix's table: the
 mean of every dephasing trajectory's table, and so the law each independent
 shot follows. No run holds a 2**L array. Every shot is drawn from its run's
-table by :func:`.register.sample_measurement`. The tests check the tables
+table by :func:`.register.sample_measurement`; a scan point of :mod:`.bench`
+draws its shots' readout-class counts from the table in one go
+(:func:`.register.sample_counts`), and :func:`invert_fringe` turns either's
+signal moments into an estimate. The tests check the tables
 against the gate-level circuits of :mod:`.gates`, the dense density matrix
 and dense trajectories.
 """
@@ -424,26 +427,37 @@ def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) 
     point sits in (0, pi) — the half-fringe convention). ``estimate`` is
     dw_hat = omega_R - omega0_hat; ``sigma`` is sigma_S / |dS/d omega| with
     sigma_S the standard error of the mean, so a run needs two trials or
-    more (``ValueError`` otherwise).
-
-    The model fringe is the one the run's config implies: its contrast is
-    the :func:`ensemble_contrast` of ``trials.cfg`` (1 for a noiseless run;
-    a ``ValueError`` where it underflows to 0) and its phase the protocol's
-    :meth:`Protocol.readout_phase` of ``cfg.final_phase``. ``operating_phase``
-    pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
-    the half-fringe) instead of the inverted one.
+    more (``ValueError`` otherwise). The inversion is :func:`invert_fringe`.
     """
     if len(trials.outcomes) < 2:
         raise ValueError(
             f"need at least 2 trials for a standard error, got {len(trials.outcomes)}"
         )
     cfg = trials.cfg
+    mean, sigma_s = _mean_and_error(cfg.protocol.signal(trials.outcomes, cfg.n_ions))
+    return invert_fringe(cfg, mean, sigma_s, operating_phase=operating_phase)
+
+
+def invert_fringe(
+    cfg: RamseyConfig, mean: float, sigma_s: float, *, operating_phase: float | None = None
+) -> Estimate:
+    """The detuning estimate and its 1-sigma error of a run of ``cfg`` whose
+    signal has sample mean ``mean`` and standard error ``sigma_s``: the one
+    inversion of the fringe model, whether the moments come from recorded
+    shots (:func:`estimate_frequency`) or from readout-class counts.
+
+    The model fringe is the one the config implies: its contrast is the
+    :func:`ensemble_contrast` of ``cfg`` (1 for a noiseless run; a
+    ``ValueError`` where it underflows to 0) and its phase the protocol's
+    :meth:`Protocol.readout_phase` of ``cfg.final_phase``. ``operating_phase``
+    pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
+    the half-fringe) instead of the inverted one; a slope that vanishes there
+    raises ``DegenerateSlopeError``.
+    """
     protocol, t_r = cfg.protocol, cfg.t_ramsey
     contrast = ensemble_contrast(cfg.n_ions, cfg.noise, t_r, protocol)
     if contrast <= 0:
         raise ValueError("contrast must be positive")
-
-    mean, sigma_s = _mean_and_error(protocol.signal(trials.outcomes, cfg.n_ions))
     mult = protocol.multiplier(cfg.n_ions)
     offset, scale = protocol.fringe
     u = min(max((mean - offset) / (scale * contrast), -1.0), 1.0)

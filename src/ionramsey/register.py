@@ -1,5 +1,5 @@
 """The Dicke engine: the symmetric subspace every Ramsey run lives in, and
-the Born tables and the sampler that read it out.
+the Born tables and the samplers that read it out.
 
 Conventions (fixed; everything downstream relies on them):
 
@@ -24,8 +24,9 @@ ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
 rotations, one cached matrix per L) and free evolution never leave the
 (L + 1)-dimensional Dicke subspace. A :class:`DickeState` holds such a state,
 or a batch of them, and free evolution acts on it alone. Its closing readout
-leaves a (2, L) Born table per state, which expectation mode averages and
-:func:`sample_measurement` samples. Dephasing makes the state mixed, but its
+leaves a (2, L) Born table per state, which expectation mode averages,
+:func:`sample_measurement` samples shot by shot and :func:`sample_counts`
+tallies by readout class. Dephasing makes the state mixed, but its
 density matrix stays invariant under permuting the ions, so its table is
 reached from the same L + 1 amplitudes: the closing kernels damp the
 coherences that dephasing decays (:func:`born_table_pulse`,
@@ -153,7 +154,7 @@ def free_evolve(
 
 
 # ---------------------------------------------------------------------------
-# Born tables, and the one sampler that draws shots from them
+# Born tables, and the two samplers that draw shots or class counts from them
 # ---------------------------------------------------------------------------
 #
 # Each readout below leaves a state whose Born probability of basis index x
@@ -280,12 +281,32 @@ def born_table_reversed(
     return coherence * table + (1 - coherence) * apart
 
 
+def _class_masses(table: np.ndarray) -> np.ndarray:
+    """The 2L normalised class masses of a (2, L) Born table, in class order:
+    cell [b, k] times the C(L - 1, k) basis indices of class b L + k, over
+    their sum. A fresh array, which :func:`sample_measurement` accumulates in
+    place."""
+    n = table.shape[-1]
+    mass = (table * _binomials(n - 1)[n - 1, :n]).reshape(2 * n)
+    mass /= np.add.reduce(mass)  # the sum, without its wrapper
+    return mass
+
+
+def sample_counts(table: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``shots`` Born-rule z measurements of a (2, L) Born table
+    fall in each readout class, in class order (``int64``, length 2L): one
+    ``rng.multinomial(shots, masses)`` draw over :func:`_class_masses`. The
+    counts follow the law of :func:`sample_measurement`'s classes, tallied,
+    at O(L) cost whatever ``shots``."""
+    return rng.multinomial(shots, _class_masses(table))
+
+
 def sample_measurement(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Readout classes (``int64``) of Born-rule z measurements of a (2, L)
     Born table, one per uniform in [0, 1); any other uniform, NaN among
     them, raises ``ValueError``. Class b L + k holds the C(L - 1, k) basis
-    indices of cell [b, k]; the class masses are normalised and their CDF
-    inverted as ``Generator.choice`` does, so ``uniforms = rng.random(n)``
+    indices of cell [b, k]; the CDF of the class masses (:func:`_class_masses`)
+    is inverted as ``Generator.choice`` does, so ``uniforms = rng.random(n)``
     draws what ``rng.choice(2 L, n, p=...)`` would: the class of u is the
     number of CDF values <= u, ``cdf.searchsorted(u, side="right")``.
 
@@ -296,10 +317,8 @@ def sample_measurement(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     others, at most 2L - 1 buckets, are searched. Per shot that costs O(1)
     whatever L.
     """
-    n = table.shape[-1]
-    mass = (table * _binomials(n - 1)[n - 1, :n]).reshape(2 * n)
-    mass /= np.add.reduce(mass)  # the sum and cumsum, without their wrappers
-    cdf = np.add.accumulate(mass, out=mass)
+    mass = _class_masses(table)
+    cdf = np.add.accumulate(mass, out=mass)  # the cumsum, without its wrapper
     cdf /= cdf[-1]
     u = np.asarray(uniforms, dtype=float)
     if u.size and not (np.minimum.reduce(u, None) >= 0.0 and np.maximum.reduce(u, None) < 1.0):

@@ -7,6 +7,9 @@ the state vector, and propagate. No formula under test appears in the
 oracle path.
 """
 
+from fractions import Fraction
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -15,13 +18,23 @@ from ionramsey import (
     ConfigError,
     Protocol,
     RamseyConfig,
+    NoiseSpec,
     dephasing_benchmark,
+    estimate_frequency,
     expected_signal,
+    run_ramsey,
     scan_scaling,
     theory_sigma,
 )
-from ionramsey.bench import PROTOCOLS, analytic_sigma_tau, golden_section
-from ionramsey import streams
+from ionramsey.bench import (
+    PROTOCOLS,
+    _half_fringe_sigma,
+    _loglog_slope,
+    analytic_sigma_tau,
+    golden_section,
+)
+from ionramsey import protocols, register, streams
+from ionramsey.protocols import Trials, _run_state
 
 STANDARD, GHZ = PROTOCOLS
 
@@ -194,6 +207,124 @@ class TestDephasingBenchmark:
             dephasing_benchmark(0.5, 2, np.array([0.3, 0.2, 0.1]), 10, seed=0)
         with pytest.raises(ConfigError):
             dephasing_benchmark(0.5, 2, np.array([0.1, 0.2, 0.3]), 10, seed=0, mode="magic")
+
+
+def _half_fringe_cfg(protocol, n_ions, t_ramsey, shots, noise=None):
+    """The config of a scan point: the half fringe above resonance 0."""
+    omega_r = np.pi / (2 * protocol.multiplier(n_ions) * t_ramsey)
+    return RamseyConfig(
+        n_ions=n_ions, t_ramsey=t_ramsey, omega_r=omega_r, omega_0=0.0,
+        noise=noise, protocol=protocol, shots=shots,
+    )
+
+
+def _tallied_sigma(cfg, path):
+    """Oracle: the per-shot estimator's sigma over the shots that one
+    ``multinomial`` draw on the stream ``(*path, 0)`` tallies, class by class
+    in class order."""
+    n = cfg.n_ions
+    masses = (_run_state(cfg) * [math.comb(n - 1, k) for k in range(n)]).reshape(-1)
+    counts = streams.stream(*path, 0).multinomial(cfg.shots, masses / masses.sum())
+    outcomes = np.repeat(cfg.protocol.outcomes(np.arange(2 * n), n), counts)
+    return estimate_frequency(Trials(cfg, outcomes, ""), operating_phase=np.pi / 2).sigma
+
+
+class TestCountedScanPoints:
+    """A sampled scan point draws its readout-class counts, one multinomial
+    over its run's Born table, not one class per shot."""
+
+    def test_scaling_point_is_the_inverted_multinomial(self):
+        report = scan_scaling([1, 2, 3], trials=700, t_ramsey=0.9, seed=6)
+        for point in report.points:
+            p = [q.family for q in PROTOCOLS].index(point.protocol)
+            protocol, l_idx = PROTOCOLS[p], [1, 2, 3].index(point.n_ions)
+            cfg = _half_fringe_cfg(protocol, point.n_ions, 0.9, 700)
+            assert point.sigma_measured == pytest.approx(
+                _tallied_sigma(cfg, (6, p, l_idx)), rel=1e-12
+            )
+
+    def test_dephasing_point_is_the_inverted_multinomial(self):
+        t_grid = np.geomspace(0.2, 2.0, 4)
+        report = dephasing_benchmark(0.4, 3, t_grid, trials=600, seed=9, refine=False)
+        noise = NoiseSpec(gamma=0.4, mode="independent")
+        for p, protocol in enumerate(PROTOCOLS):
+            for k, t in enumerate(t_grid):
+                cfg = _half_fringe_cfg(protocol, 3, float(t), 600, noise)
+                want = _tallied_sigma(cfg, (9, p, k)) * math.sqrt(600 * float(t))
+                got = report.curves[protocol.family].sigma_tau[k]
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "protocol,noise",
+        [
+            pytest.param(STANDARD, None, id="standard-noiseless"),
+            pytest.param(GHZ, NoiseSpec(gamma=0.3, mode="independent"), id="ghz-dephased"),
+        ],
+    )
+    def test_sigma_agrees_with_the_per_shot_estimator(self, protocol, noise):
+        # Over 300 seeds, the counted sigma and run_ramsey + estimate_frequency
+        # on a stream of its own have one mean, within 4 standard errors.
+        n_ions, t_ramsey, shots = 3, 0.7, 200
+        cfg = _half_fringe_cfg(protocol, n_ions, t_ramsey, shots, noise)
+        counted, per_shot = [], []
+        for seed in range(300):
+            counted.append(
+                _half_fringe_sigma(protocol, n_ions, t_ramsey, shots, (seed, 0), noise=noise)
+            )
+            run = run_ramsey(cfg, streams.stream(seed, 1, 0))
+            per_shot.append(estimate_frequency(run, operating_phase=np.pi / 2).sigma)
+        error = math.hypot(np.std(counted, ddof=1), np.std(per_shot, ddof=1)) / math.sqrt(300)
+        assert abs(np.mean(counted) - np.mean(per_shot)) < 4 * error
+
+    def test_scans_sample_no_shot(self, monkeypatch):
+        def no_shots(*args):
+            raise AssertionError("a scan point drew shots one by one")
+
+        monkeypatch.setattr(register, "sample_measurement", no_shots)
+        monkeypatch.setattr(protocols, "sample_measurement", no_shots)
+        report = scan_scaling([1, 2], trials=300, seed=2)
+        assert len(report.points) == 4
+        report = dephasing_benchmark(0.5, 2, np.geomspace(0.1, 3.0, 4), trials=300, seed=2)
+        assert report.mode == "sampled"
+
+
+def _exact_slope(x, y):
+    """Oracle: the least-squares slope and its sigma in rational arithmetic
+    on the floats x and y, rounded once."""
+    x, y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    n = len(x)
+    mx, my = sum(x) / n, sum(y) / n
+    sxx = sum((a - mx) ** 2 for a in x)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    ssr = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    return float(slope), math.sqrt(ssr / (n - 2) / sxx)
+
+
+class TestLoglogSlope:
+    def _sets(self, seed, count):
+        """Random 3-8-point sets: distinct ion numbers, sigmas near a power law."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            l_values = rng.choice(np.arange(1, 25), int(rng.integers(3, 9)), replace=False)
+            sigmas = l_values ** rng.uniform(-1.5, -0.3) * rng.uniform(0.5, 2.0, len(l_values))
+            yield l_values, sigmas
+
+    def test_matches_polyfit_covariance(self):
+        for l_values, sigmas in self._sets(0, 2000):
+            slope, sigma = _loglog_slope(l_values, sigmas)
+            coef, cov = np.polyfit(np.log(l_values), np.log(sigmas), 1, cov=True)
+            assert slope == pytest.approx(coef[0], rel=1e-12)
+            assert sigma == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+
+    def test_matches_exact_arithmetic(self):
+        # np.polyfit's own rounding strays up to ~2e-12 from these on other
+        # sets; the closed form stays within 1e-12 of the exact values.
+        for l_values, sigmas in self._sets(1, 300):
+            want = _exact_slope(np.log(l_values), np.log(sigmas))
+            assert _loglog_slope(l_values, sigmas) == pytest.approx(want, rel=1e-12)
+
+    def test_two_points_have_no_error(self):
+        assert _loglog_slope(np.array([2, 8]), np.array([0.5, 0.125])) == (-1.0, 0.0)
 
 
 class TestStreams:

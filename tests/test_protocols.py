@@ -43,7 +43,7 @@ from ionramsey import (
     two_point_calibrate,
 )
 from ionramsey import bench, gates, protocols, register, streams
-from ionramsey.bench import _run_stream
+from ionramsey.cli import _run_stream
 from ionramsey.errors import FitError
 from ionramsey.register import sample_measurement
 from ionramsey.protocols import (

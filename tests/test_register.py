@@ -45,7 +45,11 @@ from ionramsey.register import (
     _flip_counts,
     _root_binomials,
     rotation_matrix,
+    sample_counts,
 )
+from ionramsey.noise import NoiseSpec
+from ionramsey.protocols import _run_state
+from scipy.stats import chi2 as chi2_law
 
 I2 = np.eye(2, dtype=complex)
 SZ = 0.5 * np.diag([-1.0, 1.0]).astype(complex)  # bit 0 = down = -1/2
@@ -479,6 +483,53 @@ class TestSampling:
         uniforms[n // 2] = bad
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
             sample_measurement(table, uniforms)
+
+    # Run tables off the half fringe: a noiseless standard L = 3 one, a
+    # dephased GHZ-parity L = 4 one and a time-reversed L = 2 one, whose
+    # classes with ions 2..L up carry no mass.
+    COUNT_TABLES = {
+        "standard-L3": dict(n_ions=3, protocol=Protocol.STANDARD, omega_r=0.4),
+        "ghz_parity-L4-dephased": dict(
+            n_ions=4, protocol=Protocol.GHZ_PARITY, omega_r=0.3,
+            noise=NoiseSpec(gamma=0.3, mode="independent"),
+        ),
+        "ghz_reversed-L2": dict(n_ions=2, protocol=Protocol.GHZ_REVERSED, omega_r=0.5),
+    }
+
+    @pytest.mark.parametrize("case", COUNT_TABLES)
+    def test_summed_counts_follow_the_class_masses(self, case):
+        # Oracle: the classes' masses, cell [b, k] times C(L - 1, k),
+        # normalised. 400 draws of 500 shots, summed, pass Pearson's chi^2 at
+        # its 99.9% quantile over the classes with mass; the others get no shot.
+        kwargs = self.COUNT_TABLES[case]
+        n_ions = kwargs["n_ions"]
+        table = _run_state(RamseyConfig(t_ramsey=1.0, omega_0=0.0, **kwargs))
+        masses = (table * [comb(n_ions - 1, k) for k in range(n_ions)]).reshape(-1)
+        masses /= masses.sum()
+        rng, draws, shots = stream(29, n_ions), 400, 500
+        total = np.zeros(2 * n_ions, dtype=np.int64)
+        for _ in range(draws):
+            counts = sample_counts(table, shots, rng)
+            assert counts.dtype == np.int64 and counts.shape == (2 * n_ions,)
+            assert counts.sum() == shots
+            total += counts
+        want = draws * shots * masses
+        live = masses > 1e-12
+        assert not total[~live].any()
+        chi2 = float(np.sum((total[live] - want[live]) ** 2 / want[live]))
+        assert chi2 < chi2_law.ppf(0.999, live.sum() - 1)
+
+    def test_counts_are_one_multinomial_draw(self):
+        # One rng.multinomial over the masses sample_measurement's CDF sums:
+        # the same stream gives the same counts, and the stream then sits
+        # where that one draw leaves it.
+        amps = random_state(32, np.random.default_rng(5))
+        table = dense_table(5, amps)
+        masses = class_masses(5, amps)
+        want_rng, got_rng = stream(8, 1), stream(8, 1)
+        want = want_rng.multinomial(3000, masses / masses.sum())
+        assert np.array_equal(sample_counts(table, 3000, got_rng), want)
+        assert got_rng.random() == want_rng.random()
 
     def test_cached_tables_are_read_only(self):
         for bits in (7, 12):

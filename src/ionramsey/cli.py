@@ -8,8 +8,8 @@ Subcommands wrap the library's protocols and benchmarks::
     ionramsey calibrate  --config cfg.ini ...
     ionramsey fourier    --config cfg.ini ...
 
-Configs are INI files (flat key-value with sections, diff-friendly for
-experiment logs): a command reads its own section plus the optional [run]
+Configs are INI files in the README's grammar, read in one pass by
+:func:`_read_ini`: a command reads its own section plus the optional [run]
 section. ``_SCHEMA`` declares every key once, with its parser, default,
 range and the runs that read it; :func:`main` parses both sections against
 it before the command runs, so unknown sections or keys, missing required
@@ -36,11 +36,11 @@ exits 0.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import inspect
 import json
 import math
+import re
 import shutil
 import sys
 from collections import ChainMap
@@ -98,9 +98,14 @@ def _float(raw: str) -> float:
     return value
 
 
+# The eight spellings that INI readers take for a boolean.
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True,
+             "0": False, "no": False, "false": False, "off": False}
+
+
 def _bool(raw: str) -> bool:
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        return _BOOLEANS[raw.strip().lower()]
     except KeyError:
         raise ValueError("not a boolean") from None
 
@@ -205,35 +210,60 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
 }
 
 
-def _load_config(path: str, command: str) -> tuple[str, configparser.ConfigParser]:
-    parser = configparser.ConfigParser(interpolation=None)
+def _read_ini(text: str, path: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: raw value}}`` by the README's grammar. Refused too: a repeated
+    section or key, and an indented line after a key (other readers join it to the value)."""
+
+    def refuse(why: str) -> ConfigError:
+        return ConfigError(f"config parse error in {path}: line {lineno}: {why}")
+
+    sections: dict[str, dict[str, str]] = {}
+    section, key, indent = None, None, 0
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        level, indent = indent, len(line) - len(line.lstrip())
+        if key is not None and indent > level:
+            raise refuse("an indented line would continue the value above it")
+        if stripped[0] == "[":
+            name, key = stripped[1:-1], None
+            if stripped[-1] != "]" or not name or name in sections:
+                raise refuse("a section header is [name], with each name once")
+            section = sections[name] = {}
+        else:
+            match = re.match(r"([^=:]*)[=:](.*)", stripped)  # split at the first = or :
+            key = match and match[1].rstrip().lower()
+            if section is None or not key or key in section:
+                raise refuse("a key line is 'key = value' below a [section], each key once")
+            section[key] = match[2].strip()
+    return sections
+
+
+def _load_config(path: str, command: str) -> tuple[str, dict[str, dict[str, str]]]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from exc
-    allowed_sections = {"run", command}
-    for section in parser.sections():
-        if section not in allowed_sections:
+    sections = _read_ini(text, path)
+    for section in sections:
+        if section not in ("run", command):
+            allowed = sorted({"run", command})
             raise ConfigError(
-                f"unknown section [{section}] for command {command!r} "
-                f"(allowed: {sorted(allowed_sections)})"
+                f"unknown section [{section}] for command {command!r} (allowed: {allowed})"
             )
-    if not parser.has_section(command):
+    if command not in sections:
         raise ConfigError(f"config is missing the [{command}] section")
-    return text, parser
+    return text, sections
 
 
-def _read_section(parser: configparser.ConfigParser, section: str) -> ChainMap:
+def _read_section(sections: dict[str, dict[str, str]], section: str) -> ChainMap:
     """Every key of one section: the keys the config sets, parsed and
     range-checked against its table, over the table's defaults. The commands
     read ``values.maps[0]``, the keys set, to refuse one that has no effect,
     even when it is set to its default."""
     table = _SCHEMA[section]
-    raw = parser[section] if parser.has_section(section) else {}
+    raw = sections.get(section, {})
     for key in raw:
         if key not in table:
             raise ConfigError(
@@ -304,14 +334,6 @@ def _output_paths(manifest: RunManifest) -> tuple[Path, Path]:
     out = Path(manifest.out_dir)
     ext = "csv" if manifest.fmt == "csv" else "json"
     return out / f"{manifest.command}.{ext}", out / f"{manifest.command}_summary.json"
-
-
-def _check_overwrite(paths: tuple[Path, ...], force: bool) -> None:
-    clashes = [str(p) for p in paths if p.exists()]
-    if clashes and not force:
-        raise ConfigError(
-            f"refusing to overwrite existing outputs {clashes}; pass --force"
-        )
 
 
 def _write_outputs(
@@ -420,10 +442,13 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         signal = expected_signal(cfg, t_ramsey=t_grid)
         fit = fit_fringe_frequency(t_grid, signal)
         family, n_ions, omega_r = cfg.protocol.family, str(cfg.n_ions), _fmt(cfg.omega_r)
+        cells = np.column_stack((t_grid, signal))  # the table's float cells, in its order
+        if not np.isfinite(cells).all():
+            _fmt(cells[~np.isfinite(cells)][0])  # raises _fmt's error on the first one
         index = None
         rows = [
-            [family, n_ions, _fmt(t), omega_r, "", _fmt(s), "", ""]
-            for t, s in zip(t_grid.tolist(), signal.tolist())
+            [family, n_ions, t, omega_r, "", s, "", ""]
+            for t, s in zip(map(repr, t_grid.tolist()), map(repr, signal.tolist()))
         ]
         summary["fitted_fringe_frequency"] = fit.frequency
         summary["expected_fringe_frequency"] = fringe
@@ -448,15 +473,12 @@ def cmd_scaling(manifest: RunManifest, values: ChainMap) -> Outputs:
     if manifest.expectation:
         l_values, trials, t_ramsey = values["l_values"], values["trials"], values["t_ramsey"]
         # No sampling noise to measure: emit the analytic limits themselves.
-        rows = []
-        slopes = {}
+        tau = trials * t_ramsey
+        rows, slopes = [], {}
         for protocol in PROTOCOLS:
-            sigmas = []
-            for n_ions in l_values:
-                tau = trials * t_ramsey
-                sig = theory_sigma(protocol, n_ions, t_ramsey, tau)
-                sigmas.append(sig)
-                rows.append((protocol.family, n_ions, t_ramsey, tau, sig, sig, 1.0))
+            sigmas = [theory_sigma(protocol, n_ions, t_ramsey, tau) for n_ions in l_values]
+            rows += [(protocol.family, n, t_ramsey, tau, sig, sig, 1.0)
+                     for n, sig in zip(l_values, sigmas)]
             slopes[protocol.family] = _loglog_slope(l_values, sigmas)[0]
         summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
         return columns, rows, summary
@@ -499,13 +521,9 @@ def cmd_dephasing(manifest: RunManifest, values: ChainMap) -> Outputs:
         "n_ions": report.n_ions,
         "mode": report.mode,
         "trials": report.trials,
-        "t_opt": {p: report.curves[p].t_opt for p in report.curves},
-        "min_sigma_sqrt_tau": {
-            p: report.curves[p].min_value for p in report.curves
-        },
-        "argmin_on_boundary": {
-            p: report.curves[p].argmin_on_boundary for p in report.curves
-        },
+        "t_opt": {p: curve.t_opt for p, curve in report.curves.items()},
+        "min_sigma_sqrt_tau": {p: curve.min_value for p, curve in report.curves.items()},
+        "argmin_on_boundary": {p: curve.argmin_on_boundary for p, curve in report.curves.items()},
         "t_opt_ratio": report.t_opt_ratio,
         "min_ratio": report.min_ratio,
     }
@@ -684,13 +702,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_argparser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        text, parser = _load_config(args.config, args.command)
-        values = _read_section(parser, args.command)
+        text, sections = _load_config(args.config, args.command)
+        values = _read_section(sections, args.command)
         for key in values.maps[0]:
             if _SCHEMA[args.command][key][3] not in (None, args.expectation_mode):
                 mode = "with" if args.expectation_mode else "without"
                 raise ConfigError(f"[{args.command}] {key} has no effect {mode} --expectation-mode")
-        seed = _read_section(parser, "run")["seed"]
+        seed = _read_section(sections, "run")["seed"]
         manifest = RunManifest(
             command=args.command,
             config_text=text,
@@ -701,7 +719,9 @@ def main(argv: list[str] | None = None) -> int:
             input_bytes=_read_input(values.get("input")),
         )
         paths = _output_paths(manifest)
-        _check_overwrite(paths, args.force)
+        clashes = [str(p) for p in paths if p.exists()]
+        if clashes and not args.force:
+            raise ConfigError(f"refusing to overwrite existing outputs {clashes}; pass --force")
         result = _COMMANDS[args.command](manifest, values)
         if isinstance(result, int):
             # A stand-in command (perfbench's set-up probe) has nothing to write.
@@ -710,14 +730,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except (IonRamseyError, ValueError) as exc:
         code = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
-        _fail(exc if isinstance(exc, IonRamseyError) else ConfigError(str(exc)))
+        err = exc if isinstance(exc, IonRamseyError) else ConfigError(str(exc))
+        sys.stderr.write(json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n")
         return code
-
-
-def _fail(exc: Exception) -> None:
-    sys.stderr.write(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-    )
 
 
 if __name__ == "__main__":

@@ -1461,3 +1461,99 @@ def test_every_key_changes_its_run(section, key, flag):
 def test_still_key_moves_where_it_bites(command, base, flag, key, value):
     (code0, _, before), (code, _, after) = _pair(command, base, flag, key, value)
     assert code0 != code or _moved(before, after)
+
+
+class TestConfigGrammar:
+    """The config reader's refusals: each exits 2 with one JSON line on
+    stderr and writes no ``--out``. ``test_ini.py`` checks the reader against
+    configparser, the INI reader the CLI used before."""
+
+    VALID = "[run]\nseed = 3\n[ramsey]\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\nshots = 50\n"
+
+    @staticmethod
+    def refused(tmp_path, capsys, text):
+        cfg = write_config(tmp_path, "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert not out.exists()
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigError"
+        return error["message"], cfg
+
+    def parse_error(self, tmp_path, capsys, text, lineno, why):
+        message, cfg = self.refused(tmp_path, capsys, text)
+        assert message.startswith(f"config parse error in {cfg}: line {lineno}: {why}"), message
+
+    def test_the_valid_base_runs(self, tmp_path):
+        cfg = write_config(tmp_path, "c.ini", self.VALID)
+        assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_a_key_before_any_section_is_refused(self, tmp_path, capsys):
+        self.parse_error(tmp_path, capsys, "seed = 3\n" + self.VALID, 1, "a key line is")
+
+    def test_a_line_without_a_delimiter_is_refused(self, tmp_path, capsys):
+        self.parse_error(tmp_path, capsys, self.VALID + "allow_wrap\n", 8, "a key line is")
+
+    def test_a_line_without_a_key_is_refused(self, tmp_path, capsys):
+        self.parse_error(tmp_path, capsys, self.VALID + "= 0.2\n", 8, "a key line is")
+
+    def test_a_section_given_twice_is_refused(self, tmp_path, capsys):
+        self.parse_error(tmp_path, capsys, self.VALID + "[run]\n", 8, "a section header is")
+
+    def test_a_key_given_twice_is_refused(self, tmp_path, capsys):
+        # Keys are lower-cased, so SHOTS repeats shots.
+        self.parse_error(tmp_path, capsys, self.VALID + "SHOTS: 60\n", 8, "a key line is")
+
+    def test_a_continuation_line_is_refused(self, tmp_path, capsys):
+        # configparser read this as shots = "50\n60"; the shots parser then refused it.
+        self.parse_error(tmp_path, capsys, self.VALID + "    60\n", 8, "an indented line")
+
+    def test_a_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        # configparser put [DEFAULT] keys into every section.
+        message, _ = self.refused(tmp_path, capsys, "[DEFAULT]\nshots = 60\n" + self.VALID)
+        assert message.startswith("unknown section [DEFAULT] for command 'ramsey'"), message
+
+    def test_the_readme_example_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Config files have an optional", 1)[1]
+        example = example.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert "[ramsey]" in example and "\n; " in example
+        cfg = write_config(tmp_path, "readme.ini", example)
+        assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def test_a_run_leaves_configparser_unimported(self, tmp_path):
+        cfg = write_config(tmp_path, "c.ini", self.VALID)
+        probe = (
+            "import sys\nfrom ionramsey.cli import main\n"
+            "code = main(sys.argv[1:])\nprint(code, 'configparser' in sys.modules)"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", probe, "ramsey", "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        )
+        assert fresh.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("first", [math.inf, -math.inf, math.nan])
+def test_expectation_scan_refuses_its_first_non_finite_cell(tmp_path, capsys, monkeypatch, first):
+    # The scan's cells are checked in table order, as one cell at a time was.
+    signal, fit = cli.expected_signal, cli.fit_fringe_frequency
+
+    def spoiled(cfg, t_ramsey):
+        values = signal(cfg, t_ramsey=t_ramsey)
+        values[[3, 5]] = first, math.nan
+        return values
+
+    monkeypatch.setattr(cli, "expected_signal", spoiled)
+    # The fit sees the cells zeroed, so only the table's own check can refuse them.
+    unspoiled = lambda t, s: fit(t, np.where(np.isfinite(s), s, 0.0))  # noqa: E731
+    monkeypatch.setattr(cli, "fit_fringe_frequency", unspoiled)
+    cfg = write_config(tmp_path, "r.ini", "[ramsey]\nn_ions = 2\nt_ramsey = 8\nomega_r = 0.4\n")
+    out = tmp_path / "out"
+    assert main(["ramsey", "--config", cfg, "--out", str(out), "--expectation-mode"]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["message"] == f"refusing to write the non-finite value {first!r}"
+    assert not out.exists()

@@ -15,9 +15,9 @@ Two benchmarks:
 Time accounting charges tau = trials * T_R (zero dead time). Each
 (protocol, grid point) run draws all of its trials from its own
 counter-based random stream, so a report depends on its seed alone. A point
-keeps only the mean and standard error of its trials' signal, which their
-2L readout-class counts fix, so it draws those counts, one multinomial over
-its Born table (:func:`.register.sample_counts`), not one class per trial.
+keeps only the mean and standard error of its trials' signal, which their 2L
+readout-class counts fix: it draws those counts, one multinomial over its Born
+table (:func:`.register.sample_counts`), and inverts them (:func:`.protocols.invert_fringe`).
 
 Every experiment is run at its half-fringe operating point (detuning
 pi/(2 m T_R) with m the protocol's fringe multiplier) and the estimator's
@@ -91,12 +91,11 @@ def _half_fringe_sigma(
     noise: NoiseSpec | None = None,
 ) -> float:
     """The estimate's sigma for a run of ``shots`` trials at the half fringe
-    above ``omega_0``, dephased by ``noise``. The run's readout-class counts
-    are one multinomial draw from its Born table (:func:`.register.sample_counts`)
-    on the stream ``stream(*path, 0)``, and the signal's mean and standard
-    error follow from them, as from the shots they tally. The sigma must be
-    finite and > 0: when every shot of a small run agrees it is 0, which
-    measures nothing and would reach a log or a ratio (``DegenerateSlopeError``)."""
+    above ``omega_0``, dephased by ``noise``: :func:`.protocols.invert_fringe`
+    of its class counts, one multinomial draw from its Born table on the
+    stream ``stream(*path, 0)``. The sigma must be finite and > 0: when every
+    shot of a small run agrees it is 0, which measures nothing and would
+    reach a log or a ratio (``DegenerateSlopeError``)."""
     cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=t_ramsey,
@@ -106,13 +105,8 @@ def _half_fringe_sigma(
         protocol=protocol,
         shots=shots,
     )
-    if shots < 2:
-        raise ValueError(f"need at least 2 trials for a standard error, got {shots}")
     counts = sample_counts(_run_state(cfg), shots, streams.stream(*path, 0))
-    signal = protocol.signal(protocol.outcomes(np.arange(2 * n_ions), n_ions), n_ions)
-    mean = float(counts @ signal) / shots
-    spread = float(counts @ np.square(signal - mean)) / (shots - 1)
-    sigma = invert_fringe(cfg, mean, math.sqrt(spread / shots), operating_phase=np.pi / 2).sigma
+    sigma = invert_fringe(cfg, counts, operating_phase=np.pi / 2).sigma
     if not 0.0 < sigma < math.inf:
         raise DegenerateSlopeError(
             f"the {protocol.family} run at L = {n_ions}, T_R = {t_ramsey!r} "
@@ -308,14 +302,15 @@ def dephasing_benchmark(
         if mode == "analytic":
             return analytic_sigma_tau(protocol, n_ions, gamma, t_ramsey)
         sigma = _half_fringe_sigma(protocol, n_ions, t_ramsey, trials, (seed, *path), noise=noise)
-        value = float(sigma) * math.sqrt(trials * float(t_ramsey))
+        value = float(sigma) * math.sqrt(trials * t_ramsey)
         if math.isfinite(value):  # Python floats overflow to inf without a warning
             return value
-        raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {float(t_ramsey)!r}")
+        raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {t_ramsey!r}")
 
     curves: dict[str, DephasingCurve] = {}
     for p, protocol in enumerate(PROTOCOLS):
-        grid_vals = np.array([sigma_tau(protocol, t, (p, k)) for k, t in enumerate(t_grid)])
+        points = enumerate(t_grid.tolist())  # Python floats, which messages print plainly
+        grid_vals = np.array([sigma_tau(protocol, t, (p, k)) for k, t in points])
         k_min = int(np.argmin(grid_vals))
         on_boundary = k_min in (0, len(t_grid) - 1)
         t_opt = float(t_grid[k_min])

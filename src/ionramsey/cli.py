@@ -22,8 +22,8 @@ parsed values and only computes a table and a summary; :func:`main` writes
 both once the command has returned, so a run that fails writes nothing. All
 outputs embed the library version and a manifest hash (sha256 over command,
 seed, format, flags, the config text and the bytes of a ``[fourier] input=``
-file), and are byte-identical for equal seeds. ``--threads`` is accepted and must be
->= 1, but every run is single-threaded, so it cannot change an output.
+file), and are byte-identical for equal seeds, which must be >= 0. ``--threads`` is
+accepted and must be >= 1, but every run is single-threaded, so it cannot change an output.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
 a config value a library check rejects with ``ValueError``, and an
@@ -136,6 +136,7 @@ def _epsilon(raw: str) -> ImperfectionSpec:
 # A range is (what it requires, test). Checks that the library makes itself
 # (RamseyConfig, CalibrationState, NoiseSpec, the bench functions) are not
 # repeated here.
+_AT_LEAST_0 = ("must be >= 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("must be >= 1", lambda v: v >= 1)
 _AT_LEAST_2 = ("must be >= 2 (a standard error needs two)", lambda v: v >= 2)
 _POSITIVE = ("must be > 0", lambda v: v > 0)
@@ -152,7 +153,7 @@ _REQUIRED = object()  # the default of a key the section must set
 # --expectation-mode (_SAMPLED) or only those with it; main refuses it in others.
 _SAMPLED, _EXPECTATION = False, True
 _SCHEMA: dict[str, dict[str, tuple]] = {
-    "run": {"seed": (int, 0, None, None)},
+    "run": {"seed": (int, 0, _AT_LEAST_0, None)},
     "ramsey": {
         "protocol": (str, "ghz", None, None),
         "n_ions": (int, _REQUIRED, None, None),
@@ -456,7 +457,7 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
     else:
         trials = run_ramsey(cfg, *_run_stream(manifest.seed, 0))
         summary["shots"] = cfg.shots
-        summary["mean_outcome"] = float(np.mean(trials.outcomes))
+        summary["mean_outcome"] = float(np.mean(cfg.protocol.outcomes(trials.classes, cfg.n_ions)))
         est = None
         try:
             est = estimate_frequency(trials)
@@ -702,6 +703,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_argparser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         text, sections = _load_config(args.config, args.command)
         values = _read_section(sections, args.command)
         for key in values.maps[0]:

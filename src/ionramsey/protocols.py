@@ -14,10 +14,10 @@ Protocols
   so that ``-2 <Sz>_1 = C cos(L dw T_R)`` while ions 2..L return to |dn>.
 
 :class:`Protocol` names these three variants; a :class:`RamseyConfig`
-carries one, and every pipeline below runs whichever it carries. Each
-protocol's readout is one outcome map from measured readout classes:
-sampled shots record it, the expected signal is its signal averaged over
-the Born probabilities, and the estimator inverts its fringe model
+carries one, and every pipeline below runs whichever it carries. A sampled
+shot is its readout class; each protocol maps classes once to record outcomes
+and to the signal, which the estimator weighs by class counts and expectation
+mode by Born probabilities before inverting the protocol's fringe model
 (:attr:`Protocol.fringe`), with no per-protocol branch elsewhere.
 
 Pulse-phase bookkeeping (fixed here, verified in tests): the standard
@@ -29,7 +29,7 @@ Estimation inverts the fringe on the principal arccos branch, which is exact
 for the cosine model and reduces to the usual maximum-slope linearization at
 the half-fringe operating point. The quoted uncertainty is
 ``sigma_S / |dS/d omega|`` with sigma_S the standard error of the per-shot
-signal mean.
+signal mean, which the shots' readout-class counts fix.
 
 Both a sampled mode (projective shots) and an expectation mode (exact
 expectations, no statistics) are first-class: :func:`run_ramsey` and
@@ -40,13 +40,12 @@ Expectation mode averages the signal over the noiseless table, for one T_R
 or a whole scan. A sampled run passes its noise, None when noiseless (see
 :class:`RamseyConfig`), and gets the dephased density matrix's table: the
 mean of every dephasing trajectory's table, and so the law each independent
-shot follows. No run holds a 2**L array. Every shot is drawn from its run's
-table by :func:`.register.sample_measurement`; a scan point of :mod:`.bench`
-draws its shots' readout-class counts from the table in one go
-(:func:`.register.sample_counts`), and :func:`invert_fringe` turns either's
-signal moments into an estimate. The tests check the tables
-against the gate-level circuits of :mod:`.gates`, the dense density matrix
-and dense trajectories.
+shot follows. No run holds a 2**L array. A sampled run keeps each shot's
+class (:func:`.register.sample_measurement`); a scan point of :mod:`.bench`
+draws only the class counts (:func:`.register.sample_counts`), and
+:func:`invert_fringe` turns either's counts into an estimate. The tests
+check the tables against the gate-level circuits of :mod:`.gates`, the
+dense density matrix and dense trajectories.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ class Protocol(Enum):
     ``family`` (``standard`` or ``ghz``) is the name configs and benchmark
     tables use; ``readout`` is ``final_pulse`` or, for GHZ only,
     ``time_reversed``. The readout is defined once, by :meth:`outcomes` and
-    :meth:`signal`; sampling records the outcomes of measured classes,
+    :meth:`signal`; the record table writes the outcomes of measured classes,
     :meth:`expected` averages the signal over a Born table, and
     :attr:`fringe` is the cosine model the estimator inverts.
     """
@@ -175,12 +174,19 @@ def _class_outcomes(protocol: Protocol, n_ions: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _class_signal(protocol: Protocol, n_ions: int) -> np.ndarray:
+    """:meth:`Protocol.signal` of every readout class, in class order: shared, read only."""
+    signal = protocol.signal(_class_outcomes(protocol, n_ions), n_ions)
+    signal.flags.writeable = False
+    return signal
+
+
+@lru_cache(maxsize=None)
 def _signal_weights(protocol: Protocol, n_ions: int) -> np.ndarray:
     """Born table cell (b, k), flat: C(L - 1, k) indices (ion 1's bit b, k ions
     up among the rest) times the signal of their class. Shared, read only."""
     k = np.arange(2 * n_ions) % n_ions
-    signal = protocol.signal(_class_outcomes(protocol, n_ions), n_ions)
-    weights = _binomials(n_ions - 1)[n_ions - 1, k] * signal
+    weights = _binomials(n_ions - 1)[n_ions - 1, k] * _class_signal(protocol, n_ions)
     weights.flags.writeable = False
     return weights
 
@@ -361,16 +367,16 @@ def expected_signal(
 
 @dataclass(frozen=True)
 class Trials:
-    """The projective shots of one sampled run, stored column-wise.
+    """The projective shots of one sampled run.
 
     ``cfg`` is the run's configuration, which holds for every shot.
-    ``outcomes`` is the float64 array of per-shot :meth:`Protocol.outcomes`
-    values in shot order; ``seed_label`` names the one random stream every
-    shot was drawn from.
+    ``classes`` is the int64 array of each shot's readout class b L + k in
+    shot order, whose record outcome is :meth:`Protocol.outcomes`;
+    ``seed_label`` names the one random stream every shot was drawn from.
     """
 
     cfg: RamseyConfig
-    outcomes: np.ndarray
+    classes: np.ndarray
     seed_label: str
 
 
@@ -391,8 +397,7 @@ def run_ramsey(
     :func:`_run_state`, at the uniforms of one ``rng.random(shots)`` call.
     """
     classes = sample_measurement(_run_state(cfg), rng.random(cfg.shots))
-    outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
-    return Trials(cfg, outcomes, seed_label)
+    return Trials(cfg, classes, seed_label)
 
 
 def _run_state(cfg: RamseyConfig) -> np.ndarray:
@@ -420,40 +425,32 @@ def _run_state(cfg: RamseyConfig) -> np.ndarray:
 
 
 def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) -> Estimate:
-    """Invert a sampled run into a detuning estimate with 1-sigma error.
-
-    The fringe model :attr:`Protocol.fringe` is inverted at the sample mean
-    of the per-shot signal (arccos principal branch, assuming the operating
-    point sits in (0, pi) — the half-fringe convention). ``estimate`` is
-    dw_hat = omega_R - omega0_hat; ``sigma`` is sigma_S / |dS/d omega| with
-    sigma_S the standard error of the mean, so a run needs two trials or
-    more (``ValueError`` otherwise). The inversion is :func:`invert_fringe`.
-    """
-    if len(trials.outcomes) < 2:
-        raise ValueError(
-            f"need at least 2 trials for a standard error, got {len(trials.outcomes)}"
-        )
-    cfg = trials.cfg
-    mean, sigma_s = _mean_and_error(cfg.protocol.signal(trials.outcomes, cfg.n_ions))
-    return invert_fringe(cfg, mean, sigma_s, operating_phase=operating_phase)
+    """Invert a sampled run into a detuning estimate with 1-sigma error: the
+    :func:`invert_fringe` of its shots' readout-class counts."""
+    counts = np.bincount(trials.classes, minlength=2 * trials.cfg.n_ions)
+    return invert_fringe(trials.cfg, counts, operating_phase=operating_phase)
 
 
 def invert_fringe(
-    cfg: RamseyConfig, mean: float, sigma_s: float, *, operating_phase: float | None = None
+    cfg: RamseyConfig, counts: np.ndarray, *, operating_phase: float | None = None
 ) -> Estimate:
     """The detuning estimate and its 1-sigma error of a run of ``cfg`` whose
-    signal has sample mean ``mean`` and standard error ``sigma_s``: the one
-    inversion of the fringe model, whether the moments come from recorded
-    shots (:func:`estimate_frequency`) or from readout-class counts.
+    shots fall ``counts[c]`` times in readout class c, recorded or drawn as
+    counts: the one place shots become the signal's moments
+    (:func:`_signal_moments`), and those an estimate.
 
-    The model fringe is the one the config implies: its contrast is the
-    :func:`ensemble_contrast` of ``cfg`` (1 for a noiseless run; a
-    ``ValueError`` where it underflows to 0) and its phase the protocol's
+    The fringe model :attr:`Protocol.fringe` is inverted at the sample mean
+    (arccos principal branch, assuming the operating point sits in (0, pi) —
+    the half-fringe convention). ``estimate`` is dw_hat = omega_R -
+    omega0_hat; ``sigma`` is sigma_S / |dS/d omega|, sigma_S the standard
+    error of the mean. The model's contrast is the :func:`ensemble_contrast`
+    of ``cfg`` (a ``ValueError`` where it underflows to 0) and its phase the
     :meth:`Protocol.readout_phase` of ``cfg.final_phase``. ``operating_phase``
     pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
     the half-fringe) instead of the inverted one; a slope that vanishes there
     raises ``DegenerateSlopeError``.
     """
+    mean, sigma_s = _signal_moments(cfg, counts)
     protocol, t_r = cfg.protocol, cfg.t_ramsey
     contrast = ensemble_contrast(cfg.n_ions, cfg.noise, t_r, protocol)
     if contrast <= 0:
@@ -476,15 +473,16 @@ def invert_fringe(
     return Estimate((x_hat - phi) / (mult * t_r), sigma_s / slope)
 
 
-def _mean_and_error(s: np.ndarray) -> tuple[float, float]:
-    """The mean of the 1-D float64 signal ``s`` and its standard error,
-    ``np.mean(s)`` and ``np.std(s, ddof=1) / np.sqrt(len(s))`` to the bit: the
-    steps those take, the same pairwise sums, without their wrappers."""
-    n = len(s)
-    mean = float(np.add.reduce(s) / n)
-    deviations = s - mean
-    np.square(deviations, out=deviations)
-    return mean, math.sqrt(float(np.add.reduce(deviations) / (n - 1))) / math.sqrt(n)
+def _signal_moments(cfg: RamseyConfig, counts: np.ndarray) -> tuple[float, float]:
+    """The per-shot signal's sample mean and standard error (ddof 1) over
+    ``counts``, weighing each class's signal (:func:`_class_signal`) by its
+    count; a run needs two shots or more (``ValueError`` otherwise)."""
+    shots = int(counts.sum())
+    if shots < 2:
+        raise ValueError(f"need at least 2 trials for a standard error, got {shots}")
+    signal = _class_signal(cfg.protocol, cfg.n_ions)
+    mean = float(counts @ signal) / shots
+    return mean, math.sqrt(float(counts @ np.square(signal - mean)) / (shots - 1) / shots)
 
 
 # ---------------------------------------------------------------------------

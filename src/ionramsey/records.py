@@ -7,10 +7,11 @@ fixed column order::
 
 The table holds one line per shot, which fills ``outcome`` and leaves
 ``estimate``/``sigma`` empty, then optionally one estimate line, which does
-the opposite. Only ``outcome`` varies, over at most 2L values, so
-:func:`trial_rows` returns the distinct rows and each line's index into them,
-and the writers format each distinct row once. ``seed`` is the label of the
-run's random stream, the same on every line. ``outcome`` is protocol-dependent:
+the opposite. A shot is its readout class, one of 2L, whose outcome
+:meth:`~ionramsey.protocols.Protocol.outcomes` gives, so :func:`trial_rows`
+returns one row per class and each line's class, and the writers format each
+class's row once. ``seed`` is the label of the run's random stream, the same
+on every line. ``outcome`` is protocol-dependent:
 
 * ``standard``      — the number of ions found |dn> in that shot (0..L);
 * ``ghz_parity``    — the normalized parity sign of that shot (+1 or -1);
@@ -50,7 +51,7 @@ def _fmt(value: float | int | str) -> str:
 
 
 def trial_rows(trials: Trials, estimate: Estimate | None = None) -> tuple[list, list[int]]:
-    """``(rows, index)``: a ``CSV_COLUMNS`` row per distinct outcome, then the
+    """``(rows, index)``: a ``CSV_COLUMNS`` row per readout class, then the
     estimate row if one is given; the table is ``[rows[k] for k in index]``."""
     cfg = trials.cfg
     config = [
@@ -60,10 +61,9 @@ def trial_rows(trials: Trials, estimate: Estimate | None = None) -> tuple[list, 
         _fmt(cfg.omega_r),
         trials.seed_label,
     ]
-    # Classes by bit pattern, so -0.0 and 0.0 stay apart as ``repr`` keeps them.
-    bits, index = np.unique(trials.outcomes.view(np.int64), return_inverse=True)
-    rows = [[*config, _fmt(v), "", ""] for v in bits.view(np.float64).tolist()]
-    index = index.tolist()
+    outcomes = cfg.protocol.outcomes(np.arange(2 * cfg.n_ions), cfg.n_ions)
+    rows = [[*config, _fmt(v), "", ""] for v in outcomes.tolist()]
+    index = trials.classes.tolist()
     if estimate is not None:
         index.append(len(rows))
         rows.append([*config, "", _fmt(estimate.estimate), _fmt(estimate.sigma)])

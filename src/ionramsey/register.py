@@ -15,9 +15,10 @@ Conventions (fixed; everything downstream relies on them):
   ions excited acquires phase ``exp(+i p delta_omega t)`` under free
   evolution with detuning ``delta_omega`` (drive minus atomic frequency).
 * Every readout depends only on ion 1's bit b and the count k of ions up
-  among ions 2..L, so a z measurement returns the readout class b L + k;
-  reading it out (counting ions, parity, ion 1's spin) is the protocol's
-  job, in one place: :meth:`.protocols.Protocol.outcomes`.
+  among ions 2..L, so a z measurement returns the readout class b L + k,
+  and a sampled shot is kept as that class; reading it out (counting ions,
+  parity, ion 1's spin) is the protocol's job, in one place:
+  :meth:`.protocols.Protocol.outcomes`.
 
 Every state the Ramsey protocols prepare is symmetric under permuting the
 ions: GHZ preparation, its admixtures, collective pi/2 pulses (spin-L/2
@@ -25,14 +26,14 @@ rotations, one cached matrix per L) and free evolution never leave the
 (L + 1)-dimensional Dicke subspace. A :class:`DickeState` holds such a state,
 or a batch of them, and free evolution acts on it alone. Its closing readout
 leaves a (2, L) Born table per state, which expectation mode averages,
-:func:`sample_measurement` samples shot by shot and :func:`sample_counts`
-tallies by readout class. Dephasing makes the state mixed, but its
-density matrix stays invariant under permuting the ions, so its table is
-reached from the same L + 1 amplitudes: the closing kernels damp the
-coherences that dephasing decays (:func:`born_table_pulse`,
-:func:`born_table_reversed`) or flip each ion's reading
-(:func:`dephase_pulse_table`). No function here holds a 2**L array; the
-dense register and the gate-level circuits, the tests' independent
+:func:`sample_measurement` samples shot by shot, in one CDF search of the
+uniforms it is given, and :func:`sample_counts` tallies by readout class.
+Dephasing makes the state mixed, but its density matrix stays invariant
+under permuting the ions, so its table is reached from the same L + 1
+amplitudes: the closing kernels damp the coherences that dephasing decays
+(:func:`born_table_pulse`, :func:`born_table_reversed`) or flip each ion's
+reading (:func:`dephase_pulse_table`). No function here holds a 2**L array;
+the dense register and the gate-level circuits, the tests' independent
 reference, are in :mod:`.gates`.
 """
 
@@ -308,49 +309,11 @@ def sample_measurement(table: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     indices of cell [b, k]; the CDF of the class masses (:func:`_class_masses`)
     is inverted as ``Generator.choice`` does, so ``uniforms = rng.random(n)``
     draws what ``rng.choice(2 L, n, p=...)`` would: the class of u is the
-    number of CDF values <= u, ``cdf.searchsorted(u, side="right")``.
-
-    A few thousand uniforms or more are looked up in M buckets [j/M, (j+1)/M),
-    M a power of two near n/16 (:func:`_bucket_bits`), so that ``u * M`` is
-    exact and its integer part is u's bucket. A bucket that holds no CDF value
-    in (j/M, (j+1)/M] gives every u in it one class; only the uniforms in the
-    others, at most 2L - 1 buckets, are searched. Per shot that costs O(1)
-    whatever L.
-    """
+    number of CDF values <= u, ``cdf.searchsorted(u, side="right")``."""
     mass = _class_masses(table)
     cdf = np.add.accumulate(mass, out=mass)  # the cumsum, without its wrapper
     cdf /= cdf[-1]
     u = np.asarray(uniforms, dtype=float)
     if u.size and not (np.minimum.reduce(u, None) >= 0.0 and np.maximum.reduce(u, None) < 1.0):
         raise ValueError("uniforms must lie in [0, 1), and none may be NaN")
-    bits = _bucket_bits(u.size)
-    if not bits:
-        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
-    flat = u.reshape(-1)
-    first = cdf.searchsorted(_bucket_edges(bits), side="right")  # CDF values <= j/M
-    buckets = (flat * (1 << bits)).astype(np.intp)
-    classes = first.take(buckets)
-    searched = np.flatnonzero((first[1:] != first[:-1]).take(buckets))
-    classes[searched] = cdf.searchsorted(flat[searched], side="right")
-    return classes.astype(np.int64, copy=False).reshape(u.shape)
-
-
-_LOOKUP_BITS = range(7, 13)  # from 128 buckets (2,048 uniforms) to 4,096
-
-
-def _bucket_bits(n: int) -> int:
-    """log2 of the bucket count M that :func:`sample_measurement` looks n
-    uniforms up in: the largest M <= n/16 in ``_LOOKUP_BITS``, or 0 below
-    its lower end, where one ``searchsorted`` of the n uniforms is cheaper
-    than building the buckets."""
-    bits = (n // 16).bit_length() - 1
-    return 0 if bits < _LOOKUP_BITS.start else min(bits, _LOOKUP_BITS.stop - 1)
-
-
-@lru_cache(maxsize=None)
-def _bucket_edges(bits: int) -> np.ndarray:
-    """The M + 1 edges j/M of M = 2**bits buckets, shared and read only; each
-    is exact."""
-    edges = np.arange((1 << bits) + 1) / (1 << bits)
-    edges.flags.writeable = False
-    return edges
+    return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)

@@ -154,7 +154,8 @@ def test_criterion_04_projection_noise():
             protocol=Protocol.STANDARD,
             shots=shots,
         )
-        counts = run_ramsey(cfg, np.random.default_rng(20260814)).outcomes
+        run = run_ramsey(cfg, np.random.default_rng(20260814))
+        counts = Protocol.STANDARD.outcomes(run.classes, n_ions)
 
         k = np.arange(n_ions + 1)
         from math import comb
@@ -221,7 +222,7 @@ def test_criterion_06_ghz_decoherence_rate():
                     shots=shots,
                     noise=NoiseSpec(gamma=gamma, mode="independent"),
                 )
-                outcomes = run_ramsey(cfg, rng).outcomes
+                outcomes = cfg.protocol.outcomes(run_ramsey(cfg, rng).classes, n_ions)
                 mean = float(np.mean(outcomes))
                 sd_mean = float(np.std(outcomes, ddof=1)) / np.sqrt(shots)
                 log_means.append(np.log(mean))

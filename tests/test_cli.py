@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -251,6 +252,23 @@ class TestErrorPaths:
     def test_bad_threads_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
         assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
+
+    @pytest.mark.parametrize("spelling", ["--seed", "[run] seed"])
+    @pytest.mark.parametrize("command", list(MINIMAL))
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, spelling):
+        # Refused before the command runs, whether or not it draws from a
+        # stream; the message names the spelling that set it.
+        text, flags = _ini(command, MINIMAL[command]), ["--seed", "-5"]
+        if spelling == "[run] seed":
+            text, flags = text + "[run]\nseed = -3\n", []
+        cfg = write_config(tmp_path, "neg.ini", text)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        named = "--seed must be >= 0" if flags else "'seed' in [run]: '-3' (must be >= 0)"
+        assert named in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -721,11 +739,12 @@ class TestErrorPaths:
             (section, key)
             for section, table in cli._SCHEMA.items()
             for key, (_, _, valid, _) in table.items()
-            if valid is not None
+            if valid is not None and section != "run"
         ],
     )
     def test_each_declared_range_rejects_zero(self, tmp_path, capsys, section, key):
-        # 0 lies outside every range the schema declares.
+        # 0 lies outside every range a command's section declares; [run]
+        # seed's starts at 0 (test_negative_seed_exits_2).
         cfg = write_config(tmp_path, "bad.ini", _ini(section, {**MINIMAL[section], key: "0"}))
         out = tmp_path / "o"
         assert main([section, "--config", cfg, "--out", str(out)]) == 2
@@ -788,7 +807,9 @@ class TestErrorPaths:
         assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["error"] == error
+        report = json.loads(err[0])
+        assert report["error"] == error
+        assert "np." not in report["message"]  # T_R prints as a float, not a numpy repr
         assert not out.exists()
 
     def test_underflowed_contrast_exits_2(self, tmp_path, capsys):
@@ -1098,7 +1119,11 @@ class TestPinnedOutputs:
     retaken when a scan point began to draw its readout-class counts, one
     multinomial on that stream, instead of one uniform a shot; the
     expectation-mode ``scaling`` summary moved then too, through the last bits
-    of its closed-form log-log slopes. No ``ramsey`` digest moved."""
+    of its closed-form log-log slopes. The ``common_parity`` digests were
+    retaken when a ``ramsey`` estimate began to take its moments from the
+    shots' readout-class counts: its estimate row and summary moved through
+    the last bits of ``sigma``. Every per-shot line and ``mean_outcome`` kept
+    its bytes."""
 
     DEPHASING_INI = (
         "[run]\nseed = 7\n[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\n"
@@ -1133,8 +1158,8 @@ class TestPinnedOutputs:
         ),
         "common_parity": (
             "final_phase = 0.3\ngamma = 0.1\nnoise_mode = common\nphi0 = 0.4\nepsilon = 1:0.1\n",
-            "4afd5f1ec3cb25c5773c02803f4dcab7bada1184cc8fcd9136de64b8a23dfb1b",
-            "e693998556f9253c1150ac667783f0a0bb95cb3dfba1f6a76e377645bdd765de",
+            "3351707392ab89ccf61b92ce19df23e61966892499a1ec26b8ef96c1709f75f0",
+            "1c56318ef77b43a8cb1a124465ab9e1a4dcade4a558c45f2b0f6c25c5a256ccb",
         ),
         "time_reversed": (
             "readout = time_reversed\ngamma = 0.2\nphi0 = 0.4\n",
@@ -1557,3 +1582,42 @@ def test_expectation_scan_refuses_its_first_non_finite_cell(tmp_path, capsys, mo
     error = json.loads(capsys.readouterr().err)
     assert error["message"] == f"refusing to write the non-finite value {first!r}"
     assert not out.exists()
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_benchmark_job_reaches_its_command(tmp_path, monkeypatch):
+    """Every config and argv that ``perfbench/workloads.py`` plans, over one
+    full rotation of each workload's slots, passes ``main``'s checks and
+    reaches its command: a key, flag or signature default that the benchmark
+    still uses cannot leave without this test failing. As in
+    ``perfbench/probe.py``, a stand-in command returns an int, which ``main``
+    returns without writing an output. The file is imported as it is, with no
+    bytecode written next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    started = []
+
+    def stand_in(manifest, values) -> int:
+        started.append(manifest.command)
+        return 0
+
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, stand_in)
+    jobs = [
+        job
+        for workload in workloads.WORKLOADS.values()
+        for job in workload.plan(7, math.lcm(*map(len, workload.slots)))
+    ]
+    assert {job.command for job in jobs} == set(cli._COMMANDS)
+    for k, job in enumerate(jobs):
+        config = tmp_path / f"{k}.ini"
+        config.write_text(job.config)
+        assert main(job.argv(config, tmp_path / f"out{k}")) == 0, job.kind
+    assert started == [job.command for job in jobs]
+    assert not list(tmp_path.glob("out*"))
+    assert workloads._golden_evals() > 2  # reads dephasing_benchmark's refine_iters default

@@ -122,7 +122,7 @@ def _config(section):
 
 def _flags():
     return st.tuples(
-        st.booleans(), st.sampled_from(["csv", "json"]), st.integers(0, 3)
+        st.booleans(), st.sampled_from(["csv", "json"]), st.integers(-1, 3)
     ).map(lambda f: (*(("--expectation-mode",) if f[0] else ()), "--format", f[1],
                      "--seed", str(f[2])))
 

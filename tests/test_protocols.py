@@ -48,6 +48,7 @@ from ionramsey.errors import FitError
 from ionramsey.register import sample_measurement
 from ionramsey.protocols import (
     FringeFit,
+    Trials,
     _prepare_dicke,
     fit_fringe_frequency,
     flag_large_admixture,
@@ -226,10 +227,10 @@ class TestSampledRuns:
         cfg = _half_fringe_cfg(protocol, 3, shots=400)
         trials = run_ramsey(cfg, stream(1, 0), seed_label="1/0")
         assert trials.cfg is cfg
-        assert trials.outcomes.dtype == np.float64
-        assert trials.outcomes.shape == (400,)
+        assert trials.classes.dtype == np.int64
+        assert trials.classes.shape == (400,)
         # At the half fringe every outcome the protocol allows shows up.
-        assert set(trials.outcomes.tolist()) == outcomes
+        assert set(protocol.outcomes(trials.classes, 3).tolist()) == outcomes
         assert trials.seed_label == "1/0"
 
     @pytest.mark.parametrize(
@@ -361,7 +362,7 @@ class TestStreamConsumption:
         rng = stream(29, 3)
         trials = run_ramsey(cfg, rng)
         want = sample_measurement(protocols._run_state(cfg), stream(29, 3).random(500))
-        assert np.array_equal(trials.outcomes, protocol.outcomes(want, 3))
+        assert np.array_equal(trials.classes, want)
         assert np.array_equal(rng.random(8), _drawn((29, 3), 500).random(8))
 
     def test_long_run_leaves_its_one_stream_after_one_block(self, monkeypatch):
@@ -379,18 +380,28 @@ class TestStreamConsumption:
 
 
 class TestEstimatorMoments:
-    """The estimator's one-pass mean and standard error are numpy's to the bit,
-    on either side of the pairwise-sum block sizes (8 and 128 values)."""
+    """The estimator takes the signal's mean and standard error from the shots'
+    readout-class counts. The per-shot formula, ``np.mean`` and ``np.std(ddof=1)
+    / sqrt(n)`` over each shot's signal, is their oracle, to 4 ulp."""
 
-    @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, 6000])
+    @pytest.mark.parametrize("n_ions", [1, 2, 6, 20])
+    @pytest.mark.parametrize("shots", [2, 3, 300, 2500])
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_moments_are_numpys(self, protocol, n):
-        n_ions = 5
-        classes = stream(41, n).integers(0, 2 * n_ions, n)
+    def test_counted_moments_match_the_per_shot_formula(self, protocol, shots, n_ions):
+        cfg = _half_fringe_cfg(protocol, n_ions, shots=shots)
+        classes = run_ramsey(cfg, stream(41, shots, n_ions)).classes
         s = protocol.signal(protocol.outcomes(classes, n_ions), n_ions)
-        mean, error = protocols._mean_and_error(s)
-        want = float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(n))
-        assert (mean.hex(), error.hex()) == (want[0].hex(), want[1].hex())
+        want = float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(shots))
+        counts = np.bincount(classes, minlength=2 * n_ions)
+        got = protocols._signal_moments(cfg, counts)
+        for value, oracle in zip(got, want):
+            assert abs(value - oracle) <= 4 * np.spacing(abs(oracle))
+
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_one_shot_has_no_standard_error(self, shots):
+        cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=1)
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            estimate_frequency(Trials(cfg, np.zeros(shots, dtype=np.int64), ""))
 
 
 class TestSharedPreparation:
@@ -481,7 +492,7 @@ class TestBatchedGrids:
         cfg = replace(
             _grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3, shots=2300
         )
-        want = run_ramsey(cfg, stream(13, 0, 0)).outcomes
+        want = run_ramsey(cfg, stream(13, 0, 0)).classes
         calls = []
         prepare_dicke = protocols._prepare_dicke
 
@@ -492,7 +503,7 @@ class TestBatchedGrids:
         monkeypatch.setattr(protocols, "_prepare_dicke", counting)
         trials = run_ramsey(cfg, *_run_stream(13, 0))
         assert len(calls) == 1
-        assert np.array_equal(trials.outcomes, want)
+        assert np.array_equal(trials.classes, want)
 
 
 _dense_final = dense_final  # the dense reference for a noiseless run
@@ -571,11 +582,11 @@ class TestSymmetricSubspace:
         # config stores a zero rate, in either noise mode, as no noise, so
         # that run also draws the noiseless run's shots.
         cfg = replace(_subspace_cfg(protocol, n_ions), shots=50)
-        shots = run_ramsey(cfg, stream(13, n_ions)).outcomes.tobytes()
+        shots = run_ramsey(cfg, stream(13, n_ions)).classes.tobytes()
         for mode in ("independent", "common"):
             zero = replace(cfg, noise=NoiseSpec(0.0, mode))
             assert zero.noise is None
-            assert run_ramsey(zero, stream(13, n_ions)).outcomes.tobytes() == shots
+            assert run_ramsey(zero, stream(13, n_ions)).classes.tobytes() == shots
         for cfg in (cfg, replace(cfg, noise=NoiseSpec(0.0, "common"))):
             assert expected_signal(cfg) == protocol.expected(protocols._run_state(cfg))
 
@@ -588,7 +599,7 @@ class TestSymmetricSubspace:
             protocol=protocol, shots=shots,
         )
         fringe = np.cos(protocol.multiplier(n_ions) * cfg.delta_omega * cfg.t_ramsey)
-        mean = run_ramsey(cfg, stream(5, 24)).outcomes.mean()
+        mean = protocol.outcomes(run_ramsey(cfg, stream(5, 24)).classes, n_ions).mean()
         if protocol is Protocol.STANDARD:  # ions found |dn>: binomial
             p_up = (1 - fringe) / 2
             want, se = n_ions * (1 - p_up), np.sqrt(n_ions * p_up * (1 - p_up) / shots)
@@ -620,7 +631,7 @@ class TestSymmetricSubspace:
         _forbid_dense_register(monkeypatch)
         cfg = replace(_subspace_cfg(protocol, 6), noise=NoiseSpec(0.2, mode), shots=300,
                       allow_wrap=False, t_ramsey=0.3)
-        assert len(run_ramsey(cfg, stream(3)).outcomes) == 300
+        assert len(run_ramsey(cfg, stream(3)).classes) == 300
 
     def test_sampled_dephasing_benchmark_builds_no_register(self, monkeypatch):
         _forbid_dense_register(monkeypatch)

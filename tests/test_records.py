@@ -12,22 +12,23 @@ from ionramsey.protocols import Estimate, Protocol, RamseyConfig, Trials, run_ra
 from ionramsey.records import CSV_COLUMNS, trial_rows, write_json, write_table_csv
 
 
-def make_trials(outcomes=(1.0,), seed_label="7/0/0"):
-    outcomes = np.array(outcomes, dtype=np.float64)
+def make_trials(classes=(1,), seed_label="7/0/0", protocol=Protocol.GHZ_PARITY, n_ions=3):
+    """Shots of the readout classes ``classes``; at the default L = 3 GHZ
+    parity, even classes read parity -1 and odd ones +1."""
     cfg = RamseyConfig(
-        n_ions=3,
+        n_ions=n_ions,
         t_ramsey=1.0,
         omega_r=0.5235987755982988,
         omega_0=0.0,
-        protocol=Protocol.GHZ_PARITY,
+        protocol=protocol,
     )
-    return Trials(cfg=cfg, outcomes=outcomes, seed_label=seed_label)
+    return Trials(cfg=cfg, classes=np.array(classes, dtype=np.int64), seed_label=seed_label)
 
 
 class TestCsvWriters:
     def test_records_csv_layout(self, tmp_path):
         path = tmp_path / "out.csv"
-        rows, index = trial_rows(make_trials([1.0, -1.0]))
+        rows, index = trial_rows(make_trials([1, 0]))
         write_table_csv(path, CSV_COLUMNS, rows, {"seed": 7, "b": "x"}, index)
         lines = path.read_text().splitlines()
         # Comment header: sorted key=value pairs, then the column row.
@@ -42,15 +43,15 @@ class TestCsvWriters:
         # repr-format floats must parse back bit-identically.
         value = 0.1 + 0.2  # classic non-representable sum
         path = tmp_path / "r.csv"
-        rows, index = trial_rows(make_trials([value]))
+        rows, index = trial_rows(make_trials([1]), Estimate(value, value / 3))
         write_table_csv(path, CSV_COLUMNS, rows, {}, index)
         data_line = path.read_text().splitlines()[-1]
-        assert float(data_line.split(",")[5]) == value
+        assert [float(cell) for cell in data_line.split(",")[6:]] == [value, value / 3]
 
     def test_estimate_record_row_shape(self):
-        trials = make_trials([1.0, -1.0, 1.0], seed_label="1/0/0")
+        trials = make_trials([1, 0, 1], seed_label="1/0/0")
         rows, index = trial_rows(trials, Estimate(estimate=0.05, sigma=0.002))
-        assert index == [1, 0, 1, 2]
+        assert index == [1, 0, 1, 6]  # a row per class of L = 3, then the estimate's
         rows = [rows[k] for k in index]
         assert [row[4] for row in rows] == ["1/0/0"] * 4
         assert all(len(row) == len(CSV_COLUMNS) for row in rows)
@@ -77,27 +78,9 @@ class TestCsvWriters:
         expected = "a,b\nx,1.0\ny,0.5\nz,-2.0\nx,1.0\n"
         assert path.read_text() == (tmp_path / "s.csv").read_text() == expected
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_outcome_is_refused(self, value):
-        with pytest.raises(ValueError, match="non-finite"):
-            trial_rows(make_trials([1.0, value, -1.0]))
-
-    def test_non_finite_outcome_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        def nan_run(cfg, rng, seed_label=""):
-            return Trials(cfg, np.array([1.0, np.nan, -1.0]), seed_label)
-
-        monkeypatch.setattr(cli, "run_ramsey", nan_run)
-        cfg = tmp_path / "r.ini"
-        cfg.write_text("[ramsey]\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.3\nshots = 3\n")
-        out = tmp_path / "out"
-        assert cli.main(["ramsey", "--config", str(cfg), "--out", str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError" and "non-finite" in err["message"]
-        assert not out.exists() and not list(tmp_path.rglob("*.partial"))
-
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
-        rows, index = trial_rows(make_trials([float(x) for x in range(5)]))
+        rows, index = trial_rows(make_trials(range(6)))
         write_table_csv(p1, CSV_COLUMNS, rows, {"seed": 3}, index)
         write_table_csv(p2, CSV_COLUMNS, rows, {"seed": 3}, index)
         assert p1.read_bytes() == p2.read_bytes()
@@ -109,7 +92,8 @@ def reference_rows(trials, estimate):
     cfg = trials.cfg
     config = [cfg.protocol.value, str(cfg.n_ions), repr(float(cfg.t_ramsey)),
               repr(float(cfg.omega_r)), trials.seed_label]
-    rows = [[*config, repr(v), "", ""] for v in trials.outcomes.tolist()]
+    outcomes = cfg.protocol.outcomes(trials.classes, cfg.n_ions)
+    rows = [[*config, repr(v), "", ""] for v in outcomes.tolist()]
     if estimate is not None:
         rows.append([*config, "", repr(estimate.estimate), repr(estimate.sigma)])
     return rows
@@ -145,12 +129,15 @@ class TestClassIndexedTables:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0, 3.0, 5e-324]), min_size=1)
-        | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+        st.sampled_from(list(Protocol)),
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2 * n - 1), min_size=1))
+        ),
         st.booleans(),
     )
-    def test_table_rows_match_the_per_shot_formula(self, outcomes, with_estimate):
-        trials = make_trials(outcomes)
+    def test_table_rows_match_the_per_shot_formula(self, protocol, shots, with_estimate):
+        n_ions, classes = shots
+        trials = make_trials(classes, protocol=protocol, n_ions=n_ions)
         estimate = Estimate(-0.25, 2.5e-3) if with_estimate else None
         rows, index = trial_rows(trials, estimate)
         assert [rows[k] for k in index] == reference_rows(trials, estimate)

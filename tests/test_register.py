@@ -26,9 +26,6 @@ from ionramsey import (
     sample_measurement,
     stream,
 )
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from ionramsey.gates import (
     QubitRegister,
     Rot,
@@ -40,8 +37,6 @@ from ionramsey.gates import (
 )
 from ionramsey.register import (
     DickeState,
-    _bucket_bits,
-    _bucket_edges,
     _flip_counts,
     _root_binomials,
     rotation_matrix,
@@ -435,16 +430,17 @@ class TestSampling:
         # 7 dof: 99.9% quantile is 24.3
         assert chi2 < 24.3
 
+    @pytest.mark.parametrize("shots", [300, 5000])
     @pytest.mark.parametrize("n_ions", [1, 3, 6, 12])
-    def test_uniforms_draw_what_generator_choice_draws(self, n_ions):
+    def test_uniforms_draw_what_generator_choice_draws(self, n_ions, shots):
         # sample_measurement(table, rng.random(n)) inverts the CDF exactly as
         # Generator.choice does over the classes' masses: the same classes
         # from the same stream.
         amps = random_state(1 << n_ions, np.random.default_rng(n_ions))
         masses = class_masses(n_ions, amps)
-        want = stream(3, n_ions).choice(2 * n_ions, size=5000, p=masses / masses.sum())
+        want = stream(3, n_ions).choice(2 * n_ions, size=shots, p=masses / masses.sum())
         table = dense_table(n_ions, amps)
-        got = sample_measurement(table, stream(3, n_ions).random(5000))
+        got = sample_measurement(table, stream(3, n_ions).random(shots))
         assert np.array_equal(got, want)
 
     def test_uniform_on_a_cdf_step_skips_zero_probability_states(self):
@@ -473,11 +469,11 @@ class TestSampling:
         assert abs(var - m2) < 4 * sd_var
 
 
-    @pytest.mark.parametrize("n", [5, 5000])  # one CDF search, and the bucket lookup
+    @pytest.mark.parametrize("n", [5, 5000])
     @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, np.nan, np.inf, -np.inf])
     def test_uniform_outside_the_unit_interval_raises(self, n, bad):
         # A negative uniform used to give class 0 and one >= 1 (or NaN) class
-        # 2 L, which no protocol can read; a bucket index would wrap round.
+        # 2 L, which no protocol can read.
         table = np.array([[0.1, 0.4], [0.3, 0.2]])
         uniforms = np.full(n, 0.3)
         uniforms[n // 2] = bad
@@ -532,55 +528,8 @@ class TestSampling:
         assert got_rng.random() == want_rng.random()
 
     def test_cached_tables_are_read_only(self):
-        for bits in (7, 12):
-            edges = _bucket_edges(bits)
-            assert not edges.flags.writeable and len(edges) == (1 << bits) + 1
         for array in (_root_binomials(5), *_flip_counts(5)):
             assert not array.flags.writeable
-
-
-@st.composite
-def _born_tables(draw) -> np.ndarray:
-    """A (2, L) Born table, 1 <= L <= 24, most of whose classes may carry no
-    mass. Half the tables hold integer masses summing to a power of two on the
-    cells with C(L - 1, k) = 1, so each CDF value is a multiple of a power of
-    two: it sits on bucket edges."""
-    n_ions = draw(st.integers(1, MAX_IONS))
-    table = np.zeros((2, n_ions))
-    if draw(st.booleans()):
-        total = 1 << draw(st.integers(0, 12))
-        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=3, max_size=3)))
-        for (b, k), mass in zip([(0, 0), (0, -1), (1, 0), (1, -1)], np.diff([0, *cuts, total])):
-            table[b, k] += mass
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        table = rng.random((2, n_ions)) * (rng.random((2, n_ions)) < draw(st.floats(0.05, 1.0)))
-        table[rng.integers(2), rng.integers(n_ions)] += 0.5  # some class has mass
-    return table
-
-
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
-@given(_born_tables(), st.sampled_from([0, *range(7, 13)]), st.data())
-def test_bucket_lookup_is_the_cdf_search(table, bits, data):
-    # The classes are cdf.searchsorted(u, side="right") whichever path runs:
-    # one search below 2,048 uniforms (bits 0), else 2**bits buckets. The
-    # uniforms include 0, 1 - 2**-53, every bucket edge, every CDF value
-    # below 1, and the float just below each edge and each value.
-    low = 1 if bits == 0 else 16 << bits
-    n = data.draw(st.integers(low, (2048 if bits == 0 else 32 << bits) - 1))
-    assert _bucket_bits(n) == bits
-    n_ions = table.shape[-1]
-    mass = (table * np.array([comb(n_ions - 1, k) for k in range(n_ions)])).reshape(-1)
-    cdf = np.cumsum(mass / mass.sum())
-    cdf /= cdf[-1]
-    edges = _bucket_edges(max(bits, 7))[:-1]
-    marks = np.concatenate([edges, cdf[cdf < 1]])
-    special = np.concatenate([[0.0, 1 - 2.0**-53], marks, np.nextafter(marks[marks > 0], 0.0)])
-    uniforms = stream(data.draw(st.integers(0, 2**32 - 1))).random(n)
-    uniforms[: len(special)] = special[:n]
-    got = sample_measurement(table, uniforms)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, cdf.searchsorted(uniforms, side="right"))
 
 
 def _half_fringe_register():

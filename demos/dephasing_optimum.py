@@ -4,8 +4,9 @@ The GHZ coherence decays L times faster (exp(-L*gamma*T_R)), exactly
 cancelling the L-fold fringe steepening once the Ramsey time is optimized:
 both protocols bottom out at sigma*sqrt(tau) = sqrt(2*e*gamma/L), the GHZ
 one merely at an L-times shorter T_R. This script tabulates the analytic
-curves, cross-checks the minima with sampled trials, and writes both
-curves to out/dephasing_optimum.csv.
+(infinite-trial) curves, which the simulator computes from the exact class
+masses of each point's dephased Born table, cross-checks the minima with
+sampled trials, and writes both curves to out/dephasing_optimum.csv.
 """
 
 from pathlib import Path

@@ -16,7 +16,6 @@ from .bench import (
     DephasingReport,
     ScalingPoint,
     ScalingReport,
-    analytic_sigma_tau,
     dephasing_benchmark,
     golden_section,
     scan_scaling,
@@ -81,7 +80,6 @@ __all__ = [
     "ScalingPoint",
     "ScalingReport",
     "Trials",
-    "analytic_sigma_tau",
     "dephasing_benchmark",
     "ensemble_contrast",
     "estimate_frequency",

@@ -1,4 +1,4 @@
-"""Monte Carlo scaling studies.
+"""Scaling studies, sampled (Monte Carlo) or at infinite trials.
 
 Two benchmarks:
 
@@ -18,6 +18,8 @@ counter-based random stream, so a report depends on its seed alone. A point
 keeps only the mean and standard error of its trials' signal, which their 2L
 readout-class counts fix: it draws those counts, one multinomial over its Born
 table (:func:`.register.sample_counts`), and inverts them (:func:`.protocols.invert_fringe`).
+An analytic point (``mode="analytic"``) inverts the same table's class masses
+instead, so the infinite-trial curves are outputs of the simulator too.
 
 Every experiment is run at its half-fringe operating point (detuning
 pi/(2 m T_R) with m the protocol's fringe multiplier) and the estimator's
@@ -40,10 +42,9 @@ from .protocols import (
     Protocol,
     RamseyConfig,
     _run_state,
-    ensemble_contrast,
     invert_fringe,
 )
-from .register import sample_counts
+from .register import _class_masses, sample_counts
 
 # The two protocols every benchmark compares; reports label them by family.
 PROTOCOLS = (Protocol.STANDARD, Protocol.GHZ_PARITY)
@@ -64,38 +65,23 @@ def theory_sigma(protocol: Protocol, n_ions: int, t_ramsey: float, tau: float) -
     return 1.0 / (n_ions * math.sqrt(exposure))
 
 
-def analytic_sigma_tau(
-    protocol: Protocol, n_ions: int, gamma: float, t_ramsey: float
-) -> float:
-    """sigma(dw)*sqrt(tau) under independent dephasing, infinite trials: the
-    noise-free limit at unit tau divided by the ensemble fringe contrast
-    (a ``ConfigError`` where that contrast underflows to 0)."""
-    noise = NoiseSpec(gamma=gamma, mode="independent")
-    contrast = ensemble_contrast(n_ions, noise, t_ramsey, protocol)
-    if contrast == 0.0:
-        raise ConfigError(
-            f"the {protocol.family} contrast exp(-gamma T_R ...) underflows to 0 at "
-            f"gamma = {gamma!r}, T_R = {t_ramsey!r}"
-        )
-    return theory_sigma(protocol, n_ions, t_ramsey, 1.0) / contrast
-
-
 def _half_fringe_sigma(
     protocol: Protocol,
     n_ions: int,
     t_ramsey: float,
     shots: int,
-    path: tuple[int, ...],
+    path: tuple[int, ...] | None,
     *,
     omega_0: float = 0.0,
     noise: NoiseSpec | None = None,
 ) -> float:
     """The estimate's sigma for a run of ``shots`` trials at the half fringe
     above ``omega_0``, dephased by ``noise``: :func:`.protocols.invert_fringe`
-    of its class counts, one multinomial draw from its Born table on the
-    stream ``stream(*path, 0)``. The sigma must be finite and > 0: when every
-    shot of a small run agrees it is 0, which measures nothing and would
-    reach a log or a ratio (``DegenerateSlopeError``)."""
+    of its Born table's class counts, one multinomial draw on the stream
+    ``stream(*path, 0)``, or with no ``path`` of the table's class masses
+    (infinite trials). The sigma must be finite and > 0: when every shot of
+    a small run agrees it is 0, which measures nothing and would reach a log
+    or a ratio (``DegenerateSlopeError``)."""
     cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=t_ramsey,
@@ -105,12 +91,16 @@ def _half_fringe_sigma(
         protocol=protocol,
         shots=shots,
     )
-    counts = sample_counts(_run_state(cfg), shots, streams.stream(*path, 0))
-    sigma = invert_fringe(cfg, counts, operating_phase=np.pi / 2).sigma
+    table = _run_state(cfg)
+    if path is None:
+        weights = _class_masses(table)
+    else:
+        weights = sample_counts(table, shots, streams.stream(*path, 0))
+    sigma = invert_fringe(cfg, weights, operating_phase=np.pi / 2).sigma
     if not 0.0 < sigma < math.inf:
         raise DegenerateSlopeError(
-            f"the {protocol.family} run at L = {n_ions}, T_R = {t_ramsey!r} "
-            f"has sigma {sigma}: its {shots} shots show no spread"
+            f"the {protocol.family} run at L = {n_ions}, T_R = {t_ramsey!r} has sigma {sigma}"
+            + (f": its {shots} shots show no spread" if sigma == 0.0 else "")
         )
     return sigma
 
@@ -164,18 +154,22 @@ def scan_scaling(
     t_ramsey: float = 1.0,
     omega_0: float = 0.0,
     seed: int = 0,
+    mode: str = "sampled",
 ) -> ScalingReport:
     """Measure sigma(dw) for both protocols over a list of ion numbers.
 
     Each point runs ``trials`` noiseless shots of Ramsey time ``t_ramsey``
     at the half-fringe operating point above the resonance ``omega_0`` and
     propagates the per-shot sample spread, which the shots' readout-class
-    counts fix, through the fringe slope. Slopes of log sigma vs log L are
+    counts fix (``mode="analytic"``: the Born table's class masses, exactly),
+    through the fringe slope. Slopes of log sigma vs log L are
     least-squares fits; their quoted 1-sigma uncertainty comes from the fit
     covariance (with few trials the points scatter more and the interval
-    widens accordingly; reports with fewer than 1000 trials are additionally
-    flagged ``low_statistics``).
+    widens accordingly; sampled reports with fewer than 1000 trials are
+    additionally flagged ``low_statistics``).
     """
+    if mode not in ("sampled", "analytic"):
+        raise ConfigError(f"unknown mode {mode!r}")
     if len(l_values) < 2:
         raise ConfigError("need at least two L values to fit a scaling slope")
     if not t_ramsey > 0:
@@ -186,9 +180,8 @@ def scan_scaling(
     for proto_idx, protocol in enumerate(PROTOCOLS):
         sigmas = []
         for l_idx, n_ions in enumerate(l_values):
-            sigma = _half_fringe_sigma(
-                protocol, n_ions, t_ramsey, trials, (seed, proto_idx, l_idx), omega_0=omega_0
-            )
+            path = (seed, proto_idx, l_idx) if mode == "sampled" else None
+            sigma = _half_fringe_sigma(protocol, n_ions, t_ramsey, trials, path, omega_0=omega_0)
             sigmas.append(sigma)
             tau = trials * t_ramsey
             theory = theory_sigma(protocol, n_ions, t_ramsey, tau)
@@ -212,7 +205,7 @@ def scan_scaling(
         slope_sigma=slope_sigma,
         trials=trials,
         seed=seed,
-        low_statistics=trials < 1000,
+        low_statistics=mode == "sampled" and trials < 1000,
     )
 
 
@@ -283,10 +276,10 @@ def dephasing_benchmark(
 
     ``mode="sampled"`` runs Monte Carlo trials (one projective shot per
     trial, drawn from the dephased Born table and tallied by readout class);
-    ``mode="analytic"`` evaluates the infinite-trial formulas. After the
-    coarse grid, the optimum is refined by golden section inside the
-    bracketing grid cells unless the coarse argmin sits on the grid boundary
-    (then it is flagged and left as is).
+    ``mode="analytic"`` inverts that table's class masses (infinite trials;
+    ``trials`` is not read). After the coarse grid, the optimum is refined
+    by golden section inside the bracketing grid cells unless the coarse
+    argmin sits on the grid boundary (then it is flagged and left as is).
     """
     if gamma <= 0:
         raise ConfigError("dephasing benchmark needs gamma > 0")
@@ -298,14 +291,14 @@ def dephasing_benchmark(
     noise = NoiseSpec(gamma=gamma, mode="independent")
 
     def sigma_tau(protocol: Protocol, t_ramsey: float, path: tuple[int, ...]) -> float:
-        """One curve point: analytic, or a sampled run on the stream (seed, *path)."""
-        if mode == "analytic":
-            return analytic_sigma_tau(protocol, n_ions, gamma, t_ramsey)
-        sigma = _half_fringe_sigma(protocol, n_ions, t_ramsey, trials, (seed, *path), noise=noise)
-        value = float(sigma) * math.sqrt(trials * t_ramsey)
+        """One curve point: a sampled run on the stream (seed, *path), or one
+        analytic trial, whose sigma * sqrt(tau) is that of any number of them."""
+        shots, run = (trials, (seed, *path)) if mode == "sampled" else (1, None)
+        sigma = _half_fringe_sigma(protocol, n_ions, t_ramsey, shots, run, noise=noise)
+        value = float(sigma) * math.sqrt(shots * t_ramsey)
         if math.isfinite(value):  # Python floats overflow to inf without a warning
             return value
-        raise ConfigError(f"sigma * sqrt(trials * T_R) overflows at T_R = {t_ramsey!r}")
+        raise ConfigError(f"sigma * sqrt(tau) overflows at T_R = {t_ramsey!r}")
 
     curves: dict[str, DephasingCurve] = {}
     for p, protocol in enumerate(PROTOCOLS):

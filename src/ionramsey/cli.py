@@ -52,14 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, streams
-from .bench import (
-    PROTOCOLS,
-    SCHEMA_VERSION,
-    _loglog_slope,
-    dephasing_benchmark,
-    scan_scaling,
-    theory_sigma,
-)
+from .bench import SCHEMA_VERSION, dephasing_benchmark, scan_scaling
 from .errors import (
     AmbiguousFringeError,
     CapacityError,
@@ -73,11 +66,12 @@ from .protocols import (
     CalibrationState,
     Protocol,
     RamseyConfig,
-    estimate_frequency,
+    _class_outcomes,
     expected_signal,
     fit_fringe_frequency,
     flag_large_admixture,
     fourier_decompose,
+    invert_fringe,
     make_truth_simulator,
     naive_single_point_omega0,
     run_ramsey,
@@ -456,11 +450,14 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         summary["fitted_amplitude"] = fit.amplitude
     else:
         trials = run_ramsey(cfg, *_run_stream(manifest.seed, 0))
+        counts = np.bincount(trials.classes, minlength=2 * cfg.n_ions)
         summary["shots"] = cfg.shots
-        summary["mean_outcome"] = float(np.mean(cfg.protocol.outcomes(trials.classes, cfg.n_ions)))
+        # Outcomes are integers or half-integers: the dot's sum is exact, as np.mean's is.
+        outcomes = _class_outcomes(cfg.protocol, cfg.n_ions)
+        summary["mean_outcome"] = float(counts @ outcomes) / cfg.shots
         est = None
         try:
-            est = estimate_frequency(trials)
+            est = invert_fringe(cfg, counts)
             summary["estimate_delta_omega"] = est.estimate
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:
@@ -471,30 +468,19 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
 
 def cmd_scaling(manifest: RunManifest, values: ChainMap) -> Outputs:
     columns = ("protocol", "L", "T_R", "tau", "sigma_measured", "sigma_theory", "ratio")
-    if manifest.expectation:
-        l_values, trials, t_ramsey = values["l_values"], values["trials"], values["t_ramsey"]
-        # No sampling noise to measure: emit the analytic limits themselves.
-        tau = trials * t_ramsey
-        rows, slopes = [], {}
-        for protocol in PROTOCOLS:
-            sigmas = [theory_sigma(protocol, n_ions, t_ramsey, tau) for n_ions in l_values]
-            rows += [(protocol.family, n, t_ramsey, tau, sig, sig, 1.0)
-                     for n, sig in zip(l_values, sigmas)]
-            slopes[protocol.family] = _loglog_slope(l_values, sigmas)[0]
-        summary = {"expectation_mode": True, "slopes": slopes, "trials": trials}
-        return columns, rows, summary
-    report = scan_scaling(**values, seed=manifest.seed)
+    mode = "analytic" if manifest.expectation else "sampled"
+    report = scan_scaling(**values, seed=manifest.seed, mode=mode)
     rows = [
         (p.protocol, p.n_ions, p.t_ramsey, p.tau, p.sigma_measured, p.sigma_theory, p.ratio)
         for p in report.points
     ]
     summary = {
-        "expectation_mode": False,
+        "expectation_mode": manifest.expectation,
         "slopes": report.slopes,
-        "slope_sigma": report.slope_sigma,
         "trials": report.trials,
-        "low_statistics": report.low_statistics,
     }
+    if not manifest.expectation:  # only shots have a spread to quote
+        summary.update(slope_sigma=report.slope_sigma, low_statistics=report.low_statistics)
     return columns, rows, summary
 
 
@@ -689,7 +675,7 @@ def _build_argparser() -> argparse.ArgumentParser:
             "--expectation-mode",
             action="store_true",
             help="exact expectations instead of sampled shots "
-            "(scaling/dephasing: analytic curves)",
+            "(scaling/dephasing: sigma from the Born masses, not drawn counts)",
         )
         p.add_argument(
             "--threads", type=int, default=1, help="must be >= 1; runs are single-threaded"

@@ -435,9 +435,9 @@ def invert_fringe(
     cfg: RamseyConfig, counts: np.ndarray, *, operating_phase: float | None = None
 ) -> Estimate:
     """The detuning estimate and its 1-sigma error of a run of ``cfg`` whose
-    shots fall ``counts[c]`` times in readout class c, recorded or drawn as
-    counts: the one place shots become the signal's moments
-    (:func:`_signal_moments`), and those an estimate.
+    shots fall ``counts[c]`` times in readout class c, or, given the Born
+    masses, of its infinite repetition: the one place class weights become
+    the signal's moments (:func:`_signal_moments`), and those an estimate.
 
     The fringe model :attr:`Protocol.fringe` is inverted at the sample mean
     (arccos principal branch, assuming the operating point sits in (0, pi) —
@@ -454,7 +454,10 @@ def invert_fringe(
     protocol, t_r = cfg.protocol, cfg.t_ramsey
     contrast = ensemble_contrast(cfg.n_ions, cfg.noise, t_r, protocol)
     if contrast <= 0:
-        raise ValueError("contrast must be positive")
+        raise ValueError(
+            f"the {protocol.family} contrast exp(-gamma T_R ...) underflows to 0 at "
+            f"L = {cfg.n_ions}, gamma = {cfg.noise.gamma!r}, T_R = {t_r!r}"
+        )
     mult = protocol.multiplier(cfg.n_ions)
     offset, scale = protocol.fringe
     u = min(max((mean - offset) / (scale * contrast), -1.0), 1.0)
@@ -463,8 +466,9 @@ def invert_fringe(
     x_hat = float(np.arccos(u))  # principal branch [0, pi]
     # Sensitivity at the inverted phase, or at the phase the experiment was
     # designed to sit at (exact when the operating point is known a priori,
-    # and well-defined even when sampling noise swamps a tiny contrast).
-    slope = slope_scale * abs(np.sin(x_hat if operating_phase is None else operating_phase))
+    # and well-defined even when sampling noise swamps a tiny contrast). A
+    # Python float, so a sigma that overflows is inf without a numpy warning.
+    slope = slope_scale * abs(float(np.sin(x_hat if operating_phase is None else operating_phase)))
     if slope < 1e-12 * slope_scale or slope == 0.0:
         raise DegenerateSlopeError(
             "fringe slope vanishes at the operating point "
@@ -474,13 +478,17 @@ def invert_fringe(
 
 
 def _signal_moments(cfg: RamseyConfig, counts: np.ndarray) -> tuple[float, float]:
-    """The per-shot signal's sample mean and standard error (ddof 1) over
-    ``counts``, weighing each class's signal (:func:`_class_signal`) by its
-    count; a run needs two shots or more (``ValueError`` otherwise)."""
+    """The signal's mean and standard error over ``counts``, weighing each
+    class's signal (:func:`_class_signal`): integer counts give the sample
+    ones (ddof 1; two shots or more, else ``ValueError``), float Born masses
+    the exact ones of ``cfg.shots`` shots."""
+    signal = _class_signal(cfg.protocol, cfg.n_ions)
+    if counts.dtype.kind == "f":
+        mean = float(counts @ signal)
+        return mean, math.sqrt(float(counts @ np.square(signal - mean)) / cfg.shots)
     shots = int(counts.sum())
     if shots < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {shots}")
-    signal = _class_signal(cfg.protocol, cfg.n_ions)
     mean = float(counts @ signal) / shots
     return mean, math.sqrt(float(counts @ np.square(signal - mean)) / (shots - 1) / shots)
 

@@ -5,9 +5,14 @@ from first principles: numerically differentiate the expectation-mode signal
 with respect to the detuning, take the exact per-shot outcome variance from
 the state vector, and propagate. No formula under test appears in the
 oracle path.
+
+The analytic (infinite-trial) curves run the simulator: they invert the Born
+table's class masses. Their oracle is the closed form, :func:`analytic_sigma_tau`,
+which lives here and nowhere in the package.
 """
 
 from fractions import Fraction
+import itertools
 import math
 
 import numpy as np
@@ -26,17 +31,35 @@ from ionramsey import (
     scan_scaling,
     theory_sigma,
 )
-from ionramsey.bench import (
-    PROTOCOLS,
-    _half_fringe_sigma,
-    _loglog_slope,
-    analytic_sigma_tau,
-    golden_section,
-)
+from ionramsey.bench import PROTOCOLS, _half_fringe_sigma, _loglog_slope, golden_section
 from ionramsey import protocols, register, streams
 from ionramsey.protocols import Trials, _run_state
 
 STANDARD, GHZ = PROTOCOLS
+
+
+def analytic_sigma_tau(protocol, n_ions, gamma, t_ramsey):
+    """Oracle: sigma(dw) sqrt(tau) under independent dephasing at infinite
+    trials, in closed form (Huelga et al., PRL 79, 3865, 1997). The
+    projection-noise limit at unit tau, 1/sqrt(L T_R) or 1/(L sqrt(T_R)),
+    over the fringe contrast exp(-m gamma T_R), m the fringe multiplier."""
+    if protocol is Protocol.STANDARD:
+        limit = 1.0 / math.sqrt(n_ions * t_ramsey)
+    else:
+        limit = 1.0 / (n_ions * math.sqrt(t_ramsey))
+    return limit / math.exp(-protocol.multiplier(n_ions) * gamma * t_ramsey)
+
+
+def _analytic_point(protocol, n_ions, gamma, t_ramsey):
+    """One point of an analytic dephasing curve, as the package computes it."""
+    noise = NoiseSpec(gamma=gamma, mode="independent")
+    sigma = _half_fringe_sigma(protocol, n_ions, t_ramsey, 1, None, noise=noise)
+    return sigma * math.sqrt(t_ramsey)
+
+
+def _ulps(got, want):
+    """How many spacings of ``want`` lie between ``got`` and it."""
+    return abs(got - want) / np.spacing(abs(want))
 
 
 def numeric_sigma_oracle(protocol, n_ions, t_ramsey, trials):
@@ -97,7 +120,7 @@ class TestTheoryFormulas:
         # formula is not asserted directly, only consistency of the curve.
         gamma, n_ions = 0.4, 3
         res = minimize_scalar(
-            lambda t: analytic_sigma_tau(protocol, n_ions, gamma, t),
+            lambda t: _analytic_point(protocol, n_ions, gamma, t),
             bounds=(1e-3, 20.0),
             method="bounded",
             options={"xatol": 1e-10},
@@ -111,8 +134,8 @@ class TestTheoryFormulas:
     def test_protocol_minima_coincide(self):
         # Same gamma: the two optimal sigma*sqrt(tau) values are equal.
         gamma, n_ions = 0.7, 5
-        m_std = analytic_sigma_tau(STANDARD, n_ions, gamma, 1 / (2 * gamma))
-        m_ghz = analytic_sigma_tau(GHZ, n_ions, gamma, 1 / (2 * n_ions * gamma))
+        m_std = _analytic_point(STANDARD, n_ions, gamma, 1 / (2 * gamma))
+        m_ghz = _analytic_point(GHZ, n_ions, gamma, 1 / (2 * n_ions * gamma))
         assert m_std == pytest.approx(m_ghz, rel=1e-12)
 
 
@@ -162,19 +185,41 @@ class TestScanScaling:
         report = scan_scaling([1, 2], trials=500, seed=0)
         assert report.low_statistics
 
+    def test_analytic_points_meet_the_limit(self):
+        # The Born masses' sigma is the projection-noise limit to rounding: 4 ulp.
+        report = scan_scaling(
+            [1, 2, 4, 8, 24], trials=100, t_ramsey=0.7, omega_0=0.3, mode="analytic"
+        )
+        assert len(report.points) == 10
+        for point in report.points:
+            assert abs(point.ratio - 1.0) <= 4 * np.spacing(1.0)
+        assert report.slopes["standard"] == pytest.approx(-0.5, abs=1e-12)
+        assert report.slopes["ghz"] == pytest.approx(-1.0, abs=1e-12)
+        assert not report.low_statistics
+
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigError, match="unknown mode"):
+            scan_scaling([1, 2], trials=100, mode="magic")
+
 
 class TestDephasingBenchmark:
     def test_analytic_mode_matches_formula(self):
-        gamma, n_ions = 0.5, 3
-        t_grid = np.geomspace(0.1, 3.0, 9)
-        report = dephasing_benchmark(
-            gamma, n_ions, t_grid, trials=100, seed=0, mode="analytic"
-        )
-        for protocol in PROTOCOLS:
-            curve = report.curves[protocol.family]
-            want = [analytic_sigma_tau(protocol, n_ions, gamma, t) for t in t_grid]
-            np.testing.assert_allclose(curve.sigma_tau, want, rtol=1e-12)
-            assert not curve.argmin_on_boundary
+        # The Born masses' sigma is the closed form to rounding, 4 ulp, at
+        # each of 84 points: 2 protocols x 7 ion numbers x 2 rates x 3 times.
+        t_grid = [0.1, 0.7, 2.5]
+        for n_ions, gamma in itertools.product([1, 2, 3, 5, 8, 16, 24], [0.05, 0.5]):
+            report = dephasing_benchmark(gamma, n_ions, t_grid, mode="analytic", refine=False)
+            for protocol in PROTOCOLS:
+                curve = report.curves[protocol.family]
+                for t, got in zip(t_grid, curve.sigma_tau):
+                    want = analytic_sigma_tau(protocol, n_ions, gamma, t)
+                    assert _ulps(got, want) <= 4, (protocol, n_ions, gamma, t)
+
+    def test_analytic_mode_reads_no_trials(self):
+        t_grid = np.geomspace(0.1, 3.0, 5)
+        a, b = (dephasing_benchmark(0.3, 4, t_grid, trials=n, mode="analytic") for n in (2, 10_000))
+        assert a.curves == b.curves
+        assert (a.t_opt_ratio, a.min_ratio) == (b.t_opt_ratio, b.min_ratio)
 
     def test_analytic_refinement_finds_true_optimum(self):
         gamma, n_ions = 0.5, 3
@@ -186,6 +231,7 @@ class TestDephasingBenchmark:
         assert report.curves["ghz"].t_opt == pytest.approx(1 / 3, rel=2e-3)
         assert report.t_opt_ratio == pytest.approx(1 / 3, rel=5e-3)
         assert report.min_ratio == pytest.approx(1.0, abs=5e-3)
+        assert not any(curve.argmin_on_boundary for curve in report.curves.values())
 
     def test_sampled_mode_tracks_analytic(self):
         gamma, n_ions = 0.5, 2

@@ -782,13 +782,34 @@ class TestErrorPaths:
                 "DegenerateSlopeError",
                 id="dephasing_zero_sigma",
             ),
-            # exp(-3 gamma T) underflows to 0 at T = 1000: the analytic curve divided by it.
+            # exp(-gamma T) underflows to 0 at T = 1000: the analytic estimator divides by it.
             pytest.param(
                 "dephasing",
                 "[dephasing]\ngamma = 1\nn_ions = 3\nt_min = 0.5\nt_max = 1000\nmode = analytic\n",
                 (),
                 "ConfigError",
                 id="dephasing_contrast_underflow",
+            ),
+            # exp(-gamma T) underflows to 0 past T = 7.5: the sampled estimator divides by it.
+            pytest.param(
+                "dephasing",
+                "[dephasing]\ngamma = 100\nn_ions = 3\nt_min = 0.5\nt_max = 25\n",
+                (),
+                "ConfigError",
+                id="dephasing_sampled_contrast_underflow",
+            ),
+            # exp(-3 gamma T) is subnormal at T = 241: sigma overflows to inf, with no
+            # numpy warning on stderr before the error line.
+            *(
+                pytest.param(
+                    "dephasing",
+                    "[dephasing]\ngamma = 1\nn_ions = 3\nt_min = 236\nt_max = 246\n"
+                    f"grid_points = 3\nrefine = false\n{extra}",
+                    (),
+                    "DegenerateSlopeError",
+                    id=f"dephasing_{mode}_sigma_overflow",
+                )
+                for mode, extra in (("sampled", "trials = 50\n"), ("analytic", "mode = analytic\n"))
             ),
             # sigma * sqrt(trials * T_R) overflows at T_R = 1e307.
             pytest.param(
@@ -819,7 +840,8 @@ class TestErrorPaths:
         out = tmp_path / "o"
         assert main(["ramsey", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            '{"error": "ConfigError", "message": "contrast must be positive"}\n'
+            '{"error": "ConfigError", "message": "the ghz contrast exp(-gamma T_R ...) '
+            'underflows to 0 at L = 3, gamma = 400.0, T_R = 1.0"}\n'
         )
         assert not out.exists()
 
@@ -1123,7 +1145,10 @@ class TestPinnedOutputs:
     retaken when a ``ramsey`` estimate began to take its moments from the
     shots' readout-class counts: its estimate row and summary moved through
     the last bits of ``sigma``. Every per-shot line and ``mean_outcome`` kept
-    its bytes."""
+    its bytes. The expectation-mode ``scaling`` digests were retaken, and the
+    analytic ``dephasing`` ones first taken, when both scans began to invert
+    their Born tables' class masses instead of evaluating closed forms: their
+    sigma cells and slopes moved by at most 2 ulp (4.4e-16 relative)."""
 
     DEPHASING_INI = (
         "[run]\nseed = 7\n[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\n"
@@ -1180,8 +1205,9 @@ class TestPinnedOutputs:
         assert got == [table, summary]
 
     # Commands whose library calls take explicit values, not a RamseyConfig
-    # copy: sampled scaling off the default T_R and resonance, its analytic
-    # form, and a calibration against a biased contrast.
+    # copy: sampled scaling off the default T_R and resonance, the
+    # infinite-trial scaling and dephasing scans, which invert their Born
+    # tables' class masses, and a calibration against a biased contrast.
     LIBRARY_CALLS = {
         "scaling_sampled": (
             "scaling",
@@ -1195,8 +1221,15 @@ class TestPinnedOutputs:
             "scaling",
             "[scaling]\nl_values = 1 2 4 8\ntrials = 100\nt_ramsey = 0.7\nomega_0 = 0.3\n",
             ("--expectation-mode",),
-            "d9c4a6b91734757ead0f7220a442e9b998891f8245589f081a2d82ce76c5caed",
-            "6dae19d0f508a4b36a73b9f39242d65767e8fa92c013cae63fe968998f999269",
+            "0651fb5769d74ab3dbe098543e3214e3183c66721d7164214b02ecb83d72feef",
+            "468094e18a47b48849f6ecd57bbad388cfef7473d4fe1fd1c4eba83dae228339",
+        ),
+        "dephasing_expectation": (
+            "dephasing",
+            "[dephasing]\ngamma = 0.4\nn_ions = 3\nt_min = 0.1\nt_max = 4.0\ngrid_points = 8\n",
+            ("--expectation-mode",),
+            "94a1e320ca5b31fdecec1f6d6cce643448a6d2e2ce7b414438fc081cd69ffe9a",
+            "6a38c0d394382e47b1dff2f281b992174008675cc5582ec4b16c10d31b0e8c2e",
         ),
         "calibrate_biased": (
             "calibrate",
@@ -1362,8 +1395,9 @@ STILL_KEYS = {
     **{("ramsey", "phi0", flag): "a gauge without epsilon: every GHZ readout tracks it"
        for flag in (False, True)},
     ("ramsey", "allow_wrap", False): "a limit: the base fringe does not wrap",
-    **{("scaling", "omega_0", flag): "dead in both modes, as every point sits at the half "
-       "fringe above it; perfbench/workloads.py scaling() writes it" for flag in (False, True)},
+    **{("scaling", "omega_0", flag): "dead in both modes beyond rounding, as every point sits "
+       "at the half fringe above it; perfbench/workloads.py scaling() writes it"
+       for flag in (False, True)},
     **{("calibrate", "max_iter", flag): "a limit: the base calibration settles sooner"
        for flag in (False, True)},
     **{("fourier", "threshold", flag): "a limit: the fitted admixtures lie on one side of both"

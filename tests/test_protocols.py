@@ -11,6 +11,7 @@ with C = 1 noise-free. These were derived by multiplying out the 2x2 pulse
 matrices; everything below leans on them plus plain statistics.
 """
 
+import re
 import sys
 import time
 import tracemalloc
@@ -325,7 +326,11 @@ class TestSampledRuns:
     def test_underflowed_contrast_raises(self):
         cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 3, shots=50, gamma=400.0)
         trials = run_ramsey(cfg, stream(3, 0))
-        with pytest.raises(ValueError, match="contrast must be positive"):
+        want = (
+            "the ghz contrast exp(-gamma T_R ...) underflows to 0 at "
+            "L = 3, gamma = 400.0, T_R = 1.0"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             estimate_frequency(trials)
 
 

@@ -1250,6 +1250,61 @@ class TestPinnedOutputs:
                for name in (f"{command}.csv", f"{command}_summary.json")]
         assert got == [table, summary]
 
+    # Writer paths the pins above miss: the JSON table of the dephased ramsey
+    # pin, the expectation scans' repr rows of both readout families, and the
+    # fourier fits of a simulated GHZ scan and of given harmonics.
+    WRITER_PATHS = {
+        "ramsey_json": (
+            "ramsey",
+            RAMSEY_INI + "gamma = 0.2\n",
+            ("--format", "json"),
+            "311abddb4215f125bd38714b81b325a8f5330356fccb2895f8053009ab3b251d",
+            "61f0493f51bd8fd2a2c4940ced88d9567572a987364a32aa27fe721d2f3788ba",
+        ),
+        "ghz_expectation_scan": (
+            "ramsey",
+            "[ramsey]\nn_ions = 4\nt_ramsey = 1.0\nomega_0 = 0.1\nomega_r = 0.5\n"
+            "phi0 = 0.3\nepsilon = 2:0.1\nscan_points = 48\nscan_t_max = 3.0\n",
+            ("--expectation-mode",),
+            "6413487fd19ef7a30204c7494abb97d94049877685f712999df3355811caaecd",
+            "d03896e44ea31afe0dce556095fca414a4b862b1789af870136d7f1d014e1ca2",
+        ),
+        "standard_expectation_scan": (
+            "ramsey",
+            "[ramsey]\nprotocol = standard\nn_ions = 3\nt_ramsey = 1.0\nomega_r = 1.2\n"
+            "final_phase = 0.3\nscan_points = 40\nscan_t_max = 6.0\n",
+            ("--expectation-mode",),
+            "d9a8431690a2813683c71f24c3e639f413f75a14a39d0ca5233a6c1cee41f42e",
+            "dffd9f26ed41940c242fd0cb0454a6ebbb52dc72c84e67832c63bdd6a5642a69",
+        ),
+        "fourier_epsilon": (
+            "fourier",
+            "[fourier]\nn_ions = 3\ndelta_omega = 1.0\nepsilon = 1:0.2 2:0.1:0.5\n"
+            "grid_points = 64\n",
+            (),
+            "63e89000c4f68da4cf38286bcd06b606f1acae1b82bb9263401c12ded2c2dce3",
+            "d8a47f61b7d644a489d1e96c4f3622fea26c29e28075337fb0d4786dcc40a968",
+        ),
+        "fourier_c": (
+            "fourier",
+            "[fourier]\nn_ions = 2\ndelta_omega = 1.5\nc = 0.5 0.3\nxi = 0.1 -0.2\n",
+            (),
+            "f61d306c748e426f1646d59ca895f29103389e9d8b2f1b4032195845af5d6e19",
+            "76452cc70288eba77778d3c4146629f2ebaffa0fcc98fdbff7f1d2499ade85ca",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", WRITER_PATHS)
+    def test_writer_paths_keep_their_bytes(self, tmp_path, case):
+        command, text, flags, table, summary = self.WRITER_PATHS[case]
+        cfg = write_config(tmp_path, f"{command}.ini", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        ext = "json" if "json" in flags else "csv"
+        got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in (f"{command}.{ext}", f"{command}_summary.json")]
+        assert got == [table, summary]
+
     # Scans the size of the benchmark's threaded_scan jobs: 6,000 trials a
     # scaling point, and a sampled dephasing scan whose refinement runs.
     WORKLOAD_SIZED = {

@@ -17,7 +17,6 @@ from .bench import (
     ScalingPoint,
     ScalingReport,
     dephasing_benchmark,
-    golden_section,
     scan_scaling,
     theory_sigma,
 )
@@ -32,7 +31,7 @@ from .errors import (
     NormError,
     ProtocolError,
 )
-from .noise import ImperfectionSpec, NoiseSpec, perturb_ghz
+from .noise import ImperfectionSpec, NoiseSpec
 from .protocols import (
     CalibrationState,
     Estimate,
@@ -41,7 +40,6 @@ from .protocols import (
     Protocol,
     RamseyConfig,
     Trials,
-    ensemble_contrast,
     estimate_frequency,
     expected_signal,
     fit_fringe_frequency,
@@ -53,7 +51,7 @@ from .protocols import (
     synthesize_signal,
     two_point_calibrate,
 )
-from .register import MAX_IONS, free_evolve, sample_measurement
+from .register import MAX_IONS
 from .streams import stream
 
 __all__ = [
@@ -81,19 +79,14 @@ __all__ = [
     "ScalingReport",
     "Trials",
     "dephasing_benchmark",
-    "ensemble_contrast",
     "estimate_frequency",
     "expected_signal",
     "fit_fringe_frequency",
     "flag_large_admixture",
     "fourier_decompose",
-    "free_evolve",
-    "golden_section",
     "make_truth_simulator",
     "naive_single_point_omega0",
-    "perturb_ghz",
     "run_ramsey",
-    "sample_measurement",
     "scan_scaling",
     "stream",
     "synthesize_signal",

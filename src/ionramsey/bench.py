@@ -17,7 +17,7 @@ Time accounting charges tau = trials * T_R (zero dead time). Each
 counter-based random stream, so a report depends on its seed alone. A point
 keeps only the mean and standard error of its trials' signal, which their 2L
 readout-class counts fix: it draws those counts, one multinomial over its Born
-table (:func:`.register.sample_counts`), and inverts them (:func:`.protocols.invert_fringe`).
+table (:func:`.register.sample_counts`), and inverts them (:func:`.protocols.estimate_frequency`).
 An analytic point (``mode="analytic"``) inverts the same table's class masses
 instead, so the infinite-trial curves are outputs of the simulator too.
 
@@ -42,7 +42,7 @@ from .protocols import (
     Protocol,
     RamseyConfig,
     _run_state,
-    invert_fringe,
+    estimate_frequency,
 )
 from .register import _class_masses, sample_counts
 
@@ -76,7 +76,7 @@ def _half_fringe_sigma(
     noise: NoiseSpec | None = None,
 ) -> float:
     """The estimate's sigma for a run of ``shots`` trials at the half fringe
-    above ``omega_0``, dephased by ``noise``: :func:`.protocols.invert_fringe`
+    above ``omega_0``, dephased by ``noise``: :func:`.protocols.estimate_frequency`
     of its Born table's class counts, one multinomial draw on the stream
     ``stream(*path, 0)``, or with no ``path`` of the table's class masses
     (infinite trials). The sigma must be finite and > 0: when every shot of
@@ -96,7 +96,7 @@ def _half_fringe_sigma(
         weights = _class_masses(table)
     else:
         weights = sample_counts(table, shots, streams.stream(*path, 0))
-    sigma = invert_fringe(cfg, weights, operating_phase=np.pi / 2).sigma
+    sigma = estimate_frequency(cfg, weights, operating_phase=np.pi / 2).sigma
     if not 0.0 < sigma < math.inf:
         raise DegenerateSlopeError(
             f"the {protocol.family} run at L = {n_ions}, T_R = {t_ramsey!r} has sigma {sigma}"

@@ -67,11 +67,11 @@ from .protocols import (
     Protocol,
     RamseyConfig,
     _class_outcomes,
+    estimate_frequency,
     expected_signal,
     fit_fringe_frequency,
     flag_large_admixture,
     fourier_decompose,
-    invert_fringe,
     make_truth_simulator,
     naive_single_point_omega0,
     run_ramsey,
@@ -188,7 +188,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "omega_r2": (_float, _REQUIRED, None, None),
         "t_r1": (_float, _REQUIRED, None, None),
         "t_r2": (_float, _REQUIRED, None, None),
-        "bias_tc": (_float, 0.0, None, None),
+        "bias_tc": (_float, 0.0, _AT_LEAST_0, None),  # 0: no bias
         "tol": (_float, None, _POSITIVE, None),  # unset: the calibration's own default
         "max_iter": (int, DEFAULT_MAX_ITER, _AT_LEAST_1, None),
     },
@@ -200,7 +200,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "c": (_floats, None, None, None),
         "xi": (_floats, None, None, None),  # unset: zeros
         "epsilon": (_epsilon, None, None, None),
-        "threshold": (_float, 0.1, None, None),
+        "threshold": (_float, 0.1, _POSITIVE, None),
     },
 }
 
@@ -391,14 +391,6 @@ Outputs = tuple[tuple[str, ...], list, dict[str, object]]
 RamseyOutputs = tuple[tuple[str, ...], list, dict[str, object], list[int] | None]
 
 
-def _run_stream(seed: int, *path: int) -> tuple[np.random.Generator, str]:
-    """The random stream every shot of the sampled run at ``path`` is drawn
-    from, ``stream(seed, *path, 0)``, and its label ``seed/.../0``: the
-    arguments :func:`.protocols.run_ramsey` takes after the config."""
-    full = (seed, *path, 0)
-    return streams.stream(*full), "/".join(map(str, full))
-
-
 def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
     given = values.maps[0]
     if "noise_mode" in given and values["gamma"] == 0.0:
@@ -449,7 +441,8 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         summary["expected_fringe_frequency"] = fringe
         summary["fitted_amplitude"] = fit.amplitude
     else:
-        trials = run_ramsey(cfg, *_run_stream(manifest.seed, 0))
+        seed = manifest.seed
+        trials = run_ramsey(cfg, streams.stream(seed, 0, 0), f"{seed}/0/0")
         counts = np.bincount(trials.classes, minlength=2 * cfg.n_ions)
         summary["shots"] = cfg.shots
         # Outcomes are integers or half-integers: the dot's sum is exact, as np.mean's is.
@@ -457,7 +450,7 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         summary["mean_outcome"] = float(counts @ outcomes) / cfg.shots
         est = None
         try:
-            est = invert_fringe(cfg, counts)
+            est = estimate_frequency(cfg, counts)
             summary["estimate_delta_omega"] = est.estimate
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:

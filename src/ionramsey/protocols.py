@@ -43,7 +43,7 @@ mean of every dephasing trajectory's table, and so the law each independent
 shot follows. No run holds a 2**L array. A sampled run keeps each shot's
 class (:func:`.register.sample_measurement`); a scan point of :mod:`.bench`
 draws only the class counts (:func:`.register.sample_counts`), and
-:func:`invert_fringe` turns either's counts into an estimate. The tests
+:func:`estimate_frequency` turns either's counts into an estimate. The tests
 check the tables against the gate-level circuits of :mod:`.gates`, the
 dense density matrix and dense trajectories.
 """
@@ -89,9 +89,9 @@ class Protocol(Enum):
     ``family`` (``standard`` or ``ghz``) is the name configs and benchmark
     tables use; ``readout`` is ``final_pulse`` or, for GHZ only,
     ``time_reversed``. The readout is defined once, by :meth:`outcomes` and
-    :meth:`signal`; the record table writes the outcomes of measured classes,
-    :meth:`expected` averages the signal over a Born table, and
-    :attr:`fringe` is the cosine model the estimator inverts.
+    the class signal (:func:`_class_signal`); the record table writes the
+    outcomes of measured classes, :meth:`expected` averages the signal over a
+    Born table, and :attr:`fringe` is the cosine model the estimator inverts.
     """
 
     STANDARD = "standard"
@@ -139,15 +139,6 @@ class Protocol(Enum):
         spin b - 1/2 (GHZ time-reversed)."""
         return _class_outcomes(self, n_ions).take(classes)
 
-    def signal(self, outcomes: np.ndarray, n_ions: int) -> np.ndarray:
-        """Per-shot fringe signal of recorded outcomes; its mean is the
-        protocol's expected signal (see :meth:`expected`)."""
-        if self is Protocol.STANDARD:
-            return (n_ions - outcomes) / n_ions  # excited fraction per shot
-        if self is Protocol.GHZ_REVERSED:
-            return -2.0 * outcomes  # +-1, mean C cos(L dw T)
-        return outcomes  # parity signs +-1
-
     def expected(self, table: np.ndarray) -> float | np.ndarray:
         """Expected signal of a C-ordered Born table (a float), or of each of a
         batch ``(..., 2, L)``: its dot with :func:`_signal_weights`, each row
@@ -175,8 +166,15 @@ def _class_outcomes(protocol: Protocol, n_ions: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _class_signal(protocol: Protocol, n_ions: int) -> np.ndarray:
-    """:meth:`Protocol.signal` of every readout class, in class order: shared, read only."""
-    signal = protocol.signal(_class_outcomes(protocol, n_ions), n_ions)
+    """The per-shot fringe signal of every readout class, in class order, whose
+    mean is :meth:`Protocol.expected`: shared, read only."""
+    outcomes = _class_outcomes(protocol, n_ions)
+    if protocol is Protocol.STANDARD:
+        signal = (n_ions - outcomes) / n_ions  # excited fraction per shot
+    elif protocol is Protocol.GHZ_REVERSED:
+        signal = -2.0 * outcomes  # +-1, mean C cos(L dw T)
+    else:
+        signal = outcomes  # parity signs +-1
     signal.flags.writeable = False
     return signal
 
@@ -241,21 +239,6 @@ class RamseyConfig:
     @property
     def delta_omega(self) -> float:
         return self.omega_r - self.omega_0
-
-
-def ensemble_contrast(
-    n_ions: int, noise: NoiseSpec | None, t: float, protocol: Protocol
-) -> float:
-    """Ensemble-mean fringe contrast under the Gaussian dephasing model.
-
-    Per-ion phase variance is 2*gamma*t, so a coherence that accumulates m
-    independent phases (m the fringe multiplier) decays as exp(-m*gamma*t);
-    in common mode the m phases are one shared draw, giving
-    exp(-m^2*gamma*t).
-    """
-    if noise is None or noise.gamma == 0.0:
-        return 1.0
-    return float(_coherence_decay(noise, t, protocol.multiplier(n_ions)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +325,7 @@ def expected_signal(
     delta_omega: float | np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Expected fringe signal of cfg.protocol: the mean of
-    :meth:`Protocol.signal` over shots. ``t_ramsey`` and ``delta_omega`` may
+    :func:`_class_signal` over shots. ``t_ramsey`` and ``delta_omega`` may
     be 1-D arrays (of one length if both are), whose entries are evaluated
     as one batch from one preparation, one signal per entry, with no 2**L
     array. It reads the noiseless :func:`_table`, the one a noiseless
@@ -352,8 +335,8 @@ def expected_signal(
     GHZ parity: normalized parity (2^L times the spin-product expectation)
     C cos(L dw T_R + phi_f); GHZ time-reversed: -2<Sz> of ion 1,
     C cos(L dw T_R). C = 1 noise-free; that is :attr:`Protocol.fringe`.
-    The signal is noiseless: the noise-averaged one has contrast
-    :func:`ensemble_contrast`.
+    The signal is noiseless: dephasing damps the noise-averaged one's
+    contrast (see :func:`estimate_frequency`).
     """
     t = cfg.t_ramsey if t_ramsey is None else t_ramsey
     dw = cfg.delta_omega if delta_omega is None else delta_omega
@@ -424,41 +407,37 @@ def _run_state(cfg: RamseyConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def estimate_frequency(trials: Trials, *, operating_phase: float | None = None) -> Estimate:
-    """Invert a sampled run into a detuning estimate with 1-sigma error: the
-    :func:`invert_fringe` of its shots' readout-class counts."""
-    counts = np.bincount(trials.classes, minlength=2 * trials.cfg.n_ions)
-    return invert_fringe(trials.cfg, counts, operating_phase=operating_phase)
-
-
-def invert_fringe(
-    cfg: RamseyConfig, counts: np.ndarray, *, operating_phase: float | None = None
+def estimate_frequency(
+    cfg: RamseyConfig, weights: np.ndarray, *, operating_phase: float | None = None
 ) -> Estimate:
     """The detuning estimate and its 1-sigma error of a run of ``cfg`` whose
-    shots fall ``counts[c]`` times in readout class c, or, given the Born
-    masses, of its infinite repetition: the one place class weights become
-    the signal's moments (:func:`_signal_moments`), and those an estimate.
+    shots fall ``weights[c]`` times in readout class c (the ``np.bincount``
+    of a :class:`Trials`' classes), or, given the Born masses, of its
+    infinite repetition: the one place class weights become the signal's
+    moments (:func:`_signal_moments`), and those an estimate.
 
     The fringe model :attr:`Protocol.fringe` is inverted at the sample mean
     (arccos principal branch, assuming the operating point sits in (0, pi) —
     the half-fringe convention). ``estimate`` is dw_hat = omega_R -
     omega0_hat; ``sigma`` is sigma_S / |dS/d omega|, sigma_S the standard
-    error of the mean. The model's contrast is the :func:`ensemble_contrast`
-    of ``cfg`` (a ``ValueError`` where it underflows to 0) and its phase the
-    :meth:`Protocol.readout_phase` of ``cfg.final_phase``. ``operating_phase``
-    pins the sensitivity evaluation to a known designed phase (e.g. pi/2 at
-    the half-fringe) instead of the inverted one; a slope that vanishes there
-    raises ``DegenerateSlopeError``.
+    error of the mean. The model's contrast is 1 without noise, else the
+    ensemble-mean decay of the m = :meth:`Protocol.multiplier` phases the
+    fringe accumulates: exp(-m gamma T_R) under independent noise and
+    exp(-m^2 gamma T_R) under common noise (a ``ValueError`` where it
+    underflows to 0). Its phase is the :meth:`Protocol.readout_phase` of
+    ``cfg.final_phase``. ``operating_phase`` pins the sensitivity evaluation
+    to a known designed phase (e.g. pi/2 at the half-fringe) instead of the
+    inverted one; a slope that vanishes there raises ``DegenerateSlopeError``.
     """
-    mean, sigma_s = _signal_moments(cfg, counts)
+    mean, sigma_s = _signal_moments(cfg, weights)
     protocol, t_r = cfg.protocol, cfg.t_ramsey
-    contrast = ensemble_contrast(cfg.n_ions, cfg.noise, t_r, protocol)
+    mult = protocol.multiplier(cfg.n_ions)
+    contrast = 1.0 if cfg.noise is None else float(_coherence_decay(cfg.noise, t_r, mult))
     if contrast <= 0:
         raise ValueError(
             f"the {protocol.family} contrast exp(-gamma T_R ...) underflows to 0 at "
             f"L = {cfg.n_ions}, gamma = {cfg.noise.gamma!r}, T_R = {t_r!r}"
         )
-    mult = protocol.multiplier(cfg.n_ions)
     offset, scale = protocol.fringe
     u = min(max((mean - offset) / (scale * contrast), -1.0), 1.0)
     slope_scale = abs(scale) * contrast * mult * t_r  # |dS/d(dw)| at |sin| = 1

@@ -33,13 +33,13 @@ from ionramsey import (
     fourier_decompose,
     make_truth_simulator,
     naive_single_point_omega0,
-    perturb_ghz,
     run_ramsey,
     scan_scaling,
     synthesize_signal,
     two_point_calibrate,
 )
 from ionramsey.gates import QubitRegister, bus_purity, cn_via_bus, cnot, new_register, prepare_ghz
+from ionramsey.noise import perturb_ghz
 from ionramsey.register import dicke_ghz
 
 

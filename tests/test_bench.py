@@ -33,7 +33,7 @@ from ionramsey import (
 )
 from ionramsey.bench import PROTOCOLS, _half_fringe_sigma, _loglog_slope, golden_section
 from ionramsey import protocols, register, streams
-from ionramsey.protocols import Trials, _run_state
+from ionramsey.protocols import _run_state
 
 STANDARD, GHZ = PROTOCOLS
 
@@ -265,14 +265,13 @@ def _half_fringe_cfg(protocol, n_ions, t_ramsey, shots, noise=None):
 
 
 def _tallied_sigma(cfg, path):
-    """Oracle: the per-shot estimator's sigma over the shots that one
-    ``multinomial`` draw on the stream ``(*path, 0)`` tallies, class by class
-    in class order."""
+    """Oracle: the estimator's sigma over the class counts of one
+    ``multinomial`` draw on the stream ``(*path, 0)`` over the run's class
+    masses, each cell times its C(L - 1, k) indices, in class order."""
     n = cfg.n_ions
     masses = (_run_state(cfg) * [math.comb(n - 1, k) for k in range(n)]).reshape(-1)
     counts = streams.stream(*path, 0).multinomial(cfg.shots, masses / masses.sum())
-    classes = np.repeat(np.arange(2 * n), counts)
-    return estimate_frequency(Trials(cfg, classes, ""), operating_phase=np.pi / 2).sigma
+    return estimate_frequency(cfg, counts, operating_phase=np.pi / 2).sigma
 
 
 class TestCountedScanPoints:
@@ -318,7 +317,8 @@ class TestCountedScanPoints:
                 _half_fringe_sigma(protocol, n_ions, t_ramsey, shots, (seed, 0), noise=noise)
             )
             run = run_ramsey(cfg, streams.stream(seed, 1, 0))
-            per_shot.append(estimate_frequency(run, operating_phase=np.pi / 2).sigma)
+            counts = np.bincount(run.classes, minlength=2 * n_ions)
+            per_shot.append(estimate_frequency(cfg, counts, operating_phase=np.pi / 2).sigma)
         error = math.hypot(np.std(counted, ddof=1), np.std(per_shot, ddof=1)) / math.sqrt(300)
         assert abs(np.mean(counted) - np.mean(per_shot)) < 4 * error
 

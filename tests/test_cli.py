@@ -734,18 +734,21 @@ class TestErrorPaths:
         assert main([section, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize(
-        "section,key",
+        "section,key,bad",
         [
-            (section, key)
+            pytest.param(section, key, "-1" if valid is cli._AT_LEAST_0 else "0",
+                         id=f"{section}-{key}")
             for section, table in cli._SCHEMA.items()
             for key, (_, _, valid, _) in table.items()
             if valid is not None and section != "run"
         ],
     )
-    def test_each_declared_range_rejects_zero(self, tmp_path, capsys, section, key):
-        # 0 lies outside every range a command's section declares; [run]
-        # seed's starts at 0 (test_negative_seed_exits_2).
-        cfg = write_config(tmp_path, "bad.ini", _ini(section, {**MINIMAL[section], key: "0"}))
+    def test_each_declared_range_rejects_its_first_outside_value(
+        self, tmp_path, capsys, section, key, bad
+    ):
+        # The first value outside each range a command's section declares: -1
+        # for ">= 0", else 0. [run] seed's is test_negative_seed_exits_2's.
+        cfg = write_config(tmp_path, "bad.ini", _ini(section, {**MINIMAL[section], key: bad}))
         out = tmp_path / "o"
         assert main([section, "--config", cfg, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -1148,7 +1151,10 @@ class TestPinnedOutputs:
     its bytes. The expectation-mode ``scaling`` digests were retaken, and the
     analytic ``dephasing`` ones first taken, when both scans began to invert
     their Born tables' class masses instead of evaluating closed forms: their
-    sigma cells and slopes moved by at most 2 ulp (4.4e-16 relative)."""
+    sigma cells and slopes moved by at most 2 ulp (4.4e-16 relative). The
+    writer-path digests, of a JSON table, the expectation scans and the
+    fourier fits, were first taken before the estimator became the one
+    function of a config and its class weights; every pin kept its bytes."""
 
     DEPHASING_INI = (
         "[run]\nseed = 7\n[dephasing]\ngamma = 0.5\nn_ions = 2\nt_min = 0.05\n"

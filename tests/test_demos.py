@@ -1,4 +1,5 @@
-"""Smoke tests for the narrative scripts in ``demos/``.
+"""Smoke tests for the narrative scripts in ``demos/`` and the README's
+library tour.
 
 Each quick demo runs its ``main()`` with its output directory redirected to
 a temporary path. ``dephasing_optimum`` is only imported: its sampled check
@@ -6,12 +7,19 @@ takes tens of seconds and repeats acceptance criterion 7's workload.
 """
 
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+import ionramsey
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def load_demo(name):
@@ -60,3 +68,16 @@ def test_imperfect_ghz_fourier_regenerates_dataset(tmp_path, monkeypatch, capsys
 def test_dephasing_optimum_imports():
     demo = load_demo("dephasing_optimum")
     assert callable(demo.main)
+
+
+def test_readme_library_tour_runs():
+    # The tour's one Python block, run as a reader runs it, in a fresh
+    # interpreter: it recovers omega_0 = 2.0 from 2,000 dephased shots.
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Library tour\n.*?^```python\n(.*?)^```", readme, re.M | re.S)
+    done = subprocess.run(
+        [sys.executable, "-c", tour.group(1)], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(ionramsey.__file__).parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    assert abs(float(done.stdout.split()[-1]) - 2.0) < 0.05

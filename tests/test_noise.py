@@ -21,15 +21,13 @@ from ionramsey import (
     NoiseSpec,
     Protocol,
     RamseyConfig,
-    ensemble_contrast,
     expected_signal,
-    perturb_ghz,
-    sample_measurement,
     stream,
 )
 from ionramsey.gates import QubitRegister
 from ionramsey.protocols import _run_state
-from ionramsey.register import DickeState, _binomials, dicke_ghz
+from ionramsey.noise import perturb_ghz
+from ionramsey.register import DickeState, _binomials, dicke_ghz, sample_measurement
 from test_register import (
     class_masses,
     dense_close,
@@ -228,13 +226,16 @@ class TestAveragedTable:
 
     @pytest.mark.parametrize("mode", ["independent", "common"])
     @pytest.mark.parametrize("protocol", list(Protocol))
-    def test_mean_signal_follows_ensemble_contrast(self, protocol, mode):
-        # The fringe about its offset shrinks by ensemble_contrast exactly,
-        # at every L up to capacity.
+    def test_mean_signal_follows_the_contrast_decay(self, protocol, mode):
+        # The fringe about its offset shrinks by e^{-k gamma T}, k = m under
+        # independent noise and m^2 under common noise (m the fringe
+        # multiplier), at every L up to capacity.
         offset, _ = protocol.fringe
         for n_ions in range(1, 25):
             cfg = dephased_cfg(protocol, n_ions, mode, gamma=0.05)
-            contrast = ensemble_contrast(n_ions, cfg.noise, cfg.t_ramsey, protocol)
+            m = protocol.multiplier(n_ions)
+            k = m if mode == "independent" else m * m
+            contrast = np.exp(-k * 0.05 * cfg.t_ramsey)
             want = offset + contrast * (expected_signal(cfg) - offset)
             assert abs(protocol.expected(_run_state(cfg)) - want) <= 1e-12, n_ions
 

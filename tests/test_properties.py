@@ -21,8 +21,6 @@ from ionramsey import (
     Protocol,
     RamseyConfig,
     expected_signal,
-    free_evolve,
-    perturb_ghz,
 )
 from ionramsey.gates import (
     QubitRegister,
@@ -33,7 +31,8 @@ from ionramsey.gates import (
     prepare_ghz_via_bus,
     reverse_prep,
 )
-from ionramsey.register import DickeState, dicke_ghz
+from ionramsey.noise import perturb_ghz
+from ionramsey.register import DickeState, dicke_ghz, free_evolve
 
 NORM_TOL = 1e-12
 check = settings(derandomize=True, deadline=None, max_examples=30, database=None)

@@ -11,6 +11,7 @@ with C = 1 noise-free. These were derived by multiplying out the 2x2 pulse
 matrices; everything below leans on them plus plain statistics.
 """
 
+import math
 import re
 import sys
 import time
@@ -34,7 +35,6 @@ from ionramsey import (
     NoiseSpec,
     Protocol,
     RamseyConfig,
-    ensemble_contrast,
     estimate_frequency,
     expected_signal,
     fourier_decompose,
@@ -44,7 +44,7 @@ from ionramsey import (
     two_point_calibrate,
 )
 from ionramsey import bench, gates, protocols, register, streams
-from ionramsey.cli import _run_stream
+from ionramsey.cli import main
 from ionramsey.errors import FitError
 from ionramsey.register import sample_measurement
 from ionramsey.protocols import (
@@ -151,22 +151,6 @@ class TestFringeShapes:
         assert f_par == pytest.approx(3 * 0.4, rel=1e-8)
         assert f_rev == pytest.approx(3 * 0.4, rel=1e-8)
 
-    def test_dephased_scan_has_reduced_contrast(self):
-        # With independent dephasing the trajectory-averaged fringe is the
-        # clean one scaled by exp(-L gamma T): check one realization-averaged
-        # point via the ensemble_contrast helper instead of sampling.
-        cfg = RamseyConfig(
-            n_ions=3, t_ramsey=0.8, omega_r=0.2, omega_0=0.0, allow_wrap=True
-        )
-        c = ensemble_contrast(3, NoiseSpec(gamma=0.5), 0.8, Protocol.GHZ_PARITY)
-        assert c == pytest.approx(np.exp(-3 * 0.5 * 0.8), abs=1e-12)
-        c_common = ensemble_contrast(
-            3, NoiseSpec(gamma=0.5, mode="common"), 0.8, Protocol.GHZ_REVERSED
-        )
-        assert c_common == pytest.approx(np.exp(-9 * 0.5 * 0.8), abs=1e-12)
-        c_std = ensemble_contrast(3, NoiseSpec(gamma=0.5), 0.8, Protocol.STANDARD)
-        assert c_std == pytest.approx(np.exp(-0.5 * 0.8), abs=1e-12)
-
 
 class TestProtocol:
     def test_named_maps_config_pairs(self):
@@ -200,6 +184,24 @@ class TestAliasGuard:
             n_ions=4, t_ramsey=1.0, omega_r=0.9, omega_0=0.0, shots=10, allow_wrap=True
         )
         run_ramsey(cfg, stream(0, 0))
+
+
+def _estimate(trials, **kwargs):
+    """The estimate of a sampled run, from its shots' class counts tallied as
+    the CLI tallies them."""
+    counts = np.bincount(trials.classes, minlength=2 * trials.cfg.n_ions)
+    return estimate_frequency(trials.cfg, counts, **kwargs)
+
+
+def _shot_signal(protocol, outcomes, n_ions):
+    """The per-shot fringe signal of record outcomes, written out: the
+    excited fraction (standard), -2 times ion 1's spin (GHZ time-reversed) or
+    the parity sign itself (GHZ parity)."""
+    if protocol is Protocol.STANDARD:
+        return (n_ions - outcomes) / n_ions
+    if protocol is Protocol.GHZ_REVERSED:
+        return -2.0 * outcomes
+    return outcomes
 
 
 def _half_fringe_cfg(protocol, n_ions, *, shots, gamma=0.0, t_ramsey=1.0, omega_0=0.0):
@@ -258,7 +260,7 @@ class TestSampledRuns:
             shots=20_000,
         )
         trials = run_ramsey(cfg, stream(11, 5))
-        est = estimate_frequency(trials)
+        est = _estimate(trials)
         assert est.estimate == pytest.approx(truth, abs=5 * est.sigma)
         assert est.sigma < 0.02
 
@@ -269,7 +271,7 @@ class TestSampledRuns:
         for k in range(60):
             cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=2000, omega_0=0.0)
             trials = run_ramsey(cfg, stream(100, k))
-            est = estimate_frequency(trials)
+            est = _estimate(trials)
             zs.append((est.estimate - cfg.delta_omega) / est.sigma)
         zs = np.array(zs)
         assert abs(np.mean(zs)) < 4 / np.sqrt(60)
@@ -280,7 +282,7 @@ class TestSampledRuns:
         for shots in (2000, 8000):
             cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=shots)
             trials = run_ramsey(cfg, stream(7, shots))
-            sig[shots] = estimate_frequency(trials).sigma
+            sig[shots] = _estimate(trials).sigma
         assert sig[2000] / sig[8000] == pytest.approx(2.0, rel=0.15)
 
     def test_noisy_run_sigma_uses_contrast(self):
@@ -288,7 +290,7 @@ class TestSampledRuns:
         cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=6000, gamma=gamma, t_ramsey=t)
         trials = run_ramsey(cfg, stream(21, 0))
         c = np.exp(-2 * gamma * t)  # two independent phases on the GHZ coherence
-        est = estimate_frequency(trials, operating_phase=np.pi / 2)
+        est = _estimate(trials, operating_phase=np.pi / 2)
         # At the half-fringe the parity mean is ~0, variance ~1, slope c*L*T.
         want_sigma = 1.0 / (c * 2 * t * np.sqrt(6000))
         assert est.sigma == pytest.approx(want_sigma, rel=0.1)
@@ -299,7 +301,7 @@ class TestSampledRuns:
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.0, omega_0=0.0, shots=500)
         trials = run_ramsey(cfg, stream(5, 5))
         with pytest.raises(DegenerateSlopeError):
-            estimate_frequency(trials)
+            _estimate(trials)
 
     def test_dephased_estimate_uses_the_run_contrast(self):
         # A dephased parity fringe C cos(x), C = exp(-L gamma T), at 0.3 of a
@@ -314,7 +316,7 @@ class TestSampledRuns:
             noise=NoiseSpec(gamma=gamma),
             shots=shots,
         )
-        est = estimate_frequency(run_ramsey(cfg, stream(19, 0)))
+        est = _estimate(run_ramsey(cfg, stream(19, 0)))
         c = np.exp(-n_ions * gamma * t)
         assert est.estimate == pytest.approx(cfg.delta_omega, abs=5 * est.sigma)
         # Delta-method sigma: the parity's spread over the fringe slope. At the
@@ -331,7 +333,7 @@ class TestSampledRuns:
             "L = 3, gamma = 400.0, T_R = 1.0"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            estimate_frequency(trials)
+            _estimate(trials)
 
 
 def _dephased_cfg(protocol, n_ions, mode, *, shots):
@@ -370,7 +372,9 @@ class TestStreamConsumption:
         assert np.array_equal(trials.classes, want)
         assert np.array_equal(rng.random(8), _drawn((29, 3), 500).random(8))
 
-    def test_long_run_leaves_its_one_stream_after_one_block(self, monkeypatch):
+    def test_long_run_leaves_its_one_stream_after_one_block(self, monkeypatch, tmp_path):
+        # The CLI's sampled ramsey run draws 2,300 dephased shots from the one
+        # stream seed/0/0, which it names in each shot's row and the estimate's.
         made = []
 
         def recording(*args):
@@ -378,8 +382,13 @@ class TestStreamConsumption:
             return made[-1][1]
 
         monkeypatch.setattr(streams, "stream", recording)
-        cfg = _dephased_cfg(Protocol.STANDARD, 4, "independent", shots=2300)
-        assert run_ramsey(cfg, *_run_stream(13, 0)).seed_label == "13/0/0"
+        config = tmp_path / "ramsey.ini"
+        config.write_text(
+            "[run]\nseed = 13\n[ramsey]\nprotocol = standard\nn_ions = 4\nt_ramsey = 0.8\n"
+            "omega_0 = 0.1\nomega_r = 1.0\nfinal_phase = 0.35\ngamma = 0.3\nshots = 2300\n"
+        )
+        assert main(["ramsey", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "ramsey.csv").read_text().count(",13/0/0,") == 2301
         assert [args for args, _ in made] == [(13, 0, 0)]
         assert np.array_equal(made[0][1].random(8), _drawn((13, 0, 0), 2300).random(8))
 
@@ -395,7 +404,7 @@ class TestEstimatorMoments:
     def test_counted_moments_match_the_per_shot_formula(self, protocol, shots, n_ions):
         cfg = _half_fringe_cfg(protocol, n_ions, shots=shots)
         classes = run_ramsey(cfg, stream(41, shots, n_ions)).classes
-        s = protocol.signal(protocol.outcomes(classes, n_ions), n_ions)
+        s = _shot_signal(protocol, protocol.outcomes(classes, n_ions), n_ions)
         want = float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(shots))
         counts = np.bincount(classes, minlength=2 * n_ions)
         got = protocols._signal_moments(cfg, counts)
@@ -406,7 +415,35 @@ class TestEstimatorMoments:
     def test_one_shot_has_no_standard_error(self, shots):
         cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=1)
         with pytest.raises(ValueError, match="at least 2 trials"):
-            estimate_frequency(Trials(cfg, np.zeros(shots, dtype=np.int64), ""))
+            _estimate(Trials(cfg, np.zeros(shots, dtype=np.int64), ""))
+
+
+class TestEstimatorContrast:
+    """The estimator divides the fringe slope by the dephased contrast, written
+    out here: e^{-k gamma T_R} with k = m under independent noise and m^2
+    under common noise, m the fringe multiplier (Huelga et al., PRL 79, 3865,
+    1997). At a pinned operating phase the contrast alone separates a noisy
+    sigma from a clean one of the same class counts: their ratio is
+    e^{k gamma T_R}, to 4 ulp."""
+
+    @pytest.mark.parametrize("gamma_t", [1e-3, 0.05, 0.4])
+    @pytest.mark.parametrize("n_ions", [1, 2, 5, 24])
+    @pytest.mark.parametrize("mode", ["independent", "common"])
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_sigma_ratio_is_the_closed_form_decay(self, protocol, mode, n_ions, gamma_t):
+        t_ramsey = 0.7
+        gamma = gamma_t / t_ramsey
+        clean = _half_fringe_cfg(protocol, n_ions, shots=2, t_ramsey=t_ramsey)
+        noisy = replace(clean, noise=NoiseSpec(gamma=gamma, mode=mode))
+        counts = np.arange(1, 2 * n_ions + 1)  # every class seen: the signal has a spread
+        m = protocol.multiplier(n_ions)
+        k = m if mode == "independent" else m * m
+        # The exponent rounds as gamma T_R, then times k: at k gamma T_R = 230
+        # one ulp of the exponent moves the exponential by about 100 ulp.
+        want = math.exp(k * (gamma * t_ramsey))
+        sigmas = [estimate_frequency(cfg, counts, operating_phase=np.pi / 2).sigma
+                  for cfg in (noisy, clean)]
+        assert abs(sigmas[0] / sigmas[1] - want) <= 4 * np.spacing(want)
 
 
 class TestSharedPreparation:
@@ -506,7 +543,7 @@ class TestBatchedGrids:
             return prepare_dicke(*args, **kwargs)
 
         monkeypatch.setattr(protocols, "_prepare_dicke", counting)
-        trials = run_ramsey(cfg, *_run_stream(13, 0))
+        trials = run_ramsey(cfg, stream(13, 0, 0), "13/0/0")
         assert len(calls) == 1
         assert np.array_equal(trials.classes, want)
 
@@ -574,7 +611,7 @@ class TestSymmetricSubspace:
         assert abs(np.sum(multiplicity * table) - 1.0) <= 1e-12
         dense = _dense_final(cfg)
         np.testing.assert_allclose(dense_table(n_ions, dense.amplitudes), table, rtol=0, atol=1e-15)
-        signal = protocol.signal(protocol.outcomes(b * n_ions + k, n_ions), n_ions)
+        signal = _shot_signal(protocol, protocol.outcomes(b * n_ions + k, n_ions), n_ions)
         want = dense_signal(protocol, n_ions, dense.amplitudes)
         assert abs(np.sum(multiplicity * table * signal) - want) <= 1e-12
         assert abs(expected_signal(cfg) - want) <= 1e-12

@@ -22,8 +22,6 @@ from ionramsey import (
     Protocol,
     RamseyConfig,
     expected_signal,
-    free_evolve,
-    sample_measurement,
     stream,
 )
 from ionramsey.gates import (
@@ -39,8 +37,10 @@ from ionramsey.register import (
     DickeState,
     _flip_counts,
     _root_binomials,
+    free_evolve,
     rotation_matrix,
     sample_counts,
+    sample_measurement,
 )
 from ionramsey.noise import NoiseSpec
 from ionramsey.protocols import _run_state

@@ -57,6 +57,12 @@ MINIMAL = {
 
 
 
+# 2,500 noiseless GHZ shots at L = 20 on the half fringe.
+WIDE_JSON_INI = (
+    "[run]\nseed = 7\n[ramsey]\nn_ions = 20\nt_ramsey = 1.0\nomega_0 = 0.1\n"
+    "omega_r = 0.17853981633974483\nshots = 2500\n"
+)
+
 # A signal file that exists wherever the tests run.
 SIGNAL_FILE = Path(__file__).resolve().parents[1] / "demos" / "data" / "imperfect_ghz_fringe.csv"
 
@@ -1257,8 +1263,9 @@ class TestPinnedOutputs:
         assert got == [table, summary]
 
     # Writer paths the pins above miss: the JSON table of the dephased ramsey
-    # pin, the expectation scans' repr rows of both readout families, and the
-    # fourier fits of a simulated GHZ scan and of given harmonics.
+    # pin, the expectation scans' repr rows of both readout families, the
+    # fourier fits of a simulated GHZ scan and of given harmonics, and the
+    # JSON table of 2,500 shots at L = 20, one dict per line in 40 classes.
     WRITER_PATHS = {
         "ramsey_json": (
             "ramsey",
@@ -1297,6 +1304,13 @@ class TestPinnedOutputs:
             (),
             "f61d306c748e426f1646d59ca895f29103389e9d8b2f1b4032195845af5d6e19",
             "76452cc70288eba77778d3c4146629f2ebaffa0fcc98fdbff7f1d2499ade85ca",
+        ),
+        "ramsey_json_wide": (
+            "ramsey",
+            WIDE_JSON_INI,
+            ("--format", "json"),
+            "f49ddc1bffc59de1d13384f05360924763a585711a51903460f7319cd574c4c5",
+            "ffa2c1ee972e73ba88712552b8064f385a3bba8ea3dd5eb2d7e1cc8e30bab25e",
         ),
     }
 
@@ -1716,3 +1730,235 @@ def test_every_benchmark_job_reaches_its_command(tmp_path, monkeypatch):
     assert started == [job.command for job in jobs]
     assert not list(tmp_path.glob("out*"))
     assert workloads._golden_evals() > 2  # reads dephasing_benchmark's refine_iters default
+
+
+class TestCliSurface:
+    """The command line around a run, message for message: bad argv, help,
+    and the spellings of ``--out``. Every case runs in a directory holding
+    only its config (and ``afile``, a regular file), so the messages name
+    relative paths and a failed run can be seen to leave nothing behind."""
+
+    COMMANDS = "'ramsey', 'scaling', 'dephasing', 'calibrate', 'fourier'"
+    BAD_ARGV = {
+        "leftover": (
+            ["ramsey", "--config", "r.ini", "extra", "more"],
+            "ionramsey: unrecognized arguments: extra more",
+        ),
+        "unknown_flag": (
+            ["ramsey", "--config", "r.ini", "--bogus"],
+            "ionramsey: unrecognized arguments: --bogus",
+        ),
+        "missing_config": (
+            ["ramsey", "--out", "o"],
+            "ionramsey ramsey: the following arguments are required: --config",
+        ),
+        "threads_x": (
+            ["ramsey", "--config", "r.ini", "--threads", "x"],
+            "ionramsey ramsey: argument --threads: invalid int value: 'x'",
+        ),
+        "format_xml": (
+            ["scaling", "--config", "r.ini", "--format", "xml"],
+            "ionramsey scaling: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+        ),
+        "unknown_command": (
+            ["ramsy", "--config", "r.ini"],
+            f"ionramsey: argument command: invalid choice: 'ramsy' (choose from {COMMANDS})",
+        ),
+        "flag_before_command": (
+            ["--config", "r.ini", "ramsey"],
+            f"ionramsey: argument command: invalid choice: 'r.ini' (choose from {COMMANDS})",
+        ),
+        "empty": ([], "ionramsey: the following arguments are required: command"),
+        "top_level_flag": (["--bogus"], "ionramsey: the following arguments are required: command"),
+    }
+
+    @pytest.fixture
+    def here(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.ini").write_text(_ini("ramsey", MINIMAL["ramsey"]))
+        (tmp_path / "afile").write_text("not a directory\n")
+        return tmp_path
+
+    @staticmethod
+    def tree(root):
+        return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+    @pytest.mark.parametrize("case", BAD_ARGV)
+    def test_bad_argv_exits_2_with_its_message(self, here, capsys, case):
+        argv, message = self.BAD_ARGV[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == json.dumps({"error": "ConfigError", "message": message}) + "\n"
+        assert self.tree(here) == ["afile", "r.ini"]
+
+    @pytest.mark.parametrize(
+        "argv,usage",
+        [
+            (["--help"], "usage: ionramsey "),
+            (["-h"], "usage: ionramsey "),
+            (["ramsey", "--help"], "usage: ionramsey ramsey "),
+            (["fourier", "--config", "r.ini", "-h"], "usage: ionramsey fourier "),
+        ],
+    )
+    def test_help_exits_0(self, here, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(usage) and err == ""
+
+    def test_argv_none_reads_sys_argv(self, here, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["ionramsey", "ramsey", "--config", "r.ini", "--out", "o"])
+        assert main() == 0
+        assert sorted(os.listdir("o")) == ["ramsey.csv", "ramsey_summary.json"]
+        monkeypatch.setattr(sys, "argv", ["ionramsey", "ramsey", "--config", "r.ini", "x"])
+        assert main(None) == 2
+        assert "ionramsey: unrecognized arguments: x" in capsys.readouterr().err
+
+    # --out as given -> (the directory the files land in, the prefix the
+    # overwrite refusal gives their names).
+    OUT_SPELLINGS = {
+        "empty": ("", ".", ""),
+        "trailing_slash": ("sub/", "sub", "sub/"),
+        "dot_dot": ("a/b/../c", "a/c", "a/b/../c/"),
+        "missing_parents": ("x/y/z", "x/y/z", "x/y/z/"),
+        "leading_dot": ("./dot", "dot", "dot/"),
+        "double_slash": ("s//t", "s/t", "s/t/"),
+    }
+
+    @pytest.mark.parametrize("case", OUT_SPELLINGS)
+    def test_out_spelling_writes_there_once(self, here, capsys, case):
+        out, where, prefix = self.OUT_SPELLINGS[case]
+        argv = ["ramsey", "--config", "r.ini", "--out", out]
+        assert main(argv) == 0
+        assert sorted(os.listdir(where)) == ["afile", "r.ini", "ramsey.csv", "ramsey_summary.json"][
+            2 * (where != ".") :
+        ]
+        first = (here / where / "ramsey.csv").read_bytes()
+        assert capsys.readouterr().err == ""
+        assert main(argv) == 2
+        names = [f"{prefix}ramsey.csv", f"{prefix}ramsey_summary.json"]
+        message = f"refusing to overwrite existing outputs {names}; pass --force"
+        assert capsys.readouterr().err == json.dumps({"error": "ConfigError", "message": message}) + "\n"
+        assert main([*argv, "--force", "--seed", "3"]) == 0
+        assert (here / where / "ramsey.csv").read_bytes() != first
+        assert not [p for p in self.tree(here) if p.endswith(".partial")]
+
+    # An --out that cannot be made: (the spelling, the OSError it names).
+    BAD_OUT = {
+        "below_a_file": ("afile/sub", "[Errno 20] Not a directory: 'afile/sub'"),
+        "deeper_below_a_file": ("afile/p/q", "[Errno 20] Not a directory: 'afile/p/q'"),
+        "dotted_below_a_file": ("./afile/sub", "[Errno 20] Not a directory: 'afile/sub'"),
+        "a_file": ("afile", "[Errno 17] File exists: 'afile'"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_OUT)
+    def test_out_that_cannot_be_made_exits_2_and_leaves_nothing(self, here, capsys, case):
+        out, why = self.BAD_OUT[case]
+        assert main(["ramsey", "--config", "r.ini", "--out", out]) == 2
+        message = f"cannot write outputs to --out {out}: {why}"
+        assert capsys.readouterr().err == json.dumps({"error": "ConfigError", "message": message}) + "\n"
+        assert self.tree(here) == ["afile", "r.ini"]
+        assert (here / "afile").read_text() == "not a directory\n"
+
+
+# The byte-identity sweep: one in-process job per line, as (name, command,
+# config, flags). It covers every command in both formats, sampled and in
+# expectation mode, dephased ramsey at L = 1, 3 and 20, a failed estimate
+# the summary reports, and an overwrite with --force.
+_GHZ_DEPHASED = "[ramsey]\nn_ions = {L}\nt_ramsey = 0.5\nomega_0 = 0.1\nomega_r = {w}\nshots = 400\ngamma = 0.2\n"
+_SWEEP_CONFIGS = {
+    "ramsey_ghz": ("ramsey", RAMSEY_INI, ()),
+    "ramsey_standard": (
+        "ramsey",
+        "[run]\nseed = 3\n[ramsey]\nprotocol = standard\nn_ions = 4\nt_ramsey = 1.0\n"
+        "omega_r = 0.9\nfinal_phase = 0.3\nshots = 400\n",
+        (),
+    ),
+    "ramsey_time_reversed": (
+        "ramsey",
+        "[ramsey]\nn_ions = 2\nt_ramsey = 1.0\nomega_r = 0.4\nreadout = time_reversed\n"
+        "phi0 = 0.4\nshots = 300\n",
+        (),
+    ),
+    "ramsey_dephased_L1": ("ramsey", _GHZ_DEPHASED.format(L=1, w=1.2), ()),
+    "ramsey_dephased_L3": ("ramsey", _GHZ_DEPHASED.format(L=3, w=0.6), ()),
+    "ramsey_dephased_L20": ("ramsey", _GHZ_DEPHASED.format(L=20, w=0.2) + "noise_mode = common\n", ()),
+    "ramsey_wide_L20": ("ramsey", WIDE_JSON_INI, ()),
+    "ramsey_degenerate_estimate": (
+        "ramsey",
+        "[ramsey]\nn_ions = 2\nt_ramsey = 1.0\nomega_0 = 0.1\nomega_r = 0.1\nshots = 50\n",
+        (),
+    ),
+    "ramsey_expectation_ghz": (
+        "ramsey",
+        "[ramsey]\nn_ions = 4\nt_ramsey = 1.0\nomega_0 = 0.1\nomega_r = 0.5\n"
+        "epsilon = 2:0.1\nscan_points = 48\nscan_t_max = 3.0\n",
+        ("--expectation-mode",),
+    ),
+    "ramsey_expectation_standard": (
+        "ramsey",
+        "[ramsey]\nprotocol = standard\nn_ions = 3\nt_ramsey = 1.0\nomega_r = 1.2\n"
+        "scan_points = 40\nscan_t_max = 6.0\n",
+        ("--expectation-mode",),
+    ),
+    "scaling_sampled": (
+        "scaling",
+        "[run]\nseed = 5\n[scaling]\nl_values = 1 2 3\ntrials = 400\nt_ramsey = 0.8\nomega_0 = 0.2\n",
+        (),
+    ),
+    "scaling_expectation": (
+        "scaling",
+        "[scaling]\nl_values = 1 2 4 8\ntrials = 100\nt_ramsey = 0.7\n",
+        ("--expectation-mode",),
+    ),
+    "dephasing_sampled": ("dephasing", TestPinnedOutputs.DEPHASING_INI, ()),
+    "dephasing_expectation": (
+        "dephasing",
+        "[dephasing]\ngamma = 0.4\nn_ions = 3\nt_min = 0.1\nt_max = 4.0\ngrid_points = 8\n",
+        ("--expectation-mode",),
+    ),
+    "calibrate": ("calibrate", _ini("calibrate", {**MINIMAL["calibrate"], "bias_tc": "5.0"}), ()),
+    "calibrate_expectation": ("calibrate", _ini("calibrate", MINIMAL["calibrate"]), ("--expectation-mode",)),
+    "fourier_c": ("fourier", "[fourier]\nn_ions = 2\ndelta_omega = 1.5\nc = 0.5 0.3\nxi = 0.1 -0.2\n", ()),
+    "fourier_epsilon": (
+        "fourier",
+        "[fourier]\nn_ions = 3\ndelta_omega = 1.0\nepsilon = 1:0.2 2:0.1:0.5\ngrid_points = 64\n",
+        (),
+    ),
+    "fourier_input": (
+        "fourier",
+        f"[fourier]\ninput = {SIGNAL_FILE}\nn_ions = 3\ndelta_omega = 1.0\n",
+        (),
+    ),
+}
+# One combined sha256 over every job's name, exit code, stderr and output
+# files (name and bytes, in name order), taken before the writer was last
+# rewritten; a change to the fixed command-line path must keep it.
+SWEEP_SHA256 = "984003f0126966ea955b7eff3aff5e9bdbc6447a96acac3519d6edaed90095c9"
+
+
+def _sweep_digest(root: Path) -> str:
+    digest = hashlib.sha256()
+
+    def run(name, command, text, argv_tail, out):
+        config = root / f"{name}.ini"
+        config.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(out), *argv_tail])
+        digest.update(f"{name}\0{code}\0{err.getvalue()}\0".encode())
+        for file in sorted(os.listdir(out)):
+            data = (out / file).read_bytes()
+            digest.update(f"{file}\0{len(data)}\0".encode() + data)
+
+    for name, (command, text, flags) in _SWEEP_CONFIGS.items():
+        for fmt in ("csv", "json"):
+            run(f"{name}_{fmt}", command, text, [*flags, "--format", fmt], root / f"{name}_{fmt}")
+    forced = root / "ramsey_ghz_csv"  # rewritten in place: another seed and thread count
+    run("forced", "ramsey", RAMSEY_INI, ["--force", "--seed", "9", "--threads", "2"], forced)
+    return digest.hexdigest()
+
+
+def test_byte_identity_sweep(tmp_path):
+    assert _sweep_digest(tmp_path) == SWEEP_SHA256

@@ -1,6 +1,7 @@
 """Serialization contract: stable, comment-headed CSV and canonical JSON."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -161,3 +162,59 @@ class TestJsonWriter:
     def test_non_finite_value_is_refused(self, tmp_path, value):
         with pytest.raises(ValueError):
             write_json(tmp_path / "s.json", {"slopes": {"ghz": value}})
+
+
+# JSON values of every type a payload may hold: floats at the edges of their
+# repr (-0.0, the least subnormal, huge exponents), ints past 64 bits, bools
+# beside ints, and strings with non-ASCII and control characters.
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 1, -1, 2**70, -(2**70), 0.0, -0.0, 5e-324, 1e300, -1e300, 0.1 + 0.2])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+    | st.sampled_from(["", "\x00\x1f\x7f", "é∂\u2028", "\U0001f600", '"\\/\b\f\n\r\t'])
+)
+_PAYLOADS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonOracle:
+    """``write_json`` writes what ``json.dumps`` would, byte for byte, and
+    refuses what it would refuse with the same exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), _PAYLOADS, max_size=5))
+    def test_bytes_match_json_dumps(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("oracle") / "s.json"
+        write_json(path, payload)
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_a_shared_row_is_written_at_each_place(self, tmp_path):
+        row = {"b": "1.5", "a": ["x", (2, None)]}
+        payload = {"rows": [row, row, {}, row, []], "meta": {"k": -0.0}}
+        write_json(tmp_path / "s.json", payload)
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert (tmp_path / "s.json").read_text() == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.int64(3), np.bool_(True),
+         {1, 2}, b"x"],
+        ids=["nan", "inf", "-inf", "np_nan", "np_int64", "np_bool", "set", "bytes"],
+    )
+    def test_refusals_match_json_dumps(self, tmp_path, value):
+        payload = {"a": 1, "z": [{"v": value}]}
+        with pytest.raises((ValueError, TypeError)) as expected:
+            json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        with pytest.raises(expected.type) as got:
+            write_json(tmp_path / "s.json", payload)
+        assert str(got.value) == str(expected.value)
+        assert os.listdir(tmp_path) == []

@@ -1815,6 +1815,22 @@ class TestCliSurface:
         assert main(None) == 2
         assert "ionramsey: unrecognized arguments: x" in capsys.readouterr().err
 
+    # A --config that cannot be read: (the spelling, the OSError it names).
+    BAD_CONFIG = {
+        "missing": ("./missing.ini", "[Errno 2] No such file or directory: 'missing.ini'"),
+        "double_slash": ("a//missing.ini", "[Errno 2] No such file or directory: 'a/missing.ini'"),
+        "empty": ("", "[Errno 21] Is a directory: '.'"),
+        "below_a_file": ("afile/x.ini", "[Errno 20] Not a directory: 'afile/x.ini'"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_CONFIG)
+    def test_config_that_cannot_be_read_exits_2(self, here, capsys, case):
+        config, why = self.BAD_CONFIG[case]
+        assert main(["ramsey", "--config", config, "--out", "o"]) == 2
+        message = f"cannot read config {config}: {why}"
+        assert capsys.readouterr().err == json.dumps({"error": "ConfigError", "message": message}) + "\n"
+        assert self.tree(here) == ["afile", "r.ini"]
+
     # --out as given -> (the directory the files land in, the prefix the
     # overwrite refusal gives their names).
     OUT_SPELLINGS = {
@@ -1926,39 +1942,38 @@ _SWEEP_CONFIGS = {
         "[fourier]\nn_ions = 3\ndelta_omega = 1.0\nepsilon = 1:0.2 2:0.1:0.5\ngrid_points = 64\n",
         (),
     ),
-    "fourier_input": (
-        "fourier",
-        f"[fourier]\ninput = {SIGNAL_FILE}\nn_ions = 3\ndelta_omega = 1.0\n",
-        (),
-    ),
+    "fourier_input": ("fourier", "[fourier]\ninput = signal.csv\nn_ions = 3\ndelta_omega = 1.0\n", ()),
 }
 # One combined sha256 over every job's name, exit code, stderr and output
 # files (name and bytes, in name order), taken before the writer was last
 # rewritten; a change to the fixed command-line path must keep it.
-SWEEP_SHA256 = "984003f0126966ea955b7eff3aff5e9bdbc6447a96acac3519d6edaed90095c9"
+SWEEP_SHA256 = "6e27fb057c99f86d1a1fe31e090ebea8de9dd200b7d45765ecf76bd35b24b15c"
 
 
-def _sweep_digest(root: Path) -> str:
+def _sweep_digest() -> str:
+    """The sweep's digest, run in the current directory, where every path it
+    names is relative, so the digest is the same in any checkout."""
     digest = hashlib.sha256()
+    Path("signal.csv").write_bytes(SIGNAL_FILE.read_bytes())
 
     def run(name, command, text, argv_tail, out):
-        config = root / f"{name}.ini"
-        config.write_text(text)
+        Path(f"{name}.ini").write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(config), "--out", str(out), *argv_tail])
+            code = main([command, "--config", f"{name}.ini", "--out", out, *argv_tail])
         digest.update(f"{name}\0{code}\0{err.getvalue()}\0".encode())
         for file in sorted(os.listdir(out)):
-            data = (out / file).read_bytes()
+            data = Path(out, file).read_bytes()
             digest.update(f"{file}\0{len(data)}\0".encode() + data)
 
     for name, (command, text, flags) in _SWEEP_CONFIGS.items():
         for fmt in ("csv", "json"):
-            run(f"{name}_{fmt}", command, text, [*flags, "--format", fmt], root / f"{name}_{fmt}")
-    forced = root / "ramsey_ghz_csv"  # rewritten in place: another seed and thread count
+            run(f"{name}_{fmt}", command, text, [*flags, "--format", fmt], f"{name}_{fmt}")
+    forced = "ramsey_ghz_csv"  # rewritten in place: another seed and thread count
     run("forced", "ramsey", RAMSEY_INI, ["--force", "--seed", "9", "--threads", "2"], forced)
     return digest.hexdigest()
 
 
-def test_byte_identity_sweep(tmp_path):
-    assert _sweep_digest(tmp_path) == SWEEP_SHA256
+def test_byte_identity_sweep(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _sweep_digest() == SWEEP_SHA256

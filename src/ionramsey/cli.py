@@ -8,6 +8,8 @@ Subcommands wrap the library's protocols and benchmarks::
     ionramsey calibrate  --config cfg.ini ...
     ionramsey fourier    --config cfg.ini ...
 
+An ``argv`` that starts with a command is parsed by that command's parser
+alone, in one pass; any other goes to the top-level parser for its help or error.
 Configs are INI files in the README's grammar, read in one pass by
 :func:`_read_ini`: a command reads its own section plus the optional [run]
 section. ``_SCHEMA`` declares every key once, with its parser, default,
@@ -19,7 +21,8 @@ does not read are rejected up front. Every successful run writes
 ``<command>_summary.json`` into ``--out``; existing files are never
 overwritten unless ``--force`` is given. Each ``cmd_*`` function takes the
 parsed values and only computes a table and a summary; :func:`main` writes
-both once the command has returned, so a run that fails writes nothing. All
+both once the command has returned, so a run that fails writes nothing, through
+:func:`_write_outputs`, which stages and renames them with plain ``os`` calls. All
 outputs embed the library version and a manifest hash (sha256 over command,
 seed, format, flags, the config text and the bytes of a ``[fourier] input=``
 file), and are byte-identical for equal seeds, which must be >= 0. ``--threads`` is
@@ -40,6 +43,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -235,11 +239,25 @@ def _read_ini(text: str, path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _load_config(path: str, command: str) -> tuple[str, dict[str, dict[str, str]]]:
+def _pathlib_names(exc: OSError) -> OSError:
+    """``exc`` naming its files as pathlib does (``./a//b`` as ``a/b``), as it always has."""
+    for attr in ("filename", "filename2"):
+        if getattr(exc, attr) is not None:  # a name set to None would print as 'None'
+            setattr(exc, attr, str(Path(getattr(exc, attr))))
+    return exc
+
+
+def _read(path: str, what: str, mode: str = "r") -> str | bytes:
+    """``path``'s bytes (mode "rb") or text, read as the manifest hash always has."""
     try:
-        text = Path(path).read_text()
+        with open(path or os.curdir, mode) as file:
+            return file.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {_pathlib_names(exc)}") from exc
+
+
+def _load_config(path: str, command: str) -> tuple[str, dict[str, dict[str, str]]]:
+    text = _read(path, "config")
     sections = _read_ini(text, path)
     for section in sections:
         if section not in ("run", command):
@@ -325,15 +343,15 @@ class RunManifest:
         }
 
 
-def _output_paths(manifest: RunManifest) -> tuple[Path, Path]:
-    out = Path(manifest.out_dir)
+def _output_paths(manifest: RunManifest) -> tuple[str, str]:
     ext = "csv" if manifest.fmt == "csv" else "json"
-    return out / f"{manifest.command}.{ext}", out / f"{manifest.command}_summary.json"
+    names = f"{manifest.command}.{ext}", f"{manifest.command}_summary.json"
+    return tuple(os.path.join(manifest.out_dir, name) for name in names)
 
 
 def _write_outputs(
     manifest: RunManifest,
-    paths: tuple[Path, Path],
+    paths: tuple[str, str],
     columns: tuple[str, ...],
     rows: list,
     summary: dict[str, object],
@@ -344,19 +362,19 @@ def _write_outputs(
     ``--out`` and renamed into place once both are complete. An ``OSError``
     (``--out`` below a regular file, say) is a ``ConfigError``. A failed write
     removes the staged files it began and the directories it made."""
-    staged = [path.with_name(f".{path.name}.partial") for path in paths]
-    out_dir = paths[0].parent
+    out_dir = os.path.dirname(paths[0]) or os.curdir
+    staged = [os.path.join(out_dir, f".{os.path.basename(path)}.partial") for path in paths]
     made, begun = None, []
     try:
         try:
-            out_dir.mkdir()
+            os.mkdir(out_dir)
             made = out_dir
         except FileExistsError:
-            if not out_dir.is_dir():
+            if not os.path.isdir(out_dir):
                 raise
         except FileNotFoundError:  # its parent is missing too: make the topmost missing one
-            made = [*takewhile(lambda d: not d.exists(), out_dir.parents)][-1]
-            out_dir.mkdir(parents=True, exist_ok=True)
+            made = [*takewhile(lambda d: not d.exists(), Path(out_dir).parents)][-1]
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
         meta = manifest.meta()
         begun.append(staged[0])
         if manifest.fmt == "csv":
@@ -368,14 +386,15 @@ def _write_outputs(
         begun.append(staged[1])
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
-            written.replace(path)
+            os.replace(written, path)
         made, begun = None, []  # complete: the directories stay, no staged file is left
     except OSError as exc:
-        raise ConfigError(f"cannot write outputs to --out {manifest.out_dir}: {exc}") from exc
+        why = _pathlib_names(exc)
+        raise ConfigError(f"cannot write outputs to --out {manifest.out_dir}: {why}") from exc
     finally:
         for written in begun:
-            if written.exists():  # unlink(missing_ok=True) raises below a regular file
-                written.unlink()
+            if os.path.exists(written):  # unlinking a missing file raises below a regular file
+                os.unlink(written)
         if made is not None:  # the topmost directory this failed write created
             shutil.rmtree(made, ignore_errors=True)
 
@@ -538,16 +557,6 @@ def cmd_calibrate(manifest: RunManifest, values: ChainMap) -> Outputs:
     return columns, history, summary
 
 
-def _read_input(path: str | None) -> bytes | None:
-    """The bytes of the ``[fourier] input=`` file, or None without one."""
-    if path is None:
-        return None
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read signal file {path}: {exc}") from exc
-
-
 def _read_signal_csv(text: str, path: str) -> tuple[np.ndarray, np.ndarray]:
     """``t, signal`` rows of finite numbers; ``#`` comments are skipped, and so
     is a first row whose two cells do not both read as numbers (a header)."""
@@ -650,16 +659,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @lru_cache(maxsize=None)
-def _build_argparser() -> argparse.ArgumentParser:
-    """The command-line parser, built at the first :func:`main` call of a
-    process and reused; it dispatches through ``_COMMANDS`` by name only."""
+def _build_argparser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's own by name, built at the first
+    :func:`main` call of a process and reused; main runs ``_COMMANDS`` by name only."""
     ap = _ArgumentParser(
         prog="ionramsey",
         description="Ramsey spectroscopy simulations on entangled trapped-ion registers",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment/benchmark")
+        p = subparsers[name] = sub.add_parser(name, help=f"run the {name} experiment/benchmark")
+        p.set_defaults(command=name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--seed", type=int, default=None, help="global seed (overrides [run] seed)")
         p.add_argument("--out", default=".", help="output directory")
@@ -674,12 +685,17 @@ def _build_argparser() -> argparse.ArgumentParser:
             "--threads", type=int, default=1, help="must be >= 1; runs are single-threaded"
         )
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
-    return ap
+    return ap, subparsers
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_argparser().parse_args(argv)
+        ap, subparsers = _build_argparser()
+        argv = sys.argv[1:] if argv is None else argv
+        sub = argv and subparsers.get(argv[0])  # a command first: one pass, by its own parser
+        args, extra = sub.parse_known_args(argv[1:]) if sub else ap.parse_known_args(argv)
+        if extra:  # as ap.parse_args would refuse them, naming the top-level program
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None and args.seed < 0:
@@ -691,6 +707,7 @@ def main(argv: list[str] | None = None) -> int:
                 mode = "with" if args.expectation_mode else "without"
                 raise ConfigError(f"[{args.command}] {key} has no effect {mode} --expectation-mode")
         seed = _read_section(sections, "run")["seed"]
+        source = values.get("input")  # the [fourier] input= file
         manifest = RunManifest(
             command=args.command,
             config_text=text,
@@ -698,10 +715,10 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=args.out,
             fmt=args.format,
             expectation=args.expectation_mode,
-            input_bytes=_read_input(values.get("input")),
+            input_bytes=None if source is None else _read(source, "signal file", "rb"),
         )
         paths = _output_paths(manifest)
-        clashes = [str(p) for p in paths if p.exists()]
+        clashes = [str(Path(p)) for p in paths if os.path.exists(p)]
         if clashes and not args.force:
             raise ConfigError(f"refusing to overwrite existing outputs {clashes}; pass --force")
         result = _COMMANDS[args.command](manifest, values)

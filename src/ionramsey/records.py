@@ -17,18 +17,20 @@ on every line. ``outcome`` is protocol-dependent:
 * ``ghz_parity``    — the normalized parity sign of that shot (+1 or -1);
 * ``ghz_reversed``  — the measured spin of ion 1 (+0.5 or -0.5).
 
-Every cell of a record row is a string, so JSON tables carry the same text
-as CSV ones. Floats are serialized with ``repr`` (shortest round-trip form),
-so equal runs produce byte-identical files; a non-finite float is refused
-(``ValueError``) wherever it is formatted, so no table or summary holds NaN or inf.
+Every cell of a record row is a string, so JSON tables carry the same text as
+CSV ones. Floats are serialized with ``repr`` (shortest round-trip form), so equal
+runs produce byte-identical files; no table or summary holds NaN or inf (``ValueError``).
 Metadata rides in ``# key=value`` comment lines before the header, gnuplot-compatible.
+JSON is the text of ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``,
+built by :func:`_json`, which formats a repeated row once, so a JSON table costs what
+its CSV does. :func:`_write` writes every file in raw ``os`` calls.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
+import os
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -71,7 +73,7 @@ def trial_rows(trials: Trials, estimate: Estimate | None = None) -> tuple[list, 
 
 
 def write_table_csv(
-    path: str | Path,
+    path: str | os.PathLike,
     columns: tuple[str, ...],
     rows: Iterable[Sequence[object]],
     meta: dict[str, object] | None = None,
@@ -91,11 +93,45 @@ def write_table_csv(
         except TypeError:
             body.append(",".join(_fmt(v) for v in row))
     lines += body if index is None else [body[k] for k in index]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
-def write_json(path: str | Path, payload: dict[str, object]) -> None:
+def write_json(path: str | os.PathLike, payload: dict[str, object]) -> None:
     """Deterministic JSON: sorted keys, fixed layout, trailing newline; a
     non-finite float raises ``ValueError``."""
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    _write(path, _json(payload) + "\n")
+
+
+def _json(value: object, pad: str = "") -> str:
+    """The JSON text of ``value`` at indent ``pad``; it refuses what json.dumps refuses."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    inner = pad + "  "
+    if isinstance(value, dict):  # _quote raises TypeError on a key that is not a str
+        items = [f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    elif isinstance(value, (list, tuple)):  # a record table repeats one dict per readout class
+        text = {k: _json(v, inner) for k, v in {id(v): v for v in value}.items()}
+        items = [text[id(v)] for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    ends, sep = "{}" if isinstance(value, dict) else "[]", ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(items)}\n{pad}{ends[1]}" if items else ends
+
+
+def _write(path: str | os.PathLike, text: str) -> None:
+    """``text``, which is ASCII, as all of ``path``, made with open()'s mode 0o666."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        data = memoryview(text.encode())
+        while data:  # a write may take less than it is given
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)

@@ -1,6 +1,7 @@
 """End-to-end command-line checks (in-process via cli.main)."""
 
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1977,3 +1978,20 @@ def _sweep_digest() -> str:
 def test_byte_identity_sweep(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _sweep_digest() == SWEEP_SHA256
+
+
+def test_jobs_leave_no_reference_cycles(tmp_path):
+    """A job's garbage is freed by reference counting alone, in either format,
+    so no job leaves a collection to land inside a later one."""
+    cfg = write_config(tmp_path, "r.ini", RAMSEY_INI)
+    assert main(["ramsey", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(5):
+            for fmt in ("csv", "json"):
+                out = str(tmp_path / f"{fmt}{k}")
+                assert main(["ramsey", "--config", cfg, "--out", out, "--format", fmt]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestClassIndexedTables:
             paths = cli._output_paths(manifest)
             cli._write_outputs(manifest, paths, CSV_COLUMNS, rows, {}, index)
             expected = reference_files(manifest.meta(), reference_rows(trials, estimate))
-            assert paths[0].read_text() == expected[fmt == "json"]
+            assert Path(paths[0]).read_text() == expected[fmt == "json"]
 
     @settings(max_examples=200, deadline=None)
     @given(

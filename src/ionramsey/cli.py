@@ -393,7 +393,7 @@ def _write_outputs(
         raise ConfigError(f"cannot write outputs to --out {manifest.out_dir}: {why}") from exc
     finally:
         for written in begun:
-            if os.path.exists(written):  # unlinking a missing file raises below a regular file
+            if os.path.isfile(written):  # not a directory in its way, nor a missing file
                 os.unlink(written)
         if made is not None:  # the topmost directory this failed write created
             shutil.rmtree(made, ignore_errors=True)

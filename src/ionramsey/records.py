@@ -103,7 +103,8 @@ def write_json(path: str | os.PathLike, payload: dict[str, object]) -> None:
 
 
 def _json(value: object, pad: str = "") -> str:
-    """The JSON text of ``value`` at indent ``pad``; it refuses what json.dumps refuses."""
+    """``json.dumps(value, sort_keys=True, indent=2, allow_nan=False)`` at indent
+    ``pad``, with its errors, for the str-keyed dicts and the lists a payload holds."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or value is True or value is False:
@@ -127,7 +128,7 @@ def _json(value: object, pad: str = "") -> str:
 
 
 def _write(path: str | os.PathLike, text: str) -> None:
-    """``text``, which is ASCII, as all of ``path``, made with open()'s mode 0o666."""
+    """``text`` (ASCII: its bytes in any locale) as all of ``path``, made with open()'s 0o666."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         data = memoryview(text.encode())

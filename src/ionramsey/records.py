@@ -22,8 +22,8 @@ CSV ones. Floats are serialized with ``repr`` (shortest round-trip form), so equ
 runs produce byte-identical files; no table or summary holds NaN or inf (``ValueError``).
 Metadata rides in ``# key=value`` comment lines before the header, gnuplot-compatible.
 JSON is the text of ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)``,
-built by :func:`_json`, which formats a repeated row once, so a JSON table costs what
-its CSV does. :func:`_write` writes every file in raw ``os`` calls.
+built by :func:`_json`, which formats a repeated row once, so a JSON table costs about
+what writing its text does. :func:`_write` writes every file in raw ``os`` calls.
 """
 
 from __future__ import annotations

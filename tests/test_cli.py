@@ -1961,16 +1961,56 @@ _SWEEP_CONFIGS = {
     ),
     "fourier_input": ("fourier", "[fourier]\ninput = signal.csv\nn_ions = 3\ndelta_omega = 1.0\n", ()),
 }
-# One combined sha256 over every job's name, exit code, stderr and output
-# files (name and bytes, in name order), taken before the writer was last
-# rewritten; a change to the fixed command-line path must keep it.
-SWEEP_SHA256 = "6e27fb057c99f86d1a1fe31e090ebea8de9dd200b7d45765ecf76bd35b24b15c"
+# One sha256 per job over its name, exit code, stderr and output files (name
+# and bytes, in name order), so a failure names the jobs whose bytes moved.
+# A change to the fixed command-line path must keep every entry.
+SWEEP_SHA256 = {
+    "ramsey_ghz_csv": "7d72406a932a39581be51cef7d358be7bf53b25fd2714c2aa61c6d30ed23c906",
+    "ramsey_ghz_json": "3e44ff191f084502a2074d15b8b668ee33f623fb1887dbe14d86a5808196739e",
+    "ramsey_standard_csv": "d65e0016f31c6e0798db69ac4d13f305174020a2ca9b5546f5d05d322bdb42c3",
+    "ramsey_standard_json": "fb24f2b9a897bf391d590e6b8e79c38bc2900f37d9a969243004aa908bee0023",
+    "ramsey_time_reversed_csv": "5c3ae7825a42538192ee5112328c5538e0a11901a7d00733d955601c17db05a4",
+    "ramsey_time_reversed_json": "258131fa015c0e921e8ad17b8d7cf986d1e986e9337aa9712e28b3300a8fdc55",
+    "ramsey_dephased_L1_csv": "6975c5373c7dbbc340b5f2c6131a38f6fb3b73df4f2c2f7d47704871f7391fc4",
+    "ramsey_dephased_L1_json": "88ecbc332740878c01c4b7af660aea4e0ae6e01e096499808e537cff493bd319",
+    "ramsey_dephased_L3_csv": "037de74597d93c70617e61e6cd046f5dab1614691f3488cec84c48806528dbf9",
+    "ramsey_dephased_L3_json": "cd848d15dd967d672b36a5a079310d0479193239e0210c517c77f8475623efe6",
+    "ramsey_dephased_L20_csv": "8f1ae18c08b56655aa4cc2c5593cb7ee4c14f0c92dd0316f3e2d2fbd9a926659",
+    "ramsey_dephased_L20_json": "739fbbcd94e6d6f68b991d8d97048e0b9bd4489e6f536660b2fdf2f24f55bd89",
+    "ramsey_wide_L20_csv": "34ce58ae74225e125c8b1b28b09dd6d40b53baff502d7f27774d1c6354f86209",
+    "ramsey_wide_L20_json": "fd7f585ea645e46f96d24d62ff1a9a402d93f096453a1ac689389d65fdafe437",
+    "ramsey_degenerate_estimate_csv": "a87f118963c1969f79344e98747424059b527415e464c517fb32c974481769a6",
+    "ramsey_degenerate_estimate_json": "fa299c72a9d185ad7c7f377323b07000580b9f4613c0b1881281ccfee716c36d",
+    "ramsey_expectation_ghz_csv": "d48ea7caa928ebf3ad027397d465068881490d7f1a2b50736b30f68cb486a6b8",
+    "ramsey_expectation_ghz_json": "770e6f593f090c4129b607e0dd873d34a175b76a7ead5a0f9577db0644908dd4",
+    "ramsey_expectation_standard_csv": "e3a98839bbe48fb9a2c932a3f0f46e6ac3d2746e6f63d7fd969a495c7abf1889",
+    "ramsey_expectation_standard_json": "87fa8d4ae4dcdd9ea61621a82728d71bda7511e5fb20e677a04167fb4a2dee28",
+    "scaling_sampled_csv": "be2a9556cf86211ee26c4ed048724c43022617902c2822bc17851c0b60cb10ef",
+    "scaling_sampled_json": "afd0ddd2d714267dea3b70b1c3f3c319d2477bfe0bc24a998e2e16cfbcafe480",
+    "scaling_expectation_csv": "68792a20431e598c14c2643e18f0c2e341a8c0058107c07eb9da5ffde07039bc",
+    "scaling_expectation_json": "66fd2f748bfdc007477e2975119819708055a1d30bfa4670624882743d15bd1c",
+    "dephasing_sampled_csv": "3ad2671da93997619f54cb12ae1333e48b8c0d021d4cc2e68ecdf40e63d63583",
+    "dephasing_sampled_json": "f41df79adb22c5d45d88556894999993d1896645646c860e7e0986b208358be4",
+    "dephasing_expectation_csv": "a767c77b3ff0e0ab601ded8ea1170167f47cec684a192b2b7c6a612cec91b393",
+    "dephasing_expectation_json": "4a39c6a0c84f15822d7f841aa2b96813ce1e74c01908348a6e664f96effd3a66",
+    "calibrate_csv": "0ed33cb69345034ddbe9add4b2c38ded5e7d7580cd5a152342debf3edb220dfe",
+    "calibrate_json": "b91e2c037d2a4e8f037a33a6d80585c858e1d6eebde6e9d3d55b3c7aa12054f2",
+    "calibrate_expectation_csv": "a92cf9a86a5e64002e89a9cd3f2d4d7373db01efef83faae4b8ea8bfe0f2d2a4",
+    "calibrate_expectation_json": "c982272d0c7ac3fdce9e01276b8cfc40ec149948a86813669ebd9aa2f4967a6a",
+    "fourier_c_csv": "978c2be1c8a21f6dd10223f43d675eebe302236576143bcc0b90535f8e5acf1d",
+    "fourier_c_json": "4306b7431dbd7b5af02fe272d601dbe60dca0f4bb7e0bffb5bc17cd6e318986e",
+    "fourier_epsilon_csv": "789ebd4f7345d45e1fe6475ea6438d642361ecf66ba8a27d358777ffdc4992d1",
+    "fourier_epsilon_json": "089d0f7e677d3c60fd4297164de00b5c67e805a1f663a88ae5083be135aba33d",
+    "fourier_input_csv": "6e340f1920177e7bd83f08d8de751889d15924cdb85819b2886a778266d39edb",
+    "fourier_input_json": "a2c61c45a4e85fb871c8288475d596ec0c40f169838dd89ce441f5a292770803",
+    "forced": "d01c936dc8df6d8710dcfc03151c0a73bb80ea146c4a03f0c45c8509c11ab462",
+}
 
 
-def _sweep_digest() -> str:
-    """The sweep's digest, run in the current directory, where every path it
-    names is relative, so the digest is the same in any checkout."""
-    digest = hashlib.sha256()
+def _sweep_digests() -> dict[str, str]:
+    """Each sweep job's digest, run in the current directory, where every
+    path it names is relative, so the digests are the same in any checkout."""
+    digests = {}
     Path("signal.csv").write_bytes(SIGNAL_FILE.read_bytes())
 
     def run(name, command, text, argv_tail, out):
@@ -1978,22 +2018,25 @@ def _sweep_digest() -> str:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", f"{name}.ini", "--out", out, *argv_tail])
-        digest.update(f"{name}\0{code}\0{err.getvalue()}\0".encode())
+        digest = hashlib.sha256(f"{name}\0{code}\0{err.getvalue()}\0".encode())
         for file in sorted(os.listdir(out)):
             data = Path(out, file).read_bytes()
             digest.update(f"{file}\0{len(data)}\0".encode() + data)
+        digests[name] = digest.hexdigest()
 
     for name, (command, text, flags) in _SWEEP_CONFIGS.items():
         for fmt in ("csv", "json"):
             run(f"{name}_{fmt}", command, text, [*flags, "--format", fmt], f"{name}_{fmt}")
     forced = "ramsey_ghz_csv"  # rewritten in place: another seed and thread count
     run("forced", "ramsey", RAMSEY_INI, ["--force", "--seed", "9", "--threads", "2"], forced)
-    return digest.hexdigest()
+    return digests
 
 
 def test_byte_identity_sweep(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _sweep_digest() == SWEEP_SHA256
+    got = _sweep_digests()
+    assert sorted(got) == sorted(SWEEP_SHA256)
+    assert [name for name in SWEEP_SHA256 if got[name] != SWEEP_SHA256[name]] == []
 
 
 def test_jobs_leave_no_reference_cycles(tmp_path):

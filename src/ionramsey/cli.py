@@ -361,7 +361,8 @@ def _write_outputs(
     for each ``k`` in ``index``. Both files are staged under hidden names in
     ``--out`` and renamed into place once both are complete. An ``OSError``
     (``--out`` below a regular file, say) is a ``ConfigError``. A failed write
-    removes the staged files it began and the directories it made."""
+    removes the staged files it began, the table it renamed into place and
+    the directories it made."""
     out_dir = os.path.dirname(paths[0]) or os.curdir
     staged = [os.path.join(out_dir, f".{os.path.basename(path)}.partial") for path in paths]
     made, begun = None, []
@@ -387,6 +388,7 @@ def _write_outputs(
         write_json(staged[1], {"schema_version": SCHEMA_VERSION, "meta": meta, **summary})
         for written, path in zip(staged, paths):
             os.replace(written, path)
+            begun.append(path)  # a failed second rename takes the table back out
         made, begun = None, []  # complete: the directories stay, no staged file is left
     except OSError as exc:
         why = _pathlib_names(exc)

@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,6 +81,7 @@ from .register import (
 
 DEFAULT_MAX_ITER = 50
 AMPLITUDE_FLOOR = 1e-10  # a fitted fringe below this fraction of the signal's scale is rounding
+_FIT_STEPS = 100  # Gauss-Newton steps a fringe fit may take
 
 
 class Protocol(Enum):
@@ -473,11 +474,11 @@ def _signal_moments(cfg: RamseyConfig, counts: np.ndarray) -> tuple[float, float
 
 
 # ---------------------------------------------------------------------------
-# Brent solvers
+# Brent solver
 # ---------------------------------------------------------------------------
-# Brent, Algorithms for Minimization Without Derivatives (1973), ch. 4-5, as
-# scipy implements them (the C brentq and _minimize_scalar_bounded): step for
-# step, so each returns scipy's result to the bit. The tests compare them.
+# Brent, Algorithms for Minimization Without Derivatives (1973), ch. 4, as
+# scipy's C brentq implements it: step for step, so it returns scipy's root
+# to the bit, which the tests check. Calibration refines its roots with it.
 
 
 def _checked(f: Callable, x: float) -> float:
@@ -552,73 +553,6 @@ def brentq(
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = _checked(f, xcur)
     raise ConvergenceError(f"brentq did not converge in {maxiter} iterations (last x {xcur!r})")
-
-
-def _fminbound(func: Callable, a: float, b: float, xatol: float, maxfun: int = 500) -> float:
-    """The minimiser of func on [a, b] to within about ``xatol``, by golden
-    sections and parabolic steps. Raises ConvergenceError once ``maxfun``
-    evaluations are spent."""
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
-        raise ValueError(f"bounds must be finite with a <= b, got [{a}, {b}]")
-    a, b, xatol = float(a), float(b), float(xatol)
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    fx = _checked(func, xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = -tol1 if xm - xf < 0 else tol1
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = _checked(func, x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            raise ConvergenceError(f"minimisation spent {maxfun} evaluations (last x {xf!r})")
-    return xf
 
 
 # ---------------------------------------------------------------------------
@@ -936,34 +870,40 @@ class FringeFit:
 def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     """Fit A cos(f t + phi) + c to a fringe scanned on a uniform grid.
 
-    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-    1973): at fixed f the model is linear in (A cos phi, -A sin phi, c), so
-    a linear least-squares solve leaves a residual that depends on f alone.
-    Brent's bounded minimiser (:func:`_fminbound`, in-house) finds its
-    minimum within half a natural bin, pi / (n dt), of the peak of a
-    zero-padded periodogram. A fit within half a bin of the grid's Nyquist
-    frequency pi / dt may be the alias of a slower fringe, and one below
-    half a bin is the mean's leakage, which the periodogram skips: both
-    raise ``FitError``, as does an amplitude below ``AMPLITUDE_FLOOR``
-    times the signal's largest magnitude, which rounding leaves on a scan
-    with no fringe. A fringe above Nyquist fits its alias cleanly, so a
-    caller that knows the fringe must check it itself.
+    At fixed f the model is linear in (A cos phi, -A sin phi, c), which a
+    linear least-squares solve fits (variable projection; Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 413, 1973). f starts at the peak of a
+    zero-padded periodogram, where a solve gives the linear coefficients,
+    and takes Gauss-Newton steps. Each step is one solve of the residual on
+    four columns, cos, sin, 1 and the model's slope in f, which updates the
+    coefficients and f together. f stays within half a natural bin,
+    pi / (n dt), of the peak, and the search stops at a step of at most
+    1e-13 f, where one more solve gives the fit. A noiseless scan takes 1
+    to 6 steps; a scan that noise dominates can take all ``_FIT_STEPS``
+    and raise ``ConvergenceError``.
+
+    A fit within half a bin of the grid's Nyquist frequency pi / dt may be
+    the alias of a slower fringe, and one below half a bin is the mean's
+    leakage, which the periodogram skips: both raise ``FitError``, as does
+    an amplitude at the peak below ``AMPLITUDE_FLOOR`` times the signal's
+    largest magnitude, which rounding leaves on a scan with no fringe. A
+    fringe above Nyquist fits its alias cleanly, so a caller that knows the
+    fringe must check it itself.
     """
     t = np.asarray(t_grid, dtype=float)
     s = np.asarray(signal, dtype=float)
     if len(t) < 8:
         raise FitError("need at least 8 samples to fit a fringe")
-    design = np.ones((len(t), 3))  # columns cos, sin and 1; each solve rewrites the first two
+    design = np.ones((len(t), 4))  # columns cos, sin, 1 and the model's slope in f
+    cos, sin, slope, linear = design[:, 0], design[:, 1], design[:, 3], design[:, :3]
+    # The search measures time from the scan's middle, where a step in f
+    # barely turns the fringe's phase; measured from t = 0, a scan that
+    # starts late turns so far that the steps can diverge.
+    centred = t - (t[0] + t[-1]) / 2
 
-    def solve(freq: float) -> tuple[np.ndarray, np.ndarray]:
-        arg = freq * t
-        np.cos(arg, out=design[:, 0])
-        np.sin(arg, out=design[:, 1])
-        coef = np.linalg.lstsq(design, s, rcond=None)[0]
-        return coef, s - design @ coef
-
-    def sq_residual(shift: float, centre: float) -> float:
-        return float(np.sum(solve(centre + shift)[1] ** 2))
+    def at(freq: float, times: np.ndarray) -> None:
+        np.cos(freq * times, out=cos)
+        np.sin(freq * times, out=sin)
 
     pad = 16  # periodogram bins per natural bin
     spectrum = np.abs(np.fft.rfft(s - np.mean(s), pad * len(s)))
@@ -971,26 +911,39 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     peak = pad // 2 + int(np.argmax(spectrum[pad // 2 :]))
     half_bin = np.pi / (len(s) * (t[1] - t[0]))
     freq = 2 * half_bin * peak / pad
-    # The minimiser's step floor is sqrt(eps) times the shift it searches;
-    # a second, narrow pass around the first result makes it negligible.
-    for width in (half_bin, 1e-6 * half_bin):
-        freq += _fminbound(partial(sq_residual, centre=freq), -width, width, 1e-13 * freq)
+    low, high = freq - half_bin, freq + half_bin
+    at(freq, centred)
+    coef = np.linalg.lstsq(linear, s, rcond=None)[0]
+    amplitude, scale = float(np.hypot(coef[0], coef[1])), float(np.max(np.abs(s)))
+    if amplitude <= AMPLITUDE_FLOOR * scale:  # no fringe, so no slope to follow
+        raise FitError(
+            f"fitted amplitude {amplitude:.3g} is rounding noise on a signal of scale "
+            f"{scale:.3g}: the scan holds no fringe"
+        )
+    for _ in range(_FIT_STEPS):
+        np.multiply(centred, coef[1] * cos - coef[0] * sin, out=slope)
+        # Solving for the residual, not the signal, keeps the step's rounding
+        # relative to the step, so f settles to the last bits.
+        delta = np.linalg.lstsq(design, s - linear @ coef, rcond=None)[0]
+        coef += delta[:3]
+        step = min(max(freq + delta[3], low), high) - freq
+        freq += step
+        at(freq, centred)
+        if abs(step) <= 1e-13 * freq:
+            break
+    else:
+        raise ConvergenceError(f"the fringe fit took {_FIT_STEPS} steps (last f {freq!r})")
     if freq >= len(s) * half_bin - half_bin:
         msg = f"fitted frequency {freq:.6g} rad/s is within half a bin, {half_bin:.6g} rad/s, of"
         raise FitError(f"{msg} the grid's Nyquist frequency {len(s) * half_bin:.6g} rad/s")
     if freq < half_bin:
         msg = f"fitted frequency {freq:.6g} rad/s is below half a bin, {half_bin:.6g} rad/s,"
         raise FitError(f"{msg} where the periodogram holds the mean's leakage")
-    (a, b, offset), _ = solve(freq)
-    amplitude = float(np.hypot(a, b))
-    if amplitude <= AMPLITUDE_FLOOR * float(np.max(np.abs(s))):
-        raise FitError(
-            f"fitted amplitude {amplitude:.3g} is rounding noise on a signal of scale "
-            f"{np.max(np.abs(s)):.3g}: the scan holds no fringe"
-        )
+    at(freq, t)
+    a, b, offset = np.linalg.lstsq(linear, s, rcond=None)[0]
     return FringeFit(
         frequency=float(freq),
-        amplitude=amplitude,
+        amplitude=float(np.hypot(a, b)),
         phase=float(np.arctan2(-b, a)),
         offset=float(offset),
     )

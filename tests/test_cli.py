@@ -1281,7 +1281,7 @@ class TestPinnedOutputs:
             "phi0 = 0.3\nepsilon = 2:0.1\nscan_points = 48\nscan_t_max = 3.0\n",
             ("--expectation-mode",),
             "6413487fd19ef7a30204c7494abb97d94049877685f712999df3355811caaecd",
-            "d03896e44ea31afe0dce556095fca414a4b862b1789af870136d7f1d014e1ca2",
+            "4ae624f3503f151e1c745bd0b1fffd298bed0a7c59915051eeb20cedf54f900f",
         ),
         "standard_expectation_scan": (
             "ramsey",
@@ -1289,7 +1289,7 @@ class TestPinnedOutputs:
             "final_phase = 0.3\nscan_points = 40\nscan_t_max = 6.0\n",
             ("--expectation-mode",),
             "d9a8431690a2813683c71f24c3e639f413f75a14a39d0ca5233a6c1cee41f42e",
-            "dffd9f26ed41940c242fd0cb0454a6ebbb52dc72c84e67832c63bdd6a5642a69",
+            "11d3fa85761ba934c53320847f2cc34014f45697ffb10d17ba724baf999095f7",
         ),
         "fourier_epsilon": (
             "fourier",
@@ -1892,7 +1892,9 @@ class TestCliSurface:
         why = "[Errno 21] Is a directory: 'sub/.ramsey_summary.json.partial' -> 'sub/ramsey_summary.json'"
         message = f"cannot write outputs to --out sub//: {why}"
         assert capsys.readouterr().err == json.dumps({"error": "ConfigError", "message": message}) + "\n"
-        assert not [p for p in self.tree(here) if p.endswith(".partial")]
+        # Neither file is left: not the staged ones, nor the table renamed first.
+        assert self.tree(here) == ["afile", "r.ini", "sub", "sub/ramsey_summary.json",
+                                   "sub/ramsey_summary.json/x"]
 
 
 # The byte-identity sweep: one in-process job per line, as (name, command,
@@ -1981,10 +1983,10 @@ SWEEP_SHA256 = {
     "ramsey_wide_L20_json": "fd7f585ea645e46f96d24d62ff1a9a402d93f096453a1ac689389d65fdafe437",
     "ramsey_degenerate_estimate_csv": "a87f118963c1969f79344e98747424059b527415e464c517fb32c974481769a6",
     "ramsey_degenerate_estimate_json": "fa299c72a9d185ad7c7f377323b07000580b9f4613c0b1881281ccfee716c36d",
-    "ramsey_expectation_ghz_csv": "d48ea7caa928ebf3ad027397d465068881490d7f1a2b50736b30f68cb486a6b8",
-    "ramsey_expectation_ghz_json": "770e6f593f090c4129b607e0dd873d34a175b76a7ead5a0f9577db0644908dd4",
-    "ramsey_expectation_standard_csv": "e3a98839bbe48fb9a2c932a3f0f46e6ac3d2746e6f63d7fd969a495c7abf1889",
-    "ramsey_expectation_standard_json": "87fa8d4ae4dcdd9ea61621a82728d71bda7511e5fb20e677a04167fb4a2dee28",
+    "ramsey_expectation_ghz_csv": "ad43f3e347e7604f33639ea1a15e6309bd94b9fc7d41733ad0d12dee12a2c45c",
+    "ramsey_expectation_ghz_json": "174c8b78ba9afc6fc9f062c2be84e08a98b8e12842d4a346672f3ce77fab7aa1",
+    "ramsey_expectation_standard_csv": "22c5a02b0388de309a8d21f5ae8eca1d7b3d29c7f88a14831f4698fc16e7bf45",
+    "ramsey_expectation_standard_json": "f8b1c9d285e630937514d037b43ea3850e0050e9bf0c24abd24bf8bd49b735fd",
     "scaling_sampled_csv": "be2a9556cf86211ee26c4ed048724c43022617902c2822bc17851c0b60cb10ef",
     "scaling_sampled_json": "afd0ddd2d714267dea3b70b1c3f3c319d2477bfe0bc24a998e2e16cfbcafe480",
     "scaling_expectation_csv": "68792a20431e598c14c2643e18f0c2e341a8c0058107c07eb9da5ffde07039bc",

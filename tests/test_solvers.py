@@ -1,7 +1,10 @@
-"""The in-house Brent solvers against scipy's: ``protocols.brentq`` against
-``scipy.optimize.brentq`` and ``protocols._fminbound`` against
-``minimize_scalar(method="bounded")``, result for result, bit for bit, on
-random polynomial-plus-sine functions. scipy is a test dependency only.
+"""The in-house solvers against scipy's. ``protocols.brentq`` matches
+``scipy.optimize.brentq`` result for result, bit for bit, on random
+polynomial-plus-sine functions. ``fit_fringe_frequency``'s Gauss-Newton
+search fits random fringes at least as well as the bounded Brent search of
+``minimize_scalar(method="bounded")`` on the same variable-projection
+objective, and in fewer least-squares solves. scipy is a test dependency
+only.
 """
 
 import math
@@ -14,8 +17,8 @@ from scipy.optimize import brentq as scipy_brentq
 from scipy.optimize import minimize_scalar
 
 import ionramsey
-from ionramsey import ConvergenceError, protocols
-from ionramsey.protocols import _fminbound, brentq
+from ionramsey import ConvergenceError, fit_fringe_frequency, protocols
+from ionramsey.protocols import brentq
 
 EPS = np.finfo(float).eps
 check = settings(derandomize=True, deadline=None, max_examples=600, database=None)
@@ -127,40 +130,86 @@ class TestBrentq:
         assert "brentq" not in ionramsey.__all__
 
 
-class TestFminbound:
-    @check
-    @given(coefs, sines, ends, widths, st.floats(1e-3, 1e3, allow_nan=False))
-    def test_matches_scipy(self, coef, sine, a, width, scale):
-        f = poly_sine(coef, sine)
-        b = a + width
-        xatol = 1e-13 * scale
-        res = minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
-        got = outcome(lambda: _fminbound(f, a, b, xatol))
-        assert got == (ConvergenceError if res.status == 1 else res.x)
+def projected_rss(t, s, freq):
+    """The variable-projection objective: the residual sum of squares of
+    the least-squares fit of cos(freq t), sin(freq t) and 1 to s."""
+    design = np.column_stack((np.cos(freq * t), np.sin(freq * t), np.ones_like(t)))
+    coef = np.linalg.lstsq(design, s, rcond=None)[0]
+    return float(np.sum((s - design @ coef) ** 2))
 
-    def test_spent_budget_raises_convergence_error(self):
-        def f(x):
-            return math.cos(3 * x) + 0.1 * x
 
-        res = minimize_scalar(f, bounds=(-4, 4), method="bounded",
-                              options={"xatol": 1e-13, "maxiter": 5})
-        assert res.status == 1
-        with pytest.raises(ConvergenceError, match="5 evaluations"):
-            _fminbound(f, -4.0, 4.0, 1e-13, maxfun=5)
+def bounded_brent_fit(t, s):
+    """The frequency scipy's bounded Brent search finds from the fit's
+    periodogram peak, a derivative-free reference: two passes, half a bin
+    wide and then 1e-6 of that, each to 1e-13 of the frequency."""
+    pad = 16
+    spectrum = np.abs(np.fft.rfft(s - np.mean(s), pad * len(s)))
+    peak = pad // 2 + int(np.argmax(spectrum[pad // 2 :]))
+    half_bin = np.pi / (len(s) * (t[1] - t[0]))
+    freq = 2 * half_bin * peak / pad
+    for width in (half_bin, 1e-6 * half_bin):
+        res = minimize_scalar(
+            lambda shift, centre=freq: projected_rss(t, s, centre + shift),
+            bounds=(-width, width), method="bounded", options={"xatol": 1e-13 * freq},
+        )
+        freq += res.x
+    return freq
 
-    def test_nan_value_raises(self):
-        seen = []
 
-        def f(x):
-            seen.append(x)
-            return math.nan if x > 0 else x * x
+# A fringe of >= 32 samples and >= 1 period, well under the grid's Nyquist
+# frequency, in one of four kinds: noiseless, with a second harmonic of up
+# to 0.2 of its amplitude, with Gaussian noise of up to 0.2 of it, or
+# rounded to 3 decimals.
+KINDS = ("noiseless", "harmonic", "noise", "rounded")
+fringes = st.fixed_dictionaries({
+    "kind": st.sampled_from(KINDS),
+    "n": st.integers(32, 400),
+    "periods": st.floats(1.0, 8.0),
+    "dt": st.floats(0.01, 1.0),
+    "start": st.floats(0.0, 5.0),
+    "amplitude": st.floats(0.1, 2.0),
+    "phase": st.floats(-np.pi, np.pi),
+    "offset": st.floats(-1.0, 1.0),
+    "extra": st.floats(0.0, 0.2),
+    "seed": st.integers(0, 2**32 - 1),
+})
 
-        # scipy steps past a NaN without a word; the port refuses to compare one.
-        res = minimize_scalar(f, bounds=(-1, 1), method="bounded")
-        assert res.status == 0 and max(seen) > 0
-        with pytest.raises(ValueError, match="NaN"):
-            _fminbound(f, -1.0, 1.0, 1e-5)
 
-    def test_inverted_bounds_raise(self):
-        with pytest.raises(ValueError, match="bounds"):
-            _fminbound(abs, 1.0, -1.0, 1e-5)
+def fringe(kind, n, periods, dt, start, amplitude, phase, offset, extra, seed):
+    t = start + dt * np.arange(n)
+    freq = 2 * np.pi * periods / (n * dt)
+    s = amplitude * np.cos(freq * t + phase) + offset
+    if kind == "harmonic":
+        s += extra * amplitude * np.cos(2 * freq * t + 3 * phase)
+    elif kind == "noise":
+        s += extra * amplitude * np.random.default_rng(seed).standard_normal(n)
+    elif kind == "rounded":
+        s = np.round(s, 3)
+    return t, s
+
+
+class TestFringeFit:
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(fringes)
+    def test_fits_at_least_as_well_as_bounded_brent(self, params):
+        t, s = fringe(**params)
+        got = projected_rss(t, s, fit_fringe_frequency(t, s).frequency)
+        want = projected_rss(t, s, bounded_brent_fit(t, s))
+        assert got <= want * (1 + 1e-9) + 1e-26 * float(s @ s)
+
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(fringes.map(lambda params: {**params, "kind": "noiseless"}))
+    def test_noiseless_fit_takes_at_most_8_solves(self, params):
+        # The bounded Brent search takes 19.
+        t, s = fringe(**params)
+        calls, solve = 0, np.linalg.lstsq
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return solve(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "lstsq", counted)
+            fit_fringe_frequency(t, s)
+        assert calls <= 8

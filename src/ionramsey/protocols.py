@@ -878,9 +878,9 @@ def fit_fringe_frequency(t_grid: np.ndarray, signal: np.ndarray) -> FringeFit:
     four columns, cos, sin, 1 and the model's slope in f, which updates the
     coefficients and f together. f stays within half a natural bin,
     pi / (n dt), of the peak, and the search stops at a step of at most
-    1e-13 f, where one more solve gives the fit. A noiseless scan takes 1
-    to 6 steps; a scan that noise dominates can take all ``_FIT_STEPS``
-    and raise ``ConvergenceError``.
+    1e-13 f, where one more solve gives the fit. A noiseless scan of a
+    period or more takes 1 to 6 steps; a scan that noise dominates can
+    take all ``_FIT_STEPS`` and raise ``ConvergenceError``.
 
     A fit within half a bin of the grid's Nyquist frequency pi / dt may be
     the alias of a slower fringe, and one below half a bin is the mean's

@@ -160,9 +160,8 @@ def bounded_brent_fit(t, s):
 # frequency, in one of four kinds: noiseless, with a second harmonic of up
 # to 0.2 of its amplitude, with Gaussian noise of up to 0.2 of it, or
 # rounded to 3 decimals.
-KINDS = ("noiseless", "harmonic", "noise", "rounded")
 fringes = st.fixed_dictionaries({
-    "kind": st.sampled_from(KINDS),
+    "kind": st.sampled_from(["noiseless", "harmonic", "noise", "rounded"]),
     "n": st.integers(32, 400),
     "periods": st.floats(1.0, 8.0),
     "dt": st.floats(0.01, 1.0),

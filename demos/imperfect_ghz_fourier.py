@@ -79,7 +79,7 @@ def main() -> None:
     print(f"\nL = {N_IONS}, p = 1 admixture amplitude eps = {EPSILON}")
     print(f"{'p':>2} {'C_p':>10} {'xi_p':>8}")
     for p in range(1, N_IONS + 1):
-        c, xi = fit.component(p)
+        c, xi = fit.c[p - 1], fit.xi[p - 1]
         print(f"{p:>2} {c:>10.6f} {xi:>8.3f}")
     print(f"residual rms {fit.residual:.2e}")
     expected = 1.0 / (1.0 + EPSILON**2)

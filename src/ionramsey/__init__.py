@@ -39,7 +39,6 @@ from .protocols import (
     FringeFit,
     Protocol,
     RamseyConfig,
-    Trials,
     estimate_frequency,
     expected_signal,
     fit_fringe_frequency,
@@ -77,7 +76,6 @@ __all__ = [
     "RamseyConfig",
     "ScalingPoint",
     "ScalingReport",
-    "Trials",
     "dephasing_benchmark",
     "estimate_frequency",
     "expected_signal",

@@ -126,8 +126,6 @@ class ScalingReport:
     points: tuple[ScalingPoint, ...]
     slopes: dict[str, float]
     slope_sigma: dict[str, float]
-    trials: int
-    seed: int
     low_statistics: bool
 
 
@@ -170,8 +168,8 @@ def scan_scaling(
     """
     if mode not in ("sampled", "analytic"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if len(l_values) < 2:
-        raise ConfigError("need at least two L values to fit a scaling slope")
+    if len(set(l_values)) < 2:
+        raise ConfigError("need at least two distinct L values to fit a scaling slope")
     if not t_ramsey > 0:
         raise ConfigError(f"scaling needs t_ramsey > 0, got {t_ramsey!r}")
     points: list[ScalingPoint] = []
@@ -203,8 +201,6 @@ def scan_scaling(
         points=tuple(points),
         slopes=slopes,
         slope_sigma=slope_sigma,
-        trials=trials,
-        seed=seed,
         low_statistics=mode == "sampled" and trials < 1000,
     )
 
@@ -216,7 +212,6 @@ def scan_scaling(
 
 @dataclass(frozen=True)
 class DephasingCurve:
-    protocol: str
     t_grid: tuple[float, ...]
     sigma_tau: tuple[float, ...]
     t_opt: float
@@ -226,11 +221,6 @@ class DephasingCurve:
 
 @dataclass(frozen=True)
 class DephasingReport:
-    gamma: float
-    n_ions: int
-    trials: int
-    seed: int
-    mode: str
     curves: dict[str, DephasingCurve]
     t_opt_ratio: float
     min_ratio: float
@@ -319,7 +309,6 @@ def dephasing_benchmark(
                 if fx < min_value:
                     t_opt, min_value = float(x), float(fx)
         curves[protocol.family] = DephasingCurve(
-            protocol=protocol.family,
             t_grid=tuple(float(t) for t in t_grid),
             sigma_tau=tuple(float(v) for v in grid_vals),
             t_opt=t_opt,
@@ -329,11 +318,6 @@ def dephasing_benchmark(
 
     std, ghz = (curves[protocol.family] for protocol in PROTOCOLS)
     return DephasingReport(
-        gamma=gamma,
-        n_ions=n_ions,
-        trials=trials,
-        seed=seed,
-        mode=mode,
         curves=curves,
         t_opt_ratio=ghz.t_opt / std.t_opt,
         min_ratio=ghz.min_value / std.min_value,

@@ -463,8 +463,8 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
         summary["fitted_amplitude"] = fit.amplitude
     else:
         seed = manifest.seed
-        trials = run_ramsey(cfg, streams.stream(seed, 0, 0), f"{seed}/0/0")
-        counts = np.bincount(trials.classes, minlength=2 * cfg.n_ions)
+        classes = run_ramsey(cfg, streams.stream(seed, 0, 0))
+        counts = np.bincount(classes, minlength=2 * cfg.n_ions)
         summary["shots"] = cfg.shots
         # Outcomes are integers or half-integers: the dot's sum is exact, as np.mean's is.
         outcomes = _class_outcomes(cfg.protocol, cfg.n_ions)
@@ -476,7 +476,7 @@ def cmd_ramsey(manifest: RunManifest, values: ChainMap) -> RamseyOutputs:
             summary["estimate_sigma"] = est.sigma
         except IonRamseyError as exc:
             summary["estimate_error"] = f"{type(exc).__name__}: {exc}"
-        rows, index = trial_rows(trials, est)
+        rows, index = trial_rows(cfg, f"{seed}/0/0", classes, est)
     return CSV_COLUMNS, rows, summary, index
 
 
@@ -491,7 +491,7 @@ def cmd_scaling(manifest: RunManifest, values: ChainMap) -> Outputs:
     summary = {
         "expectation_mode": manifest.expectation,
         "slopes": report.slopes,
-        "trials": report.trials,
+        "trials": values["trials"],
     }
     if not manifest.expectation:  # only shots have a spread to quote
         summary.update(slope_sigma=report.slope_sigma, low_statistics=report.low_statistics)
@@ -504,12 +504,13 @@ def cmd_dephasing(manifest: RunManifest, values: ChainMap) -> Outputs:
         raise ConfigError(f"[dephasing] t_max must be > t_min, got {t_max} <= {t_min}")
     if "trials" in values.maps[0] and values["mode"] == "analytic":
         raise ConfigError("[dephasing] trials has no effect with mode = analytic")
+    mode = "analytic" if manifest.expectation else values["mode"]
     report = _by_name(
         dephasing_benchmark,
         values,
         t_grid=np.geomspace(t_min, t_max, values["grid_points"]),
         seed=manifest.seed,
-        mode="analytic" if manifest.expectation else values["mode"],
+        mode=mode,
     )
     columns = ("protocol", "T_R", "sigma_sqrt_tau")
     rows = []
@@ -518,10 +519,10 @@ def cmd_dephasing(manifest: RunManifest, values: ChainMap) -> Outputs:
             (family, float(t), float(v)) for t, v in zip(curve.t_grid, curve.sigma_tau)
         )
     summary = {
-        "gamma": report.gamma,
-        "n_ions": report.n_ions,
-        "mode": report.mode,
-        "trials": report.trials,
+        "gamma": values["gamma"],
+        "n_ions": values["n_ions"],
+        "mode": mode,
+        "trials": values["trials"],
         "t_opt": {p: curve.t_opt for p, curve in report.curves.items()},
         "min_sigma_sqrt_tau": {p: curve.min_value for p, curve in report.curves.items()},
         "argmin_on_boundary": {p: curve.argmin_on_boundary for p, curve in report.curves.items()},

@@ -349,21 +349,6 @@ def expected_signal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trials:
-    """The projective shots of one sampled run.
-
-    ``cfg`` is the run's configuration, which holds for every shot.
-    ``classes`` is the int64 array of each shot's readout class b L + k in
-    shot order, whose record outcome is :meth:`Protocol.outcomes`;
-    ``seed_label`` names the one random stream every shot was drawn from.
-    """
-
-    cfg: RamseyConfig
-    classes: np.ndarray
-    seed_label: str
-
-
 class Estimate(NamedTuple):
     """Detuning estimate dw_hat = omega_R - omega0_hat and its 1-sigma error."""
 
@@ -371,17 +356,15 @@ class Estimate(NamedTuple):
     sigma: float
 
 
-def run_ramsey(
-    cfg: RamseyConfig, rng: np.random.Generator, seed_label: str = ""
-) -> Trials:
-    """cfg.shots projective trials of cfg.protocol, drawn from ``rng``, whose
-    seed label the returned :class:`Trials` records.
+def run_ramsey(cfg: RamseyConfig, rng: np.random.Generator) -> np.ndarray:
+    """The int64 readout classes b L + k of cfg.shots projective trials of
+    cfg.protocol drawn from ``rng``, in shot order; a class's record outcome
+    is :meth:`Protocol.outcomes`.
 
     Every shot's readout class is drawn from one Born table,
     :func:`_run_state`, at the uniforms of one ``rng.random(shots)`` call.
     """
-    classes = sample_measurement(_run_state(cfg), rng.random(cfg.shots))
-    return Trials(cfg, classes, seed_label)
+    return sample_measurement(_run_state(cfg), rng.random(cfg.shots))
 
 
 def _run_state(cfg: RamseyConfig) -> np.ndarray:
@@ -413,7 +396,7 @@ def estimate_frequency(
 ) -> Estimate:
     """The detuning estimate and its 1-sigma error of a run of ``cfg`` whose
     shots fall ``weights[c]`` times in readout class c (the ``np.bincount``
-    of a :class:`Trials`' classes), or, given the Born masses, of its
+    of :func:`run_ramsey`'s classes), or, given the Born masses, of its
     infinite repetition: the one place class weights become the signal's
     moments (:func:`_signal_moments`), and those an estimate.
 
@@ -772,14 +755,9 @@ class FourierFit:
     deliberately excludes, lands here).
     """
 
-    n_ions: int
-    delta_omega: float
     c: np.ndarray
     xi: np.ndarray
     residual: float
-
-    def component(self, p: int) -> tuple[float, float]:
-        return float(self.c[p - 1]), float(self.xi[p - 1])
 
 
 def fourier_decompose(
@@ -829,7 +807,7 @@ def fourier_decompose(
     # Map the (-pi, pi] convention exactly: arctan2 returns [-pi, pi].
     xi = np.where(xi == -np.pi, np.pi, xi)
     residual = float(np.sqrt(np.mean((s - design @ coef) ** 2)))
-    return FourierFit(n_ions=n_ions, delta_omega=delta_omega, c=c, xi=xi, residual=residual)
+    return FourierFit(c=c, xi=xi, residual=residual)
 
 
 def synthesize_signal(

@@ -1,7 +1,7 @@
 """Record tables and their CSV/JSON serialization.
 
-A sampled run (:class:`~ionramsey.protocols.Trials`) becomes a table with one
-fixed column order::
+A sampled run's shot classes (:func:`~ionramsey.protocols.run_ramsey`) become a
+table with one fixed column order::
 
     protocol,L,T_R,omega_R,seed,outcome,estimate,sigma
 
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 if TYPE_CHECKING:
-    from .protocols import Estimate, Trials
+    from .protocols import Estimate, RamseyConfig
 
 CSV_COLUMNS = ("protocol", "L", "T_R", "omega_R", "seed", "outcome", "estimate", "sigma")
 
@@ -52,20 +52,22 @@ def _fmt(value: float | int | str) -> str:
     return repr(value)
 
 
-def trial_rows(trials: Trials, estimate: Estimate | None = None) -> tuple[list, list[int]]:
-    """``(rows, index)``: a ``CSV_COLUMNS`` row per readout class, then the
+def trial_rows(
+    cfg: RamseyConfig, seed_label: str, classes: np.ndarray, estimate: Estimate | None = None
+) -> tuple[list, list[int]]:
+    """``(rows, index)`` of the shots ``classes`` of a run of ``cfg`` on the
+    stream ``seed_label``: a ``CSV_COLUMNS`` row per readout class, then the
     estimate row if one is given; the table is ``[rows[k] for k in index]``."""
-    cfg = trials.cfg
     config = [
         cfg.protocol.value,
         str(cfg.n_ions),
         _fmt(cfg.t_ramsey),
         _fmt(cfg.omega_r),
-        trials.seed_label,
+        seed_label,
     ]
     outcomes = cfg.protocol.outcomes(np.arange(2 * cfg.n_ions), cfg.n_ions)
     rows = [[*config, _fmt(v), "", ""] for v in outcomes.tolist()]
-    index = trials.classes.tolist()
+    index = classes.tolist()
     if estimate is not None:
         index.append(len(rows))
         rows.append([*config, "", _fmt(estimate.estimate), _fmt(estimate.sigma)])

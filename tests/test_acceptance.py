@@ -154,8 +154,8 @@ def test_criterion_04_projection_noise():
             protocol=Protocol.STANDARD,
             shots=shots,
         )
-        run = run_ramsey(cfg, np.random.default_rng(20260814))
-        counts = Protocol.STANDARD.outcomes(run.classes, n_ions)
+        classes = run_ramsey(cfg, np.random.default_rng(20260814))
+        counts = Protocol.STANDARD.outcomes(classes, n_ions)
 
         k = np.arange(n_ions + 1)
         from math import comb
@@ -222,7 +222,7 @@ def test_criterion_06_ghz_decoherence_rate():
                     shots=shots,
                     noise=NoiseSpec(gamma=gamma, mode="independent"),
                 )
-                outcomes = cfg.protocol.outcomes(run_ramsey(cfg, rng).classes, n_ions)
+                outcomes = cfg.protocol.outcomes(run_ramsey(cfg, rng), n_ions)
                 mean = float(np.mean(outcomes))
                 sd_mean = float(np.std(outcomes, ddof=1)) / np.sqrt(shots)
                 log_means.append(np.log(mean))
@@ -421,7 +421,7 @@ def test_note_imperfect_fidelity_fixture():
     t_grid = period * np.arange(1, 65) / 64.0
     signal = expected_signal(cfg, t_ramsey=t_grid)
     fit = fourier_decompose(t_grid, signal, 2, delta_omega)
-    c2 = fit.component(2)[0]
+    c2 = fit.c[1]
     assert c2 < 1.0 - 1e-6
     assert abs(c2 - 0.7) < 1e-9  # GHZ weight carries the fringe
     assert fit.residual > 0.01  # DC leftover from the admixture

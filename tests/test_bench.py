@@ -170,6 +170,11 @@ class TestScanScaling:
         with pytest.raises(ConfigError):
             scan_scaling([4], trials=100)
 
+    def test_needs_two_distinct_points(self):
+        # A repeated L gives the log-log fit no spread in x to fit a slope to.
+        with pytest.raises(ConfigError, match="two distinct L values"):
+            scan_scaling([3, 3], trials=100, mode="analytic")
+
     @pytest.mark.parametrize("t_ramsey", [0.0, -1.0])
     def test_needs_positive_ramsey_time(self, t_ramsey):
         with pytest.raises(ConfigError, match="t_ramsey > 0"):
@@ -316,8 +321,8 @@ class TestCountedScanPoints:
             counted.append(
                 _half_fringe_sigma(protocol, n_ions, t_ramsey, shots, (seed, 0), noise=noise)
             )
-            run = run_ramsey(cfg, streams.stream(seed, 1, 0))
-            counts = np.bincount(run.classes, minlength=2 * n_ions)
+            classes = run_ramsey(cfg, streams.stream(seed, 1, 0))
+            counts = np.bincount(classes, minlength=2 * n_ions)
             per_shot.append(estimate_frequency(cfg, counts, operating_phase=np.pi / 2).sigma)
         error = math.hypot(np.std(counted, ddof=1), np.std(per_shot, ddof=1)) / math.sqrt(300)
         assert abs(np.mean(counted) - np.mean(per_shot)) < 4 * error
@@ -331,7 +336,7 @@ class TestCountedScanPoints:
         report = scan_scaling([1, 2], trials=300, seed=2)
         assert len(report.points) == 4
         report = dephasing_benchmark(0.5, 2, np.geomspace(0.1, 3.0, 4), trials=300, seed=2)
-        assert report.mode == "sampled"
+        assert len(report.curves["ghz"].sigma_tau) == 4
 
 
 def _exact_slope(x, y):

@@ -1733,6 +1733,48 @@ def test_every_benchmark_job_reaches_its_command(tmp_path, monkeypatch):
     assert workloads._golden_evals() > 2  # reads dephasing_benchmark's refine_iters default
 
 
+# Traced-run metrics that ``perfbench/run.py`` computes itself, not the tracer.
+RUN_METRICS = {"streams.thread_speedup", "trace.overhead_s", "machine.ref_kernel_s"}
+
+
+def test_benchmark_trace_keeps_outputs_and_metrics(tmp_path, monkeypatch):
+    """``perfbench/run.py --trace 1`` in miniature: one cycle of every workload,
+    run untraced and then under ``perfbench/spans.py``'s ``Tracer``, which
+    rebinds every public function and reads results (``len(result)``,
+    ``result.iterations``). Every job exits 0 under both, with the same bytes,
+    and the tracer's metrics are the per-layer ones ``BENCHMARK.json`` names.
+    The physics oracles are not run. The files are imported as they are."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    modules = {}
+    for name in ("workloads", "spans"):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, modules[name])
+        spec.loader.exec_module(modules[name])
+    jobs = [job for w in modules["workloads"].WORKLOADS.values() for job in w.plan(7, 1)]
+
+    def run_all(label: str) -> list[dict[str, bytes]]:
+        outputs = []
+        for k, job in enumerate(jobs):
+            config, out = tmp_path / f"{label}{k}.ini", tmp_path / f"{label}{k}"
+            config.write_text(job.config)
+            assert main(job.argv(config, out)) == 0, (label, job.kind)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        return outputs
+
+    untraced = run_all("untraced")
+    tracer = modules["spans"].Tracer()
+    try:
+        tracer.install()  # raises TraceError on a binding it missed
+        traced = run_all("traced")
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    per_layer = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(tracer.layer_metrics()) == {m["name"] for m in per_layer} - RUN_METRICS
+    assert tracer.spans
+
+
 class TestCliSurface:
     """The command line around a run, message for message: bad argv, help,
     and the spellings of ``--out``. Every case runs in a directory holding

@@ -49,7 +49,6 @@ from ionramsey.errors import FitError
 from ionramsey.register import sample_measurement
 from ionramsey.protocols import (
     FringeFit,
-    Trials,
     _prepare_dicke,
     fit_fringe_frequency,
     flag_large_admixture,
@@ -186,11 +185,11 @@ class TestAliasGuard:
         run_ramsey(cfg, stream(0, 0))
 
 
-def _estimate(trials, **kwargs):
-    """The estimate of a sampled run, from its shots' class counts tallied as
-    the CLI tallies them."""
-    counts = np.bincount(trials.classes, minlength=2 * trials.cfg.n_ions)
-    return estimate_frequency(trials.cfg, counts, **kwargs)
+def _estimate(cfg, classes, **kwargs):
+    """The estimate of a sampled run of ``cfg``, from its shots' class counts
+    tallied as the CLI tallies them."""
+    counts = np.bincount(classes, minlength=2 * cfg.n_ions)
+    return estimate_frequency(cfg, counts, **kwargs)
 
 
 def _shot_signal(protocol, outcomes, n_ions):
@@ -228,13 +227,11 @@ class TestSampledRuns:
     )
     def test_outcomes_match_protocol(self, protocol, outcomes):
         cfg = _half_fringe_cfg(protocol, 3, shots=400)
-        trials = run_ramsey(cfg, stream(1, 0), seed_label="1/0")
-        assert trials.cfg is cfg
-        assert trials.classes.dtype == np.int64
-        assert trials.classes.shape == (400,)
+        classes = run_ramsey(cfg, stream(1, 0))
+        assert classes.dtype == np.int64
+        assert classes.shape == (400,)
         # At the half fringe every outcome the protocol allows shows up.
-        assert set(protocol.outcomes(trials.classes, 3).tolist()) == outcomes
-        assert trials.seed_label == "1/0"
+        assert set(protocol.outcomes(classes, 3).tolist()) == outcomes
 
     @pytest.mark.parametrize(
         "protocol,final_phase",
@@ -259,8 +256,8 @@ class TestSampledRuns:
             final_phase=final_phase,
             shots=20_000,
         )
-        trials = run_ramsey(cfg, stream(11, 5))
-        est = _estimate(trials)
+        classes = run_ramsey(cfg, stream(11, 5))
+        est = _estimate(cfg, classes)
         assert est.estimate == pytest.approx(truth, abs=5 * est.sigma)
         assert est.sigma < 0.02
 
@@ -270,8 +267,8 @@ class TestSampledRuns:
         zs = []
         for k in range(60):
             cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=2000, omega_0=0.0)
-            trials = run_ramsey(cfg, stream(100, k))
-            est = _estimate(trials)
+            classes = run_ramsey(cfg, stream(100, k))
+            est = _estimate(cfg, classes)
             zs.append((est.estimate - cfg.delta_omega) / est.sigma)
         zs = np.array(zs)
         assert abs(np.mean(zs)) < 4 / np.sqrt(60)
@@ -281,16 +278,16 @@ class TestSampledRuns:
         sig = {}
         for shots in (2000, 8000):
             cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=shots)
-            trials = run_ramsey(cfg, stream(7, shots))
-            sig[shots] = _estimate(trials).sigma
+            classes = run_ramsey(cfg, stream(7, shots))
+            sig[shots] = _estimate(cfg, classes).sigma
         assert sig[2000] / sig[8000] == pytest.approx(2.0, rel=0.15)
 
     def test_noisy_run_sigma_uses_contrast(self):
         gamma, t = 0.4, 1.0
         cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 2, shots=6000, gamma=gamma, t_ramsey=t)
-        trials = run_ramsey(cfg, stream(21, 0))
+        classes = run_ramsey(cfg, stream(21, 0))
         c = np.exp(-2 * gamma * t)  # two independent phases on the GHZ coherence
-        est = _estimate(trials, operating_phase=np.pi / 2)
+        est = _estimate(cfg, classes, operating_phase=np.pi / 2)
         # At the half-fringe the parity mean is ~0, variance ~1, slope c*L*T.
         want_sigma = 1.0 / (c * 2 * t * np.sqrt(6000))
         assert est.sigma == pytest.approx(want_sigma, rel=0.1)
@@ -299,9 +296,9 @@ class TestSampledRuns:
     def test_degenerate_slope_raises(self):
         # Operating at the fringe top: arccos slope vanishes there.
         cfg = RamseyConfig(n_ions=2, t_ramsey=1.0, omega_r=0.0, omega_0=0.0, shots=500)
-        trials = run_ramsey(cfg, stream(5, 5))
+        classes = run_ramsey(cfg, stream(5, 5))
         with pytest.raises(DegenerateSlopeError):
-            _estimate(trials)
+            _estimate(cfg, classes)
 
     def test_dephased_estimate_uses_the_run_contrast(self):
         # A dephased parity fringe C cos(x), C = exp(-L gamma T), at 0.3 of a
@@ -316,7 +313,7 @@ class TestSampledRuns:
             noise=NoiseSpec(gamma=gamma),
             shots=shots,
         )
-        est = _estimate(run_ramsey(cfg, stream(19, 0)))
+        est = _estimate(cfg, run_ramsey(cfg, stream(19, 0)))
         c = np.exp(-n_ions * gamma * t)
         assert est.estimate == pytest.approx(cfg.delta_omega, abs=5 * est.sigma)
         # Delta-method sigma: the parity's spread over the fringe slope. At the
@@ -327,13 +324,13 @@ class TestSampledRuns:
 
     def test_underflowed_contrast_raises(self):
         cfg = _half_fringe_cfg(Protocol.GHZ_PARITY, 3, shots=50, gamma=400.0)
-        trials = run_ramsey(cfg, stream(3, 0))
+        classes = run_ramsey(cfg, stream(3, 0))
         want = (
             "the ghz contrast exp(-gamma T_R ...) underflows to 0 at "
             "L = 3, gamma = 400.0, T_R = 1.0"
         )
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-            _estimate(trials)
+            _estimate(cfg, classes)
 
 
 def _dephased_cfg(protocol, n_ions, mode, *, shots):
@@ -367,9 +364,9 @@ class TestStreamConsumption:
     def test_run_draws_one_block_of_uniforms(self, protocol, mode):
         cfg = _dephased_cfg(protocol, 3, mode, shots=500)
         rng = stream(29, 3)
-        trials = run_ramsey(cfg, rng)
+        classes = run_ramsey(cfg, rng)
         want = sample_measurement(protocols._run_state(cfg), stream(29, 3).random(500))
-        assert np.array_equal(trials.classes, want)
+        assert np.array_equal(classes, want)
         assert np.array_equal(rng.random(8), _drawn((29, 3), 500).random(8))
 
     def test_long_run_leaves_its_one_stream_after_one_block(self, monkeypatch, tmp_path):
@@ -403,7 +400,7 @@ class TestEstimatorMoments:
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_counted_moments_match_the_per_shot_formula(self, protocol, shots, n_ions):
         cfg = _half_fringe_cfg(protocol, n_ions, shots=shots)
-        classes = run_ramsey(cfg, stream(41, shots, n_ions)).classes
+        classes = run_ramsey(cfg, stream(41, shots, n_ions))
         s = _shot_signal(protocol, protocol.outcomes(classes, n_ions), n_ions)
         want = float(np.mean(s)), float(np.std(s, ddof=1) / np.sqrt(shots))
         counts = np.bincount(classes, minlength=2 * n_ions)
@@ -415,7 +412,7 @@ class TestEstimatorMoments:
     def test_one_shot_has_no_standard_error(self, shots):
         cfg = _half_fringe_cfg(Protocol.STANDARD, 2, shots=1)
         with pytest.raises(ValueError, match="at least 2 trials"):
-            _estimate(Trials(cfg, np.zeros(shots, dtype=np.int64), ""))
+            _estimate(cfg, np.zeros(shots, dtype=np.int64))
 
 
 class TestEstimatorContrast:
@@ -534,7 +531,7 @@ class TestBatchedGrids:
         cfg = replace(
             _grid_cfg(Protocol.GHZ_PARITY, 4), allow_wrap=False, t_ramsey=0.3, shots=2300
         )
-        want = run_ramsey(cfg, stream(13, 0, 0)).classes
+        want = run_ramsey(cfg, stream(13, 0, 0))
         calls = []
         prepare_dicke = protocols._prepare_dicke
 
@@ -543,9 +540,9 @@ class TestBatchedGrids:
             return prepare_dicke(*args, **kwargs)
 
         monkeypatch.setattr(protocols, "_prepare_dicke", counting)
-        trials = run_ramsey(cfg, stream(13, 0, 0), "13/0/0")
+        classes = run_ramsey(cfg, stream(13, 0, 0))
         assert len(calls) == 1
-        assert np.array_equal(trials.classes, want)
+        assert np.array_equal(classes, want)
 
 
 _dense_final = dense_final  # the dense reference for a noiseless run
@@ -624,11 +621,11 @@ class TestSymmetricSubspace:
         # config stores a zero rate, in either noise mode, as no noise, so
         # that run also draws the noiseless run's shots.
         cfg = replace(_subspace_cfg(protocol, n_ions), shots=50)
-        shots = run_ramsey(cfg, stream(13, n_ions)).classes.tobytes()
+        shots = run_ramsey(cfg, stream(13, n_ions)).tobytes()
         for mode in ("independent", "common"):
             zero = replace(cfg, noise=NoiseSpec(0.0, mode))
             assert zero.noise is None
-            assert run_ramsey(zero, stream(13, n_ions)).classes.tobytes() == shots
+            assert run_ramsey(zero, stream(13, n_ions)).tobytes() == shots
         for cfg in (cfg, replace(cfg, noise=NoiseSpec(0.0, "common"))):
             assert expected_signal(cfg) == protocol.expected(protocols._run_state(cfg))
 
@@ -641,7 +638,7 @@ class TestSymmetricSubspace:
             protocol=protocol, shots=shots,
         )
         fringe = np.cos(protocol.multiplier(n_ions) * cfg.delta_omega * cfg.t_ramsey)
-        mean = protocol.outcomes(run_ramsey(cfg, stream(5, 24)).classes, n_ions).mean()
+        mean = protocol.outcomes(run_ramsey(cfg, stream(5, 24)), n_ions).mean()
         if protocol is Protocol.STANDARD:  # ions found |dn>: binomial
             p_up = (1 - fringe) / 2
             want, se = n_ions * (1 - p_up), np.sqrt(n_ions * p_up * (1 - p_up) / shots)
@@ -673,7 +670,7 @@ class TestSymmetricSubspace:
         _forbid_dense_register(monkeypatch)
         cfg = replace(_subspace_cfg(protocol, 6), noise=NoiseSpec(0.2, mode), shots=300,
                       allow_wrap=False, t_ramsey=0.3)
-        assert len(run_ramsey(cfg, stream(3)).classes) == 300
+        assert len(run_ramsey(cfg, stream(3))) == 300
 
     def test_sampled_dephasing_benchmark_builds_no_register(self, monkeypatch):
         _forbid_dense_register(monkeypatch)
@@ -1040,6 +1037,16 @@ class TestFringeFit:
     def test_needs_minimum_samples(self):
         with pytest.raises(FitError):
             fit_fringe_frequency(np.arange(5.0), np.ones(5))
+
+    def test_step_cap_raises_convergence_error(self, monkeypatch):
+        # A second harmonic moves the periodogram peak off the fringe, so the
+        # fit needs more than one Gauss-Newton step.
+        t = np.linspace(0, 6.0, 120)
+        sig = 0.8 * np.cos(2.4 * t + 0.3) + 0.2 * np.cos(4.8 * t)
+        fit_fringe_frequency(t, sig)
+        monkeypatch.setattr(protocols, "_FIT_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="took 1 steps"):
+            fit_fringe_frequency(t, sig)
 
     def test_fringe_near_nyquist_raises(self):
         # A GHZ scan at L = 4, 64 points over 3 s, of a fringe a tenth of half a

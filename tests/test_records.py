@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionramsey import cli
-from ionramsey.protocols import Estimate, Protocol, RamseyConfig, Trials, run_ramsey
+from ionramsey.protocols import Estimate, Protocol, RamseyConfig, run_ramsey
 from ionramsey.records import CSV_COLUMNS, trial_rows, write_json, write_table_csv
 
 
-def make_trials(classes=(1,), seed_label="7/0/0", protocol=Protocol.GHZ_PARITY, n_ions=3):
-    """Shots of the readout classes ``classes``; at the default L = 3 GHZ
-    parity, even classes read parity -1 and odd ones +1."""
+def make_run(classes=(1,), seed_label="7/0/0", protocol=Protocol.GHZ_PARITY, n_ions=3):
+    """``(cfg, seed_label, classes)`` of shots of the readout classes ``classes``;
+    at the default L = 3 GHZ parity, even classes read parity -1 and odd ones +1."""
     cfg = RamseyConfig(
         n_ions=n_ions,
         t_ramsey=1.0,
@@ -24,13 +24,13 @@ def make_trials(classes=(1,), seed_label="7/0/0", protocol=Protocol.GHZ_PARITY, 
         omega_0=0.0,
         protocol=protocol,
     )
-    return Trials(cfg=cfg, classes=np.array(classes, dtype=np.int64), seed_label=seed_label)
+    return cfg, seed_label, np.array(classes, dtype=np.int64)
 
 
 class TestCsvWriters:
     def test_records_csv_layout(self, tmp_path):
         path = tmp_path / "out.csv"
-        rows, index = trial_rows(make_trials([1, 0]))
+        rows, index = trial_rows(*make_run([1, 0]))
         write_table_csv(path, CSV_COLUMNS, rows, {"seed": 7, "b": "x"}, index)
         lines = path.read_text().splitlines()
         # Comment header: sorted key=value pairs, then the column row.
@@ -45,14 +45,14 @@ class TestCsvWriters:
         # repr-format floats must parse back bit-identically.
         value = 0.1 + 0.2  # classic non-representable sum
         path = tmp_path / "r.csv"
-        rows, index = trial_rows(make_trials([1]), Estimate(value, value / 3))
+        rows, index = trial_rows(*make_run([1]), Estimate(value, value / 3))
         write_table_csv(path, CSV_COLUMNS, rows, {}, index)
         data_line = path.read_text().splitlines()[-1]
         assert [float(cell) for cell in data_line.split(",")[6:]] == [value, value / 3]
 
     def test_estimate_record_row_shape(self):
-        trials = make_trials([1, 0, 1], seed_label="1/0/0")
-        rows, index = trial_rows(trials, Estimate(estimate=0.05, sigma=0.002))
+        run = make_run([1, 0, 1], seed_label="1/0/0")
+        rows, index = trial_rows(*run, Estimate(estimate=0.05, sigma=0.002))
         assert index == [1, 0, 1, 6]  # a row per class of L = 3, then the estimate's
         rows = [rows[k] for k in index]
         assert [row[4] for row in rows] == ["1/0/0"] * 4
@@ -82,19 +82,19 @@ class TestCsvWriters:
 
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "1.csv", tmp_path / "2.csv"
-        rows, index = trial_rows(make_trials(range(6)))
+        rows, index = trial_rows(*make_run(range(6)))
         write_table_csv(p1, CSV_COLUMNS, rows, {"seed": 3}, index)
         write_table_csv(p2, CSV_COLUMNS, rows, {"seed": 3}, index)
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def reference_rows(trials, estimate):
+def reference_rows(run, estimate):
     """The table as it was written before rows were formatted by class: one
     row per shot, each outcome through ``repr``."""
-    cfg = trials.cfg
+    cfg, seed_label, classes = run
     config = [cfg.protocol.value, str(cfg.n_ions), repr(float(cfg.t_ramsey)),
-              repr(float(cfg.omega_r)), trials.seed_label]
-    outcomes = cfg.protocol.outcomes(trials.classes, cfg.n_ions)
+              repr(float(cfg.omega_r)), seed_label]
+    outcomes = cfg.protocol.outcomes(classes, cfg.n_ions)
     rows = [[*config, repr(v), "", ""] for v in outcomes.tolist()]
     if estimate is not None:
         rows.append([*config, "", repr(estimate.estimate), repr(estimate.sigma)])
@@ -119,14 +119,14 @@ class TestClassIndexedTables:
     def test_bytes_match_the_per_shot_formula(self, tmp_path, protocol, n_ions, shots, estimate):
         cfg = RamseyConfig(n_ions=n_ions, t_ramsey=0.7, omega_r=0.9 / n_ions, omega_0=0.05,
                            protocol=protocol, final_phase=0.3, shots=shots)
-        trials = run_ramsey(cfg, np.random.default_rng([n_ions, shots]), "5/0/0")
-        rows, index = trial_rows(trials, estimate)
+        run = cfg, "5/0/0", run_ramsey(cfg, np.random.default_rng([n_ions, shots]))
+        rows, index = trial_rows(*run, estimate)
         assert len(rows) <= 2 * n_ions + 1
         for fmt in ("csv", "json"):
             manifest = cli.RunManifest("ramsey", "", 5, str(tmp_path / fmt), fmt, False)
             paths = cli._output_paths(manifest)
             cli._write_outputs(manifest, paths, CSV_COLUMNS, rows, {}, index)
-            expected = reference_files(manifest.meta(), reference_rows(trials, estimate))
+            expected = reference_files(manifest.meta(), reference_rows(run, estimate))
             assert Path(paths[0]).read_text() == expected[fmt == "json"]
 
     @settings(max_examples=200, deadline=None)
@@ -139,10 +139,10 @@ class TestClassIndexedTables:
     )
     def test_table_rows_match_the_per_shot_formula(self, protocol, shots, with_estimate):
         n_ions, classes = shots
-        trials = make_trials(classes, protocol=protocol, n_ions=n_ions)
+        run = make_run(classes, protocol=protocol, n_ions=n_ions)
         estimate = Estimate(-0.25, 2.5e-3) if with_estimate else None
-        rows, index = trial_rows(trials, estimate)
-        assert [rows[k] for k in index] == reference_rows(trials, estimate)
+        rows, index = trial_rows(*run, estimate)
+        assert [rows[k] for k in index] == reference_rows(run, estimate)
 
 
 class TestJsonWriter:
